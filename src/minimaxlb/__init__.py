@@ -10,26 +10,24 @@ reproduces the bound-versus-estimator comparison figures.
 from .bounds import (BoundResult, DegenerateKernelError, Functional, Identity,
                      MaxZero, PolyKernel, PowerMax, chi2_mixture_bound,
                      density_lam_constant, diffeo_bound, diffeo_bound_sup,
-                     functional_eval, hellinger_mixture_bound,
-                     hellinger_mixture_bound_sup, lam_constant_regular,
-                     lam_constant_uniform_diffeo, lam_constant_uniform_twopoint,
-                     two_point_hellinger_bound, van_trees_value, vt_kepler_bound)
+                     hellinger_mixture_bound, hellinger_mixture_bound_sup,
+                     lam_constant_regular, lam_constant_uniform_diffeo,
+                     lam_constant_uniform_twopoint, two_point_hellinger_bound,
+                     twopoint_bound_sup, van_trees_value, vt_kepler_bound)
 from .estimators import (Constant, EstimatorSpec, PluginMLE, PreTest,
-                         RiskPoint, constant_local_minimax_risk,
-                         local_minimax_risk, plugin_risk_at, pretest_risk_at)
+                         constant_local_minimax_risk, local_minimax_risk,
+                         plugin_risk_at, pretest_risk_at)
 from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
                        mixture_hellinger_sq, prior_shift_hellinger_sq)
 from .models import (DivergenceValue, Family, GaussianLocation, UniformScale,
-                     chi_sq, chi_sq_iid, density, fisher_info,
-                     hellinger_local_ratio, hellinger_sq, hellinger_sq_iid)
+                     chi_sq_iid, hellinger_local_ratio, hellinger_sq_iid)
 from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
-                       find_root_bisect, gauss_hermite_expectation,
-                       gaussian_partial_second_moment, integrate_adaptive,
-                       maximize_1d, maximize_2d, normal_cdf, normal_pdf)
+                       find_root_bisect, gaussian_partial_second_moment,
+                       integrate_adaptive, maximize_1d, maximize_2d, normal_cdf,
+                       normal_pdf)
 from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution,
-                     NicenessReport, Prior, UniformPrior, check_nice, dilate,
-                     kepler_prior_density, min_fisher_constrained,
-                     prior_density, prior_fisher_info, solve_kepler)
+                     NicenessReport, Prior, UniformPrior, kepler_prior_density,
+                     min_fisher_constrained, prior_density, solve_kepler)
 
 __version__ = "0.1.0"

@@ -4,16 +4,16 @@ refined two-point Hellinger bound, the scalar asymptotic constants, and the
 density-estimation constant C(s, M, K).
 
 Conventions. All bound values are >= 0 with exact clamping at zero. The
-Kepler and arctan bounds are returned n-scaled (they bound
-n E|T - max(theta,0)|^2), matching the figure axes; the mixture and
-two-point bounds are un-scaled (they bound E|T - psi|^2 for the full
+Kepler and arctan bounds and the two-point sup are returned n-scaled (they
+bound n E|T - max(theta,0)|^2), matching the figure axes; the mixture and
+fixed-pair two-point bounds are un-scaled (they bound E|T - psi|^2 for the full
 n-observation experiment).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (DEFAULT_QUAD, QuadratureSpec, SearchBox,
                        composite_simpson, integrate_piecewise, maximize_1d,
                        maximize_2d)
-from .priors import (Prior, check_nice, prior_density, prior_dispersion,
-                     prior_fisher_info, prior_support, solve_kepler)
+from .priors import Prior, prior_density, solve_kepler
 
 _PI = math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -37,18 +36,49 @@ class DegenerateKernelError(ValueError):
     """The kernel's s-th derivative vanishes at zero; C(s, M, K) undefined."""
 
 
+class Functional:
+    """A functional psi of the parameter: ``psi(theta)``, the points where it
+    is not smooth (``kinks()``), and the van Trees numerator
+    ``slope_mass(prior, quad)`` = int psi' dQ."""
+
+    def kinks(self) -> Tuple[float, ...]:
+        return (0.0,)
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(Functional):
     """psi(theta) = theta."""
 
+    def __call__(self, theta: float) -> float:
+        return float(theta)
+
+    def kinks(self) -> Tuple[float, ...]:
+        return ()
+
+    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True)
-class MaxZero:
-    """psi(theta) = max(theta, 0)."""
+class MaxZero(Functional):
+    """psi(theta) = max(theta, 0).
+
+    Its a.e. derivative is the indicator 1{theta > 0} (the kink at 0 has
+    prior measure zero).
+    """
+
+    def __call__(self, theta: float) -> float:
+        return max(float(theta), 0.0)
+
+    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+        lo, hi = prior.window()
+        return 0.0 if hi <= 0.0 else integrate_piecewise(
+            lambda t: prior_density(prior, t), max(lo, 0.0), hi, (), quad,
+            min_panels=8)
 
 
 @dataclass(frozen=True)
-class PowerMax:
+class PowerMax(Functional):
     """psi(theta) = max(theta^alpha, 0) = theta^alpha for theta > 0, else 0."""
 
     alpha: float
@@ -57,8 +87,18 @@ class PowerMax:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
 
+    def __call__(self, theta: float) -> float:
+        theta = float(theta)
+        if theta <= 0.0:
+            return 0.0
+        return theta ** self.alpha
 
-Functional = Union[Identity, MaxZero, PowerMax]
+    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+        """Integrated via u = t^alpha, which removes the t^(alpha-1) singularity."""
+        _, hi = prior.window()
+        return 0.0 if hi <= 0.0 else integrate_piecewise(
+            lambda u: prior_density(prior, u ** (1.0 / self.alpha)),
+            0.0, hi ** self.alpha, (), quad, min_panels=8)
 
 
 @dataclass(frozen=True)
@@ -70,34 +110,17 @@ class BoundResult:
     method: str = ""
 
 
-def functional_eval(f: Functional, theta: float) -> float:
-    theta = float(theta)
-    if isinstance(f, Identity):
-        return theta
-    if isinstance(f, MaxZero):
-        return max(theta, 0.0)
-    if theta <= 0.0:
-        return 0.0
-    return theta ** f.alpha
-
-
-def _functional_kinks(f: Functional) -> Tuple[float, ...]:
-    return () if isinstance(f, Identity) else (0.0,)
-
-
 def _require_nice(prior: Prior) -> None:
-    report = check_nice(prior)
+    report = prior.check_nice()
     if not report.is_nice:
         raise ValueError("prior is not nice: " + "; ".join(report.reasons))
 
 
-def _psi_window(prior: Prior) -> Tuple[float, float]:
-    lo, hi = prior_support(prior)
-    if math.isinf(lo) or math.isinf(hi):
-        disp = prior_dispersion(prior)
-        center = prior.mu if hasattr(prior, "mu") else 0.0
-        return center - 12.0 * disp, center + 12.0 * disp
-    return lo, hi
+def _check_delta(delta: float) -> None:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be positive and finite")
+    if delta**2 == 0.0:
+        raise ValueError(f"delta={delta!r} is too small: delta**2 underflows to 0")
 
 
 def delta_psi_moments(prior: Prior, f: Functional, h: float,
@@ -108,11 +131,11 @@ def delta_psi_moments(prior: Prior, f: Functional, h: float,
     psi(t - h)) and at the prior support endpoints, so no panel straddles a
     non-smooth point.
     """
-    lo, hi = _psi_window(prior)
-    kinks = [*(k for k in _functional_kinks(f)), *(k + h for k in _functional_kinks(f))]
+    lo, hi = prior.window()
+    kinks = [*f.kinks(), *(k + h for k in f.kinks())]
 
     def dpsi(t: float) -> float:
-        return functional_eval(f, t) - functional_eval(f, t - h)
+        return f(t) - f(t - h)
 
     first = integrate_piecewise(lambda t: dpsi(t) * prior_density(prior, t),
                                 lo, hi, kinks, quad, min_panels=8)
@@ -170,7 +193,7 @@ def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functio
 
 def default_shift_range(prior: Prior) -> Tuple[float, float]:
     """Default |h| search window scaled by the prior's dispersion."""
-    scale = prior_dispersion(prior)
+    scale = prior.dispersion()
     return 1e-4 * scale, 10.0 * scale
 
 
@@ -225,10 +248,8 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional,
                     quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Classical van Trees value (int grad psi dQ)^2 / (I(Q) + n int I dQ).
 
-    Requires a regular (Gaussian) family and a nice prior. The a.e.
-    derivative of max(theta, 0) is the indicator 1{theta > 0} (the kink at 0
-    has prior measure zero); max(theta^alpha, 0) integrates via the
-    substitution u = t^alpha, which removes the t^(alpha-1) singularity.
+    Requires a regular (Gaussian) family and a nice prior; the numerator
+    is the functional's ``slope_mass``.
     """
     if not isinstance(family, GaussianLocation):
         raise ValueError("van Trees value requires the Gaussian family "
@@ -236,18 +257,8 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional,
     if n < 1:
         raise ValueError("n must be a positive integer")
     _require_nice(prior)
-    lo, hi = _psi_window(prior)
-    if isinstance(f, Identity):
-        num = 1.0
-    elif isinstance(f, MaxZero):
-        num = 0.0 if hi <= 0.0 else integrate_piecewise(
-            lambda t: prior_density(prior, t), max(lo, 0.0), hi, (), quad,
-            min_panels=8)
-    else:
-        num = 0.0 if hi <= 0.0 else integrate_piecewise(
-            lambda u: prior_density(prior, u ** (1.0 / f.alpha)),
-            0.0, hi ** f.alpha, (), quad, min_panels=8)
-    denom = prior_fisher_info(prior).value + n / family.sigma ** 2
+    num = f.slope_mass(prior, quad)
+    denom = prior.fisher_info().value + n / family.sigma ** 2
     return num * num / denom
 
 
@@ -259,8 +270,7 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     cosine prior whose minimum Fisher information 4 pi^2 / w_a^2 enters the
     denominator after dilation to the delta-neighborhood.
     """
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+    _check_delta(delta)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
@@ -308,8 +318,7 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
     which keeps the whole expression below the sigma^2 = 1 ceiling. The
     indicator expectation integrates from the kink upward only.
     """
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+    _check_delta(delta)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not (xi2 > 0 and math.isfinite(xi2)):
@@ -349,6 +358,22 @@ def diffeo_bound_sup(delta: float, n: int,
                        "diffeo")
 
 
+def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
+    """n-scaled sup of the two-point bound for max(theta,0) under N(theta,1).
+
+    The Hellinger distance depends only on the separation, so the supremum
+    over pairs reduces to pairs (0, t); the bracket is positive only for
+    t sqrt(n) below sqrt(8 log 2), which sizes the search window.
+    """
+    fam = GaussianLocation(1.0)
+    f = MaxZero()
+    t_max = min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n))
+    t_best, value = maximize_1d(
+        lambda t: n * two_point_hellinger_bound(fam, n, f, 0.0, t),
+        t_max * 1e-6, t_max)
+    return BoundResult(max(value, 0.0), {"theta2": t_best}, "twopoint")
+
+
 def two_point_hellinger_bound(family: Family, n: int, f: Functional,
                               theta1: float, theta2: float) -> float:
     """Refined two-point bound [(1 - H^2_n)/4]_+ |psi(theta1) - psi(theta2)|^2.
@@ -361,7 +386,7 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
     bracket = (1.0 - h2n) / 4.0
     if bracket <= 0.0:
         return 0.0
-    dpsi = functional_eval(f, theta1) - functional_eval(f, theta2)
+    dpsi = f(theta1) - f(theta2)
     return bracket * dpsi * dpsi
 
 
@@ -384,19 +409,32 @@ def uniform_diffeo_objective(c: float) -> float:
     return bracket * bracket if bracket > 0.0 else 0.0
 
 
+LAM_CONSTANTS = {
+    "regular_twopoint": (regular_twopoint_objective, 0.0, 10.0),
+    "uniform_twopoint": (uniform_twopoint_objective, 0.0, 10.0),
+    "uniform_diffeo": (uniform_diffeo_objective, 1e-9, 10.0),
+}
+
+
+def lam_constant(name: str) -> Tuple[float, float]:
+    """(argmax, value) of a scalar constant's objective over its search interval."""
+    objective, lo, hi = LAM_CONSTANTS[name]
+    return maximize_1d(objective, lo, hi)
+
+
 def lam_constant_regular() -> float:
     """The regular two-point asymptotic constant, approximately 0.28953."""
-    return maximize_1d(regular_twopoint_objective, 0.0, 10.0)[1]
+    return lam_constant("regular_twopoint")[1]
 
 
 def lam_constant_uniform_twopoint() -> float:
     """The uniform-model two-point constant, approximately 0.0558."""
-    return maximize_1d(uniform_twopoint_objective, 0.0, 10.0)[1]
+    return lam_constant("uniform_twopoint")[1]
 
 
 def lam_constant_uniform_diffeo() -> float:
     """The uniform-model diffeomorphism constant, approximately 0.0635^2."""
-    return maximize_1d(uniform_diffeo_objective, 1e-9, 10.0)[1]
+    return lam_constant("uniform_diffeo")[1]
 
 
 @dataclass(frozen=True)

@@ -77,28 +77,27 @@ def _csv(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
+# kind: (expected form, required field count, defaults of the optional fields, constructor)
+_PRIOR_FORMS = {
+    "cosine": ("cosine[:center[:halfwidth]]", 0, (0.0, 1.0), priors.Cosine),
+    "gaussian": ("gaussian[:mu[:sigma]]", 0, (0.0, 1.0), priors.GaussianPrior),
+    "kepler": ("kepler:a[:center[:scale]]", 1, (0.0, 1.0),
+               priors.KeplerCosine.for_constraint),
+    "uniform": ("uniform:lo:hi", 2, (), priors.UniformPrior),
+}
+
+
 def parse_prior(spec: str) -> priors.Prior:
-    """Parse 'cosine:c:w' | 'gaussian:mu:sigma' | 'kepler:a[:c:s]' | 'uniform:lo:hi'."""
-    parts = spec.split(":")
-    kind = parts[0].lower()
-    args = [float(p) for p in parts[1:]]
-    if kind == "cosine":
-        c, w = (args + [0.0, 1.0][len(args):])[:2]
-        return priors.Cosine(c, w)
-    if kind == "gaussian":
-        mu, sigma = (args + [0.0, 1.0][len(args):])[:2]
-        return priors.GaussianPrior(mu, sigma)
-    if kind == "kepler":
-        if not args:
-            raise ValueError("kepler prior needs the mass constraint a")
-        a = args[0]
-        c, s = (args[1:] + [0.0, 1.0][len(args) - 1:])[:2]
-        return priors.KeplerCosine.for_constraint(a, c, s)
-    if kind == "uniform":
-        if len(args) != 2:
-            raise ValueError("uniform prior needs lo and hi")
-        return priors.UniformPrior(args[0], args[1])
-    raise ValueError(f"unknown prior kind {kind!r}")
+    """Parse a prior spec in one of the forms of ``_PRIOR_FORMS``, e.g. 'cosine:0:1'."""
+    head, *fields = spec.split(":")
+    kind = head.lower()
+    if kind not in _PRIOR_FORMS:
+        raise ValueError(f"unknown prior kind {kind!r}")
+    form, required, defaults, make = _PRIOR_FORMS[kind]
+    if not required <= len(fields) <= required + len(defaults):
+        raise ValueError(f"prior {spec!r} has {len(fields)} fields; expected {form}")
+    args = [float(p) for p in fields]
+    return make(*args, *defaults[len(args) - required:])
 
 
 def parse_functional(name: str, alpha: Optional[float]) -> bounds.Functional:
@@ -126,8 +125,10 @@ def parse_family(name: str, sigma: float) -> models.Family:
 def parse_grid(spec: str) -> Tuple[float, ...]:
     """'log:lo:hi:count' for a log-spaced grid, else a comma list."""
     if spec.startswith("log:"):
-        _, lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        fields = spec.split(":")
+        if len(fields) != 4:
+            raise ValueError(f"log grid {spec!r} must be written log:lo:hi:count")
+        lo, hi, count = float(fields[1]), float(fields[2]), int(fields[3])
         if not (0 < lo < hi and count >= 2):
             raise ValueError("log grid needs 0 < lo < hi and count >= 2")
         return tuple(float(x) for x in np.geomspace(lo, hi, count))
@@ -139,22 +140,6 @@ DEFAULT_DELTA_GRID = "log:1e-2:1e2:50"
 
 # ---------------------------------------------------------------------------
 # sweep computation
-
-def _twopoint_sweep(n: int, delta: float) -> float:
-    """n-scaled sup of the two-point bound for max(theta,0) under N(theta,1).
-
-    The Hellinger distance depends only on the separation, so the supremum
-    over pairs reduces to pairs (0, t); the bracket is positive only for
-    t sqrt(n) below sqrt(8 log 2), which sizes the search window.
-    """
-    fam = models.GaussianLocation(1.0)
-    f = bounds.MaxZero()
-    t_max = min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n))
-    _, value = numerics.maximize_1d(
-        lambda t: n * bounds.two_point_hellinger_bound(fam, n, f, 0.0, t),
-        t_max * 1e-6, t_max)
-    return max(value, 0.0)
-
 
 def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, float]:
     """All n-scaled bound and risk values at one grid point.
@@ -171,7 +156,7 @@ def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, flo
     if "diffeo" in config.methods:
         out["bound_diffeo"] = s * s * bounds.diffeo_bound_sup(d, n).value
     if "twopoint" in config.methods:
-        out["bound_twopoint"] = s * s * _twopoint_sweep(n, d)
+        out["bound_twopoint"] = s * s * bounds.twopoint_bound_sup(d, n).value
     if "constant" in config.estimators:
         out["risk_constant"] = s * s * estimators.constant_local_minimax_risk(d, n)
     if "plugin" in config.estimators:
@@ -497,14 +482,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    table = (
-        ("regular_twopoint", bounds.regular_twopoint_objective, 0.0, 10.0),
-        ("uniform_twopoint", bounds.uniform_twopoint_objective, 0.0, 10.0),
-        ("uniform_diffeo", bounds.uniform_diffeo_objective, 1e-9, 10.0),
-    )
     rows = []
-    for name, objective, lo, hi in table:
-        arg, value = numerics.maximize_1d(objective, lo, hi)
+    for name in bounds.LAM_CONSTANTS:
+        arg, value = bounds.lam_constant(name)
         print(f"{name}: value={fmt(value)} argmax={fmt(arg)}")
         rows.append((name, fmt(value), fmt(arg)))
     _write_text(args.out, _csv(rows, ("name", "value", "argmax")))
@@ -592,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="optional SVG output path")
     p.set_defaults(func=cmd_kepler)
 
-    p = sub.add_parser("bound", help="evaluate one lower bound")
+    # no prefix matching: a stray --a would otherwise be read as --alpha
+    p = sub.add_parser("bound", help="evaluate one lower bound", allow_abbrev=False)
     p.add_argument("--method", required=True,
                    choices=("vt", "diffeo", "twopoint", "hellinger", "chi2",
                             "vantrees"))
@@ -606,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--h", type=float)
-    p.add_argument("--a", type=float)
     p.add_argument("--xi1", type=float)
     p.add_argument("--xi2", type=float)
     p.add_argument("--theta1", type=float)

@@ -48,17 +48,6 @@ class PreTest:
 EstimatorSpec = Union[Constant, PluginMLE, PreTest]
 
 
-@dataclass(frozen=True)
-class RiskPoint:
-    theta: float
-    n: int
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("risk must be non-negative")
-
-
 def _check_n(n: int) -> int:
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -21,13 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .models import (DivergenceValue, Family, GaussianLocation, UniformScale,
-                     chi_sq_iid, hellinger_sq_iid)
+from .models import DivergenceValue, Family, chi_sq_iid, hellinger_sq_iid
 from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_piecewise
-from .priors import (GaussianPrior, Prior, prior_density, prior_dispersion,
-                     prior_support)
-
-_TAIL_SIGMAS = 12.0
+from .priors import Prior, prior_density
 
 
 class CoverageWarning(UserWarning):
@@ -74,35 +70,29 @@ class GridSpec:
                 raise ValueError("grid points must be odd and >= 11")
 
 
-def _finite_window(prior: Prior, pad: float) -> Tuple[float, float]:
-    """A finite interval carrying all but a negligible tail of the prior."""
-    lo, hi = prior_support(prior)
-    if math.isinf(lo) or math.isinf(hi):
-        disp = prior_dispersion(prior)
-        mu = prior.mu if isinstance(prior, GaussianPrior) else 0.0
-        return mu - _TAIL_SIGMAS * disp - pad, mu + _TAIL_SIGMAS * disp + pad
-    return lo, hi
-
-
-def _prior_cuts(prior: Prior) -> Tuple[float, ...]:
-    lo, hi = prior_support(prior)
-    cuts = []
-    for v in (lo, hi):
-        if math.isfinite(v):
-            cuts.append(v)
-    return tuple(cuts)
+def _support_cuts(prior: Prior, h: float, lo: float, hi: float) -> Tuple[float, ...]:
+    """Finite support endpoints of q and q(. + h) strictly inside (lo, hi)."""
+    ends = [v for v in prior.support() if math.isfinite(v)]
+    return tuple(c for c in (*ends, *(e - h for e in ends)) if lo < c < hi)
 
 
 def _overlap_region(prior: Prior, h: float) -> Optional[Tuple[float, float, Tuple[float, ...]]]:
     """Region where q(t) q(t+h) > 0, with kink cut points, or None if empty."""
-    lo0, hi0 = _finite_window(prior, 0.0)
-    lo1, hi1 = lo0 - h, hi0 - h
-    lo, hi = max(lo0, lo1), min(hi0, hi1)
+    lo0, hi0 = prior.window()
+    lo, hi = max(lo0, lo0 - h), min(hi0, hi0 - h)
     if lo >= hi:
         return None
-    cuts = tuple(c for c in (*_prior_cuts(prior), *(c - h for c in _prior_cuts(prior)))
-                 if lo < c < hi)
-    return lo, hi, cuts
+    return lo, hi, _support_cuts(prior, h, lo, hi)
+
+
+def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ...]]:
+    """Window and kink cuts covering the supports of both q and q(. + h)."""
+    lo0, hi0 = prior.window()
+    lo, hi = min(lo0, lo0 - h), max(hi0, hi0 - h)
+    return lo, hi, _support_cuts(prior, h, lo, hi)
+
+
+_PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
 def _shift_quad_spec(quad: QuadratureSpec, h: float) -> QuadratureSpec:
@@ -110,17 +100,7 @@ def _shift_quad_spec(quad: QuadratureSpec, h: float) -> QuadratureSpec:
     so a fixed absolute tolerance would swamp them at small shifts."""
     tol = max(1e-15, min(quad.abs_tol, quad.abs_tol * h * h))
     return QuadratureSpec(abs_tol=tol, rel_tol=quad.rel_tol,
-                          max_depth=quad.max_depth,
-                          hermite_order=quad.hermite_order)
-
-
-def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ...]]:
-    """Window and kink cuts covering the supports of both q and q(. + h)."""
-    lo0, hi0 = _finite_window(prior, 0.0)
-    lo, hi = min(lo0, lo0 - h), max(hi0, hi0 - h)
-    cuts = tuple(c for c in (*_prior_cuts(prior), *(c - h for c in _prior_cuts(prior)))
-                 if lo < c < hi)
-    return lo, hi, cuts
+                          max_depth=quad.max_depth)
 
 
 def prior_shift_hellinger_sq(prior: Prior, h: float,
@@ -160,9 +140,7 @@ def mixture_hellinger_sq(spec: MixtureSpec) -> float:
     if region is None:
         return 2.0
     lo, hi, cuts = region
-    if isinstance(spec.family, UniformScale) and (lo <= 0.0 or lo + h <= 0.0):
-        raise ValueError("uniform family requires the prior (and its shift) "
-                         "to be supported on positive parameters")
+    spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
 
     def integrand(t: float) -> float:
         w = math.sqrt(prior_density(spec.prior, t + h) * prior_density(spec.prior, t))
@@ -189,16 +167,14 @@ def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
     h = float(spec.h)
     if h == 0.0:
         return DivergenceValue.finite(0.0)
-    if isinstance(spec.family, UniformScale) and h > 0:
+    if not spec.family.shift_is_dominated(h):
         return DivergenceValue.divergent()
-    lo_s, hi_s = prior_support(spec.prior)
+    lo_s, hi_s = spec.prior.support()
     if math.isfinite(lo_s) or math.isfinite(hi_s):
         # a shifted interval is never contained in itself
         return DivergenceValue.divergent()
-    lo, hi = _finite_window(spec.prior, 0.0)
-    if isinstance(spec.family, UniformScale) and (lo <= 0.0 or lo + h <= 0.0):
-        raise ValueError("uniform family requires the prior (and its shift) "
-                         "to be supported on positive parameters")
+    lo, hi = spec.prior.window()
+    spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
 
     # The ratio q(t+h)^2/q(t) concentrates around a shifted location
     # (center - 2h for a Gaussian prior); widen the window accordingly.
@@ -237,51 +213,28 @@ def _trapezoid(values: np.ndarray, spacing: float, axis: int = -1) -> np.ndarray
         return np.trapz(values, dx=spacing, axis=axis)
 
 
-def _family_density_grid(family: Family, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Matrix p_theta(x) with shape (len(thetas), len(xs))."""
-    t = thetas[:, None]
-    x = xs[None, :]
-    if isinstance(family, GaussianLocation):
-        s = family.sigma
-        return np.exp(-0.5 * ((x - t) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-    if np.any(thetas <= 0):
-        raise ValueError("uniform family requires positive parameters on the grid")
-    return np.where((x >= 0.0) & (x <= t), 1.0 / t, 0.0)
-
-
 def _prior_density_grid(prior: Prior, ts: np.ndarray) -> np.ndarray:
     return np.array([prior_density(prior, float(t)) for t in ts])
 
 
 def default_grid(family: Family, prior: Prior, h: float,
                  t_points: int = 2001, x_points: int = 2001) -> GridSpec:
-    """A grid covering the prior (and its shift) plus 8-sigma family tails."""
-    lo, hi = _finite_window(prior, 0.0)
-    t_lo, t_hi = min(lo, lo - h), max(hi, hi - h)
-    if isinstance(family, GaussianLocation):
-        pad = 8.0 * family.sigma
-        x_lo, x_hi = t_lo - pad, t_hi + pad
-    else:
-        x_lo, x_hi = 0.0, t_hi + abs(h)
+    """A grid covering the prior (and its shift) plus the family's x-range."""
+    t_lo, t_hi, _ = _union_region(prior, h)
+    x_lo, x_hi = family.x_range(t_lo, t_hi, h)
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi,
                     t_points=t_points, x_points=x_points)
 
 
 def _check_coverage(family: Family, prior: Prior, h: float, grid: GridSpec) -> None:
-    lo, hi = _finite_window(prior, 0.0)
-    t_lo, t_hi = min(lo, lo - h), max(hi, hi - h)
+    t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
                       CoverageWarning, stacklevel=3)
-    if isinstance(family, GaussianLocation):
-        pad = 8.0 * family.sigma
-        if grid.x_lo > t_lo - pad or grid.x_hi < t_hi + pad:
-            warnings.warn("x-grid does not cover 8 sigma around the parameter range",
-                          CoverageWarning, stacklevel=3)
-    else:
-        if grid.x_lo > 0.0 or grid.x_hi < t_hi + abs(h):
-            warnings.warn("x-grid does not cover the full uniform support",
-                          CoverageWarning, stacklevel=3)
+    x_lo, x_hi = family.x_range(t_lo, t_hi, h)
+    if grid.x_lo > x_lo or grid.x_hi < x_hi:
+        warnings.warn(f"x-grid does not cover {family.x_coverage}",
+                      CoverageWarning, stacklevel=3)
 
 
 def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
@@ -298,8 +251,8 @@ def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     q0 = _prior_density_grid(prior, ts)
     qh = _prior_density_grid(prior, ts + h)
-    p0 = _family_density_grid(family, ts, xs)
-    ph = _family_density_grid(family, ts + h, xs)
+    p0 = family.density_grid(ts, xs)
+    ph = family.density_grid(ts + h, xs)
     diff = np.sqrt(ph * qh[:, None]) - np.sqrt(p0 * q0[:, None])
     inner = _trapezoid(diff * diff, (grid.x_hi - grid.x_lo) / (grid.x_points - 1), axis=1)
     return float(_trapezoid(inner, (grid.t_hi - grid.t_lo) / (grid.t_points - 1), axis=0))
@@ -323,8 +276,8 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     q0 = _prior_density_grid(prior, ts)
     qh = _prior_density_grid(prior, ts + h)
-    g0 = _family_density_grid(family, ts, xs) * q0[:, None]
-    gh = _family_density_grid(family, ts + h, xs) * qh[:, None]
+    g0 = family.density_grid(ts, xs) * q0[:, None]
+    gh = family.density_grid(ts + h, xs) * qh[:, None]
     mix = lam * gh + (1.0 - lam) * g0
     num = (gh - g0) ** 2
     ratio = np.divide(num, mix, out=np.zeros_like(num), where=mix > 0.0)

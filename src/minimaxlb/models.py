@@ -11,28 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple
+
+import numpy as np
 
 from .numerics import normal_pdf
-
-
-@dataclass(frozen=True)
-class GaussianLocation:
-    """N(theta, sigma^2) with known sigma > 0; theta is the location."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be a positive finite number")
-
-
-@dataclass(frozen=True)
-class UniformScale:
-    """Unif(0, theta); theta > 0 is the right endpoint of the support."""
-
-
-Family = Union[GaussianLocation, UniformScale]
 
 
 @dataclass(frozen=True)
@@ -68,76 +51,144 @@ class DivergenceValue:
         return "Divergent" if self.is_divergent else f"Finite({self._value!r})"
 
 
-def _check_theta(family: Family, theta: float, name: str = "theta") -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"{name} must be finite")
-    if isinstance(family, UniformScale) and theta <= 0:
-        raise ValueError(f"Uniform scale family requires {name} > 0, got {theta}")
-    return theta
+class Family:
+    """A one-parameter family P_theta with closed-form divergences.
 
-
-def density(family: Family, theta: float, x: float) -> float:
-    """Model density dP_theta/dx at x; zero outside the support."""
-    theta = _check_theta(family, theta)
-    x = float(x)
-    if isinstance(family, GaussianLocation):
-        return normal_pdf((x - theta) / family.sigma) / family.sigma
-    if 0.0 <= x <= theta:
-        return 1.0 / theta
-    return 0.0
-
-
-def fisher_info(family: Family, theta: float) -> DivergenceValue:
-    """Per-observation Fisher information; Divergent for the uniform family.
-
-    Hellinger differentiability fails for Unif(0, theta), so no finite
-    information exists there.
+    Each family type defines ``density(theta, x)``, ``density_grid(thetas,
+    xs)``, ``fisher_info(theta)``, ``hellinger_sq(theta1, theta2)``,
+    ``chi_sq(theta_num, theta_den)``, ``shift_is_dominated(h)``, and the
+    oracle grid's ``x_range(t_lo, t_hi, h)`` with its ``x_coverage`` text.
+    Parameters must be finite and above ``theta_min``.
     """
-    _check_theta(family, theta)
-    if isinstance(family, GaussianLocation):
-        return DivergenceValue.finite(1.0 / family.sigma**2)
-    return DivergenceValue.divergent()
+
+    theta_min = -math.inf
+    label = "family"
+
+    def check_theta(self, theta: float, name: str = "theta") -> float:
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} must be finite")
+        if theta <= self.theta_min:
+            raise ValueError(f"{self.label} requires {name} > {self.theta_min:g}, "
+                             f"got {theta}")
+        return theta
 
 
-def hellinger_sq(family: Family, theta1: float, theta2: float) -> float:
-    """Squared Hellinger distance H^2(P_theta1, P_theta2), in [0, 2].
+@dataclass(frozen=True)
+class GaussianLocation(Family):
+    """N(theta, sigma^2) with known sigma > 0; theta is the location."""
 
-    Gaussian: 2 - 2 exp(-(theta1-theta2)^2 / (8 sigma^2)).
-    Uniform:  2 (1 - (1 + h/theta_min)^(-1/2)) with h = |theta1 - theta2|.
-    """
-    theta1 = _check_theta(family, theta1, "theta1")
-    theta2 = _check_theta(family, theta2, "theta2")
-    if isinstance(family, GaussianLocation):
-        d = (theta1 - theta2) / family.sigma
+    sigma: float = 1.0
+    x_coverage = "8 sigma around the parameter range"
+
+    def __post_init__(self):
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be a positive finite number")
+
+    def density(self, theta: float, x: float) -> float:
+        """Model density dP_theta/dx at x."""
+        theta = self.check_theta(theta)
+        return normal_pdf((float(x) - theta) / self.sigma) / self.sigma
+
+    def density_grid(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Matrix p_theta(x) with shape (len(thetas), len(xs))."""
+        s = self.sigma
+        return (np.exp(-0.5 * ((xs[None, :] - thetas[:, None]) / s) ** 2)
+                / (s * math.sqrt(2.0 * math.pi)))
+
+    def fisher_info(self, theta: float) -> DivergenceValue:
+        """Per-observation Fisher information 1/sigma^2."""
+        self.check_theta(theta)
+        return DivergenceValue.finite(1.0 / self.sigma**2)
+
+    def hellinger_sq(self, theta1: float, theta2: float) -> float:
+        """Squared Hellinger distance 2 - 2 exp(-(theta1-theta2)^2 / (8 sigma^2))."""
+        theta1 = self.check_theta(theta1, "theta1")
+        theta2 = self.check_theta(theta2, "theta2")
+        d = (theta1 - theta2) / self.sigma
         return -2.0 * math.expm1(-d * d / 8.0)
-    t_min, t_max = min(theta1, theta2), max(theta1, theta2)
-    r = t_min / t_max
-    # 2 (1 - sqrt(r)) written without cancellation for r near 1
-    return 2.0 * (1.0 - r) / (1.0 + math.sqrt(r))
+
+    def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
+        """Chi-squared divergence exp((theta_num-theta_den)^2/sigma^2) - 1;
+        Divergent once it exceeds the float range."""
+        theta_num = self.check_theta(theta_num, "theta_num")
+        theta_den = self.check_theta(theta_den, "theta_den")
+        d = (theta_num - theta_den) / self.sigma
+        try:
+            return DivergenceValue.finite(math.expm1(d * d))
+        except OverflowError:  # effectively infinite, as in chi_sq_iid
+            return DivergenceValue.divergent()
+
+    def shift_is_dominated(self, h: float) -> bool:
+        """Every P_{t+h} is dominated by P_t."""
+        return True
+
+    def x_range(self, t_lo: float, t_hi: float, h: float) -> Tuple[float, float]:
+        """x-interval of the oracle grid: 8 sigma beyond the parameter range."""
+        pad = 8.0 * self.sigma
+        return t_lo - pad, t_hi + pad
 
 
-def chi_sq(family: Family, theta_num: float, theta_den: float) -> DivergenceValue:
-    """Chi-squared divergence chi^2(P_theta_num || P_theta_den).
+@dataclass(frozen=True)
+class UniformScale(Family):
+    """Unif(0, theta); theta > 0 is the right endpoint of the support.
 
-    Divergent when the numerator distribution is not dominated by the
-    denominator (uniform family with theta_num > theta_den).
+    Irregular: Hellinger differentiability fails, so no finite Fisher
+    information exists.
     """
-    theta_num = _check_theta(family, theta_num, "theta_num")
-    theta_den = _check_theta(family, theta_den, "theta_den")
-    if isinstance(family, GaussianLocation):
-        d = (theta_num - theta_den) / family.sigma
-        return DivergenceValue.finite(math.expm1(d * d))
-    if theta_num > theta_den:
+
+    theta_min = 0.0
+    label = "Uniform scale family"
+    x_coverage = "the full uniform support"
+
+    def density(self, theta: float, x: float) -> float:
+        """Model density 1/theta on [0, theta]; zero outside."""
+        theta = self.check_theta(theta)
+        x = float(x)
+        return 1.0 / theta if 0.0 <= x <= theta else 0.0
+
+    def density_grid(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Matrix p_theta(x) with shape (len(thetas), len(xs))."""
+        if np.any(thetas <= 0):
+            raise ValueError("uniform family requires positive parameters on the grid")
+        t, x = thetas[:, None], xs[None, :]
+        return np.where((x >= 0.0) & (x <= t), 1.0 / t, 0.0)
+
+    def fisher_info(self, theta: float) -> DivergenceValue:
+        self.check_theta(theta)
         return DivergenceValue.divergent()
-    return DivergenceValue.finite(theta_den / theta_num - 1.0)
+
+    def hellinger_sq(self, theta1: float, theta2: float) -> float:
+        """Squared Hellinger distance 2 (1 - (1 + h/theta_min)^(-1/2)), h = |theta1 - theta2|."""
+        theta1 = self.check_theta(theta1, "theta1")
+        theta2 = self.check_theta(theta2, "theta2")
+        r = min(theta1, theta2) / max(theta1, theta2)
+        # 2 (1 - sqrt(r)) written without cancellation for r near 1
+        return 2.0 * (1.0 - r) / (1.0 + math.sqrt(r))
+
+    def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
+        """theta_den/theta_num - 1; Divergent when theta_num > theta_den
+        (the numerator law is not dominated)."""
+        theta_num = self.check_theta(theta_num, "theta_num")
+        theta_den = self.check_theta(theta_den, "theta_den")
+        if theta_num > theta_den:
+            return DivergenceValue.divergent()
+        return DivergenceValue.finite(theta_den / theta_num - 1.0)
+
+    def shift_is_dominated(self, h: float) -> bool:
+        """Unif(0, t+h) is dominated by Unif(0, t) only for h <= 0."""
+        return h <= 0
+
+    def x_range(self, t_lo: float, t_hi: float, h: float) -> Tuple[float, float]:
+        """x-interval of the oracle grid: the whole support [0, t_hi + |h|]."""
+        return 0.0, t_hi + abs(h)
 
 
 def hellinger_sq_iid(family: Family, theta1: float, theta2: float, n: int) -> float:
     """n-fold tensorization 2 - 2 (1 - H^2/2)^n of the squared Hellinger."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    h2 = hellinger_sq(family, theta1, theta2)
+    h2 = family.hellinger_sq(theta1, theta2)
     if n == 1:
         return h2
     if h2 >= 2.0:
@@ -150,7 +201,7 @@ def chi_sq_iid(family: Family, theta_num: float, theta_den: float, n: int) -> Di
     """n-fold tensorization (1 + chi^2)^n - 1; Divergent propagates."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    per_obs = chi_sq(family, theta_num, theta_den)
+    per_obs = family.chi_sq(theta_num, theta_den)
     if per_obs.is_divergent:
         return per_obs
     if n == 1:
@@ -171,4 +222,4 @@ def hellinger_local_ratio(family: Family, theta: float, h: float) -> float:
     h = float(h)
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    return hellinger_sq(family, theta, theta + h) / (h * h)
+    return family.hellinger_sq(theta, theta + h) / (h * h)

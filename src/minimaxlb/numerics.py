@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618..., inverse golden ratio
@@ -42,15 +40,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 60
-    hermite_order: int = 80
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("abs_tol and rel_tol must be positive")
         if self.max_depth < 10:
             raise ValueError("max_depth must be at least 10")
-        if self.hermite_order < 10:
-            raise ValueError("hermite_order must be at least 10")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -173,31 +168,6 @@ def integrate_adaptive(
             f"adaptive Simpson on [{a}, {b}] exhausted max_depth="
             f"{spec.max_depth}", result)
     return result
-
-
-@lru_cache(maxsize=8)
-def hermite_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights w with E[g(Z)] ~ sum(w * g(z)), Z ~ N(0,1).
-
-    Physicists' Gauss-Hermite rule with the change of variables z = sqrt(2)x
-    and weight normalization by sqrt(pi); sum(w) = 1 up to rounding.
-    """
-    if order < 2:
-        raise ValueError("hermite order must be at least 2")
-    x, w = hermgauss(order)
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-
-
-def gauss_hermite_expectation(g: Callable[[float], float], order: int = 80) -> float:
-    """Gauss-Hermite estimate of E[g(Z)] for standard normal Z."""
-    z, w = hermite_rule(order)
-    total = 0.0
-    for zi, wi in zip(z, w):
-        gi = float(g(zi))
-        if not math.isfinite(gi):
-            raise ValueError(f"g returned non-finite value at node z={zi!r}")
-        total += wi * gi
-    return total
 
 
 def find_root_bisect(
@@ -341,36 +311,6 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (values[0] + values[-1]
                             + 4.0 * values[1:-1:2].sum()
                             + 2.0 * values[2:-1:2].sum()))
-
-
-def integrate_simpson_doubling(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    start: int = 257,
-    max_nodes: int = 66049,
-) -> float:
-    """Composite Simpson with node doubling until successive estimates agree.
-
-    ``f`` must accept a numpy array. Deterministic alternative to the scalar
-    adaptive routine for smooth vectorizable integrands.
-    """
-    if a == b:
-        return 0.0
-    if a > b:
-        raise ValueError("bounds must satisfy a <= b")
-    n = start
-    xs = np.linspace(a, b, n)
-    prev = composite_simpson(np.asarray(f(xs), dtype=float), (b - a) / (n - 1))
-    while n < max_nodes:
-        n = 2 * n - 1
-        xs = np.linspace(a, b, n)
-        cur = composite_simpson(np.asarray(f(xs), dtype=float), (b - a) / (n - 1))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
 
 
 def split_interval(lo: float, hi: float, cuts: Sequence[float]) -> Tuple[Tuple[float, float], ...]:

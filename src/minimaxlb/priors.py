@@ -14,16 +14,57 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from .models import DivergenceValue
 from .numerics import find_root_bisect, normal_pdf
 
 _PI = math.pi
+_TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
 
 
 @dataclass(frozen=True)
-class Cosine:
+class NicenessReport:
+    """Which of the nice-prior conditions hold; is_nice iff reasons is empty."""
+
+    is_nice: bool
+    reasons: Tuple[str, ...]
+
+
+class Prior:
+    """A prior density on the real line.
+
+    Each prior type defines ``density(t)`` (zero outside the support),
+    ``support()``, ``fisher_info()`` (I(Q) = int q'^2/q), ``dispersion()`` (the
+    scale that sizes shift-search windows) and ``dilate(center, scale)``, the
+    location-scale map t -> (1/scale) q((t - center)/scale), which multiplies
+    the Fisher information by scale^-2. The defaults below fit the compactly
+    supported nice priors.
+    """
+
+    def window(self) -> Tuple[float, float]:
+        """Finite interval carrying all but a negligible tail of the prior."""
+        return self.support()
+
+    def check_nice(self) -> NicenessReport:
+        """The nice-prior conditions: absolutely continuous Lebesgue density,
+        finite Fisher information, and density decaying to zero at the
+        boundary of its support."""
+        return NicenessReport(is_nice=True, reasons=())
+
+
+def _affine(center: float, scale: float) -> Tuple[float, float]:
+    center = float(center)
+    scale = float(scale)
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
+    if not math.isfinite(center):
+        raise ValueError("center must be finite")
+    return center, scale
+
+
+@dataclass(frozen=True)
+class Cosine(Prior):
     """q(t) = (1/halfwidth) cos^2(pi (t-center) / (2 halfwidth)) on center +- halfwidth."""
 
     center: float = 0.0
@@ -33,9 +74,29 @@ class Cosine:
         if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
             raise ValueError("halfwidth must be positive and finite")
 
+    def density(self, t: float) -> float:
+        u = (t - self.center) / self.halfwidth
+        if abs(u) >= 1.0:
+            return 0.0
+        val = math.cos(_PI * u / 2.0)
+        return val * val / self.halfwidth
+
+    def support(self) -> Tuple[float, float]:
+        return self.center - self.halfwidth, self.center + self.halfwidth
+
+    def fisher_info(self) -> DivergenceValue:
+        return DivergenceValue.finite(_PI * _PI / self.halfwidth**2)
+
+    def dispersion(self) -> float:
+        return self.halfwidth
+
+    def dilate(self, center: float, scale: float) -> "Cosine":
+        center, scale = _affine(center, scale)
+        return Cosine(center + scale * self.center, scale * self.halfwidth)
+
 
 @dataclass(frozen=True)
-class GaussianPrior:
+class GaussianPrior(Prior):
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -43,9 +104,29 @@ class GaussianPrior:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
+    def density(self, t: float) -> float:
+        return normal_pdf((t - self.mu) / self.sigma) / self.sigma
+
+    def support(self) -> Tuple[float, float]:
+        return -math.inf, math.inf
+
+    def window(self) -> Tuple[float, float]:
+        return (self.mu - _TAIL_SIGMAS * self.sigma,
+                self.mu + _TAIL_SIGMAS * self.sigma)
+
+    def fisher_info(self) -> DivergenceValue:
+        return DivergenceValue.finite(1.0 / self.sigma**2)
+
+    def dispersion(self) -> float:
+        return self.sigma
+
+    def dilate(self, center: float, scale: float) -> "GaussianPrior":
+        center, scale = _affine(center, scale)
+        return GaussianPrior(center + scale * self.mu, scale * self.sigma)
+
 
 @dataclass(frozen=True)
-class UniformPrior:
+class UniformPrior(Prior):
     """Flat density on [lo, hi]; kept for oracle use, not 'nice' (no boundary decay)."""
 
     lo: float
@@ -54,6 +135,30 @@ class UniformPrior:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("UniformPrior requires lo < hi")
+
+    def density(self, t: float) -> float:
+        return 1.0 / (self.hi - self.lo) if self.lo <= t <= self.hi else 0.0
+
+    def support(self) -> Tuple[float, float]:
+        return self.lo, self.hi
+
+    def fisher_info(self) -> DivergenceValue:
+        """Divergent: the flat density is not absolutely continuous with a
+        decaying boundary."""
+        return DivergenceValue.divergent()
+
+    def dispersion(self) -> float:
+        return 0.5 * (self.hi - self.lo)
+
+    def dilate(self, center: float, scale: float) -> "UniformPrior":
+        center, scale = _affine(center, scale)
+        return UniformPrior(center + scale * self.lo, center + scale * self.hi)
+
+    def check_nice(self) -> NicenessReport:
+        return NicenessReport(is_nice=False, reasons=(
+            "density does not decay to zero at the support boundary",
+            "Fisher information is not finite (density not "
+            "absolutely continuous with vanishing boundary)"))
 
 
 @dataclass(frozen=True)
@@ -76,7 +181,7 @@ class KeplerSolution:
 
 
 @dataclass(frozen=True)
-class KeplerCosine:
+class KeplerCosine(Prior):
     """Location-scale dilation of the constrained-minimizer cosine prior."""
 
     a: float
@@ -93,16 +198,32 @@ class KeplerCosine:
                        tol: float = 1e-13) -> "KeplerCosine":
         return KeplerCosine(a, solve_kepler(a, tol), center, scale)
 
+    def density(self, t: float) -> float:
+        sol = self.solution
+        u = (t - self.center) / self.scale
+        if u < sol.s_minus or u > sol.s_plus:
+            return 0.0
+        w = sol.w_a
+        c = 0.5 * (sol.s_plus + sol.s_minus)
+        val = math.cos(_PI * (u - c) / w)
+        return (2.0 / w) * val * val / self.scale
 
-Prior = Union[Cosine, GaussianPrior, UniformPrior, KeplerCosine]
+    def support(self) -> Tuple[float, float]:
+        sol = self.solution
+        return (self.center + self.scale * sol.s_minus,
+                self.center + self.scale * sol.s_plus)
 
+    def fisher_info(self) -> DivergenceValue:
+        """The constrained minimum 4 pi^2 / w_a^2, times scale^-2."""
+        return DivergenceValue.finite(self.solution.min_fisher / self.scale**2)
 
-@dataclass(frozen=True)
-class NicenessReport:
-    """Which of the nice-prior conditions hold; is_nice iff reasons is empty."""
+    def dispersion(self) -> float:
+        return self.scale
 
-    is_nice: bool
-    reasons: Tuple[str, ...]
+    def dilate(self, center: float, scale: float) -> "KeplerCosine":
+        center, scale = _affine(center, scale)
+        return KeplerCosine(self.a, self.solution,
+                            center + scale * self.center, scale * self.scale)
 
 
 def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
@@ -144,104 +265,11 @@ def min_fisher_constrained(a: float) -> float:
     return solve_kepler(a).min_fisher
 
 
-def _kepler_density_unit(sol: KeplerSolution, t: float) -> float:
-    if t < sol.s_minus or t > sol.s_plus:
-        return 0.0
-    w = sol.w_a
-    c = 0.5 * (sol.s_plus + sol.s_minus)
-    val = math.cos(_PI * (t - c) / w)
-    return (2.0 / w) * val * val
-
-
 def kepler_prior_density(a: float, t: float) -> float:
     """Constrained-minimizer density on the unit scale; 0 outside [s-, s+]."""
-    return _kepler_density_unit(solve_kepler(a), float(t))
+    return KeplerCosine.for_constraint(a).density(float(t))
 
 
 def prior_density(prior: Prior, t: float) -> float:
     """Prior density q(t); zero outside the support."""
-    t = float(t)
-    if isinstance(prior, Cosine):
-        u = (t - prior.center) / prior.halfwidth
-        if abs(u) >= 1.0:
-            return 0.0
-        val = math.cos(_PI * u / 2.0)
-        return val * val / prior.halfwidth
-    if isinstance(prior, GaussianPrior):
-        return normal_pdf((t - prior.mu) / prior.sigma) / prior.sigma
-    if isinstance(prior, UniformPrior):
-        return 1.0 / (prior.hi - prior.lo) if prior.lo <= t <= prior.hi else 0.0
-    u = (t - prior.center) / prior.scale
-    return _kepler_density_unit(prior.solution, u) / prior.scale
-
-
-def prior_fisher_info(prior: Prior) -> DivergenceValue:
-    """Fisher information I(Q) = int q'^2/q; scales as scale^-2 under dilation.
-
-    The flat prior is not absolutely continuous with decaying boundary, so
-    its information is Divergent.
-    """
-    if isinstance(prior, Cosine):
-        return DivergenceValue.finite(_PI * _PI / prior.halfwidth**2)
-    if isinstance(prior, GaussianPrior):
-        return DivergenceValue.finite(1.0 / prior.sigma**2)
-    if isinstance(prior, UniformPrior):
-        return DivergenceValue.divergent()
-    return DivergenceValue.finite(prior.solution.min_fisher / prior.scale**2)
-
-
-def dilate(prior: Prior, center: float, scale: float) -> Prior:
-    """Location-scale map: density t -> (1/scale) q((t - center)/scale).
-
-    Composes multiplicatively in scale; Fisher information picks up scale^-2.
-    """
-    center = float(center)
-    scale = float(scale)
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    if not math.isfinite(center):
-        raise ValueError("center must be finite")
-    if isinstance(prior, Cosine):
-        return Cosine(center + scale * prior.center, scale * prior.halfwidth)
-    if isinstance(prior, GaussianPrior):
-        return GaussianPrior(center + scale * prior.mu, scale * prior.sigma)
-    if isinstance(prior, UniformPrior):
-        return UniformPrior(center + scale * prior.lo, center + scale * prior.hi)
-    return KeplerCosine(prior.a, prior.solution,
-                        center + scale * prior.center, scale * prior.scale)
-
-
-def check_nice(prior: Prior) -> NicenessReport:
-    """Check the nice-prior conditions: absolutely continuous Lebesgue
-    density, finite Fisher information, and density decaying to zero at the
-    boundary of its support."""
-    reasons = []
-    if isinstance(prior, UniformPrior):
-        reasons.append("density does not decay to zero at the support boundary")
-        reasons.append("Fisher information is not finite (density not "
-                       "absolutely continuous with vanishing boundary)")
-    return NicenessReport(is_nice=not reasons, reasons=tuple(reasons))
-
-
-def prior_support(prior: Prior) -> Tuple[float, float]:
-    """Support interval of the prior; infinite endpoints for the Gaussian."""
-    if isinstance(prior, Cosine):
-        return prior.center - prior.halfwidth, prior.center + prior.halfwidth
-    if isinstance(prior, GaussianPrior):
-        return -math.inf, math.inf
-    if isinstance(prior, UniformPrior):
-        return prior.lo, prior.hi
-    sol = prior.solution
-    return (prior.center + prior.scale * sol.s_minus,
-            prior.center + prior.scale * sol.s_plus)
-
-
-def prior_dispersion(prior: Prior) -> float:
-    """A scale measure used to size shift-search windows and truncations."""
-    if isinstance(prior, Cosine):
-        return prior.halfwidth
-    if isinstance(prior, GaussianPrior):
-        return prior.sigma
-    if isinstance(prior, UniformPrior):
-        return 0.5 * (prior.hi - prior.lo)
-    return prior.scale
+    return prior.density(float(t))

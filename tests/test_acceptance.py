@@ -117,7 +117,7 @@ def test_criterion_7_local_quadratic_hellinger():
     ok = True
     for sigma in (0.5, 1.0, 2.0):
         family = models.GaussianLocation(sigma)
-        target = models.fisher_info(family, 0.0).value / 4.0
+        target = family.fisher_info(0.0).value / 4.0
         for h in (1e-2, 1e-3, 1e-4):
             gap = abs(models.hellinger_local_ratio(family, 0.0, h) - target)
             worst = max(worst, gap / h)

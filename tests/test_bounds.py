@@ -8,7 +8,7 @@ from minimaxlb import bounds
 from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               PolyKernel, PowerMax, chi2_mixture_bound,
                               density_lam_constant, diffeo_bound,
-                              diffeo_bound_sup, functional_eval,
+                              diffeo_bound_sup,
                               hellinger_mixture_bound,
                               hellinger_mixture_bound_sup,
                               lam_constant_regular,
@@ -26,11 +26,11 @@ PI2 = math.pi**2
 
 
 def test_functional_eval():
-    assert functional_eval(MaxZero(), -1.0) == 0.0
-    assert functional_eval(MaxZero(), 2.0) == 2.0
-    assert functional_eval(PowerMax(0.5), 4.0) == 2.0
-    assert functional_eval(PowerMax(0.5), -1.0) == 0.0
-    assert functional_eval(Identity(), -3.5) == -3.5
+    assert MaxZero()(-1.0) == 0.0
+    assert MaxZero()(2.0) == 2.0
+    assert PowerMax(0.5)(4.0) == 2.0
+    assert PowerMax(0.5)(-1.0) == 0.0
+    assert Identity()(-3.5) == -3.5
     with pytest.raises(ValueError):
         PowerMax(1.5)
 
@@ -198,6 +198,17 @@ def test_vt_kepler_monotone_in_delta_and_n():
     for d in (0.5, 2.0):
         vals = [vt_kepler_bound(d, n, 1.0).value for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("bound", [
+    lambda delta: vt_kepler_bound(delta, 10, 1.0),
+    lambda delta: diffeo_bound(delta, 10, 0.0, 1.0),
+], ids=["vt", "diffeo"])
+def test_delta_squared_underflow_rejected(bound):
+    # pi^2 / delta^2 would divide by zero
+    with pytest.raises(ValueError, match="underflows"):
+        bound(1e-170)
+    bound(1e-150)  # delta^2 = 1e-300 is still a normal float
 
 
 def _diffeo_quad_oracle(delta, n, xi1, xi2):

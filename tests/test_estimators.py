@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from minimaxlb.estimators import (Constant, PluginMLE, PreTest, RiskPoint,
+from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
                                   constant_local_minimax_risk,
                                   local_minimax_risk, plugin_risk_at,
                                   pretest_risk_at)
@@ -134,10 +134,3 @@ def test_pretest_threshold_validation():
         PreTest(threshold=-1.0)
     assert local_minimax_risk(PreTest(threshold=0.5), 1.0, 16) == \
         local_minimax_risk(PreTest(), 1.0, 16)
-
-
-def test_risk_point_type():
-    pt = RiskPoint(theta=0.0, n=16, value=plugin_risk_at(0.0, 16))
-    assert pt.value == 0.5
-    with pytest.raises(ValueError):
-        RiskPoint(theta=0.0, n=1, value=-0.1)

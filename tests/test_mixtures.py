@@ -9,8 +9,7 @@ from minimaxlb.mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                                 mixture_hellinger_oracle, mixture_hellinger_sq,
                                 prior_shift_hellinger_sq)
 from minimaxlb.models import GaussianLocation, UniformScale
-from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine,
-                              UniformPrior, prior_fisher_info)
+from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 
 GAUSS = GaussianLocation(1.0)
 
@@ -64,7 +63,7 @@ def test_mixture_hellinger_matches_oracle():
 
 def test_mixture_hellinger_quadratic_law():
     for prior in (GaussianPrior(0.0, 1.0), Cosine(0.0, 1.0)):
-        info_q = prior_fisher_info(prior).value
+        info_q = prior.fisher_info().value
         for n in (1, 5):
             target = (info_q + n) / 4.0
             for h in (1e-2, 1e-3):

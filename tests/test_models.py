@@ -4,8 +4,7 @@ import pytest
 from scipy import integrate
 
 from minimaxlb.models import (DivergenceValue, GaussianLocation, UniformScale,
-                              chi_sq, chi_sq_iid, density, fisher_info,
-                              hellinger_local_ratio, hellinger_sq,
+                              chi_sq_iid, hellinger_local_ratio,
                               hellinger_sq_iid)
 
 GAUSS = GaussianLocation(1.0)
@@ -21,7 +20,7 @@ def hellinger_oracle(family, t1, t2):
     else:
         lo, hi = 0.0, max(t1, t2)
         pts = [min(t1, t2)]
-    f = lambda x: (math.sqrt(density(family, t1, x)) - math.sqrt(density(family, t2, x))) ** 2
+    f = lambda x: (math.sqrt(family.density(t1, x)) - math.sqrt(family.density(t2, x))) ** 2
     val, _ = integrate.quad(f, lo, hi, points=pts, limit=200)
     return val
 
@@ -34,37 +33,37 @@ def chi_sq_oracle(family, t_num, t_den):
     else:
         lo, hi = 0.0, t_den
         pts = [t_num]
-    f = lambda x: (density(family, t_num, x) / density(family, t_den, x) - 1.0) ** 2 \
-        * density(family, t_den, x)
+    f = lambda x: (family.density(t_num, x) / family.density(t_den, x) - 1.0) ** 2 \
+        * family.density(t_den, x)
     val, _ = integrate.quad(f, lo, hi, points=pts, limit=200)
     return val
 
 
 def test_density_examples():
-    assert density(GAUSS, 0.0, 0.0) == pytest.approx(0.39894228, abs=1e-8)
-    assert density(UNIF, 2.0, 1.0) == 0.5
-    assert density(UNIF, 2.0, 3.0) == 0.0
+    assert GAUSS.density(0.0, 0.0) == pytest.approx(0.39894228, abs=1e-8)
+    assert UNIF.density(2.0, 1.0) == 0.5
+    assert UNIF.density(2.0, 3.0) == 0.0
 
 
 def test_density_rejects_bad_theta():
     with pytest.raises(ValueError):
-        density(UNIF, 0.0, 0.5)
+        UNIF.density(0.0, 0.5)
     with pytest.raises(ValueError):
-        density(UNIF, -1.0, 0.5)
+        UNIF.density(-1.0, 0.5)
 
 
 def test_fisher_info():
-    assert fisher_info(GAUSS, 0.7).value == 1.0
-    assert fisher_info(GaussianLocation(2.0), -3.0).value == 0.25
-    assert fisher_info(UNIF, 1.0).is_divergent
+    assert GAUSS.fisher_info(0.7).value == 1.0
+    assert GaussianLocation(2.0).fisher_info(-3.0).value == 0.25
+    assert UNIF.fisher_info(1.0).is_divergent
 
 
 def test_hellinger_closed_forms_vs_oracle():
-    assert hellinger_sq(GAUSS, 0.3, 0.3) == 0.0
-    got = hellinger_sq(UNIF, 1.0, 1.5)
+    assert GAUSS.hellinger_sq(0.3, 0.3) == 0.0
+    got = UNIF.hellinger_sq(1.0, 1.5)
     assert got == pytest.approx(2.0 * (1.0 - 1.5**-0.5), abs=1e-12)
     assert got == pytest.approx(hellinger_oracle(UNIF, 1.0, 1.5), abs=1e-8)
-    got = hellinger_sq(GAUSS, 0.0, 1.0)
+    got = GAUSS.hellinger_sq(0.0, 1.0)
     assert got == pytest.approx(hellinger_oracle(GAUSS, 0.0, 1.0), abs=1e-8)
 
 
@@ -75,32 +74,38 @@ def test_hellinger_closed_forms_vs_oracle():
 ])
 def test_divergences_match_integral_oracle(family, pairs):
     for t1, t2 in pairs:
-        assert hellinger_sq(family, t1, t2) == pytest.approx(
+        assert family.hellinger_sq(t1, t2) == pytest.approx(
             hellinger_oracle(family, t1, t2), abs=1e-7)
-        val = chi_sq(family, min(t1, t2), max(t1, t2))
+        val = family.chi_sq(min(t1, t2), max(t1, t2))
         assert val.value == pytest.approx(
             chi_sq_oracle(family, min(t1, t2), max(t1, t2)), abs=1e-7)
 
 
 def test_hellinger_symmetry_and_range():
     for t1, t2 in [(0.0, 1.0), (-2.0, 5.0), (0.25, 0.3)]:
-        a = hellinger_sq(GAUSS, t1, t2)
-        assert a == hellinger_sq(GAUSS, t2, t1)
+        a = GAUSS.hellinger_sq(t1, t2)
+        assert a == GAUSS.hellinger_sq(t2, t1)
         assert 0.0 <= a <= 2.0
     for t1, t2 in [(1.0, 2.0), (0.5, 0.7)]:
-        a = hellinger_sq(UNIF, t1, t2)
-        assert a == hellinger_sq(UNIF, t2, t1)
+        a = UNIF.hellinger_sq(t1, t2)
+        assert a == UNIF.hellinger_sq(t2, t1)
         assert 0.0 <= a <= 2.0
 
 
 def test_chi_sq_examples():
-    assert chi_sq(GAUSS, 0.4, 0.4).value == 0.0
-    assert chi_sq(UNIF, 2.0, 1.0).is_divergent
-    assert chi_sq(GAUSS, 1.0, 0.0).value == pytest.approx(math.e - 1.0, abs=1e-12)
+    assert GAUSS.chi_sq(0.4, 0.4).value == 0.0
+    assert UNIF.chi_sq(2.0, 1.0).is_divergent
+    assert GAUSS.chi_sq(1.0, 0.0).value == pytest.approx(math.e - 1.0, abs=1e-12)
+
+
+def test_chi_sq_overflow_is_divergent():
+    # exp(50^2) is beyond the float range: effectively infinite
+    assert GAUSS.chi_sq(50.0, 0.0).is_divergent
+    assert chi_sq_iid(GAUSS, 50.0, 0.0, 100).is_divergent
 
 
 def test_hellinger_iid():
-    assert hellinger_sq_iid(GAUSS, 0.0, 0.7, 1) == hellinger_sq(GAUSS, 0.0, 0.7)
+    assert hellinger_sq_iid(GAUSS, 0.0, 0.7, 1) == GAUSS.hellinger_sq(0.0, 0.7)
     assert hellinger_sq_iid(UNIF, 3.0, 3.0, 17) == 0.0
     got = hellinger_sq_iid(UNIF, 1.0, 1.0 + 1e-6, 10**6)
     assert got == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-5)
@@ -119,7 +124,7 @@ def test_hellinger_tensorization_identity():
 
 
 def test_chi_sq_iid():
-    assert chi_sq_iid(GAUSS, 0.3, 0.1, 1).value == chi_sq(GAUSS, 0.3, 0.1).value
+    assert chi_sq_iid(GAUSS, 0.3, 0.1, 1).value == GAUSS.chi_sq(0.3, 0.1).value
     assert chi_sq_iid(GAUSS, 1.0, 1.0, 5).value == 0.0
     got = chi_sq_iid(GAUSS, 0.1, 0.0, 10)
     assert got.value == pytest.approx(math.expm1(0.1), abs=1e-12)
@@ -131,7 +136,7 @@ def test_chi_sq_iid():
 def test_local_ratio_gaussian_quadratic():
     for sigma in (0.5, 1.0, 2.0):
         fam = GaussianLocation(sigma)
-        target = fisher_info(fam, 0.0).value / 4.0
+        target = fam.fisher_info(0.0).value / 4.0
         for h in (1e-2, 1e-3, 1e-4):
             assert abs(hellinger_local_ratio(fam, 0.0, h) - target) <= 10.0 * h
 

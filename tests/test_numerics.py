@@ -6,7 +6,6 @@ from scipy import integrate
 
 from minimaxlb.numerics import (BracketError, QuadratureSpec, SearchBox,
                                 ToleranceNotMet, find_root_bisect,
-                                gauss_hermite_expectation,
                                 gaussian_partial_second_moment,
                                 integrate_adaptive, maximize_1d, maximize_2d,
                                 normal_cdf, normal_pdf)
@@ -76,22 +75,6 @@ def test_integrate_adaptive_rejects_bad_input():
         integrate_adaptive(lambda t: 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_adaptive(lambda t: float("inf"), 0.0, 1.0)
-
-
-def test_gauss_hermite_moments():
-    assert gauss_hermite_expectation(lambda z: 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert gauss_hermite_expectation(lambda z: z * z) == pytest.approx(1.0, abs=1e-12)
-    assert gauss_hermite_expectation(lambda z: z**4) == pytest.approx(3.0, abs=1e-10)
-    # even/odd moments 0..8 against the closed-form double factorials
-    closed = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
-    for k, expected in closed.items():
-        got = gauss_hermite_expectation(lambda z, k=k: z**k, order=80)
-        assert got == pytest.approx(expected, abs=1e-9)
-
-
-def test_gauss_hermite_rejects_low_order():
-    with pytest.raises(ValueError):
-        gauss_hermite_expectation(lambda z: 1.0, order=1)
 
 
 def test_bisect_roots():

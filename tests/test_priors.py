@@ -6,9 +6,8 @@ from scipy import integrate, optimize
 
 from minimaxlb.numerics import QuadratureSpec, integrate_adaptive
 from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine,
-                              UniformPrior, check_nice, dilate,
-                              kepler_prior_density, min_fisher_constrained,
-                              prior_density, prior_fisher_info, prior_support,
+                              UniformPrior, kepler_prior_density,
+                              min_fisher_constrained, prior_density,
                               solve_kepler)
 
 PI2 = math.pi**2
@@ -31,7 +30,7 @@ def test_prior_density_examples():
     KeplerCosine.for_constraint(0.3, center=1.0, scale=0.4),
 ])
 def test_density_normalizes(prior):
-    lo, hi = prior_support(prior)
+    lo, hi = prior.support()
     if math.isinf(lo):
         mu, sd = prior.mu, prior.sigma
         lo, hi = mu - 12.0 * sd, mu + 12.0 * sd
@@ -41,10 +40,10 @@ def test_density_normalizes(prior):
 
 
 def test_prior_fisher_info_values():
-    assert prior_fisher_info(Cosine(0.0, 1.0)).value == pytest.approx(PI2, abs=1e-12)
-    assert prior_fisher_info(Cosine(0.0, 2.0)).value == pytest.approx(PI2 / 4.0, abs=1e-12)
-    assert prior_fisher_info(GaussianPrior(0.0, 2.0)).value == 0.25
-    assert prior_fisher_info(UniformPrior(0.0, 1.0)).is_divergent
+    assert Cosine(0.0, 1.0).fisher_info().value == pytest.approx(PI2, abs=1e-12)
+    assert Cosine(0.0, 2.0).fisher_info().value == pytest.approx(PI2 / 4.0, abs=1e-12)
+    assert GaussianPrior(0.0, 2.0).fisher_info().value == 0.25
+    assert UniformPrior(0.0, 1.0).fisher_info().is_divergent
 
 
 def test_solve_kepler_half():
@@ -145,32 +144,62 @@ def test_kepler_fisher_info_by_quadrature(a):
 
 
 def test_dilate():
-    d = dilate(Cosine(0.0, 1.0), 0.0, 2.0)
+    d = Cosine(0.0, 1.0).dilate(0.0, 2.0)
     assert d == Cosine(0.0, 2.0)
-    assert prior_fisher_info(d).value == pytest.approx(PI2 / 4.0, abs=1e-12)
-    assert dilate(GaussianPrior(0.0, 1.0), 3.0, 1.0) == GaussianPrior(3.0, 1.0)
-    twice = dilate(dilate(Cosine(0.0, 1.0), 1.0, 2.0), 0.5, 3.0)
-    once = dilate(Cosine(0.0, 1.0), 0.5 + 3.0 * 1.0, 6.0)
+    assert d.fisher_info().value == pytest.approx(PI2 / 4.0, abs=1e-12)
+    assert GaussianPrior(0.0, 1.0).dilate(3.0, 1.0) == GaussianPrior(3.0, 1.0)
+    twice = Cosine(0.0, 1.0).dilate(1.0, 2.0).dilate(0.5, 3.0)
+    once = Cosine(0.0, 1.0).dilate(0.5 + 3.0 * 1.0, 6.0)
     assert twice == once
-    kc = dilate(KeplerCosine.for_constraint(0.75), 0.0, 0.5)
-    assert prior_fisher_info(kc).value == pytest.approx(
+    kc = KeplerCosine.for_constraint(0.75).dilate(0.0, 0.5)
+    assert kc.fisher_info().value == pytest.approx(
         4.0 * solve_kepler(0.75).min_fisher, abs=1e-9)
     with pytest.raises(ValueError):
-        dilate(Cosine(0.0, 1.0), 0.0, 0.0)
+        Cosine(0.0, 1.0).dilate(0.0, 0.0)
 
 
 def test_dilate_density_is_location_scale_map():
     base = KeplerCosine.for_constraint(0.8)
-    moved = dilate(base, 1.5, 0.25)
+    moved = base.dilate(1.5, 0.25)
     for t in np.linspace(1.0, 2.0, 17):
         expected = prior_density(base, (t - 1.5) / 0.25) / 0.25
         assert prior_density(moved, float(t)) == pytest.approx(expected, abs=1e-13)
 
 
 def test_check_nice():
-    assert check_nice(Cosine(0.0, 1.0)).is_nice
-    assert check_nice(GaussianPrior(0.0, 1.0)).is_nice
-    assert check_nice(KeplerCosine.for_constraint(0.6)).is_nice
-    report = check_nice(UniformPrior(-1.0, 1.0))
+    assert Cosine(0.0, 1.0).check_nice().is_nice
+    assert GaussianPrior(0.0, 1.0).check_nice().is_nice
+    assert KeplerCosine.for_constraint(0.6).check_nice().is_nice
+    report = UniformPrior(-1.0, 1.0).check_nice()
     assert not report.is_nice
     assert report.reasons
+
+
+CONTRACT_PRIORS = {
+    "cosine": Cosine(0.0, 1.0),
+    "cosine-dilated": Cosine(0.0, 1.0).dilate(2.0, 0.5),
+    "gaussian": GaussianPrior(0.0, 1.0),
+    "gaussian-dilated": GaussianPrior(0.0, 1.0).dilate(-1.0, 3.0),
+    "kepler": KeplerCosine.for_constraint(0.75),
+    "kepler-dilated": KeplerCosine.for_constraint(0.75).dilate(1.0, 0.4),
+}
+
+
+@pytest.mark.parametrize("prior", CONTRACT_PRIORS.values(), ids=CONTRACT_PRIORS.keys())
+def test_prior_contract(prior):
+    """What the quadrature layer relies on from every nice prior type."""
+    lo, hi = prior.window()
+    tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+    assert integrate_adaptive(prior.density, lo, hi, tight) == pytest.approx(1.0, abs=1e-10)
+    # the window lies in the support, and every finite support end lies in the window
+    s_lo, s_hi = prior.support()
+    assert s_lo <= lo < hi <= s_hi
+    assert all(lo <= e <= hi for e in (s_lo, s_hi) if math.isfinite(e))
+    c, s = 0.7, 2.5
+    moved = prior.dilate(c, s)
+    m_lo, m_hi = moved.window()
+    for t in np.linspace(m_lo, m_hi, 41):
+        assert moved.density(t) == pytest.approx(prior.density((t - c) / s) / s,
+                                                 abs=1e-13)
+    assert moved.fisher_info().value == pytest.approx(prior.fisher_info().value / s**2,
+                                                      rel=1e-12)
