@@ -21,9 +21,8 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_chi_sq, mixture_chi_sq_interpolated_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (DEFAULT_QUAD, QuadratureSpec, SearchBox,
-                       composite_simpson, integrate_piecewise, maximize_1d,
-                       maximize_2d)
+from .numerics import (SearchBox, composite_simpson, integrate_piecewise,
+                       maximize_1d, maximize_2d)
 from .priors import Prior, prior_density, solve_kepler
 
 _PI = math.pi
@@ -39,7 +38,7 @@ class DegenerateKernelError(ValueError):
 class Functional:
     """A functional psi of the parameter: ``psi(theta)``, the points where it
     is not smooth (``kinks()``), and the van Trees numerator
-    ``slope_mass(prior, quad)`` = int psi' dQ."""
+    ``slope_mass(prior)`` = int psi' dQ."""
 
     def kinks(self) -> Tuple[float, ...]:
         return (0.0,)
@@ -55,7 +54,7 @@ class Identity(Functional):
     def kinks(self) -> Tuple[float, ...]:
         return ()
 
-    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+    def slope_mass(self, prior: Prior) -> float:
         return 1.0
 
 
@@ -70,11 +69,10 @@ class MaxZero(Functional):
     def __call__(self, theta: float) -> float:
         return max(float(theta), 0.0)
 
-    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+    def slope_mass(self, prior: Prior) -> float:
         lo, hi = prior.window()
         return 0.0 if hi <= 0.0 else integrate_piecewise(
-            lambda t: prior_density(prior, t), max(lo, 0.0), hi, (), quad,
-            min_panels=8)
+            lambda t: prior_density(prior, t), max(lo, 0.0), hi, min_panels=8)
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,12 @@ class PowerMax(Functional):
             return 0.0
         return theta ** self.alpha
 
-    def slope_mass(self, prior: Prior, quad: QuadratureSpec) -> float:
+    def slope_mass(self, prior: Prior) -> float:
         """Integrated via u = t^alpha, which removes the t^(alpha-1) singularity."""
         _, hi = prior.window()
         return 0.0 if hi <= 0.0 else integrate_piecewise(
             lambda u: prior_density(prior, u ** (1.0 / self.alpha)),
-            0.0, hi ** self.alpha, (), quad, min_panels=8)
+            0.0, hi ** self.alpha, min_panels=8)
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,10 @@ class BoundResult:
     value: float
     argmax: Dict[str, float] = field(default_factory=dict)
     method: str = ""
+
+    def scaled(self, n: int) -> "BoundResult":
+        """The same bound on n E|T - psi|^2, the unit of the figure and the CLI."""
+        return BoundResult(n * self.value, self.argmax, self.method)
 
 
 def _require_nice(prior: Prior) -> None:
@@ -119,12 +121,15 @@ def _require_nice(prior: Prior) -> None:
 def _check_delta(delta: float) -> None:
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
-    if delta**2 == 0.0:
+    try:
+        square = delta**2
+    except OverflowError:
+        raise ValueError(f"delta={delta!r} is too large: delta**2 overflows") from None
+    if square == 0.0:
         raise ValueError(f"delta={delta!r} is too small: delta**2 underflows to 0")
 
 
-def delta_psi_moments(prior: Prior, f: Functional, h: float,
-                      quad: QuadratureSpec = DEFAULT_QUAD) -> Tuple[float, float]:
+def delta_psi_moments(prior: Prior, f: Functional, h: float) -> Tuple[float, float]:
     """First and second prior moments of psi(t) - psi(t - h).
 
     Quadrature splits at the functional kinks (t = 0 for psi(t), t = h for
@@ -138,15 +143,14 @@ def delta_psi_moments(prior: Prior, f: Functional, h: float,
         return f(t) - f(t - h)
 
     first = integrate_piecewise(lambda t: dpsi(t) * prior_density(prior, t),
-                                lo, hi, kinks, quad, min_panels=8)
+                                lo, hi, kinks, min_panels=8)
     second = integrate_piecewise(lambda t: dpsi(t) ** 2 * prior_density(prior, t),
-                                 lo, hi, kinks, quad, min_panels=8)
+                                 lo, hi, kinks, min_panels=8)
     return first, second
 
 
 def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
-                            h: float, quad: QuadratureSpec = DEFAULT_QUAD
-                            ) -> Tuple[float, float]:
+                            h: float) -> Tuple[float, float]:
     """The pair (A, B) of the Hellinger mixture bound.
 
     A = |int (psi(t) - psi(t-h)) dQ|^2 / (4 H^2(M0, Mh)) is the term that
@@ -157,31 +161,30 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     h = float(h)
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    num, second = delta_psi_moments(prior, f, h, quad)
-    h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h, quad))
+    num, second = delta_psi_moments(prior, f, h)
+    h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
     if h2 < 1e-14:
         raise ValueError(f"mixture Hellinger distance degenerate (H^2={h2!r}) at h={h}")
     return num * num / (4.0 * h2), second
 
 
 def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
-                            h: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+                            h: float) -> float:
     """Hellinger mixture bound [sqrt(A) - sqrt(B)]_+^2 at a fixed shift h."""
-    a, b = hellinger_mixture_terms(family, n, prior, f, h, quad)
+    a, b = hellinger_mixture_terms(family, n, prior, f, h)
     root = math.sqrt(a) - math.sqrt(b)
     return root * root if root > 0.0 else 0.0
 
 
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
-                                h_lo: float, h_hi: float,
-                                quad: QuadratureSpec = DEFAULT_QUAD) -> BoundResult:
+                                h_lo: float, h_hi: float) -> BoundResult:
     """Maximize the Hellinger mixture bound over |h| in [h_lo, h_hi], both signs."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
 
     def for_sign(sign: float) -> Tuple[float, float]:
         return maximize_1d(
-            lambda h: hellinger_mixture_bound(family, n, prior, f, sign * h, quad),
+            lambda h: hellinger_mixture_bound(family, n, prior, f, sign * h),
             h_lo, h_hi)
 
     hp, vp = for_sign(1.0)
@@ -198,9 +201,7 @@ def default_shift_range(prior: Prior) -> Tuple[float, float]:
 
 
 def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
-                       h: float, lam: float,
-                       quad: QuadratureSpec = DEFAULT_QUAD,
-                       grid: Optional[GridSpec] = None) -> float:
+                       h: float, lam: float, grid: Optional[GridSpec] = None) -> float:
     """Chi-squared mixture bound with the closed-form inner optimization.
 
     Evaluates [sqrt((1-lam){A - lam(A+B)}) - sqrt(lam^2 B)]_+^2 where A has
@@ -220,11 +221,11 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
         raise ValueError("h must be nonzero")
     if lam == 1.0:
         return 0.0
-    num, second = delta_psi_moments(prior, f, h, quad)
+    num, second = delta_psi_moments(prior, f, h)
     if num == 0.0:
         return 0.0
     if lam == 0.0:
-        denom = mixture_chi_sq(MixtureSpec(family, n, prior, h, quad))
+        denom = mixture_chi_sq(MixtureSpec(family, n, prior, h))
         if denom.is_divergent or denom.value <= 0.0:
             return 0.0
         return num * num / denom.value
@@ -244,8 +245,7 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
     return root * root if root > 0.0 else 0.0
 
 
-def van_trees_value(family: Family, n: int, prior: Prior, f: Functional,
-                    quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> float:
     """Classical van Trees value (int grad psi dQ)^2 / (I(Q) + n int I dQ).
 
     Requires a regular (Gaussian) family and a nice prior; the numerator
@@ -257,7 +257,7 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional,
     if n < 1:
         raise ValueError("n must be a positive integer")
     _require_nice(prior)
-    num = f.slope_mass(prior, quad)
+    num = f.slope_mass(prior)
     denom = prior.fisher_info().value + n / family.sigma ** 2
     return num * num / denom
 
@@ -288,8 +288,7 @@ def _phi_vec(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _gauss_expectation_simpson(f_vec, lo: float, hi: float,
-                               nodes: int = _SIMPSON_NODES) -> float:
+def _gauss_expectation_simpson(f_vec, lo: float, hi: float) -> float:
     """int_lo^hi f(z) phi(z) dz by composite Simpson on a fixed node count.
 
     Used for the arctan-bound integrands: they are bounded rational
@@ -299,9 +298,9 @@ def _gauss_expectation_simpson(f_vec, lo: float, hi: float,
     """
     if lo >= hi:
         return 0.0
-    zs = np.linspace(lo, hi, nodes)
+    zs = np.linspace(lo, hi, _SIMPSON_NODES)
     vals = f_vec(zs) * _phi_vec(zs)
-    return composite_simpson(vals, (hi - lo) / (nodes - 1))
+    return composite_simpson(vals, (hi - lo) / (_SIMPSON_NODES - 1))
 
 
 def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
@@ -339,21 +338,18 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
 
 DIFFEO_XI1_RANGE = (-10.0, 10.0)
 DIFFEO_XI2_RANGE = (1e-3, 10.0)
+_DIFFEO_BOX = SearchBox(intervals=(DIFFEO_XI1_RANGE, (math.log(DIFFEO_XI2_RANGE[0]),
+                                                      math.log(DIFFEO_XI2_RANGE[1]))))
 
 
-def diffeo_bound_sup(delta: float, n: int,
-                     box: Optional[SearchBox] = None) -> BoundResult:
+def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     """Maximize the arctan bound over xi1 in [-10, 10], xi2 in (1e-3, 10].
 
     The xi2 axis is searched in log coordinates, giving the log-spaced
     coarse grid; pattern-search refinement then runs in (xi1, log xi2).
     """
-    if box is None:
-        box = SearchBox(intervals=(DIFFEO_XI1_RANGE,
-                                   (math.log(DIFFEO_XI2_RANGE[0]),
-                                    math.log(DIFFEO_XI2_RANGE[1]))))
     (x1, lx2), value = maximize_2d(
-        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), box)
+        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), _DIFFEO_BOX)
     return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)},
                        "diffeo")
 
@@ -464,19 +460,18 @@ class PolyKernel:
         return np.polynomial.Polynomial(self.coeffs).deriv(k)
 
 
-def validate_kernel(kernel: PolyKernel, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
+def validate_kernel(kernel: PolyKernel) -> None:
     """Check the kernel moment conditions by quadrature."""
-    total = integrate_piecewise(kernel, -1.0, 1.0, (), quad)
+    total = integrate_piecewise(kernel, -1.0, 1.0)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"kernel must integrate to 1 on [-1,1]; got {total!r}")
     for k in range(1, kernel.order):
-        mk = integrate_piecewise(lambda u, k=k: u**k * kernel(u), -1.0, 1.0, (0.0,), quad)
+        mk = integrate_piecewise(lambda u, k=k: u**k * kernel(u), -1.0, 1.0, (0.0,))
         if abs(mk) > 1e-8:
             raise ValueError(f"kernel moment of order {k} must vanish; got {mk!r}")
 
 
-def density_lam_constant(s: int, M: float, kernel: PolyKernel,
-                         quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def density_lam_constant(s: int, M: float, kernel: PolyKernel) -> float:
     """The density-estimation constant C(s, M, K).
 
     All kernel integrals are evaluated by quadrature (with splits at the
@@ -489,7 +484,7 @@ def density_lam_constant(s: int, M: float, kernel: PolyKernel,
         raise ValueError("M must be positive and finite")
     if kernel.order != s:
         raise ValueError(f"kernel order {kernel.order} does not match s={s}")
-    validate_kernel(kernel, quad)
+    validate_kernel(kernel)
 
     deriv = kernel.derivative(s)
     ks0 = float(deriv(0.0))
@@ -498,13 +493,12 @@ def density_lam_constant(s: int, M: float, kernel: PolyKernel,
             "the kernel's s-th derivative vanishes at 0; C(s, M, K) is undefined")
     ks0 = abs(ks0)
 
-    k_sq = integrate_piecewise(lambda u: kernel(u) ** 2, -1.0, 1.0, (), quad)
+    k_sq = integrate_piecewise(lambda u: kernel(u) ** 2, -1.0, 1.0)
     m_s = integrate_piecewise(lambda u: kernel(u) * abs(u) ** s,
-                              -1.0, 1.0, (0.0,), quad) / math.factorial(s - 1)
+                              -1.0, 1.0, (0.0,)) / math.factorial(s - 1)
     roots = [float(r.real) for r in deriv.roots()
              if abs(r.imag) < 1e-12 and -1.0 < r.real < 1.0]
-    k_ds_abs = integrate_piecewise(lambda u: abs(float(deriv(u))),
-                                   -1.0, 1.0, roots, quad)
+    k_ds_abs = integrate_piecewise(lambda u: abs(float(deriv(u))), -1.0, 1.0, roots)
 
     exponent = 2.0 * s / (2.0 * s + 1.0)
     prefactor = (8.0 * s**exponent / (4.0 + 8.0 * s)

@@ -1,5 +1,6 @@
-"""Command-line interface: evaluate bounds and risks, sweep parameter grids
-to CSV, and emit self-contained SVG figures.
+"""Command-line interface: parses arguments, calls the library (the sweep is
+``minimaxlb.sweep``, the selftest checks are ``minimaxlb.checks``) and writes
+its results as text, CSV and self-contained SVG figures.
 
 Output determinism: identical invocations produce byte-identical CSV and SVG
 (shortest round-trip float formatting, no timestamps, fixed palettes). SVG
@@ -12,47 +13,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bounds, estimators, mixtures, models, numerics, priors
+from . import bounds, checks, mixtures, models, numerics, priors
+from .sweep import RISKS, SWEEP_ESTIMATORS, SWEEP_METHODS, SweepConfig, run_sweep
 
 CSV_COLUMNS = ("delta", "n", "bound_vt", "bound_diffeo", "bound_twopoint",
                "risk_constant", "risk_plugin", "risk_pretest")
-
-SWEEP_METHODS = ("vt", "diffeo", "twopoint")
-SWEEP_ESTIMATORS = ("constant", "plugin", "pretest")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    mode: str                      # "fixed-n-vary-delta" | "fixed-delta-vary-n"
-    n_values: Tuple[int, ...]
-    delta_values: Tuple[float, ...]
-    sigma: float = 1.0
-    methods: Tuple[str, ...] = SWEEP_METHODS
-    estimators: Tuple[str, ...] = SWEEP_ESTIMATORS
-    threshold: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("fixed-n-vary-delta", "fixed-delta-vary-n"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if not self.n_values or not self.delta_values:
-            raise ValueError("sweep grids must be non-empty")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("n grid must be strictly increasing")
-        if any(b <= a for a, b in zip(self.delta_values, self.delta_values[1:])):
-            raise ValueError("delta grid must be strictly increasing")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        for m in self.methods:
-            if m not in SWEEP_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        for e in self.estimators:
-            if e not in SWEEP_ESTIMATORS:
-                raise ValueError(f"unknown estimator {e!r}")
 
 
 def fmt(x: float) -> str:
@@ -139,48 +109,7 @@ DEFAULT_DELTA_GRID = "log:1e-2:1e2:50"
 
 
 # ---------------------------------------------------------------------------
-# sweep computation
-
-def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, float]:
-    """All n-scaled bound and risk values at one grid point.
-
-    A family sigma != 1 reduces to the unit problem: rescaling the data by
-    1/sigma maps delta to delta/sigma and multiplies every n-scaled squared
-    risk and bound by sigma^2.
-    """
-    s = config.sigma
-    d = delta / s
-    out: Dict[str, float] = {}
-    if "vt" in config.methods:
-        out["bound_vt"] = s * s * bounds.vt_kepler_bound(d, n, 1.0).value
-    if "diffeo" in config.methods:
-        out["bound_diffeo"] = s * s * bounds.diffeo_bound_sup(d, n).value
-    if "twopoint" in config.methods:
-        out["bound_twopoint"] = s * s * bounds.twopoint_bound_sup(d, n).value
-    if "constant" in config.estimators:
-        out["risk_constant"] = s * s * estimators.constant_local_minimax_risk(d, n)
-    if "plugin" in config.estimators:
-        out["risk_plugin"] = s * s * estimators.local_minimax_risk(
-            estimators.PluginMLE(), d, n)
-    if "pretest" in config.estimators:
-        out["risk_pretest"] = s * s * estimators.local_minimax_risk(
-            estimators.PreTest(config.threshold), d, n)
-    return out
-
-
-def run_sweep(config: SweepConfig) -> List[Dict[str, float]]:
-    """Rows in grid order: outer loop over the fixed axis, inner over the varied."""
-    rows = []
-    if config.mode == "fixed-n-vary-delta":
-        points = [(n, d) for n in config.n_values for d in config.delta_values]
-    else:
-        points = [(n, d) for d in config.delta_values for n in config.n_values]
-    for n, d in points:
-        row = {"delta": d, "n": n}
-        row.update(sweep_row_values(n, d, config))
-        rows.append(row)
-    return rows
-
+# CSV rendering of sweep rows
 
 def rows_to_csv(rows: Sequence[Dict[str, float]]) -> str:
     body = []
@@ -204,13 +133,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _Y_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
-    dashed: bool
-    color: str
+Series = namedtuple("Series", "label xs ys dashed color")
 
 
 def _svg_header(width: int, height: int) -> List[str]:
@@ -373,61 +296,91 @@ def cmd_kepler(args: argparse.Namespace) -> int:
     return 0
 
 
+# The options of `bound` with their defaults, and the options each method
+# reads: setting an option its method does not read is rejected.
+_BOUND_DEFAULTS = {"family": "gaussian", "sigma": 1.0, "prior": None,
+                   "functional": "maxzero", "alpha": None, "delta": 1.0,
+                   "lam": None, "h": None, "xi1": None, "xi2": None,
+                   "theta1": None, "theta2": None}
+_MIXTURE_READS = ("family", "sigma", "functional", "alpha", "prior", "delta")
+_BOUND_READS = {
+    "vt": ("sigma", "delta"),
+    "diffeo": ("delta", "xi1", "xi2"),
+    "twopoint": ("family", "sigma", "functional", "alpha", "theta1", "theta2"),
+    "hellinger": _MIXTURE_READS + ("h",),
+    "chi2": _MIXTURE_READS + ("h", "lam"),
+    "vantrees": _MIXTURE_READS,
+}
+
+
+def _reject_unread_options(args: argparse.Namespace) -> None:
+    unread_because = {}
+    if args.family != "gaussian":
+        unread_because["sigma"] = "with --family uniform"
+    if args.functional != "powermax":
+        unread_because["alpha"] = "without --functional powermax"
+    if args.prior:  # delta only sizes the default prior cosine:0:delta
+        unread_because["delta"] = "with --prior"
+    reads = _BOUND_READS[args.method]
+    for dest, default in _BOUND_DEFAULTS.items():
+        if (dest in reads and dest not in unread_because) or getattr(args, dest) == default:
+            continue
+        flag = "--lambda" if dest == "lam" else "--" + dest
+        why = f" {unread_because[dest]}" if dest in reads else ""
+        raise ValueError(f"--method {args.method} does not read {flag}{why}")
+
+
 def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[str]]:
     """Returns the n-scaled bound result and extra note lines."""
+    _reject_unread_options(args)
     family = parse_family(args.family, args.sigma)
     functional = parse_functional(args.functional, args.alpha)
-    notes: List[str] = []
     n = int(args.n)
     method = args.method
     if method == "vt":
-        sup_fisher = 1.0 / args.sigma**2
-        return bounds.vt_kepler_bound(args.delta, n, sup_fisher), notes
+        return bounds.vt_kepler_bound(args.delta, n, family.fisher_info(0.0).value), []
     if method == "diffeo":
         if (args.xi1 is None) != (args.xi2 is None):
             raise ValueError("--xi1 and --xi2 must be given together")
-        if args.xi1 is not None:
-            value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
-            return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2},
-                                      "diffeo"), notes
-        return bounds.diffeo_bound_sup(args.delta, n), notes
+        if args.xi1 is None:
+            return bounds.diffeo_bound_sup(args.delta, n), []
+        for flag, x, (lo, hi) in (("--xi1", args.xi1, bounds.DIFFEO_XI1_RANGE),
+                                  ("--xi2", args.xi2, bounds.DIFFEO_XI2_RANGE)):
+            if not lo <= x <= hi:
+                raise ValueError(f"{flag}={x!r} lies outside [{lo:g}, {hi:g}], the range "
+                                 "where the diffeo bound's quadrature is validated")
+        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
+        return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}, "diffeo"), []
     if method == "twopoint":
         if args.theta1 is None or args.theta2 is None:
             raise ValueError("twopoint requires --theta1 and --theta2")
-        value = n * bounds.two_point_hellinger_bound(
+        value = bounds.two_point_hellinger_bound(
             family, n, functional, args.theta1, args.theta2)
-        return bounds.BoundResult(value, {"theta1": args.theta1,
-                                          "theta2": args.theta2},
-                                  "twopoint"), notes
+        return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2},
+                                  "twopoint").scaled(n), []
     prior = parse_prior(args.prior) if args.prior else \
         priors.Cosine(0.0, args.delta if args.delta else 1.0)
     if method == "hellinger":
-        if args.h is not None:
-            value = n * bounds.hellinger_mixture_bound(family, n, prior,
-                                                       functional, args.h)
-            return bounds.BoundResult(value, {"h": args.h},
-                                      "hellinger-mixture"), notes
-        h_lo, h_hi = bounds.default_shift_range(prior)
-        res = bounds.hellinger_mixture_bound_sup(family, n, prior, functional,
-                                                 h_lo, h_hi)
-        return bounds.BoundResult(n * res.value, res.argmax, res.method), notes
+        if args.h is None:
+            h_lo, h_hi = bounds.default_shift_range(prior)
+            return bounds.hellinger_mixture_bound_sup(family, n, prior, functional,
+                                                      h_lo, h_hi).scaled(n), []
+        value = bounds.hellinger_mixture_bound(family, n, prior, functional, args.h)
+        return bounds.BoundResult(value, {"h": args.h}, "hellinger-mixture").scaled(n), []
     if method == "chi2":
         if args.h is None:
             raise ValueError("chi2 requires --h")
         lam = args.lam if args.lam is not None else 0.0
-        denom = mixtures.mixture_chi_sq(
-            mixtures.MixtureSpec(family, n, prior, args.h))
-        if lam == 0.0 and denom.is_divergent:
-            notes.append("note=divergent denominator; trivial bound 0")
-            return bounds.BoundResult(0.0, {"h": args.h, "lambda": lam},
-                                      "chi2-mixture"), notes
-        value = n * bounds.chi2_mixture_bound(family, n, prior, functional,
-                                              args.h, lam)
+        value = bounds.chi2_mixture_bound(family, n, prior, functional, args.h, lam)
+        # a divergent denominator can only have given a zero bound
+        divergent = value == 0.0 and lam == 0.0 and mixtures.mixture_chi_sq(
+            mixtures.MixtureSpec(family, n, prior, args.h)).is_divergent
+        notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
         return bounds.BoundResult(value, {"h": args.h, "lambda": lam},
-                                  "chi2-mixture"), notes
+                                  "chi2-mixture").scaled(n), notes
     if method == "vantrees":
-        value = n * bounds.van_trees_value(family, n, prior, functional)
-        return bounds.BoundResult(value, {}, "van-trees"), notes
+        value = bounds.van_trees_value(family, n, prior, functional)
+        return bounds.BoundResult(value, {}, "van-trees").scaled(n), []
     raise ValueError(f"unknown bound method {method!r}")
 
 
@@ -444,19 +397,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_risk(args: argparse.Namespace) -> int:
-    name = args.estimator.lower()
     n = int(args.n)
-    if name == "constant":
-        value = estimators.constant_local_minimax_risk(args.delta, n)
-    elif name == "plugin":
-        value = estimators.local_minimax_risk(estimators.PluginMLE(), args.delta, n)
-    elif name == "pretest":
-        value = estimators.local_minimax_risk(
-            estimators.PreTest(args.threshold), args.delta, n)
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
+    value = RISKS[args.estimator](args.delta, n, args.threshold)
     print(f"value={fmt(value)}")
-    row = (fmt(args.delta), str(n), name, fmt(value))
+    row = (fmt(args.delta), str(n), args.estimator, fmt(value))
     _write_text(args.out, _csv([row], ("delta", "n", "estimator", "value")))
     return 0
 
@@ -491,66 +435,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_checks() -> List[Tuple[str, bool, str]]:
-    checks: List[Tuple[str, bool, str]] = []
-
-    residuals = []
-    for a in np.linspace(0.0, 1.0, 101):
-        sol = priors.solve_kepler(float(a))
-        residuals.append(abs(sol.y_a + math.sin(math.pi * sol.y_a) / math.pi
-                             - (2.0 * a - 1.0)))
-    worst = max(residuals)
-    checks.append(("kepler-residual", worst <= 1e-12, f"max residual {worst:.2e}"))
-
-    fam = models.GaussianLocation(1.0)
-    worst = 0.0
-    for n, m in ((1, 3), (2, 5), (10, 7)):
-        h2m = models.hellinger_sq_iid(fam, 0.0, 0.4, m)
-        h2n = models.hellinger_sq_iid(fam, 0.0, 0.4, n)
-        h2mn = models.hellinger_sq_iid(fam, 0.0, 0.4, m + n)
-        worst = max(worst, abs((1 - h2mn / 2) - (1 - h2m / 2) * (1 - h2n / 2)))
-    checks.append(("hellinger-tensorization", worst <= 1e-12, f"max defect {worst:.2e}"))
-
-    worst = 0.0
-    cases = [
-        (models.GaussianLocation(1.0), priors.GaussianPrior(0.0, 1.0), 0.1),
-        (models.GaussianLocation(1.0), priors.Cosine(0.0, 1.0), 0.3),
-        (models.GaussianLocation(0.5), priors.KeplerCosine.for_constraint(0.75), 0.2),
-    ]
-    for family, prior, h in cases:
-        path = mixtures.mixture_hellinger_sq(mixtures.MixtureSpec(family, 1, prior, h))
-        grid = mixtures.default_grid(family, prior, h)
-        oracle = mixtures.mixture_hellinger_oracle(family, prior, h, grid)
-        worst = max(worst, abs(path - oracle))
-    checks.append(("hellinger-decomposition", worst <= 1e-6, f"max gap {worst:.2e}"))
-
-    margin = math.inf
-    for n in (10, 100):
-        for d in np.geomspace(1e-2, 1e2, 10):
-            cfg = SweepConfig("fixed-n-vary-delta", (n,), (float(d),))
-            row = sweep_row_values(n, float(d), cfg)
-            b = max(row["bound_vt"], row["bound_diffeo"], row["bound_twopoint"])
-            r = min(row["risk_constant"], row["risk_plugin"], row["risk_pretest"])
-            margin = min(margin, r - b)
-    checks.append(("bound-dominance", margin >= -1e-9, f"min margin {margin:.3e}"))
-
-    diffs = (abs(bounds.lam_constant_regular() - 0.28953),
-             abs(bounds.lam_constant_uniform_twopoint() - 0.0558),
-             abs(bounds.lam_constant_uniform_diffeo() - 0.0635**2))
-    ok = diffs[0] <= 5e-4 and diffs[1] <= 5e-4 and diffs[2] <= 1e-4
-    checks.append(("asymptotic-constants", ok,
-                   "gaps " + ", ".join(f"{d:.1e}" for d in diffs)))
-
-    worst = max(abs(numerics.normal_cdf(x) + numerics.normal_cdf(-x) - 1.0)
-                for x in np.linspace(-8, 8, 161))
-    checks.append(("normal-cdf-symmetry", worst <= 1e-15, f"max defect {worst:.2e}"))
-    return checks
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
-    checks = _selftest_checks()
     failed = 0
-    for name, ok, detail in checks:
+    for name, ok, detail in checks.selftest_checks():
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
         failed += 0 if ok else 1
     return 0 if failed == 0 else 3
@@ -577,14 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=("vt", "diffeo", "twopoint", "hellinger", "chi2",
                             "vantrees"))
-    p.add_argument("--family", default="gaussian", choices=("gaussian", "uniform"))
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--family", default=_BOUND_DEFAULTS["family"],
+                   choices=("gaussian", "uniform"))
+    p.add_argument("--sigma", type=float, default=_BOUND_DEFAULTS["sigma"])
     p.add_argument("--prior", help="prior spec, e.g. cosine:0:1 or gaussian:0:1")
-    p.add_argument("--functional", default="maxzero",
+    p.add_argument("--functional", default=_BOUND_DEFAULTS["functional"],
                    choices=("identity", "maxzero", "powermax"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=_BOUND_DEFAULTS["delta"])
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--h", type=float)
     p.add_argument("--xi1", type=float)

@@ -72,7 +72,9 @@ def plugin_risk_at(theta: float, n: int) -> float:
         raise ValueError("theta must be >= 0 (negative values are dominated)")
     _check_n(n)
     m = math.sqrt(n) * theta
-    return gaussian_partial_second_moment(-m) + m * m * normal_cdf(-m)
+    below = normal_cdf(-m)
+    # the tail is 0 long before m*m overflows; the term is then 0, not inf * 0 = NaN
+    return gaussian_partial_second_moment(-m) + (m * m * below if below else 0.0)
 
 
 def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
@@ -88,7 +90,8 @@ def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
     if not c_n > 0:
         raise ValueError("c_n must be positive")
     cut = math.sqrt(n) * (c_n - theta)
-    return gaussian_partial_second_moment(cut) + n * theta * theta * normal_cdf(cut)
+    below = normal_cdf(cut)  # 0 long before n theta^2 overflows, as in plugin_risk_at
+    return gaussian_partial_second_moment(cut) + (n * theta * theta * below if below else 0.0)
 
 
 def _materialize_threshold(spec: PreTest, n: int) -> float:

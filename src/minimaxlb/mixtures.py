@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ class MixtureSpec:
     n: int
     prior: Prior
     h: float
-    quad: QuadratureSpec = DEFAULT_QUAD
 
     def __post_init__(self):
         if self.n < 1:
@@ -95,16 +94,14 @@ def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ..
 _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
-def _shift_quad_spec(quad: QuadratureSpec, h: float) -> QuadratureSpec:
+def _shift_quad_spec(h: float) -> QuadratureSpec:
     """Tolerance scaled down with h^2: shift divergences shrink quadratically,
     so a fixed absolute tolerance would swamp them at small shifts."""
-    tol = max(1e-15, min(quad.abs_tol, quad.abs_tol * h * h))
-    return QuadratureSpec(abs_tol=tol, rel_tol=quad.rel_tol,
-                          max_depth=quad.max_depth)
+    tol = max(1e-15, min(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.abs_tol * h * h))
+    return replace(DEFAULT_QUAD, abs_tol=tol)
 
 
-def prior_shift_hellinger_sq(prior: Prior, h: float,
-                             quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
     """H^2(Q_h, Q) = int (sqrt(q(t+h)) - sqrt(q(t)))^2 dt by quadrature.
 
     The squared-difference form avoids the catastrophic cancellation of
@@ -122,7 +119,7 @@ def prior_shift_hellinger_sq(prior: Prior, h: float,
         return d * d
 
     val = integrate_piecewise(integrand, lo, hi, cuts,
-                              _shift_quad_spec(quad, h), min_panels=16)
+                              _shift_quad_spec(h), min_panels=16)
     return min(max(val, 0.0), 2.0)
 
 
@@ -135,7 +132,7 @@ def mixture_hellinger_sq(spec: MixtureSpec) -> float:
     h = float(spec.h)
     if h == 0.0:
         return 0.0
-    prior_part = prior_shift_hellinger_sq(spec.prior, h, spec.quad)
+    prior_part = prior_shift_hellinger_sq(spec.prior, h)
     region = _overlap_region(spec.prior, h)
     if region is None:
         return 2.0
@@ -148,8 +145,7 @@ def mixture_hellinger_sq(spec: MixtureSpec) -> float:
             return 0.0
         return w * hellinger_sq_iid(spec.family, t + h, t, spec.n)
 
-    family_part = integrate_piecewise(integrand, lo, hi, cuts,
-                                      _shift_quad_spec(spec.quad, h),
+    family_part = integrate_piecewise(integrand, lo, hi, cuts, _shift_quad_spec(h),
                                       min_panels=16)
     return min(max(prior_part + family_part, 0.0), 2.0)
 
@@ -194,8 +190,7 @@ def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
         return qh * qh / q0 * (1.0 + per.value)
 
     try:
-        total = integrate_piecewise(integrand, lo, hi, (),
-                                    _shift_quad_spec(spec.quad, h),
+        total = integrate_piecewise(integrand, lo, hi, (), _shift_quad_spec(h),
                                     min_panels=16)
     except _DivergentSignal:
         return DivergenceValue.divergent()
@@ -217,13 +212,11 @@ def _prior_density_grid(prior: Prior, ts: np.ndarray) -> np.ndarray:
     return np.array([prior_density(prior, float(t)) for t in ts])
 
 
-def default_grid(family: Family, prior: Prior, h: float,
-                 t_points: int = 2001, x_points: int = 2001) -> GridSpec:
+def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     """A grid covering the prior (and its shift) plus the family's x-range."""
     t_lo, t_hi, _ = _union_region(prior, h)
     x_lo, x_hi = family.x_range(t_lo, t_hi, h)
-    return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi,
-                    t_points=t_points, x_points=x_points)
+    return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
 def _check_coverage(family: Family, prior: Prior, h: float, grid: GridSpec) -> None:

@@ -51,22 +51,21 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
+# coarse grid points per axis, and refinement steps, of the optimizers
+_COARSE_GRID = 64
+_REFINE_ITERS = 200
+
+
 @dataclass(frozen=True)
 class SearchBox:
     """Axis-aligned search region for the derivative-free optimizers."""
 
     intervals: Tuple[Tuple[float, float], ...]
-    coarse_grid: int = 64
-    refine_iters: int = 200
 
     def __post_init__(self):
         for lo, hi in self.intervals:
             if not lo < hi:
                 raise ValueError(f"interval ({lo}, {hi}) must satisfy lo < hi")
-        if self.coarse_grid < 3:
-            raise ValueError("coarse_grid must be at least 3")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be non-negative")
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -238,8 +237,7 @@ def maximize_1d(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    coarse_grid: int = 64,
-    refine_iters: int = 200,
+    coarse_grid: int = _COARSE_GRID,
 ) -> Tuple[float, float]:
     """Coarse grid scan plus golden-section refinement around the best cell.
 
@@ -259,7 +257,7 @@ def maximize_1d(
     bl = float(xs[max(i - 1, 0)])
     br = float(xs[min(i + 1, coarse_grid - 1)])
     if br > bl:
-        gx, gv = _golden_max(f, bl, br, refine_iters)
+        gx, gv = _golden_max(f, bl, br, _REFINE_ITERS)
         if gv >= best_v:
             best_x, best_v = gx, gv
     return best_x, best_v
@@ -275,17 +273,17 @@ def maximize_2d(
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
     (xlo, xhi), (ylo, yhi) = box.intervals
-    xs = np.linspace(xlo, xhi, box.coarse_grid)
-    ys = np.linspace(ylo, yhi, box.coarse_grid)
+    xs = np.linspace(xlo, xhi, _COARSE_GRID)
+    ys = np.linspace(ylo, yhi, _COARSE_GRID)
     best_x, best_y, best_v = float(xs[0]), float(ys[0]), -math.inf
     for x in xs:
         for y in ys:
             v = float(f(x, y))
             if v > best_v:
                 best_x, best_y, best_v = float(x), float(y), v
-    step_x = (xhi - xlo) / (box.coarse_grid - 1)
-    step_y = (yhi - ylo) / (box.coarse_grid - 1)
-    for _ in range(box.refine_iters):
+    step_x = (xhi - xlo) / (_COARSE_GRID - 1)
+    step_y = (yhi - ylo) / (_COARSE_GRID - 1)
+    for _ in range(_REFINE_ITERS):
         moved = False
         for dx, dy in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_y), (0.0, -step_y)):
             cx = min(max(best_x + dx, xlo), xhi)

@@ -194,9 +194,8 @@ class KeplerCosine(Prior):
             raise ValueError("scale must be positive and finite")
 
     @staticmethod
-    def for_constraint(a: float, center: float = 0.0, scale: float = 1.0,
-                       tol: float = 1e-13) -> "KeplerCosine":
-        return KeplerCosine(a, solve_kepler(a, tol), center, scale)
+    def for_constraint(a: float, center: float = 0.0, scale: float = 1.0) -> "KeplerCosine":
+        return KeplerCosine(a, solve_kepler(a), center, scale)
 
     def density(self, t: float) -> float:
         sol = self.solution

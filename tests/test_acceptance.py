@@ -1,15 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report. Tolerances are fixed here, not configurable.
+report. The invariant checks shared with `minimaxlb selftest` (criteria 1, 2,
+4 and 5) come from `minimaxlb.checks`, which fixes their tolerances; the
+other tolerances are fixed here. None is configurable.
 """
 import math
 import time
 
 import numpy as np
 
-from minimaxlb import bounds, estimators, mixtures, models, priors
-from minimaxlb.cli import SweepConfig, rows_to_csv, run_sweep
+from minimaxlb import bounds, checks, estimators, models, priors
+from minimaxlb.cli import rows_to_csv
+from minimaxlb.sweep import SweepConfig, run_sweep
 
 PI2 = math.pi**2
 
@@ -22,24 +25,15 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_kepler_min_fisher():
     t0 = time.perf_counter()
     gap = abs(priors.min_fisher_constrained(0.5) - PI2)
-    worst = 0.0
-    for a in np.arange(0.0, 1.0 + 1e-12, 0.01):
-        sol = priors.solve_kepler(float(a))
-        res = abs(sol.y_a + math.sin(math.pi * sol.y_a) / math.pi - (2.0 * a - 1.0))
-        worst = max(worst, res)
+    _, residual_ok, residual = checks.kepler_residual(np.arange(0.0, 1.0 + 1e-12, 0.01))
     elapsed = time.perf_counter() - t0
-    ok = gap <= 1e-9 and worst <= 1e-12 and elapsed < 1.0
-    _report("1 kepler/min-fisher", ok,
-            f"pi^2 gap {gap:.2e}, max residual {worst:.2e}, {elapsed:.3f}s")
+    ok = gap <= 1e-9 and residual_ok and elapsed < 1.0
+    _report("1 kepler/min-fisher", ok, f"pi^2 gap {gap:.2e}, {residual}, {elapsed:.3f}s")
 
 
 def test_criterion_2_scalar_constants():
-    c1 = bounds.lam_constant_regular()
-    c2 = bounds.lam_constant_uniform_twopoint()
-    c3 = bounds.lam_constant_uniform_diffeo()
-    ok = (abs(c1 - 0.28953) <= 5e-4 and abs(c2 - 0.0558) <= 5e-4
-          and abs(c3 - 0.0635**2) <= 1e-4)
-    _report("2 scalar constants", ok, f"{c1:.6f}, {c2:.6f}, {c3:.8f}")
+    _, ok, detail = checks.asymptotic_constants()
+    _report("2 scalar constants", ok, detail)
 
 
 def test_criterion_3_asymptotic_ceiling():
@@ -60,14 +54,10 @@ def test_criterion_4_dominance_and_determinism():
     csv1 = rows_to_csv(rows1)
     csv2 = rows_to_csv(run_sweep(config))
     elapsed = time.perf_counter() - t0
-    margin = math.inf
-    for row in rows1:
-        worst_bound = max(row["bound_vt"], row["bound_diffeo"], row["bound_twopoint"])
-        best_risk = min(row["risk_constant"], row["risk_plugin"], row["risk_pretest"])
-        margin = min(margin, best_risk - worst_bound)
-    ok = margin >= -1e-9 and csv1.encode() == csv2.encode() and elapsed < 120.0
+    _, dominated, margin = checks.bound_dominance(rows1)
+    ok = dominated and csv1.encode() == csv2.encode() and elapsed < 120.0
     _report("4 dominance/determinism", ok,
-            f"min margin {margin:.3e}, identical={csv1 == csv2}, {elapsed:.1f}s")
+            f"{margin}, identical={csv1 == csv2}, {elapsed:.1f}s")
 
 
 DECOMPOSITION_CASES = (
@@ -87,17 +77,11 @@ DECOMPOSITION_CASES = (
 
 def test_criterion_5_decomposition_identity():
     t0 = time.perf_counter()
-    worst = 0.0
-    for family, prior, h in DECOMPOSITION_CASES:
-        path = mixtures.mixture_hellinger_sq(mixtures.MixtureSpec(family, 1, prior, h))
-        grid = mixtures.default_grid(family, prior, h)
-        oracle = mixtures.mixture_hellinger_oracle(family, prior, h, grid)
-        worst = max(worst, abs(path - oracle))
+    _, matched, gap = checks.hellinger_decomposition(DECOMPOSITION_CASES)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
+    ok = matched and elapsed < 60.0
     _report("5 decomposition identity", ok,
-            f"max |oracle - path| {worst:.2e} over {len(DECOMPOSITION_CASES)} cases, "
-            f"{elapsed:.1f}s")
+            f"{gap} over {len(DECOMPOSITION_CASES)} cases, {elapsed:.1f}s")
 
 
 def test_criterion_6_van_trees_recovery():

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from minimaxlb.cli import (CSV_COLUMNS, SweepConfig, main, parse_grid,
-                           parse_prior, rows_to_csv, run_sweep)
+from minimaxlb.cli import CSV_COLUMNS, main, parse_grid, parse_prior, rows_to_csv
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
+from minimaxlb.sweep import SweepConfig, run_sweep
 
 PI2 = math.pi**2
 
@@ -204,12 +204,12 @@ def test_selftest_command(capsys):
 
 
 def test_selftest_reports_injected_failure(capsys, monkeypatch):
-    import minimaxlb.cli as cli
+    import minimaxlb.checks as checks
 
     def broken_checks():
         return [("kepler-residual", False, "tolerance forced to 0")]
 
-    monkeypatch.setattr(cli, "_selftest_checks", broken_checks)
+    monkeypatch.setattr(checks, "selftest_checks", broken_checks)
     assert main(["selftest"]) == 3
     printed = capsys.readouterr().out
     assert "FAIL kepler-residual" in printed
@@ -257,6 +257,25 @@ def test_bound_command_validation_exit(tmp_path):
     (["sweep", "--n", "10", "--delta", "1e-170"], 2, "underflows"),
     (["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "50",
       "--n", "100"], 0, "divergent denominator"),
+    (["bound", "--method", "vt", "--family", "uniform", "--functional", "identity",
+      "--delta", "1", "--n", "10"], 2, "--method vt does not read --family"),
+    (["bound", "--method", "vt", "--family", "gaussian", "--sigma", "1"], 0, "method=vt-kepler"),
+    (["bound", "--method", "diffeo", "--sigma", "2"], 2, "--method diffeo does not read --sigma"),
+    (["bound", "--method", "twopoint", "--family", "uniform", "--sigma", "2",
+      "--theta1", "1", "--theta2", "2"], 2, "does not read --sigma with --family uniform"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:0:1", "--delta", "2"], 2,
+     "does not read --delta with --prior"),
+    (["bound", "--method", "vantrees", "--alpha", "0.5"], 2,
+     "does not read --alpha without --functional powermax"),
+    (["bound", "--method", "hellinger", "--h", "0.1", "--lambda", "0"], 2,
+     "--method hellinger does not read --lambda"),
+    (["bound", "--method", "diffeo", "--xi1", "0.5", "--xi2", "4125", "--delta", "0.01",
+      "--n", "10"], 2, "--xi2=4125.0 lies outside [0.001, 10]"),
+    (["bound", "--method", "diffeo", "--xi1", "-11", "--xi2", "1"], 2, "--xi1=-11.0 lies outside"),
+    (["bound", "--method", "vt", "--delta", "1e300"], 2, "overflows"),
+    (["bound", "--method", "diffeo", "--delta", "1e300"], 2, "overflows"),
+    (["sweep", "--n", "10", "--delta", "1,1e200", "--methods", "vt,twopoint"], 2, "overflows"),
+    (["risk", "--estimator", "plugin", "--delta", "1e300", "--n", "10"], 0, "value=1.0"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -134,3 +134,10 @@ def test_pretest_threshold_validation():
         PreTest(threshold=-1.0)
     assert local_minimax_risk(PreTest(threshold=0.5), 1.0, 16) == \
         local_minimax_risk(PreTest(), 1.0, 16)
+
+
+def test_risks_at_huge_theta():
+    # n theta^2 overflows to inf where the tail probability underflows to 0:
+    # the term is 0, not inf * 0 = NaN, and both risks tend to 1
+    assert plugin_risk_at(1e300, 10) == 1.0
+    assert pretest_risk_at(1e300, 10, 10 ** -0.25) == 1.0

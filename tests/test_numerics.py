@@ -130,5 +130,3 @@ def test_spec_validation():
         QuadratureSpec(max_depth=5)
     with pytest.raises(ValueError):
         SearchBox(intervals=((1.0, 0.0),))
-    with pytest.raises(ValueError):
-        SearchBox(intervals=((0.0, 1.0),), coarse_grid=2)
