@@ -11,11 +11,9 @@ from .bounds import (BoundResult, DegenerateKernelError, Functional, Identity,
                      MaxZero, PolyKernel, PowerMax, chi2_mixture_bound,
                      density_lam_constant, diffeo_bound, diffeo_bound_sup,
                      hellinger_mixture_bound, hellinger_mixture_bound_sup,
-                     lam_constant_regular, lam_constant_uniform_diffeo,
-                     lam_constant_uniform_twopoint, two_point_hellinger_bound,
+                     lam_constant, two_point_hellinger_bound,
                      twopoint_bound_sup, van_trees_value, vt_kepler_bound)
-from .estimators import (Constant, EstimatorSpec, PluginMLE, PreTest,
-                         constant_local_minimax_risk, local_minimax_risk,
+from .estimators import (Constant, PluginMLE, PreTest, local_minimax_risk,
                          plugin_risk_at, pretest_risk_at)
 from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
@@ -27,7 +25,7 @@ from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
                        integrate_adaptive, maximize_1d, maximize_2d, normal_cdf,
                        normal_pdf)
 from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution,
-                     NicenessReport, Prior, UniformPrior, kepler_prior_density,
-                     min_fisher_constrained, prior_density, solve_kepler)
+                     NicenessReport, Prior, UniformPrior, prior_density,
+                     solve_kepler)
 
 __version__ = "0.1.0"

@@ -418,21 +418,6 @@ def lam_constant(name: str) -> Tuple[float, float]:
     return maximize_1d(objective, lo, hi)
 
 
-def lam_constant_regular() -> float:
-    """The regular two-point asymptotic constant, approximately 0.28953."""
-    return lam_constant("regular_twopoint")[1]
-
-
-def lam_constant_uniform_twopoint() -> float:
-    """The uniform-model two-point constant, approximately 0.0558."""
-    return lam_constant("uniform_twopoint")[1]
-
-
-def lam_constant_uniform_diffeo() -> float:
-    """The uniform-model diffeomorphism constant, approximately 0.0635^2."""
-    return lam_constant("uniform_diffeo")[1]
-
-
 @dataclass(frozen=True)
 class PolyKernel:
     """Polynomial kernel on [-1, 1]: coeffs are ascending-degree coefficients.

@@ -60,13 +60,18 @@ def bound_dominance(rows: Iterable[Dict[str, float]]) -> Check:
     return "bound-dominance", margin >= -1e-9, f"min margin {margin:.3e}"
 
 
+# name in bounds.LAM_CONSTANTS -> (the paper's value, tolerance)
+_LAM_TARGETS = {"regular_twopoint": (0.28953, 5e-4),
+                "uniform_twopoint": (0.0558, 5e-4),
+                "uniform_diffeo": (0.0635**2, 1e-4)}
+
+
 def asymptotic_constants() -> Check:
     """The three scalar constants against 0.28953, 0.0558 and 0.0635^2."""
-    diffs = (abs(bounds.lam_constant_regular() - 0.28953),
-             abs(bounds.lam_constant_uniform_twopoint() - 0.0558),
-             abs(bounds.lam_constant_uniform_diffeo() - 0.0635**2))
-    ok = diffs[0] <= 5e-4 and diffs[1] <= 5e-4 and diffs[2] <= 1e-4
-    return "asymptotic-constants", ok, "gaps " + ", ".join(f"{d:.1e}" for d in diffs)
+    gaps = {name: abs(bounds.lam_constant(name)[1] - _LAM_TARGETS[name][0])
+            for name in bounds.LAM_CONSTANTS}
+    ok = all(gap <= _LAM_TARGETS[name][1] for name, gap in gaps.items())
+    return "asymptotic-constants", ok, "gaps " + ", ".join(f"{g:.1e}" for g in gaps.values())
 
 
 def normal_cdf_symmetry(xs: Iterable[float]) -> Check:

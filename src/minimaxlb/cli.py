@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bounds, checks, mixtures, models, numerics, priors
+from . import bounds, checks, estimators, mixtures, models, numerics, priors
 from .sweep import RISKS, SWEEP_ESTIMATORS, SWEEP_METHODS, SweepConfig, run_sweep
 
 CSV_COLUMNS = ("delta", "n", "bound_vt", "bound_diffeo", "bound_twopoint",
@@ -70,26 +70,17 @@ def parse_prior(spec: str) -> priors.Prior:
     return make(*args, *defaults[len(args) - required:])
 
 
-def parse_functional(name: str, alpha: Optional[float]) -> bounds.Functional:
-    name = name.lower()
-    if name == "identity":
-        return bounds.Identity()
-    if name == "maxzero":
-        return bounds.MaxZero()
-    if name == "powermax":
-        if alpha is None:
-            raise ValueError("powermax requires --alpha")
-        return bounds.PowerMax(alpha)
-    raise ValueError(f"unknown functional {name!r}")
-
-
-def parse_family(name: str, sigma: float) -> models.Family:
-    name = name.lower()
-    if name == "gaussian":
-        return models.GaussianLocation(sigma)
-    if name == "uniform":
-        return models.UniformScale()
-    raise ValueError(f"unknown family {name!r}")
+# name -> family, given --sigma (read by the Gaussian family only)
+_FAMILIES = {
+    "gaussian": models.GaussianLocation,
+    "uniform": lambda sigma: models.UniformScale(),
+}
+# name -> functional, given --alpha (read by powermax only)
+_FUNCTIONALS = {
+    "identity": lambda alpha: bounds.Identity(),
+    "maxzero": lambda alpha: bounds.MaxZero(),
+    "powermax": bounds.PowerMax,
+}
 
 
 def parse_grid(spec: str) -> Tuple[float, ...]:
@@ -241,7 +232,8 @@ def kepler_svg(a_values: Sequence[float]) -> str:
     out = _svg_header(width, height)
     ml, mt, pw, ph = 60, 50, 340, 300
     ts = np.linspace(-1.0, 1.0, 401)
-    dens = {a: [priors.kepler_prior_density(a, float(t)) for t in ts] for a in a_values}
+    curves = {a: priors.KeplerCosine.for_constraint(a) for a in a_values}
+    dens = {a: [q.density(float(t)) for t in ts] for a, q in curves.items()}
     d_max = max(max(v) for v in dens.values()) or 1.0
     out.append(f'<text x="{ml}" y="26" font-family="monospace" font-size="14">'
                'constrained cosine priors q_a(t)</text>')
@@ -259,7 +251,7 @@ def kepler_svg(a_values: Sequence[float]) -> str:
                    f'a={a:g}</text>')
     ml2 = ml + pw + 120
     a_grid = np.linspace(0.0, 1.0, 101)
-    fisher = [priors.min_fisher_constrained(float(a)) for a in a_grid]
+    fisher = [priors.solve_kepler(float(a)).min_fisher for a in a_grid]
     f_max = max(fisher)
     out.append(f'<text x="{ml2}" y="26" font-family="monospace" font-size="14">'
                'min Fisher information vs a</text>')
@@ -333,8 +325,10 @@ def _reject_unread_options(args: argparse.Namespace) -> None:
 def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[str]]:
     """Returns the n-scaled bound result and extra note lines."""
     _reject_unread_options(args)
-    family = parse_family(args.family, args.sigma)
-    functional = parse_functional(args.functional, args.alpha)
+    if args.functional == "powermax" and args.alpha is None:
+        raise ValueError("powermax requires --alpha")
+    family = _FAMILIES[args.family](args.sigma)
+    functional = _FUNCTIONALS[args.functional](args.alpha)
     n = int(args.n)
     method = args.method
     if method == "vt":
@@ -378,10 +372,8 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
         return bounds.BoundResult(value, {"h": args.h, "lambda": lam},
                                   "chi2-mixture").scaled(n), notes
-    if method == "vantrees":
-        value = bounds.van_trees_value(family, n, prior, functional)
-        return bounds.BoundResult(value, {}, "van-trees").scaled(n), []
-    raise ValueError(f"unknown bound method {method!r}")
+    value = bounds.van_trees_value(family, n, prior, functional)  # method == "vantrees"
+    return bounds.BoundResult(value, {}, "van-trees").scaled(n), []
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -396,9 +388,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_unread_threshold(threshold: Optional[float], flag: str,
+                             names: Sequence[str]) -> None:
+    if threshold is not None and "pretest" not in names:
+        raise ValueError(f"{flag} {','.join(names)} does not read --threshold")
+
+
 def cmd_risk(args: argparse.Namespace) -> int:
+    _reject_unread_threshold(args.threshold, "--estimator", (args.estimator,))
     n = int(args.n)
-    value = RISKS[args.estimator](args.delta, n, args.threshold)
+    value = estimators.local_minimax_risk(RISKS[args.estimator](args.threshold), args.delta, n)
     print(f"value={fmt(value)}")
     row = (fmt(args.delta), str(n), args.estimator, fmt(value))
     _write_text(args.out, _csv([row], ("delta", "n", "estimator", "value")))
@@ -418,6 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     if args.estimators else SWEEP_ESTIMATORS),
         threshold=args.threshold,
     )
+    _reject_unread_threshold(args.threshold, "--estimators", config.estimators)
     rows = run_sweep(config)
     _write_text(args.out, rows_to_csv(rows))
     if args.svg:
@@ -462,14 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a stray --a would otherwise be read as --alpha
     p = sub.add_parser("bound", help="evaluate one lower bound", allow_abbrev=False)
     p.add_argument("--method", required=True,
-                   choices=("vt", "diffeo", "twopoint", "hellinger", "chi2",
-                            "vantrees"))
-    p.add_argument("--family", default=_BOUND_DEFAULTS["family"],
-                   choices=("gaussian", "uniform"))
+                   choices=tuple(_BOUND_READS))
+    p.add_argument("--family", default=_BOUND_DEFAULTS["family"], choices=tuple(_FAMILIES))
     p.add_argument("--sigma", type=float, default=_BOUND_DEFAULTS["sigma"])
     p.add_argument("--prior", help="prior spec, e.g. cosine:0:1 or gaussian:0:1")
     p.add_argument("--functional", default=_BOUND_DEFAULTS["functional"],
-                   choices=("identity", "maxzero", "powermax"))
+                   choices=tuple(_FUNCTIONALS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--delta", type=float, default=_BOUND_DEFAULTS["delta"])
@@ -483,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("risk", help="local minimax risk of a reference estimator")
-    p.add_argument("--estimator", required=True,
-                   choices=("constant", "plugin", "pretest"))
+    p.add_argument("--estimator", required=True, choices=SWEEP_ESTIMATORS)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threshold", type=float)
@@ -498,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", dest="delta_grid", default=DEFAULT_DELTA_GRID,
                    help="delta grid: 'log:lo:hi:count' or comma list")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--methods", help="comma subset of vt,diffeo,twopoint")
-    p.add_argument("--estimators", help="comma subset of constant,plugin,pretest")
+    p.add_argument("--methods", help="comma subset of " + ",".join(SWEEP_METHODS))
+    p.add_argument("--estimators", help="comma subset of " + ",".join(SWEEP_ESTIMATORS))
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--svg", help="optional SVG output path")

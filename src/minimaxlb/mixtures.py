@@ -219,7 +219,11 @@ def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
-def _check_coverage(family: Family, prior: Prior, h: float, grid: GridSpec) -> None:
+def _joint_density_grids(family: Family, prior: Prior, h: float,
+                         grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The joint densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h) on the
+    (t, x) grid, warning when the grid misses the prior, its shift or the
+    family's x-range."""
     t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
@@ -228,6 +232,19 @@ def _check_coverage(family: Family, prior: Prior, h: float, grid: GridSpec) -> N
     if grid.x_lo > x_lo or grid.x_hi < x_hi:
         warnings.warn(f"x-grid does not cover {family.x_coverage}",
                       CoverageWarning, stacklevel=3)
+    ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
+    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
+    g0 = family.density_grid(ts, xs)
+    g0 *= _prior_density_grid(prior, ts)[:, None]
+    gh = family.density_grid(ts + h, xs)
+    gh *= _prior_density_grid(prior, ts + h)[:, None]
+    return g0, gh
+
+
+def _trapezoid_2d(values: np.ndarray, grid: GridSpec) -> float:
+    """Trapezoid rule over x (axis 1), then over t."""
+    inner = _trapezoid(values, (grid.x_hi - grid.x_lo) / (grid.x_points - 1), axis=1)
+    return float(_trapezoid(inner, (grid.t_hi - grid.t_lo) / (grid.t_points - 1), axis=0))
 
 
 def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
@@ -238,17 +255,11 @@ def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
     grid. Exists to validate the decomposition identity; not a computation
     path for bounds.
     """
-    h = float(h)
-    _check_coverage(family, prior, h, grid)
-    ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
-    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    q0 = _prior_density_grid(prior, ts)
-    qh = _prior_density_grid(prior, ts + h)
-    p0 = family.density_grid(ts, xs)
-    ph = family.density_grid(ts + h, xs)
-    diff = np.sqrt(ph * qh[:, None]) - np.sqrt(p0 * q0[:, None])
-    inner = _trapezoid(diff * diff, (grid.x_hi - grid.x_lo) / (grid.x_points - 1), axis=1)
-    return float(_trapezoid(inner, (grid.t_hi - grid.t_lo) / (grid.t_points - 1), axis=0))
+    g0, gh = _joint_density_grids(family, prior, float(h), grid)
+    diff = np.sqrt(gh, out=gh)
+    diff -= np.sqrt(g0, out=g0)
+    diff *= diff
+    return _trapezoid_2d(diff, grid)
 
 
 def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
@@ -261,19 +272,10 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     tensorization identity exists for the interpolated mixture, so n > 1 is
     not offered here.
     """
-    h = float(h)
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
-    _check_coverage(family, prior, h, grid)
-    ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
-    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    q0 = _prior_density_grid(prior, ts)
-    qh = _prior_density_grid(prior, ts + h)
-    g0 = family.density_grid(ts, xs) * q0[:, None]
-    gh = family.density_grid(ts + h, xs) * qh[:, None]
+    g0, gh = _joint_density_grids(family, prior, float(h), grid)
     mix = lam * gh + (1.0 - lam) * g0
     num = (gh - g0) ** 2
     ratio = np.divide(num, mix, out=np.zeros_like(num), where=mix > 0.0)
-    inner = _trapezoid(ratio, (grid.x_hi - grid.x_lo) / (grid.x_points - 1), axis=1)
-    outer = float(_trapezoid(inner, (grid.t_hi - grid.t_lo) / (grid.t_points - 1), axis=0))
-    return (1.0 - lam) ** 2 * outer
+    return (1.0 - lam) ** 2 * _trapezoid_2d(ratio, grid)

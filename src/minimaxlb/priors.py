@@ -53,16 +53,6 @@ class Prior:
         return NicenessReport(is_nice=True, reasons=())
 
 
-def _affine(center: float, scale: float) -> Tuple[float, float]:
-    center = float(center)
-    scale = float(scale)
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    if not math.isfinite(center):
-        raise ValueError("center must be finite")
-    return center, scale
-
-
 @dataclass(frozen=True)
 class Cosine(Prior):
     """q(t) = (1/halfwidth) cos^2(pi (t-center) / (2 halfwidth)) on center +- halfwidth."""
@@ -71,6 +61,8 @@ class Cosine(Prior):
     halfwidth: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
             raise ValueError("halfwidth must be positive and finite")
 
@@ -91,7 +83,6 @@ class Cosine(Prior):
         return self.halfwidth
 
     def dilate(self, center: float, scale: float) -> "Cosine":
-        center, scale = _affine(center, scale)
         return Cosine(center + scale * self.center, scale * self.halfwidth)
 
 
@@ -101,6 +92,8 @@ class GaussianPrior(Prior):
     sigma: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
@@ -121,7 +114,6 @@ class GaussianPrior(Prior):
         return self.sigma
 
     def dilate(self, center: float, scale: float) -> "GaussianPrior":
-        center, scale = _affine(center, scale)
         return GaussianPrior(center + scale * self.mu, scale * self.sigma)
 
 
@@ -133,6 +125,8 @@ class UniformPrior(Prior):
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"UniformPrior ends must be finite, got {self.lo!r}, {self.hi!r}")
         if not self.lo < self.hi:
             raise ValueError("UniformPrior requires lo < hi")
 
@@ -151,7 +145,6 @@ class UniformPrior(Prior):
         return 0.5 * (self.hi - self.lo)
 
     def dilate(self, center: float, scale: float) -> "UniformPrior":
-        center, scale = _affine(center, scale)
         return UniformPrior(center + scale * self.lo, center + scale * self.hi)
 
     def check_nice(self) -> NicenessReport:
@@ -190,6 +183,8 @@ class KeplerCosine(Prior):
     scale: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("scale must be positive and finite")
 
@@ -220,7 +215,6 @@ class KeplerCosine(Prior):
         return self.scale
 
     def dilate(self, center: float, scale: float) -> "KeplerCosine":
-        center, scale = _affine(center, scale)
         return KeplerCosine(self.a, self.solution,
                             center + scale * self.center, scale * self.scale)
 
@@ -253,20 +247,6 @@ def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
         s_minus, s_plus = -1.0, w - 1.0
     return KeplerSolution(a=a, y_a=y, w_a=w, s_minus=s_minus, s_plus=s_plus,
                           min_fisher=4.0 * _PI * _PI / (w * w))
-
-
-def min_fisher_constrained(a: float) -> float:
-    """Smallest Fisher information over densities on [-1,1] with mass a on [0,1].
-
-    Equals 4*pi^2/w_a^2; minimized (pi^2) uniquely at a = 1/2 and increasing
-    in |2a - 1| as the constraint narrows the usable support width.
-    """
-    return solve_kepler(a).min_fisher
-
-
-def kepler_prior_density(a: float, t: float) -> float:
-    """Constrained-minimizer density on the unit scale; 0 outside [s-, s+]."""
-    return KeplerCosine.for_constraint(a).density(float(t))
 
 
 def prior_density(prior: Prior, t: float) -> float:

@@ -14,14 +14,12 @@ BOUNDS = {
     "diffeo": lambda delta, n: bounds.diffeo_bound_sup(delta, n),
     "twopoint": lambda delta, n: bounds.twopoint_bound_sup(delta, n),
 }
-# name -> n-scaled local minimax risk at (delta, n) of a reference estimator,
-# given the pre-test threshold (None: n^-1/4)
+# name -> reference estimator given the pre-test threshold (None: n^-1/4),
+# whose n-scaled risk is estimators.local_minimax_risk
 RISKS = {
-    "constant": lambda delta, n, threshold: estimators.constant_local_minimax_risk(delta, n),
-    "plugin": lambda delta, n, threshold: estimators.local_minimax_risk(
-        estimators.PluginMLE(), delta, n),
-    "pretest": lambda delta, n, threshold: estimators.local_minimax_risk(
-        estimators.PreTest(threshold), delta, n),
+    "constant": lambda threshold: estimators.Constant(),
+    "plugin": lambda threshold: estimators.PluginMLE(),
+    "pretest": estimators.PreTest,
 }
 SWEEP_METHODS = tuple(BOUNDS)
 SWEEP_ESTIMATORS = tuple(RISKS)
@@ -67,8 +65,8 @@ def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, flo
     d = delta / s
     out = {"bound_" + m: s * s * bound(d, n).value
            for m, bound in BOUNDS.items() if m in config.methods}
-    out.update(("risk_" + e, s * s * risk(d, n, config.threshold))
-               for e, risk in RISKS.items() if e in config.estimators)
+    out.update(("risk_" + e, s * s * estimators.local_minimax_risk(make(config.threshold), d, n))
+               for e, make in RISKS.items() if e in config.estimators)
     return out
 
 

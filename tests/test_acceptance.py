@@ -24,7 +24,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_kepler_min_fisher():
     t0 = time.perf_counter()
-    gap = abs(priors.min_fisher_constrained(0.5) - PI2)
+    gap = abs(priors.solve_kepler(0.5).min_fisher - PI2)
     _, residual_ok, residual = checks.kepler_residual(np.arange(0.0, 1.0 + 1e-12, 0.01))
     elapsed = time.perf_counter() - t0
     ok = gap <= 1e-9 and residual_ok and elapsed < 1.0

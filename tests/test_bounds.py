@@ -11,9 +11,7 @@ from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               diffeo_bound_sup,
                               hellinger_mixture_bound,
                               hellinger_mixture_bound_sup,
-                              lam_constant_regular,
-                              lam_constant_uniform_diffeo,
-                              lam_constant_uniform_twopoint,
+                              lam_constant,
                               two_point_hellinger_bound, van_trees_value,
                               vt_kepler_bound)
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
@@ -285,9 +283,9 @@ def test_two_point_uniform_limit():
 
 
 def test_lam_constants():
-    assert lam_constant_regular() == pytest.approx(0.28953, abs=5e-4)
-    assert lam_constant_uniform_twopoint() == pytest.approx(0.0558, abs=5e-4)
-    assert lam_constant_uniform_diffeo() == pytest.approx(0.0635**2, abs=1e-4)
+    assert lam_constant("regular_twopoint")[1] == pytest.approx(0.28953, abs=5e-4)
+    assert lam_constant("uniform_twopoint")[1] == pytest.approx(0.0558, abs=5e-4)
+    assert lam_constant("uniform_diffeo")[1] == pytest.approx(0.0635**2, abs=1e-4)
 
 
 def test_lam_objective_edge_values():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from minimaxlb.cli import CSV_COLUMNS, main, parse_grid, parse_prior, rows_to_csv
+from minimaxlb import priors
+from minimaxlb.cli import CSV_COLUMNS, kepler_svg, main, parse_grid, parse_prior, rows_to_csv
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 from minimaxlb.sweep import SweepConfig, run_sweep
 
@@ -61,6 +62,14 @@ def test_kepler_svg(tmp_path):
     content = svg.read_text()
     assert content.startswith("<?xml")
     assert "polyline" in content
+
+
+def test_kepler_svg_solves_once_per_curve(monkeypatch):
+    solved = []
+    solve = priors.solve_kepler
+    monkeypatch.setattr(priors, "solve_kepler", lambda a: solved.append(a) or solve(a))
+    kepler_svg([0.5, 0.75, 1.0])
+    assert len(solved) == 3 + 101  # one prior per curve, one solve per Fisher point
 
 
 def test_bound_command_vt(tmp_path, capsys):
@@ -276,6 +285,28 @@ def test_bound_command_validation_exit(tmp_path):
     (["bound", "--method", "diffeo", "--delta", "1e300"], 2, "overflows"),
     (["sweep", "--n", "10", "--delta", "1,1e200", "--methods", "vt,twopoint"], 2, "overflows"),
     (["risk", "--estimator", "plugin", "--delta", "1e300", "--n", "10"], 0, "value=1.0"),
+    (["risk", "--estimator", "constant", "--delta", "1e300", "--n", "10"], 2, "overflows"),
+    (["sweep", "--n", "10", "--delta", "1e200", "--methods", "twopoint"], 2, "overflows"),
+    (["risk", "--estimator", "plugin", "--delta", "inf", "--n", "10"], 2,
+     "delta must be positive and finite, got inf"),
+    (["risk", "--estimator", "pretest", "--delta", "inf", "--n", "10"], 2,
+     "delta must be positive and finite, got inf"),
+    (["risk", "--estimator", "constant", "--delta", "nan", "--n", "10"], 2,
+     "delta must be positive and finite, got nan"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:inf:1"], 2, "mu must be finite"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:nan:1"], 2, "center must be finite"),
+    (["bound", "--method", "vantrees", "--prior", "kepler:0.75:inf"], 2,
+     "center must be finite"),
+    (["bound", "--method", "hellinger", "--prior", "uniform:-inf:1"], 2,
+     "ends must be finite"),
+    (["risk", "--estimator", "plugin", "--delta", "1", "--n", "10", "--threshold", "5"], 2,
+     "--estimator plugin does not read --threshold"),
+    (["sweep", "--estimators", "constant,plugin", "--threshold", "0.5"], 2,
+     "--estimators constant,plugin does not read --threshold"),
+    (["risk", "--estimator", "pretest", "--delta", "1", "--n", "10", "--threshold", "0.5"], 0,
+     "value="),
+    (["risk", "--estimator", "pretest", "--delta", "1", "--n", "10", "--threshold", "inf"], 2,
+     "threshold must be positive and finite, got inf"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

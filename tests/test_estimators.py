@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
-                                  constant_local_minimax_risk,
                                   local_minimax_risk, plugin_risk_at,
                                   pretest_risk_at)
 from minimaxlb.numerics import (gaussian_partial_second_moment, maximize_1d,
@@ -13,11 +12,11 @@ from minimaxlb.numerics import (gaussian_partial_second_moment, maximize_1d,
 
 
 def test_constant_risk():
-    assert constant_local_minimax_risk(2.0, 1) == 1.0
-    assert constant_local_minimax_risk(1.0, 100) == 25.0
-    assert constant_local_minimax_risk(1e-6, 10) == pytest.approx(2.5e-12, rel=1e-12)
+    assert local_minimax_risk(Constant(), 2.0, 1) == 1.0
+    assert local_minimax_risk(Constant(), 1.0, 100) == 25.0
+    assert local_minimax_risk(Constant(), 1e-6, 10) == pytest.approx(2.5e-12, rel=1e-12)
     with pytest.raises(ValueError):
-        constant_local_minimax_risk(0.0, 1)
+        local_minimax_risk(Constant(), 0.0, 1)
 
 
 def test_plugin_risk_values():
@@ -91,7 +90,7 @@ def test_local_minimax_pretest_vs_dense_grid(delta, n):
 def test_constant_estimator_spec():
     # best constant c = delta/2 reproduces the closed form
     assert local_minimax_risk(Constant(1.0), 2.0, 1) == \
-        pytest.approx(constant_local_minimax_risk(2.0, 1), rel=1e-9)
+        pytest.approx(local_minimax_risk(Constant(), 2.0, 1), rel=1e-9)
     # off-center constants do worse
     assert local_minimax_risk(Constant(1.5), 2.0, 1) > 1.0
 
@@ -125,7 +124,7 @@ def test_risk_range_invariant():
     for n in (1, 10, 100):
         for delta in (0.01, 0.5, 1.0, 10.0):
             cap = max(1.0, n * delta * delta / 4.0) + 1.0
-            assert 0.0 <= constant_local_minimax_risk(delta, n) <= cap
+            assert 0.0 <= local_minimax_risk(Constant(), delta, n) <= cap
             assert 0.0 <= local_minimax_risk(PluginMLE(), delta, n) <= cap
 
 

@@ -6,9 +6,7 @@ from scipy import integrate, optimize
 
 from minimaxlb.numerics import QuadratureSpec, integrate_adaptive
 from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine,
-                              UniformPrior, kepler_prior_density,
-                              min_fisher_constrained, prior_density,
-                              solve_kepler)
+                              UniformPrior, prior_density, solve_kepler)
 
 PI2 = math.pi**2
 
@@ -96,34 +94,34 @@ def test_solve_kepler_validation():
 
 
 def test_min_fisher_constrained():
-    assert min_fisher_constrained(0.5) == pytest.approx(PI2, abs=1e-9)
-    assert min_fisher_constrained(1.0) == pytest.approx(4.0 * PI2, abs=1e-10)
-    v = min_fisher_constrained(0.9)
+    assert solve_kepler(0.5).min_fisher == pytest.approx(PI2, abs=1e-9)
+    assert solve_kepler(1.0).min_fisher == pytest.approx(4.0 * PI2, abs=1e-10)
+    v = solve_kepler(0.9).min_fisher
     assert v >= PI2
-    assert v == pytest.approx(min_fisher_constrained(0.1), abs=1e-10)
+    assert v == pytest.approx(solve_kepler(0.1).min_fisher, abs=1e-10)
 
 
 def test_min_fisher_monotone_in_constraint():
     grid = np.linspace(0.5, 1.0, 501)  # resolution 1e-3
-    vals = [min_fisher_constrained(float(a)) for a in grid]
+    vals = [solve_kepler(float(a)).min_fisher for a in grid]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(v > PI2 for v in vals[1:])  # pi^2 attained only at a = 1/2
     for a in (0.3, 0.8):
-        assert min_fisher_constrained(a) == pytest.approx(
-            min_fisher_constrained(1.0 - a), abs=1e-12)
+        assert solve_kepler(a).min_fisher == pytest.approx(
+            solve_kepler(1.0 - a).min_fisher, abs=1e-12)
 
 
 def test_kepler_density():
-    assert kepler_prior_density(0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert kepler_prior_density(1.0, -0.2) == 0.0
-    assert kepler_prior_density(1.0, 1.2) == 0.0
-    mass = integrate_adaptive(lambda t: kepler_prior_density(0.75, t), 0.0, 1.0)
+    assert KeplerCosine.for_constraint(0.5).density(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert KeplerCosine.for_constraint(1.0).density(-0.2) == 0.0
+    assert KeplerCosine.for_constraint(1.0).density(1.2) == 0.0
+    mass = integrate_adaptive(lambda t: KeplerCosine.for_constraint(0.75).density(t), 0.0, 1.0)
     assert mass == pytest.approx(0.75, abs=1e-8)
 
 
 def test_kepler_density_matches_cosine_at_half():
     for t in np.linspace(-1.0, 1.0, 101):
-        assert kepler_prior_density(0.5, float(t)) == pytest.approx(
+        assert KeplerCosine.for_constraint(0.5).density(float(t)) == pytest.approx(
             prior_density(Cosine(0.0, 1.0), float(t)), abs=1e-12)
 
 
@@ -156,6 +154,22 @@ def test_dilate():
         4.0 * solve_kepler(0.75).min_fisher, abs=1e-9)
     with pytest.raises(ValueError):
         Cosine(0.0, 1.0).dilate(0.0, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cosine(math.inf, 1.0),
+    lambda: GaussianPrior(math.nan, 1.0),
+    lambda: KeplerCosine.for_constraint(0.75, -math.inf),
+    lambda: UniformPrior(-math.inf, 1.0),
+    lambda: UniformPrior(0.0, math.nan),
+    lambda: Cosine(0.0, 1.0).dilate(math.inf, 1.0),
+    lambda: GaussianPrior(0.0, 1.0).dilate(math.nan, 2.0),
+    lambda: UniformPrior(0.0, 1.0).dilate(math.inf, 1.0),
+    lambda: KeplerCosine.for_constraint(0.75).dilate(-math.inf, 1.0),
+])
+def test_prior_location_must_be_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_dilate_density_is_location_scale_map():

@@ -22,6 +22,13 @@ def test_vt_and_twopoint_below_every_risk(n, delta):
     _assert_passes(checks.bound_dominance([sweep_row_values(n, delta, config)]))
 
 
+@settings(PROPERTY, max_examples=20)
+@given(n=st.integers(1, 10**6), delta=st.floats(1e-3, 1e3))
+def test_diffeo_below_every_risk(n, delta):
+    config = SweepConfig("fixed-n-vary-delta", (n,), (delta,), methods=("diffeo",))
+    _assert_passes(checks.bound_dominance([sweep_row_values(n, delta, config)]))
+
+
 @PROPERTY
 @given(family=st.sampled_from([GaussianLocation(0.5), GaussianLocation(2.0), UniformScale()]),
        theta1=st.floats(0.1, 5.0), theta2=st.floats(0.1, 5.0),
