@@ -118,15 +118,23 @@ def _require_nice(prior: Prior) -> None:
         raise ValueError("prior is not nice: " + "; ".join(report.reasons))
 
 
-def _check_delta(delta: float) -> None:
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+def check_scale(x: float, name: str = "delta") -> None:
+    """The delta rule: x is positive and finite, and x**2 neither overflows
+    nor underflows to 0."""
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite")
     try:
-        square = delta**2
+        square = x**2
     except OverflowError:
-        raise ValueError(f"delta={delta!r} is too large: delta**2 overflows") from None
+        raise ValueError(f"{name}={x!r} is too large: {name}**2 overflows") from None
     if square == 0.0:
-        raise ValueError(f"delta={delta!r} is too small: delta**2 underflows to 0")
+        raise ValueError(f"{name}={x!r} is too small: {name}**2 underflows to 0")
+
+
+def _check_delta_n(delta: float, n: int) -> None:
+    check_scale(delta)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
 
 
 def delta_psi_moments(prior: Prior, f: Functional, h: float) -> Tuple[float, float]:
@@ -270,9 +278,7 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     cosine prior whose minimum Fisher information 4 pi^2 / w_a^2 enters the
     denominator after dilation to the delta-neighborhood.
     """
-    _check_delta(delta)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_delta_n(delta, n)
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
         raise ValueError("sup_fisher must be positive and finite")
 
@@ -303,6 +309,12 @@ def _gauss_expectation_simpson(f_vec, lo: float, hi: float) -> float:
     return composite_simpson(vals, (hi - lo) / (_SIMPSON_NODES - 1))
 
 
+DIFFEO_XI1_RANGE = (-10.0, 10.0)
+DIFFEO_XI2_RANGE = (1e-3, 10.0)
+_DIFFEO_BOX = SearchBox(intervals=(DIFFEO_XI1_RANGE, (math.log(DIFFEO_XI2_RANGE[0]),
+                                                      math.log(DIFFEO_XI2_RANGE[1]))))
+
+
 def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
     """Gaussian-prior/arctan bound at fixed (xi1, xi2), n-scaled.
 
@@ -317,12 +329,17 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
     which keeps the whole expression below the sigma^2 = 1 ceiling. The
     indicator expectation integrates from the kink upward only.
     """
-    _check_delta(delta)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_delta_n(delta, n)
     if not (xi2 > 0 and math.isfinite(xi2)):
         raise ValueError("xi2 must be positive and finite")
     xi1 = float(xi1)
+    (x1_lo, x1_hi), (lx2_lo, lx2_hi) = _DIFFEO_BOX.intervals
+    # xi2 is compared in the sup's log coordinate, where exp(log 10) passes
+    if not (x1_lo <= xi1 <= x1_hi and lx2_lo <= math.log(xi2) <= lx2_hi):
+        name, x, (lo, hi) = (("xi1", xi1, DIFFEO_XI1_RANGE) if not x1_lo <= xi1 <= x1_hi
+                             else ("xi2", xi2, DIFFEO_XI2_RANGE))
+        raise ValueError(f"{name}={x!r} lies outside [{lo:g}, {hi:g}], the range "
+                         "where the diffeo bound's quadrature is validated")
 
     def g(z: np.ndarray) -> np.ndarray:
         u = xi1 + z * xi2
@@ -334,12 +351,6 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
     scale = 4.0 * n * xi2 * xi2
     value = scale * e_ind * e_ind / (_PI * _PI / delta**2 + scale * e_sq)
     return max(value, 0.0)
-
-
-DIFFEO_XI1_RANGE = (-10.0, 10.0)
-DIFFEO_XI2_RANGE = (1e-3, 10.0)
-_DIFFEO_BOX = SearchBox(intervals=(DIFFEO_XI1_RANGE, (math.log(DIFFEO_XI2_RANGE[0]),
-                                                      math.log(DIFFEO_XI2_RANGE[1]))))
 
 
 def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
@@ -361,6 +372,7 @@ def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     over pairs reduces to pairs (0, t); the bracket is positive only for
     t sqrt(n) below sqrt(8 log 2), which sizes the search window.
     """
+    _check_delta_n(delta, n)
     fam = GaussianLocation(1.0)
     f = MaxZero()
     t_max = min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n))

@@ -338,11 +338,6 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             raise ValueError("--xi1 and --xi2 must be given together")
         if args.xi1 is None:
             return bounds.diffeo_bound_sup(args.delta, n), []
-        for flag, x, (lo, hi) in (("--xi1", args.xi1, bounds.DIFFEO_XI1_RANGE),
-                                  ("--xi2", args.xi2, bounds.DIFFEO_XI2_RANGE)):
-            if not lo <= x <= hi:
-                raise ValueError(f"{flag}={x!r} lies outside [{lo:g}, {hi:g}], the range "
-                                 "where the diffeo bound's quadrature is validated")
         value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
         return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}, "diffeo"), []
     if method == "twopoint":
@@ -352,8 +347,9 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             family, n, functional, args.theta1, args.theta2)
         return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2},
                                   "twopoint").scaled(n), []
-    prior = parse_prior(args.prior) if args.prior else \
-        priors.Cosine(0.0, args.delta if args.delta else 1.0)
+    if not args.prior:
+        bounds.check_scale(args.delta, "--delta")
+    prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
     if method == "hellinger":
         if args.h is None:
             h_lo, h_hi = bounds.default_shift_range(prior)
@@ -382,8 +378,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     lines += [f"{k}={fmt(v)}" for k, v in sorted(result.argmax.items())]
     lines += notes
     print("\n".join(lines))
-    row = (fmt(args.delta if args.delta else math.nan), str(int(args.n)),
-           args.method, fmt(result.value))
+    row = (fmt(args.delta), str(int(args.n)), args.method, fmt(result.value))
     _write_text(args.out, _csv([row], ("delta", "n", "method", "value")))
     return 0
 

@@ -2,12 +2,14 @@
 
     dM0(x, t) = p_t(x) q(t) dx dt      and      dMh(x, t) = p_{t+h}(x) q(t+h) dx dt,
 
-computed through the decomposition identities
+computed through the decomposition identities (the prior shift divergence
+plus the n-fold family divergence H^2_n or chi^2_n), each one integral over
+the window covering q and its shift:
 
-    H^2(Mh, M0)    = H^2(Q_h, Q) + int sqrt(q(t+h) q(t)) H^2(P^n_{t+h}, P^n_t) dt,
-    chi^2(Mh||M0)  = int_{q>0} q(t+h)^2/q(t) (1 + chi^2(P^n_{t+h}||P^n_t)) dt - 1,
+    H^2(Mh, M0)   = int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
+    chi^2(Mh||M0) = int_{q>0} (q(t+h) - q(t))^2/q(t) + q(t+h)^2/q(t) chi^2_n(t+h, t) dt,
 
-plus a brute-force 2-D grid oracle (n = 1 only) validating the Hellinger
+and a brute-force 2-D grid oracle (n = 1 only) validating the Hellinger
 identity. The computation path is always the outer t-quadrature with the
 closed-form inner divergence, never an n-dimensional x-integral, so large n
 costs nothing; the tensorization closed forms keep it exact.
@@ -69,26 +71,12 @@ class GridSpec:
                 raise ValueError("grid points must be odd and >= 11")
 
 
-def _support_cuts(prior: Prior, h: float, lo: float, hi: float) -> Tuple[float, ...]:
-    """Finite support endpoints of q and q(. + h) strictly inside (lo, hi)."""
-    ends = [v for v in prior.support() if math.isfinite(v)]
-    return tuple(c for c in (*ends, *(e - h for e in ends)) if lo < c < hi)
-
-
-def _overlap_region(prior: Prior, h: float) -> Optional[Tuple[float, float, Tuple[float, ...]]]:
-    """Region where q(t) q(t+h) > 0, with kink cut points, or None if empty."""
-    lo0, hi0 = prior.window()
-    lo, hi = max(lo0, lo0 - h), min(hi0, hi0 - h)
-    if lo >= hi:
-        return None
-    return lo, hi, _support_cuts(prior, h, lo, hi)
-
-
 def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ...]]:
-    """Window and kink cuts covering the supports of both q and q(. + h)."""
+    """Window covering q and q(. + h), with their finite support ends inside it as cuts."""
     lo0, hi0 = prior.window()
     lo, hi = min(lo0, lo0 - h), max(hi0, hi0 - h)
-    return lo, hi, _support_cuts(prior, h, lo, hi)
+    ends = [v for v in prior.support() if math.isfinite(v)]
+    return lo, hi, tuple(c for c in (*ends, *(e - h for e in ends)) if lo < c < hi)
 
 
 _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
@@ -101,8 +89,9 @@ def _shift_quad_spec(h: float) -> QuadratureSpec:
     return replace(DEFAULT_QUAD, abs_tol=tol)
 
 
-def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
-    """H^2(Q_h, Q) = int (sqrt(q(t+h)) - sqrt(q(t)))^2 dt by quadrature.
+def _hellinger_identity(prior: Prior, h: float, family: Optional[Family], n: int) -> float:
+    """int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
+    one quadrature over the shift window; without a family, H^2(Q_h, Q).
 
     The squared-difference form avoids the catastrophic cancellation of
     2 - 2 int sqrt(q_h q) when the shift is small.
@@ -110,17 +99,28 @@ def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
     h = float(h)
     if h == 0.0:
         return 0.0
-    if _overlap_region(prior, h) is None:  # disjoint supports
+    lo0, hi0 = prior.window()
+    if abs(h) >= hi0 - lo0:  # disjoint supports
         return 2.0
+    if family is not None:
+        # the family term reads t and t + h at or above the window only
+        family.check_theta(lo0, _PRIOR_PARAMETERS)
     lo, hi, cuts = _union_region(prior, h)
 
     def integrand(t: float) -> float:
-        d = math.sqrt(prior_density(prior, t + h)) - math.sqrt(prior_density(prior, t))
-        return d * d
+        qh, q = prior_density(prior, t + h), prior_density(prior, t)
+        d = math.sqrt(qh) - math.sqrt(q)
+        if family is None or qh * q == 0.0 or min(t, t + h) < lo0:
+            return d * d
+        return d * d + math.sqrt(qh * q) * hellinger_sq_iid(family, t + h, t, n)
 
-    val = integrate_piecewise(integrand, lo, hi, cuts,
-                              _shift_quad_spec(h), min_panels=16)
+    val = integrate_piecewise(integrand, lo, hi, cuts, _shift_quad_spec(h), min_panels=16)
     return min(max(val, 0.0), 2.0)
+
+
+def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
+    """H^2(Q_h, Q) = int (sqrt(q(t+h)) - sqrt(q(t)))^2 dt by quadrature."""
+    return _hellinger_identity(prior, h, None, 1)
 
 
 def mixture_hellinger_sq(spec: MixtureSpec) -> float:
@@ -129,36 +129,18 @@ def mixture_hellinger_sq(spec: MixtureSpec) -> float:
     Uses the decomposition identity with the n-fold family divergence in
     closed form inside the prior quadrature; always finite, in [0, 2].
     """
-    h = float(spec.h)
-    if h == 0.0:
-        return 0.0
-    prior_part = prior_shift_hellinger_sq(spec.prior, h)
-    region = _overlap_region(spec.prior, h)
-    if region is None:
-        return 2.0
-    lo, hi, cuts = region
-    spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
-
-    def integrand(t: float) -> float:
-        w = math.sqrt(prior_density(spec.prior, t + h) * prior_density(spec.prior, t))
-        if w == 0.0:
-            return 0.0
-        return w * hellinger_sq_iid(spec.family, t + h, t, spec.n)
-
-    family_part = integrate_piecewise(integrand, lo, hi, cuts, _shift_quad_spec(h),
-                                      min_panels=16)
-    return min(max(prior_part + family_part, 0.0), 2.0)
+    return _hellinger_identity(spec.prior, spec.h, spec.family, spec.n)
 
 
 def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
     """Chi-squared divergence chi^2(Mh || M0) of the shifted joint mixtures.
 
-    For a dominated shift (full-support priors) this is
-    int q(t+h)^2/q(t) (1 + chi^2_n(t)) dt - 1, the decomposition
-    chi^2(Q_h||Q) + int chi^2_n dQ_h^2/dQ. Divergent when the shifted prior
-    is not dominated (every compact-support prior with h != 0) or when the
-    per-observation chi-squared is infinite on a set of positive prior mass
-    (uniform family with h > 0).
+    For a dominated shift (full-support priors) this is the decomposition
+    chi^2(Q_h||Q) + int chi^2_n dQ_h^2/dQ, one integrand with no "- 1" to
+    cancel. Divergent when the shifted prior is not dominated (every
+    compact-support prior with h != 0) or when the per-observation
+    chi-squared is infinite on a set of positive prior mass (uniform family
+    with h > 0).
     """
     h = float(spec.h)
     if h == 0.0:
@@ -183,18 +165,19 @@ def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
             return 0.0
         qh = prior_density(spec.prior, t + h)
         if qh == 0.0:
-            return 0.0
+            return q0
         per = chi_sq_iid(spec.family, t + h, t, spec.n)
         if per.is_divergent:
             raise _DivergentSignal()
-        return qh * qh / q0 * (1.0 + per.value)
+        d = qh - q0
+        return d * d / q0 + qh * qh / q0 * per.value
 
     try:
         total = integrate_piecewise(integrand, lo, hi, (), _shift_quad_spec(h),
                                     min_panels=16)
     except _DivergentSignal:
         return DivergenceValue.divergent()
-    return DivergenceValue.finite(max(total - 1.0, 0.0))
+    return DivergenceValue.finite(total)
 
 
 class _DivergentSignal(Exception):

@@ -3,6 +3,7 @@
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -44,8 +45,7 @@ class SweepConfig:
             raise ValueError("n grid must be strictly increasing")
         if any(b <= a for a, b in zip(self.delta_values, self.delta_values[1:])):
             raise ValueError("delta grid must be strictly increasing")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        bounds.check_scale(self.sigma, "sigma")
         for m in self.methods:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -63,10 +63,18 @@ def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, flo
     """
     s = config.sigma
     d = delta / s
-    out = {"bound_" + m: s * s * bound(d, n).value
-           for m, bound in BOUNDS.items() if m in config.methods}
-    out.update(("risk_" + e, s * s * estimators.local_minimax_risk(make(config.threshold), d, n))
-               for e, make in RISKS.items() if e in config.estimators)
+    try:
+        out = {"bound_" + m: s * s * bound(d, n).value
+               for m, bound in BOUNDS.items() if m in config.methods}
+        out.update(("risk_" + e, s * s * estimators.local_minimax_risk(
+            make(config.threshold), d, n)) for e, make in RISKS.items() if e in config.estimators)
+    except ValueError as exc:  # the bounds and risks name delta/sigma "delta"
+        if s == 1.0:
+            raise
+        raise ValueError(f"delta={delta!r}, sigma={s!r} (delta/sigma={d!r}): {exc}") from None
+    for name, value in out.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows at delta={delta!r}, sigma={s!r}, n={n}")
     return out
 
 

@@ -221,12 +221,23 @@ def _diffeo_quad_oracle(delta, n, xi1, xi2):
 def test_diffeo_bound_values():
     got = diffeo_bound(1.0, 100, 0.0, 1.0)
     assert got == pytest.approx(_diffeo_quad_oracle(1.0, 100, 0.0, 1.0), abs=1e-8)
-    # indicator mass vanishes as xi1 -> -inf
-    assert diffeo_bound(1.0, 100, -30.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    # indicator mass vanishes as xi1 -> -inf, already at the validated range's end
+    assert diffeo_bound(1.0, 100, -10.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     # constant-g, full-indicator limit approaches the ceiling 1
     assert diffeo_bound(1e4, 10**4, 5.0, 1e-3) == pytest.approx(1.0, abs=1e-2)
     with pytest.raises(ValueError):
         diffeo_bound(1.0, 100, 0.0, 0.0)
+
+
+def test_diffeo_bound_rejects_outside_validated_range():
+    for xi1, xi2 in ((0.5, 1e6), (0.5, 4125.0), (0.5, 9.9e-4), (-30.0, 1.0),
+                     (10.5, 1.0), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="lies outside"):
+            diffeo_bound(1.0, 10, xi1, xi2)
+    # the corners of the sup's box pass, exp(log 10) = 10.000000000000002 included
+    for xi1 in bounds.DIFFEO_XI1_RANGE:
+        for xi2 in bounds.DIFFEO_XI2_RANGE:
+            assert 0.0 <= diffeo_bound(1.0, 10, xi1, math.exp(math.log(xi2))) <= 1.0
 
 
 def test_diffeo_bound_never_exceeds_ceiling():

@@ -279,8 +279,8 @@ def test_bound_command_validation_exit(tmp_path):
     (["bound", "--method", "hellinger", "--h", "0.1", "--lambda", "0"], 2,
      "--method hellinger does not read --lambda"),
     (["bound", "--method", "diffeo", "--xi1", "0.5", "--xi2", "4125", "--delta", "0.01",
-      "--n", "10"], 2, "--xi2=4125.0 lies outside [0.001, 10]"),
-    (["bound", "--method", "diffeo", "--xi1", "-11", "--xi2", "1"], 2, "--xi1=-11.0 lies outside"),
+      "--n", "10"], 2, "xi2=4125.0 lies outside [0.001, 10]"),
+    (["bound", "--method", "diffeo", "--xi1", "-11", "--xi2", "1"], 2, "xi1=-11.0 lies outside"),
     (["bound", "--method", "vt", "--delta", "1e300"], 2, "overflows"),
     (["bound", "--method", "diffeo", "--delta", "1e300"], 2, "overflows"),
     (["sweep", "--n", "10", "--delta", "1,1e200", "--methods", "vt,twopoint"], 2, "overflows"),
@@ -307,6 +307,28 @@ def test_bound_command_validation_exit(tmp_path):
      "value="),
     (["risk", "--estimator", "pretest", "--delta", "1", "--n", "10", "--threshold", "inf"], 2,
      "threshold must be positive and finite, got inf"),
+    (["sweep", "--n", "0", "--delta", "1", "--methods", "twopoint"], 2,
+     "n must be a positive integer"),
+    (["sweep", "--n", "-5", "--delta", "1", "--methods", "twopoint"], 2,
+     "n must be a positive integer"),
+    (["sweep", "--n", "10", "--delta", "0", "--methods", "twopoint"], 2,
+     "delta must be positive and finite"),
+    (["sweep", "--n", "10", "--delta", "1", "--methods", "twopoint", "--estimators", "plugin",
+      "--sigma", "1e300"], 2, "sigma=1e+300 is too large: sigma**2 overflows"),
+    (["sweep", "--n", "10", "--delta", "1", "--methods", "twopoint", "--sigma", "inf"], 2,
+     "sigma must be positive and finite"),
+    (["sweep", "--n", "10", "--delta", "1", "--methods", "vt", "--sigma", "1e-200"], 2,
+     "sigma=1e-200 is too small: sigma**2 underflows to 0"),
+    (["sweep", "--n", "10", "--delta", "1e200", "--methods", "vt", "--sigma", "1e-10"], 2,
+     "delta=1e+200, sigma=1e-10 (delta/sigma=1e+210)"),
+    (["sweep", "--n", "1000000", "--delta", "1e153", "--methods", "vt", "--estimators",
+      "constant", "--sigma", "1e100"], 2, "risk_constant overflows at delta=1e+153, sigma=1e+100"),
+    (["bound", "--method", "vantrees", "--delta", "0", "--n", "10"], 2,
+     "--delta must be positive and finite"),
+    (["bound", "--method", "vantrees", "--delta", "-1", "--n", "10"], 2,
+     "--delta must be positive and finite"),
+    (["bound", "--method", "hellinger", "--delta", "nan", "--h", "0.1"], 2,
+     "--delta must be positive and finite"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

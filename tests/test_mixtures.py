@@ -20,9 +20,9 @@ def gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n):
     Both parts are location families, so the inner divergence is constant in
     t and the identity collapses to closed form.
     """
-    h2_q = 2.0 - 2.0 * math.exp(-h * h / (8.0 * sigma_q**2))
+    h2_q = -2.0 * math.expm1(-h * h / (8.0 * sigma_q**2))
     bc = 1.0 - h2_q / 2.0
-    h2_n = 2.0 - 2.0 * math.exp(-n * h * h / (8.0 * sigma**2))
+    h2_n = -2.0 * math.expm1(-n * h * h / (8.0 * sigma**2))
     return h2_q + bc * h2_n
 
 
@@ -47,6 +47,16 @@ def test_mixture_hellinger_gaussian_closed_form(sigma, sigma_q, h, n):
     spec = MixtureSpec(GaussianLocation(sigma), n, GaussianPrior(0.0, sigma_q), h)
     expected = gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n)
     assert mixture_hellinger_sq(spec) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("sigma,sigma_q", [(1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_mixture_hellinger_gaussian_closed_form_relative(sigma, sigma_q, n):
+    # relative accuracy down to h = 1e-4, where H^2 is ~1e-9
+    for h in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        spec = MixtureSpec(GaussianLocation(sigma), n, GaussianPrior(0.0, sigma_q), h)
+        expected = gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n)
+        assert mixture_hellinger_sq(spec) == pytest.approx(expected, rel=5e-8, abs=0.0)
 
 
 def test_mixture_hellinger_matches_oracle():
@@ -85,6 +95,15 @@ def test_mixture_chi_sq_gaussian_closed_form():
         spec = MixtureSpec(GAUSS, n, GaussianPrior(0.0, 1.0), h)
         got = mixture_chi_sq(spec)
         assert got.value == pytest.approx(math.expm1((n + 1) * h * h), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_mixture_chi_sq_gaussian_closed_form_relative(n):
+    # the integrand carries no "- 1", so small shifts keep their relative accuracy
+    for h in np.geomspace(1e-3, 1.0, 61):
+        h = float(h)
+        got = mixture_chi_sq(MixtureSpec(GAUSS, n, GaussianPrior(0.0, 1.0), h))
+        assert got.value == pytest.approx(math.expm1((n + 1) * h * h), rel=1e-10, abs=0.0)
 
 
 def test_mixture_chi_sq_against_grid_oracle():
@@ -168,3 +187,6 @@ def test_uniform_family_requires_positive_support():
     spec = MixtureSpec(UniformScale(), 1, Cosine(2.0, 0.5), 0.1)
     val = mixture_hellinger_sq(spec)
     assert 0.0 < val < 2.0
+    # a positive window whose shift reaches t <= 0, where q(t) q(t+h) > 0 in the far tail
+    spec = MixtureSpec(UniformScale(), 1, GaussianPrior(13.0, 1.0), 2.0)
+    assert 0.0 < mixture_hellinger_sq(spec) < 2.0
