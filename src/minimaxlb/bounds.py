@@ -11,6 +11,7 @@ n-observation experiment).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -21,9 +22,9 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_chi_sq, mixture_chi_sq_interpolated_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (SearchBox, composite_simpson, integrate_piecewise,
+from .numerics import (SearchBox, coarse_axis, composite_simpson, integrate_piecewise,
                        maximize_1d, maximize_2d)
-from .priors import Prior, prior_density, solve_kepler
+from .priors import Prior, check_scale, prior_density, solve_kepler
 
 _PI = math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -116,19 +117,6 @@ def _require_nice(prior: Prior) -> None:
     report = prior.check_nice()
     if not report.is_nice:
         raise ValueError("prior is not nice: " + "; ".join(report.reasons))
-
-
-def check_scale(x: float, name: str = "delta") -> None:
-    """The delta rule: x is positive and finite, and x**2 neither overflows
-    nor underflows to 0."""
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"{name} must be positive and finite")
-    try:
-        square = x**2
-    except OverflowError:
-        raise ValueError(f"{name}={x!r} is too large: {name}**2 overflows") from None
-    if square == 0.0:
-        raise ValueError(f"{name}={x!r} is too small: {name}**2 underflows to 0")
 
 
 def _check_delta_n(delta: float, n: int) -> None:
@@ -270,13 +258,29 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
     return num * num / denom
 
 
+def _vt_kepler_ratio(delta: float, n: int, sup_fisher: float, a, min_fisher):
+    """The Kepler bound's objective at mass a, for scalars or arrays alike."""
+    return n * a * a / (min_fisher / delta**2 + n * sup_fisher)
+
+
+@functools.cache
+def _kepler_coarse_fisher() -> np.ndarray:
+    """solve_kepler(a).min_fisher on maximize_1d's coarse grid of a in [0, 1]:
+    the (delta, n)-free part of the Kepler bound's scan, built once per process
+    and read-only, since every caller shares it."""
+    table = np.array([solve_kepler(float(a)).min_fisher for a in coarse_axis(0.0, 1.0)])
+    table.flags.writeable = False
+    return table
+
+
 def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     """n-scaled Kepler bound: max over a in [0,1] of
     n a^2 / (4 pi^2 delta^-2 / w_a^2 + n sup_fisher).
 
     The numerator mass constraint a selects a least-favorable constrained
     cosine prior whose minimum Fisher information 4 pi^2 / w_a^2 enters the
-    denominator after dilation to the delta-neighborhood.
+    denominator after dilation to the delta-neighborhood. The coarse scan
+    reads the cached Fisher table; the refinement solves the Kepler equation.
     """
     _check_delta_n(delta, n)
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
@@ -284,9 +288,12 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
 
     def objective(a: float) -> float:
         sol = solve_kepler(min(max(a, 0.0), 1.0))
-        return n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
+        return _vt_kepler_ratio(delta, n, sup_fisher, a, sol.min_fisher)
 
-    a_best, value = maximize_1d(objective, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
+        coarse = _vt_kepler_ratio(delta, n, sup_fisher, coarse_axis(0.0, 1.0),
+                                  _kepler_coarse_fisher())
+    a_best, value = maximize_1d(objective, 0.0, 1.0, coarse=coarse)
     return BoundResult(max(value, 0.0), {"a": a_best}, "vt-kepler")
 
 
@@ -315,6 +322,27 @@ _DIFFEO_BOX = SearchBox(intervals=(DIFFEO_XI1_RANGE, (math.log(DIFFEO_XI2_RANGE[
                                                       math.log(DIFFEO_XI2_RANGE[1]))))
 
 
+def _diffeo_moments(xi1: float, xi2: float) -> Tuple[float, float]:
+    """E[g(Z) 1{Z > -xi1/xi2}] and E[g(Z)^2] for g(z) = (1 + (xi1 + z xi2)^2)^-1.
+
+    The indicator expectation integrates from the kink upward only.
+    """
+    def g(z: np.ndarray) -> np.ndarray:
+        u = xi1 + z * xi2
+        return 1.0 / (1.0 + u * u)
+
+    cut = -xi1 / xi2
+    e_ind = _gauss_expectation_simpson(g, max(cut, -_Z_MAX), _Z_MAX)
+    e_sq = _gauss_expectation_simpson(lambda z: g(z) ** 2, -_Z_MAX, _Z_MAX)
+    return e_ind, e_sq
+
+
+def _diffeo_ratio(delta: float, n: int, xi2, e_ind, e_sq):
+    """The diffeo bound from its moments, for scalars or arrays alike."""
+    scale = 4.0 * n * xi2 * xi2
+    return scale * e_ind * e_ind / (_PI * _PI / delta**2 + scale * e_sq)
+
+
 def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
     """Gaussian-prior/arctan bound at fixed (xi1, xi2), n-scaled.
 
@@ -326,8 +354,7 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
 
     The xi2^2 factor multiplies both the numerator and the E[g^2] term:
     both sides of the underlying ratio scale by 4 sigma^2/eta^2 = 4 xi2^2,
-    which keeps the whole expression below the sigma^2 = 1 ceiling. The
-    indicator expectation integrates from the kink upward only.
+    which keeps the whole expression below the sigma^2 = 1 ceiling.
     """
     _check_delta_n(delta, n)
     if not (xi2 > 0 and math.isfinite(xi2)):
@@ -340,27 +367,39 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float) -> float:
                              else ("xi2", xi2, DIFFEO_XI2_RANGE))
         raise ValueError(f"{name}={x!r} lies outside [{lo:g}, {hi:g}], the range "
                          "where the diffeo bound's quadrature is validated")
+    e_ind, e_sq = _diffeo_moments(xi1, xi2)
+    return max(_diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
 
-    def g(z: np.ndarray) -> np.ndarray:
-        u = xi1 + z * xi2
-        return 1.0 / (1.0 + u * u)
 
-    cut = -xi1 / xi2
-    e_ind = _gauss_expectation_simpson(g, max(cut, -_Z_MAX), _Z_MAX)
-    e_sq = _gauss_expectation_simpson(lambda z: g(z) ** 2, -_Z_MAX, _Z_MAX)
-    scale = 4.0 * n * xi2 * xi2
-    value = scale * e_ind * e_ind / (_PI * _PI / delta**2 + scale * e_sq)
-    return max(value, 0.0)
+@functools.cache
+def _diffeo_moment_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi2, e_ind and e_sq on maximize_2d's coarse grid over the diffeo box:
+    the (delta, n)-free part of the sup's scan, built once per process on
+    first use and read-only, since every caller shares it. Entry [i, j] is
+    at (xi1s[i], exp(log_xi2s[j])), from the same scalar calls that
+    diffeo_bound makes there."""
+    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in _DIFFEO_BOX.intervals)
+    xi2s = [math.exp(b) for b in log_xi2s]
+    table = np.array([[(xi2, *_diffeo_moments(float(a), xi2)) for xi2 in xi2s]
+                      for a in xi1s])
+    table.flags.writeable = False
+    return table[..., 0], table[..., 1], table[..., 2]
 
 
 def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     """Maximize the arctan bound over xi1 in [-10, 10], xi2 in (1e-3, 10].
 
     The xi2 axis is searched in log coordinates, giving the log-spaced
-    coarse grid; pattern-search refinement then runs in (xi1, log xi2).
+    coarse grid; pattern-search refinement then runs in (xi1, log xi2). The
+    coarse scan reads the cached moment table; the refinement calls
+    diffeo_bound.
     """
+    _check_delta_n(delta, n)
+    xi2, e_ind, e_sq = _diffeo_moment_table()
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
+        coarse = np.maximum(_diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
     (x1, lx2), value = maximize_2d(
-        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), _DIFFEO_BOX)
+        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), _DIFFEO_BOX, coarse)
     return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)},
                        "diffeo")
 

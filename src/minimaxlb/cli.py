@@ -347,8 +347,8 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             family, n, functional, args.theta1, args.theta2)
         return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2},
                                   "twopoint").scaled(n), []
-    if not args.prior:
-        bounds.check_scale(args.delta, "--delta")
+    if not args.prior:  # the default prior cosine:0:delta
+        priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info().value)
     prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
     if method == "hellinger":
         if args.h is None:

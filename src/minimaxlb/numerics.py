@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,16 +233,25 @@ def _golden_max(
     return best_x, best_v
 
 
+def coarse_axis(lo: float, hi: float, count: int = _COARSE_GRID) -> np.ndarray:
+    """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
+    maximize_2d scans the product of the box's two axes."""
+    return np.linspace(lo, hi, count)
+
+
 def maximize_1d(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     coarse_grid: int = _COARSE_GRID,
+    coarse: Optional[np.ndarray] = None,
 ) -> Tuple[float, float]:
     """Coarse grid scan plus golden-section refinement around the best cell.
 
     Returns (argmax, max) of the best point found; the result is never below
-    the best coarse-grid value. Deterministic.
+    the best coarse-grid value. Deterministic. ``coarse``, when given, holds
+    f's values on ``coarse_axis(lo, hi, coarse_grid)`` and replaces the
+    scan's calls to f; the first maximum wins either way.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -250,8 +259,11 @@ def maximize_1d(
         raise ValueError("maximize_1d requires lo < hi")
     if coarse_grid < 3:
         raise ValueError("coarse_grid must be at least 3")
-    xs = np.linspace(lo, hi, coarse_grid)
-    vals = [float(f(x)) for x in xs]
+    xs = coarse_axis(lo, hi, coarse_grid)
+    if coarse is None:
+        vals = [float(f(x)) for x in xs]
+    else:
+        vals = _coarse_values(coarse, xs.shape).tolist()
     i = max(range(coarse_grid), key=lambda k: vals[k])
     best_x, best_v = float(xs[i]), vals[i]
     bl = float(xs[max(i - 1, 0)])
@@ -263,24 +275,39 @@ def maximize_1d(
     return best_x, best_v
 
 
+def _coarse_values(coarse: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    coarse = np.asarray(coarse, dtype=float)
+    if coarse.shape != shape:
+        raise ValueError(f"coarse values have shape {coarse.shape}; the coarse grid "
+                         f"needs {shape}")
+    return coarse
+
+
 def maximize_2d(
-    f: Callable[[float, float], float], box: SearchBox
+    f: Callable[[float, float], float],
+    box: SearchBox,
+    coarse: Optional[np.ndarray] = None,
 ) -> Tuple[Tuple[float, float], float]:
     """Coarse grid scan plus compass (pattern) search with shrinking steps.
 
-    Returns ((x, y), max) of the best point found inside the box.
+    Returns ((x, y), max) of the best point found inside the box. ``coarse``,
+    when given, holds f(xs[i], ys[j]) in entry [i, j], where xs and ys are the
+    ``coarse_axis`` of the box's intervals, and replaces the scan's calls to
+    f; the first maximum in row-major order wins either way, and a NaN never
+    does. The refinement always calls f.
     """
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
     (xlo, xhi), (ylo, yhi) = box.intervals
-    xs = np.linspace(xlo, xhi, _COARSE_GRID)
-    ys = np.linspace(ylo, yhi, _COARSE_GRID)
-    best_x, best_y, best_v = float(xs[0]), float(ys[0]), -math.inf
-    for x in xs:
-        for y in ys:
-            v = float(f(x, y))
-            if v > best_v:
-                best_x, best_y, best_v = float(x), float(y), v
+    xs, ys = coarse_axis(xlo, xhi), coarse_axis(ylo, yhi)
+    if coarse is None:
+        coarse = [[float(f(x, y)) for y in ys] for x in xs]
+    coarse = _coarse_values(coarse, (len(xs), len(ys)))
+    # a NaN never wins, and an all-NaN or all -inf scan starts at the first
+    # point with -inf, as in a scan that keeps the first strictly larger value
+    scan = np.where(np.isnan(coarse), -np.inf, coarse)
+    i, j = np.unravel_index(np.argmax(scan), scan.shape)
+    best_x, best_y, best_v = float(xs[i]), float(ys[j]), float(scan[i, j])
     step_x = (xhi - xlo) / (_COARSE_GRID - 1)
     step_y = (yhi - ylo) / (_COARSE_GRID - 1)
     for _ in range(_REFINE_ITERS):

@@ -23,6 +23,24 @@ _PI = math.pi
 _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
 
 
+def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None:
+    """The scale rule for delta, sigma and a prior's scale: x is positive and
+    finite, x**2 neither overflows nor underflows to 0, and the Fisher
+    information unit_fisher / x**2 of a prior with scale x and information
+    unit_fisher at scale 1 does not overflow."""
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite")
+    try:
+        square = x**2
+    except OverflowError:
+        raise ValueError(f"{name}={x!r} is too large: {name}**2 overflows") from None
+    if square == 0.0:
+        raise ValueError(f"{name}={x!r} is too small: {name}**2 underflows to 0")
+    if not math.isfinite(unit_fisher / square):
+        raise ValueError(f"{name}={x!r} is too small: the prior's Fisher information "
+                         f"{unit_fisher:.6g}/{name}**2 overflows")
+
+
 @dataclass(frozen=True)
 class NicenessReport:
     """Which of the nice-prior conditions hold; is_nice iff reasons is empty."""
@@ -63,8 +81,7 @@ class Cosine(Prior):
     def __post_init__(self):
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
-            raise ValueError("halfwidth must be positive and finite")
+        check_scale(self.halfwidth, "halfwidth", _PI * _PI)
 
     def density(self, t: float) -> float:
         u = (t - self.center) / self.halfwidth
@@ -94,8 +111,7 @@ class GaussianPrior(Prior):
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        check_scale(self.sigma, "sigma", 1.0)
 
     def density(self, t: float) -> float:
         return normal_pdf((t - self.mu) / self.sigma) / self.sigma
@@ -185,8 +201,7 @@ class KeplerCosine(Prior):
     def __post_init__(self):
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be positive and finite")
+        check_scale(self.scale, "scale", self.solution.min_fisher)
 
     @staticmethod
     def for_constraint(a: float, center: float = 0.0, scale: float = 1.0) -> "KeplerCosine":

@@ -17,7 +17,9 @@ from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
+from minimaxlb.numerics import maximize_1d, maximize_2d
 from minimaxlb.priors import Cosine, GaussianPrior, UniformPrior, solve_kepler
+from minimaxlb.sweep import SweepConfig, sweep_row_values
 
 GAUSS = GaussianLocation(1.0)
 PI2 = math.pi**2
@@ -273,6 +275,68 @@ def test_diffeo_bound_sup_matches_dense_grid():
         for lx2 in np.linspace(arg[1] - dl, arg[1] + dl, 64):
             best = max(best, diffeo_bound(delta, n, float(x1), math.exp(float(lx2))))
     assert res.value == pytest.approx(best, abs=1e-4)
+
+
+def _diffeo_sup_without_table(delta, n):
+    """diffeo_bound_sup's search with the coarse scan calling diffeo_bound."""
+    (x1, lx2), value = maximize_2d(
+        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), bounds._DIFFEO_BOX)
+    return value, {"xi1": x1, "xi2": math.exp(lx2)}
+
+
+@pytest.mark.parametrize("delta,n", [
+    (1e-3, 10), (0.01, 10), (2.0, 100), (100.0, 10**4),
+    # 4 n xi2^2 overflows on part of the grid: those cells are NaN and never win
+    pytest.param(1.0, 10**306, id="1.0-1e306",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+])
+def test_diffeo_sup_moment_table_matches_the_scan(delta, n):
+    res = diffeo_bound_sup(delta, n)
+    assert (res.value, res.argmax) == _diffeo_sup_without_table(delta, n)
+
+
+def test_sweep_row_diffeo_matches_the_scan_with_sigma():
+    config = SweepConfig("fixed-n-vary-delta", (10,), (0.5,), sigma=2.0,
+                         methods=("diffeo",), estimators=())
+    value, _ = _diffeo_sup_without_table(0.25, 10)
+    assert sweep_row_values(10, 0.5, config) == {"bound_diffeo": 4.0 * value}
+
+
+@pytest.mark.parametrize("delta,n,sup_fisher", [
+    (1e-3, 10, 1.0), (0.3, 1, 1.0), (1.0, 100, 0.25), (1e3, 10**6, 1.0), (5.0, 2**60 + 1, 4.0)])
+def test_vt_kepler_fisher_table_matches_the_scan(delta, n, sup_fisher):
+    def objective(a):
+        sol = solve_kepler(min(max(a, 0.0), 1.0))
+        return n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
+
+    a_best, value = maximize_1d(objective, 0.0, 1.0)
+    res = vt_kepler_bound(delta, n, sup_fisher)
+    assert (res.value, res.argmax) == (value, {"a": a_best})
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
+    # the first calls may build the process's tables; later rows only refine
+    diffeo_bound_sup(1.0, 10)
+    vt_kepler_bound(1.0, 10, 1.0)
+    diffeo_calls = _count_calls(monkeypatch, bounds, "diffeo_bound")
+    simpson_calls = _count_calls(monkeypatch, bounds, "composite_simpson")
+    kepler_calls = _count_calls(monkeypatch, bounds, "solve_kepler")
+    diffeo_bound_sup(0.3, 100)
+    assert 0 < diffeo_calls[0] <= 600
+    assert 0 < simpson_calls[0] <= 1200
+    vt_kepler_bound(0.3, 100, 1.0)
+    assert 0 < kepler_calls[0] <= 70
 
 
 def test_two_point_bound():

@@ -329,6 +329,18 @@ def test_bound_command_validation_exit(tmp_path):
      "--delta must be positive and finite"),
     (["bound", "--method", "hellinger", "--delta", "nan", "--h", "0.1"], 2,
      "--delta must be positive and finite"),
+    (["bound", "--method", "vantrees", "--delta", "1e-160", "--n", "10"], 2,
+     "--delta=1e-160 is too small: the prior's Fisher information"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:0:1e-160"], 2,
+     "halfwidth=1e-160 is too small: the prior's Fisher information"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:0:1e-160"], 2,
+     "sigma=1e-160 is too small: the prior's Fisher information"),
+    (["bound", "--method", "vantrees", "--prior", "kepler:0.75:0:1e-160"], 2,
+     "scale=1e-160 is too small: the prior's Fisher information"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:0:1e-170"], 2,
+     "halfwidth=1e-170 is too small: halfwidth**2 underflows to 0"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:0:1e200"], 2,
+     "sigma=1e+200 is too large: sigma**2 overflows"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from minimaxlb.numerics import (BracketError, QuadratureSpec, SearchBox,
-                                ToleranceNotMet, find_root_bisect,
+                                ToleranceNotMet, coarse_axis, find_root_bisect,
                                 gaussian_partial_second_moment,
                                 integrate_adaptive, maximize_1d, maximize_2d,
                                 normal_cdf, normal_pdf)
@@ -121,6 +121,54 @@ def test_maximize_2d():
     (x, y), v = maximize_2d(lambda a, b: a + b, box)
     assert (x, y) == (1.0, 1.0)
     assert v == pytest.approx(2.0, abs=1e-12)
+
+
+def _tie_on_edges_1d(x):
+    # the two ends of [-1, 1] tie at 0, the maximum; the first (x = -1) wins
+    return -abs(abs(x) - 1.0)
+
+
+def _tie_on_corners_2d(x, y):
+    # the four corners tie at the maximum; the first in row-major order wins
+    return x * x + 0.25 * y * y
+
+
+def test_maximize_1d_coarse_values_match_the_scan():
+    xs = coarse_axis(-1.0, 1.0)
+    coarse = np.array([_tie_on_edges_1d(x) for x in xs])
+    scanned = maximize_1d(_tie_on_edges_1d, -1.0, 1.0)
+    assert maximize_1d(_tie_on_edges_1d, -1.0, 1.0, coarse=coarse) == scanned
+    assert scanned == (-1.0, 0.0)
+    f = lambda t: math.sin(17.0 * t) + 0.3 * math.sin(51.0 * t)
+    coarse = np.array([f(x) for x in coarse_axis(0.0, 3.0, 101)])
+    assert maximize_1d(f, 0.0, 3.0, 101, coarse=coarse) == maximize_1d(f, 0.0, 3.0, 101)
+
+
+def test_maximize_2d_coarse_values_match_the_scan():
+    box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
+    xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
+    coarse = np.array([[_tie_on_corners_2d(x, y) for y in ys] for x in xs])
+    scanned = maximize_2d(_tie_on_corners_2d, box)
+    assert maximize_2d(_tie_on_corners_2d, box, coarse) == scanned
+    assert scanned == ((-1.0, -2.0), 2.0)
+    # an interior maximum off the diagonal, so a transposed table would miss it
+    f = lambda a, b: -(a - 0.3) ** 2 - (b + 1.2) ** 2
+    coarse = np.array([[f(x, y) for y in ys] for x in xs])
+    assert maximize_2d(f, box, coarse) == maximize_2d(f, box)
+    assert maximize_2d(f, box, coarse.T) != maximize_2d(f, box)
+    # a NaN never wins the scan
+    nan_left = lambda a, b: math.nan if a < 0.0 else a + b
+    assert maximize_2d(nan_left, box) == ((1.0, 2.0), 3.0)
+
+
+def test_maximize_coarse_values_of_the_wrong_shape_are_rejected():
+    box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="shape"):
+        maximize_2d(lambda a, b: a + b, box, np.zeros((64, 63)))
+    with pytest.raises(ValueError, match="shape"):
+        maximize_2d(lambda a, b: a + b, box, np.zeros(64 * 64))
+    with pytest.raises(ValueError, match="shape"):
+        maximize_1d(lambda t: t, 0.0, 1.0, coarse=np.zeros(63))
 
 
 def test_spec_validation():
