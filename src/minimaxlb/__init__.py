@@ -22,8 +22,8 @@ from .models import (DivergenceValue, Family, GaussianLocation, UniformScale,
                      chi_sq_iid, hellinger_local_ratio, hellinger_sq_iid)
 from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
                        find_root_bisect, gaussian_partial_second_moment,
-                       integrate_adaptive, maximize_1d, maximize_2d, normal_cdf,
-                       normal_pdf)
+                       integrate_adaptive, integrate_panels, maximize_1d, maximize_2d,
+                       normal_cdf, normal_pdf)
 from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution,
                      NicenessReport, Prior, UniformPrior, prior_density,
                      solve_kepler)

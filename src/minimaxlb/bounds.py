@@ -22,8 +22,8 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_chi_sq, mixture_chi_sq_interpolated_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (SearchBox, coarse_axis, composite_simpson, integrate_piecewise,
-                       maximize_1d, maximize_2d)
+from .numerics import (SearchBox, check_n, coarse_axis, composite_simpson, float_or_array,
+                       integrate_panels, integrate_piecewise, maximize_1d, maximize_2d)
 from .priors import Prior, check_scale, prior_density, solve_kepler
 
 _PI = math.pi
@@ -37,22 +37,23 @@ class DegenerateKernelError(ValueError):
 
 
 class Functional:
-    """A functional psi of the parameter: ``psi(theta)``, the points where it
-    is not smooth (``kinks()``), and the van Trees numerator
-    ``slope_mass(prior)`` = int psi' dQ."""
+    """A functional psi of the parameter: ``psi(theta)`` for a float or an
+    ndarray, the quadrature cuts of psi(t) - psi(t - h) (``cuts(h)``), and
+    the van Trees numerator ``slope_mass(prior)`` = int psi' dQ."""
 
-    def kinks(self) -> Tuple[float, ...]:
-        return (0.0,)
+    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
+        """The kink of psi at 0 and its shift by h, on a window of this width."""
+        return (0.0, h)
 
 
 @dataclass(frozen=True)
 class Identity(Functional):
     """psi(theta) = theta."""
 
-    def __call__(self, theta: float) -> float:
-        return float(theta)
+    def __call__(self, theta):
+        return float_or_array(theta)
 
-    def kinks(self) -> Tuple[float, ...]:
+    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
         return ()
 
     def slope_mass(self, prior: Prior) -> float:
@@ -67,8 +68,8 @@ class MaxZero(Functional):
     prior measure zero).
     """
 
-    def __call__(self, theta: float) -> float:
-        return max(float(theta), 0.0)
+    def __call__(self, theta):
+        return np.maximum(theta, 0.0) if isinstance(theta, np.ndarray) else max(float(theta), 0.0)
 
     def slope_mass(self, prior: Prior) -> float:
         lo, hi = prior.window()
@@ -86,11 +87,15 @@ class PowerMax(Functional):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
 
-    def __call__(self, theta: float) -> float:
-        theta = float(theta)
-        if theta <= 0.0:
-            return 0.0
-        return theta ** self.alpha
+    def __call__(self, theta):
+        return float_or_array(np.maximum(theta, 0.0) ** self.alpha)
+
+    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
+        """For alpha < 1 also kink + s 2^j, s = min(|h|, width), from 2^-40 s to the width."""
+        step = min(abs(h), width) or width
+        top = math.ceil(math.log2(width) - math.log2(step))
+        grade = range(-40, top + 1) if self.alpha < 1.0 else ()
+        return (0.0, h) + tuple(k + step * 2.0 ** j for k in (0.0, h) for j in grade)
 
     def slope_mass(self, prior: Prior) -> float:
         """Integrated via u = t^alpha, which removes the t^(alpha-1) singularity."""
@@ -121,28 +126,19 @@ def _require_nice(prior: Prior) -> None:
 
 def _check_delta_n(delta: float, n: int) -> None:
     check_scale(delta)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_n(n)
 
 
 def delta_psi_moments(prior: Prior, f: Functional, h: float) -> Tuple[float, float]:
-    """First and second prior moments of psi(t) - psi(t - h).
-
-    Quadrature splits at the functional kinks (t = 0 for psi(t), t = h for
-    psi(t - h)) and at the prior support endpoints, so no panel straddles a
-    non-smooth point.
-    """
+    """First and second prior moments of psi(t) - psi(t - h), both from one
+    quadrature over the prior window cut at ``f.cuts(h)``, where it is not smooth."""
     lo, hi = prior.window()
-    kinks = [*f.kinks(), *(k + h for k in f.kinks())]
 
-    def dpsi(t: float) -> float:
-        return f(t) - f(t - h)
+    def moments(t: np.ndarray) -> np.ndarray:
+        dpsi, q = f(t) - f(t - h), prior_density(prior, t)
+        return np.stack((dpsi * q, dpsi * dpsi * q))
 
-    first = integrate_piecewise(lambda t: dpsi(t) * prior_density(prior, t),
-                                lo, hi, kinks, min_panels=8)
-    second = integrate_piecewise(lambda t: dpsi(t) ** 2 * prior_density(prior, t),
-                                 lo, hi, kinks, min_panels=8)
-    return first, second
+    return tuple(float(m) for m in integrate_panels(moments, lo, hi, f.cuts(h, hi - lo), shift=h))
 
 
 def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
@@ -157,10 +153,10 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     h = float(h)
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    num, second = delta_psi_moments(prior, f, h)
     h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
     if h2 < 1e-14:
         raise ValueError(f"mixture Hellinger distance degenerate (H^2={h2!r}) at h={h}")
+    num, second = delta_psi_moments(prior, f, h)
     return num * num / (4.0 * h2), second
 
 
@@ -250,8 +246,7 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
     if not isinstance(family, GaussianLocation):
         raise ValueError("van Trees value requires the Gaussian family "
                          "(uniform family has divergent Fisher information)")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_n(n)
     _require_nice(prior)
     num = f.slope_mass(prior)
     denom = prior.fisher_info().value + n / family.sigma ** 2

@@ -233,7 +233,7 @@ def kepler_svg(a_values: Sequence[float]) -> str:
     ml, mt, pw, ph = 60, 50, 340, 300
     ts = np.linspace(-1.0, 1.0, 401)
     curves = {a: priors.KeplerCosine.for_constraint(a) for a in a_values}
-    dens = {a: [q.density(float(t)) for t in ts] for a, q in curves.items()}
+    dens = {a: q.density(ts) for a, q in curves.items()}
     d_max = max(max(v) for v in dens.values()) or 1.0
     out.append(f'<text x="{ml}" y="26" font-family="monospace" font-size="14">'
                'constrained cosine priors q_a(t)</text>')

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import gaussian_partial_second_moment, maximize_1d, normal_cdf
+from .numerics import check_n, gaussian_partial_second_moment, maximize_1d, normal_cdf
 
 _EDGE = 1.0 - 1e-12  # sup over the open interval [0, delta)
 
@@ -73,12 +73,6 @@ class PreTest:
         return max(value, f(hi))
 
 
-def _check_n(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return int(n)
-
-
 def plugin_risk_at(theta: float, n: int) -> float:
     """n-scaled risk of max(mean, 0) at theta >= 0.
 
@@ -87,7 +81,7 @@ def plugin_risk_at(theta: float, n: int) -> float:
     """
     if theta < 0:
         raise ValueError("theta must be >= 0 (negative values are dominated)")
-    _check_n(n)
+    check_n(n)
     m = math.sqrt(n) * theta
     below = normal_cdf(-m)
     # the tail is 0 long before m*m overflows; the term is then 0, not inf * 0 = NaN
@@ -103,7 +97,7 @@ def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
     """
     if theta < 0:
         raise ValueError("theta must be >= 0 (negative values are dominated)")
-    _check_n(n)
+    check_n(n)
     if not c_n > 0:
         raise ValueError("c_n must be positive")
     cut = math.sqrt(n) * (c_n - theta)
@@ -116,7 +110,7 @@ def local_minimax_risk(estimator: Constant | PluginMLE | PreTest,
     """sup over theta in [0, delta) of the n-scaled risk of the estimator."""
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    n = _check_n(n)
+    n = check_n(n)
     risk = estimator.sup_risk(delta, n)
     if not math.isfinite(risk):
         raise ValueError(f"the risk of {estimator} overflows at delta={delta!r}, n={n}")

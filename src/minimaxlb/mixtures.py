@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .models import DivergenceValue, Family, chi_sq_iid, hellinger_sq_iid
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_piecewise
+from .numerics import check_n, integrate_panels
 from .priors import Prior, prior_density
 
 
@@ -46,8 +46,7 @@ class MixtureSpec:
     h: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        check_n(self.n)
         if not math.isfinite(self.h):
             raise ValueError("h must be finite")
 
@@ -82,13 +81,6 @@ def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ..
 _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
-def _shift_quad_spec(h: float) -> QuadratureSpec:
-    """Tolerance scaled down with h^2: shift divergences shrink quadratically,
-    so a fixed absolute tolerance would swamp them at small shifts."""
-    tol = max(1e-15, min(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.abs_tol * h * h))
-    return replace(DEFAULT_QUAD, abs_tol=tol)
-
-
 def _hellinger_identity(prior: Prior, h: float, family: Optional[Family], n: int) -> float:
     """int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
     one quadrature over the shift window; without a family, H^2(Q_h, Q).
@@ -107,15 +99,16 @@ def _hellinger_identity(prior: Prior, h: float, family: Optional[Family], n: int
         family.check_theta(lo0, _PRIOR_PARAMETERS)
     lo, hi, cuts = _union_region(prior, h)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         qh, q = prior_density(prior, t + h), prior_density(prior, t)
-        d = math.sqrt(qh) - math.sqrt(q)
-        if family is None or qh * q == 0.0 or min(t, t + h) < lo0:
-            return d * d
-        return d * d + math.sqrt(qh * q) * hellinger_sq_iid(family, t + h, t, n)
+        total = (np.sqrt(qh) - np.sqrt(q)) ** 2
+        if family is not None:
+            read = (qh * q > 0.0) & (np.minimum(t, t + h) >= lo0)
+            total[read] += np.sqrt(qh[read] * q[read]) * hellinger_sq_iid(
+                family, t[read] + h, t[read], n)
+        return total
 
-    val = integrate_piecewise(integrand, lo, hi, cuts, _shift_quad_spec(h), min_panels=16)
-    return min(max(val, 0.0), 2.0)
+    return min(max(integrate_panels(integrand, lo, hi, cuts, shift=h), 0.0), 2.0)
 
 
 def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
@@ -154,30 +147,24 @@ def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
     lo, hi = spec.prior.window()
     spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
 
-    # The ratio q(t+h)^2/q(t) concentrates around a shifted location
-    # (center - 2h for a Gaussian prior); widen the window accordingly.
-    pad = 2.0 * abs(h)
-    lo, hi = lo - pad, hi + pad
+    # q(t+h)^2/q(t) peaks near center - 2h for a Gaussian prior: widen the window;
+    # its far tail may pass the family's theta_min, where chi^2_n is not read.
+    lo, hi = lo - 2.0 * abs(h), hi + 2.0 * abs(h)
 
-    def integrand(t: float) -> float:
-        q0 = prior_density(spec.prior, t)
-        if q0 <= 0.0:
-            return 0.0
-        qh = prior_density(spec.prior, t + h)
-        if qh == 0.0:
-            return q0
-        per = chi_sq_iid(spec.family, t + h, t, spec.n)
-        if per.is_divergent:
+    def integrand(t: np.ndarray) -> np.ndarray:
+        q0, qh = prior_density(spec.prior, t), prior_density(spec.prior, t + h)
+        read = (q0 > 0.0) & (qh > 0.0) & (np.minimum(t, t + h) > spec.family.theta_min)
+        per = np.zeros_like(t)
+        per[read] = chi_sq_iid(spec.family, t[read] + h, t[read], spec.n)
+        if np.isinf(per).any():
             raise _DivergentSignal()
-        d = qh - q0
-        return d * d / q0 + qh * qh / q0 * per.value
+        den = np.where(q0 > 0.0, q0, np.inf)  # q(t) = 0 contributes 0
+        return (qh - q0) ** 2 / den + qh * qh / den * per
 
     try:
-        total = integrate_piecewise(integrand, lo, hi, (), _shift_quad_spec(h),
-                                    min_panels=16)
+        return DivergenceValue.finite(integrate_panels(integrand, lo, hi, shift=h))
     except _DivergentSignal:
         return DivergenceValue.divergent()
-    return DivergenceValue.finite(total)
 
 
 class _DivergentSignal(Exception):
@@ -189,10 +176,6 @@ def _trapezoid(values: np.ndarray, spacing: float, axis: int = -1) -> np.ndarray
         return np.trapezoid(values, dx=spacing, axis=axis)
     except AttributeError:  # numpy < 2
         return np.trapz(values, dx=spacing, axis=axis)
-
-
-def _prior_density_grid(prior: Prior, ts: np.ndarray) -> np.ndarray:
-    return np.array([prior_density(prior, float(t)) for t in ts])
 
 
 def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
@@ -218,9 +201,9 @@ def _joint_density_grids(family: Family, prior: Prior, h: float,
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     g0 = family.density_grid(ts, xs)
-    g0 *= _prior_density_grid(prior, ts)[:, None]
+    g0 *= prior_density(prior, ts)[:, None]
     gh = family.density_grid(ts + h, xs)
-    gh *= _prior_density_grid(prior, ts + h)[:, None]
+    gh *= prior_density(prior, ts + h)[:, None]
     return g0, gh
 
 

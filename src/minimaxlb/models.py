@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import normal_pdf
+from .numerics import check_n, float_or_array, math_for, normal_pdf
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,23 @@ class Family:
     xs)``, ``fisher_info(theta)``, ``hellinger_sq(theta1, theta2)``,
     ``chi_sq(theta_num, theta_den)``, ``shift_is_dominated(h)``, and the
     oracle grid's ``x_range(t_lo, t_hi, h)`` with its ``x_coverage`` text.
-    Parameters must be finite and above ``theta_min``.
+    Parameters, floats or ndarrays, must be finite and above ``theta_min``.
     """
 
     theta_min = -math.inf
     label = "family"
 
-    def check_theta(self, theta: float, name: str = "theta") -> float:
-        theta = float(theta)
-        if not math.isfinite(theta):
+    def check_theta(self, theta, name: str = "theta"):
+        if isinstance(theta, np.ndarray):
+            finite, above = np.isfinite(theta).all(), (theta > self.theta_min).all()
+        else:
+            theta = float(theta)
+            finite, above = math.isfinite(theta), theta > self.theta_min
+        if not finite:
             raise ValueError(f"{name} must be finite")
-        if theta <= self.theta_min:
+        if not above:
             raise ValueError(f"{self.label} requires {name} > {self.theta_min:g}, "
-                             f"got {theta}")
+                             f"got {np.min(theta)}")
         return theta
 
 
@@ -106,7 +110,7 @@ class GaussianLocation(Family):
         theta1 = self.check_theta(theta1, "theta1")
         theta2 = self.check_theta(theta2, "theta2")
         d = (theta1 - theta2) / self.sigma
-        return -2.0 * math.expm1(-d * d / 8.0)
+        return -2.0 * math_for(d).expm1(-d * d / 8.0)
 
     def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
         """Chi-squared divergence exp((theta_num-theta_den)^2/sigma^2) - 1;
@@ -114,10 +118,8 @@ class GaussianLocation(Family):
         theta_num = self.check_theta(theta_num, "theta_num")
         theta_den = self.check_theta(theta_den, "theta_den")
         d = (theta_num - theta_den) / self.sigma
-        try:
-            return DivergenceValue.finite(math.expm1(d * d))
-        except OverflowError:  # effectively infinite, as in chi_sq_iid
-            return DivergenceValue.divergent()
+        with np.errstate(over="ignore"):  # effectively infinite, as in chi_sq_iid
+            return _divergence(np.expm1(d * d))
 
     def shift_is_dominated(self, h: float) -> bool:
         """Every P_{t+h} is dominated by P_t."""
@@ -162,18 +164,16 @@ class UniformScale(Family):
         """Squared Hellinger distance 2 (1 - (1 + h/theta_min)^(-1/2)), h = |theta1 - theta2|."""
         theta1 = self.check_theta(theta1, "theta1")
         theta2 = self.check_theta(theta2, "theta2")
-        r = min(theta1, theta2) / max(theta1, theta2)
+        r = np.minimum(theta1, theta2) / np.maximum(theta1, theta2)
         # 2 (1 - sqrt(r)) written without cancellation for r near 1
-        return 2.0 * (1.0 - r) / (1.0 + math.sqrt(r))
+        return float_or_array(2.0 * (1.0 - r) / (1.0 + np.sqrt(r)))
 
     def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
         """theta_den/theta_num - 1; Divergent when theta_num > theta_den
         (the numerator law is not dominated)."""
         theta_num = self.check_theta(theta_num, "theta_num")
         theta_den = self.check_theta(theta_den, "theta_den")
-        if theta_num > theta_den:
-            return DivergenceValue.divergent()
-        return DivergenceValue.finite(theta_den / theta_num - 1.0)
+        return _divergence(np.where(theta_num > theta_den, np.inf, theta_den / theta_num - 1.0))
 
     def shift_is_dominated(self, h: float) -> bool:
         """Unif(0, t+h) is dominated by Unif(0, t) only for h <= 0."""
@@ -184,32 +184,37 @@ class UniformScale(Family):
         return 0.0, t_hi + abs(h)
 
 
-def hellinger_sq_iid(family: Family, theta1: float, theta2: float, n: int) -> float:
+def _divergence(values):
+    """A scalar divergence as a DivergenceValue; an array as is. inf is Divergent."""
+    if np.ndim(values):
+        return values
+    return DivergenceValue.divergent() if values == math.inf else DivergenceValue.finite(values)
+
+
+def hellinger_sq_iid(family: Family, theta1, theta2, n: int):
     """n-fold tensorization 2 - 2 (1 - H^2/2)^n of the squared Hellinger."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_n(n)
     h2 = family.hellinger_sq(theta1, theta2)
     if n == 1:
         return h2
-    if h2 >= 2.0:
-        return 2.0
     # 2 - 2 (1 - h2/2)^n via expm1/log1p to keep precision at small h2
-    return -2.0 * math.expm1(n * math.log1p(-h2 / 2.0))
+    if not isinstance(h2, np.ndarray):
+        return 2.0 if h2 >= 2.0 else -2.0 * math.expm1(n * math.log1p(-h2 / 2.0))
+    with np.errstate(divide="ignore"):  # h2 = 2 gives log1p(-1) = -inf, so 2 as well
+        return -2.0 * np.expm1(n * np.log1p(-h2 / 2.0))
 
 
-def chi_sq_iid(family: Family, theta_num: float, theta_den: float, n: int) -> DivergenceValue:
-    """n-fold tensorization (1 + chi^2)^n - 1; Divergent propagates."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+def chi_sq_iid(family: Family, theta_num, theta_den, n: int):
+    """n-fold tensorization (1 + chi^2)^n - 1; Divergent (inf in an array) propagates."""
+    check_n(n)
     per_obs = family.chi_sq(theta_num, theta_den)
-    if per_obs.is_divergent:
-        return per_obs
     if n == 1:
         return per_obs
-    log_term = n * math.log1p(per_obs.value)
-    if log_term > 700.0:  # exp would overflow; effectively infinite
-        return DivergenceValue.divergent()
-    return DivergenceValue.finite(math.expm1(log_term))
+    if isinstance(per_obs, DivergenceValue):
+        per_obs = math.inf if per_obs.is_divergent else per_obs.value
+    log_term = n * np.log1p(per_obs)
+    with np.errstate(over="ignore"):  # past 700 exp would overflow: effectively infinite
+        return _divergence(np.where(log_term > 700.0, np.inf, np.expm1(log_term)))
 
 
 def hellinger_local_ratio(family: Family, theta: float, h: float) -> float:

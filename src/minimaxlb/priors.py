@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .models import DivergenceValue
-from .numerics import find_root_bisect, normal_pdf
+from .numerics import find_root_bisect, float_or_array, math_for
 
 _PI = math.pi
 _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
@@ -52,12 +54,12 @@ class NicenessReport:
 class Prior:
     """A prior density on the real line.
 
-    Each prior type defines ``density(t)`` (zero outside the support),
-    ``support()``, ``fisher_info()`` (I(Q) = int q'^2/q), ``dispersion()`` (the
-    scale that sizes shift-search windows) and ``dilate(center, scale)``, the
-    location-scale map t -> (1/scale) q((t - center)/scale), which multiplies
-    the Fisher information by scale^-2. The defaults below fit the compactly
-    supported nice priors.
+    Each prior type defines ``density(t)`` (t a float or an ndarray; zero
+    outside the support), ``support()``, ``fisher_info()`` (I(Q) = int
+    q'^2/q), ``dispersion()`` (the scale that sizes shift-search windows) and
+    ``dilate(center, scale)``, the location-scale map t -> (1/scale)
+    q((t - center)/scale), which multiplies the Fisher information by
+    scale^-2. The defaults below fit the compactly supported nice priors.
     """
 
     def window(self) -> Tuple[float, float]:
@@ -83,12 +85,10 @@ class Cosine(Prior):
             raise ValueError(f"center must be finite, got {self.center!r}")
         check_scale(self.halfwidth, "halfwidth", _PI * _PI)
 
-    def density(self, t: float) -> float:
+    def density(self, t):
         u = (t - self.center) / self.halfwidth
-        if abs(u) >= 1.0:
-            return 0.0
-        val = math.cos(_PI * u / 2.0)
-        return val * val / self.halfwidth
+        val = np.cos(_PI * u / 2.0)
+        return float_or_array(np.where(np.abs(u) < 1.0, val * val / self.halfwidth, 0.0))
 
     def support(self) -> Tuple[float, float]:
         return self.center - self.halfwidth, self.center + self.halfwidth
@@ -113,8 +113,9 @@ class GaussianPrior(Prior):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         check_scale(self.sigma, "sigma", 1.0)
 
-    def density(self, t: float) -> float:
-        return normal_pdf((t - self.mu) / self.sigma) / self.sigma
+    def density(self, t):
+        z = (t - self.mu) / self.sigma
+        return math_for(z).exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / self.sigma
 
     def support(self) -> Tuple[float, float]:
         return -math.inf, math.inf
@@ -146,8 +147,9 @@ class UniformPrior(Prior):
         if not self.lo < self.hi:
             raise ValueError("UniformPrior requires lo < hi")
 
-    def density(self, t: float) -> float:
-        return 1.0 / (self.hi - self.lo) if self.lo <= t <= self.hi else 0.0
+    def density(self, t):
+        inside = (self.lo <= t) & (t <= self.hi)
+        return float_or_array(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
 
     def support(self) -> Tuple[float, float]:
         return self.lo, self.hi
@@ -207,15 +209,12 @@ class KeplerCosine(Prior):
     def for_constraint(a: float, center: float = 0.0, scale: float = 1.0) -> "KeplerCosine":
         return KeplerCosine(a, solve_kepler(a), center, scale)
 
-    def density(self, t: float) -> float:
+    def density(self, t):
         sol = self.solution
         u = (t - self.center) / self.scale
-        if u < sol.s_minus or u > sol.s_plus:
-            return 0.0
-        w = sol.w_a
-        c = 0.5 * (sol.s_plus + sol.s_minus)
-        val = math.cos(_PI * (u - c) / w)
-        return (2.0 / w) * val * val / self.scale
+        val = np.cos(_PI * (u - 0.5 * (sol.s_plus + sol.s_minus)) / sol.w_a)
+        inside = (sol.s_minus <= u) & (u <= sol.s_plus)
+        return float_or_array(np.where(inside, (2.0 / sol.w_a) * val * val / self.scale, 0.0))
 
     def support(self) -> Tuple[float, float]:
         sol = self.solution
@@ -264,6 +263,6 @@ def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
                           min_fisher=4.0 * _PI * _PI / (w * w))
 
 
-def prior_density(prior: Prior, t: float) -> float:
-    """Prior density q(t); zero outside the support."""
-    return prior.density(float(t))
+def prior_density(prior: Prior, t):
+    """Prior density q(t), zero outside the support; a float for a float t."""
+    return prior.density(t)

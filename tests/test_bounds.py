@@ -31,6 +31,9 @@ def test_functional_eval():
     assert PowerMax(0.5)(4.0) == 2.0
     assert PowerMax(0.5)(-1.0) == 0.0
     assert Identity()(-3.5) == -3.5
+    ts = np.array([-1.0, 0.0, 0.25, 4.0])
+    for f in (MaxZero(), PowerMax(0.5), Identity()):
+        assert list(f(ts)) == [f(float(t)) for t in ts]
     with pytest.raises(ValueError):
         PowerMax(1.5)
 
@@ -110,6 +113,31 @@ def test_chi2_bound_lambda_zero_is_mixture_hcr():
     denom = mixture_chi_sq(MixtureSpec(GAUSS, 1, prior, h))
     assert got == num * num / denom.value
     assert got == pytest.approx(h * h / denom.value, rel=1e-7)
+
+
+def _gaussian_phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _maxzero_first_moment(h):
+    """int (max(t, 0) - max(t - h, 0)) dN(0, 1)(t) = phi(0) - phi(h) + h Phi(-h)."""
+    return _gaussian_phi(0.0) - _gaussian_phi(h) + h * 0.5 * math.erfc(h / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0])
+def test_delta_psi_first_moment_closed_form(h):
+    got, _ = bounds.delta_psi_moments(GaussianPrior(0.0, 1.0), MaxZero(), h)
+    assert got == pytest.approx(_maxzero_first_moment(h), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.01, 0.0123, 0.012336767982401253, 0.0124,
+                               0.1, 1.0, 3.0])
+def test_chi2_bound_gaussian_closed_form(h):
+    # n = 1, N(0, 1) prior: chi^2(Mh||M0) = exp(2 h^2) - 1; 0.012336767982401253
+    # is the shift where adaptive Simpson converged falsely on the numerator
+    exact = _maxzero_first_moment(h) ** 2 / math.expm1(2.0 * h * h)
+    got = chi2_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), MaxZero(), h, 0.0)
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_chi2_bound_divergent_and_lambda_one():

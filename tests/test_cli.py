@@ -341,6 +341,14 @@ def test_bound_command_validation_exit(tmp_path):
      "halfwidth=1e-170 is too small: halfwidth**2 underflows to 0"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1e200"], 2,
      "sigma=1e+200 is too large: sigma**2 overflows"),
+    (["bound", "--method", "vt", "--n", str(10**400)], 2, "n is too large: --n"),
+    (["bound", "--method", "diffeo", "--n", str(10**400)], 2, "n is too large: --n"),
+    (["sweep", "--n", str(10**400), "--delta", "1", "--methods", "twopoint"], 2,
+     "n is too large: --n"),
+    (["risk", "--estimator", "plugin", "--delta", "1", "--n", str(10**400)], 2,
+     "n is too large: --n"),
+    (["bound", "--method", "chi2", "--prior", "gaussian:0:1e100", "--h", "1e-8", "--lambda", "0"],
+     3, "cannot resolve the shift"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:
@@ -361,9 +369,7 @@ def _chi2_gaussian_closed_form(h):
 
 @pytest.mark.parametrize("h", [
     0.0123,
-    pytest.param(0.012336767982401253, marks=pytest.mark.xfail(
-        strict=True, reason="integrate_adaptive converges falsely on the [h, 3] "
-                            "panel of delta_psi_moments at this shift")),
+    0.012336767982401253,  # adaptive Simpson converged falsely on the numerator here
     0.0124,
 ])
 def test_chi2_bound_matches_closed_form(h, tmp_path, capsys):
@@ -373,3 +379,11 @@ def test_chi2_bound_matches_closed_form(h, tmp_path, capsys):
                    if l.startswith("value=")][0][6:])
     exact = _chi2_gaussian_closed_form(h)
     assert abs(value - exact) <= 1e-7 * exact
+
+
+def test_unconverged_quadrature_exits_3(monkeypatch, tmp_path, capsys):
+    from minimaxlb import numerics
+    monkeypatch.setattr(numerics, "_MAX_PANELS", 4)  # no doubling allowed
+    assert main(["bound", "--method", "hellinger", "--prior", "gaussian:0:1", "--h", "0.1",
+                 "--out", str(tmp_path / "h.csv")]) == 3
+    assert "did not converge with 4 panels per piece" in capsys.readouterr().err

@@ -56,7 +56,45 @@ def test_mixture_hellinger_gaussian_closed_form_relative(sigma, sigma_q, n):
     for h in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         spec = MixtureSpec(GaussianLocation(sigma), n, GaussianPrior(0.0, sigma_q), h)
         expected = gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n)
-        assert mixture_hellinger_sq(spec) == pytest.approx(expected, rel=5e-8, abs=0.0)
+        # the floor is the rounding of t + h: ulp(t) / h, up to 9e-12 at h = 1e-4
+        # over the N(0, 4) prior's bulk |t| < 8; the worst case reads 1.1e-12
+        assert mixture_hellinger_sq(spec) == pytest.approx(expected, rel=2e-12, abs=0.0)
+
+
+def _sin_minus_x_cos(x):
+    """sin x - x cos x by its Taylor series sum_k (-1)^k (2k+2) x^(2k+3) / (2k+3)!."""
+    total, k, term = 0.0, 0, math.inf
+    while abs(term) > 1e-17 * abs(total):
+        term = (-1) ** k * (2 * k + 2) * x ** (2 * k + 3) / math.factorial(2 * k + 3)
+        total += term
+        k += 1
+    return total
+
+
+@pytest.mark.parametrize("prior", [Cosine(0.0, 1.0), KeplerCosine.for_constraint(0.75)],
+                         ids=["cosine", "kepler"])
+@pytest.mark.parametrize("sigma,n", [(1.0, 1), (0.5, 10)])
+def test_mixture_hellinger_location_factorization(prior, sigma, n):
+    # a location family over a cos^2 prior of support width W factorizes:
+    # 1 - H^2(Mh, M0)/2 = BC_Q(h) (1 - H^2_n(h)/2), where the prior's
+    # Bhattacharyya coefficient is BC_Q(h) = ((W - |h|) cos x + (W/pi) sin x)/W,
+    # x = pi |h| / W, and 1 - BC_Q = 2 sin^2(x/2) - (sin x - x cos x)/pi
+    lo, hi = prior.support()
+    width = hi - lo
+    family = GaussianLocation(sigma)
+    for h in (1e-4, 1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3, 0.5 * width, 0.75 * width):
+        x = math.pi * h / width
+        keep_n = math.exp(-n * h * h / (8.0 * sigma**2))  # 1 - H^2_n(h)/2
+        for shift in (h, -h):
+            got = mixture_hellinger_sq(MixtureSpec(family, n, prior, shift))
+            if h >= 1e-2:
+                keep = ((width - h) * math.cos(x) + (width / math.pi) * math.sin(x)) / width
+                if keep * keep_n > 1e-3:  # 1 - H^2/2 is then well conditioned
+                    assert 1.0 - got / 2.0 == pytest.approx(keep * keep_n, rel=1e-12)
+            else:
+                gap = 2.0 * math.sin(x / 2.0) ** 2 - _sin_minus_x_cos(x) / math.pi
+                exact = 2.0 * gap + 2.0 * (1.0 - gap) * -math.expm1(-n * h * h / (8.0 * sigma**2))
+                assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_mixture_hellinger_matches_oracle():
@@ -104,6 +142,22 @@ def test_mixture_chi_sq_gaussian_closed_form_relative(n):
         h = float(h)
         got = mixture_chi_sq(MixtureSpec(GAUSS, n, GaussianPrior(0.0, 1.0), h))
         assert got.value == pytest.approx(math.expm1((n + 1) * h * h), rel=1e-10, abs=0.0)
+
+
+def test_mixture_chi_sq_uniform_family_padded_window():
+    # the window 13 +- 12 widened by 2|h| reaches t + h < 0 in the prior's far
+    # tail, where Unif(0, t + h) does not exist: chi^2_n is read only above 0
+    from scipy import integrate
+    prior, h, n = GaussianPrior(13.0, 1.0), -0.6, 3
+
+    def identity(t):
+        q0, qh = prior.density(t), prior.density(t + h)
+        per = (t / (t + h)) ** n - 1.0 if t + h > 0.0 else 0.0
+        return (qh - q0) ** 2 / q0 + qh * qh / q0 * per
+    oracle, _ = integrate.quad(identity, -0.2, 26.2, points=[12.4, 13.6], epsabs=0.0,
+                               epsrel=1e-12, limit=200)
+    got = mixture_chi_sq(MixtureSpec(UniformScale(), n, prior, h)).value
+    assert got == pytest.approx(oracle, rel=1e-10)
 
 
 def test_mixture_chi_sq_against_grid_oracle():

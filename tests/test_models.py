@@ -156,3 +156,22 @@ def test_divergence_value_type():
         DivergenceValue.finite(-1.0)
     with pytest.raises(ValueError):
         DivergenceValue.divergent().value
+
+
+def test_divergences_accept_arrays():
+    import numpy as np
+    t1, t2 = np.array([1.0, 1.5, 2.0, 3.0]), np.array([1.2, 1.5, 1.0, 3.5])
+    for family in (GAUSS, UNIF):
+        for n in (1, 7):
+            got = hellinger_sq_iid(family, t1, t2, n)
+            assert got == pytest.approx([hellinger_sq_iid(family, float(a), float(b), n)
+                                         for a, b in zip(t1, t2)], rel=1e-14, abs=0.0)
+    # chi_sq marks a divergent entry inf: Unif(0, 2) is not dominated by Unif(0, 1)
+    assert list(UNIF.chi_sq(t1, t2)) == [1.2 / 1.0 - 1.0, 0.0, math.inf, 3.5 / 3.0 - 1.0]
+    per = chi_sq_iid(GAUSS, np.array([0.1, 50.0]), np.array([0.0, 0.0]), 3)
+    assert per[0] == pytest.approx(chi_sq_iid(GAUSS, 0.1, 0.0, 3).value, rel=1e-14)
+    assert per[1] == math.inf and chi_sq_iid(GAUSS, 50.0, 0.0, 3).is_divergent
+    with pytest.raises(ValueError, match="finite"):
+        GAUSS.hellinger_sq(np.array([0.0, math.nan]), np.zeros(2))
+    with pytest.raises(ValueError, match="requires theta1 > 0"):
+        UNIF.hellinger_sq(np.array([1.0, -1.0]), np.ones(2))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from minimaxlb.numerics import (BracketError, QuadratureSpec, SearchBox,
-                                ToleranceNotMet, coarse_axis, find_root_bisect,
+from minimaxlb.numerics import (PANEL_NODES, BracketError, QuadratureSpec, SearchBox,
+                                ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
                                 gaussian_partial_second_moment,
-                                integrate_adaptive, maximize_1d, maximize_2d,
-                                normal_cdf, normal_pdf)
+                                integrate_adaptive, integrate_panels, maximize_1d,
+                                maximize_2d, normal_cdf, normal_pdf)
 
 
 def test_normal_pdf_values():
@@ -178,3 +178,104 @@ def test_spec_validation():
         QuadratureSpec(max_depth=5)
     with pytest.raises(ValueError):
         SearchBox(intervals=((1.0, 0.0),))
+
+
+def _counting(f):
+    """f, recording the node count of each call."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return f(t)
+    return counted, sizes
+
+
+def test_integrate_panels_exact_on_polynomials_of_degree_2m_minus_1():
+    rng = np.random.default_rng(7)
+    for degree in (0, 1, 5, 2 * PANEL_NODES - 1):
+        p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+        exact = p.integ()(2.0) - p.integ()(-1.0)
+        f, sizes = _counting(p)
+        assert integrate_panels(f, -1.0, 2.0) == pytest.approx(exact, rel=1e-14, abs=1e-14)
+        assert len(sizes) == 2  # the first two estimates already agree
+
+
+def _kinked(t):
+    # C^2 with a kink in the third derivative at 1/3
+    return np.abs(t - 1.0 / 3.0) ** 3 * np.exp(t)
+
+
+def _kinked_integral():
+    a = 1.0 / 3.0
+    anti = lambda t, s: s * math.exp(t) * ((t - a) ** 3 - 3 * (t - a) ** 2 + 6 * (t - a) - 6)
+    return (anti(1.0, 1.0) - anti(a, 1.0)) + (anti(a, -1.0) - anti(0.0, -1.0))
+
+
+def test_integrate_panels_cut_at_the_kink_converges_geometrically():
+    exact = _kinked_integral()
+    cut, cut_sizes = _counting(_kinked)
+    assert integrate_panels(cut, 0.0, 1.0, (1.0 / 3.0,)) == pytest.approx(exact, rel=1e-14)
+    assert len(cut_sizes) == 2
+    # without the cut the rule still converges, at a higher panel count
+    uncut, uncut_sizes = _counting(_kinked)
+    assert integrate_panels(uncut, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
+    assert max(uncut_sizes) > 4 * max(cut_sizes)
+
+
+def test_integrate_panels_unresolved_integrand_raises_with_estimate():
+    f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.4
+    with pytest.raises(ToleranceNotMet) as err:
+        integrate_panels(f, 0.0, 1.0)
+    exact, _ = integrate.quad(lambda x: abs(x - 1.0 / 3.0) ** -0.4, 0.0, 1.0,
+                              points=[1.0 / 3.0])
+    assert err.value.estimate == pytest.approx(exact, abs=0.05)
+
+
+def test_integrate_panels_tolerance_is_relative():
+    base = lambda t: np.exp(-t) * np.cos(3.0 * t)
+    (f, f_sizes), (g, g_sizes) = _counting(base), _counting(lambda t: 1e-30 * base(t))
+    exact = (1.0 - math.exp(-2.0) * (math.cos(6.0) - 3.0 * math.sin(6.0))) / 10.0
+    assert integrate_panels(f, 0.0, 2.0) == pytest.approx(exact, rel=1e-14)
+    assert integrate_panels(g, 0.0, 2.0) == pytest.approx(1e-30 * exact, rel=1e-14)
+    assert g_sizes == f_sizes
+    # a zero integral ends as well
+    assert integrate_panels(lambda t: np.sin(t), -1.0, 1.0) == pytest.approx(0.0, abs=1e-16)
+
+
+def test_integrate_panels_shift_floor():
+    # (t + h) - t differs from h by up to ulp(t)/2 at every node: without its
+    # shift the rule cannot reach 1e-12 at h = 1e-9, with it the floor applies
+    h = 1e-9
+    f = lambda t: ((t + h) - t) / h * np.exp(-0.5 * t * t)
+    with pytest.raises(ToleranceNotMet):
+        integrate_panels(f, -12.0, 12.0)
+    got = integrate_panels(f, -12.0, 12.0, shift=h)
+    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=2.0**-50 * 12.0 / h)
+    # a floor past 1e-3 leaves nothing to compute: t + h cannot resolve h at all
+    with pytest.raises(ToleranceNotMet, match="cannot resolve"):
+        integrate_panels(f, -12.0, 12.0, shift=1e-14)
+
+
+def test_integrate_panels_stacked_rows_and_determinism():
+    rows = lambda t: np.stack((np.exp(t), t * t))
+    first = integrate_panels(rows, 0.0, 1.0, (0.5,))
+    assert first == pytest.approx([math.e - 1.0, 1.0 / 3.0], rel=1e-14)
+    assert np.array_equal(integrate_panels(rows, 0.0, 1.0, (0.5,)), first)
+    f = lambda t: np.exp(-0.5 * t * t)
+    assert integrate_panels(f, -12.0, 12.0) == integrate_panels(f, -12.0, 12.0)
+
+
+def test_integrate_panels_rejects_bad_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_panels(lambda t: np.where(t > 0.9, np.inf, 1.0), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate_panels(lambda t: t, 1.0, 0.0)
+
+
+def test_check_n():
+    assert check_n(10) == 10
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="positive integer"):
+            check_n(bad)
+    with pytest.raises(ValueError, match="--n"):
+        check_n(10 ** 400)

@@ -217,3 +217,16 @@ def test_prior_contract(prior):
                                                  abs=1e-13)
     assert moved.fisher_info().value == pytest.approx(prior.fisher_info().value / s**2,
                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("prior", [Cosine(0.5, 2.0), GaussianPrior(1.0, 0.5),
+                                   UniformPrior(-1.0, 2.0),
+                                   KeplerCosine.for_constraint(0.3, -1.0, 2.0)],
+                         ids=["cosine", "gaussian", "uniform", "kepler"])
+def test_prior_density_accepts_arrays(prior):
+    ts = np.linspace(-4.0, 4.0, 801)
+    batch = prior_density(prior, ts)
+    assert isinstance(batch, np.ndarray) and batch.shape == ts.shape
+    one_by_one = [prior_density(prior, float(t)) for t in ts]
+    assert all(type(v) is float for v in one_by_one)
+    assert batch == pytest.approx(one_by_one, rel=1e-15, abs=0.0)
