@@ -8,7 +8,6 @@ global-optimality certificate.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -315,7 +314,9 @@ def maximize_2d(
     when given, holds f(xs[i], ys[j]) in entry [i, j], where xs and ys are the
     ``coarse_axis`` of the box's intervals, and replaces the scan's calls to
     f; the first maximum in row-major order wins either way, and a NaN never
-    does. The refinement always calls f.
+    does. The refinement calls f once per distinct point: the compass search
+    revisits points after a step halves, and a deterministic f gives the same
+    value there again.
     """
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
@@ -331,14 +332,16 @@ def maximize_2d(
     best_x, best_y, best_v = float(xs[i]), float(ys[j]), float(scan[i, j])
     step_x = (xhi - xlo) / (_COARSE_GRID - 1)
     step_y = (yhi - ylo) / (_COARSE_GRID - 1)
+    seen = {}
     for _ in range(_REFINE_ITERS):
         moved = False
         for dx, dy in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_y), (0.0, -step_y)):
-            cx = min(max(best_x + dx, xlo), xhi)
-            cy = min(max(best_y + dy, ylo), yhi)
-            v = float(f(cx, cy))
+            point = (min(max(best_x + dx, xlo), xhi), min(max(best_y + dy, ylo), yhi))
+            v = seen.get(point)
+            if v is None:
+                v = seen[point] = float(f(*point))
             if v > best_v:
-                best_x, best_y, best_v = cx, cy, v
+                (best_x, best_y), best_v = point, v
                 moved = True
         if not moved:
             step_x *= 0.5
@@ -350,7 +353,9 @@ def maximize_2d(
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson rule over equally spaced samples (odd count)."""
+    """Composite Simpson rule over equally spaced samples (odd count).
+
+    No caller is left in the package; perfbench's tracer still hooks it by name."""
     n = values.shape[0]
     if n < 3 or n % 2 == 0:
         raise ValueError("composite Simpson needs an odd number >= 3 of samples")
@@ -359,10 +364,10 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
                             + 2.0 * values[2:-1:2].sum()))
 
 
-def split_interval(lo: float, hi: float, cuts: Sequence[float]) -> Tuple[Tuple[float, float], ...]:
-    """Partition [lo, hi] at the interior cut points, sorted and deduplicated."""
-    pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
-    return tuple((pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
+    """lo, hi and the cuts inside (lo, hi), sorted and deduplicated: the ends of
+    the pieces that partition [lo, hi]."""
+    return sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
 
 
 def integrate_piecewise(
@@ -383,12 +388,33 @@ def integrate_piecewise(
     all_cuts = list(cuts)
     if min_panels > 1:
         all_cuts.extend(np.linspace(lo, hi, min_panels + 1)[1:-1])
-    return sum(integrate_adaptive(f, a, b) for a, b in split_interval(lo, hi, all_cuts))
+    pts = cut_points(lo, hi, all_cuts)
+    return sum(integrate_adaptive(f, a, b) for a, b in zip(pts, pts[1:]))
 
 
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
 _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL, _MAX_FLOOR = 4, 1024, 1e-12, 1e-3
-_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(PANEL_NODES))
+# The 16-point Gauss-Legendre rule on [-1, 1], equal to
+# numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
+# The rule is symmetric: these are its positive nodes and their weights.
+_GL_POSITIVE = ((0.09501250983763744, 0.18945061045506864),
+                (0.2816035507792589, 0.18260341504492364),
+                (0.45801677765722737, 0.16915651939500265),
+                (0.6178762444026438, 0.1495959888165767),
+                (0.755404408355003, 0.12462897125553407),
+                (0.8656312023878318, 0.0951585116824926),
+                (0.9445750230732326, 0.062253523938647456),
+                (0.9894009349916499, 0.027152459411754176))
+GL_NODES = np.array([-x for x, _ in reversed(_GL_POSITIVE)] + [x for x, _ in _GL_POSITIVE])
+GL_WEIGHTS = np.array([w for _, w in reversed(_GL_POSITIVE)] + [w for _, w in _GL_POSITIVE])
+GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False
+
+
+def panel_nodes(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on every panel
+    [left[i], right[i]], flattened in panel order."""
+    half = 0.5 * (right - left)[..., None]
+    return ((left[..., None] + half) + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
 
 
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -410,17 +436,16 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
     rel_tol = max(_PANEL_REL_TOL, 2.0**-50 * max(abs(lo), abs(hi)) / abs(shift))
     if rel_tol > _MAX_FLOOR:
         raise ToleranceNotMet(f"t + {shift!r} cannot resolve the shift on [{lo}, {hi}]", math.nan)
-    x, w = _legendre()
-    ends = np.array(split_interval(lo, hi, cuts))
+    ends = np.array(cut_points(lo, hi, cuts))
     panels, previous = _FIRST_PANELS, None
     while True:
-        edges = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 * np.diff(edges, axis=1)[..., None]
-        nodes = ((edges[:, :-1, None] + half) + half * x).ravel()
+        fractions = np.linspace(0.0, 1.0, panels + 1)
+        edges = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * fractions
+        nodes, weights = panel_nodes(edges[:, :-1], edges[:, 1:])
         values = np.asarray(f(nodes), dtype=float)
         if not np.isfinite(values).all():
             raise ValueError(f"integrand returned a non-finite value on [{lo}, {hi}]")
-        terms = values * (half * w).ravel()
+        terms = values * weights
         estimate = terms.sum(axis=-1)
         if previous is not None and np.all(
                 np.abs(estimate - previous) <= rel_tol * np.abs(terms).sum(axis=-1)):

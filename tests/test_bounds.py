@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from minimaxlb import bounds
 from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
@@ -259,12 +259,55 @@ def test_diffeo_bound_values():
         diffeo_bound(1.0, 100, 0.0, 0.0)
 
 
+_Z_WINDOW = 12.0  # the moments are integrals over the 12-sigma window of Z
+_XI1_GRID = np.linspace(-10.0, 10.0, 41)
+_XI2_GRID = np.geomspace(1e-3, 1e4, 36)
+
+
+def _diffeo_moments_by_quad(xi1, xi2):
+    """E[g 1{Z > z0}] and E[g^2] over the window, by adaptive quadrature told
+    the kink z0 and the points z0 +- 1/xi2 where g has fallen to half."""
+    z0 = -xi1 / xi2
+    g = lambda z: 1.0 / (1.0 + (xi1 + z * xi2) ** 2)
+    phi = lambda z: math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+
+    def quad(f, lo):
+        if lo >= _Z_WINDOW:
+            return 0.0
+        points = [p for p in (z0, z0 - 1.0 / xi2, z0 + 1.0 / xi2) if lo < p < _Z_WINDOW]
+        return integrate.quad(f, lo, _Z_WINDOW, points=points or None, epsabs=0.0,
+                              epsrel=1e-13, limit=500)[0]
+
+    return (quad(lambda z: g(z) * phi(z), max(z0, -_Z_WINDOW)),
+            quad(lambda z: g(z) ** 2 * phi(z), -_Z_WINDOW))
+
+
+def test_diffeo_moments_match_adaptive_quadrature():
+    for xi1 in _XI1_GRID:
+        for xi2 in _XI2_GRID:
+            got = bounds._diffeo_moments(float(xi1), float(xi2))
+            want = _diffeo_moments_by_quad(float(xi1), float(xi2))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (xi1, xi2)
+
+
+def test_diffeo_indicator_moments_sum_to_the_faddeeva_closed_form():
+    # E[g 1{Z > z0}] at xi1 and at -xi1 add up to E[g(Z)] over the whole line,
+    # and E[1/(1 + X^2)] = sqrt(pi/2) Re w((mu + i)/(s sqrt 2))/s for X ~ N(mu, s^2)
+    for xi1 in _XI1_GRID:
+        for xi2 in _XI2_GRID:
+            xi1, xi2 = float(xi1), float(xi2)
+            total = bounds._diffeo_moments(xi1, xi2)[0] + bounds._diffeo_moments(-xi1, xi2)[0]
+            closed = math.sqrt(math.pi / 2.0) * special.wofz(
+                (xi1 + 1j) / (xi2 * math.sqrt(2.0))).real / xi2
+            assert total == pytest.approx(closed, rel=1e-13, abs=0.0), (xi1, xi2)
+
+
 def test_diffeo_bound_rejects_outside_validated_range():
-    for xi1, xi2 in ((0.5, 1e6), (0.5, 4125.0), (0.5, 9.9e-4), (-30.0, 1.0),
+    for xi1, xi2 in ((0.5, 1e6), (0.5, 2e4), (0.5, 9.9e-4), (-30.0, 1.0),
                      (10.5, 1.0), (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="lies outside"):
             diffeo_bound(1.0, 10, xi1, xi2)
-    # the corners of the sup's box pass, exp(log 10) = 10.000000000000002 included
+    # the corners of the sup's box pass, exp(log 1e4) = 10000.00000000001 included
     for xi1 in bounds.DIFFEO_XI1_RANGE:
         for xi2 in bounds.DIFFEO_XI2_RANGE:
             assert 0.0 <= diffeo_bound(1.0, 10, xi1, math.exp(math.log(xi2))) <= 1.0
@@ -289,7 +332,7 @@ def test_diffeo_bound_sup_matches_dense_grid():
     delta, n = 2.0, 100
     res = diffeo_bound_sup(delta, n)
     xi1s = np.linspace(-10.0, 10.0, 512)
-    lxi2s = np.linspace(math.log(1e-3), math.log(10.0), 512)
+    lxi2s = np.linspace(*(math.log(x) for x in bounds.DIFFEO_XI2_RANGE), 512)
     best, arg = 0.0, (0.0, 0.0)
     for x1 in xi1s:
         for lx2 in lxi2s:
@@ -358,11 +401,11 @@ def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
     diffeo_bound_sup(1.0, 10)
     vt_kepler_bound(1.0, 10, 1.0)
     diffeo_calls = _count_calls(monkeypatch, bounds, "diffeo_bound")
-    simpson_calls = _count_calls(monkeypatch, bounds, "composite_simpson")
+    moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
     kepler_calls = _count_calls(monkeypatch, bounds, "solve_kepler")
     diffeo_bound_sup(0.3, 100)
     assert 0 < diffeo_calls[0] <= 600
-    assert 0 < simpson_calls[0] <= 1200
+    assert 0 < moment_calls[0] <= 600
     vt_kepler_bound(0.3, 100, 1.0)
     assert 0 < kepler_calls[0] <= 70
 

@@ -278,8 +278,8 @@ def test_bound_command_validation_exit(tmp_path):
      "does not read --alpha without --functional powermax"),
     (["bound", "--method", "hellinger", "--h", "0.1", "--lambda", "0"], 2,
      "--method hellinger does not read --lambda"),
-    (["bound", "--method", "diffeo", "--xi1", "0.5", "--xi2", "4125", "--delta", "0.01",
-      "--n", "10"], 2, "xi2=4125.0 lies outside [0.001, 10]"),
+    (["bound", "--method", "diffeo", "--xi1", "0.5", "--xi2", "20000", "--delta", "0.01",
+      "--n", "10"], 2, "xi2=20000.0 lies outside [0.001, 10000]"),
     (["bound", "--method", "diffeo", "--xi1", "-11", "--xi2", "1"], 2, "xi1=-11.0 lies outside"),
     (["bound", "--method", "vt", "--delta", "1e300"], 2, "overflows"),
     (["bound", "--method", "diffeo", "--delta", "1e300"], 2, "overflows"),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from minimaxlb.numerics import (PANEL_NODES, BracketError, QuadratureSpec, SearchBox,
+from minimaxlb.numerics import (GL_NODES, GL_WEIGHTS, PANEL_NODES, BracketError,
+                                QuadratureSpec, SearchBox,
                                 ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
                                 gaussian_partial_second_moment,
                                 integrate_adaptive, integrate_panels, maximize_1d,
@@ -161,6 +162,21 @@ def test_maximize_2d_coarse_values_match_the_scan():
     assert maximize_2d(nan_left, box) == ((1.0, 2.0), 3.0)
 
 
+def test_maximize_2d_refinement_evaluates_each_point_once():
+    box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
+    f = lambda a, b: -(a - 0.3) ** 2 - (b + 1.2) ** 2
+    coarse = np.array([[f(x, y) for y in coarse_axis(-2.0, 2.0)] for x in coarse_axis(-1.0, 1.0)])
+    points = []
+
+    def recorded(a, b):
+        points.append((a, b))
+        return f(a, b)
+
+    (x, y), v = maximize_2d(recorded, box, coarse)
+    assert len(points) == len(set(points)) > 0
+    assert (x, y) == pytest.approx((0.3, -1.2), abs=1e-6) and v <= 0.0
+
+
 def test_maximize_coarse_values_of_the_wrong_shape_are_rejected():
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="shape"):
@@ -188,6 +204,12 @@ def _counting(f):
         sizes.append(t.size)
         return f(t)
     return counted, sizes
+
+
+def test_gauss_legendre_table_is_leggauss():
+    # the literal table keeps the mixture quadrature's output what leggauss gave
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    assert np.array_equal(GL_NODES, nodes) and np.array_equal(GL_WEIGHTS, weights)
 
 
 def test_integrate_panels_exact_on_polynomials_of_degree_2m_minus_1():

@@ -1,5 +1,8 @@
 """Property tests of the paper's invariants over the ranges the CLI accepts,
 judged by the same checks as `minimaxlb selftest`."""
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +30,19 @@ def test_vt_and_twopoint_below_every_risk(n, delta):
 def test_diffeo_below_every_risk(n, delta):
     config = SweepConfig("fixed-n-vary-delta", (n,), (delta,), methods=("diffeo",))
     _assert_passes(checks.bound_dominance([sweep_row_values(n, delta, config)]))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(n=st.integers(1, 10**6), scaled_delta=st.floats(1e-3, 1e3))
+def test_bounds_and_risks_depend_on_delta_sqrt_n_only(n, scaled_delta):
+    # the pre-test risk is left out: its n^(-1/4) threshold is not a function
+    # of delta sqrt(n) (Hodges' superefficiency), so it does not rescale
+    delta = scaled_delta / math.sqrt(n)
+    config = SweepConfig("fixed-n-vary-delta", (n,), (delta,),
+                         estimators=("constant", "plugin"))
+    row = sweep_row_values(n, delta, config)
+    assert row == pytest.approx(sweep_row_values(1, delta * math.sqrt(n), config),
+                                rel=1e-12, abs=0.0)
 
 
 @PROPERTY
