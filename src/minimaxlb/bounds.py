@@ -23,8 +23,7 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (SearchBox, check_n, coarse_axis, cut_points, float_or_array,
-                       integrate_panels, integrate_piecewise, maximize_1d, maximize_2d,
-                       panel_nodes)
+                       integrate_panels, maximize_1d, maximize_2d, panel_nodes)
 from .priors import Prior, check_scale, prior_density, solve_kepler
 
 _PI = math.pi
@@ -73,9 +72,8 @@ class MaxZero(Functional):
         return np.maximum(theta, 0.0) if isinstance(theta, np.ndarray) else max(float(theta), 0.0)
 
     def slope_mass(self, prior: Prior) -> float:
-        lo, hi = prior.window()
-        return 0.0 if hi <= 0.0 else integrate_piecewise(
-            lambda t: prior_density(prior, t), max(lo, 0.0), hi, min_panels=8)
+        """The prior mass above 0: PowerMax's slope mass at alpha = 1."""
+        return PowerMax(1.0).slope_mass(prior)
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,23 @@ class PowerMax(Functional):
         return (0.0, h) + tuple(k + step * 2.0 ** j for k in (0.0, h) for j in grade)
 
     def slope_mass(self, prior: Prior) -> float:
-        """Integrated via u = t^alpha, which removes the t^(alpha-1) singularity."""
-        _, hi = prior.window()
-        return 0.0 if hi <= 0.0 else integrate_piecewise(
-            lambda u: prior_density(prior, u ** (1.0 / self.alpha)),
-            0.0, hi ** self.alpha, min_panels=8)
+        """int alpha t^(alpha-1) q(t) dt over t > 0. A window within its width of 0
+        is integrated in u = t^alpha, which removes the singularity, graded toward
+        u = 0 as by ``cuts``. One farther out is integrated in t - mid, with the
+        prior moved next to 0 by ``dilate``, where floats resolve it finely."""
+        lo, hi = prior.window()
+        if hi <= 0.0:
+            return 0.0
+        if lo >= hi - lo:
+            mid = 0.5 * (lo + hi)
+            near = prior.dilate(-mid, 1.0)
+            return integrate_panels(lambda z: self.alpha * (mid + z) ** (self.alpha - 1.0)
+                                    * prior_density(near, z), *near.window(), near.kinks())
+        top = hi ** self.alpha
+        return integrate_panels(lambda u: prior_density(prior, u ** (1.0 / self.alpha)),
+                                max(lo, 0.0) ** self.alpha, top,
+                                [e ** self.alpha for e in prior.kinks() if e > 0.0]
+                                + list(self.cuts(0.0, top)))
 
 
 @dataclass(frozen=True)
@@ -241,17 +251,18 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
 def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> float:
     """Classical van Trees value (int grad psi dQ)^2 / (I(Q) + n int I dQ).
 
-    Requires a regular (Gaussian) family and a nice prior; the numerator
-    is the functional's ``slope_mass``.
+    Needs a nice prior and finite family information, read at the top of the
+    prior's window (the same everywhere for a location family, and inside a
+    range bounded below if any of the window is); the numerator is ``slope_mass``.
     """
-    if not isinstance(family, GaussianLocation):
-        raise ValueError("van Trees value requires the Gaussian family "
-                         "(uniform family has divergent Fisher information)")
     check_n(n)
+    info = family.fisher_info(prior.window()[1])
+    if info.is_divergent:
+        raise ValueError(f"van Trees value requires finite Fisher information "
+                         f"({family.label} has divergent Fisher information)")
     _require_nice(prior)
     num = f.slope_mass(prior)
-    denom = prior.fisher_info().value + n / family.sigma ** 2
-    return num * num / denom
+    return num * num / (prior.fisher_info().value + n * info.value)
 
 
 def _vt_kepler_ratio(delta: float, n: int, sup_fisher: float, a, min_fisher):
@@ -474,33 +485,35 @@ class PolyKernel:
         if not self.coeffs:
             raise ValueError("kernel needs at least one coefficient")
 
-    def __call__(self, u: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
     def derivative(self, k: int) -> "np.polynomial.Polynomial":
+        """The k-th derivative of the kernel; k = 0 is the kernel itself."""
         return np.polynomial.Polynomial(self.coeffs).deriv(k)
 
 
+def _poly_integral(p: "np.polynomial.Polynomial", lo: float, hi: float) -> float:
+    """int_lo^hi p, exactly up to rounding, from the antiderivative."""
+    antiderivative = p.integ()
+    return float(antiderivative(hi) - antiderivative(lo))
+
+
 def validate_kernel(kernel: PolyKernel) -> None:
-    """Check the kernel moment conditions by quadrature."""
-    total = integrate_piecewise(kernel, -1.0, 1.0)
+    """Check the kernel moment conditions."""
+    k = kernel.derivative(0)
+    total = _poly_integral(k, -1.0, 1.0)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"kernel must integrate to 1 on [-1,1]; got {total!r}")
-    for k in range(1, kernel.order):
-        mk = integrate_piecewise(lambda u, k=k: u**k * kernel(u), -1.0, 1.0, (0.0,))
+    for j in range(1, kernel.order):
+        mk = _poly_integral(k * k.basis(j), -1.0, 1.0)
         if abs(mk) > 1e-8:
-            raise ValueError(f"kernel moment of order {k} must vanish; got {mk!r}")
+            raise ValueError(f"kernel moment of order {j} must vanish; got {mk!r}")
 
 
 def density_lam_constant(s: int, M: float, kernel: PolyKernel) -> float:
     """The density-estimation constant C(s, M, K).
 
-    All kernel integrals are evaluated by quadrature (with splits at the
-    kinks of |u|^s and at the sign changes of the s-th derivative); the
-    polynomial derivatives are analytic.
+    Every kernel integral is exact polynomial algebra: |u|^s K is u^s K
+    times (-1)^s below 0, and int |K^(s)| sums |K^(s-1)(r') - K^(s-1)(r)|
+    between the real roots of K^(s) in (-1, 1) and the ends.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -517,12 +530,15 @@ def density_lam_constant(s: int, M: float, kernel: PolyKernel) -> float:
             "the kernel's s-th derivative vanishes at 0; C(s, M, K) is undefined")
     ks0 = abs(ks0)
 
-    k_sq = integrate_piecewise(lambda u: kernel(u) ** 2, -1.0, 1.0)
-    m_s = integrate_piecewise(lambda u: kernel(u) * abs(u) ** s,
-                              -1.0, 1.0, (0.0,)) / math.factorial(s - 1)
+    k = kernel.derivative(0)
+    k_sq = _poly_integral(k * k, -1.0, 1.0)
+    u_s_k = k * k.basis(s)
+    m_s = (_poly_integral(u_s_k, 0.0, 1.0) + (-1) ** s * _poly_integral(u_s_k, -1.0, 0.0)
+           ) / math.factorial(s - 1)
     roots = [float(r.real) for r in deriv.roots()
              if abs(r.imag) < 1e-12 and -1.0 < r.real < 1.0]
-    k_ds_abs = integrate_piecewise(lambda u: abs(float(deriv(u))), -1.0, 1.0, roots)
+    steps = kernel.derivative(s - 1)(np.array(cut_points(-1.0, 1.0, roots)))
+    k_ds_abs = float(np.abs(np.diff(steps)).sum())
 
     exponent = 2.0 * s / (2.0 * s + 1.0)
     prefactor = (8.0 * s**exponent / (4.0 + 8.0 * s)

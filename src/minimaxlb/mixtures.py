@@ -74,7 +74,7 @@ def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ..
     """Window covering q and q(. + h), with their finite support ends inside it as cuts."""
     lo0, hi0 = prior.window()
     lo, hi = min(lo0, lo0 - h), max(hi0, hi0 - h)
-    ends = [v for v in prior.support() if math.isfinite(v)]
+    ends = prior.kinks()
     return lo, hi, tuple(c for c in (*ends, *(e - h for e in ends)) if lo < c < hi)
 
 

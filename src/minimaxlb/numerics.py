@@ -49,9 +49,6 @@ class QuadratureSpec:
             raise ValueError("max_depth must be at least 10")
 
 
-DEFAULT_QUAD = QuadratureSpec()
-
-
 # coarse grid points per axis, and refinement steps, of the optimizers
 _COARSE_GRID = 64
 _REFINE_ITERS = 200
@@ -134,12 +131,15 @@ def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Adaptive Simpson integral of ``f`` over [a, b].
 
     Deterministic recursion with per-subinterval tolerance splitting; raises
     ToleranceNotMet (carrying the best estimate) if max_depth is exhausted.
+    No caller is left in the package, which integrates with integrate_panels;
+    the tests use it as an independent reference, and perfbench's tracer hooks
+    it by name.
     """
     a = _require_finite(a, "a")
     b = _require_finite(b, "b")
@@ -370,30 +370,16 @@ def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
     return sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
 
 
-def integrate_piecewise(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cuts: Sequence[float] = (),
-    min_panels: int = 1,
-) -> float:
-    """Adaptive Simpson on [lo, hi] split at the given kink locations.
-
-    min_panels > 1 additionally pre-splits the range uniformly so that
-    localized mass far from the interval midpoint cannot hide from the
-    initial Simpson stencil.
-    """
-    if hi <= lo:
-        return 0.0
-    all_cuts = list(cuts)
-    if min_panels > 1:
-        all_cuts.extend(np.linspace(lo, hi, min_panels + 1)[1:-1])
-    pts = cut_points(lo, hi, all_cuts)
-    return sum(integrate_adaptive(f, a, b) for a, b in zip(pts, pts[1:]))
-
-
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
-_FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL, _MAX_FLOOR = 4, 1024, 1e-12, 1e-3
+_FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
+MAX_RESOLUTION_FLOOR = 1e-3
+
+
+def resolution_floor(t: float, scale: float) -> float:
+    """The relative accuracy of a function of t varying on this scale, as t
+    rounds by 2^-52 |t|; one above MAX_RESOLUTION_FLOOR is not resolved."""
+    return 2.0**-50 * abs(t) / abs(scale)
+
 # The 16-point Gauss-Legendre rule on [-1, 1], equal to
 # numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
 # The rule is symmetric: these are its positive nodes and their weights.
@@ -425,16 +411,16 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
     all nodes as one array and returns a value per node, or rows of them (the
     result is then an array). P doubles from 4 until two estimates agree to
     1e-12 of sum |f| w (so zero and cancelling integrals end too); the finer
-    one is returned. An f that reads t + shift keeps only 2^-52 |t| / |shift|
-    of relative accuracy, so the tolerance is then at least 2^-50 max(|lo|,
-    |hi|) / |shift|. Raises ToleranceNotMet (with the last estimate) past 1024
-    panels per piece or that floor past 1e-3, and ValueError on a non-finite f.
+    one is returned. For an f that reads t + shift the tolerance is at least
+    resolution_floor(max(|lo|, |hi|), shift). Raises ToleranceNotMet (with the
+    last estimate) past 1024 panels per piece or that floor past
+    MAX_RESOLUTION_FLOOR, and ValueError on a non-finite f.
     """
     lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
     if not lo < hi:
         raise ValueError("integration bounds must satisfy lo < hi")
-    rel_tol = max(_PANEL_REL_TOL, 2.0**-50 * max(abs(lo), abs(hi)) / abs(shift))
-    if rel_tol > _MAX_FLOOR:
+    rel_tol = max(_PANEL_REL_TOL, resolution_floor(max(abs(lo), abs(hi)), shift))
+    if rel_tol > MAX_RESOLUTION_FLOOR:
         raise ToleranceNotMet(f"t + {shift!r} cannot resolve the shift on [{lo}, {hi}]", math.nan)
     ends = np.array(cut_points(lo, hi, cuts))
     panels, previous = _FIRST_PANELS, None

@@ -19,7 +19,8 @@ from typing import Tuple
 import numpy as np
 
 from .models import DivergenceValue
-from .numerics import find_root_bisect, float_or_array, math_for
+from .numerics import (MAX_RESOLUTION_FLOOR, find_root_bisect, float_or_array, math_for,
+                       resolution_floor)
 
 _PI = math.pi
 _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
@@ -41,6 +42,17 @@ def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None
     if not math.isfinite(unit_fisher / square):
         raise ValueError(f"{name}={x!r} is too small: the prior's Fisher information "
                          f"{unit_fisher:.6g}/{name}**2 overflows")
+
+
+def check_center(center: float, scale: float, name: str) -> None:
+    """The location rule of a prior: the center is finite, and floats near it
+    resolve the scale within integrate_panels' floor, |center|/scale <= 2^50 1e-3."""
+    if not math.isfinite(center):
+        raise ValueError(f"{name} must be finite, got {center!r}")
+    if resolution_floor(center, scale) > MAX_RESOLUTION_FLOOR:
+        raise ValueError(f"{name}={center!r} is too far from 0: floats near it cannot resolve "
+                         f"the prior's scale {scale!r} (|{name}|/scale must be at most "
+                         f"{MAX_RESOLUTION_FLOOR / resolution_floor(1.0, 1.0):.3g})")
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,10 @@ class Prior:
         """Finite interval carrying all but a negligible tail of the prior."""
         return self.support()
 
+    def kinks(self) -> list[float]:
+        """The finite support ends, where the density is not analytic."""
+        return [e for e in self.support() if math.isfinite(e)]
+
     def check_nice(self) -> NicenessReport:
         """The nice-prior conditions: absolutely continuous Lebesgue density,
         finite Fisher information, and density decaying to zero at the
@@ -81,9 +97,8 @@ class Cosine(Prior):
     halfwidth: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
         check_scale(self.halfwidth, "halfwidth", _PI * _PI)
+        check_center(self.center, self.halfwidth, "center")
 
     def density(self, t):
         u = (t - self.center) / self.halfwidth
@@ -109,9 +124,8 @@ class GaussianPrior(Prior):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
         check_scale(self.sigma, "sigma", 1.0)
+        check_center(self.mu, self.sigma, "mu")
 
     def density(self, t):
         z = (t - self.mu) / self.sigma
@@ -201,9 +215,8 @@ class KeplerCosine(Prior):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
         check_scale(self.scale, "scale", self.solution.min_fisher)
+        check_center(self.center, self.scale, "center")
 
     @staticmethod
     def for_constraint(a: float, center: float = 0.0, scale: float = 1.0) -> "KeplerCosine":
@@ -233,7 +246,7 @@ class KeplerCosine(Prior):
                             center + scale * self.center, scale * self.scale)
 
 
-def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
+def solve_kepler(a: float) -> KeplerSolution:
     """Invert y + sin(pi*y)/pi = 2a - 1 by bisection on [-1, 1].
 
     The map is strictly increasing with flat spots exactly at y = +-1, so
@@ -243,8 +256,6 @@ def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
     a = float(a)
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     m = 2.0 * a - 1.0
     if m == -1.0:
         y = -1.0
@@ -253,7 +264,7 @@ def solve_kepler(a: float, tol: float = 1e-13) -> KeplerSolution:
     elif m == 0.0:
         y = 0.0
     else:
-        y = find_root_bisect(lambda t: t + math.sin(_PI * t) / _PI - m, -1.0, 1.0, tol)
+        y = find_root_bisect(lambda t: t + math.sin(_PI * t) / _PI - m, -1.0, 1.0)
     w = 2.0 / (abs(y) + 1.0)
     if a > 0.5:
         s_plus, s_minus = 1.0, 1.0 - w

@@ -18,7 +18,7 @@ from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.numerics import maximize_1d, maximize_2d
-from minimaxlb.priors import Cosine, GaussianPrior, UniformPrior, solve_kepler
+from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior, solve_kepler
 from minimaxlb.sweep import SweepConfig, sweep_row_values
 
 GAUSS = GaussianLocation(1.0)
@@ -180,7 +180,10 @@ def test_van_trees_values():
     delta = 0.3
     got = van_trees_value(GAUSS, 5, Cosine(0.0, delta), Identity())
     assert got == pytest.approx(1.0 / (PI2 / delta**2 + 5.0), abs=1e-10)
-    with pytest.raises(ValueError):
+    # the family's information 1/sigma^2 enters n times
+    got = van_trees_value(GaussianLocation(2.0), 8, Cosine(0.0, 1.0), Identity())
+    assert got == pytest.approx(1.0 / (PI2 + 8.0 / 4.0), rel=1e-14)
+    with pytest.raises(ValueError, match="divergent Fisher information"):
         van_trees_value(UniformScale(), 1, Cosine(2.0, 0.5), Identity())
     with pytest.raises(ValueError):
         van_trees_value(GAUSS, 1, UniformPrior(0.0, 1.0), Identity())
@@ -194,6 +197,37 @@ def test_van_trees_powermax_numerator():
         0.0, 12.0, points=[0.0], limit=200)
     got = van_trees_value(GAUSS, 1, GaussianPrior(0.0, 1.0), PowerMax(alpha))
     assert got == pytest.approx(oracle * oracle / 2.0, rel=1e-7)
+    # each window below reaches below 0, so the singular weight t^(alpha-1) sits at
+    # the lower end, where QUADPACK's algebraic weight integrates it exactly
+    for prior in (GaussianPrior(1.0, 1.0), Cosine(0.5, 1.0), KeplerCosine.for_constraint(0.75)):
+        lo, hi = prior.window()
+        assert lo < 0.0 < hi
+        for alpha in (0.3, 0.77, 0.9, 0.99):
+            oracle, _ = integrate.quad(prior.density, 0.0, hi, weight="alg",
+                                       wvar=(alpha - 1.0, 0.0), epsabs=0.0, epsrel=1e-13,
+                                       limit=200)
+            assert PowerMax(alpha).slope_mass(prior) == pytest.approx(alpha * oracle, rel=1e-12)
+
+
+def test_powermax_slope_mass_far_from_zero():
+    # a window many widths above 0 keeps its digits: int a t^(a-1) q ~ a mu^(a-1)
+    for mu in (1e6, 1e10):
+        for alpha in (0.01, 0.5, 0.9):
+            got = PowerMax(alpha).slope_mass(GaussianPrior(mu, 1.0))
+            assert got == pytest.approx(alpha * mu ** (alpha - 1.0), rel=1e-11)
+
+
+def test_maxzero_slope_mass_is_the_prior_mass_above_zero():
+    assert MaxZero().slope_mass(GaussianPrior(0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
+    assert MaxZero().slope_mass(GaussianPrior(13.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert MaxZero().slope_mass(GaussianPrior(-13.0, 1.0)) == 0.0
+    # far from 0 the prior's window still resolves: the value is 1 / (1 + 1)
+    for mu in (1e6, 1e10, 1e12):
+        assert van_trees_value(GAUSS, 1, GaussianPrior(mu, 1.0), MaxZero()) == \
+            pytest.approx(0.5, rel=1e-14)
+    for prior in (GaussianPrior(1e8, 0.01), Cosine(1e9, 1.0),
+                  KeplerCosine.for_constraint(0.75, 1e6, 0.01)):
+        assert MaxZero().slope_mass(prior) == pytest.approx(1.0, abs=1e-14)
 
 
 def _vt_grid_oracle(delta, n, points=10001):
@@ -485,6 +519,21 @@ def test_density_constant_matches_trapezoid_oracle():
     oracle = _density_constant_trapezoid_oracle(1, 1.0, TILTED)
     assert got == pytest.approx(oracle, rel=1e-6, abs=1e-12)
     assert got >= 0.0
+
+
+# an order-2 kernel with vanishing second moment, so the bracket stays positive
+QUADRATIC_ORDER2 = PolyKernel(coeffs=(9.0 / 8.0, 0.0, -15.0 / 8.0), order=2)
+
+
+@pytest.mark.parametrize("M, previous", [(1.0, 0.36110923444810655),
+                                         (4.0, 0.6287276949204624)])
+def test_density_constant_positive_for_an_order_two_kernel(M, previous):
+    got = density_lam_constant(2, M, QUADRATIC_ORDER2)
+    assert got > 0.0
+    assert got == pytest.approx(_density_constant_trapezoid_oracle(2, M, QUADRATIC_ORDER2),
+                                rel=1e-6)
+    # the value of the adaptive quadrature that the exact polynomial integrals replaced
+    assert got == pytest.approx(previous, rel=1e-14)
 
 
 def test_density_constant_bracket_clamp():

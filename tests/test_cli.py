@@ -349,6 +349,24 @@ def test_bound_command_validation_exit(tmp_path):
      "n is too large: --n"),
     (["bound", "--method", "chi2", "--prior", "gaussian:0:1e100", "--h", "1e-8", "--lambda", "0"],
      3, "cannot resolve the shift"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:0:1"], 0, "value=0.125\n"),
+    (["bound", "--method", "vantrees", "--family", "uniform"], 2,
+     "divergent Fisher information"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e16:1"], 2,
+     "mu=1e+16 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e17:1"], 2,
+     "mu=1e+17 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:1e16:1"], 2,
+     "center=1e+16 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "kepler:0.75:1e16"], 2,
+     "center=1e+16 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e300:1"], 2,
+     "mu=1e+300 is too far from 0"),
+    (["bound", "--method", "chi2", "--prior", "gaussian:1e300:1", "--h", "0.1"], 2,
+     "mu=1e+300 is too far from 0"),
+    (["bound", "--method", "hellinger", "--prior", "gaussian:1e300:1"], 2,
+     "mu=1e+300 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e6:1"], 0, "value=0.5\n"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def test_prior_fisher_info_values():
     assert UniformPrior(0.0, 1.0).fisher_info().is_divergent
 
 
+def test_prior_center_must_resolve_its_scale():
+    # |center| / scale up to 2^50 * 1e-3, about 1.1e12, is accepted
+    assert GaussianPrior(1e12, 1.0).window() == (1e12 - 12.0, 1e12 + 12.0)
+    assert Cosine(-1e12, 1.0).support() == (-1e12 - 1.0, -1e12 + 1.0)
+    for make, name in ((lambda c: GaussianPrior(c, 1.0), "mu"),
+                       (lambda c: Cosine(c, 1.0), "center"),
+                       (lambda c: KeplerCosine.for_constraint(0.75, c), "center")):
+        for center in (2e12, -1e16):
+            with pytest.raises(ValueError, match=re.escape(f"{name}={center!r} is too far from 0")):
+                make(center)
+    assert GaussianPrior(1e16, 1e5).mu == 1e16  # the rule is relative to the scale
+
+
 def test_solve_kepler_half():
     sol = solve_kepler(0.5)
     assert sol.y_a == 0.0
@@ -61,7 +75,7 @@ def test_solve_kepler_one():
 
 
 def test_solve_kepler_three_quarters_vs_brentq():
-    sol = solve_kepler(0.75, tol=1e-13)
+    sol = solve_kepler(0.75)
     oracle = optimize.brentq(lambda y: y + math.sin(math.pi * y) / math.pi - 0.5,
                              -1.0, 1.0, xtol=1e-14)
     assert sol.y_a == pytest.approx(oracle, abs=1e-12)
