@@ -18,14 +18,13 @@ from .estimators import (Constant, PluginMLE, PreTest, local_minimax_risk,
 from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
                        mixture_hellinger_sq, prior_shift_hellinger_sq)
-from .models import (DivergenceValue, Family, GaussianLocation, UniformScale,
-                     chi_sq_iid, hellinger_local_ratio, hellinger_sq_iid)
+from .models import (Family, GaussianLocation, UniformScale, chi_sq_iid,
+                     hellinger_local_ratio, hellinger_sq_iid)
 from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
                        find_root_bisect, gaussian_partial_second_moment,
                        integrate_adaptive, integrate_panels, maximize_1d, maximize_2d,
                        normal_cdf, normal_pdf)
-from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution,
-                     NicenessReport, Prior, UniformPrior, prior_density,
-                     solve_kepler)
+from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution, Prior,
+                     UniformPrior, prior_density, solve_kepler)
 
 __version__ = "0.1.0"

@@ -129,12 +129,6 @@ class BoundResult:
         return BoundResult(n * self.value, self.argmax, self.method)
 
 
-def _require_nice(prior: Prior) -> None:
-    report = prior.check_nice()
-    if not report.is_nice:
-        raise ValueError("prior is not nice: " + "; ".join(report.reasons))
-
-
 def _check_delta_n(delta: float, n: int) -> None:
     check_scale(delta)
     check_n(n)
@@ -160,7 +154,7 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     recovers the van Trees value as h -> 0; B = int (psi(t)-psi(t-h))^2 dQ
     is the finite-shift penalty.
     """
-    _require_nice(prior)
+    prior.check_nice()
     h = float(h)
     if h == 0.0:
         raise ValueError("h must be nonzero")
@@ -211,7 +205,7 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
     the lambda-interpolated chi-squared denominator and B is the second
     shift moment; the value is zero when (1-lam)^2 A <= lam B. At lam = 0
     this reduces to A = |int dpsi dQ|^2 / chi^2(Mh||M0) (the mixture HCR
-    form), computed by the decomposition path for any n; a Divergent
+    form), computed by the decomposition path for any n; an infinite
     denominator yields the trivial bound 0. For 0 < lam < 1 the denominator
     has no tensorization identity and is evaluated on a 2-D grid at n = 1
     only (API restriction).
@@ -229,9 +223,9 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
         return 0.0
     if lam == 0.0:
         denom = mixture_chi_sq(MixtureSpec(family, n, prior, h))
-        if denom.is_divergent or denom.value <= 0.0:
+        if not 0.0 < denom < math.inf:
             return 0.0
-        return num * num / denom.value
+        return num * num / denom
     if n != 1:
         raise ValueError("lambda > 0 requires n = 1: the interpolated "
                          "chi-squared has no tensorization identity")
@@ -257,12 +251,12 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
     """
     check_n(n)
     info = family.fisher_info(prior.window()[1])
-    if info.is_divergent:
+    if info == math.inf:
         raise ValueError(f"van Trees value requires finite Fisher information "
                          f"({family.label} has divergent Fisher information)")
-    _require_nice(prior)
+    prior.check_nice()
     num = f.slope_mass(prior)
-    return num * num / (prior.fisher_info().value + n * info.value)
+    return num * num / (prior.fisher_info() + n * info)
 
 
 def _vt_kepler_ratio(delta: float, n: int, sup_fisher: float, a, min_fisher):

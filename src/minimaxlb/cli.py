@@ -332,7 +332,7 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
     n = int(args.n)
     method = args.method
     if method == "vt":
-        return bounds.vt_kepler_bound(args.delta, n, family.fisher_info(0.0).value), []
+        return bounds.vt_kepler_bound(args.delta, n, family.fisher_info(0.0)), []
     if method == "diffeo":
         if (args.xi1 is None) != (args.xi2 is None):
             raise ValueError("--xi1 and --xi2 must be given together")
@@ -348,7 +348,7 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2},
                                   "twopoint").scaled(n), []
     if not args.prior:  # the default prior cosine:0:delta
-        priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info().value)
+        priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info())
     prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
     if method == "hellinger":
         if args.h is None:
@@ -364,7 +364,7 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         value = bounds.chi2_mixture_bound(family, n, prior, functional, args.h, lam)
         # a divergent denominator can only have given a zero bound
         divergent = value == 0.0 and lam == 0.0 and mixtures.mixture_chi_sq(
-            mixtures.MixtureSpec(family, n, prior, args.h)).is_divergent
+            mixtures.MixtureSpec(family, n, prior, args.h)) == math.inf
         notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
         return bounds.BoundResult(value, {"h": args.h, "lambda": lam},
                                   "chi2-mixture").scaled(n), notes

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .models import DivergenceValue, Family, chi_sq_iid, hellinger_sq_iid
+from .models import Family, chi_sq_iid, hellinger_sq_iid
 from .numerics import check_n, integrate_panels
 from .priors import Prior, prior_density
 
@@ -125,25 +125,25 @@ def mixture_hellinger_sq(spec: MixtureSpec) -> float:
     return _hellinger_identity(spec.prior, spec.h, spec.family, spec.n)
 
 
-def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
+def mixture_chi_sq(spec: MixtureSpec) -> float:
     """Chi-squared divergence chi^2(Mh || M0) of the shifted joint mixtures.
 
     For a dominated shift (full-support priors) this is the decomposition
     chi^2(Q_h||Q) + int chi^2_n dQ_h^2/dQ, one integrand with no "- 1" to
-    cancel. Divergent when the shifted prior is not dominated (every
+    cancel. It is inf when the shifted prior is not dominated (every
     compact-support prior with h != 0) or when the per-observation
     chi-squared is infinite on a set of positive prior mass (uniform family
     with h > 0).
     """
     h = float(spec.h)
     if h == 0.0:
-        return DivergenceValue.finite(0.0)
+        return 0.0
     if not spec.family.shift_is_dominated(h):
-        return DivergenceValue.divergent()
+        return math.inf
     lo_s, hi_s = spec.prior.support()
     if math.isfinite(lo_s) or math.isfinite(hi_s):
         # a shifted interval is never contained in itself
-        return DivergenceValue.divergent()
+        return math.inf
     lo, hi = spec.prior.window()
     spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
 
@@ -162,9 +162,9 @@ def mixture_chi_sq(spec: MixtureSpec) -> DivergenceValue:
         return (qh - q0) ** 2 / den + qh * qh / den * per
 
     try:
-        return DivergenceValue.finite(integrate_panels(integrand, lo, hi, shift=h))
+        return integrate_panels(integrand, lo, hi, shift=h)
     except _DivergentSignal:
-        return DivergenceValue.divergent()
+        return math.inf
 
 
 class _DivergentSignal(Exception):

@@ -2,10 +2,11 @@
 information, and pairwise divergences, including n-fold IID tensorization.
 
 Two families are provided: Gaussian location with known sigma (regular), and
-the scale family Unif(0, theta) (irregular: Fisher information is undefined
+the scale family Unif(0, theta) (irregular: Fisher information is infinite
 and the squared Hellinger distance is locally linear, not quadratic, in the
 shift). Divergences use closed forms; the brute-force integral oracles live
-in the test suite only.
+in the test suite only. A divergence or Fisher information is a float (an
+ndarray for array parameters), math.inf where it diverges.
 """
 from __future__ import annotations
 
@@ -16,39 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .numerics import check_n, float_or_array, math_for, normal_pdf
-
-
-@dataclass(frozen=True)
-class DivergenceValue:
-    """A divergence that is either a finite non-negative number or infinite.
-
-    Divergent is a first-class variant (not a floating inf) so that bound
-    evaluators can branch explicitly; chi-squared bounds yield the trivial
-    value 0 on a Divergent denominator.
-    """
-
-    is_divergent: bool
-    _value: float = 0.0
-
-    @staticmethod
-    def finite(value: float) -> "DivergenceValue":
-        value = float(value)
-        if not math.isfinite(value) or value < 0:
-            raise ValueError(f"finite divergence must be >= 0, got {value!r}")
-        return DivergenceValue(False, value)
-
-    @staticmethod
-    def divergent() -> "DivergenceValue":
-        return DivergenceValue(True)
-
-    @property
-    def value(self) -> float:
-        if self.is_divergent:
-            raise ValueError("divergence is infinite; no finite value")
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Divergent" if self.is_divergent else f"Finite({self._value!r})"
+from .priors import check_scale
 
 
 class Family:
@@ -86,8 +55,7 @@ class GaussianLocation(Family):
     x_coverage = "8 sigma around the parameter range"
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be a positive finite number")
+        check_scale(self.sigma, "sigma", 1.0)
 
     def density(self, theta: float, x: float) -> float:
         """Model density dP_theta/dx at x."""
@@ -100,10 +68,10 @@ class GaussianLocation(Family):
         return (np.exp(-0.5 * ((xs[None, :] - thetas[:, None]) / s) ** 2)
                 / (s * math.sqrt(2.0 * math.pi)))
 
-    def fisher_info(self, theta: float) -> DivergenceValue:
+    def fisher_info(self, theta: float) -> float:
         """Per-observation Fisher information 1/sigma^2."""
         self.check_theta(theta)
-        return DivergenceValue.finite(1.0 / self.sigma**2)
+        return 1.0 / self.sigma**2
 
     def hellinger_sq(self, theta1: float, theta2: float) -> float:
         """Squared Hellinger distance 2 - 2 exp(-(theta1-theta2)^2 / (8 sigma^2))."""
@@ -112,14 +80,14 @@ class GaussianLocation(Family):
         d = (theta1 - theta2) / self.sigma
         return -2.0 * math_for(d).expm1(-d * d / 8.0)
 
-    def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
+    def chi_sq(self, theta_num: float, theta_den: float):
         """Chi-squared divergence exp((theta_num-theta_den)^2/sigma^2) - 1;
-        Divergent once it exceeds the float range."""
+        inf once it exceeds the float range."""
         theta_num = self.check_theta(theta_num, "theta_num")
         theta_den = self.check_theta(theta_den, "theta_den")
         d = (theta_num - theta_den) / self.sigma
         with np.errstate(over="ignore"):  # effectively infinite, as in chi_sq_iid
-            return _divergence(np.expm1(d * d))
+            return float_or_array(np.expm1(d * d))
 
     def shift_is_dominated(self, h: float) -> bool:
         """Every P_{t+h} is dominated by P_t."""
@@ -156,9 +124,9 @@ class UniformScale(Family):
         t, x = thetas[:, None], xs[None, :]
         return np.where((x >= 0.0) & (x <= t), 1.0 / t, 0.0)
 
-    def fisher_info(self, theta: float) -> DivergenceValue:
+    def fisher_info(self, theta: float) -> float:
         self.check_theta(theta)
-        return DivergenceValue.divergent()
+        return math.inf
 
     def hellinger_sq(self, theta1: float, theta2: float) -> float:
         """Squared Hellinger distance 2 (1 - (1 + h/theta_min)^(-1/2)), h = |theta1 - theta2|."""
@@ -168,12 +136,12 @@ class UniformScale(Family):
         # 2 (1 - sqrt(r)) written without cancellation for r near 1
         return float_or_array(2.0 * (1.0 - r) / (1.0 + np.sqrt(r)))
 
-    def chi_sq(self, theta_num: float, theta_den: float) -> DivergenceValue:
-        """theta_den/theta_num - 1; Divergent when theta_num > theta_den
+    def chi_sq(self, theta_num: float, theta_den: float):
+        """theta_den/theta_num - 1; inf when theta_num > theta_den
         (the numerator law is not dominated)."""
         theta_num = self.check_theta(theta_num, "theta_num")
         theta_den = self.check_theta(theta_den, "theta_den")
-        return _divergence(np.where(theta_num > theta_den, np.inf, theta_den / theta_num - 1.0))
+        return float_or_array(np.where(theta_num > theta_den, np.inf, theta_den / theta_num - 1.0))
 
     def shift_is_dominated(self, h: float) -> bool:
         """Unif(0, t+h) is dominated by Unif(0, t) only for h <= 0."""
@@ -182,13 +150,6 @@ class UniformScale(Family):
     def x_range(self, t_lo: float, t_hi: float, h: float) -> Tuple[float, float]:
         """x-interval of the oracle grid: the whole support [0, t_hi + |h|]."""
         return 0.0, t_hi + abs(h)
-
-
-def _divergence(values):
-    """A scalar divergence as a DivergenceValue; an array as is. inf is Divergent."""
-    if np.ndim(values):
-        return values
-    return DivergenceValue.divergent() if values == math.inf else DivergenceValue.finite(values)
 
 
 def hellinger_sq_iid(family: Family, theta1, theta2, n: int):
@@ -205,16 +166,14 @@ def hellinger_sq_iid(family: Family, theta1, theta2, n: int):
 
 
 def chi_sq_iid(family: Family, theta_num, theta_den, n: int):
-    """n-fold tensorization (1 + chi^2)^n - 1; Divergent (inf in an array) propagates."""
+    """n-fold tensorization (1 + chi^2)^n - 1; inf propagates."""
     check_n(n)
     per_obs = family.chi_sq(theta_num, theta_den)
     if n == 1:
         return per_obs
-    if isinstance(per_obs, DivergenceValue):
-        per_obs = math.inf if per_obs.is_divergent else per_obs.value
     log_term = n * np.log1p(per_obs)
     with np.errstate(over="ignore"):  # past 700 exp would overflow: effectively infinite
-        return _divergence(np.where(log_term > 700.0, np.inf, np.expm1(log_term)))
+        return float_or_array(np.where(log_term > 700.0, np.inf, np.expm1(log_term)))
 
 
 def hellinger_local_ratio(family: Family, theta: float, h: float) -> float:

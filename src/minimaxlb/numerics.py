@@ -253,41 +253,38 @@ def _golden_max(
     return best_x, best_v
 
 
-def coarse_axis(lo: float, hi: float, count: int = _COARSE_GRID) -> np.ndarray:
+def coarse_axis(lo: float, hi: float) -> np.ndarray:
     """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
     maximize_2d scans the product of the box's two axes."""
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, _COARSE_GRID)
 
 
 def maximize_1d(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    coarse_grid: int = _COARSE_GRID,
     coarse: Optional[np.ndarray] = None,
 ) -> Tuple[float, float]:
     """Coarse grid scan plus golden-section refinement around the best cell.
 
     Returns (argmax, max) of the best point found; the result is never below
     the best coarse-grid value. Deterministic. ``coarse``, when given, holds
-    f's values on ``coarse_axis(lo, hi, coarse_grid)`` and replaces the
-    scan's calls to f; the first maximum wins either way.
+    f's values on ``coarse_axis(lo, hi)`` and replaces the scan's calls to f;
+    the first maximum wins either way.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
     if not lo < hi:
         raise ValueError("maximize_1d requires lo < hi")
-    if coarse_grid < 3:
-        raise ValueError("coarse_grid must be at least 3")
-    xs = coarse_axis(lo, hi, coarse_grid)
+    xs = coarse_axis(lo, hi)
     if coarse is None:
         vals = [float(f(x)) for x in xs]
     else:
         vals = _coarse_values(coarse, xs.shape).tolist()
-    i = max(range(coarse_grid), key=lambda k: vals[k])
+    i = max(range(_COARSE_GRID), key=lambda k: vals[k])
     best_x, best_v = float(xs[i]), vals[i]
     bl = float(xs[max(i - 1, 0)])
-    br = float(xs[min(i + 1, coarse_grid - 1)])
+    br = float(xs[min(i + 1, _COARSE_GRID - 1)])
     if br > bl:
         gx, gv = _golden_max(f, bl, br, _REFINE_ITERS)
         if gv >= best_v:

@@ -18,7 +18,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .models import DivergenceValue
 from .numerics import (MAX_RESOLUTION_FLOOR, find_root_bisect, float_or_array, math_for,
                        resolution_floor)
 
@@ -27,10 +26,10 @@ _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
 
 
 def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None:
-    """The scale rule for delta, sigma and a prior's scale: x is positive and
-    finite, x**2 neither overflows nor underflows to 0, and the Fisher
-    information unit_fisher / x**2 of a prior with scale x and information
-    unit_fisher at scale 1 does not overflow."""
+    """The scale rule for delta, a family's sigma and a prior's scale: x is
+    positive and finite, x**2 neither overflows nor underflows to 0, and the
+    Fisher information unit_fisher / x**2 at scale x, for information
+    unit_fisher at scale 1, does not overflow."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"{name} must be positive and finite")
     try:
@@ -55,14 +54,6 @@ def check_center(center: float, scale: float, name: str) -> None:
                          f"{MAX_RESOLUTION_FLOOR / resolution_floor(1.0, 1.0):.3g})")
 
 
-@dataclass(frozen=True)
-class NicenessReport:
-    """Which of the nice-prior conditions hold; is_nice iff reasons is empty."""
-
-    is_nice: bool
-    reasons: Tuple[str, ...]
-
-
 class Prior:
     """A prior density on the real line.
 
@@ -82,11 +73,10 @@ class Prior:
         """The finite support ends, where the density is not analytic."""
         return [e for e in self.support() if math.isfinite(e)]
 
-    def check_nice(self) -> NicenessReport:
-        """The nice-prior conditions: absolutely continuous Lebesgue density,
-        finite Fisher information, and density decaying to zero at the
-        boundary of its support."""
-        return NicenessReport(is_nice=True, reasons=())
+    def check_nice(self) -> None:
+        """Raise ValueError unless the nice-prior conditions hold: absolutely
+        continuous Lebesgue density, finite Fisher information, and density
+        decaying to zero at the boundary of its support."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +98,8 @@ class Cosine(Prior):
     def support(self) -> Tuple[float, float]:
         return self.center - self.halfwidth, self.center + self.halfwidth
 
-    def fisher_info(self) -> DivergenceValue:
-        return DivergenceValue.finite(_PI * _PI / self.halfwidth**2)
+    def fisher_info(self) -> float:
+        return _PI * _PI / self.halfwidth**2
 
     def dispersion(self) -> float:
         return self.halfwidth
@@ -138,8 +128,8 @@ class GaussianPrior(Prior):
         return (self.mu - _TAIL_SIGMAS * self.sigma,
                 self.mu + _TAIL_SIGMAS * self.sigma)
 
-    def fisher_info(self) -> DivergenceValue:
-        return DivergenceValue.finite(1.0 / self.sigma**2)
+    def fisher_info(self) -> float:
+        return 1.0 / self.sigma**2
 
     def dispersion(self) -> float:
         return self.sigma
@@ -168,10 +158,10 @@ class UniformPrior(Prior):
     def support(self) -> Tuple[float, float]:
         return self.lo, self.hi
 
-    def fisher_info(self) -> DivergenceValue:
-        """Divergent: the flat density is not absolutely continuous with a
+    def fisher_info(self) -> float:
+        """inf: the flat density is not absolutely continuous with a
         decaying boundary."""
-        return DivergenceValue.divergent()
+        return math.inf
 
     def dispersion(self) -> float:
         return 0.5 * (self.hi - self.lo)
@@ -179,11 +169,10 @@ class UniformPrior(Prior):
     def dilate(self, center: float, scale: float) -> "UniformPrior":
         return UniformPrior(center + scale * self.lo, center + scale * self.hi)
 
-    def check_nice(self) -> NicenessReport:
-        return NicenessReport(is_nice=False, reasons=(
-            "density does not decay to zero at the support boundary",
-            "Fisher information is not finite (density not "
-            "absolutely continuous with vanishing boundary)"))
+    def check_nice(self) -> None:
+        raise ValueError("prior is not nice: density does not decay to zero at the support "
+                         "boundary; Fisher information is not finite (density not "
+                         "absolutely continuous with vanishing boundary)")
 
 
 @dataclass(frozen=True)
@@ -234,9 +223,9 @@ class KeplerCosine(Prior):
         return (self.center + self.scale * sol.s_minus,
                 self.center + self.scale * sol.s_plus)
 
-    def fisher_info(self) -> DivergenceValue:
+    def fisher_info(self) -> float:
         """The constrained minimum 4 pi^2 / w_a^2, times scale^-2."""
-        return DivergenceValue.finite(self.solution.min_fisher / self.scale**2)
+        return self.solution.min_fisher / self.scale**2
 
     def dispersion(self) -> float:
         return self.scale

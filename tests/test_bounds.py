@@ -111,8 +111,8 @@ def test_chi2_bound_lambda_zero_is_mixture_hcr():
     got = chi2_mixture_bound(GAUSS, 1, prior, Identity(), h, 0.0)
     num, _ = bounds.delta_psi_moments(prior, Identity(), h)
     denom = mixture_chi_sq(MixtureSpec(GAUSS, 1, prior, h))
-    assert got == num * num / denom.value
-    assert got == pytest.approx(h * h / denom.value, rel=1e-7)
+    assert got == num * num / denom
+    assert got == pytest.approx(h * h / denom, rel=1e-7)
 
 
 def _gaussian_phi(x):

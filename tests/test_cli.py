@@ -367,6 +367,14 @@ def test_bound_command_validation_exit(tmp_path):
     (["bound", "--method", "hellinger", "--prior", "gaussian:1e300:1"], 2,
      "mu=1e+300 is too far from 0"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:1e6:1"], 0, "value=0.5\n"),
+    (["bound", "--method", "vt", "--sigma", "1e300"], 2,
+     "sigma=1e+300 is too large: sigma**2 overflows"),
+    (["bound", "--method", "vt", "--sigma", "1e-300"], 2,
+     "sigma=1e-300 is too small: sigma**2 underflows to 0"),
+    (["bound", "--method", "vantrees", "--sigma", "1e-300", "--n", "100"], 2,
+     "sigma=1e-300 is too small: sigma**2 underflows to 0"),
+    (["bound", "--method", "twopoint", "--sigma", "1e-160", "--theta1", "0", "--theta2", "0.5"],
+     2, "sigma=1e-160 is too small: the prior's Fisher information 1/sigma**2 overflows"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -1,0 +1,107 @@
+"""The CLI contract on argvs built from the parser's own tables, with extreme
+and malformed values: every run exits 0, 2 or 3 without a traceback, and a
+repeat prints the same bytes."""
+import contextlib
+import io
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minimaxlb.cli import (_BOUND_DEFAULTS, _BOUND_READS, _FAMILIES, _FUNCTIONALS,
+                           _PRIOR_FORMS, main)
+from minimaxlb.sweep import RISKS, SWEEP_METHODS
+
+EXTREMES = st.sampled_from(["0", "inf", "-inf", "nan", "1e300", "1e-300", "-1e300", "1e-160"])
+NUMBERS = st.one_of(EXTREMES, st.sampled_from(["1", "0.5", "0.1", "2", "-1", "1e16", "x"]),
+                    st.floats(0.01, 10.0).map(repr), st.floats(-1e3, 1e3).map(repr))
+SCALES = st.one_of(EXTREMES, st.floats(0.01, 10.0).map(repr))  # delta, sigma: positive
+UNITS = st.one_of(EXTREMES, st.floats(0.0, 1.0).map(repr))      # alpha, lambda: in [0, 1]
+SIZES = st.one_of(
+    st.sampled_from(["0", "-5", "1", "10", "1000000", "1.5",
+                     str(2 * int(sys.float_info.max))]),  # above the float range
+    st.integers(1, 1000).map(str))
+PRIORS = st.one_of(
+    st.builds(lambda kind, fields: ":".join([kind, *fields]),
+              st.sampled_from(sorted(_PRIOR_FORMS)), st.lists(NUMBERS, max_size=4)),
+    st.sampled_from(["", "spike:0", "cosine:x", "kepler:", "::", "gaussian:0:1:"]))
+N_LISTS = st.one_of(SIZES, st.lists(st.integers(1, 1000), min_size=2, max_size=2, unique=True)
+                    .map(lambda ns: ",".join(str(n) for n in sorted(ns))))
+GRIDS = st.one_of(
+    SCALES,
+    st.lists(st.floats(0.01, 100.0), min_size=2, max_size=3, unique=True)
+    .map(lambda ds: ",".join(repr(d) for d in sorted(ds))),
+    st.builds(lambda lo, hi, count: f"log:{lo}:{hi}:{count}",
+              SCALES, SCALES, st.sampled_from(["1", "2", "3", "x"])),
+    st.sampled_from(["log:0.1:10:3", "log:1:2", "1,,2", ""]))
+# bound option -> its values; the others take NUMBERS
+BOUND_VALUES = {"family": st.sampled_from(sorted(_FAMILIES)), "prior": PRIORS, "n": SIZES,
+                "sigma": SCALES, "delta": SCALES, "xi2": SCALES, "alpha": UNITS, "lam": UNITS}
+BOUND_NEEDS = {"twopoint": ("theta1", "theta2"), "chi2": ("h",)}
+
+
+def _option(dest: str, value: str) -> str:
+    return f"--{'lambda' if dest == 'lam' else dest}={value}"
+
+
+@st.composite
+def bound_argv(draw, method):
+    # each option the method reads with odds 1/2, now and then one it rejects
+    dests = {d for d in _BOUND_READS[method] + ("n",) if draw(st.booleans())}
+    dests.update(BOUND_NEEDS.get(method, ()))
+    if draw(st.integers(0, 7)) == 0:
+        dests.add(draw(st.sampled_from(sorted(_BOUND_DEFAULTS))))
+    functional = draw(st.sampled_from(sorted(_FUNCTIONALS)))
+    if "alpha" in dests and "functional" in _BOUND_READS[method]:
+        functional = "powermax"  # the one functional that reads alpha
+        dests.add("functional")
+    if "functional" in dests and functional == "powermax":
+        dests.add("alpha")
+    values = dict(BOUND_VALUES, functional=st.just(functional))
+    return ["bound", f"--method={method}"] + [
+        _option(d, draw(values.get(d, NUMBERS))) for d in sorted(dests)]
+
+
+@st.composite
+def risk_argv(draw):
+    argv = ["risk", f"--estimator={draw(st.sampled_from(sorted(RISKS)))}",
+            f"--delta={draw(NUMBERS)}", f"--n={draw(SIZES)}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--threshold={draw(NUMBERS)}")
+    return argv
+
+
+@st.composite
+def sweep_argv(draw):
+    methods = draw(st.lists(st.sampled_from(SWEEP_METHODS), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        methods.append("bogus")
+    argv = ["sweep", f"--n={draw(N_LISTS)}", f"--delta={draw(GRIDS)}",
+            f"--methods={','.join(methods)}"]
+    options = (("--sigma", SCALES), ("--threshold", SCALES),
+               ("--mode", st.sampled_from(["delta", "n"])),
+               ("--estimators", st.sampled_from(sorted(RISKS))))
+    for flag, values in options:
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# one form per bound method, so bound's many options get most of the examples
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(argv=st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(), sweep_argv()))
+def test_cli_exits_0_2_or_3_without_traceback(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    assert _run(argv)[:2] == (code, out)

@@ -141,8 +141,8 @@ def test_maximize_1d_coarse_values_match_the_scan():
     assert maximize_1d(_tie_on_edges_1d, -1.0, 1.0, coarse=coarse) == scanned
     assert scanned == (-1.0, 0.0)
     f = lambda t: math.sin(17.0 * t) + 0.3 * math.sin(51.0 * t)
-    coarse = np.array([f(x) for x in coarse_axis(0.0, 3.0, 101)])
-    assert maximize_1d(f, 0.0, 3.0, 101, coarse=coarse) == maximize_1d(f, 0.0, 3.0, 101)
+    coarse = np.array([f(x) for x in coarse_axis(0.0, 3.0)])
+    assert maximize_1d(f, 0.0, 3.0, coarse=coarse) == maximize_1d(f, 0.0, 3.0)
 
 
 def test_maximize_2d_coarse_values_match_the_scan():
