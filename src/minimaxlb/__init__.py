@@ -17,9 +17,8 @@ from .estimators import (Constant, PluginMLE, PreTest, local_minimax_risk,
                          plugin_risk_at, pretest_risk_at)
 from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
-                       mixture_hellinger_sq, prior_shift_hellinger_sq)
-from .models import (Family, GaussianLocation, UniformScale, chi_sq_iid,
-                     hellinger_local_ratio, hellinger_sq_iid)
+                       mixture_hellinger_sq)
+from .models import Family, GaussianLocation, UniformScale, chi_sq_iid, hellinger_sq_iid
 from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
                        find_root_bisect, gaussian_partial_second_moment,
                        integrate_adaptive, integrate_panels, maximize_1d, maximize_2d,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -81,48 +81,34 @@ def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ..
 _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
-def _hellinger_identity(prior: Prior, h: float, family: Optional[Family], n: int) -> float:
-    """int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
-    one quadrature over the shift window; without a family, H^2(Q_h, Q).
+def mixture_hellinger_sq(spec: MixtureSpec) -> float:
+    """Squared Hellinger distance between the shifted joint mixtures,
 
-    The squared-difference form avoids the catastrophic cancellation of
-    2 - 2 int sqrt(q_h q) when the shift is small.
+        int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
+
+    one quadrature over the shift window with the n-fold family divergence in
+    closed form; always finite, in [0, 2]. The squared-difference form avoids
+    the catastrophic cancellation of 2 - 2 int sqrt(q_h q) when the shift is small.
     """
-    h = float(h)
+    prior, family, h = spec.prior, spec.family, float(spec.h)
     if h == 0.0:
         return 0.0
     lo0, hi0 = prior.window()
     if abs(h) >= hi0 - lo0:  # disjoint supports
         return 2.0
-    if family is not None:
-        # the family term reads t and t + h at or above the window only
-        family.check_theta(lo0, _PRIOR_PARAMETERS)
+    # the family term reads t and t + h at or above the window only
+    family.check_theta(lo0, _PRIOR_PARAMETERS)
     lo, hi, cuts = _union_region(prior, h)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         qh, q = prior_density(prior, t + h), prior_density(prior, t)
         total = (np.sqrt(qh) - np.sqrt(q)) ** 2
-        if family is not None:
-            read = (qh * q > 0.0) & (np.minimum(t, t + h) >= lo0)
-            total[read] += np.sqrt(qh[read] * q[read]) * hellinger_sq_iid(
-                family, t[read] + h, t[read], n)
+        read = (qh * q > 0.0) & (np.minimum(t, t + h) >= lo0)
+        total[read] += np.sqrt(qh[read] * q[read]) * hellinger_sq_iid(
+            family, t[read] + h, t[read], spec.n)
         return total
 
     return min(max(integrate_panels(integrand, lo, hi, cuts, shift=h), 0.0), 2.0)
-
-
-def prior_shift_hellinger_sq(prior: Prior, h: float) -> float:
-    """H^2(Q_h, Q) = int (sqrt(q(t+h)) - sqrt(q(t)))^2 dt by quadrature."""
-    return _hellinger_identity(prior, h, None, 1)
-
-
-def mixture_hellinger_sq(spec: MixtureSpec) -> float:
-    """Squared Hellinger distance between the shifted joint mixtures.
-
-    Uses the decomposition identity with the n-fold family divergence in
-    closed form inside the prior quadrature; always finite, in [0, 2].
-    """
-    return _hellinger_identity(spec.prior, spec.h, spec.family, spec.n)
 
 
 def mixture_chi_sq(spec: MixtureSpec) -> float:
@@ -200,9 +186,9 @@ def _joint_density_grids(family: Family, prior: Prior, h: float,
                       CoverageWarning, stacklevel=3)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    g0 = family.density_grid(ts, xs)
+    g0 = family.density(ts[:, None], xs[None, :])
     g0 *= prior_density(prior, ts)[:, None]
-    gh = family.density_grid(ts + h, xs)
+    gh = family.density((ts + h)[:, None], xs[None, :])
     gh *= prior_density(prior, ts + h)[:, None]
     return g0, gh
 

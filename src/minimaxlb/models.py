@@ -16,15 +16,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import check_n, float_or_array, math_for, normal_pdf
+from .numerics import check_n, float_or_array, math_for
 from .priors import check_scale
 
 
 class Family:
     """A one-parameter family P_theta with closed-form divergences.
 
-    Each family type defines ``density(theta, x)``, ``density_grid(thetas,
-    xs)``, ``fisher_info(theta)``, ``hellinger_sq(theta1, theta2)``,
+    Each family type defines ``density(theta, x)`` (theta and x broadcast),
+    ``fisher_info(theta)``, ``hellinger_sq(theta1, theta2)``,
     ``chi_sq(theta_num, theta_den)``, ``shift_is_dominated(h)``, and the
     oracle grid's ``x_range(t_lo, t_hi, h)`` with its ``x_coverage`` text.
     Parameters, floats or ndarrays, must be finite and above ``theta_min``.
@@ -46,6 +46,11 @@ class Family:
                              f"got {np.min(theta)}")
         return theta
 
+    def check_x(self, x):
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        return x
+
 
 @dataclass(frozen=True)
 class GaussianLocation(Family):
@@ -57,16 +62,15 @@ class GaussianLocation(Family):
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
 
-    def density(self, theta: float, x: float) -> float:
+    def density(self, theta, x):
         """Model density dP_theta/dx at x."""
-        theta = self.check_theta(theta)
-        return normal_pdf((float(x) - theta) / self.sigma) / self.sigma
-
-    def density_grid(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Matrix p_theta(x) with shape (len(thetas), len(xs))."""
-        s = self.sigma
-        return (np.exp(-0.5 * ((xs[None, :] - thetas[:, None]) / s) ** 2)
-                / (s * math.sqrt(2.0 * math.pi)))
+        theta, x = self.check_theta(theta), self.check_x(x)
+        # in place: a freed temporary as large as the oracle grid would leave a
+        # hole that small allocations split, so the next grid grows the heap
+        p = np.asarray(-0.5 * ((x - theta) / self.sigma) ** 2)
+        np.exp(p, out=p)
+        p /= self.sigma * math.sqrt(2.0 * math.pi)
+        return float_or_array(p)
 
     def fisher_info(self, theta: float) -> float:
         """Per-observation Fisher information 1/sigma^2."""
@@ -111,18 +115,10 @@ class UniformScale(Family):
     label = "Uniform scale family"
     x_coverage = "the full uniform support"
 
-    def density(self, theta: float, x: float) -> float:
+    def density(self, theta, x):
         """Model density 1/theta on [0, theta]; zero outside."""
-        theta = self.check_theta(theta)
-        x = float(x)
-        return 1.0 / theta if 0.0 <= x <= theta else 0.0
-
-    def density_grid(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Matrix p_theta(x) with shape (len(thetas), len(xs))."""
-        if np.any(thetas <= 0):
-            raise ValueError("uniform family requires positive parameters on the grid")
-        t, x = thetas[:, None], xs[None, :]
-        return np.where((x >= 0.0) & (x <= t), 1.0 / t, 0.0)
+        theta, x = self.check_theta(theta), self.check_x(x)
+        return float_or_array(np.where((x >= 0.0) & (x <= theta), 1.0 / theta, 0.0))
 
     def fisher_info(self, theta: float) -> float:
         self.check_theta(theta)
@@ -174,16 +170,3 @@ def chi_sq_iid(family: Family, theta_num, theta_den, n: int):
     log_term = n * np.log1p(per_obs)
     with np.errstate(over="ignore"):  # past 700 exp would overflow: effectively infinite
         return float_or_array(np.where(log_term > 700.0, np.inf, np.expm1(log_term)))
-
-
-def hellinger_local_ratio(family: Family, theta: float, h: float) -> float:
-    """Raw local ratio H^2(theta, theta + h) / h^2.
-
-    Approaches I(theta)/4 as h -> 0 for the Gaussian family; grows without
-    bound like 1/(2 theta h) for the uniform family, exhibiting the
-    non-quadratic (alpha = 1) local behavior of the irregular model.
-    """
-    h = float(h)
-    if h == 0.0:
-        raise ValueError("h must be nonzero")
-    return family.hellinger_sq(theta, theta + h) / (h * h)

@@ -39,7 +39,7 @@ def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None
     if square == 0.0:
         raise ValueError(f"{name}={x!r} is too small: {name}**2 underflows to 0")
     if not math.isfinite(unit_fisher / square):
-        raise ValueError(f"{name}={x!r} is too small: the prior's Fisher information "
+        raise ValueError(f"{name}={x!r} is too small: the Fisher information "
                          f"{unit_fisher:.6g}/{name}**2 overflows")
 
 
@@ -194,45 +194,19 @@ class KeplerSolution:
     min_fisher: float
 
 
-@dataclass(frozen=True)
-class KeplerCosine(Prior):
-    """Location-scale dilation of the constrained-minimizer cosine prior."""
-
-    a: float
-    solution: KeplerSolution
-    center: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        check_scale(self.scale, "scale", self.solution.min_fisher)
-        check_center(self.center, self.scale, "center")
+class KeplerCosine(Cosine):
+    """The constrained-minimizer cosine prior: the cos^2 bump on the Kepler
+    support [s_minus, s_plus] of a mass constraint, moved and scaled."""
 
     @staticmethod
     def for_constraint(a: float, center: float = 0.0, scale: float = 1.0) -> "KeplerCosine":
-        return KeplerCosine(a, solve_kepler(a), center, scale)
-
-    def density(self, t):
-        sol = self.solution
-        u = (t - self.center) / self.scale
-        val = np.cos(_PI * (u - 0.5 * (sol.s_plus + sol.s_minus)) / sol.w_a)
-        inside = (sol.s_minus <= u) & (u <= sol.s_plus)
-        return float_or_array(np.where(inside, (2.0 / sol.w_a) * val * val / self.scale, 0.0))
-
-    def support(self) -> Tuple[float, float]:
-        sol = self.solution
-        return (self.center + self.scale * sol.s_minus,
-                self.center + self.scale * sol.s_plus)
-
-    def fisher_info(self) -> float:
-        """The constrained minimum 4 pi^2 / w_a^2, times scale^-2."""
-        return self.solution.min_fisher / self.scale**2
-
-    def dispersion(self) -> float:
-        return self.scale
-
-    def dilate(self, center: float, scale: float) -> "KeplerCosine":
-        return KeplerCosine(self.a, self.solution,
-                            center + scale * self.center, scale * self.scale)
+        """The prior on center + scale [s_minus, s_plus] putting mass a above center,
+        with Fisher information solve_kepler(a).min_fisher / scale^2."""
+        sol = solve_kepler(a)
+        check_scale(scale, "scale", sol.min_fisher)
+        check_center(center, scale, "center")
+        return KeplerCosine(center + scale * 0.5 * (sol.s_minus + sol.s_plus),
+                            scale * 0.5 * sol.w_a)
 
 
 def solve_kepler(a: float) -> KeplerSolution:

@@ -46,6 +46,7 @@ class SweepConfig:
         if any(b <= a for a, b in zip(self.delta_values, self.delta_values[1:])):
             raise ValueError("delta grid must be strictly increasing")
         bounds.check_scale(self.sigma, "sigma")
+        estimators.PreTest(self.threshold)  # PreTest's threshold rule, before any row
         for m in self.methods:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}")

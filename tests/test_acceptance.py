@@ -103,7 +103,7 @@ def test_criterion_7_local_quadratic_hellinger():
         family = models.GaussianLocation(sigma)
         target = family.fisher_info(0.0) / 4.0
         for h in (1e-2, 1e-3, 1e-4):
-            gap = abs(models.hellinger_local_ratio(family, 0.0, h) - target)
+            gap = abs(family.hellinger_sq(0.0, h) / (h * h) - target)
             worst = max(worst, gap / h)
             ok = ok and gap <= 10.0 * h
     _report("7 local quadratic Hellinger", ok, f"max gap/h {worst:.2f} (limit 10)")

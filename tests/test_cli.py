@@ -20,7 +20,11 @@ def test_parse_prior():
     assert parse_prior("gaussian:1:2") == GaussianPrior(1.0, 2.0)
     assert parse_prior("uniform:-1:1") == UniformPrior(-1.0, 1.0)
     kc = parse_prior("kepler:0.75")
-    assert isinstance(kc, KeplerCosine) and kc.a == 0.75
+    assert isinstance(kc, KeplerCosine)
+    # mass 0.75 above the center 0, by the cos^2 CDF (u + 1)/2 + sin(pi u)/(2 pi)
+    u = (0.0 - kc.center) / kc.halfwidth
+    assert 1.0 - ((u + 1.0) / 2.0 + math.sin(math.pi * u) / (2.0 * math.pi)) == \
+        pytest.approx(0.75, abs=1e-13)
     with pytest.raises(ValueError):
         parse_prior("spike:0")
 
@@ -166,6 +170,8 @@ def test_sweep_config_validation():
         SweepConfig("sideways", (10,), (1.0,))
     with pytest.raises(ValueError):
         SweepConfig("fixed-n-vary-delta", (10,), (1.0,), methods=("fano",))
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        SweepConfig("fixed-n-vary-delta", (10,), (1.0,), threshold=-1e300)
 
 
 def test_sweep_rows_in_grid_order():
@@ -330,13 +336,13 @@ def test_bound_command_validation_exit(tmp_path):
     (["bound", "--method", "hellinger", "--delta", "nan", "--h", "0.1"], 2,
      "--delta must be positive and finite"),
     (["bound", "--method", "vantrees", "--delta", "1e-160", "--n", "10"], 2,
-     "--delta=1e-160 is too small: the prior's Fisher information"),
+     "--delta=1e-160 is too small: the Fisher information"),
     (["bound", "--method", "vantrees", "--prior", "cosine:0:1e-160"], 2,
-     "halfwidth=1e-160 is too small: the prior's Fisher information"),
+     "halfwidth=1e-160 is too small: the Fisher information"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1e-160"], 2,
-     "sigma=1e-160 is too small: the prior's Fisher information"),
+     "sigma=1e-160 is too small: the Fisher information"),
     (["bound", "--method", "vantrees", "--prior", "kepler:0.75:0:1e-160"], 2,
-     "scale=1e-160 is too small: the prior's Fisher information"),
+     "scale=1e-160 is too small: the Fisher information"),
     (["bound", "--method", "vantrees", "--prior", "cosine:0:1e-170"], 2,
      "halfwidth=1e-170 is too small: halfwidth**2 underflows to 0"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1e200"], 2,
@@ -374,7 +380,9 @@ def test_bound_command_validation_exit(tmp_path):
     (["bound", "--method", "vantrees", "--sigma", "1e-300", "--n", "100"], 2,
      "sigma=1e-300 is too small: sigma**2 underflows to 0"),
     (["bound", "--method", "twopoint", "--sigma", "1e-160", "--theta1", "0", "--theta2", "0.5"],
-     2, "sigma=1e-160 is too small: the prior's Fisher information 1/sigma**2 overflows"),
+     2, "sigma=1e-160 is too small: the Fisher information 1/sigma**2 overflows"),
+    (["sweep", "--n", "173,701", "--delta", "1.06", "--methods", "twopoint,diffeo,vt",
+      "--threshold=-1e300"], 2, "threshold must be positive and finite, got -1e+300"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

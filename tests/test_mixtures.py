@@ -6,8 +6,7 @@ import pytest
 from minimaxlb.mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                                 default_grid, mixture_chi_sq,
                                 mixture_chi_sq_interpolated_grid,
-                                mixture_hellinger_oracle, mixture_hellinger_sq,
-                                prior_shift_hellinger_sq)
+                                mixture_hellinger_oracle, mixture_hellinger_sq)
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 
@@ -26,16 +25,14 @@ def gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n):
     return h2_q + bc * h2_n
 
 
-def test_prior_shift_hellinger():
-    assert prior_shift_hellinger_sq(GaussianPrior(0.0, 1.0), 0.0) == 0.0
-    got = prior_shift_hellinger_sq(GaussianPrior(0.0, 1.0), 1.0)
-    assert got == pytest.approx(2.0 - 2.0 * math.exp(-0.125), abs=1e-9)
-    assert prior_shift_hellinger_sq(Cosine(0.0, 1.0), 2.0) == 2.0
-
-
 def test_mixture_hellinger_zero_shift():
     spec = MixtureSpec(GAUSS, 1, GaussianPrior(0.0, 1.0), 0.0)
     assert mixture_hellinger_sq(spec) == 0.0
+
+
+def test_mixture_hellinger_disjoint_supports():
+    # a shift by the support width leaves the joint measures disjoint
+    assert mixture_hellinger_sq(MixtureSpec(GAUSS, 1, Cosine(0.0, 1.0), 2.0)) == 2.0
 
 
 @pytest.mark.parametrize("sigma,sigma_q,h,n", [

@@ -3,8 +3,7 @@ import math
 import pytest
 from scipy import integrate
 
-from minimaxlb.models import (GaussianLocation, UniformScale, chi_sq_iid,
-                              hellinger_local_ratio, hellinger_sq_iid)
+from minimaxlb.models import GaussianLocation, UniformScale, chi_sq_iid, hellinger_sq_iid
 
 GAUSS = GaussianLocation(1.0)
 UNIF = UniformScale()
@@ -137,17 +136,15 @@ def test_local_ratio_gaussian_quadratic():
         fam = GaussianLocation(sigma)
         target = fam.fisher_info(0.0) / 4.0
         for h in (1e-2, 1e-3, 1e-4):
-            assert abs(hellinger_local_ratio(fam, 0.0, h) - target) <= 10.0 * h
+            assert abs(fam.hellinger_sq(0.0, h) / (h * h) - target) <= 10.0 * h
 
 
 def test_local_ratio_uniform_blows_up():
     # Taylor oracle: 2(1 - (1+h)^(-1/2))/h^2 = 1/h - 3/4 + O(h) at theta = 1
     h = 1e-4
-    got = hellinger_local_ratio(UNIF, 1.0, h)
+    got = UNIF.hellinger_sq(1.0, 1.0 + h) / (h * h)
     assert got == pytest.approx(1.0 / h - 0.75, abs=1.0)
-    assert hellinger_local_ratio(UNIF, 1.0, 1e-5) > got  # diverges as h -> 0
-    with pytest.raises(ValueError):
-        hellinger_local_ratio(UNIF, 1.0, 0.0)
+    assert UNIF.hellinger_sq(1.0, 1.0 + 1e-5) / 1e-10 > got  # diverges as h -> 0
 
 
 def test_divergences_accept_arrays():
@@ -167,3 +164,14 @@ def test_divergences_accept_arrays():
         GAUSS.hellinger_sq(np.array([0.0, math.nan]), np.zeros(2))
     with pytest.raises(ValueError, match="requires theta1 > 0"):
         UNIF.hellinger_sq(np.array([1.0, -1.0]), np.ones(2))
+    # the density broadcasts: the oracle grid is p_t(x) over t down axis 0
+    ts, xs = np.linspace(0.5, 3.0, 6), np.linspace(-1.0, 4.0, 11)
+    for family in (GAUSS, UNIF):
+        grid = family.density(ts[:, None], xs[None, :])
+        assert grid.shape == (6, 11)
+        one_by_one = [[family.density(float(t), float(x)) for x in xs] for t in ts]
+        assert grid == pytest.approx(np.array(one_by_one), rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError, match="requires theta > 0"):
+        UNIF.density(np.array([[1.0], [0.0]]), xs[None, :])
+    with pytest.raises(ValueError, match="x must be finite"):
+        GAUSS.density(ts[:, None], np.array([[0.0, math.inf]]))
