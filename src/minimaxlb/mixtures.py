@@ -157,13 +157,6 @@ class _DivergentSignal(Exception):
     pass
 
 
-def _trapezoid(values: np.ndarray, spacing: float, axis: int = -1) -> np.ndarray:
-    try:
-        return np.trapezoid(values, dx=spacing, axis=axis)
-    except AttributeError:  # numpy < 2
-        return np.trapz(values, dx=spacing, axis=axis)
-
-
 def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     """A grid covering the prior (and its shift) plus the family's x-range."""
     t_lo, t_hi, _ = _union_region(prior, h)
@@ -193,10 +186,17 @@ def _joint_density_grids(family: Family, prior: Prior, h: float,
     return g0, gh
 
 
+def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
+    weights = np.full(points, (hi - lo) / (points - 1))
+    weights[[0, -1]] *= 0.5
+    return weights
+
+
 def _trapezoid_2d(values: np.ndarray, grid: GridSpec) -> float:
-    """Trapezoid rule over x (axis 1), then over t."""
-    inner = _trapezoid(values, (grid.x_hi - grid.x_lo) / (grid.x_points - 1), axis=1)
-    return float(_trapezoid(inner, (grid.t_hi - grid.t_lo) / (grid.t_points - 1), axis=0))
+    """Trapezoid rule over x (axis 1), then over t, as weighted sums, which
+    allocate no grid-sized temporary."""
+    inner = values @ _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
+    return float(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points) @ inner)
 
 
 def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
@@ -210,6 +210,7 @@ def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
     g0, gh = _joint_density_grids(family, prior, float(h), grid)
     diff = np.sqrt(gh, out=gh)
     diff -= np.sqrt(g0, out=g0)
+    del g0
     diff *= diff
     return _trapezoid_2d(diff, grid)
 

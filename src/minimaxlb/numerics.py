@@ -1,10 +1,11 @@
 """Deterministic special functions, quadrature, root finding, and
-derivative-free optimization shared by the rest of the package.
+optimization shared by the rest of the package.
 
 Everything here is a pure function of its inputs: no randomness, no global
 state, bit-reproducible across runs. Optimizers are coarse-grid scans with
-local refinement, so they only promise the best *found* value, never a
-global-optimality certificate.
+local refinement, by golden-section search without derivatives or by
+safeguarded Newton steps on the objective's gradient and Hessian, so they
+only promise the best *found* value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
@@ -49,14 +50,17 @@ class QuadratureSpec:
             raise ValueError("max_depth must be at least 10")
 
 
-# coarse grid points per axis, and refinement steps, of the optimizers
+# coarse grid points per axis and golden-section steps of the optimizers; the
+# Newton refinement's budget, stationary gradient norm and resolution, relative to the value
 _COARSE_GRID = 64
 _REFINE_ITERS = 200
+_NEWTON_EVALS, _STATIONARY, _RESOLUTION = 100, 1e-10, 2.0**-50
 
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned search region for the derivative-free optimizers."""
+    """Axis-aligned search region of maximize_2d: its coarse grid and the box
+    that clamps the Newton refinement."""
 
     intervals: Tuple[Tuple[float, float], ...]
 
@@ -259,28 +263,19 @@ def coarse_axis(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, _COARSE_GRID)
 
 
-def maximize_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    coarse: Optional[np.ndarray] = None,
-) -> Tuple[float, float]:
+def maximize_1d(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """Coarse grid scan plus golden-section refinement around the best cell.
 
     Returns (argmax, max) of the best point found; the result is never below
-    the best coarse-grid value. Deterministic. ``coarse``, when given, holds
-    f's values on ``coarse_axis(lo, hi)`` and replaces the scan's calls to f;
-    the first maximum wins either way.
+    the best coarse-grid value, and the first maximum of the scan wins.
+    Deterministic.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
     if not lo < hi:
         raise ValueError("maximize_1d requires lo < hi")
     xs = coarse_axis(lo, hi)
-    if coarse is None:
-        vals = [float(f(x)) for x in xs]
-    else:
-        vals = _coarse_values(coarse, xs.shape).tolist()
+    vals = [float(f(x)) for x in xs]
     i = max(range(_COARSE_GRID), key=lambda k: vals[k])
     best_x, best_v = float(xs[i]), vals[i]
     bl = float(xs[max(i - 1, 0)])
@@ -301,52 +296,101 @@ def _coarse_values(coarse: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def maximize_2d(
-    f: Callable[[float, float], float],
+    f: Callable[[float, float], Tuple[float, Sequence[float], Sequence[Sequence[float]]]],
     box: SearchBox,
     coarse: Optional[np.ndarray] = None,
 ) -> Tuple[Tuple[float, float], float]:
-    """Coarse grid scan plus compass (pattern) search with shrinking steps.
+    """Coarse grid scan plus safeguarded Newton refinement (``maximize_newton``).
 
-    Returns ((x, y), max) of the best point found inside the box. ``coarse``,
-    when given, holds f(xs[i], ys[j]) in entry [i, j], where xs and ys are the
+    f(x, y) returns (value, gradient, Hessian). Returns ((x, y), max) of the
+    best point found inside the box; the result is never below f at the
+    coarse argmax, where the refinement starts. ``coarse``, when given, holds
+    the values f(xs[i], ys[j])[0] in entry [i, j], where xs and ys are the
     ``coarse_axis`` of the box's intervals, and replaces the scan's calls to
     f; the first maximum in row-major order wins either way, and a NaN never
-    does. The refinement calls f once per distinct point: the compass search
-    revisits points after a step halves, and a deterministic f gives the same
-    value there again.
+    does.
     """
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
     (xlo, xhi), (ylo, yhi) = box.intervals
     xs, ys = coarse_axis(xlo, xhi), coarse_axis(ylo, yhi)
     if coarse is None:
-        coarse = [[float(f(x, y)) for y in ys] for x in xs]
+        coarse = [[float(f(x, y)[0]) for y in ys] for x in xs]
     coarse = _coarse_values(coarse, (len(xs), len(ys)))
-    # a NaN never wins, and an all-NaN or all -inf scan starts at the first
-    # point with -inf, as in a scan that keeps the first strictly larger value
+    # a NaN never wins, and an all-NaN or all -inf scan starts at the first point
     scan = np.where(np.isnan(coarse), -np.inf, coarse)
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
-    best_x, best_y, best_v = float(xs[i]), float(ys[j]), float(scan[i, j])
-    step_x = (xhi - xlo) / (_COARSE_GRID - 1)
-    step_y = (yhi - ylo) / (_COARSE_GRID - 1)
-    seen = {}
-    for _ in range(_REFINE_ITERS):
-        moved = False
-        for dx, dy in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_y), (0.0, -step_y)):
-            point = (min(max(best_x + dx, xlo), xhi), min(max(best_y + dy, ylo), yhi))
-            v = seen.get(point)
-            if v is None:
-                v = seen[point] = float(f(*point))
-            if v > best_v:
-                (best_x, best_y), best_v = point, v
-                moved = True
-        if not moved:
-            step_x *= 0.5
-            step_y *= 0.5
-            if step_x < 1e-14 * max(1.0, abs(best_x)) and \
-               step_y < 1e-14 * max(1.0, abs(best_y)):
+    cell = ((xhi - xlo) / (_COARSE_GRID - 1), (yhi - ylo) / (_COARSE_GRID - 1))
+    (x, y), value, _ = maximize_newton(f, (xs[i], ys[j]), (xlo, ylo), (xhi, yhi), cell)
+    return (x, y), value
+
+
+def _newton_step(grad: list, hess: list) -> Optional[list]:
+    """-H^-1 grad by elimination on [-H | grad], or None when a pivot is not
+    positive, that is, when H is not negative definite (Sylvester)."""
+    rows = [[-h for h in row] + [g] for row, g in zip(hess, grad)]
+    for i, pivot in enumerate(rows):
+        if not pivot[i] > 0.0:
+            return None
+        for row in rows[i + 1:]:
+            row[:] = [x - row[i] / pivot[i] * y for x, y in zip(row, pivot)]
+    step = []
+    for i in reversed(range(len(rows))):
+        step.insert(0, (rows[i][-1] - _dot(rows[i][i + 1:-1], step)) / rows[i][i])
+    return step
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence[float],
+                    scale: Sequence[float]) -> Tuple[Tuple[float, ...], float, str]:
+    """Safeguarded Newton ascent of f(*x) = (value, gradient, Hessian) from ``start``
+    in the box [lo, hi]: the Newton step where the Hessian is negative definite,
+    else a gradient step ``scale`` long per axis, clamped to the box and halved
+    until the value increases, so the result is never below f(start). A point
+    with a non-finite value, gradient or Hessian scores -inf, and a gain below
+    _RESOLUTION |value| is rounding. Returns (x, value, reason): "stationary"
+    (negative definite, and |gradient| <= 1e-10 |value| or a Newton gain below
+    the resolution), "box", "step floor" or "budget" (_NEWTON_EVALS evaluations).
+    """
+    def evaluate(x):
+        value, grad, hess = f(*x)
+        grad, hess = [float(g) for g in grad], [[float(h) for h in row] for row in hess]
+        finite = all(map(math.isfinite, (value, *grad, *(h for row in hess for h in row))))
+        return (float(value) if finite else -math.inf), grad, hess
+
+    def clamp(x):
+        return [min(max(v, a), b) for v, a, b in zip(x, lo, hi)]
+
+    x, lo, hi, scale = ([float(v) for v in vector] for vector in (start, lo, hi, scale))
+    (value, grad, hess), evals, reason = evaluate(x), 1, "step floor"
+    while value > -math.inf:
+        resolution, norm = _RESOLUTION * abs(value), math.hypot(*grad)
+        step = _newton_step(grad, hess)
+        if step is None:
+            step = [g * s / norm for g, s in zip(grad, scale)] if norm > 0.0 else grad
+        elif norm <= _STATIONARY * abs(value) or 0.5 * _dot(step, grad) <= resolution:
+            reason = "stationary"
+            break
+        moved = [v + s for v, s in zip(x, step)]
+        clamped = [c - v for c, v in zip(clamp(moved), x)]
+        slope = _dot(grad, clamped)     # the gain of the step t * clamped is about t * slope
+        t = 1.0
+        while t * slope > resolution and evals < _NEWTON_EVALS:
+            evals += 1
+            trial = clamp([v + t * c for v, c in zip(x, clamped)])
+            trial_value, trial_grad, trial_hess = evaluate(trial)
+            if trial_value > value:
+                x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
                 break
-    return (best_x, best_y), best_v
+            t *= 0.5
+        else:
+            reason = ("budget" if evals >= _NEWTON_EVALS else
+                      "box" if t == 1.0 and clamp(moved) != moved else "step floor")
+            break
+    return tuple(x), value, reason
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
-from minimaxlb import bounds
+from minimaxlb import bounds, numerics
 from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               PolyKernel, PowerMax, chi2_mixture_bound,
                               density_lam_constant, diffeo_bound,
@@ -17,7 +17,7 @@ from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
-from minimaxlb.numerics import maximize_1d, maximize_2d
+from minimaxlb.numerics import coarse_axis, maximize_1d, maximize_2d, maximize_newton
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior, solve_kepler
 from minimaxlb.sweep import SweepConfig, sweep_row_values
 
@@ -385,7 +385,8 @@ def test_diffeo_bound_sup_matches_dense_grid():
 def _diffeo_sup_without_table(delta, n):
     """diffeo_bound_sup's search with the coarse scan calling diffeo_bound."""
     (x1, lx2), value = maximize_2d(
-        lambda a, b: diffeo_bound(delta, n, a, math.exp(b)), bounds._DIFFEO_BOX)
+        lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True),
+        bounds._DIFFEO_BOX)
     return value, {"xi1": x1, "xi2": math.exp(lx2)}
 
 
@@ -410,13 +411,113 @@ def test_sweep_row_diffeo_matches_the_scan_with_sigma():
 @pytest.mark.parametrize("delta,n,sup_fisher", [
     (1e-3, 10, 1.0), (0.3, 1, 1.0), (1.0, 100, 0.25), (1e3, 10**6, 1.0), (5.0, 2**60 + 1, 4.0)])
 def test_vt_kepler_fisher_table_matches_the_scan(delta, n, sup_fisher):
-    def objective(a):
-        sol = solve_kepler(min(max(a, 0.0), 1.0))
-        return n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
-
-    a_best, value = maximize_1d(objective, 0.0, 1.0)
+    # the scan solves the Kepler equation at every coarse a; the refinement
+    # runs in the Kepler root y inside the best coarse cell
+    solutions = [solve_kepler(float(a)) for a in coarse_axis(0.0, 1.0)]
+    values = [n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
+              for a, sol in zip(coarse_axis(0.0, 1.0), solutions)]
+    i = max(range(len(values)), key=values.__getitem__)
+    ys = [sol.y_a for sol in solutions]
+    lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
+    (y,), value, reason = maximize_newton(
+        lambda y: bounds._vt_kepler_objective(delta, n, sup_fisher, y),
+        (ys[i],), (lo,), (hi,), (0.5 * (hi - lo),))
     res = vt_kepler_bound(delta, n, sup_fisher)
-    assert (res.value, res.argmax) == (value, {"a": a_best})
+    assert (res.value, res.argmax) == (value, {"a": bounds._kepler_mass(y)})
+    assert reason == "stationary" and value >= max(values) * (1.0 - 1e-13)
+
+
+def _central_differences(f, x, h):
+    """Central differences of f's value (the gradient) and of f's gradient (the
+    Hessian) at x, for f returning (value, gradient, Hessian)."""
+    x = np.asarray(x, dtype=float)
+    steps = h * np.eye(len(x))
+    grad = [(f(x + e)[0] - f(x - e)[0]) / (2.0 * h) for e in steps]
+    hess = [(np.asarray(f(x + e)[1]) - np.asarray(f(x - e)[1])) / (2.0 * h) for e in steps]
+    return np.array(grad), np.array(hess)
+
+
+def _assert_derivatives_match(f, x, h, rel):
+    value, grad, hess = f(np.asarray(x, dtype=float))
+    fd_grad, fd_hess = _central_differences(f, x, h)
+    scale = abs(value) + np.abs(grad).max() + np.abs(hess).max()
+    assert value > 0.0
+    assert np.abs(fd_grad - grad).max() <= rel * scale, (x, grad, fd_grad)
+    assert np.abs(fd_hess - hess).max() <= rel * scale, (x, hess, fd_hess)
+
+
+@pytest.mark.parametrize("delta,n", [(1.0, 10), (0.05, 100), (30.0, 1000)])
+def test_diffeo_derivatives_match_central_differences(delta, n):
+    # the kink z0 = -xi1/xi2 at the center of phi, near it, far out, and xi2
+    # next to both ends of the validated range
+    points = [(0.7, 1.9), (1e-3, 1.0), (0.0, 0.5), (-0.02, 3.0), (0.7, 1.2e-3),
+              (-0.002, 1.1e-3), (2.0, 9e3), (-5.0, 8e3), (-1.0, 0.2), (9.5, 30.0)]
+    f = lambda x: diffeo_bound(delta, n, x[0], math.exp(x[1]), derivatives=True)
+    for xi1, xi2 in points:   # the bound varies with xi1 on the scale xi2
+        _assert_derivatives_match(f, (xi1, math.log(xi2)), 1e-4 * min(xi2, 1.0), 1e-6)
+
+
+@pytest.mark.parametrize("delta,n,sup_fisher", [(1.0, 10, 1.0), (0.05, 100, 0.25),
+                                                 (30.0, 10**4, 4.0)])
+def test_vt_derivatives_match_central_differences(delta, n, sup_fisher):
+    # both sides of the kink of |y| at 0 (a = 1/2), and y next to 1, where
+    # the mass a flattens
+    f = lambda x: bounds._vt_kepler_objective(delta, n, sup_fisher, x[0])
+    for y in (-0.95, -0.4, -1e-3, 1e-3, 0.3, 0.43, 0.6, 0.9, 0.99, 0.999):
+        _assert_derivatives_match(f, (y,), 1e-5 * min(abs(y), 1.0 - abs(y)), 1e-6)
+
+
+_FIGURE_ROWS = [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2, 50)]
+_CLOSED_FORM_ROWS = [(10**k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
+
+
+def test_diffeo_moment_table_matches_the_scalar_kernel():
+    # the table's array passes pad their rows with empty pieces, which moves
+    # only the order of the sums; no coarse argmax of the default figure moves
+    xi2, e_ind, e_sq = bounds._diffeo_moment_table()
+    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
+    scalar = np.array([[bounds._diffeo_moments(float(a), math.exp(b)) for b in log_xi2s]
+                       for a in xi1s])
+    assert np.array_equal(xi2, np.broadcast_to([math.exp(b) for b in log_xi2s], xi2.shape))
+    for got, want in ((e_ind, scalar[..., 0]), (e_sq, scalar[..., 1])):
+        assert (np.abs(got - want) <= 1e-15 * want).all()
+    for n, delta in _FIGURE_ROWS:
+        assert np.argmax(bounds._diffeo_ratio(delta, n, xi2, e_ind, e_sq)) == np.argmax(
+            bounds._diffeo_ratio(delta, n, xi2, scalar[..., 0], scalar[..., 1]))
+
+
+def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
+    # every diffeo sup of the default figure, and every vt sup of it and of
+    # the benchmark's closed-form grid, ends at a stationary point
+    reasons = []
+    newton = numerics.maximize_newton
+
+    def recorded(*args):
+        result = newton(*args)
+        reasons.append(result[2])
+        return result
+    monkeypatch.setattr(numerics, "maximize_newton", recorded)
+    monkeypatch.setattr(bounds, "maximize_newton", recorded)
+    for n, delta in _FIGURE_ROWS:
+        diffeo_bound_sup(delta, n)
+    for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS:
+        vt_kepler_bound(delta, n, 1.0)
+    assert len(reasons) == 375
+    assert set(reasons) == {"stationary"}
+
+
+def test_vt_sup_matches_a_brent_search_of_the_closed_form():
+    # in the Kepler root y the bound is n a(y)^2 / (pi^2 (1 + y)^2 / delta^2 + n),
+    # a(y) = (1 + y + sin(pi y)/pi)/2, with no Kepler equation to solve; a
+    # search in a reads solve_kepler's bisection noise and overshoots by 4e-14
+    for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS:
+        def closed_form(y):
+            a = 0.5 * (1.0 + y + math.sin(math.pi * y) / math.pi)
+            return n * a * a / (math.pi**2 * (1.0 + y) ** 2 / delta**2 + n)
+        brent = optimize.minimize_scalar(lambda y: -closed_form(y), bounds=(0.0, 1.0),
+                                         method="bounded", options={"xatol": 1e-12})
+        want = max(-brent.fun, closed_form(1.0))
+        assert vt_kepler_bound(delta, n, 1.0).value == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -438,10 +539,10 @@ def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
     moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
     kepler_calls = _count_calls(monkeypatch, bounds, "solve_kepler")
     diffeo_bound_sup(0.3, 100)
-    assert 0 < diffeo_calls[0] <= 600
-    assert 0 < moment_calls[0] <= 600
+    assert 0 < diffeo_calls[0] <= 20
+    assert 0 < moment_calls[0] <= 20
     vt_kepler_bound(0.3, 100, 1.0)
-    assert 0 < kepler_calls[0] <= 70
+    assert kepler_calls[0] == 0   # the refinement runs in the Kepler root itself
 
 
 def test_two_point_bound():

@@ -9,7 +9,7 @@ from minimaxlb.numerics import (GL_NODES, GL_WEIGHTS, PANEL_NODES, BracketError,
                                 ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
                                 gaussian_partial_second_moment,
                                 integrate_adaptive, integrate_panels, maximize_1d,
-                                maximize_2d, normal_cdf, normal_pdf)
+                                maximize_2d, maximize_newton, normal_cdf, normal_pdf)
 
 
 def test_normal_pdf_values():
@@ -113,15 +113,55 @@ def test_maximize_1d_never_below_coarse_grid():
     assert v >= coarse_best - 1e-15
 
 
+def _quadratic_2d(a, b):
+    # -(a - 0.3)^2 - (b + 1.2)^2 with its gradient and Hessian
+    return (-(a - 0.3) ** 2 - (b + 1.2) ** 2, (-2.0 * (a - 0.3), -2.0 * (b + 1.2)),
+            ((-2.0, 0.0), (0.0, -2.0)))
+
+
+def _plane_2d(a, b):
+    return a + b, (1.0, 1.0), ((0.0, 0.0), (0.0, 0.0))
+
+
+def _bumps_2d(a, b):
+    # a high bump at (0.3, -1.2) and a low one at (-0.6, 0.9), width 0.1
+    value, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
+    for height, center in ((1.0, (0.3, -1.2)), (0.5, (-0.6, 0.9))):
+        d = np.array([a, b]) - center
+        e = height * math.exp(-(d @ d) / 0.1)
+        value, grad = value + e, grad - e * 2.0 * d / 0.1
+        hess += e * (4.0 * np.outer(d, d) / 0.01 - 2.0 * np.eye(2) / 0.1)
+    return value, grad, hess
+
+
 def test_maximize_2d():
-    box = SearchBox(intervals=((-1.0, 1.0), (-1.0, 1.0)))
-    (x, y), v = maximize_2d(lambda a, b: -(a * a + b * b), box)
-    assert abs(x) < 1e-6 and abs(y) < 1e-6
-    assert v == pytest.approx(0.0, abs=1e-10)
+    box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
+    (x, y), v = maximize_2d(_quadratic_2d, box)
+    assert (x, y) == (pytest.approx(0.3, abs=1e-12), pytest.approx(-1.2, abs=1e-12))
+    assert v == pytest.approx(0.0, abs=1e-20)
+    (x, y), v = maximize_2d(_bumps_2d, box)
+    assert (x, y) == (pytest.approx(0.3, abs=1e-9), pytest.approx(-1.2, abs=1e-9))
+    assert v == pytest.approx(1.0, abs=1e-15)
+    # the maximum on a corner: the box stops the ascent
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
-    (x, y), v = maximize_2d(lambda a, b: a + b, box)
+    (x, y), v = maximize_2d(_plane_2d, box)
     assert (x, y) == (1.0, 1.0)
-    assert v == pytest.approx(2.0, abs=1e-12)
+    assert v == 2.0
+
+
+def test_maximize_newton_stop_reasons():
+    # one Newton step reaches the maximum of a quadratic; the next is stationary
+    assert maximize_newton(lambda x: (-(x - 0.25) ** 2, (-2.0 * (x - 0.25),), ((-2.0,),)),
+                           (0.0,), (-1.0,), (1.0,), (0.1,)) == ((0.25,), 0.0, "stationary")
+    # a plane climbs to its corner, where the box stops it
+    assert maximize_newton(_plane_2d, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.1, 0.1)) == \
+        ((1.0, 1.0), 2.0, "box")
+    # a gradient that promises an increase the values never show
+    assert maximize_newton(lambda x: (1.0, (1.0,), ((-1.0,),)), (0.0,), (-9.0,), (9.0,),
+                           (1.0,)) == ((0.0,), 1.0, "step floor")
+    # an increasing curve that never flattens runs out of evaluations
+    assert maximize_newton(lambda x: (x, (1.0,), ((1.0,),)), (0.0,), (0.0,), (1e300,),
+                           (1.0,))[2] == "budget"
 
 
 def _tie_on_edges_1d(x):
@@ -134,57 +174,64 @@ def _tie_on_corners_2d(x, y):
     return x * x + 0.25 * y * y
 
 
-def test_maximize_1d_coarse_values_match_the_scan():
-    xs = coarse_axis(-1.0, 1.0)
-    coarse = np.array([_tie_on_edges_1d(x) for x in xs])
-    scanned = maximize_1d(_tie_on_edges_1d, -1.0, 1.0)
-    assert maximize_1d(_tie_on_edges_1d, -1.0, 1.0, coarse=coarse) == scanned
-    assert scanned == (-1.0, 0.0)
-    f = lambda t: math.sin(17.0 * t) + 0.3 * math.sin(51.0 * t)
-    coarse = np.array([f(x) for x in coarse_axis(0.0, 3.0)])
-    assert maximize_1d(f, 0.0, 3.0, coarse=coarse) == maximize_1d(f, 0.0, 3.0)
+def test_maximize_1d_first_maximum_wins():
+    assert maximize_1d(_tie_on_edges_1d, -1.0, 1.0) == (-1.0, 0.0)
+
+
+def _tie_on_corners_2d_derivatives(x, y):
+    return _tie_on_corners_2d(x, y), (2.0 * x, 0.5 * y), ((2.0, 0.0), (0.0, 0.5))
 
 
 def test_maximize_2d_coarse_values_match_the_scan():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
     xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
     coarse = np.array([[_tie_on_corners_2d(x, y) for y in ys] for x in xs])
-    scanned = maximize_2d(_tie_on_corners_2d, box)
-    assert maximize_2d(_tie_on_corners_2d, box, coarse) == scanned
+    scanned = maximize_2d(_tie_on_corners_2d_derivatives, box)
+    assert maximize_2d(_tie_on_corners_2d_derivatives, box, coarse) == scanned
     assert scanned == ((-1.0, -2.0), 2.0)
-    # an interior maximum off the diagonal, so a transposed table would miss it
-    f = lambda a, b: -(a - 0.3) ** 2 - (b + 1.2) ** 2
-    coarse = np.array([[f(x, y) for y in ys] for x in xs])
-    assert maximize_2d(f, box, coarse) == maximize_2d(f, box)
-    assert maximize_2d(f, box, coarse.T) != maximize_2d(f, box)
+    # two maxima off the diagonal: a transposed table starts on the lower one
+    coarse = np.array([[_bumps_2d(x, y)[0] for y in ys] for x in xs])
+    assert maximize_2d(_bumps_2d, box, coarse) == maximize_2d(_bumps_2d, box)
+    assert maximize_2d(_bumps_2d, box, coarse.T) != maximize_2d(_bumps_2d, box)
     # a NaN never wins the scan
-    nan_left = lambda a, b: math.nan if a < 0.0 else a + b
+    nan_left = lambda a, b: (math.nan, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))) if a < 0.0 \
+        else _plane_2d(a, b)
     assert maximize_2d(nan_left, box) == ((1.0, 2.0), 3.0)
 
 
-def test_maximize_2d_refinement_evaluates_each_point_once():
+def test_maximize_2d_refinement_never_below_the_coarse_best():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
-    f = lambda a, b: -(a - 0.3) ** 2 - (b + 1.2) ** 2
-    coarse = np.array([[f(x, y) for y in coarse_axis(-2.0, 2.0)] for x in coarse_axis(-1.0, 1.0)])
+    xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
     points = []
 
-    def recorded(a, b):
+    def cliff(a, b):
+        # the quadratic, but NaN right of a = 0.2 and with an infinite gradient
+        # below b = -1.3, so the maximum at (0.3, -1.2) is out of reach
         points.append((a, b))
-        return f(a, b)
+        value, grad, hess = _quadratic_2d(a, b)
+        if a > 0.2:
+            return math.nan, grad, hess
+        return value, (grad if b >= -1.3 else (math.inf, 0.0)), hess
 
-    (x, y), v = maximize_2d(recorded, box, coarse)
-    assert len(points) == len(set(points)) > 0
-    assert (x, y) == pytest.approx((0.3, -1.2), abs=1e-6) and v <= 0.0
+    coarse = np.array([[cliff(x, y)[0] for y in ys] for x in xs])
+    coarse_best = np.nanmax(coarse)
+    points.clear()
+    (x, y), v = maximize_2d(cliff, box, coarse)
+    assert len(points) <= 100
+    assert math.isfinite(v) and v >= coarse_best
+    assert x <= 0.2 and y >= -1.3
+    assert v == pytest.approx(-(0.2 - 0.3) ** 2, abs=1e-3)
+    # a -inf or NaN scan stays at its first point
+    assert maximize_2d(lambda a, b: (-math.inf, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),
+                       box) == ((-1.0, -2.0), -math.inf)
 
 
 def test_maximize_coarse_values_of_the_wrong_shape_are_rejected():
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="shape"):
-        maximize_2d(lambda a, b: a + b, box, np.zeros((64, 63)))
+        maximize_2d(_plane_2d, box, np.zeros((64, 63)))
     with pytest.raises(ValueError, match="shape"):
-        maximize_2d(lambda a, b: a + b, box, np.zeros(64 * 64))
-    with pytest.raises(ValueError, match="shape"):
-        maximize_1d(lambda t: t, 0.0, 1.0, coarse=np.zeros(63))
+        maximize_2d(_plane_2d, box, np.zeros(64 * 64))
 
 
 def test_spec_validation():

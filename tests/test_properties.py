@@ -2,13 +2,16 @@
 judged by the same checks as `minimaxlb selftest`, and of the Kepler prior's
 definition."""
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from minimaxlb import checks
-from minimaxlb.bounds import MaxZero, van_trees_value, vt_kepler_bound
+from minimaxlb import bounds, checks, numerics
+from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, diffeo_bound,
+                              diffeo_bound_sup, van_trees_value, vt_kepler_bound)
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.priors import KeplerCosine
 from minimaxlb.sweep import SweepConfig, sweep_row_values
@@ -83,3 +86,54 @@ def test_vt_bound_is_van_trees_at_the_kepler_prior(n, delta):
     prior = KeplerCosine.for_constraint(result.argmax["a"], 0.0, delta)
     value = n * van_trees_value(GaussianLocation(1.0), n, prior, MaxZero())
     assert value == pytest.approx(result.value, rel=1e-12, abs=0.0)
+
+
+def _diffeo_van_trees_in_eta(delta, n, xi1, xi2):
+    """n E[phi'(eta) 1{eta > 0}]^2 / (xi2^-2 + n E[phi'(eta)^2]) for eta ~ N(xi1, xi2^2)
+    and phi(eta) = (2 delta/pi) arctan(eta), by adaptive quadrature in eta over
+    xi1 +- 40 xi2, cut at xi1, xi1 +- xi2, xi1 +- 4 xi2, 0 and +-2^j."""
+    slope = lambda eta: (2.0 * delta / math.pi) / (1.0 + eta * eta)
+    density = lambda eta: (math.exp(-0.5 * ((eta - xi1) / xi2) ** 2)
+                           / (xi2 * math.sqrt(2.0 * math.pi)))
+
+    def expect(f, lo):
+        lo, hi = max(lo, xi1 - 40.0 * xi2), xi1 + 40.0 * xi2
+        cuts = {lo, hi, 0.0, *(xi1 + k * xi2 for k in (-4, -1, 0, 1, 4)),
+                *(sign * 2.0**j for sign in (-1.0, 1.0) for j in range(-4, 40))}
+        cuts = sorted(c for c in cuts if lo <= c <= hi)
+        return sum(integrate.quad(lambda eta: f(eta) * density(eta), a, b, epsabs=0.0,
+                                  epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+
+    mean, second = expect(slope, 0.0), expect(lambda eta: slope(eta) ** 2, -math.inf)
+    return n * mean * mean / (xi2**-2 + n * second)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(xi1=st.floats(*DIFFEO_XI1_RANGE),
+       log_xi2=st.floats(*(math.log(x) for x in DIFFEO_XI2_RANGE)),
+       delta=st.floats(1e-2, 1e2), n=st.integers(1, 10**4))
+def test_diffeo_bound_is_van_trees_in_eta(xi1, log_xi2, delta, n):
+    # Gill & Levit's van Trees inequality for phi(eta) with a N(xi1, xi2^2)
+    # prior on eta: the quadrature in eta shares nothing with the z-kernel; the
+    # kernel's 12-sigma window drops mass below 1e-30
+    xi2 = math.exp(log_xi2)
+    assert diffeo_bound(delta, n, xi1, xi2) == pytest.approx(
+        _diffeo_van_trees_in_eta(delta, n, xi1, xi2), rel=1e-10, abs=1e-30)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(n=st.integers(1, 10**6), delta=st.floats(1e-3, 1e3))
+def test_newton_refinement_stops_stationary(n, delta):
+    # the figure's two sups end at a stationary point, never at the step floor,
+    # the box or the evaluation budget
+    newton, reasons = numerics.maximize_newton, []
+
+    def recorded(*args):
+        result = newton(*args)
+        reasons.append(result[2])
+        return result
+    with mock.patch.object(numerics, "maximize_newton", recorded), \
+            mock.patch.object(bounds, "maximize_newton", recorded):
+        diffeo_bound_sup(delta, n)
+        vt_kepler_bound(delta, n, 1.0)
+    assert reasons == ["stationary", "stationary"]
