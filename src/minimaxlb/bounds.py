@@ -23,8 +23,8 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (SearchBox, check_n, coarse_axis, cut_points, float_or_array,
-                       integrate_panels, maximize_1d, maximize_2d, maximize_newton,
-                       panel_nodes)
+                       integrate_panels, maximize_1d, maximize_2d, panel_nodes,
+                       refine_coarse_max)
 from .priors import Prior, check_scale, prior_density, solve_kepler
 
 _PI = math.pi
@@ -316,10 +316,9 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     ys, fisher = _kepler_coarse_table()
     a = coarse_axis(0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        i = int(np.argmax(n * a * a / (fisher / delta**2 + n * sup_fisher)))
-    lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
-    (y,), value, _ = maximize_newton(lambda y: _vt_kepler_objective(delta, n, sup_fisher, y),
-                                     (ys[i],), (lo,), (hi,), (0.5 * (hi - lo),))
+        coarse = n * a * a / (fisher / delta**2 + n * sup_fisher)
+    (y,), value, _ = refine_coarse_max(
+        lambda y: _vt_kepler_objective(delta, n, sup_fisher, y), ys, coarse)
     return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)}, "vt-kepler")
 
 
@@ -459,21 +458,30 @@ def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
                        "diffeo")
 
 
+@functools.cache
+def _twopoint_argmax() -> float:
+    """eps* = sqrt(8 u*), u* the root of -2 + 4 exp(-u) (1 - u): Newton from 0.3."""
+    u = 0.3
+    for _ in range(8):
+        u -= (4.0 * math.exp(-u) * (1.0 - u) - 2.0) / (4.0 * math.exp(-u) * (u - 2.0))
+    return math.sqrt(8.0 * u)
+
+
 def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     """n-scaled sup of the two-point bound for max(theta,0) under N(theta,1).
 
-    The Hellinger distance depends only on the separation, so the supremum
-    over pairs reduces to pairs (0, t); the bracket is positive only for
-    t sqrt(n) below sqrt(8 log 2), which sizes the search window.
+    The Hellinger distance depends only on the separation, so the sup over
+    pairs reduces to pairs (0, t), where n [(1 - H^2_n)/4] t^2 is
+    regular_twopoint_objective(eps) of eps = sqrt(n) t alone. In u = eps^2/8
+    it is g(u) = 4u exp(-u) - 2u; g'(u) = -2 + 4 exp(-u) (1 - u) decreases on
+    (0, 2) (g'' = 4 exp(-u) (u - 2)) and is negative past u = 1, so g has one
+    maximum, at u* ~ 0.315 (eps* ~ 1.5873), and the sup over t in (0, delta)
+    sits at t = min(eps*/sqrt(n), delta^-), where the bound is evaluated once.
     """
     _check_delta_n(delta, n)
-    fam = GaussianLocation(1.0)
-    f = MaxZero()
-    t_max = min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n))
-    t_best, value = maximize_1d(
-        lambda t: n * two_point_hellinger_bound(fam, n, f, 0.0, t),
-        t_max * 1e-6, t_max)
-    return BoundResult(max(value, 0.0), {"theta2": t_best}, "twopoint")
+    t = min(_twopoint_argmax() / math.sqrt(n), delta * (1.0 - 1e-12))
+    value = n * two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, t)
+    return BoundResult(max(value, 0.0), {"theta2": t}, "twopoint")
 
 
 def two_point_hellinger_bound(family: Family, n: int, f: Functional,

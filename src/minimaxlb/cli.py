@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-tolerance failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -440,6 +441,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minimaxlb",

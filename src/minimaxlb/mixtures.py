@@ -228,7 +228,10 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
     g0, gh = _joint_density_grids(family, prior, float(h), grid)
-    mix = lam * gh + (1.0 - lam) * g0
-    num = (gh - g0) ** 2
-    ratio = np.divide(num, mix, out=np.zeros_like(num), where=mix > 0.0)
+    # in place, so that three grids are alive: g0, gh (then the mixture) and the ratio
+    ratio = gh - g0
+    ratio *= ratio
+    mix = np.add(np.multiply(gh, lam, out=gh), np.multiply(g0, 1.0 - lam, out=g0), out=gh)
+    np.divide(ratio, mix, out=ratio, where=mix > 0.0)
+    ratio[mix <= 0.0] = 0.0
     return (1.0 - lam) ** 2 * _trapezoid_2d(ratio, grid)

@@ -3,9 +3,9 @@ optimization shared by the rest of the package.
 
 Everything here is a pure function of its inputs: no randomness, no global
 state, bit-reproducible across runs. Optimizers are coarse-grid scans with
-local refinement, by golden-section search without derivatives or by
-safeguarded Newton steps on the objective's gradient and Hessian, so they
-only promise the best *found* value, never a global-optimality certificate.
+local refinement, by safeguarded Newton steps on the gradient and Hessian or,
+without derivatives, by golden-section search, so they only promise the best
+*found* value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
@@ -89,26 +89,38 @@ def check_n(n: int) -> int:
     return int(n)
 
 
-def _require_finite(x: float, name: str) -> float:
+def _require_finite(x, name: str):
+    """x as a float, or as a float ndarray taken elementwise; every entry must be finite."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        if not np.isfinite(x).all():
+            raise ValueError(f"every {name} must be finite")
+        return x.astype(float, copy=False)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
-def normal_pdf(x: float) -> float:
-    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
+def normal_pdf(x):
+    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi); over an ndarray,
+    math.exp of each entry (np.exp may round differently), as the scalar calls."""
     x = _require_finite(x, "x")
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    if isinstance(x, float):
+        return math.exp(-0.5 * x * x) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # x * x = inf, and exp(-inf) = 0 as for a float
+        return np.frompyfunc(math.exp, 1, 1)(-0.5 * x * x).astype(float) / _SQRT_2PI
 
 
-def normal_cdf(x: float) -> float:
+def normal_cdf(x):
     """Standard normal CDF via the complementary error function.
 
-    Phi(x) = erfc(-x/sqrt(2))/2, accurate to ~1 ulp over the whole line.
+    Phi(x) = erfc(-x/sqrt(2))/2, accurate to ~1 ulp over the whole line; over
+    an ndarray, math.erfc of each entry (numpy has none), as the scalar calls.
     """
     x = _require_finite(x, "x")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    if isinstance(x, float):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-x / math.sqrt(2.0)).astype(float)
 
 
 def gaussian_partial_second_moment(c: float) -> float:
@@ -267,8 +279,8 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
     """Coarse grid scan plus golden-section refinement around the best cell.
 
     Returns (argmax, max) of the best point found; the result is never below
-    the best coarse-grid value, and the first maximum of the scan wins.
-    Deterministic.
+    the best coarse-grid value, and the first maximum of the scan wins. It
+    serves the objectives without derivatives: the Hellinger sup, the constants.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -285,14 +297,6 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
         if gv >= best_v:
             best_x, best_v = gx, gv
     return best_x, best_v
-
-
-def _coarse_values(coarse: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    coarse = np.asarray(coarse, dtype=float)
-    if coarse.shape != shape:
-        raise ValueError(f"coarse values have shape {coarse.shape}; the coarse grid "
-                         f"needs {shape}")
-    return coarse
 
 
 def maximize_2d(
@@ -316,13 +320,23 @@ def maximize_2d(
     xs, ys = coarse_axis(xlo, xhi), coarse_axis(ylo, yhi)
     if coarse is None:
         coarse = [[float(f(x, y)[0]) for y in ys] for x in xs]
-    coarse = _coarse_values(coarse, (len(xs), len(ys)))
+    coarse = np.asarray(coarse, dtype=float)
+    if coarse.shape != (len(xs), len(ys)):
+        raise ValueError(f"coarse values have shape {coarse.shape}, not {(len(xs), len(ys))}")
     # a NaN never wins, and an all-NaN or all -inf scan starts at the first point
     scan = np.where(np.isnan(coarse), -np.inf, coarse)
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
     cell = ((xhi - xlo) / (_COARSE_GRID - 1), (yhi - ylo) / (_COARSE_GRID - 1))
     (x, y), value, _ = maximize_newton(f, (xs[i], ys[j]), (xlo, ylo), (xhi, yhi), cell)
     return (x, y), value
+
+
+def refine_coarse_max(f, xs: np.ndarray, values: np.ndarray) -> Tuple[Tuple[float], float, str]:
+    """``maximize_newton`` of f(x) = (value, [gradient], [[Hessian]]) from the first
+    argmax of the coarse ``values`` at the ascending ``xs``, inside [xs[i-1], xs[i+1]]."""
+    i = int(np.argmax(values))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    return maximize_newton(f, (xs[i],), (lo,), (hi,), (0.5 * (hi - lo),))
 
 
 def _newton_step(grad: list, hess: list) -> Optional[list]:

@@ -12,7 +12,7 @@ from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               hellinger_mixture_bound,
                               hellinger_mixture_bound_sup,
                               lam_constant,
-                              two_point_hellinger_bound, van_trees_value,
+                              two_point_hellinger_bound, twopoint_bound_sup, van_trees_value,
                               vt_kepler_bound)
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
@@ -497,7 +497,6 @@ def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
         reasons.append(result[2])
         return result
     monkeypatch.setattr(numerics, "maximize_newton", recorded)
-    monkeypatch.setattr(bounds, "maximize_newton", recorded)
     for n, delta in _FIGURE_ROWS:
         diffeo_bound_sup(delta, n)
     for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS:
@@ -561,6 +560,26 @@ def test_two_point_uniform_limit():
         got = two_point_hellinger_bound(UniformScale(), n, Identity(), 1.0, 1.0 + b / n)
         limit = max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
         assert got == pytest.approx(limit, rel=1e-4)
+
+
+@pytest.mark.parametrize("n", [10, 10**6, 10**20, 10**100, 10**300],
+                         ids=["1e1", "1e6", "1e20", "1e100", "1e300"])
+def test_twopoint_sup_is_the_regular_constant_at_any_n(n):
+    # the objective depends on eps = sqrt(n) t alone; a golden search in t
+    # stops at an absolute width of 1e-14 and lost 2.8e-5 of it at n = 1e100
+    got = twopoint_bound_sup(1.0, n)
+    assert got.value == pytest.approx(lam_constant("regular_twopoint")[1], rel=1e-12)
+    assert math.sqrt(n) * got.argmax["theta2"] == pytest.approx(1.5872568987921421, rel=1e-15)
+
+
+@pytest.mark.parametrize("delta,n", [(1e-3, 1), (0.3, 10), (0.5, 10), (1.0, 100), (1e3, 10**6)])
+def test_twopoint_sup_is_at_least_a_dense_scan(delta, n):
+    # one maximum in eps: below eps*/sqrt(n) the sup sits at delta^-
+    ts = np.linspace(0.0, min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n)), 20001)
+    scan = max(n * two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, float(t))
+               for t in ts)
+    got = twopoint_bound_sup(delta, n).value
+    assert scan * (1.0 - 1e-15) <= got <= scan * (1.0 + 1e-8)
 
 
 def test_lam_constants():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from minimaxlb import priors
+from minimaxlb import cli, priors
 from minimaxlb.cli import CSV_COLUMNS, kepler_svg, main, parse_grid, parse_prior, rows_to_csv
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 from minimaxlb.sweep import SweepConfig, run_sweep
@@ -121,6 +121,42 @@ def test_risk_command(tmp_path, capsys):
     assert main(["risk", "--estimator", "plugin", "--delta", "1e-9", "--n", "100",
                  "--out", str(tmp_path / "r2.csv")]) == 0
     assert float(capsys.readouterr().out.split("=")[1]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_pretest_risk_at_the_largest_n(capsys):
+    # the risk bump, about sqrt(n) = 1e154 high, is refined in m = sqrt(n) theta;
+    # its derivatives in theta would carry n^(3/2) and overflow
+    assert main(["risk", "--estimator", "pretest", "--delta", "1", "--n", str(10**308)]) == 0
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.err
+    assert float(printed.out.splitlines()[0].split("=")[1]) == pytest.approx(1e154, rel=1e-12)
+
+
+def _run(argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:   # argparse rejects the argv
+        rc = exc.code
+    return rc
+
+
+@pytest.mark.parametrize("first,second,codes", [
+    (["kepler", "--a", "0.3"], ["kepler", "--grid", "3"], (0, 0)),
+    (["risk", "--estimator", "pretest", "--delta", "1"],
+     ["risk", "--estimator", "pretest", "--delta", "1", "--n", "4"], (2, 0)),
+    (["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.1"],
+     ["bound", "--method", "chi2", "--prior", "gaussian:0:1"], (0, 2)),
+])
+def test_parser_built_once_keeps_no_state(first, second, codes, monkeypatch, capsys):
+    # main reuses one parser per process; a call after another prints what it
+    # prints with a freshly built parser
+    assert cli.build_parser() is cli.build_parser()
+    assert _run(first) == codes[0]
+    capsys.readouterr()
+    reused = _run(second), capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run(second), capsys.readouterr()
+    assert reused == fresh and reused[0] == codes[1]
 
 
 def test_risk_validation_exit_code(tmp_path):

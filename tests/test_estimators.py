@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from minimaxlb import estimators
 from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
                                   local_minimax_risk, plugin_risk_at,
                                   pretest_risk_at)
-from minimaxlb.numerics import gaussian_partial_second_moment, normal_cdf, normal_pdf
+from minimaxlb.numerics import coarse_axis, gaussian_partial_second_moment, normal_cdf, normal_pdf
 
 
 def test_constant_risk():
@@ -139,3 +140,66 @@ def test_risks_at_huge_theta():
     # the term is 0, not inf * 0 = NaN, and both risks tend to 1
     assert plugin_risk_at(1e300, 10) == 1.0
     assert pretest_risk_at(1e300, 10, 10 ** -0.25) == 1.0
+
+
+@pytest.mark.parametrize("n", [10**20, 10**100, 10**300], ids=["1e20", "1e100", "1e300"])
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+def test_local_minimax_pretest_at_large_n(n, delta):
+    # the risk bump of height about n^(1/2) sits at m = sqrt(n) theta near
+    # k = n^(1/4); a golden search in theta stops at an absolute width of
+    # 1e-14 and read 2.4% below it at n = 1e100
+    root_n, c_n = math.sqrt(n), n ** -0.25
+    k = root_n * c_n
+    ms = np.linspace(max(0.0, k - 40.0), min(k + 40.0, root_n * delta * (1.0 - 1e-12)), 20001)
+    scan = pretest_risk_at(ms / root_n, n, c_n).max()
+    assert local_minimax_risk(PreTest(), delta, n) >= scan * (1.0 - 1e-12)
+
+
+_THRESHOLDS = [None, 0.01, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("n", [1, 16, 10**4, 10**6])
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_pretest_derivatives_in_m_match_central_differences(n, threshold):
+    c_n = n ** -0.25 if threshold is None else threshold
+    k = math.sqrt(n) * c_n
+    f = lambda m: estimators._pretest_objective(n, c_n, m)
+    for m in sorted({0.5 * k, k - 3.0, k - 1.0, k - 0.1, k, k + 0.7, k + 2.5, 2.0 * k + 1.0}):
+        if m < 1e-3:
+            continue
+        value, (grad,), ((hess,),) = f(m)
+        h = 1e-4
+        fd_grad = (f(m + h)[0] - f(m - h)[0]) / (2.0 * h)
+        fd_hess = (f(m + h)[1][0] - f(m - h)[1][0]) / (2.0 * h)
+        assert fd_grad == pytest.approx(grad, rel=1e-6, abs=1e-6 * value), (m, grad, fd_grad)
+        assert fd_hess == pytest.approx(hess, rel=1e-6, abs=1e-6 * value), (m, hess, fd_hess)
+
+
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_broadcast_risk_equals_the_scalar_calls(threshold):
+    # the sup's array scans: pretest_risk_at and normal_cdf take math's exp and
+    # erfc of each entry, so they equal the scalar calls on both coarse windows
+    # of the default figure's rows, and pick the same argmax
+    for n in (10, 100):
+        c_n = n ** -0.25 if threshold is None else threshold
+        for delta in np.geomspace(1e-2, 1e2, 50):
+            hi = delta * (1.0 - 1e-12)
+            for top in (hi, min(hi, c_n + 10.0 / math.sqrt(n))):
+                thetas = coarse_axis(0.0, math.sqrt(n) * top) / math.sqrt(n)
+                want = [pretest_risk_at(float(t), n, c_n) for t in thetas]
+                assert pretest_risk_at(thetas, n, c_n).tolist() == want
+                cuts = math.sqrt(n) * (c_n - thetas)
+                assert normal_cdf(cuts).tolist() == [normal_cdf(float(c)) for c in cuts]
+
+
+def test_broadcast_risk_where_n_theta_squared_overflows():
+    # the tail probability is 0 where n theta^2 overflows: the term is 0, with
+    # no overflow warning (a RuntimeWarning fails the test)
+    thetas = np.array([0.0, 0.5, 1e150, 1e300])
+    got = pretest_risk_at(thetas, 10, 10 ** -0.25)
+    assert got.tolist() == [pretest_risk_at(float(t), 10, 10 ** -0.25) for t in thetas]
+    assert got[-1] == 1.0
+    with pytest.raises(ValueError):
+        pretest_risk_at(np.array([0.5, -1e-9]), 10, 10 ** -0.25)
+    with pytest.raises(ValueError):
+        normal_cdf(np.array([0.0, math.inf]))

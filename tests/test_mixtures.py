@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from minimaxlb import mixtures
 from minimaxlb.mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                                 default_grid, mixture_chi_sq,
                                 mixture_chi_sq_interpolated_grid,
@@ -163,6 +166,27 @@ def test_mixture_chi_sq_against_grid_oracle():
     grid = default_grid(GAUSS, GaussianPrior(0.0, 1.0), h)
     oracle = mixture_chi_sq_interpolated_grid(GAUSS, GaussianPrior(0.0, 1.0), h, 0.0, grid)
     assert mixture_chi_sq(spec) == pytest.approx(oracle, abs=1e-5)
+
+
+@pytest.mark.parametrize("prior,h,lam", [(GaussianPrior(0.0, 1.0), 0.1, 0.5),
+                                         (Cosine(0.0, 1.0), 0.5, 0.9),
+                                         (UniformPrior(-1.0, 1.0), 0.3, 0.25)])
+def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
+    # the value the out-of-place formula gives, with at most three grids alive
+    grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
+    g0, gh = mixtures._joint_density_grids(GAUSS, prior, h, grid)
+    mix = lam * gh + (1.0 - lam) * g0
+    ratio = np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
+    want = (1.0 - lam) ** 2 * mixtures._trapezoid_2d(ratio, grid)
+    del g0, gh, mix, ratio
+    tracemalloc.start()
+    try:
+        got = mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 3.2 * 401 * 401 * 8
 
 
 def test_mixture_chi_sq_divergent_cases():
