@@ -40,12 +40,9 @@ class DegenerateKernelError(ValueError):
 
 class Functional:
     """A functional psi of the parameter: ``psi(theta)`` for a float or an
-    ndarray, the quadrature cuts of psi(t) - psi(t - h) (``cuts(h)``), and
-    the van Trees numerator ``slope_mass(prior)`` = int psi' dQ."""
-
-    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
-        """The kink of psi at 0 and its shift by h, on a window of this width."""
-        return (0.0, h)
+    ndarray, ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself,
+    the quadrature cuts of it on a window of some width (``cuts(h, width)``),
+    and the van Trees numerator ``slope_mass(prior)`` = int psi' dQ."""
 
 
 @dataclass(frozen=True)
@@ -55,27 +52,14 @@ class Identity(Functional):
     def __call__(self, theta):
         return float_or_array(theta)
 
+    def difference(self, t, h: float):
+        return float_or_array(np.full(np.shape(t), h))
+
     def cuts(self, h: float, width: float) -> Tuple[float, ...]:
         return ()
 
     def slope_mass(self, prior: Prior) -> float:
         return 1.0
-
-
-@dataclass(frozen=True)
-class MaxZero(Functional):
-    """psi(theta) = max(theta, 0).
-
-    Its a.e. derivative is the indicator 1{theta > 0} (the kink at 0 has
-    prior measure zero).
-    """
-
-    def __call__(self, theta):
-        return np.maximum(theta, 0.0) if isinstance(theta, np.ndarray) else max(float(theta), 0.0)
-
-    def slope_mass(self, prior: Prior) -> float:
-        """The prior mass above 0: PowerMax's slope mass at alpha = 1."""
-        return PowerMax(1.0).slope_mass(prior)
 
 
 @dataclass(frozen=True)
@@ -89,7 +73,22 @@ class PowerMax(Functional):
             raise ValueError("alpha must lie in (0, 1]")
 
     def __call__(self, theta):
-        return float_or_array(np.maximum(theta, 0.0) ** self.alpha)
+        scalar = not isinstance(theta, np.ndarray)
+        return (max(float(theta), 0.0) if scalar else np.maximum(theta, 0.0)) ** self.alpha
+
+    def difference(self, t, h: float):
+        """sign(h) a^alpha (1 - (b/a)^alpha), a = max(t, t - h), b = max(min(t, t - h), 0),
+        or 0 where a <= 0, by expm1 of alpha log(b/a): log1p(-|h|/a) while |h| <= a/2,
+        else log(b/a) with b exact (t, or t - h by Sterbenz's lemma)."""
+        t = np.asarray(t, dtype=float)
+        a, b = (t, t - h) if h > 0.0 else (t - h, t)
+        if self.alpha == 1.0:  # a - max(b, 0) = min(|h|, a) where a > 0, exactly
+            return float_or_array(math.copysign(1.0, h) * np.minimum(np.maximum(a, 0.0), abs(h)))
+        b = np.maximum(b, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; a <= 0 masked
+            log_r = np.where(abs(h) <= 0.5 * a, np.log1p(-abs(h) / a), np.log(b / a))
+            value = math.copysign(1.0, h) * a**self.alpha * -np.expm1(self.alpha * log_r)
+            return float_or_array(np.where(a > 0.0, value, 0.0))
 
     def cuts(self, h: float, width: float) -> Tuple[float, ...]:
         """For alpha < 1 also kink + s 2^j, s = min(|h|, width), from 2^-40 s to the width."""
@@ -101,21 +100,23 @@ class PowerMax(Functional):
     def slope_mass(self, prior: Prior) -> float:
         """int alpha t^(alpha-1) q(t) dt over t > 0. A window within its width of 0
         is integrated in u = t^alpha, which removes the singularity, graded toward
-        u = 0 as by ``cuts``. One farther out is integrated in t - mid, with the
-        prior moved next to 0 by ``dilate``, where floats resolve it finely."""
+        u = 0 as by ``cuts``. One farther out is integrated in the prior's centred
+        coordinate (``Prior.centred``), where floats resolve it finely."""
         lo, hi = prior.window()
         if hi <= 0.0:
             return 0.0
         if lo >= hi - lo:
-            mid = 0.5 * (lo + hi)
-            near = prior.dilate(-mid, 1.0)
-            return integrate_panels(lambda z: self.alpha * (mid + z) ** (self.alpha - 1.0)
+            c, near = prior.centred()
+            return integrate_panels(lambda z: self.alpha * (c + z) ** (self.alpha - 1.0)
                                     * prior_density(near, z), *near.window(), near.kinks())
         top = hi ** self.alpha
         return integrate_panels(lambda u: prior_density(prior, u ** (1.0 / self.alpha)),
                                 max(lo, 0.0) ** self.alpha, top,
                                 [e ** self.alpha for e in prior.kinks() if e > 0.0]
                                 + list(self.cuts(0.0, top)))
+
+
+MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,17 @@ def _check_delta_n(delta: float, n: int) -> None:
 
 
 def delta_psi_moments(prior: Prior, f: Functional, h: float) -> Tuple[float, float]:
-    """First and second prior moments of psi(t) - psi(t - h), both from one
-    quadrature over the prior window cut at ``f.cuts(h)``, where it is not smooth."""
-    lo, hi = prior.window()
+    """First and second prior moments of psi(t) - psi(t - h), both from one quadrature
+    in z = t - c (``Prior.centred``), cut at ``f.cuts(h)``, where it is not smooth."""
+    c, near = prior.centred()
+    lo, hi = near.window()
 
-    def moments(t: np.ndarray) -> np.ndarray:
-        dpsi, q = f(t) - f(t - h), prior_density(prior, t)
+    def moments(z: np.ndarray) -> np.ndarray:
+        dpsi, q = f.difference(c + z, h), prior_density(near, z)
         return np.stack((dpsi * q, dpsi * dpsi * q))
 
-    return tuple(float(m) for m in integrate_panels(moments, lo, hi, f.cuts(h, hi - lo), shift=h))
+    return tuple(float(m) for m in integrate_panels(moments, lo, hi,
+                                                    [k - c for k in f.cuts(h, hi - lo)]))
 
 
 def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
@@ -161,8 +164,8 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     if h == 0.0:
         raise ValueError("h must be nonzero")
     h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
-    if h2 < 1e-14:
-        raise ValueError(f"mixture Hellinger distance degenerate (H^2={h2!r}) at h={h}")
+    if h2 == 0.0:
+        raise ValueError(f"mixture Hellinger distance underflows to 0 at h={h}")
     num, second = delta_psi_moments(prior, f, h)
     return num * num / (4.0 * h2), second
 
@@ -492,7 +495,7 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
     tensorization; once it reaches 1 the bracket is clamped to the trivial
     lower bound zero.
     """
-    h2n = hellinger_sq_iid(family, theta1, theta2, n)
+    h2n = hellinger_sq_iid(family, theta2, theta1 - theta2, n)
     bracket = (1.0 - h2n) / 4.0
     if bracket <= 0.0:
         return 0.0

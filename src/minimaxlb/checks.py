@@ -29,10 +29,10 @@ def kepler_residual(a_values: Iterable[float]) -> Check:
 def hellinger_tensorization(cases: Iterable[Tuple[models.Family, float, float, int, int]]
                             ) -> Check:
     """1 - H^2_{m+n}/2 = (1 - H^2_m/2)(1 - H^2_n/2) to 1e-12 for each
-    (family, theta1, theta2, n, m)."""
+    (family, theta, h, n, m)."""
     worst = 0.0
-    for family, t1, t2, n, m in cases:
-        h2m, h2n, h2mn = (models.hellinger_sq_iid(family, t1, t2, k) for k in (m, n, m + n))
+    for family, theta, h, n, m in cases:
+        h2m, h2n, h2mn = (models.hellinger_sq_iid(family, theta, h, k) for k in (m, n, m + n))
         worst = max(worst, abs((1 - h2mn / 2) - (1 - h2m / 2) * (1 - h2n / 2)))
     return "hellinger-tensorization", worst <= 1e-12, f"max defect {worst:.2e}"
 

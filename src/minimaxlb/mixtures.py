@@ -3,16 +3,17 @@
     dM0(x, t) = p_t(x) q(t) dx dt      and      dMh(x, t) = p_{t+h}(x) q(t+h) dx dt,
 
 computed through the decomposition identities (the prior shift divergence
-plus the n-fold family divergence H^2_n or chi^2_n), each one integral over
-the window covering q and its shift:
+plus the n-fold family divergence H^2_n or chi^2_n of the shift h at t), each
+one integral over the window covering q and its shift, with Delta = log q(t+h)
+- log q(t) (``Prior.log_ratio``) where q(t), q(t+h) > 0:
 
-    H^2(Mh, M0)   = int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
-    chi^2(Mh||M0) = int_{q>0} (q(t+h) - q(t))^2/q(t) + q(t+h)^2/q(t) chi^2_n(t+h, t) dt,
+    H^2(Mh, M0)   = int q expm1(Delta/2)^2 + q exp(Delta/2) H^2_n(t, h) dt,
+    chi^2(Mh||M0) = int q expm1(Delta)^2 + q exp(2 Delta) chi^2_n(t, h) dt,
 
 and a brute-force 2-D grid oracle (n = 1 only) validating the Hellinger
-identity. The computation path is always the outer t-quadrature with the
-closed-form inner divergence, never an n-dimensional x-integral, so large n
-costs nothing; the tensorization closed forms keep it exact.
+identity. Each integral runs in the prior's centred coordinate z = t - c
+(``Prior.centred``) and reads h itself, never (t + h) - t, at any h and prior
+center; it is never an n-dimensional x-integral, so large n costs nothing.
 """
 from __future__ import annotations
 
@@ -65,9 +66,14 @@ class GridSpec:
     def __post_init__(self):
         if not (self.t_lo < self.t_hi and self.x_lo < self.x_hi):
             raise ValueError("grid bounds must satisfy lo < hi")
-        for p in (self.t_points, self.x_points):
+        for axis, lo, hi, p in (("t", self.t_lo, self.t_hi, self.t_points),
+                                ("x", self.x_lo, self.x_hi, self.x_points)):
             if p < 11 or p % 2 == 0:
                 raise ValueError("grid points must be odd and >= 11")
+            # the grid reads t and x themselves: floats may move a node by 2^-16 of a cell
+            if max(abs(lo), abs(hi)) * 2.0**-52 > 2.0**-16 * (hi - lo) / (p - 1):
+                raise ValueError(f"the {axis}-grid on [{lo!r}, {hi!r}] is too far from 0 "
+                                 f"for {p} points")
 
 
 def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ...]]:
@@ -82,73 +88,73 @@ _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
 def mixture_hellinger_sq(spec: MixtureSpec) -> float:
-    """Squared Hellinger distance between the shifted joint mixtures,
-
-        int (sqrt(q(t+h)) - sqrt(q(t)))^2 + sqrt(q(t+h) q(t)) H^2_n(t+h, t) dt,
-
-    one quadrature over the shift window with the n-fold family divergence in
-    closed form; always finite, in [0, 2]. The squared-difference form avoids
-    the catastrophic cancellation of 2 - 2 int sqrt(q_h q) when the shift is small.
-    """
-    prior, family, h = spec.prior, spec.family, float(spec.h)
+    """Squared Hellinger distance between the shifted joint mixtures by the
+    identity above, with q(t) + q(t+h) where one of them is 0; in [0, 2]."""
+    family, h = spec.family, float(spec.h)
     if h == 0.0:
         return 0.0
+    c, prior = spec.prior.centred()
     lo0, hi0 = prior.window()
     if abs(h) >= hi0 - lo0:  # disjoint supports
         return 2.0
     # the family term reads t and t + h at or above the window only
-    family.check_theta(lo0, _PRIOR_PARAMETERS)
+    family.check_theta(c + lo0, _PRIOR_PARAMETERS)
     lo, hi, cuts = _union_region(prior, h)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        qh, q = prior_density(prior, t + h), prior_density(prior, t)
-        total = (np.sqrt(qh) - np.sqrt(q)) ** 2
-        read = (qh * q > 0.0) & (np.minimum(t, t + h) >= lo0)
-        total[read] += np.sqrt(qh[read] * q[read]) * hellinger_sq_iid(
-            family, t[read] + h, t[read], spec.n)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        q, qh = prior_density(prior, z), prior_density(prior, z + h)
+        both = q * qh > 0.0
+        total = q + qh
+        z, q = z[both], q[both]
+        half = 0.5 * prior.log_ratio(z, h)
+        value = q * np.expm1(half) ** 2
+        read = z >= max(lo0, lo0 - h)
+        value[read] += q[read] * np.exp(half[read]) * hellinger_sq_iid(
+            family, c + z[read], h, spec.n)
+        total[both] = value
         return total
 
-    return min(max(integrate_panels(integrand, lo, hi, cuts, shift=h), 0.0), 2.0)
+    return min(max(integrate_panels(integrand, lo, hi, cuts), 0.0), 2.0)
 
 
 def mixture_chi_sq(spec: MixtureSpec) -> float:
     """Chi-squared divergence chi^2(Mh || M0) of the shifted joint mixtures.
 
-    For a dominated shift (full-support priors) this is the decomposition
-    chi^2(Q_h||Q) + int chi^2_n dQ_h^2/dQ, one integrand with no "- 1" to
-    cancel. It is inf when the shifted prior is not dominated (every
-    compact-support prior with h != 0) or when the per-observation
+    For a dominated shift (full-support priors) this is the identity above,
+    with no "- 1" to cancel. It is inf when the shifted prior is not dominated
+    (every compact-support prior with h != 0) or when the per-observation
     chi-squared is infinite on a set of positive prior mass (uniform family
     with h > 0).
     """
-    h = float(spec.h)
+    family, h = spec.family, float(spec.h)
     if h == 0.0:
         return 0.0
-    if not spec.family.shift_is_dominated(h):
-        return math.inf
     lo_s, hi_s = spec.prior.support()
     if math.isfinite(lo_s) or math.isfinite(hi_s):
         # a shifted interval is never contained in itself
         return math.inf
-    lo, hi = spec.prior.window()
-    spec.family.check_theta(min(lo, lo + h), _PRIOR_PARAMETERS)
+    c, prior = spec.prior.centred()
+    lo, hi = prior.window()
+    family.check_theta(c + min(lo, lo + h), _PRIOR_PARAMETERS)
 
     # q(t+h)^2/q(t) peaks near center - 2h for a Gaussian prior: widen the window;
     # its far tail may pass the family's theta_min, where chi^2_n is not read.
     lo, hi = lo - 2.0 * abs(h), hi + 2.0 * abs(h)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        q0, qh = prior_density(spec.prior, t), prior_density(spec.prior, t + h)
-        read = (q0 > 0.0) & (qh > 0.0) & (np.minimum(t, t + h) > spec.family.theta_min)
-        per = np.zeros_like(t)
-        per[read] = chi_sq_iid(spec.family, t[read] + h, t[read], spec.n)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        q, ratio, theta = prior_density(prior, z), prior.log_ratio(z, h), c + z
+        read = (q > 0.0) & (np.minimum(theta, theta + h) > family.theta_min)
+        per = np.zeros_like(z)
+        per[read] = chi_sq_iid(family, theta[read], h, spec.n)
         if np.isinf(per).any():
             raise _DivergentSignal()
-        den = np.where(q0 > 0.0, q0, np.inf)  # q(t) = 0 contributes 0
-        return (qh - q0) ** 2 / den + qh * qh / den * per
+        root = np.sqrt(q)  # q e^(2 Delta) as (root e^Delta)^2: finite wherever the integral is
+        with np.errstate(over="ignore", invalid="ignore"):  # q(t) = 0 contributes 0
+            return np.where(q > 0.0, (root * np.expm1(ratio)) ** 2
+                            + (root * np.exp(ratio)) ** 2 * per, 0.0)
 
     try:
-        return integrate_panels(integrand, lo, hi, shift=h)
+        return integrate_panels(integrand, lo, hi)
     except _DivergentSignal:
         return math.inf
 

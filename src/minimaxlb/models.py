@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import check_n, float_or_array, math_for
+from .numerics import check_n, float_or_array
 from .priors import check_scale
 
 
@@ -24,10 +24,11 @@ class Family:
     """A one-parameter family P_theta with closed-form divergences.
 
     Each family type defines ``density(theta, x)`` (theta and x broadcast),
-    ``fisher_info(theta)``, ``hellinger_sq(theta1, theta2)``,
-    ``chi_sq(theta_num, theta_den)``, ``shift_is_dominated(h)``, and the
-    oracle grid's ``x_range(t_lo, t_hi, h)`` with its ``x_coverage`` text.
-    Parameters, floats or ndarrays, must be finite and above ``theta_min``.
+    ``fisher_info(theta)``, the divergences of a shift h, which read h itself,
+    ``hellinger_sq(theta, h)`` = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta,
+    h)`` = chi^2(P_{theta+h} || P_theta), and the oracle grid's ``x_range(t_lo,
+    t_hi, h)`` with its ``x_coverage`` text. Parameters theta and theta + h,
+    floats or ndarrays, must be finite and above ``theta_min``.
     """
 
     theta_min = -math.inf
@@ -45,6 +46,11 @@ class Family:
             raise ValueError(f"{self.label} requires {name} > {self.theta_min:g}, "
                              f"got {np.min(theta)}")
         return theta
+
+    def check_shift(self, theta, h):
+        """check_theta of theta + h and of theta, which is returned."""
+        self.check_theta(theta + h, "theta + h")
+        return self.check_theta(theta)
 
     def check_x(self, x):
         if not np.isfinite(x).all():
@@ -77,25 +83,19 @@ class GaussianLocation(Family):
         self.check_theta(theta)
         return 1.0 / self.sigma**2
 
-    def hellinger_sq(self, theta1: float, theta2: float) -> float:
-        """Squared Hellinger distance 2 - 2 exp(-(theta1-theta2)^2 / (8 sigma^2))."""
-        theta1 = self.check_theta(theta1, "theta1")
-        theta2 = self.check_theta(theta2, "theta2")
-        d = (theta1 - theta2) / self.sigma
-        return -2.0 * math_for(d).expm1(-d * d / 8.0)
+    def hellinger_sq(self, theta, h: float):
+        """Squared Hellinger distance 2 - 2 exp(-h^2 / (8 sigma^2)), the same at every theta."""
+        theta, d = self.check_shift(theta, h), h / self.sigma
+        value = -2.0 * math.expm1(-d * d / 8.0)
+        return value if isinstance(theta, float) else np.full(theta.shape, value)
 
-    def chi_sq(self, theta_num: float, theta_den: float):
-        """Chi-squared divergence exp((theta_num-theta_den)^2/sigma^2) - 1;
+    def chi_sq(self, theta, h: float):
+        """Chi-squared divergence exp(h^2/sigma^2) - 1, the same at every theta;
         inf once it exceeds the float range."""
-        theta_num = self.check_theta(theta_num, "theta_num")
-        theta_den = self.check_theta(theta_den, "theta_den")
-        d = (theta_num - theta_den) / self.sigma
+        theta = self.check_shift(theta, h)
+        d = h / self.sigma
         with np.errstate(over="ignore"):  # effectively infinite, as in chi_sq_iid
-            return float_or_array(np.expm1(d * d))
-
-    def shift_is_dominated(self, h: float) -> bool:
-        """Every P_{t+h} is dominated by P_t."""
-        return True
+            return float_or_array(np.full(np.shape(theta), np.expm1(d * d)))
 
     def x_range(self, t_lo: float, t_hi: float, h: float) -> Tuple[float, float]:
         """x-interval of the oracle grid: 8 sigma beyond the parameter range."""
@@ -124,34 +124,27 @@ class UniformScale(Family):
         self.check_theta(theta)
         return math.inf
 
-    def hellinger_sq(self, theta1: float, theta2: float) -> float:
-        """Squared Hellinger distance 2 (1 - (1 + h/theta_min)^(-1/2)), h = |theta1 - theta2|."""
-        theta1 = self.check_theta(theta1, "theta1")
-        theta2 = self.check_theta(theta2, "theta2")
-        r = np.minimum(theta1, theta2) / np.maximum(theta1, theta2)
-        # 2 (1 - sqrt(r)) written without cancellation for r near 1
-        return float_or_array(2.0 * (1.0 - r) / (1.0 + np.sqrt(r)))
+    def hellinger_sq(self, theta, h: float):
+        """Squared Hellinger distance 2 (1 - sqrt(1 - u)) = 2u / (1 + sqrt(1 - u)),
+        u = |h| / max(theta, theta + h)."""
+        theta = self.check_shift(theta, h)
+        u = abs(h) / np.maximum(theta, theta + h)
+        return float_or_array(2.0 * u / (1.0 + np.sqrt(1.0 - u)))
 
-    def chi_sq(self, theta_num: float, theta_den: float):
-        """theta_den/theta_num - 1; inf when theta_num > theta_den
-        (the numerator law is not dominated)."""
-        theta_num = self.check_theta(theta_num, "theta_num")
-        theta_den = self.check_theta(theta_den, "theta_den")
-        return float_or_array(np.where(theta_num > theta_den, np.inf, theta_den / theta_num - 1.0))
-
-    def shift_is_dominated(self, h: float) -> bool:
-        """Unif(0, t+h) is dominated by Unif(0, t) only for h <= 0."""
-        return h <= 0
+    def chi_sq(self, theta, h: float):
+        """-h / (theta + h); inf when h > 0 (Unif(0, theta + h) is not dominated)."""
+        theta = self.check_shift(theta, h)
+        return float_or_array(np.full(np.shape(theta), np.inf) if h > 0.0 else -h / (theta + h))
 
     def x_range(self, t_lo: float, t_hi: float, h: float) -> Tuple[float, float]:
         """x-interval of the oracle grid: the whole support [0, t_hi + |h|]."""
         return 0.0, t_hi + abs(h)
 
 
-def hellinger_sq_iid(family: Family, theta1, theta2, n: int):
-    """n-fold tensorization 2 - 2 (1 - H^2/2)^n of the squared Hellinger."""
+def hellinger_sq_iid(family: Family, theta, h: float, n: int):
+    """n-fold tensorization 2 - 2 (1 - H^2/2)^n of H^2(P_{theta+h}, P_theta)."""
     check_n(n)
-    h2 = family.hellinger_sq(theta1, theta2)
+    h2 = family.hellinger_sq(theta, h)
     if n == 1:
         return h2
     # 2 - 2 (1 - h2/2)^n via expm1/log1p to keep precision at small h2
@@ -161,10 +154,10 @@ def hellinger_sq_iid(family: Family, theta1, theta2, n: int):
         return -2.0 * np.expm1(n * np.log1p(-h2 / 2.0))
 
 
-def chi_sq_iid(family: Family, theta_num, theta_den, n: int):
-    """n-fold tensorization (1 + chi^2)^n - 1; inf propagates."""
+def chi_sq_iid(family: Family, theta, h: float, n: int):
+    """n-fold tensorization (1 + chi^2)^n - 1 of chi^2(P_{theta+h} || P_theta); inf propagates."""
     check_n(n)
-    per_obs = family.chi_sq(theta_num, theta_den)
+    per_obs = family.chi_sq(theta, h)
     if n == 1:
         return per_obs
     log_term = n * np.log1p(per_obs)

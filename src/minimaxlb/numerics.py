@@ -245,14 +245,14 @@ def find_root_bisect(
 def _golden_max(
     f: Callable[[float], float], lo: float, hi: float, iters: int
 ) -> Tuple[float, float]:
-    """Golden-section search for a maximum on [lo, hi]."""
-    a, b = lo, hi
+    """Golden-section search for a maximum on [lo, hi], to 1e-14 of its width."""
+    a, b, width = lo, hi, 1e-14 * (hi - lo)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = float(f(c)), float(f(d))
     best_x, best_v = (c, fc) if fc >= fd else (d, fd)
     for _ in range(iters):
-        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+        if b - a <= width or not a < c < d < b:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -427,13 +427,6 @@ def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
 
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
 _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
-MAX_RESOLUTION_FLOOR = 1e-3
-
-
-def resolution_floor(t: float, scale: float) -> float:
-    """The relative accuracy of a function of t varying on this scale, as t
-    rounds by 2^-52 |t|; one above MAX_RESOLUTION_FLOOR is not resolved."""
-    return 2.0**-50 * abs(t) / abs(scale)
 
 # The 16-point Gauss-Legendre rule on [-1, 1], equal to
 # numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
@@ -459,28 +452,23 @@ def panel_nodes(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                     cuts: Sequence[float] = (), shift: float = math.inf):
+                     cuts: Sequence[float] = ()):
     """Gauss-Legendre integral of the vectorized ``f`` over [lo, hi] cut at ``cuts``.
 
     Each piece between cuts gets P equal panels of PANEL_NODES nodes. f takes
     all nodes as one array and returns a value per node, or rows of them (the
     result is then an array). P doubles from 4 until two estimates agree to
     1e-12 of sum |f| w (so zero and cancelling integrals end too); the finer
-    one is returned. For an f that reads t + shift the tolerance is at least
-    resolution_floor(max(|lo|, |hi|), shift). Raises ToleranceNotMet (with the
-    last estimate) past 1024 panels per piece or that floor past
-    MAX_RESOLUTION_FLOOR, and ValueError on a non-finite f.
+    one is returned. Raises ToleranceNotMet (with the last estimate) past 1024
+    panels per piece, and ValueError on a non-finite f.
     """
     lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
     if not lo < hi:
         raise ValueError("integration bounds must satisfy lo < hi")
-    rel_tol = max(_PANEL_REL_TOL, resolution_floor(max(abs(lo), abs(hi)), shift))
-    if rel_tol > MAX_RESOLUTION_FLOOR:
-        raise ToleranceNotMet(f"t + {shift!r} cannot resolve the shift on [{lo}, {hi}]", math.nan)
     ends = np.array(cut_points(lo, hi, cuts))
     panels, previous = _FIRST_PANELS, None
     while True:
-        fractions = np.linspace(0.0, 1.0, panels + 1)
+        fractions = np.arange(panels + 1) / panels  # np.linspace(0, 1, panels + 1), exactly
         edges = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * fractions
         nodes, weights = panel_nodes(edges[:, :-1], edges[:, 1:])
         values = np.asarray(f(nodes), dtype=float)
@@ -489,7 +477,7 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
         terms = values * weights
         estimate = terms.sum(axis=-1)
         if previous is not None and np.all(
-                np.abs(estimate - previous) <= rel_tol * np.abs(terms).sum(axis=-1)):
+                np.abs(estimate - previous) <= _PANEL_REL_TOL * np.abs(terms).sum(axis=-1)):
             return float_or_array(estimate)
         if panels >= _MAX_PANELS:
             raise ToleranceNotMet(f"Gauss-Legendre panels on [{lo}, {hi}] did not converge "

@@ -18,8 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import (MAX_RESOLUTION_FLOOR, find_root_bisect, float_or_array, math_for,
-                       resolution_floor)
+from .numerics import _require_finite, find_root_bisect, float_or_array, math_for
 
 _PI = math.pi
 _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
@@ -43,27 +42,22 @@ def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None
                          f"{unit_fisher:.6g}/{name}**2 overflows")
 
 
-def check_center(center: float, scale: float, name: str) -> None:
-    """The location rule of a prior: the center is finite, and floats near it
-    resolve the scale within integrate_panels' floor, |center|/scale <= 2^50 1e-3."""
-    if not math.isfinite(center):
-        raise ValueError(f"{name} must be finite, got {center!r}")
-    if resolution_floor(center, scale) > MAX_RESOLUTION_FLOOR:
-        raise ValueError(f"{name}={center!r} is too far from 0: floats near it cannot resolve "
-                         f"the prior's scale {scale!r} (|{name}|/scale must be at most "
-                         f"{MAX_RESOLUTION_FLOOR / resolution_floor(1.0, 1.0):.3g})")
-
-
 class Prior:
     """A prior density on the real line.
 
     Each prior type defines ``density(t)`` (t a float or an ndarray; zero
-    outside the support), ``support()``, ``fisher_info()`` (I(Q) = int
-    q'^2/q), ``dispersion()`` (the scale that sizes shift-search windows) and
-    ``dilate(center, scale)``, the location-scale map t -> (1/scale)
-    q((t - center)/scale), which multiplies the Fisher information by
-    scale^-2. The defaults below fit the compactly supported nice priors.
+    outside the support), ``log_ratio(t, h)`` = log q(t + h) - log q(t) where
+    both are positive, in closed form in h, ``support()``, ``fisher_info()``
+    (I(Q) = int q'^2/q), ``dispersion()`` (the scale that sizes shift-search
+    windows) and ``dilate(center, scale)``, the location-scale map t ->
+    (1/scale) q((t - center)/scale), which multiplies the Fisher information
+    by scale^-2. The defaults below fit the compactly supported nice priors.
     """
+
+    def centred(self) -> Tuple[float, "Prior"]:
+        """The window's midpoint c and the prior moved by -c: the integrals in z = t - c."""
+        c = 0.5 * self.window()[0] + 0.5 * self.window()[1]
+        return c, self.dilate(-c, 1.0)
 
     def window(self) -> Tuple[float, float]:
         """Finite interval carrying all but a negligible tail of the prior."""
@@ -88,12 +82,19 @@ class Cosine(Prior):
 
     def __post_init__(self):
         check_scale(self.halfwidth, "halfwidth", _PI * _PI)
-        check_center(self.center, self.halfwidth, "center")
+        _require_finite(self.center, "center")
 
     def density(self, t):
         u = (t - self.center) / self.halfwidth
         val = np.cos(_PI * u / 2.0)
         return float_or_array(np.where(np.abs(u) < 1.0, val * val / self.halfwidth, 0.0))
+
+    def log_ratio(self, t, h):
+        """2 log(cos(a + b)/cos a) = 2 log1p(-2 sin^2(b/2) - tan(a) sin b), with a
+        the phase at t and b the phase of h."""
+        phase = 0.5 * _PI / self.halfwidth
+        a, b = phase * (t - self.center), phase * h
+        return 2.0 * np.log1p(-2.0 * math.sin(0.5 * b) ** 2 - np.tan(a) * math.sin(b))
 
     def support(self) -> Tuple[float, float]:
         return self.center - self.halfwidth, self.center + self.halfwidth
@@ -115,11 +116,16 @@ class GaussianPrior(Prior):
 
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
-        check_center(self.mu, self.sigma, "mu")
+        _require_finite(self.mu, "mu")
 
     def density(self, t):
         z = (t - self.mu) / self.sigma
         return math_for(z).exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / self.sigma
+
+    def log_ratio(self, t, h):
+        """-(z + eta/2) eta, with z = (t - mu)/sigma and eta = h/sigma."""
+        eta = h / self.sigma
+        return -((t - self.mu) / self.sigma + 0.5 * eta) * eta
 
     def support(self) -> Tuple[float, float]:
         return -math.inf, math.inf
@@ -154,6 +160,9 @@ class UniformPrior(Prior):
     def density(self, t):
         inside = (self.lo <= t) & (t <= self.hi)
         return float_or_array(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
+
+    def log_ratio(self, t, h):
+        return float_or_array(np.zeros(np.shape(t)))
 
     def support(self) -> Tuple[float, float]:
         return self.lo, self.hi
@@ -204,7 +213,6 @@ class KeplerCosine(Cosine):
         with Fisher information solve_kepler(a).min_fisher / scale^2."""
         sol = solve_kepler(a)
         check_scale(scale, "scale", sol.min_fisher)
-        check_center(center, scale, "center")
         return KeplerCosine(center + scale * 0.5 * (sol.s_minus + sol.s_plus),
                             scale * 0.5 * sol.w_a)
 

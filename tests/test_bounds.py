@@ -82,9 +82,56 @@ def test_hellinger_mixture_bound_rejects():
         hellinger_mixture_bound(GAUSS, 1, UniformPrior(0.0, 1.0), Identity(), 0.1)
     with pytest.raises(ValueError):
         hellinger_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), Identity(), 0.0)
-    with pytest.raises(ValueError, match="degenerate"):
-        # H^2 ~ h^2/2 underflows the 1e-14 floor at h = 1e-8
-        hellinger_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), Identity(), 1e-8)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        # H^2 ~ h^2/2 underflows at h = 1e-170
+        hellinger_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), Identity(), 1e-170)
+
+
+@pytest.mark.parametrize("prior", [Cosine(0.0, 1.0), GaussianPrior(0.0, 1.0),
+                                   KeplerCosine.for_constraint(0.75)],
+                         ids=["cosine", "gaussian", "kepler"])
+@pytest.mark.parametrize("n", [1, 10])
+def test_hellinger_mixture_bound_tends_to_van_trees(prior, n):
+    # every integral reads h itself, so the h -> 0 limit holds to rounding
+    vt = van_trees_value(GAUSS, n, prior, MaxZero())
+    for h in (1e-100, -1e-100):
+        assert hellinger_mixture_bound(GAUSS, n, prior, MaxZero(), h) == \
+            pytest.approx(vt, rel=1e-14, abs=0.0)
+    assert hellinger_mixture_bound(GAUSS, n, prior, MaxZero(), 1e-9) == \
+        pytest.approx(vt, rel=1e-7, abs=0.0)
+
+
+def test_powermax_difference_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(alpha, t, h):
+        with mpmath.workprec(1500):  # t - h is exact at this precision
+            psi = lambda x: x ** mpmath.mpf(alpha) if x > 0 else mpmath.mpf(0)
+            t, h = mpmath.mpf(t), mpmath.mpf(h)
+            return float(psi(t) - psi(t - h))
+
+    ts = [-2.0, -1e-3, 1e-300, 1e-9, 0.3, 1.0, 7.5, 1e6, 1e15]
+    hs = [1e-100, 1e-12, -1e-12, 1e-3, -1e-3, 0.5, -0.5, 2.0, -2.0, 1e7]
+    for alpha in (1.0, 0.5, 0.01, 0.77):
+        f = PowerMax(alpha)
+        for h in hs:
+            got = f.difference(np.array(ts), h)
+            for t, value in zip(ts, got):
+                want = exact(alpha, t, h)
+                for value in (value, f.difference(t, h)):
+                    assert abs(value - want) <= 4.0 * math.ulp(want), (alpha, t, h, value, want)
+    assert MaxZero() == PowerMax(1.0)
+    assert list(Identity().difference(np.array(ts), 1e-9)) == [1e-9] * len(ts)
+
+
+def test_golden_search_is_relative_to_its_bracket():
+    # the uniform-family sup scales as s^2 with the prior, down to tiny s
+    def sup(s):
+        prior = Cosine(3.0 * s, s)
+        return hellinger_mixture_bound_sup(UniformScale(), 10, prior, MaxZero(),
+                                           *bounds.default_shift_range(prior)).value / s**2
+    assert sup(1e-13) == pytest.approx(sup(1.0), rel=1e-12)
+    assert sup(1e-12) == pytest.approx(sup(1.0), rel=1e-12)
 
 
 def test_hellinger_mixture_sup_symmetric():

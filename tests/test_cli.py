@@ -390,24 +390,21 @@ def test_bound_command_validation_exit(tmp_path):
     (["risk", "--estimator", "plugin", "--delta", "1", "--n", str(10**400)], 2,
      "n is too large: --n"),
     (["bound", "--method", "chi2", "--prior", "gaussian:0:1e100", "--h", "1e-8", "--lambda", "0"],
-     3, "cannot resolve the shift"),
+     0, "value=0.25"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1"], 0, "value=0.125\n"),
     (["bound", "--method", "vantrees", "--family", "uniform"], 2,
      "divergent Fisher information"),
-    (["bound", "--method", "vantrees", "--prior", "gaussian:1e16:1"], 2,
-     "mu=1e+16 is too far from 0"),
-    (["bound", "--method", "vantrees", "--prior", "gaussian:1e17:1"], 2,
-     "mu=1e+17 is too far from 0"),
-    (["bound", "--method", "vantrees", "--prior", "cosine:1e16:1"], 2,
-     "center=1e+16 is too far from 0"),
-    (["bound", "--method", "vantrees", "--prior", "kepler:0.75:1e16"], 2,
-     "center=1e+16 is too far from 0"),
-    (["bound", "--method", "vantrees", "--prior", "gaussian:1e300:1"], 2,
-     "mu=1e+300 is too far from 0"),
-    (["bound", "--method", "chi2", "--prior", "gaussian:1e300:1", "--h", "0.1"], 2,
-     "mu=1e+300 is too far from 0"),
-    (["bound", "--method", "hellinger", "--prior", "gaussian:1e300:1"], 2,
-     "mu=1e+300 is too far from 0"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e16:1"], 0, "value=0.5\n"),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e17:1"], 0, "value=0.5\n"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:1e16:1"], 0,
+     "value=0.0919996683503752"),  # 1/(pi^2 + 1)
+    (["bound", "--method", "vantrees", "--prior", "kepler:0.75:1e16"], 0,
+     "value=0.0595693962029745"),  # 1/(solve_kepler(0.75).min_fisher + 1)
+    (["bound", "--method", "vantrees", "--prior", "gaussian:1e300:1"], 0, "value=0.5\n"),
+    (["bound", "--method", "chi2", "--prior", "gaussian:1e300:1", "--h", "0.1"], 0,
+     "value=0.495016666555"),  # h^2 / expm1(2 h^2)
+    (["bound", "--method", "hellinger", "--prior", "gaussian:1e300:1"], 0,
+     "value=0.4998585892686"),  # the identity functional's value at gaussian:0:1 below
     (["bound", "--method", "vantrees", "--prior", "gaussian:1e6:1"], 0, "value=0.5\n"),
     (["bound", "--method", "vt", "--sigma", "1e300"], 2,
      "sigma=1e+300 is too large: sigma**2 overflows"),
@@ -419,6 +416,14 @@ def test_bound_command_validation_exit(tmp_path):
      2, "sigma=1e-160 is too small: the Fisher information 1/sigma**2 overflows"),
     (["sweep", "--n", "173,701", "--delta", "1.06", "--methods", "twopoint,diffeo,vt",
       "--threshold=-1e300"], 2, "threshold must be positive and finite, got -1e+300"),
+    (["bound", "--method", "hellinger", "--prior", "gaussian:0:1", "--functional", "identity"],
+     0, "value=0.4998585892686"),
+    (["bound", "--method", "hellinger", "--prior", "cosine:0:1", "--n", "10", "--h", "1e-9"], 0,
+     "value=0.125820318"),  # the van Trees value is 0.12582032080432043
+    (["bound", "--method", "chi2", "--prior", "gaussian:1e8:1", "--h", "0.1", "--lambda", "0.5"],
+     0, "value=0.4317817"),
+    (["bound", "--method", "chi2", "--prior", "gaussian:1e9:1", "--h", "0.1", "--lambda", "0.5"],
+     2, "the t-grid on [999999987.9, 1000000012.0] is too far from 0"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

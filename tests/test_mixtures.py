@@ -56,9 +56,20 @@ def test_mixture_hellinger_gaussian_closed_form_relative(sigma, sigma_q, n):
     for h in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         spec = MixtureSpec(GaussianLocation(sigma), n, GaussianPrior(0.0, sigma_q), h)
         expected = gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n)
-        # the floor is the rounding of t + h: ulp(t) / h, up to 9e-12 at h = 1e-4
-        # over the N(0, 4) prior's bulk |t| < 8; the worst case reads 1.1e-12
         assert mixture_hellinger_sq(spec) == pytest.approx(expected, rel=2e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e3, 1e6, 1e9, 1e15])
+@pytest.mark.parametrize("n", [1, 100])
+def test_mixture_divergences_read_the_shift_at_any_center(mu, n):
+    # N(mu, 1) prior, Gaussian family: H^2 = -2 expm1(-h^2 (1 + n)/8) and
+    # chi^2 = expm1(h^2 (1 + n)); no integrand forms (t + h) - t
+    for h in (1e-2, 1e-6, 1e-10, -1e-6):
+        spec = MixtureSpec(GAUSS, n, GaussianPrior(mu, 1.0), h)
+        assert mixture_hellinger_sq(spec) == pytest.approx(
+            -2.0 * math.expm1(-h * h * (1 + n) / 8.0), rel=1e-13, abs=0.0)
+        assert mixture_chi_sq(spec) == pytest.approx(math.expm1(h * h * (1 + n)),
+                                                     rel=1e-13, abs=0.0)
 
 
 def _sin_minus_x_cos(x):
@@ -212,6 +223,18 @@ def test_oracle_zero_shift():
     grid = default_grid(GAUSS, GaussianPrior(0.0, 1.0), 0.0)
     got = mixture_hellinger_oracle(GAUSS, GaussianPrior(0.0, 1.0), 0.0, grid)
     assert got == pytest.approx(0.0, abs=1e-12)
+
+
+def test_grid_must_resolve_its_cells():
+    # the oracle grids read parameters on the absolute axis: a node may move by
+    # at most 2^-16 of a cell, so N(1e8, 1) has a default grid and N(1e9, 1) none
+    grid = default_grid(GAUSS, GaussianPrior(1e8, 1.0), 0.1)
+    assert grid.t_lo == 1e8 - 12.1
+    for prior in (GaussianPrior(1e9, 1.0), GaussianPrior(1e13, 1.0), Cosine(-1e12, 1.0)):
+        with pytest.raises(ValueError, match="too far from 0"):
+            default_grid(GAUSS, prior, 0.1)
+    with pytest.raises(ValueError, match="the x-grid"):
+        GridSpec(t_lo=0.0, t_hi=1.0, x_lo=1e12, x_hi=1e12 + 1.0)
 
 
 def test_grid_validation_and_coverage_warning():

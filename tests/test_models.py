@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from scipy import integrate
@@ -57,8 +58,8 @@ def test_fisher_info():
 
 
 def test_hellinger_closed_forms_vs_oracle():
-    assert GAUSS.hellinger_sq(0.3, 0.3) == 0.0
-    got = UNIF.hellinger_sq(1.0, 1.5)
+    assert GAUSS.hellinger_sq(0.3, 0.0) == 0.0
+    got = UNIF.hellinger_sq(1.0, 0.5)
     assert got == pytest.approx(2.0 * (1.0 - 1.5**-0.5), abs=1e-12)
     assert got == pytest.approx(hellinger_oracle(UNIF, 1.0, 1.5), abs=1e-8)
     got = GAUSS.hellinger_sq(0.0, 1.0)
@@ -72,40 +73,41 @@ def test_hellinger_closed_forms_vs_oracle():
 ])
 def test_divergences_match_integral_oracle(family, pairs):
     for t1, t2 in pairs:
-        assert family.hellinger_sq(t1, t2) == pytest.approx(
+        # H^2(P_t2, P_t1) is the divergence of the shift t2 - t1 from t1
+        assert family.hellinger_sq(t1, t2 - t1) == pytest.approx(
             hellinger_oracle(family, t1, t2), abs=1e-7)
-        val = family.chi_sq(min(t1, t2), max(t1, t2))
-        assert val == pytest.approx(
-            chi_sq_oracle(family, min(t1, t2), max(t1, t2)), abs=1e-7)
+        lo, hi = min(t1, t2), max(t1, t2)
+        val = family.chi_sq(hi, lo - hi)
+        assert val == pytest.approx(chi_sq_oracle(family, lo, hi), abs=1e-7)
 
 
 def test_hellinger_symmetry_and_range():
-    for t1, t2 in [(0.0, 1.0), (-2.0, 5.0), (0.25, 0.3)]:
-        a = GAUSS.hellinger_sq(t1, t2)
-        assert a == GAUSS.hellinger_sq(t2, t1)
+    for t1, t2 in [(0.0, 1.0), (-2.0, 5.0), (0.25, 0.5)]:
+        a = GAUSS.hellinger_sq(t1, t2 - t1)
+        assert a == GAUSS.hellinger_sq(t2, t1 - t2)
         assert 0.0 <= a <= 2.0
-    for t1, t2 in [(1.0, 2.0), (0.5, 0.7)]:
-        a = UNIF.hellinger_sq(t1, t2)
-        assert a == UNIF.hellinger_sq(t2, t1)
+    for t1, t2 in [(1.0, 2.0), (0.5, 0.75)]:
+        a = UNIF.hellinger_sq(t1, t2 - t1)
+        assert a == UNIF.hellinger_sq(t2, t1 - t2)
         assert 0.0 <= a <= 2.0
 
 
 def test_chi_sq_examples():
-    assert GAUSS.chi_sq(0.4, 0.4) == 0.0
-    assert UNIF.chi_sq(2.0, 1.0) == math.inf
-    assert GAUSS.chi_sq(1.0, 0.0) == pytest.approx(math.e - 1.0, abs=1e-12)
+    assert GAUSS.chi_sq(0.4, 0.0) == 0.0
+    assert UNIF.chi_sq(1.0, 1.0) == math.inf
+    assert GAUSS.chi_sq(0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
 
 
 def test_chi_sq_overflow_is_divergent():
     # exp(50^2) is beyond the float range: effectively infinite
-    assert GAUSS.chi_sq(50.0, 0.0) == math.inf
-    assert chi_sq_iid(GAUSS, 50.0, 0.0, 100) == math.inf
+    assert GAUSS.chi_sq(0.0, 50.0) == math.inf
+    assert chi_sq_iid(GAUSS, 0.0, 50.0, 100) == math.inf
 
 
 def test_hellinger_iid():
     assert hellinger_sq_iid(GAUSS, 0.0, 0.7, 1) == GAUSS.hellinger_sq(0.0, 0.7)
-    assert hellinger_sq_iid(UNIF, 3.0, 3.0, 17) == 0.0
-    got = hellinger_sq_iid(UNIF, 1.0, 1.0 + 1e-6, 10**6)
+    assert hellinger_sq_iid(UNIF, 3.0, 0.0, 17) == 0.0
+    got = hellinger_sq_iid(UNIF, 1.0, 1e-6, 10**6)
     assert got == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-5)
     with pytest.raises(ValueError):
         hellinger_sq_iid(GAUSS, 0.0, 1.0, 0)
@@ -122,11 +124,11 @@ def test_hellinger_tensorization_identity():
 
 
 def test_chi_sq_iid():
-    assert chi_sq_iid(GAUSS, 0.3, 0.1, 1) == GAUSS.chi_sq(0.3, 0.1)
-    assert chi_sq_iid(GAUSS, 1.0, 1.0, 5) == 0.0
-    got = chi_sq_iid(GAUSS, 0.1, 0.0, 10)
+    assert chi_sq_iid(GAUSS, 0.1, 0.2, 1) == GAUSS.chi_sq(0.1, 0.2)
+    assert chi_sq_iid(GAUSS, 1.0, 0.0, 5) == 0.0
+    got = chi_sq_iid(GAUSS, 0.0, 0.1, 10)
     assert got == pytest.approx(math.expm1(0.1), abs=1e-12)
-    assert chi_sq_iid(UNIF, 2.0, 1.0, 3) == math.inf
+    assert chi_sq_iid(UNIF, 1.0, 1.0, 3) == math.inf
     with pytest.raises(ValueError):
         chi_sq_iid(GAUSS, 0.0, 1.0, 0)
 
@@ -142,28 +144,32 @@ def test_local_ratio_gaussian_quadratic():
 def test_local_ratio_uniform_blows_up():
     # Taylor oracle: 2(1 - (1+h)^(-1/2))/h^2 = 1/h - 3/4 + O(h) at theta = 1
     h = 1e-4
-    got = UNIF.hellinger_sq(1.0, 1.0 + h) / (h * h)
+    got = UNIF.hellinger_sq(1.0, h) / (h * h)
     assert got == pytest.approx(1.0 / h - 0.75, abs=1.0)
-    assert UNIF.hellinger_sq(1.0, 1.0 + 1e-5) / 1e-10 > got  # diverges as h -> 0
+    assert UNIF.hellinger_sq(1.0, 1e-5) / 1e-10 > got  # diverges as h -> 0
 
 
 def test_divergences_accept_arrays():
     import numpy as np
-    t1, t2 = np.array([1.0, 1.5, 2.0, 3.0]), np.array([1.2, 1.5, 1.0, 3.5])
+    theta = np.array([1.0, 1.5, 2.0, 3.0])
     for family in (GAUSS, UNIF):
         for n in (1, 7):
-            got = hellinger_sq_iid(family, t1, t2, n)
-            assert got == pytest.approx([hellinger_sq_iid(family, float(a), float(b), n)
-                                         for a, b in zip(t1, t2)], rel=1e-14, abs=0.0)
-    # chi_sq marks a divergent entry inf: Unif(0, 2) is not dominated by Unif(0, 1)
-    assert list(UNIF.chi_sq(t1, t2)) == [1.2 / 1.0 - 1.0, 0.0, math.inf, 3.5 / 3.0 - 1.0]
-    per = chi_sq_iid(GAUSS, np.array([0.1, 50.0]), np.array([0.0, 0.0]), 3)
-    assert per[0] == pytest.approx(chi_sq_iid(GAUSS, 0.1, 0.0, 3), rel=1e-14)
-    assert per[1] == math.inf and chi_sq_iid(GAUSS, 50.0, 0.0, 3) == math.inf
+            for h in (0.2, 0.0, -0.5):
+                got = hellinger_sq_iid(family, theta, h, n)
+                assert got == pytest.approx([hellinger_sq_iid(family, float(t), h, n)
+                                             for t in theta], rel=1e-14, abs=0.0)
+    # chi_sq marks a divergent entry inf: Unif(0, t + h) is not dominated by Unif(0, t) for h > 0
+    assert list(UNIF.chi_sq(theta, 0.5)) == [math.inf] * 4
+    assert list(UNIF.chi_sq(theta, -0.5)) == [0.5 / (t - 0.5) for t in theta]
+    per = chi_sq_iid(GAUSS, np.array([0.0, 7.0]), 0.1, 3)
+    assert list(per) == [chi_sq_iid(GAUSS, 0.0, 0.1, 3)] * 2
+    assert list(chi_sq_iid(GAUSS, np.zeros(2), 50.0, 3)) == [math.inf] * 2
     with pytest.raises(ValueError, match="finite"):
-        GAUSS.hellinger_sq(np.array([0.0, math.nan]), np.zeros(2))
-    with pytest.raises(ValueError, match="requires theta1 > 0"):
-        UNIF.hellinger_sq(np.array([1.0, -1.0]), np.ones(2))
+        GAUSS.hellinger_sq(np.array([0.0, math.nan]), 0.1)
+    with pytest.raises(ValueError, match="requires theta > 0"):
+        UNIF.hellinger_sq(np.array([1.0, -1.0]), 2.5)
+    with pytest.raises(ValueError, match=re.escape("requires theta + h > 0")):
+        UNIF.hellinger_sq(np.array([1.0, 2.0]), -1.5)
     # the density broadcasts: the oracle grid is p_t(x) over t down axis 0
     ts, xs = np.linspace(0.5, 3.0, 6), np.linspace(-1.0, 4.0, 11)
     for family in (GAUSS, UNIF):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -312,17 +313,16 @@ def test_integrate_panels_tolerance_is_relative():
 
 
 def test_integrate_panels_shift_floor():
-    # (t + h) - t differs from h by up to ulp(t)/2 at every node: without its
-    # shift the rule cannot reach 1e-12 at h = 1e-9, with it the floor applies
+    # there is no shift floor: (t + h) - t differs from h by up to ulp(t)/2 at
+    # every node, so an integrand that forms it cannot reach 1e-12 at h = 1e-9
+    # and the rule raises, with no floor to loosen it to; the same integrand
+    # reading h itself converges
     h = 1e-9
-    f = lambda t: ((t + h) - t) / h * np.exp(-0.5 * t * t)
     with pytest.raises(ToleranceNotMet):
-        integrate_panels(f, -12.0, 12.0)
-    got = integrate_panels(f, -12.0, 12.0, shift=h)
-    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=2.0**-50 * 12.0 / h)
-    # a floor past 1e-3 leaves nothing to compute: t + h cannot resolve h at all
-    with pytest.raises(ToleranceNotMet, match="cannot resolve"):
-        integrate_panels(f, -12.0, 12.0, shift=1e-14)
+        integrate_panels(lambda t: ((t + h) - t) / h * np.exp(-0.5 * t * t), -12.0, 12.0)
+    got = integrate_panels(lambda t: np.full_like(t, h) / h * np.exp(-0.5 * t * t), -12.0, 12.0)
+    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+    assert "shift" not in inspect.signature(integrate_panels).parameters
 
 
 def test_integrate_panels_stacked_rows_and_determinism():

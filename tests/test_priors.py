@@ -45,17 +45,41 @@ def test_prior_fisher_info_values():
     assert UniformPrior(0.0, 1.0).fisher_info() == math.inf
 
 
-def test_prior_center_must_resolve_its_scale():
-    # |center| / scale up to 2^50 * 1e-3, about 1.1e12, is accepted
-    assert GaussianPrior(1e12, 1.0).window() == (1e12 - 12.0, 1e12 + 12.0)
-    assert Cosine(-1e12, 1.0).support() == (-1e12 - 1.0, -1e12 + 1.0)
+def test_prior_center_is_any_finite_float():
+    # a prior integrates in its centred coordinate, so no center is too far from 0
+    assert GaussianPrior(1e16, 1.0).mu == 1e16
+    assert Cosine(-1e300, 1.0).support() == (-1e300, -1e300)
     for make, name in ((lambda c: GaussianPrior(c, 1.0), "mu"),
                        (lambda c: Cosine(c, 1.0), "center"),
                        (lambda c: KeplerCosine.for_constraint(0.75, c), "center")):
-        for center in (2e12, -1e16):
-            with pytest.raises(ValueError, match=re.escape(f"{name}={center!r} is too far from 0")):
-                make(center)
-    assert GaussianPrior(1e16, 1e5).mu == 1e16  # the rule is relative to the scale
+        for center in (1e12, -1e16, 1e300):
+            c, near = make(center).centred()
+            (base_c, base), (lo, hi) = make(0.0).centred(), near.window()
+            assert c == pytest.approx(center + base_c, rel=1e-15)
+            # the moved prior is the prior at 0, its window centred at 0 up to
+            # the rounding of the window's ends near the center
+            assert near.dispersion() == base.dispersion()
+            assert abs(0.5 * lo + 0.5 * hi) <= 2.0 * math.ulp(center)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {bad!r}")):
+                make(bad)
+
+
+@pytest.mark.parametrize("prior", [Cosine(0.5, 2.0), KeplerCosine.for_constraint(0.75, 1.0, 3.0),
+                                   GaussianPrior(-1.0, 0.5), UniformPrior(0.0, 2.0)],
+                         ids=["cosine", "kepler", "gaussian", "uniform"])
+def test_log_ratio_is_the_log_density_difference(prior):
+    lo, hi = prior.window()
+    for h in (0.3, -0.05, 1e-3):
+        t = np.linspace(lo, hi, 201)[1:-1]
+        q, qh = prior.density(t), prior.density(t + h)
+        both = (q > 0.0) & (qh > 0.0)
+        assert prior.log_ratio(t[both], h) == pytest.approx(np.log(qh[both] / q[both]),
+                                                            rel=1e-9, abs=1e-12)
+    # it reads h itself: at a tiny shift it is h times d log q/dt, not rounding
+    t, h = 0.37 * lo + 0.63 * hi, 1e-200
+    slope = (math.log(prior.density(t + 1e-7)) - math.log(prior.density(t - 1e-7))) / 2e-7
+    assert prior.log_ratio(t, h) == pytest.approx(h * slope, rel=1e-6, abs=1e-300)
 
 
 def test_solve_kepler_half():

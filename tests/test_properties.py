@@ -13,7 +13,8 @@ from minimaxlb import checks, numerics
 from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, diffeo_bound,
                               diffeo_bound_sup, van_trees_value, vt_kepler_bound)
 from minimaxlb.models import GaussianLocation, UniformScale
-from minimaxlb.priors import KeplerCosine
+from minimaxlb.mixtures import MixtureSpec, mixture_hellinger_sq
+from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine
 from minimaxlb.sweep import SweepConfig, sweep_row_values
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -56,7 +57,22 @@ def test_bounds_and_risks_depend_on_delta_sqrt_n_only(n, scaled_delta):
        theta1=st.floats(0.1, 5.0), theta2=st.floats(0.1, 5.0),
        n=st.integers(1, 1000), m=st.integers(1, 1000))
 def test_hellinger_tensorizes(family, theta1, theta2, n, m):
-    _assert_passes(checks.hellinger_tensorization([(family, theta1, theta2, n, m)]))
+    _assert_passes(checks.hellinger_tensorization([(family, theta2, theta1 - theta2, n, m)]))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(make=st.sampled_from([lambda c: Cosine(c, 0.7), lambda c: KeplerCosine.for_constraint(0.3, c),
+                             lambda c: GaussianPrior(c, 1.5)]),
+       center=st.floats(-1e12, 1e12), log_h=st.floats(-9.0, 0.0), sign=st.sampled_from([1.0, -1.0]),
+       n=st.integers(1, 100))
+def test_mixture_hellinger_is_translation_invariant(make, center, log_h, sign, n):
+    # every integral runs in the prior's centred coordinate, so moving the prior
+    # moves nothing, however far out and however small the shift
+    h = sign * 10.0**log_h
+    family = GaussianLocation(1.0)
+    at_zero = mixture_hellinger_sq(MixtureSpec(family, n, make(0.0), h))
+    assert mixture_hellinger_sq(MixtureSpec(family, n, make(center), h)) == \
+        pytest.approx(at_zero, rel=1e-13, abs=0.0)
 
 
 @PROPERTY
