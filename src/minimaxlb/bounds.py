@@ -23,8 +23,8 @@ from .mixtures import (GridSpec, MixtureSpec, default_grid,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (SearchBox, check_n, coarse_axis, cut_points, float_or_array,
-                       integrate_panels, maximize_1d, maximize_2d, panel_nodes,
-                       refine_coarse_max)
+                       integrate_panels, math_elementwise, maximize_1d, maximize_2d,
+                       panel_nodes, refine_coarse_max)
 from .priors import Prior, check_scale, prior_density, solve_kepler
 
 _PI = math.pi
@@ -40,9 +40,11 @@ class DegenerateKernelError(ValueError):
 
 class Functional:
     """A functional psi of the parameter: ``psi(theta)`` for a float or an
-    ndarray, ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself,
-    the quadrature cuts of it on a window of some width (``cuts(h, width)``),
-    and the van Trees numerator ``slope_mass(prior)`` = int psi' dQ."""
+    ndarray, ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself
+    (a float, or an array broadcasting against t), the quadrature cuts of it on
+    a window of some width (``cuts(h, width)``: an array of them, with a row
+    each for an array of h), and the van Trees numerator ``slope_mass(prior)``
+    = int psi' dQ."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,11 @@ class Identity(Functional):
     def __call__(self, theta):
         return float_or_array(theta)
 
-    def difference(self, t, h: float):
-        return float_or_array(np.full(np.shape(t), h))
+    def difference(self, t, h):
+        return float_or_array(np.zeros(np.shape(t)) + h)
 
-    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
-        return ()
+    def cuts(self, h, width: float) -> np.ndarray:
+        return np.zeros(np.shape(h) + (0,))
 
     def slope_mass(self, prior: Prior) -> float:
         return 1.0
@@ -76,26 +78,33 @@ class PowerMax(Functional):
         scalar = not isinstance(theta, np.ndarray)
         return (max(float(theta), 0.0) if scalar else np.maximum(theta, 0.0)) ** self.alpha
 
-    def difference(self, t, h: float):
+    def difference(self, t, h):
         """sign(h) a^alpha (1 - (b/a)^alpha), a = max(t, t - h), b = max(min(t, t - h), 0),
         or 0 where a <= 0, by expm1 of alpha log(b/a): log1p(-|h|/a) while |h| <= a/2,
         else log(b/a) with b exact (t, or t - h by Sterbenz's lemma)."""
         t = np.asarray(t, dtype=float)
-        a, b = (t, t - h) if h > 0.0 else (t - h, t)
+        a, sign, size = t - np.minimum(h, 0.0), np.copysign(1.0, h), np.abs(h)
         if self.alpha == 1.0:  # a - max(b, 0) = min(|h|, a) where a > 0, exactly
-            return float_or_array(math.copysign(1.0, h) * np.minimum(np.maximum(a, 0.0), abs(h)))
-        b = np.maximum(b, 0.0)
+            return float_or_array(sign * np.minimum(np.maximum(a, 0.0), size))
+        b = np.maximum(t - np.maximum(h, 0.0), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; a <= 0 masked
-            log_r = np.where(abs(h) <= 0.5 * a, np.log1p(-abs(h) / a), np.log(b / a))
-            value = math.copysign(1.0, h) * a**self.alpha * -np.expm1(self.alpha * log_r)
+            log_r = np.where(size <= 0.5 * a, np.log1p(-size / a), np.log(b / a))
+            value = sign * a**self.alpha * -np.expm1(self.alpha * log_r)
             return float_or_array(np.where(a > 0.0, value, 0.0))
 
-    def cuts(self, h: float, width: float) -> Tuple[float, ...]:
-        """For alpha < 1 also kink + s 2^j, s = min(|h|, width), from 2^-40 s to the width."""
-        step = min(abs(h), width) or width
-        top = math.ceil(math.log2(width) - math.log2(step))
-        grade = range(-40, top + 1) if self.alpha < 1.0 else ()
-        return (0.0, h) + tuple(k + step * 2.0 ** j for k in (0.0, h) for j in grade)
+    def cuts(self, h, width: float) -> np.ndarray:
+        """The kinks 0 and h; for alpha < 1 also kink + s 2^j, s = min(|h|, width),
+        from 2^-40 s to the width. A row of an array of h pads with its widest cuts."""
+        h = np.asarray(h, dtype=float)
+        kinks = np.stack((np.zeros_like(h), h), axis=-1)
+        if self.alpha == 1.0:
+            return kinks
+        step = np.minimum(np.abs(h), width)
+        step = np.where(step > 0.0, step, width)
+        top = np.ceil(math.log2(width) - math_elementwise(math.log2, step))
+        grades = step[..., None] * 2.0 ** np.minimum(np.arange(-40, np.max(top) + 1),
+                                                     top[..., None])
+        return np.concatenate((kinks, grades, h[..., None] + grades), axis=-1)
 
     def slope_mass(self, prior: Prior) -> float:
         """int alpha t^(alpha-1) q(t) dt over t > 0. A window within its width of 0
@@ -137,18 +146,20 @@ def _check_delta_n(delta: float, n: int) -> None:
     check_n(n)
 
 
-def delta_psi_moments(prior: Prior, f: Functional, h: float) -> Tuple[float, float]:
+def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
     """First and second prior moments of psi(t) - psi(t - h), both from one quadrature
-    in z = t - c (``Prior.centred``), cut at ``f.cuts(h)``, where it is not smooth."""
+    in z = t - c (``Prior.centred``), cut at ``f.cuts(h)``, where it is not smooth;
+    for an ndarray of shifts, arrays of them, from one quadrature of a row each."""
     c, near = prior.centred()
     lo, hi = near.window()
 
-    def moments(z: np.ndarray) -> np.ndarray:
+    def moments(z: np.ndarray, h) -> np.ndarray:
         dpsi, q = f.difference(c + z, h), prior_density(near, z)
         return np.stack((dpsi * q, dpsi * dpsi * q))
 
-    return tuple(float(m) for m in integrate_panels(moments, lo, hi,
-                                                    [k - c for k in f.cuts(h, hi - lo)]))
+    first, second = integrate_panels(moments, np.full(np.shape(h), lo), np.full(np.shape(h), hi),
+                                     f.cuts(h, hi - lo) - c, (h,))
+    return float_or_array(first), float_or_array(second)
 
 
 def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
@@ -157,30 +168,32 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
 
     A = |int (psi(t) - psi(t-h)) dQ|^2 / (4 H^2(M0, Mh)) is the term that
     recovers the van Trees value as h -> 0; B = int (psi(t)-psi(t-h))^2 dQ
-    is the finite-shift penalty.
+    is the finite-shift penalty. An ndarray of shifts gives arrays of both.
     """
     prior.check_nice()
-    h = float(h)
-    if h == 0.0:
+    h = float_or_array(h)
+    if np.any(h == 0.0):
         raise ValueError("h must be nonzero")
     h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
-    if h2 == 0.0:
-        raise ValueError(f"mixture Hellinger distance underflows to 0 at h={h}")
+    if np.any(h2 == 0.0):
+        raise ValueError("mixture Hellinger distance underflows to 0 at "
+                         f"h={np.atleast_1d(h)[np.atleast_1d(h2) == 0.0][0]!r}")
     num, second = delta_psi_moments(prior, f, h)
     return num * num / (4.0 * h2), second
 
 
-def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
-                            h: float) -> float:
-    """Hellinger mixture bound [sqrt(A) - sqrt(B)]_+^2 at a fixed shift h."""
+def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional, h):
+    """Hellinger mixture bound [sqrt(A) - sqrt(B)]_+^2 at a fixed shift h, or at
+    each of an ndarray of shifts."""
     a, b = hellinger_mixture_terms(family, n, prior, f, h)
-    root = math.sqrt(a) - math.sqrt(b)
-    return root * root if root > 0.0 else 0.0
+    root = np.sqrt(a) - np.sqrt(b)
+    return float_or_array(np.where(root > 0.0, root * root, 0.0))
 
 
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
                                 h_lo: float, h_hi: float) -> BoundResult:
-    """Maximize the Hellinger mixture bound over |h| in [h_lo, h_hi], both signs."""
+    """Maximize the Hellinger mixture bound over |h| in [h_lo, h_hi], both signs:
+    each scan or k-section round of maximize_1d is one batch of shifts."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
 
@@ -503,23 +516,30 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
     return bracket * dpsi * dpsi
 
 
-def regular_twopoint_objective(eps: float) -> float:
+# The objectives of the scalar constants take a float or an ndarray, with math's
+# exponentials either way (math_elementwise).
+
+def regular_twopoint_objective(eps):
     """(-1/4 + exp(-eps^2/8)/2) eps^2, maximized by the regular two-point constant."""
-    return (-0.25 + 0.5 * math.exp(-eps * eps / 8.0)) * eps * eps
+    eps = float_or_array(eps)
+    return (-0.25 + 0.5 * math_elementwise(math.exp, -eps * eps / 8.0)) * eps * eps
 
 
-def uniform_twopoint_objective(eta: float) -> float:
+def uniform_twopoint_objective(eta):
     """4 [-1/4 + exp(-eta)/2]_+ eta^2 from the uniform-model two-point limit."""
-    return 4.0 * max(-0.25 + 0.5 * math.exp(-eta), 0.0) * eta * eta
+    eta = float_or_array(eta)
+    bracket = -0.25 + 0.5 * math_elementwise(math.exp, -eta)
+    return float_or_array(4.0 * np.maximum(bracket, 0.0) * eta * eta)
 
 
-def uniform_diffeo_objective(c: float) -> float:
-    """[c / (2 sqrt(2 - 2 exp(-c/2))) - c]_+^2 from the uniform diffeomorphism limit."""
-    if c <= 0.0:
-        return 0.0
-    denom = 2.0 * math.sqrt(-2.0 * math.expm1(-c / 2.0))
-    bracket = c / denom - c
-    return bracket * bracket if bracket > 0.0 else 0.0
+def uniform_diffeo_objective(c):
+    """[c / (2 sqrt(2 - 2 exp(-c/2))) - c]_+^2 from the uniform diffeomorphism limit,
+    0 for c <= 0."""
+    c = float_or_array(c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # c <= 0 is masked
+        bracket = c / (2.0 * np.sqrt(-2.0 * math_elementwise(math.expm1, -c / 2.0)))
+        bracket -= c
+    return float_or_array(np.where((c > 0.0) & (bracket > 0.0), bracket * bracket, 0.0))
 
 
 LAM_CONSTANTS = {

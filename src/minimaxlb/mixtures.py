@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .models import Family, chi_sq_iid, hellinger_sq_iid
-from .numerics import check_n, integrate_panels
+from .numerics import check_n, float_or_array, integrate_panels
 from .priors import Prior, prior_density
 
 
@@ -35,7 +35,8 @@ class CoverageWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Inputs of a mixture divergence: family, sample size, prior, shift.
+    """Inputs of a mixture divergence: family, sample size, prior, shift (a float,
+    or an ndarray of shifts for mixture_hellinger_sq).
 
     The shift acts on the prior's native real line, so Q(.+h) is always
     well-defined regardless of the family's parameter constraints.
@@ -48,7 +49,7 @@ class MixtureSpec:
 
     def __post_init__(self):
         check_n(self.n)
-        if not math.isfinite(self.h):
+        if not np.isfinite(self.h).all():
             raise ValueError("h must be finite")
 
 
@@ -76,45 +77,47 @@ class GridSpec:
                                  f"for {p} points")
 
 
-def _union_region(prior: Prior, h: float) -> Tuple[float, float, Tuple[float, ...]]:
-    """Window covering q and q(. + h), with their finite support ends inside it as cuts."""
+def _union_region(prior: Prior, h):
+    """Window covering q and q(. + h), with its candidate cuts: the finite support ends
+    and their shifts (one row each for an array of h; integrate_panels keeps those inside)."""
     lo0, hi0 = prior.window()
-    lo, hi = min(lo0, lo0 - h), max(hi0, hi0 - h)
-    ends = prior.kinks()
-    return lo, hi, tuple(c for c in (*ends, *(e - h for e in ends)) if lo < c < hi)
+    lo, hi = np.minimum(lo0, lo0 - h), np.maximum(hi0, hi0 - h)
+    ends = np.array(prior.kinks())
+    shifted = ends - np.expand_dims(h, -1)
+    cuts = np.concatenate((np.broadcast_to(ends, shifted.shape), shifted), axis=-1)
+    return float_or_array(lo), float_or_array(hi), cuts
 
 
 _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 
-def mixture_hellinger_sq(spec: MixtureSpec) -> float:
+def mixture_hellinger_sq(spec: MixtureSpec):
     """Squared Hellinger distance between the shifted joint mixtures by the
-    identity above, with q(t) + q(t+h) where one of them is 0; in [0, 2]."""
-    family, h = spec.family, float(spec.h)
-    if h == 0.0:
-        return 0.0
+    identity above, with q(t) + q(t+h) where one of them is 0; in [0, 2]. For
+    an ndarray of shifts it is one value each, from one quadrature of a row each."""
+    family, h = spec.family, np.atleast_1d(np.asarray(spec.h, dtype=float))
     c, prior = spec.prior.centred()
     lo0, hi0 = prior.window()
-    if abs(h) >= hi0 - lo0:  # disjoint supports
-        return 2.0
-    # the family term reads t and t + h at or above the window only
-    family.check_theta(c + lo0, _PRIOR_PARAMETERS)
-    lo, hi, cuts = _union_region(prior, h)
+    value = np.where(h == 0.0, 0.0, 2.0)  # 2 where the supports are disjoint
+    near = (h != 0.0) & (np.abs(h) < hi0 - lo0)
+    if near.any():
+        # the family term reads t and t + h at or above the window only
+        family.check_theta(c + lo0, _PRIOR_PARAMETERS)
+        lo, hi, cuts = _union_region(prior, h[near])
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        q, qh = prior_density(prior, z), prior_density(prior, z + h)
-        both = q * qh > 0.0
-        total = q + qh
-        z, q = z[both], q[both]
-        half = 0.5 * prior.log_ratio(z, h)
-        value = q * np.expm1(half) ** 2
-        read = z >= max(lo0, lo0 - h)
-        value[read] += q[read] * np.exp(half[read]) * hellinger_sq_iid(
-            family, c + z[read], h, spec.n)
-        total[both] = value
-        return total
+        def integrand(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+            q, qh = prior_density(prior, z), prior_density(prior, z + h)
+            floor = np.maximum(lo0, lo0 - h)
+            theta = c + (floor if family.location else np.maximum(z, floor))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                half = 0.5 * prior.log_ratio(z, h)  # not finite only where q qh = 0
+                value = q * np.expm1(half) ** 2
+                read = q * np.exp(half) * hellinger_sq_iid(family, theta, h, spec.n)
+            value = np.where(z >= floor, value + read, value)
+            return np.where(q * qh > 0.0, value, q + qh)
 
-    return min(max(integrate_panels(integrand, lo, hi, cuts), 0.0), 2.0)
+        value[near] = np.clip(integrate_panels(integrand, lo, hi, cuts, (h[near],)), 0.0, 2.0)
+    return float_or_array(value.reshape(np.shape(spec.h)))
 
 
 def mixture_chi_sq(spec: MixtureSpec) -> float:

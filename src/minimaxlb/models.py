@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import check_n, float_or_array
+from .numerics import check_n, float_or_array, math_elementwise
 from .priors import check_scale
 
 
@@ -28,11 +28,14 @@ class Family:
     ``hellinger_sq(theta, h)`` = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta,
     h)`` = chi^2(P_{theta+h} || P_theta), and the oracle grid's ``x_range(t_lo,
     t_hi, h)`` with its ``x_coverage`` text. Parameters theta and theta + h,
-    floats or ndarrays, must be finite and above ``theta_min``.
+    floats or ndarrays, must be finite and above ``theta_min``. ``location`` says
+    that the divergences of a shift are the same at every theta, so a caller
+    may read them at one theta per shift.
     """
 
     theta_min = -math.inf
     label = "family"
+    location = False
 
     def check_theta(self, theta, name: str = "theta"):
         if isinstance(theta, np.ndarray):
@@ -64,6 +67,7 @@ class GaussianLocation(Family):
 
     sigma: float = 1.0
     x_coverage = "8 sigma around the parameter range"
+    location = True
 
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
@@ -83,11 +87,14 @@ class GaussianLocation(Family):
         self.check_theta(theta)
         return 1.0 / self.sigma**2
 
-    def hellinger_sq(self, theta, h: float):
-        """Squared Hellinger distance 2 - 2 exp(-h^2 / (8 sigma^2)), the same at every theta."""
+    def hellinger_sq(self, theta, h):
+        """Squared Hellinger distance 2 - 2 exp(-h^2 / (8 sigma^2)), the same at every
+        theta; h is a float or an array broadcasting against theta."""
         theta, d = self.check_shift(theta, h), h / self.sigma
-        value = -2.0 * math.expm1(-d * d / 8.0)
-        return value if isinstance(theta, float) else np.full(theta.shape, value)
+        value = -2.0 * math_elementwise(math.expm1, -d * d / 8.0)
+        if isinstance(theta, float) and isinstance(value, float):
+            return value
+        return np.full(np.broadcast_shapes(np.shape(theta), np.shape(value)), value)
 
     def chi_sq(self, theta, h: float):
         """Chi-squared divergence exp(h^2/sigma^2) - 1, the same at every theta;

@@ -4,7 +4,7 @@ optimization shared by the rest of the package.
 Everything here is a pure function of its inputs: no randomness, no global
 state, bit-reproducible across runs. Optimizers are coarse-grid scans with
 local refinement, by safeguarded Newton steps on the gradient and Hessian or,
-without derivatives, by golden-section search, so they only promise the best
+without derivatives, by k-section search, so they only promise the best
 *found* value, never a global-optimality certificate.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618..., inverse golden ratio
 
 
 class BracketError(ValueError):
@@ -50,10 +49,10 @@ class QuadratureSpec:
             raise ValueError("max_depth must be at least 10")
 
 
-# coarse grid points per axis and golden-section steps of the optimizers; the
-# Newton refinement's budget, stationary gradient norm and resolution, relative to the value
-_COARSE_GRID = 64
-_REFINE_ITERS = 200
+# coarse grid points per axis of the optimizers and interior points of a k-section
+# round; the Newton refinement's budget, stationary gradient norm and resolution,
+# relative to the value
+_COARSE_GRID, _SECTIONS = 64, 16
 _NEWTON_EVALS, _STATIONARY, _RESOLUTION = 100, 1e-10, 2.0**-50
 
 
@@ -78,6 +77,14 @@ def math_for(x):
 def float_or_array(x):
     """x as a Python float when it is a scalar, else as a float ndarray."""
     return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def math_elementwise(fn: Callable[[float], float], x):
+    """The math function fn of a float, or of each entry of an ndarray: math's
+    rounding, which numpy's own ufuncs do not always match."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    return np.frompyfunc(fn, 1, 1)(x).astype(float)
 
 
 def check_n(n: int) -> int:
@@ -108,7 +115,7 @@ def normal_pdf(x):
     if isinstance(x, float):
         return math.exp(-0.5 * x * x) / _SQRT_2PI
     with np.errstate(over="ignore"):  # x * x = inf, and exp(-inf) = 0 as for a float
-        return np.frompyfunc(math.exp, 1, 1)(-0.5 * x * x).astype(float) / _SQRT_2PI
+        return math_elementwise(math.exp, -0.5 * x * x) / _SQRT_2PI
 
 
 def normal_cdf(x):
@@ -120,7 +127,7 @@ def normal_cdf(x):
     x = _require_finite(x, "x")
     if isinstance(x, float):
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
-    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-x / math.sqrt(2.0)).astype(float)
+    return 0.5 * math_elementwise(math.erfc, -x / math.sqrt(2.0))
 
 
 def gaussian_partial_second_moment(c: float) -> float:
@@ -242,61 +249,55 @@ def find_root_bisect(
     return 0.5 * (lo + hi)
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, iters: int
-) -> Tuple[float, float]:
-    """Golden-section search for a maximum on [lo, hi], to 1e-14 of its width."""
-    a, b, width = lo, hi, 1e-14 * (hi - lo)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if b - a <= width or not a < c < d < b:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(f(d))
-        if fc >= best_v:
-            best_x, best_v = c, fc
-        if fd >= best_v:
-            best_x, best_v = d, fd
-    return best_x, best_v
-
-
 def coarse_axis(lo: float, hi: float) -> np.ndarray:
     """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
     maximize_2d scans the product of the box's two axes."""
     return np.linspace(lo, hi, _COARSE_GRID)
 
 
-def maximize_1d(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
-    """Coarse grid scan plus golden-section refinement around the best cell.
+def _scores(values, points: np.ndarray) -> np.ndarray:
+    """An objective's values at the points as floats, NaN as -inf: a NaN never wins."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != points.shape:
+        raise ValueError(f"the objective returned shape {values.shape} for {points.shape} points")
+    return np.where(np.isnan(values), -np.inf, values)
 
-    Returns (argmax, max) of the best point found; the result is never below
-    the best coarse-grid value, and the first maximum of the scan wins. It
-    serves the objectives without derivatives: the Hellinger sup, the constants.
+
+def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                hi: float) -> Tuple[float, float]:
+    """Coarse grid scan plus k-section refinement around the best cell.
+
+    f maps an array of points to the array of their values. The scan is one call
+    on the coarse axis. Each refinement round is one call on _SECTIONS equally
+    spaced interior points of the bracket; the next bracket is the two neighbours
+    of the best point known in it, until it is 1e-14 of its first width or
+    floats cannot split it. Returns (argmax, max) of the best point found; the
+    result is never below the best coarse-grid value, the first maximum (in x)
+    wins, and a NaN never does. It serves the objectives without derivatives:
+    the Hellinger sup, the constants.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
     if not lo < hi:
         raise ValueError("maximize_1d requires lo < hi")
     xs = coarse_axis(lo, hi)
-    vals = [float(f(x)) for x in xs]
-    i = max(range(_COARSE_GRID), key=lambda k: vals[k])
-    best_x, best_v = float(xs[i]), vals[i]
-    bl = float(xs[max(i - 1, 0)])
-    br = float(xs[min(i + 1, _COARSE_GRID - 1)])
-    if br > bl:
-        gx, gv = _golden_max(f, bl, br, _REFINE_ITERS)
-        if gv >= best_v:
-            best_x, best_v = gx, gv
-    return best_x, best_v
+    vals = _scores(f(xs), xs)
+    i = int(np.argmax(vals))
+    # the points known in the bracket, ascending: its ends and the best point
+    known = slice(max(i - 1, 0), i + 2)
+    px, pv = xs[known], vals[known]
+    width = 1e-14 * (px[-1] - px[0])
+    while px[-1] - px[0] > width:
+        inner = np.linspace(px[0], px[-1], _SECTIONS + 2)[1:-1]
+        if not (px[0] < inner[0] and np.all(np.diff(inner) > 0.0) and inner[-1] < px[-1]):
+            break  # the bracket is at floating-point resolution
+        order = np.argsort(np.concatenate((px, inner)), kind="stable")
+        px = np.concatenate((px, inner))[order]
+        pv = np.concatenate((pv, _scores(f(inner), inner)))[order]
+        j = int(np.argmax(pv))
+        px, pv = px[max(j - 1, 0):j + 2], pv[max(j - 1, 0):j + 2]
+    j = int(np.argmax(pv))
+    return float(px[j]), float(pv[j])
 
 
 def maximize_2d(
@@ -427,6 +428,7 @@ def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
 
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
 _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
+_PASS_NODES = 2**13       # nodes in one call of an integrand: it caps a batch's memory
 
 # The 16-point Gauss-Legendre rule on [-1, 1], equal to
 # numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
@@ -451,35 +453,101 @@ def panel_nodes(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.nda
     return ((left[..., None] + half) + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
 
 
-def integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                     cuts: Sequence[float] = ()):
-    """Gauss-Legendre integral of the vectorized ``f`` over [lo, hi] cut at ``cuts``.
+def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequence = ()):
+    """Gauss-Legendre integrals of the vectorized ``f`` over [lo, hi] cut at ``cuts``.
 
-    Each piece between cuts gets P equal panels of PANEL_NODES nodes. f takes
-    all nodes as one array and returns a value per node, or rows of them (the
-    result is then an array). P doubles from 4 until two estimates agree to
-    1e-12 of sum |f| w (so zero and cancelling integrals end too); the finer
-    one is returned. Raises ToleranceNotMet (with the last estimate) past 1024
-    panels per piece, and ValueError on a non-finite f.
+    lo and hi are floats, or arrays of R rows with one independent integral per
+    row; cuts is a sequence shared by every row, or an (R, C) array with one row
+    of cuts each, where cuts outside (lo, hi) and repeated cuts add nothing (so
+    ragged rows pad with them). Each piece between cuts gets P equal panels of
+    PANEL_NODES nodes, P = 4, 8, 16, ... f takes the nodes of a call as an array
+    with a line per piece and, for each of ``args`` (a float or one value per
+    row), a column of the pieces' row values; it returns a value per node, or
+    rows of them (the result is then an array). A call holds at most
+    _PASS_NODES nodes, or one piece: rows are integrated in groups of whole
+    rows, and a pass of a group in calls of whole pieces.
+
+    A piece stops doubling P once its last two estimates agree to 1e-12 of its
+    sum |f| w, and a row once the differences of its pieces sum to 1e-12 of
+    their sum |f| w (so zero and cancelling integrals end too); the finer
+    estimates are kept. A row's integral is the sum of its pieces, so it does
+    not depend on the other rows. The result is a float for float ends, else
+    one value per row. Raises ToleranceNotMet past 1024 panels per piece, with
+    the last estimates (NaN for rows not reached), and ValueError on a
+    non-finite f.
     """
-    lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
-    if not lo < hi:
+    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = (np.atleast_1d(_require_finite(x, name)) for x, name in ((lo, "lo"), (hi, "hi")))
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    if not (lo < hi).all():
         raise ValueError("integration bounds must satisfy lo < hi")
-    ends = np.array(cut_points(lo, hi, cuts))
-    panels, previous = _FIRST_PANELS, None
+    cuts = np.asarray(cuts, dtype=float)
+    ends = np.concatenate((lo[:, None], hi[:, None],
+                           np.broadcast_to(cuts, (lo.size, cuts.shape[-1]))), axis=1)
+    ends = np.sort(np.minimum(np.maximum(ends, lo[:, None]), hi[:, None]), axis=1)
+    args = [np.broadcast_to(_require_finite(a, "integrand argument"), lo.shape) for a in args]
+    # groups of whole rows whose second pass, at 2 _FIRST_PANELS panels a piece, fits a call
+    counts = (ends[:, 1:] > ends[:, :-1]).sum(axis=1)
+    group = (np.cumsum(counts) - counts) // max(_PASS_NODES // (2 * _FIRST_PANELS * PANEL_NODES), 1)
+    firsts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()]
+    result = None
+    for first, last in zip(firsts, [*firsts[1:], lo.size]):
+        part, failed = _integrate_rows(f, ends[first:last], [a[first:last] for a in args])
+        if result is None:
+            result = np.full(part.shape[:-1] + lo.shape, np.nan)
+        result[..., first:last] = part
+        if failed is not None:
+            row, panels = first + failed[0], failed[1]
+            raise ToleranceNotMet(f"Gauss-Legendre panels on [{lo[row]}, {hi[row]}] did not "
+                                  f"converge with {panels} panels per piece",
+                                  float_or_array(result[..., 0] if single else result))
+    return float_or_array(result[..., 0] if single else result)
+
+
+def _integrate_rows(f, ends: np.ndarray, args: list):
+    """integrate_panels on the rows of sorted ``ends``: their integrals, and None or,
+    for a row that did not converge, (its index, the panels per piece reached)."""
+    pieces = ends[:, 1:] > ends[:, :-1]
+    row, piece = np.nonzero(pieces)  # each row's pieces, in order
+    left, width = ends[row, piece], ends[row, piece + 1] - ends[row, piece]
+    counts = pieces.sum(axis=1)
+    starts = np.cumsum(counts) - counts  # each row's first piece
+    estimate = change = mass = None
+    active, panels = np.arange(row.size), _FIRST_PANELS
     while True:
         fractions = np.arange(panels + 1) / panels  # np.linspace(0, 1, panels + 1), exactly
-        edges = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * fractions
-        nodes, weights = panel_nodes(edges[:, :-1], edges[:, 1:])
-        values = np.asarray(f(nodes), dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError(f"integrand returned a non-finite value on [{lo}, {hi}]")
-        terms = values * weights
-        estimate = terms.sum(axis=-1)
-        if previous is not None and np.all(
-                np.abs(estimate - previous) <= _PANEL_REL_TOL * np.abs(terms).sum(axis=-1)):
-            return float_or_array(estimate)
-        if panels >= _MAX_PANELS:
-            raise ToleranceNotMet(f"Gauss-Legendre panels on [{lo}, {hi}] did not converge "
-                                  f"with {panels} panels per piece", float_or_array(estimate))
-        panels, previous = 2 * panels, estimate
+        per_call = max(_PASS_NODES // (panels * PANEL_NODES), 1)
+        for start in range(0, active.size, per_call):
+            chunk = active[start:start + per_call]
+            edges = left[chunk, None] + width[chunk, None] * fractions
+            nodes, weights = (a.reshape(chunk.size, -1)
+                              for a in panel_nodes(edges[:, :-1], edges[:, 1:]))
+            terms = np.asarray(f(nodes, *(a[row[chunk], None] for a in args))) * weights
+            if estimate is None:
+                estimate, mass = np.empty((2,) + terms.shape[:-2] + (row.size,))
+                change = np.full_like(estimate, np.inf)
+            fresh = terms.sum(axis=-1)
+            if panels > _FIRST_PANELS:
+                change[..., chunk] = np.abs(fresh - estimate[..., chunk])
+            estimate[..., chunk], mass[..., chunk] = fresh, np.abs(terms, out=terms).sum(axis=-1)
+            if not np.isfinite(mass[..., chunk]).all():  # a sum of |f| w is finite if every term is
+                bad = row[chunk[np.nonzero(~np.isfinite(mass[..., chunk]))[-1][0]]]
+                raise ValueError(f"integrand returned a non-finite value on "
+                                 f"[{ends[bad, 0]}, {ends[bad, -1]}]")
+        if panels > _FIRST_PANELS:
+            tolerance = _PANEL_REL_TOL * mass
+            settled = _all_rows(change <= tolerance)
+            settled |= _all_rows(np.add.reduceat(change, starts, axis=-1)
+                                 <= np.add.reduceat(tolerance, starts, axis=-1))[row]
+            active = np.flatnonzero(~settled)
+        if not active.size or panels >= _MAX_PANELS:
+            break
+        panels *= 2
+    return (np.add.reduceat(estimate, starts, axis=-1),
+            (row[active[0]], panels) if active.size else None)
+
+
+def _all_rows(flags: np.ndarray) -> np.ndarray:
+    """Per entry of the last axis, whether the flags of every integrand row hold."""
+    return flags.reshape(-1, flags.shape[-1]).all(axis=0)

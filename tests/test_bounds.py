@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,39 @@ def test_golden_search_is_relative_to_its_bracket():
     assert sup(1e-12) == pytest.approx(sup(1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, prior, h_lo, h_hi", [
+    (1, Cosine(3.0, 1.0), 1e-4, 10.0),     # argmax in the coarse scan's first cell
+    (10, Cosine(3.0, 1.0), 0.002, 0.1),    # argmax between two coarse points
+    (100, GaussianPrior(40.0, 1.0), 0.005, 0.2),
+])
+def test_interior_hellinger_sup_is_a_true_sup(n, prior, h_lo, h_hi):
+    # the uniform family's bound peaks at an interior shift, so the k-section
+    # refinement decides the value: no point of a dense scan may beat it
+    res = hellinger_mixture_bound_sup(UniformScale(), n, prior, MaxZero(), h_lo, h_hi)
+    assert h_lo < abs(res.argmax["h"]) < h_hi
+    assert not np.isclose(abs(res.argmax["h"]), coarse_axis(h_lo, h_hi), rtol=1e-6).any()
+    dense = np.linspace(h_lo, h_hi, 2001)
+    scan = max(hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(), sign * dense).max()
+               for sign in (1.0, -1.0))
+    assert res.value >= scan * (1.0 - 1e-12)
+    assert res.value == hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(),
+                                                res.argmax["h"])
+
+
+def test_batched_hellinger_sup_memory_stays_capped():
+    # PowerMax(0.01) cuts every shift into about 41 pieces a kink; batches of shifts
+    # are integrated in calls of at most numerics._PASS_NODES nodes, so a sup peaks
+    # below the 1,282,314 bytes that tracemalloc read when each shift was its own call
+    tracemalloc.start()
+    try:
+        res = hellinger_mixture_bound_sup(GAUSS, 1, Cosine(0.0, 1.0), PowerMax(0.01), 1e-4, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == pytest.approx(0.0851491448844875, rel=1e-12)
+    assert peak <= 1_282_314
+
+
 def test_hellinger_mixture_sup_symmetric():
     res = hellinger_mixture_bound_sup(GAUSS, 1, GaussianPrior(0.0, 1.0),
                                       Identity(), 1e-3, 5.0)
@@ -262,6 +296,22 @@ def test_powermax_slope_mass_far_from_zero():
         for alpha in (0.01, 0.5, 0.9):
             got = PowerMax(alpha).slope_mass(GaussianPrior(mu, 1.0))
             assert got == pytest.approx(alpha * mu ** (alpha - 1.0), rel=1e-11)
+
+
+def test_powermax_slope_mass_refines_only_the_pieces_that_need_it(monkeypatch):
+    # of the 41 graded pieces only the few around the prior's bulk double past
+    # 8 panels: one shared panel count evaluated 165,312 nodes, its last pass 83,968
+    nodes = []
+
+    def counted(f, *args):
+        return numerics.integrate_panels(lambda u: nodes.append(u.size) or f(u), *args)
+    monkeypatch.setattr(bounds, "integrate_panels", counted)
+    prior = GaussianPrior(5.0, 3.0)
+    got = PowerMax(0.01).slope_mass(prior)
+    oracle, _ = integrate.quad(prior.density, 0.0, prior.window()[1], weight="alg",
+                               wvar=(-0.99, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)
+    assert got == pytest.approx(0.01 * oracle, rel=1e-13)
+    assert sum(nodes) < 20_000 and nodes[-1] < 4_000
 
 
 def test_maxzero_slope_mass_is_the_prior_mass_above_zero():

@@ -101,15 +101,15 @@ def test_maximize_1d_smooth():
 
 
 def test_maximize_1d_reaches_paper_constant():
-    obj = lambda x: (-0.25 + 0.5 * math.exp(-x * x / 8.0)) * x * x
+    obj = lambda x: (-0.25 + 0.5 * np.exp(-x * x / 8.0)) * x * x
     _, v = maximize_1d(obj, 0.0, 10.0)
     assert v == pytest.approx(0.28953, abs=5e-4)
 
 
 def test_maximize_1d_never_below_coarse_grid():
-    f = lambda x: math.sin(17.0 * x) + 0.3 * math.sin(51.0 * x)
+    f = lambda x: np.sin(17.0 * x) + 0.3 * np.sin(51.0 * x)
     xs = np.linspace(0.0, 3.0, 64)
-    coarse_best = max(f(float(x)) for x in xs)
+    coarse_best = f(xs).max()
     _, v = maximize_1d(f, 0.0, 3.0)
     assert v >= coarse_best - 1e-15
 
@@ -177,6 +177,27 @@ def _tie_on_corners_2d(x, y):
 
 def test_maximize_1d_first_maximum_wins():
     assert maximize_1d(_tie_on_edges_1d, -1.0, 1.0) == (-1.0, 0.0)
+
+
+def test_maximize_1d_calls_its_objective_once_a_scan_or_round():
+    # the scan is one call on 64 points; each k-section round one call on 16
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return -(x - 0.3) ** 2
+    x, v = maximize_1d(f, 0.0, 1.0)
+    assert calls[0] == 64 and set(calls[1:]) == {16}
+    assert x == pytest.approx(0.3, abs=1e-7) and v == pytest.approx(0.0, abs=1e-12)
+    # an interior maximum shrinks its bracket of two cells by 2/17 a round or more,
+    # to 1e-14 of its width
+    assert len(calls) - 1 <= math.ceil(math.log(1e14) / math.log(17.0 / 2.0))
+    # the argmax on the domain's edge shrinks its bracket of one cell by 1/17 a round
+    calls.clear()
+    assert maximize_1d(lambda x: f(x + 0.6), 0.0, 1.0) == (0.0, -0.09)
+    assert len(calls) - 1 == math.ceil(math.log(1e14) / math.log(17.0))
+    # a NaN never wins
+    assert maximize_1d(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)[1] <= 0.5
 
 
 def _tie_on_corners_2d_derivatives(x, y):
@@ -332,6 +353,35 @@ def test_integrate_panels_stacked_rows_and_determinism():
     assert np.array_equal(integrate_panels(rows, 0.0, 1.0, (0.5,)), first)
     f = lambda t: np.exp(-0.5 * t * t)
     assert integrate_panels(f, -12.0, 12.0) == integrate_panels(f, -12.0, 12.0)
+
+
+def test_integrate_panels_rows_are_independent():
+    # one integral per row: a row that converges at the first comparison leaves
+    # the later passes and equals its own one-row call, and so does the row that
+    # needs more panels; a padded cut outside a row's interval adds nothing
+    def rows(t, kind):
+        return np.where(kind == 0.0, np.exp(-t), _kinked(t))
+
+    calls = []
+
+    def counted(t, kind):
+        calls.append(kind[:, 0].tolist())
+        return rows(t, kind)
+    got = integrate_panels(counted, np.zeros(2), 1.0, [[0.5, 7.0], [0.5, 0.5]],
+                           (np.array([0.0, 1.0]),))
+    assert calls[2:] and all(set(kinds) == {1.0} for kinds in calls[2:])
+    assert got[0] == integrate_panels(lambda t: np.exp(-t), 0.0, 1.0, (0.5,))
+    assert got[1] == integrate_panels(lambda t: _kinked(t), 0.0, 1.0, (0.5,))
+    assert got[1] == pytest.approx(_kinked_integral(), rel=1e-12)
+
+
+def test_integrate_panels_refines_only_the_pieces_that_need_it():
+    # the smooth piece stops at the first comparison; the kinked one doubles on
+    f, sizes = _counting(lambda t: np.where(t < 1.0, np.exp(t), _kinked(t - 1.0)))
+    got = integrate_panels(f, 0.0, 2.0, (1.0,))
+    assert got == pytest.approx(math.e - 1.0 + _kinked_integral(), rel=1e-12)
+    assert sizes[:2] == [2 * 4 * PANEL_NODES, 2 * 8 * PANEL_NODES]
+    assert sizes[2:] == [16 * 2**k * PANEL_NODES for k in range(len(sizes) - 2)]
 
 
 def test_integrate_panels_rejects_bad_input():

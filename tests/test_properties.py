@@ -4,14 +4,16 @@ definition."""
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from minimaxlb import checks, numerics
-from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, diffeo_bound,
-                              diffeo_bound_sup, van_trees_value, vt_kepler_bound)
+from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, PowerMax,
+                              diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
+                              van_trees_value, vt_kepler_bound)
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.mixtures import MixtureSpec, mixture_hellinger_sq
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine
@@ -73,6 +75,24 @@ def test_mixture_hellinger_is_translation_invariant(make, center, log_h, sign, n
     at_zero = mixture_hellinger_sq(MixtureSpec(family, n, make(0.0), h))
     assert mixture_hellinger_sq(MixtureSpec(family, n, make(center), h)) == \
         pytest.approx(at_zero, rel=1e-13, abs=0.0)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(make=st.sampled_from([lambda c: Cosine(c, 1.0), lambda c: KeplerCosine.for_constraint(0.75, c),
+                             lambda c: GaussianPrior(c, 1.0)]),
+       functional=st.sampled_from([MaxZero(), PowerMax(0.5)]),
+       family=st.sampled_from([GaussianLocation(1.0), UniformScale()]), n=st.integers(1, 100),
+       shifts=st.lists(st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-6.0, 0.5)),
+                       min_size=1, max_size=6))
+def test_a_batch_of_shifts_equals_its_scalar_calls(make, functional, family, n, shifts):
+    # each shift is one row of the batch's quadratures, which converges and sums on
+    # its own; the batch also holds a shift past the window, where H^2 = 2 unread
+    prior = make(0.0 if family == GaussianLocation(1.0) else 40.0)  # uniform: theta > 0
+    lo, hi = prior.window()
+    h = np.array([sign * (hi - lo) * 10.0**power for sign, power in shifts] + [1.25 * (hi - lo)])
+    batch = hellinger_mixture_bound(family, n, prior, functional, h)
+    assert batch.tolist() == [hellinger_mixture_bound(family, n, prior, functional, x)
+                              for x in h.tolist()]
 
 
 @PROPERTY
