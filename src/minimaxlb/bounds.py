@@ -368,7 +368,7 @@ def _diffeo_moments(xi1, xi2: float, derivatives: bool = False):
     ends = np.empty(z0.shape[:-1] + (len(_Z_FIXED) + len(offsets),))
     ends[..., :len(_Z_FIXED)], ends[..., len(_Z_FIXED):] = _Z_FIXED, z0 + offsets
     ends = np.sort(np.minimum(np.maximum(ends, -_Z_MAX), _Z_MAX))
-    z, w = (a.reshape(ends.shape[:-1] + (-1,)) for a in panel_nodes(ends[..., :-1], ends[..., 1:]))
+    z, w = panel_nodes(ends)
     u = xi1[..., None] + z * xi2
     g = 1.0 / (1.0 + u * u)
     g_phi_w = g * np.exp(-0.5 * z * z) * (w / _SQRT_2PI)

@@ -75,12 +75,8 @@ class GaussianLocation(Family):
     def density(self, theta, x):
         """Model density dP_theta/dx at x."""
         theta, x = self.check_theta(theta), self.check_x(x)
-        # in place: a freed temporary as large as the oracle grid would leave a
-        # hole that small allocations split, so the next grid grows the heap
-        p = np.asarray(-0.5 * ((x - theta) / self.sigma) ** 2)
-        np.exp(p, out=p)
-        p /= self.sigma * math.sqrt(2.0 * math.pi)
-        return float_or_array(p)
+        return float_or_array(np.exp(-0.5 * ((x - theta) / self.sigma) ** 2)
+                              / (self.sigma * math.sqrt(2.0 * math.pi)))
 
     def fisher_info(self, theta: float) -> float:
         """Per-observation Fisher information 1/sigma^2."""

@@ -429,6 +429,8 @@ def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
 _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
 _PASS_NODES = 2**13       # nodes in one call of an integrand: it caps a batch's memory
+# the panel edges on [0, 1] of each pass, P = 4, ..., 1024: np.linspace(0, 1, P + 1), exactly
+_FRACTIONS = {2**k: np.arange(2**k + 1) / 2**k for k in range(2, 11)}
 
 # The 16-point Gauss-Legendre rule on [-1, 1], equal to
 # numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
@@ -446,11 +448,13 @@ GL_WEIGHTS = np.array([w for _, w in reversed(_GL_POSITIVE)] + [w for _, w in _G
 GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False
 
 
-def panel_nodes(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-point Gauss-Legendre rule on every panel
-    [left[i], right[i]], flattened in panel order."""
-    half = 0.5 * (right - left)[..., None]
-    return ((left[..., None] + half) + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
+def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on the panels between
+    consecutive ``edges`` (last axis), in panel order along the last axis."""
+    left = edges[..., :-1, None]
+    half = 0.5 * (edges[..., 1:, None] - left)
+    shape = edges.shape[:-1] + (-1,)
+    return ((left + half) + half * GL_NODES).reshape(shape), (half * GL_WEIGHTS).reshape(shape)
 
 
 def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequence = ()):
@@ -463,9 +467,9 @@ def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequen
     PANEL_NODES nodes, P = 4, 8, 16, ... f takes the nodes of a call as an array
     with a line per piece and, for each of ``args`` (a float or one value per
     row), a column of the pieces' row values; it returns a value per node, or
-    rows of them (the result is then an array). A call holds at most
-    _PASS_NODES nodes, or one piece: rows are integrated in groups of whole
-    rows, and a pass of a group in calls of whole pieces.
+    rows of them (the result is then an array). A pass evaluates the pieces that
+    still refine, of every row, in calls of whole pieces that hold at most
+    _PASS_NODES nodes, or one piece.
 
     A piece stops doubling P once its last two estimates agree to 1e-12 of its
     sum |f| w, and a row once the differences of its pieces sum to 1e-12 of
@@ -473,81 +477,62 @@ def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequen
     estimates are kept. A row's integral is the sum of its pieces, so it does
     not depend on the other rows. The result is a float for float ends, else
     one value per row. Raises ToleranceNotMet past 1024 panels per piece, with
-    the last estimates (NaN for rows not reached), and ValueError on a
-    non-finite f.
+    the last estimates, and ValueError on a non-finite f.
     """
-    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo, hi = (np.atleast_1d(_require_finite(x, name)) for x, name in ((lo, "lo"), (hi, "hi")))
+    lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
+    single = isinstance(lo, float) and isinstance(hi, float)
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
     if lo.shape != hi.shape:
         lo, hi = np.broadcast_arrays(lo, hi)
     if not (lo < hi).all():
         raise ValueError("integration bounds must satisfy lo < hi")
     cuts = np.asarray(cuts, dtype=float)
-    ends = np.concatenate((lo[:, None], hi[:, None],
-                           np.broadcast_to(cuts, (lo.size, cuts.shape[-1]))), axis=1)
-    ends = np.sort(np.minimum(np.maximum(ends, lo[:, None]), hi[:, None]), axis=1)
-    args = [np.broadcast_to(_require_finite(a, "integrand argument"), lo.shape) for a in args]
-    # groups of whole rows whose second pass, at 2 _FIRST_PANELS panels a piece, fits a call
-    counts = (ends[:, 1:] > ends[:, :-1]).sum(axis=1)
-    group = (np.cumsum(counts) - counts) // max(_PASS_NODES // (2 * _FIRST_PANELS * PANEL_NODES), 1)
-    firsts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()]
-    result = None
-    for first, last in zip(firsts, [*firsts[1:], lo.size]):
-        part, failed = _integrate_rows(f, ends[first:last], [a[first:last] for a in args])
-        if result is None:
-            result = np.full(part.shape[:-1] + lo.shape, np.nan)
-        result[..., first:last] = part
-        if failed is not None:
-            row, panels = first + failed[0], failed[1]
-            raise ToleranceNotMet(f"Gauss-Legendre panels on [{lo[row]}, {hi[row]}] did not "
-                                  f"converge with {panels} panels per piece",
-                                  float_or_array(result[..., 0] if single else result))
-    return float_or_array(result[..., 0] if single else result)
-
-
-def _integrate_rows(f, ends: np.ndarray, args: list):
-    """integrate_panels on the rows of sorted ``ends``: their integrals, and None or,
-    for a row that did not converge, (its index, the panels per piece reached)."""
+    ends = np.empty((lo.size, 2 + cuts.shape[-1]))
+    ends[:, 0], ends[:, 1], ends[:, 2:] = lo, hi, cuts
+    np.minimum(np.maximum(ends, lo[:, None], out=ends), hi[:, None], out=ends)
+    ends.sort(axis=1)
     pieces = ends[:, 1:] > ends[:, :-1]
-    row, piece = np.nonzero(pieces)  # each row's pieces, in order
-    left, width = ends[row, piece], ends[row, piece + 1] - ends[row, piece]
-    counts = pieces.sum(axis=1)
-    starts = np.cumsum(counts) - counts  # each row's first piece
+    row = np.nonzero(pieces)[0]  # each row's pieces, in order
+    left = ends[:, :-1][pieces]
+    width = ends[:, 1:][pieces] - left
+    starts = np.searchsorted(row, np.arange(lo.size))  # each row's first piece
+    args = [np.broadcast_to(_require_finite(a, "integrand argument"), lo.shape)[row, None]
+            for a in args]
     estimate = change = mass = None
     active, panels = np.arange(row.size), _FIRST_PANELS
     while True:
-        fractions = np.arange(panels + 1) / panels  # np.linspace(0, 1, panels + 1), exactly
+        fractions = _FRACTIONS[panels]
         per_call = max(_PASS_NODES // (panels * PANEL_NODES), 1)
         for start in range(0, active.size, per_call):
             chunk = active[start:start + per_call]
-            edges = left[chunk, None] + width[chunk, None] * fractions
-            nodes, weights = (a.reshape(chunk.size, -1)
-                              for a in panel_nodes(edges[:, :-1], edges[:, 1:]))
-            terms = np.asarray(f(nodes, *(a[row[chunk], None] for a in args))) * weights
-            if estimate is None:
-                estimate, mass = np.empty((2,) + terms.shape[:-2] + (row.size,))
-                change = np.full_like(estimate, np.inf)
-            fresh = terms.sum(axis=-1)
-            if panels > _FIRST_PANELS:
-                change[..., chunk] = np.abs(fresh - estimate[..., chunk])
-            estimate[..., chunk], mass[..., chunk] = fresh, np.abs(terms, out=terms).sum(axis=-1)
-            if not np.isfinite(mass[..., chunk]).all():  # a sum of |f| w is finite if every term is
-                bad = row[chunk[np.nonzero(~np.isfinite(mass[..., chunk]))[-1][0]]]
+            nodes, weights = panel_nodes(left.take(chunk)[:, None]
+                                         + width.take(chunk)[:, None] * fractions)
+            terms = np.asarray(f(nodes, *(a[chunk] for a in args))) * weights
+            if estimate is None:  # change is written in the second pass, before it is read
+                estimate, mass, change = np.empty((3,) + terms.shape[:-2] + (row.size,))
+                lines = tuple(range(terms.ndim - 2))  # the integrand's rows
+            fresh = np.add.reduce(terms, axis=-1)
+            size = np.add.reduce(np.abs(terms, out=terms), axis=-1)
+            if not np.isfinite(size).all():  # a sum of |f| w is finite if every term is
+                bad = row[chunk[np.nonzero(~np.isfinite(size))[-1][0]]]
                 raise ValueError(f"integrand returned a non-finite value on "
                                  f"[{ends[bad, 0]}, {ends[bad, -1]}]")
+            if panels > _FIRST_PANELS:
+                change[..., chunk] = np.abs(fresh - estimate.take(chunk, axis=-1))
+            estimate[..., chunk], mass[..., chunk] = fresh, size
         if panels > _FIRST_PANELS:
             tolerance = _PANEL_REL_TOL * mass
-            settled = _all_rows(change <= tolerance)
-            settled |= _all_rows(np.add.reduceat(change, starts, axis=-1)
-                                 <= np.add.reduceat(tolerance, starts, axis=-1))[row]
-            active = np.flatnonzero(~settled)
+            settled = (change <= tolerance).all(axis=lines)
+            settled |= (np.add.reduceat(change, starts, axis=-1)
+                        <= np.add.reduceat(tolerance, starts, axis=-1)).all(axis=lines)[row]
+            active = np.nonzero(~settled)[0]
         if not active.size or panels >= _MAX_PANELS:
             break
         panels *= 2
-    return (np.add.reduceat(estimate, starts, axis=-1),
-            (row[active[0]], panels) if active.size else None)
-
-
-def _all_rows(flags: np.ndarray) -> np.ndarray:
-    """Per entry of the last axis, whether the flags of every integrand row hold."""
-    return flags.reshape(-1, flags.shape[-1]).all(axis=0)
+    result = np.add.reduceat(estimate, starts, axis=-1)
+    result = float_or_array(result[..., 0] if single else result)
+    if active.size:
+        failed = row[active[0]]
+        raise ToleranceNotMet(f"Gauss-Legendre panels on [{lo[failed]}, {hi[failed]}] did not "
+                              f"converge with {panels} panels per piece", result)
+    return result

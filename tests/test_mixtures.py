@@ -11,7 +11,8 @@ from minimaxlb.mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                                 mixture_chi_sq_interpolated_grid,
                                 mixture_hellinger_oracle, mixture_hellinger_sq)
 from minimaxlb.models import GaussianLocation, UniformScale
-from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
+from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine, UniformPrior,
+                              prior_density)
 
 GAUSS = GaussianLocation(1.0)
 
@@ -183,12 +184,18 @@ def test_mixture_chi_sq_against_grid_oracle():
                                          (Cosine(0.0, 1.0), 0.5, 0.9),
                                          (UniformPrior(-1.0, 1.0), 0.3, 0.25)])
 def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
-    # the value the out-of-place formula gives, with at most three grids alive
+    # the value the out-of-place formula gives on the whole grid, with at most
+    # three grids alive
     grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
-    g0, gh = mixtures._joint_density_grids(GAUSS, prior, h, grid)
+    ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
+    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
+    g0 = GAUSS.density(ts, xs) * prior_density(prior, ts)
+    gh = GAUSS.density(ts + h, xs) * prior_density(prior, ts + h)
     mix = lam * gh + (1.0 - lam) * g0
     ratio = np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
-    want = (1.0 - lam) ** 2 * mixtures._trapezoid_2d(ratio, grid)
+    wt = mixtures._trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points)
+    wx = mixtures._trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
+    want = (1.0 - lam) ** 2 * float(wt @ (ratio @ wx))
     del g0, gh, mix, ratio
     tracemalloc.start()
     try:
@@ -198,6 +205,26 @@ def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
         tracemalloc.stop()
     assert got == want
     assert peak <= 3.2 * 401 * 401 * 8
+
+
+def test_grid_oracles_stream_their_rows():
+    # the default 2001 x 2001 grid, built a block of t-rows at a time: the
+    # full-grid oracles peaked at 61 and 95 MiB and gave these values
+    prior, h = GaussianPrior(0.0, 1.0), 0.1
+    grid = default_grid(GAUSS, prior, h)
+    assert (grid.t_points, grid.x_points) == (2001, 2001)
+    for oracle, want in ((lambda: mixture_hellinger_oracle(GAUSS, prior, h, grid),
+                          0.0049937552050797595),
+                         (lambda: mixture_chi_sq_interpolated_grid(GAUSS, prior, h, 0.5, grid),
+                          0.004975205671290736)):
+        tracemalloc.start()
+        try:
+            got = oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 8 * 2**20
 
 
 def test_mixture_chi_sq_divergent_cases():
@@ -246,6 +273,16 @@ def test_grid_validation_and_coverage_warning():
                      t_points=101, x_points=101)
     with pytest.warns(CoverageWarning):
         mixture_hellinger_oracle(GAUSS, GaussianPrior(0.0, 1.0), 0.1, tight)
+
+
+def test_coverage_warning_names_the_oracle_caller():
+    tight = GridSpec(t_lo=-1.0, t_hi=1.0, x_lo=-1.0, x_hi=1.0, t_points=101, x_points=101)
+    prior = GaussianPrior(0.0, 1.0)
+    for oracle in (lambda: mixture_hellinger_oracle(GAUSS, prior, 0.1, tight),
+                   lambda: mixture_chi_sq_interpolated_grid(GAUSS, prior, 0.1, 0.5, tight)):
+        with pytest.warns(CoverageWarning) as caught:
+            oracle()
+        assert [w.filename for w in caught] == [__file__] * 2
 
 
 def test_spec_validation():
