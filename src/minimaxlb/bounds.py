@@ -3,29 +3,28 @@ Kepler least-favorable-prior bound, the Gaussian-prior/arctan bound, the
 refined two-point Hellinger bound, the scalar asymptotic constants, and the
 density-estimation constant C(s, M, K).
 
-Conventions. All bound values are >= 0 with exact clamping at zero. The
-Kepler and arctan bounds and the two-point sup are returned n-scaled (they
-bound n E|T - max(theta,0)|^2), matching the figure axes; the mixture and
-fixed-pair two-point bounds are un-scaled (they bound E|T - psi|^2 for the full
-n-observation experiment).
+Conventions. All bound values are >= 0 with exact clamping at zero. Every
+BoundResult, that of each sup, is n-scaled (it bounds n E|T - psi|^2), the
+unit of the figure axes and the CLI; the fixed-argument mixture, van Trees
+and two-point evaluators return un-scaled floats (they bound E|T - psi|^2 for
+the full n-observation experiment).
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .mixtures import (GridSpec, MixtureSpec, default_grid,
-                       mixture_chi_sq, mixture_chi_sq_interpolated_grid,
-                       mixture_hellinger_sq)
+from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
+                       mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (SearchBox, check_n, coarse_axis, cut_points, float_or_array,
                        integrate_panels, math_elementwise, maximize_1d, maximize_2d,
                        panel_nodes, refine_coarse_max)
-from .priors import Prior, check_scale, prior_density, solve_kepler
+from .priors import Prior, check_scale, prior_density
 
 _PI = math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -130,15 +129,11 @@ MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A non-negative bound value, the optimizer arguments, and a method tag."""
+    """A non-negative n-scaled bound value, the optimizer arguments, and a method tag."""
 
     value: float
     argmax: Dict[str, float] = field(default_factory=dict)
     method: str = ""
-
-    def scaled(self, n: int) -> "BoundResult":
-        """The same bound on n E|T - psi|^2, the unit of the figure and the CLI."""
-        return BoundResult(n * self.value, self.argmax, self.method)
 
 
 def _check_delta_n(delta: float, n: int) -> None:
@@ -177,7 +172,7 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
     if np.any(h2 == 0.0):
         raise ValueError("mixture Hellinger distance underflows to 0 at "
-                         f"h={np.atleast_1d(h)[np.atleast_1d(h2) == 0.0][0]!r}")
+                         f"h={float(np.atleast_1d(h)[np.atleast_1d(h2) == 0.0][0])!r}")
     num, second = delta_psi_moments(prior, f, h)
     return num * num / (4.0 * h2), second
 
@@ -192,8 +187,8 @@ def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
 
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
                                 h_lo: float, h_hi: float) -> BoundResult:
-    """Maximize the Hellinger mixture bound over |h| in [h_lo, h_hi], both signs:
-    each scan or k-section round of maximize_1d is one batch of shifts."""
+    """n-scaled sup of the Hellinger mixture bound over |h| in [h_lo, h_hi], both
+    signs: each scan or k-section round of maximize_1d is one batch of shifts."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
 
@@ -205,8 +200,8 @@ def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functio
     hp, vp = for_sign(1.0)
     hm, vm = for_sign(-1.0)
     if vp >= vm:
-        return BoundResult(max(vp, 0.0), {"h": hp}, "hellinger-mixture")
-    return BoundResult(max(vm, 0.0), {"h": -hm}, "hellinger-mixture")
+        return BoundResult(n * max(vp, 0.0), {"h": hp}, "hellinger-mixture")
+    return BoundResult(n * max(vm, 0.0), {"h": -hm}, "hellinger-mixture")
 
 
 def default_shift_range(prior: Prior) -> Tuple[float, float]:
@@ -216,7 +211,7 @@ def default_shift_range(prior: Prior) -> Tuple[float, float]:
 
 
 def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
-                       h: float, lam: float, grid: Optional[GridSpec] = None) -> float:
+                       h: float, lam: float) -> float:
     """Chi-squared mixture bound with the closed-form inner optimization.
 
     Evaluates [sqrt((1-lam){A - lam(A+B)}) - sqrt(lam^2 B)]_+^2 where A has
@@ -247,8 +242,7 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
     if n != 1:
         raise ValueError("lambda > 0 requires n = 1: the interpolated "
                          "chi-squared has no tensorization identity")
-    if grid is None:
-        grid = default_grid(family, prior, h)
+    grid = default_grid(family, prior, h)
     denom = mixture_chi_sq_interpolated_grid(family, prior, h, lam, grid)
     if denom <= 0.0:
         return 0.0
@@ -277,20 +271,9 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
     return num * num / (prior.fisher_info() + n * info)
 
 
-@functools.cache
-def _kepler_coarse_table() -> Tuple[np.ndarray, np.ndarray]:
-    """The Kepler root y_a and solve_kepler(a).min_fisher on the optimizers'
-    coarse grid of a in [0, 1]: the (delta, n)-free part of the Kepler bound's
-    scan, built once per process and read-only, since every caller shares it."""
-    table = np.array([(sol.y_a, sol.min_fisher)
-                      for sol in map(solve_kepler, coarse_axis(0.0, 1.0).tolist())]).T
-    table.flags.writeable = False
-    return table[0], table[1]
-
-
-def _kepler_mass(y: float) -> float:
-    """The mass a whose Kepler root is y: (1 + y + sin(pi y)/pi)/2."""
-    return 0.5 * (1.0 + y + math.sin(_PI * y) / _PI)
+def _kepler_mass(y):
+    """The mass a whose Kepler root is y, (1 + y + sin(pi y)/pi)/2, by math's sin per entry."""
+    return 0.5 * (1.0 + y + math_elementwise(math.sin, _PI * y) / _PI)
 
 
 def _quotient_derivatives(num, dnum, hnum, den, dden, hden):
@@ -321,18 +304,18 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
 
     The numerator mass constraint a selects a least-favorable constrained
     cosine prior whose minimum Fisher information 4 pi^2 / w_a^2 enters the
-    denominator after dilation to the delta-neighborhood. The coarse scan
-    reads the cached Fisher table; safeguarded Newton refinement then runs in
-    the Kepler root y, where a and w_a are explicit, inside the best coarse
-    cell, and solves no Kepler equation.
+    denominator after dilation to the delta-neighborhood. Both the coarse scan
+    and the safeguarded Newton refinement inside its best cell run in the
+    Kepler root y in [-1, 1], where a and 4 pi^2 / w_a^2 = pi^2 (1 + |y|)^2 are
+    explicit, so the sup solves no Kepler equation.
     """
     _check_delta_n(delta, n)
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
         raise ValueError("sup_fisher must be positive and finite")
-    ys, fisher = _kepler_coarse_table()
-    a = coarse_axis(0.0, 1.0)
+    ys = coarse_axis(-1.0, 1.0)
+    a = _kepler_mass(ys)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        coarse = n * a * a / (fisher / delta**2 + n * sup_fisher)
+        coarse = n * a * a / (_PI * _PI * (1.0 + np.abs(ys)) ** 2 / delta**2 + n * sup_fisher)
     (y,), value, _ = refine_coarse_max(
         lambda y: _vt_kepler_objective(delta, n, sup_fisher, y), ys, coarse)
     return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)}, "vt-kepler")

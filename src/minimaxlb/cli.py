@@ -339,15 +339,15 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             raise ValueError("--xi1 and --xi2 must be given together")
         if args.xi1 is None:
             return bounds.diffeo_bound_sup(args.delta, n), []
-        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
+        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)  # n-scaled
         return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}, "diffeo"), []
     if method == "twopoint":
         if args.theta1 is None or args.theta2 is None:
             raise ValueError("twopoint requires --theta1 and --theta2")
         value = bounds.two_point_hellinger_bound(
             family, n, functional, args.theta1, args.theta2)
-        return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2},
-                                  "twopoint").scaled(n), []
+        return bounds.BoundResult(n * value, {"theta1": args.theta1, "theta2": args.theta2},
+                                  "twopoint"), []
     if not args.prior:  # the default prior cosine:0:delta
         priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info())
     prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
@@ -355,9 +355,9 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         if args.h is None:
             h_lo, h_hi = bounds.default_shift_range(prior)
             return bounds.hellinger_mixture_bound_sup(family, n, prior, functional,
-                                                      h_lo, h_hi).scaled(n), []
+                                                      h_lo, h_hi), []
         value = bounds.hellinger_mixture_bound(family, n, prior, functional, args.h)
-        return bounds.BoundResult(value, {"h": args.h}, "hellinger-mixture").scaled(n), []
+        return bounds.BoundResult(n * value, {"h": args.h}, "hellinger-mixture"), []
     if method == "chi2":
         if args.h is None:
             raise ValueError("chi2 requires --h")
@@ -367,10 +367,10 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         divergent = value == 0.0 and lam == 0.0 and mixtures.mixture_chi_sq(
             mixtures.MixtureSpec(family, n, prior, args.h)) == math.inf
         notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
-        return bounds.BoundResult(value, {"h": args.h, "lambda": lam},
-                                  "chi2-mixture").scaled(n), notes
+        return bounds.BoundResult(n * value, {"h": args.h, "lambda": lam},
+                                  "chi2-mixture"), notes
     value = bounds.van_trees_value(family, n, prior, functional)  # method == "vantrees"
-    return bounds.BoundResult(value, {}, "van-trees").scaled(n), []
+    return bounds.BoundResult(n * value, {}, "van-trees"), []
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from minimaxlb import bounds, numerics
+from minimaxlb import bounds, numerics, priors
 from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               PolyKernel, PowerMax, chi2_mixture_bound,
                               density_lam_constant, diffeo_bound,
@@ -149,9 +149,9 @@ def test_interior_hellinger_sup_is_a_true_sup(n, prior, h_lo, h_hi):
     dense = np.linspace(h_lo, h_hi, 2001)
     scan = max(hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(), sign * dense).max()
                for sign in (1.0, -1.0))
-    assert res.value >= scan * (1.0 - 1e-12)
-    assert res.value == hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(),
-                                                res.argmax["h"])
+    assert res.value >= n * scan * (1.0 - 1e-12)
+    assert res.value == n * hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(),
+                                                    res.argmax["h"])
 
 
 def test_batched_hellinger_sup_memory_stays_capped():
@@ -183,7 +183,7 @@ def test_hellinger_mixture_sup_below_plugin_risk():
     res = hellinger_mixture_bound_sup(GAUSS, n, Cosine(0.0, delta), MaxZero(),
                                       1e-4 * delta, 10.0 * delta)
     assert res.value > 0.0
-    assert n * res.value <= local_minimax_risk(PluginMLE(), delta, n)
+    assert res.value <= local_minimax_risk(PluginMLE(), delta, n)  # both n-scaled
 
 
 def test_chi2_bound_lambda_zero_is_mixture_hcr():
@@ -237,10 +237,9 @@ def test_chi2_bound_closed_form_matches_L_scan():
     h, lam = 0.4, 0.3
     prior = GaussianPrior(0.0, 1.0)
     f = MaxZero()
-    grid = default_grid(GAUSS, prior, h)
     from minimaxlb.mixtures import mixture_chi_sq_interpolated_grid
     num, second = bounds.delta_psi_moments(prior, f, h)
-    denom = mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, grid)
+    denom = mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, default_grid(GAUSS, prior, h))
     a = num * num / denom
     b = second
     best = 0.0
@@ -248,7 +247,7 @@ def test_chi2_bound_closed_form_matches_L_scan():
         val = (1.0 - lam) ** 2 / (1.0 + big_l * lam) * max(
             a - lam * (1.0 + 1.0 / big_l) / (1.0 - lam) ** 2 * b, 0.0)
         best = max(best, val)
-    got = chi2_mixture_bound(GAUSS, 1, prior, f, h, lam, grid=grid)
+    got = chi2_mixture_bound(GAUSS, 1, prior, f, h, lam)
     assert got == pytest.approx(best, rel=1e-6)
 
 
@@ -508,20 +507,26 @@ def test_sweep_row_diffeo_matches_the_scan_with_sigma():
 @pytest.mark.parametrize("delta,n,sup_fisher", [
     (1e-3, 10, 1.0), (0.3, 1, 1.0), (1.0, 100, 0.25), (1e3, 10**6, 1.0), (5.0, 2**60 + 1, 4.0)])
 def test_vt_kepler_fisher_table_matches_the_scan(delta, n, sup_fisher):
-    # the scan solves the Kepler equation at every coarse a; the refinement
-    # runs in the Kepler root y inside the best coarse cell
-    solutions = [solve_kepler(float(a)) for a in coarse_axis(0.0, 1.0)]
-    values = [n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
-              for a, sol in zip(coarse_axis(0.0, 1.0), solutions)]
+    # the oracle scans a Fisher table in the mass a, solving the Kepler equation
+    # at every coarse a, and refines in the Kepler root y inside the best coarse
+    # cell; the sup scans in y itself, where a and the information are explicit
+    def scan(a_grid):
+        solutions = [solve_kepler(float(a)) for a in a_grid]
+        return [sol.y_a for sol in solutions], [
+            n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
+            for a, sol in zip(a_grid, solutions)]
+    ys, values = scan(coarse_axis(0.0, 1.0))
     i = max(range(len(values)), key=values.__getitem__)
-    ys = [sol.y_a for sol in solutions]
     lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
     (y,), value, reason = maximize_newton(
         lambda y: bounds._vt_kepler_objective(delta, n, sup_fisher, y),
         (ys[i],), (lo,), (hi,), (0.5 * (hi - lo),))
+    assert reason == "stationary"
     res = vt_kepler_bound(delta, n, sup_fisher)
-    assert (res.value, res.argmax) == (value, {"a": bounds._kepler_mass(y)})
-    assert reason == "stationary" and value >= max(values) * (1.0 - 1e-13)
+    assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+    # a flat maximum fixes its argmax only to about sqrt(eps) (5e-9 here)
+    assert res.argmax["a"] == pytest.approx(bounds._kepler_mass(y), rel=1e-7)
+    assert res.value >= max(scan(np.linspace(0.0, 1.0, 2001))[1])
 
 
 def _central_differences(f, x, h):
@@ -628,17 +633,20 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
-    # the first calls may build the process's tables; later rows only refine
-    diffeo_bound_sup(1.0, 10)
+    # the first diffeo sup may build the process's moment table; later rows only
+    # refine. A vt sup, the first included, scans and refines in the Kepler root
+    # itself and solves no Kepler equation
+    kepler_calls = _count_calls(monkeypatch, priors, "solve_kepler")
     vt_kepler_bound(1.0, 10, 1.0)
+    assert kepler_calls[0] == 0
+    diffeo_bound_sup(1.0, 10)
     diffeo_calls = _count_calls(monkeypatch, bounds, "diffeo_bound")
     moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
-    kepler_calls = _count_calls(monkeypatch, bounds, "solve_kepler")
     diffeo_bound_sup(0.3, 100)
     assert 0 < diffeo_calls[0] <= 20
     assert 0 < moment_calls[0] <= 20
     vt_kepler_bound(0.3, 100, 1.0)
-    assert kepler_calls[0] == 0   # the refinement runs in the Kepler root itself
+    assert kepler_calls[0] == 0
 
 
 def test_two_point_bound():

@@ -424,6 +424,8 @@ def test_bound_command_validation_exit(tmp_path):
      0, "value=0.4317817"),
     (["bound", "--method", "chi2", "--prior", "gaussian:1e9:1", "--h", "0.1", "--lambda", "0.5"],
      2, "the t-grid on [999999987.9, 1000000012.0] is too far from 0"),
+    (["bound", "--method", "hellinger", "--h", "1e-300"], 2,
+     "mixture Hellinger distance underflows to 0 at h=1e-300\n"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:
