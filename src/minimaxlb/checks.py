@@ -49,6 +49,18 @@ def hellinger_decomposition(cases: Iterable[Tuple[models.Family, priors.Prior, f
     return "hellinger-decomposition", worst <= 1e-6, f"max gap {worst:.2e}"
 
 
+def vt_van_trees(cases: Iterable[Tuple[float, int]]) -> Check:
+    """The vt bound is n times the van Trees value of the Gaussian family and
+    max(theta, 0) at its Kepler prior, to 1e-12 relative, for each (delta, n)."""
+    worst = 0.0
+    for delta, n in cases:
+        vt = bounds.vt_kepler_bound(delta, n, 1.0)
+        prior = priors.KeplerCosine.for_constraint(vt.argmax["a"], 0.0, delta)
+        value = bounds.van_trees_value(models.GaussianLocation(1.0), n, prior, bounds.MaxZero())
+        worst = max(worst, abs(n * value - vt.value) / vt.value)
+    return "vt-van-trees", worst <= 1e-12, f"max relative gap {worst:.2e}"
+
+
 def bound_dominance(rows: Iterable[Dict[str, float]]) -> Check:
     """In every sweep row the largest bound is at most the smallest risk,
     up to a slack of 1e-9."""
@@ -91,6 +103,7 @@ def selftest_checks() -> List[Check]:
             (gauss, priors.GaussianPrior(0.0, 1.0), 0.1),
             (gauss, priors.Cosine(0.0, 1.0), 0.3),
             (models.GaussianLocation(0.5), priors.KeplerCosine.for_constraint(0.75), 0.2)]),
+        vt_van_trees((delta, n) for delta in deltas for n in (10, 100)),
         bound_dominance(run_sweep(SweepConfig("fixed-n-vary-delta", (10, 100), deltas))),
         asymptotic_constants(),
         normal_cdf_symmetry(np.linspace(-8, 8, 161)),

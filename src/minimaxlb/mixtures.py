@@ -172,11 +172,11 @@ def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
-# nodes in one block of t-rows. glibc's malloc reuses a freed array under 64 KiB,
-# while 1 MB blocks made it trim its heap and fault the pages back on every block:
-# the three 2001 x 2001 oracles of the mixture_bounds benchmark took 0.126 s
-# against 0.087 s at 4 rows a block (2-core x86-64 host)
-_GRID_NODES = 8128
+# nodes in one block of t-rows, built into two buffers allocated once per oracle:
+# 8 rows of a 2001-point x-axis. A 2001 x 2001 Hellinger oracle took about 13 ms,
+# against 15-16 ms at 4 rows and 12-13 ms at 16 rows, whose 512 KB of buffers raised
+# the mixture_bounds benchmark's peak RSS by 0.4 MB (2-core x86-64 host)
+_GRID_NODES = 16256
 
 
 def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
@@ -186,13 +186,14 @@ def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
-                    grid: GridSpec) -> float:
+                    grid: GridSpec, root: bool = False) -> float:
     """Trapezoid rule over the (t, x) grid of integrand(g0, gh), the joint
-    densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h). It first warns the
-    oracle's caller when the grid misses the prior, its shift or the family's
-    x-range. The densities are built one block of whole t-rows (at most
-    _GRID_NODES nodes, or one row) at a time, each block is reduced over x at
-    once, and the t-weights are applied last."""
+    densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h), or for root=True their
+    roots, from the family's closed-form root of p. It first warns the oracle's
+    caller when the grid misses the prior, its shift or the family's x-range, and
+    checks the t, t + h and x axes once. One block of whole t-rows (at most
+    _GRID_NODES nodes, or one row) at a time is built into the same two buffers
+    and reduced over x at once; the t-weights are applied last."""
     t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
@@ -202,15 +203,22 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
         warnings.warn(f"x-grid does not cover {family.x_coverage}",
                       CoverageWarning, stacklevel=3)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
-    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    ts, th = ts[:, None], (ts + h)[:, None]
+    xs = family.check_x(np.linspace(grid.x_lo, grid.x_hi, grid.x_points))
+    ts, th = family.check_theta(ts[:, None]), family.check_theta((ts + h)[:, None])
     q0, qh = prior_density(prior, ts), prior_density(prior, th)
+    if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
+        q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
     step = max(_GRID_NODES // grid.x_points, 1)
-    rows = [slice(i, i + step) for i in range(0, grid.t_points, step)]
-    inner = np.concatenate([integrand(family.density(ts[r], xs) * q0[r],
-                                      family.density(th[r], xs) * qh[r]) @ weights
-                            for r in rows])
+    (g0, gh), inner = np.empty((2, step, grid.x_points)), np.empty(grid.t_points)
+    for i in range(0, grid.t_points, step):
+        r, k = slice(i, i + step), min(step, grid.t_points - i)
+        for t, q, out in ((ts[r], q0[r], g0[:k]), (th[r], qh[r], gh[:k])):
+            family._write_kernel(t, xs, out, root)
+            if not root:  # p q as k/d q: the order of density(t, x) * q(t)
+                np.divide(out, family._divisor(t), out=out)
+            np.multiply(out, q, out=out)
+        inner[r] = integrand(g0[:k], gh[:k]) @ weights
     return float(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points) @ inner)
 
 
@@ -218,12 +226,13 @@ def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
                              grid: GridSpec) -> float:
     """Brute-force trapezoid evaluation of H^2(Mh, M0) at n = 1.
 
-    Sums (sqrt(p_{t+h}(x) q(t+h)) - sqrt(p_t(x) q(t)))^2 over the (x, t)
-    grid. Exists to validate the decomposition identity; not a computation
-    path for bounds.
+    Sums (sqrt(p_{t+h}(x) q(t+h)) - sqrt(p_t(x) q(t)))^2 over the (x, t) grid,
+    with sqrt(p) in the family's closed form: no square root of a grid array.
+    Exists to validate the decomposition identity; not a computation path for
+    bounds.
     """
-    return _grid_trapezoid(lambda g0, gh: (np.sqrt(gh) - np.sqrt(g0)) ** 2,
-                           family, prior, float(h), grid)
+    return _grid_trapezoid(lambda r0, rh: np.square(np.subtract(rh, r0, out=rh), out=rh),
+                           family, prior, float(h), grid, root=True)
 
 
 def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,

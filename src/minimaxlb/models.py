@@ -23,14 +23,16 @@ from .priors import check_scale
 class Family:
     """A one-parameter family P_theta with closed-form divergences.
 
-    Each family type defines ``density(theta, x)`` (theta and x broadcast),
-    ``fisher_info(theta)``, the divergences of a shift h, which read h itself,
-    ``hellinger_sq(theta, h)`` = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta,
-    h)`` = chi^2(P_{theta+h} || P_theta), and the oracle grid's ``x_range(t_lo,
-    t_hi, h)`` with its ``x_coverage`` text. Parameters theta and theta + h,
-    floats or ndarrays, must be finite and above ``theta_min``. ``location`` says
-    that the divergences of a shift are the same at every theta, so a caller
-    may read them at one theta per shift.
+    Each family type defines its density as k/d: ``_write_kernel(theta, x, out,
+    root)`` writes k (sqrt(k) for root=True) into out unchecked, theta and x
+    broadcast, and ``_divisor(theta)`` is d. It also defines ``fisher_info(theta)``,
+    the divergences of a shift h, which read h itself, ``hellinger_sq(theta, h)``
+    = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta, h)`` = chi^2(P_{theta+h} ||
+    P_theta), and the oracle grid's ``x_range(t_lo, t_hi, h)`` with its
+    ``x_coverage`` text. Parameters theta and theta + h, floats or ndarrays, must
+    be finite and above ``theta_min``. ``location`` says that the divergences of
+    a shift are the same at every theta, so a caller may read them at one theta
+    per shift.
     """
 
     theta_min = -math.inf
@@ -60,6 +62,21 @@ class Family:
             raise ValueError("x must be finite")
         return x
 
+    def density(self, theta, x):
+        """Model density dP_theta/dx = k/d at x."""
+        return self._quotient(theta, x, False)
+
+    def root_density(self, theta, x):
+        """sqrt(dP_theta/dx) = sqrt(k)/sqrt(d) at x, with sqrt(k) in closed form."""
+        return self._quotient(theta, x, True)
+
+    def _quotient(self, theta, x, root: bool):
+        theta, x = self.check_theta(theta), self.check_x(x)
+        out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(x)))
+        self._write_kernel(theta, x, out, root)
+        divisor = self._divisor(theta)
+        return float_or_array(np.divide(out, np.sqrt(divisor) if root else divisor, out=out))
+
 
 @dataclass(frozen=True)
 class GaussianLocation(Family):
@@ -72,11 +89,13 @@ class GaussianLocation(Family):
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
 
-    def density(self, theta, x):
-        """Model density dP_theta/dx at x."""
-        theta, x = self.check_theta(theta), self.check_x(x)
-        return float_or_array(np.exp(-0.5 * ((x - theta) / self.sigma) ** 2)
-                              / (self.sigma * math.sqrt(2.0 * math.pi)))
+    def _write_kernel(self, theta, x, out, root):
+        """k = exp(-((x - theta)/sigma)^2/2), sqrt(k) = exp(-((x - theta)/(2 sigma))^2)."""
+        np.divide(np.subtract(x, theta, out=out), self.sigma * (1 + root), out=out)
+        np.exp(np.multiply(np.square(out, out=out), -1.0 if root else -0.5, out=out), out=out)
+
+    def _divisor(self, theta):
+        return self.sigma * math.sqrt(2.0 * math.pi)
 
     def fisher_info(self, theta: float) -> float:
         """Per-observation Fisher information 1/sigma^2."""
@@ -118,10 +137,12 @@ class UniformScale(Family):
     label = "Uniform scale family"
     x_coverage = "the full uniform support"
 
-    def density(self, theta, x):
-        """Model density 1/theta on [0, theta]; zero outside."""
-        theta, x = self.check_theta(theta), self.check_x(x)
-        return float_or_array(np.where((x >= 0.0) & (x <= theta), 1.0 / theta, 0.0))
+    def _write_kernel(self, theta, x, out, root):
+        """k = 1 on [0, theta] and 0 outside, its own root."""
+        np.multiply(np.less_equal(x, theta, out=out), np.greater_equal(x, 0.0), out=out)
+
+    def _divisor(self, theta):
+        return theta
 
     def fisher_info(self, theta: float) -> float:
         self.check_theta(theta)

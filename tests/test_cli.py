@@ -250,7 +250,7 @@ def test_constants_command(tmp_path, capsys):
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     printed = capsys.readouterr().out
-    assert printed.count("PASS") == 6
+    assert printed.count("PASS") == 7
     assert "FAIL" not in printed
 
 

@@ -227,6 +227,44 @@ def test_grid_oracles_stream_their_rows():
         assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("family,prior,h", [
+    *((GaussianLocation(sigma), prior, h) for sigma in (0.5, 1.0, 3.0)
+      for prior, h in ((Cosine(0.0, 1.0), 0.3), (GaussianPrior(0.0, 1.0), 0.1),
+                       (KeplerCosine.for_constraint(0.75), 0.2))),
+    (UniformScale(), UniformPrior(1.0, 2.0), 0.2), (UniformScale(), GaussianPrior(13.0, 1.0), -0.5)])
+def test_hellinger_oracle_is_the_brute_force_sum(family, prior, h):
+    # the closed-form roots change no term of the oracle's meaning: the sum of
+    # w_t w_x (sqrt(gh) - sqrt(g0))^2 with g = p_t(x) q(t) built on the whole grid
+    grid = GridSpec(*dataclasses.astuple(default_grid(family, prior, h))[:4], 401, 401)
+    ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
+    xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
+    g0 = family.density(ts, xs) * prior.density(ts)
+    gh = family.density(ts + h, xs) * prior.density(ts + h)
+    wt = mixtures._trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points)
+    wx = mixtures._trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
+    want = float(wt @ ((np.sqrt(gh) - np.sqrt(g0)) ** 2 @ wx))
+    assert mixture_hellinger_oracle(family, prior, h, grid) == pytest.approx(want, rel=1e-14,
+                                                                            abs=0.0)
+
+
+def test_grid_oracles_check_their_axes_once(monkeypatch):
+    # each oracle checks its x-axis once, not once a block of t-rows (1,002 times
+    # on the default 2001 x 2001 grid), and its t and t + h axes once each
+    counts = {"check_x": 0, "check_theta": 0}
+    for name in counts:
+        def counted(self, *args, name=name, check=getattr(GaussianLocation, name)):
+            counts[name] += 1
+            return check(self, *args)
+        monkeypatch.setattr(GaussianLocation, name, counted)
+    prior, h = GaussianPrior(0.0, 1.0), 0.1
+    grid = default_grid(GAUSS, prior, h)
+    for oracle in (lambda: mixture_hellinger_oracle(GAUSS, prior, h, grid),
+                   lambda: mixture_chi_sq_interpolated_grid(GAUSS, prior, h, 0.5, grid)):
+        counts.update(check_x=0, check_theta=0)
+        oracle()
+        assert counts["check_x"] <= 2 and counts["check_theta"] <= 2
+
+
 def test_mixture_chi_sq_divergent_cases():
     assert mixture_chi_sq(MixtureSpec(GAUSS, 1, GaussianPrior(0.0, 1.0), 0.0)) == 0.0
     unif_prior = UniformPrior(1.0, 2.0)

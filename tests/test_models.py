@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -49,6 +50,28 @@ def test_density_rejects_bad_theta():
         UNIF.density(0.0, 0.5)
     with pytest.raises(ValueError):
         UNIF.density(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("family", [GaussianLocation(0.5), GAUSS, GaussianLocation(3.0), UNIF],
+                         ids=["gauss-0.5", "gauss-1", "gauss-3", "uniform"])
+def test_root_density_is_the_closed_form_root(family):
+    # sqrt(p) = sqrt(k)/sqrt(d) in closed form squares to p = k/d within 4 ulp,
+    # on a broadcast grid and at a point, and rejects what density rejects
+    ts, xs = np.linspace(0.5, 3.0, 26)[:, None], np.linspace(-1.0, 4.0, 101)
+    root, density = family.root_density(ts, xs), family.density(ts, xs)
+    assert root.shape == density.shape == (26, 101)
+    assert np.all(np.abs(root**2 - density) <= 4.0 * np.spacing(density))
+    point = family.root_density(2.0, 1.5)
+    assert isinstance(point, float)
+    assert abs(point**2 - family.density(2.0, 1.5)) <= 4.0 * np.spacing(family.density(2.0, 1.5))
+    rejected_inputs = [(math.nan, 0.5), (1.0, math.inf), (ts, np.array([0.0, math.nan]))]
+    if family is UNIF:  # theta > 0
+        rejected_inputs += [(0.0, 0.5), (-1.0, 0.5), (np.array([[1.0], [0.0]]), xs)]
+    for theta, x in rejected_inputs:
+        with pytest.raises(ValueError) as rejected:
+            family.density(theta, x)
+        with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+            family.root_density(theta, x)
 
 
 def test_fisher_info():
@@ -150,7 +173,6 @@ def test_local_ratio_uniform_blows_up():
 
 
 def test_divergences_accept_arrays():
-    import numpy as np
     theta = np.array([1.0, 1.5, 2.0, 3.0])
     for family in (GAUSS, UNIF):
         for n in (1, 7):

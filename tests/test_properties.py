@@ -13,7 +13,7 @@ from scipy import integrate
 from minimaxlb import checks, numerics
 from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, PowerMax,
                               diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
-                              van_trees_value, vt_kepler_bound)
+                              two_point_hellinger_bound, vt_kepler_bound)
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.mixtures import MixtureSpec, mixture_hellinger_sq
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine
@@ -118,10 +118,22 @@ def test_kepler_prior_puts_mass_a_above_its_center(a, offset, log_scale):
 def test_vt_bound_is_van_trees_at_the_kepler_prior(n, delta):
     # the figure's vt bound is the general van Trees value, maximized over the
     # mass a of the least-favorable Kepler prior on the delta-neighborhood
-    result = vt_kepler_bound(delta, n, 1.0)
-    prior = KeplerCosine.for_constraint(result.argmax["a"], 0.0, delta)
-    value = n * van_trees_value(GaussianLocation(1.0), n, prior, MaxZero())
-    assert value == pytest.approx(result.value, rel=1e-12, abs=0.0)
+    _assert_passes(checks.vt_van_trees([(delta, n)]))
+
+
+@PROPERTY
+@given(log_sigma=st.floats(-2.0, 2.0), log_delta=st.floats(-2.0, 2.0),
+       n=st.integers(1, 10**4), theta1=st.floats(-3.0, 3.0), theta2=st.floats(-3.0, 3.0))
+def test_bounds_rescale_exactly_in_sigma(log_sigma, log_delta, n, theta1, theta2):
+    # N(theta, sigma^2) is N(theta/sigma, 1) rescaled: the vt bound at Fisher
+    # information 1/sigma^2 and the two-point bound at sigma theta scale by sigma^2
+    sigma, delta = 10.0**log_sigma, 10.0**log_delta
+    assert vt_kepler_bound(delta, n, sigma**-2).value == pytest.approx(
+        sigma**2 * vt_kepler_bound(delta / sigma, n, 1.0).value, rel=1e-13, abs=0.0)
+    scaled = two_point_hellinger_bound(GaussianLocation(sigma), n, MaxZero(),
+                                       sigma * theta1, sigma * theta2)
+    unit = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), theta1, theta2)
+    assert scaled == pytest.approx(sigma**2 * unit, rel=1e-13, abs=0.0)
 
 
 def _diffeo_van_trees_in_eta(delta, n, xi1, xi2):
