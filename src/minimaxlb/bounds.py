@@ -188,7 +188,9 @@ def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
                                 h_lo: float, h_hi: float) -> BoundResult:
     """n-scaled sup of the Hellinger mixture bound over |h| in [h_lo, h_hi], both
-    signs: each scan or k-section round of maximize_1d is one batch of shifts."""
+    signs: each scan or k-section round of maximize_1d is one batch of shifts. The
+    bound tends to the van Trees value as h -> 0, so the sup mostly sits on the
+    edge h_lo, where a sign ends after its scan and two rounds."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
 

@@ -185,6 +185,11 @@ def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
     return weights
 
 
+def _block_rows(grid: GridSpec) -> int:
+    """The t-rows of one block of the oracle grids: at most _GRID_NODES nodes, or one row."""
+    return max(_GRID_NODES // grid.x_points, 1)
+
+
 def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
                     grid: GridSpec, root: bool = False) -> float:
     """Trapezoid rule over the (t, x) grid of integrand(g0, gh), the joint
@@ -192,8 +197,9 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     roots, from the family's closed-form root of p. It first warns the oracle's
     caller when the grid misses the prior, its shift or the family's x-range, and
     checks the t, t + h and x axes once. One block of whole t-rows (at most
-    _GRID_NODES nodes, or one row) at a time is built into the same two buffers
-    and reduced over x at once; the t-weights are applied last."""
+    _GRID_NODES nodes, or one row: _block_rows) at a time is built into the same
+    two buffers, which the integrand may overwrite, and reduced over x at once;
+    the t-weights are applied last."""
     t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
@@ -209,7 +215,7 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
         q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
-    step = max(_GRID_NODES // grid.x_points, 1)
+    step = _block_rows(grid)
     (g0, gh), inner = np.empty((2, step, grid.x_points)), np.empty(grid.t_points)
     for i in range(0, grid.t_points, step):
         r, k = slice(i, i + step), min(step, grid.t_points - i)
@@ -248,8 +254,17 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
 
+    work = np.empty((_block_rows(grid), grid.x_points))  # a third block buffer
+
     def ratio(g0: np.ndarray, gh: np.ndarray) -> np.ndarray:
-        mix = lam * gh + (1.0 - lam) * g0
-        return np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
+        # (gh - g0)^2 / (lam gh + (1 - lam) g0) where the mixture is positive, else 0,
+        # in the block's buffers with the operations of that expression, in its order
+        diff = np.subtract(gh, g0, out=work[:len(g0)])
+        np.square(diff, out=diff)
+        mix = np.add(np.multiply(gh, lam, out=gh), np.multiply(g0, 1.0 - lam, out=g0), out=gh)
+        positive = mix > 0.0
+        np.divide(diff, mix, out=diff, where=positive)
+        diff[~positive] = 0.0
+        return diff
 
     return (1.0 - lam) ** 2 * _grid_trapezoid(ratio, family, prior, float(h), grid)

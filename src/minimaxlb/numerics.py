@@ -4,8 +4,9 @@ optimization shared by the rest of the package.
 Everything here is a pure function of its inputs: no randomness, no global
 state, bit-reproducible across runs. Optimizers are coarse-grid scans with
 local refinement, by safeguarded Newton steps on the gradient and Hessian or,
-without derivatives, by k-section search, so they only promise the best
-*found* value, never a global-optimality certificate.
+without derivatives, by k-section search, whose round after one won by the
+box's edge spaces its points geometrically toward that edge; so they only
+promise the best *found* value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
@@ -268,13 +269,19 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     """Coarse grid scan plus k-section refinement around the best cell.
 
     f maps an array of points to the array of their values. The scan is one call
-    on the coarse axis. Each refinement round is one call on _SECTIONS equally
-    spaced interior points of the bracket; the next bracket is the two neighbours
-    of the best point known in it, until it is 1e-14 of its first width or
-    floats cannot split it. Returns (argmax, max) of the best point found; the
-    result is never below the best coarse-grid value, the first maximum (in x)
-    wins, and a NaN never does. It serves the objectives without derivatives:
-    the Hellinger sup, the constants.
+    on the coarse axis. Each refinement round is one call on _SECTIONS interior
+    points of the bracket; the next bracket is the two neighbours of the best
+    point known in it, until it is 1e-14 of its first width or floats cannot
+    split it. The rounds space their points equally, except the round after one
+    whose best point is lo or hi: its points run geometrically from the
+    bracket's width down to that stop width toward the edge. If the edge still
+    wins, the search ends there: for an objective unimodal in the bracket, a
+    maximum farther than the stop width inside would lift the points between it
+    and the edge above the edge. Returns (argmax, max) of the best point found;
+    the result is never below the best coarse-grid value, the first maximum (in
+    x) wins, and a NaN never does. It serves the objectives without derivatives:
+    the Hellinger sup, whose maximum sits on its box edge, in one scan and two
+    rounds, and the constants.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -287,14 +294,28 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     known = slice(max(i - 1, 0), i + 2)
     px, pv = xs[known], vals[known]
     width = 1e-14 * (px[-1] - px[0])
+    edge = 0  # -1 (lo) or 1 (hi) when the last round was uniform and an edge won it
     while px[-1] - px[0] > width:
-        inner = np.linspace(px[0], px[-1], _SECTIONS + 2)[1:-1]
-        if not (px[0] < inner[0] and np.all(np.diff(inner) > 0.0) and inner[-1] < px[-1]):
-            break  # the bracket is at floating-point resolution
+        if edge:
+            # ascending offsets from the edge, from the stop width to the bracket's width
+            span = px[-1] - px[0]
+            steps = span * (width / span) ** (np.arange(_SECTIONS, 0, -1) / _SECTIONS)
+            inner = px[0] + steps if edge < 0 else px[-1] - steps[::-1]
+            # the distinct points strictly inside (a numpy.unique would import numpy.ma)
+            inner = inner[(np.diff(inner, prepend=px[0]) > 0.0) & (inner < px[-1])]
+            if not inner.size:
+                break  # the bracket is at floating-point resolution
+        else:
+            inner = np.linspace(px[0], px[-1], _SECTIONS + 2)[1:-1]
+            if not (px[0] < inner[0] and np.all(np.diff(inner) > 0.0) and inner[-1] < px[-1]):
+                break  # the bracket is at floating-point resolution
         order = np.argsort(np.concatenate((px, inner)), kind="stable")
         px = np.concatenate((px, inner))[order]
         pv = np.concatenate((pv, _scores(f(inner), inner)))[order]
         j = int(np.argmax(pv))
+        if edge and px[j] in (lo, hi):
+            break  # the edge beat every point down to the stop width from it
+        edge = -1 if px[j] == lo else 1 if px[j] == hi else 0
         px, pv = px[max(j - 1, 0):j + 2], pv[max(j - 1, 0):j + 2]
     j = int(np.argmax(pv))
     return float(px[j]), float(pv[j])

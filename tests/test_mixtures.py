@@ -182,10 +182,13 @@ def test_mixture_chi_sq_against_grid_oracle():
 
 @pytest.mark.parametrize("prior,h,lam", [(GaussianPrior(0.0, 1.0), 0.1, 0.5),
                                          (Cosine(0.0, 1.0), 0.5, 0.9),
-                                         (UniformPrior(-1.0, 1.0), 0.3, 0.25)])
+                                         (UniformPrior(-1.0, 1.0), 0.3, 0.25),
+                                         (KeplerCosine.for_constraint(0.75), -0.2, 0.1),
+                                         (GaussianPrior(1.0, 0.5), -0.05, 0.75),
+                                         (GaussianPrior(0.0, 1.0), 1.0, 0.0)])
 def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
-    # the value the out-of-place formula gives on the whole grid, with at most
-    # three grids alive
+    # bit for bit the value the out-of-place formula gives on the whole grid, which
+    # the oracle builds in place in its block buffers, with at most three grids alive
     grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)

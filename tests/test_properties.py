@@ -1,6 +1,8 @@
 """Property tests of the paper's invariants over the ranges the CLI accepts,
 judged by the same checks as `minimaxlb selftest`, and of the Kepler prior's
 definition."""
+import contextlib
+import io
 import math
 from unittest import mock
 
@@ -14,6 +16,7 @@ from minimaxlb import checks, numerics
 from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, PowerMax,
                               diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
                               two_point_hellinger_bound, vt_kepler_bound)
+from minimaxlb.cli import main
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.mixtures import MixtureSpec, mixture_hellinger_sq
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine
@@ -134,6 +137,65 @@ def test_bounds_rescale_exactly_in_sigma(log_sigma, log_delta, n, theta1, theta2
                                        sigma * theta1, sigma * theta2)
     unit = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), theta1, theta2)
     assert scaled == pytest.approx(sigma**2 * unit, rel=1e-13, abs=0.0)
+
+
+def _csv_cell(argv, column):
+    """The float in ``column`` of the one CSV row a minimaxlb command prints last."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    header, row = (line.split(",") for line in out.getvalue().splitlines()[-2:])
+    return float(row[header.index(column)])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(log_sigma=st.floats(-2.0, 2.0), log_delta=st.floats(-2.0, 2.0), n=st.integers(1, 10**6))
+def test_bound_sigma_equals_the_sweeps_rescaling(log_sigma, log_delta, n):
+    # bound --sigma reads the vt bound at Fisher information 1/sigma^2; the sweep
+    # rescales the unit problem at delta/sigma by sigma^2
+    s, d = repr(10.0**log_sigma), repr(10.0**log_delta)
+    bound = _csv_cell(["bound", "--method", "vt", "--sigma", s, "--delta", d, "--n", str(n)],
+                      "value")
+    sweep = _csv_cell(["sweep", "--sigma", s, "--methods", "vt", "--estimators", "constant",
+                       "--delta", d, "--n", str(n)], "bound_vt")
+    assert bound == pytest.approx(sweep, rel=1e-13, abs=0.0)
+
+
+_CELL = 1.0 / (numerics._COARSE_GRID - 1)  # a coarse cell's share of the box
+
+
+@PROPERTY
+@given(lo=st.floats(-10.0, 10.0), log_width=st.floats(-3.0, 3.0),
+       where=st.sampled_from(["lo", "hi", "first cell", "last cell", "interior", "constant"]),
+       u=st.floats(0.0, 1.0), log_near=st.floats(-15.0, 0.0), bump=st.booleans(),
+       log_scale=st.floats(-1.0, 1.0))
+def test_maximize_1d_never_below_a_dense_scan(lo, log_width, where, u, log_near, bump,
+                                              log_scale):
+    # a unimodal objective with its maximum on an edge, in the first or last coarse
+    # cell (down to below the stop width from the edge), inside, or everywhere
+    width = 10.0**log_width
+    hi, cell, scale = lo + width, _CELL * width, 10.0**log_scale * width
+    peak = {"lo": lo - 10.0**(-2.0 * u) * cell, "hi": hi + 10.0**(-2.0 * u) * cell,
+            "first cell": lo + 10.0**log_near * cell, "last cell": hi - 10.0**log_near * cell,
+            "interior": lo + (0.05 + 0.9 * u) * width, "constant": lo}[where]
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        if where == "constant":
+            return np.zeros_like(x)
+        z = (x - peak) / scale
+        return np.exp(-0.5 * z * z) if bump else -z * z
+    x, value = numerics.maximize_1d(f, lo, hi)
+    searched = len(calls)
+    dense = f(np.linspace(lo, hi, 200_001))
+    assert value >= dense.max() - 1e-15 * np.abs(dense).max()
+    assert lo <= x <= hi and f(np.array([x]))[0] == value
+    if where in ("lo", "hi") and not bump:
+        # the edge wins a uniform round, then a geometric one toward it (a bump's
+        # top is flat to rounding within the stop width of hi, and there the first
+        # maximum, inside, wins)
+        assert (x, searched) == ((lo if where == "lo" else hi), 1 + 2)
 
 
 def _diffeo_van_trees_in_eta(delta, n, xi1, xi2):
