@@ -279,12 +279,15 @@ def _kepler_mass(y):
 
 
 def _quotient_derivatives(num, dnum, hnum, den, dden, hden):
-    """Value, gradient and Hessian of num/den from those of num and den."""
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        value = num / den
-        grad = (dnum - value * dden) / den
-        return value, grad, (hnum - value * hden - np.outer(grad, dden)
-                             - np.outer(dden, grad)) / den
+    """Value, gradient and Hessian of num/den from those of num and den, in
+    Python floats: the gradients are lists and the Hessians lists of rows.
+    Overflow gives inf and NaN silently; den must be nonzero (every caller's
+    is positive)."""
+    value = num / den
+    grad = [(dn - value * dd) / den for dn, dd in zip(dnum, dden)]
+    return value, grad, [[(hn - value * hd - gi * ddj - ddi * gj) / den
+                          for hn, hd, ddj, gj in zip(hn_row, hd_row, dden, grad)]
+                         for hn_row, hd_row, gi, ddi in zip(hnum, hden, grad, dden)]
 
 
 def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
@@ -294,10 +297,9 @@ def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
     2/(1 + cos pi y), is infinite at a = 1, where the argmax sits as n delta^2 grows."""
     a, da, dda = _kepler_mass(y), math.cos(0.5 * _PI * y) ** 2, -0.5 * _PI * math.sin(_PI * y)
     m, dm = _PI * _PI * (1.0 + abs(y)) ** 2, 2.0 * _PI * _PI * math.copysign(1.0 + abs(y), y)
-    return _quotient_derivatives(n * a * a, np.array([2.0 * n * a * da]),
-                                 np.array([[2.0 * n * (da * da + a * dda)]]),
-                                 m / delta**2 + n * sup_fisher, np.array([dm / delta**2]),
-                                 np.array([[2.0 * _PI * _PI / delta**2]]))
+    return _quotient_derivatives(n * a * a, [2.0 * n * a * da], [[2.0 * n * (da * da + a * dda)]],
+                                 m / delta**2 + n * sup_fisher, [dm / delta**2],
+                                 [[2.0 * _PI * _PI / delta**2]])
 
 
 def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
@@ -361,7 +363,10 @@ def _diffeo_moments(xi1, xi2: float, derivatives: bool = False):
     e_ind, e_sq = float_or_array(above.sum(axis=-1)), float_or_array(g2_phi_w.sum(axis=-1))
     if not derivatives:
         return e_ind, e_sq
-    powers = np.cumprod(np.broadcast_to(z, (4, z.size)), axis=0)   # z, z^2, z^3, z^4
+    powers = np.empty((4, z.size))                                   # z, z^2, z^3, z^4
+    powers[0] = z
+    for k in range(1, 4):
+        np.multiply(powers[k - 1], z, out=powers[k])
     return ((e_ind, *(powers * above).sum(axis=1).tolist()),
             (e_sq, *(powers * g2_phi_w).sum(axis=1).tolist()))
 
@@ -385,7 +390,9 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
     both sides of the underlying ratio scale by 4 sigma^2/eta^2 = 4 xi2^2,
     which keeps the whole expression below the sigma^2 = 1 ceiling. With
     ``derivatives`` it returns (value, gradient, Hessian), the derivatives in
-    (xi1, log xi2), the coordinates of the sup's search.
+    (xi1, log xi2), the coordinates of the sup's search: a list of two floats
+    and a list of two rows, assembled in float arithmetic around the one
+    array pass of the moments.
     """
     _check_delta_n(delta, n)
     if not (xi2 > 0 and math.isfinite(xi2)):
@@ -405,15 +412,17 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
     # z/xi2 and d/dlog xi2 by z^2; Y = xi2^2 E[g^2] is xi2 times the same over all u.
     (i0, i1, i2, i3, i4), (s0, s1, s2, s3, s4) = _diffeo_moments(xi1, xi2, derivatives=True)
     s, k = xi2, 4.0 * n
-    p, dp = s * i0, np.array([i1, s * i2])
-    hp = np.array([[(i2 - i0) / s, i3 - 2.0 * i1], [i3 - 2.0 * i1, s * (i4 - 2.0 * i2)]])
-    dy = np.array([s * s1, s * s * (s0 + s2)])
-    hy = np.array([[s2 - s0, s * (s3 - s1)], [s * (s3 - s1), s * s * (s0 + s4)]])
-    # the bound 4n P^2 / (pi^2/delta^2 + 4n Y), its value as diffeo_bound computes it
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        _, grad, hess = _quotient_derivatives(
-            k * p * p, 2.0 * k * p * dp, 2.0 * k * (np.outer(dp, dp) + p * hp),
-            _PI * _PI / delta**2 + k * s * s * s0, k * dy, k * hy)
+    p, dp = s * i0, [i1, s * i2]
+    hp = [[(i2 - i0) / s, i3 - 2.0 * i1], [i3 - 2.0 * i1, s * (i4 - 2.0 * i2)]]
+    dy = [s * s1, s * s * (s0 + s2)]
+    hy = [[s2 - s0, s * (s3 - s1)], [s * (s3 - s1), s * s * (s0 + s4)]]
+    # the bound 4n P^2 / (pi^2/delta^2 + 4n Y), its value as diffeo_bound computes it;
+    # the denominator is positive, since pi^2/delta^2 > 0 and E[g^2] >= 0
+    _, grad, hess = _quotient_derivatives(
+        k * p * p, [2.0 * k * p * d for d in dp],
+        [[2.0 * k * (di * dj + p * h) for dj, h in zip(dp, row)] for di, row in zip(dp, hp)],
+        _PI * _PI / delta**2 + k * s * s * s0, [k * d for d in dy],
+        [[k * h for h in row] for row in hy])
     return max(_diffeo_ratio(delta, n, xi2, i0, s0), 0.0), grad, hess
 
 

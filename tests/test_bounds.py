@@ -569,6 +569,128 @@ def test_vt_derivatives_match_central_differences(delta, n, sup_fisher):
         _assert_derivatives_match(f, (y,), 1e-5 * min(abs(y), 1.0 - abs(y)), 1e-6)
 
 
+def _quotient_derivatives_by_numpy(num, dnum, hnum, den, dden, hden):
+    """The quotient rule on numpy vectors and matrices: the reference for the
+    float assembly of the Newton objectives, which must keep its every bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = num / den
+        grad = (dnum - value * dden) / den
+        return value, grad, (hnum - value * hden - np.outer(grad, dden)
+                             - np.outer(dden, grad)) / den
+
+
+def _diffeo_derivatives_by_numpy(delta, n, xi1, xi2):
+    """diffeo_bound(delta, n, xi1, xi2, derivatives=True) assembled in numpy."""
+    (i0, i1, i2, i3, i4), (s0, s1, s2, s3, s4) = bounds._diffeo_moments(
+        xi1, xi2, derivatives=True)
+    s, k = xi2, 4.0 * n
+    p, dp = s * i0, np.array([i1, s * i2])
+    hp = np.array([[(i2 - i0) / s, i3 - 2.0 * i1], [i3 - 2.0 * i1, s * (i4 - 2.0 * i2)]])
+    dy = np.array([s * s1, s * s * (s0 + s2)])
+    hy = np.array([[s2 - s0, s * (s3 - s1)], [s * (s3 - s1), s * s * (s0 + s4)]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, grad, hess = _quotient_derivatives_by_numpy(
+            k * p * p, 2.0 * k * p * dp, 2.0 * k * (np.outer(dp, dp) + p * hp),
+            math.pi * math.pi / delta**2 + k * s * s * s0, k * dy, k * hy)
+    return max(bounds._diffeo_ratio(delta, n, xi2, i0, s0), 0.0), grad, hess
+
+
+def _vt_objective_by_numpy(delta, n, sup_fisher, y):
+    """bounds._vt_kepler_objective assembled in numpy."""
+    pi = math.pi
+    a, da, dda = bounds._kepler_mass(y), math.cos(0.5 * pi * y) ** 2, -0.5 * pi * math.sin(pi * y)
+    m, dm = pi * pi * (1.0 + abs(y)) ** 2, 2.0 * pi * pi * math.copysign(1.0 + abs(y), y)
+    return _quotient_derivatives_by_numpy(
+        n * a * a, np.array([2.0 * n * a * da]), np.array([[2.0 * n * (da * da + a * dda)]]),
+        m / delta**2 + n * sup_fisher, np.array([dm / delta**2]),
+        np.array([[2.0 * pi * pi / delta**2]]))
+
+
+def _assert_same_floats(got, want, where):
+    """Each entry of got is a Python float with the bits of want's entry, or
+    both are NaN."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want), where
+    for g, w in zip(got, want):
+        assert type(g) is float, (where, g)
+        assert (np.float64(g).tobytes() == np.float64(w).tobytes()
+                or (math.isnan(g) and math.isnan(w))), (where, g, w)
+
+
+def _assert_same_derivatives(got, want, where):
+    (value, grad, hess), (want_value, want_grad, want_hess) = got, want
+    assert len(hess) == len(want_hess), where
+    _assert_same_floats([value, *grad, *(h for row in hess for h in row)],
+                        [want_value, *want_grad, *np.ravel(want_hess)], where)
+
+
+def test_diffeo_derivatives_are_the_numpy_assembly_bit_for_bit():
+    # xi2 at and next to both ends of the validated range, and n = 10**306,
+    # where 4 n P^2 and the Hessian's cells overflow to inf and NaN
+    rng = np.random.default_rng(20)
+    lx2_lo, lx2_hi = bounds._DIFFEO_BOX.intervals[1]
+    ends = (lx2_lo, lx2_lo + 1e-9, lx2_lo + 1e-3, lx2_hi - 1e-3, lx2_hi - 1e-9, lx2_hi)
+    nan_cells = 0
+    for i in range(200):
+        delta = float(10.0 ** rng.uniform(-3.0, 3.0))
+        n = 10**306 if i % 10 == 0 else int(10.0 ** rng.uniform(0.0, 6.0))
+        xi1 = float(rng.uniform(-10.0, 10.0))
+        lx2 = ends[i % 20 // 2] if i % 20 < 12 else float(rng.uniform(lx2_lo, lx2_hi))
+        got = diffeo_bound(delta, n, xi1, math.exp(lx2), derivatives=True)
+        _assert_same_derivatives(got, _diffeo_derivatives_by_numpy(
+            delta, n, xi1, math.exp(lx2)), (delta, n, xi1, lx2))
+        nan_cells += sum(math.isnan(h) for row in got[2] for h in row)
+    assert nan_cells > 0
+
+
+def test_vt_derivatives_are_the_numpy_assembly_bit_for_bit():
+    rng = np.random.default_rng(21)
+    fixed = (-1e-3, 1e-3, -0.999, 0.999, 0.0, -0.5, 0.5, 1.0, -1.0)
+    for i in range(200):
+        delta = float(10.0 ** rng.uniform(-3.0, 3.0))
+        n = 10**306 if i % 25 == 0 else int(10.0 ** rng.uniform(0.0, 6.0))
+        sup_fisher = float(10.0 ** rng.uniform(-2.0, 2.0))
+        y = fixed[i] if i < len(fixed) else float(rng.uniform(-0.999, 0.999))
+        _assert_same_derivatives(bounds._vt_kepler_objective(delta, n, sup_fisher, y),
+                                 _vt_objective_by_numpy(delta, n, sup_fisher, y),
+                                 (delta, n, sup_fisher, y))
+
+
+def _diffeo_moments_by_cumprod(xi1, xi2):
+    """_diffeo_moments(xi1, xi2, derivatives=True) with z, z^2, z^3, z^4 from
+    np.cumprod over a stride-0 view of z: the reference for its powers."""
+    xi1 = np.asarray(xi1, dtype=float)
+    z0 = (-xi1 / xi2)[..., None]
+    offsets, step = [0.0], 1.0 / xi2
+    while step < 2.0 * bounds._Z_MAX:
+        offsets += (-step, step)
+        step *= 2.0
+    ends = np.empty(z0.shape[:-1] + (len(bounds._Z_FIXED) + len(offsets),))
+    ends[..., :len(bounds._Z_FIXED)], ends[..., len(bounds._Z_FIXED):] = \
+        bounds._Z_FIXED, z0 + offsets
+    ends = np.sort(np.minimum(np.maximum(ends, -bounds._Z_MAX), bounds._Z_MAX))
+    z, w = numerics.panel_nodes(ends)
+    u = xi1[..., None] + z * xi2
+    g = 1.0 / (1.0 + u * u)
+    g_phi_w = g * np.exp(-0.5 * z * z) * (w / bounds._SQRT_2PI)
+    above, g2_phi_w = np.where(z > z0, g_phi_w, 0.0), g * g_phi_w
+    powers = np.cumprod(np.broadcast_to(z, (4, z.size)), axis=0)
+    return ((float(above.sum(axis=-1)), *(powers * above).sum(axis=1).tolist()),
+            (float(g2_phi_w.sum(axis=-1)), *(powers * g2_phi_w).sum(axis=1).tolist()))
+
+
+def test_diffeo_moment_powers_are_the_cumprod_bit_for_bit():
+    rng = np.random.default_rng(22)
+    (x1_lo, x1_hi), (lx2_lo, lx2_hi) = bounds._DIFFEO_BOX.intervals
+    points = [(x1, math.exp(lx2)) for x1 in (x1_lo, x1_hi) for lx2 in (lx2_lo, lx2_hi)]
+    points += [(float(rng.uniform(x1_lo, x1_hi)), math.exp(rng.uniform(lx2_lo, lx2_hi)))
+               for _ in range(120)]
+    for xi1, xi2 in points:
+        (got_ind, got_sq) = bounds._diffeo_moments(xi1, xi2, derivatives=True)
+        (want_ind, want_sq) = _diffeo_moments_by_cumprod(xi1, xi2)
+        _assert_same_floats((*got_ind, *got_sq), (*want_ind, *want_sq), (xi1, xi2))
+
+
 _FIGURE_ROWS = [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2, 50)]
 _CLOSED_FORM_ROWS = [(10**k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
 
