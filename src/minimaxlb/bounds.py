@@ -4,10 +4,8 @@ refined two-point Hellinger bound, the scalar asymptotic constants, and the
 density-estimation constant C(s, M, K).
 
 Conventions. All bound values are >= 0 with exact clamping at zero. Every
-BoundResult, that of each sup, is n-scaled (it bounds n E|T - psi|^2), the
-unit of the figure axes and the CLI; the fixed-argument mixture, van Trees
-and two-point evaluators return un-scaled floats (they bound E|T - psi|^2 for
-the full n-observation experiment).
+bound value, of a sup or at fixed arguments, is n-scaled: it bounds
+n E|T - psi|^2, the unit of the figure axes, the CLI and the estimator risks.
 """
 from __future__ import annotations
 
@@ -129,11 +127,10 @@ MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A non-negative n-scaled bound value, the optimizer arguments, and a method tag."""
+    """A non-negative n-scaled bound value and the arguments it is attained at."""
 
     value: float
     argmax: Dict[str, float] = field(default_factory=dict)
-    method: str = ""
 
 
 def _check_delta_n(delta: float, n: int) -> None:
@@ -162,8 +159,9 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     """The pair (A, B) of the Hellinger mixture bound.
 
     A = |int (psi(t) - psi(t-h)) dQ|^2 / (4 H^2(M0, Mh)) is the term that
-    recovers the van Trees value as h -> 0; B = int (psi(t)-psi(t-h))^2 dQ
-    is the finite-shift penalty. An ndarray of shifts gives arrays of both.
+    tends to van_trees_value / n as h -> 0; B = int (psi(t)-psi(t-h))^2 dQ
+    is the finite-shift penalty. Both are terms, not bounds, so neither is
+    n-scaled. An ndarray of shifts gives arrays of both.
     """
     prior.check_nice()
     h = float_or_array(h)
@@ -178,11 +176,11 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
 
 
 def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional, h):
-    """Hellinger mixture bound [sqrt(A) - sqrt(B)]_+^2 at a fixed shift h, or at
-    each of an ndarray of shifts."""
+    """n-scaled Hellinger mixture bound n [sqrt(A) - sqrt(B)]_+^2 at a fixed shift
+    h, or at each of an ndarray of shifts."""
     a, b = hellinger_mixture_terms(family, n, prior, f, h)
     root = np.sqrt(a) - np.sqrt(b)
-    return float_or_array(np.where(root > 0.0, root * root, 0.0))
+    return n * float_or_array(np.where(root > 0.0, root * root, 0.0))
 
 
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
@@ -199,11 +197,9 @@ def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functio
             lambda h: hellinger_mixture_bound(family, n, prior, f, sign * h),
             h_lo, h_hi)
 
-    hp, vp = for_sign(1.0)
-    hm, vm = for_sign(-1.0)
-    if vp >= vm:
-        return BoundResult(n * max(vp, 0.0), {"h": hp}, "hellinger-mixture")
-    return BoundResult(n * max(vm, 0.0), {"h": -hm}, "hellinger-mixture")
+    (hp, vp), (hm, vm) = for_sign(1.0), for_sign(-1.0)
+    h, value = (hp, vp) if vp >= vm else (-hm, vm)
+    return BoundResult(max(value, 0.0), {"h": h})
 
 
 def default_shift_range(prior: Prior) -> Tuple[float, float]:
@@ -214,9 +210,9 @@ def default_shift_range(prior: Prior) -> Tuple[float, float]:
 
 def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
                        h: float, lam: float) -> float:
-    """Chi-squared mixture bound with the closed-form inner optimization.
+    """n-scaled chi-squared mixture bound with the closed-form inner optimization.
 
-    Evaluates [sqrt((1-lam){A - lam(A+B)}) - sqrt(lam^2 B)]_+^2 where A has
+    Evaluates n times [sqrt((1-lam){A - lam(A+B)}) - sqrt(lam^2 B)]_+^2 where A has
     the lambda-interpolated chi-squared denominator and B is the second
     shift moment; the value is zero when (1-lam)^2 A <= lam B. At lam = 0
     this reduces to A = |int dpsi dQ|^2 / chi^2(Mh||M0) (the mixture HCR
@@ -240,7 +236,7 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
         denom = mixture_chi_sq(MixtureSpec(family, n, prior, h))
         if not 0.0 < denom < math.inf:
             return 0.0
-        return num * num / denom
+        return n * (num * num / denom)
     if n != 1:
         raise ValueError("lambda > 0 requires n = 1: the interpolated "
                          "chi-squared has no tensorization identity")
@@ -257,7 +253,7 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
 
 
 def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> float:
-    """Classical van Trees value (int grad psi dQ)^2 / (I(Q) + n int I dQ).
+    """n-scaled classical van Trees value n (int grad psi dQ)^2 / (I(Q) + n int I dQ).
 
     Needs a nice prior and finite family information, read at the top of the
     prior's window (the same everywhere for a location family, and inside a
@@ -270,7 +266,7 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
                          f"({family.label} has divergent Fisher information)")
     prior.check_nice()
     num = f.slope_mass(prior)
-    return num * num / (prior.fisher_info() + n * info)
+    return n * (num * num / (prior.fisher_info() + n * info))
 
 
 def _kepler_mass(y):
@@ -322,7 +318,7 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
         coarse = n * a * a / (_PI * _PI * (1.0 + np.abs(ys)) ** 2 / delta**2 + n * sup_fisher)
     (y,), value, _ = refine_coarse_max(
         lambda y: _vt_kepler_objective(delta, n, sup_fisher, y), ys, coarse)
-    return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)}, "vt-kepler")
+    return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)})
 
 
 DIFFEO_XI1_RANGE = (-10.0, 10.0)
@@ -464,8 +460,7 @@ def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     (x1, lx2), value = maximize_2d(
         lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True),
         _DIFFEO_BOX, coarse)
-    return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)},
-                       "diffeo")
+    return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
 
 
 @functools.cache
@@ -490,24 +485,27 @@ def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     """
     _check_delta_n(delta, n)
     t = min(_twopoint_argmax() / math.sqrt(n), delta * (1.0 - 1e-12))
-    value = n * two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, t)
-    return BoundResult(max(value, 0.0), {"theta2": t}, "twopoint")
+    value = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, t)
+    return BoundResult(max(value, 0.0), {"theta2": t})
 
 
 def two_point_hellinger_bound(family: Family, n: int, f: Functional,
                               theta1: float, theta2: float) -> float:
-    """Refined two-point bound [(1 - H^2_n)/4]_+ |psi(theta1) - psi(theta2)|^2.
+    """n-scaled refined two-point bound n [(1 - H^2_n)/4]_+ |psi(theta1) - psi(theta2)|^2.
 
     The squared Hellinger distance is taken at the n-fold product level via
     tensorization; once it reaches 1 the bracket is clamped to the trivial
-    lower bound zero.
+    lower bound zero. theta1 - theta2, the shift, must not overflow.
     """
+    theta1, theta2 = family.check_theta(theta1, "theta1"), family.check_theta(theta2, "theta2")
+    if not math.isfinite(theta1 - theta2):
+        raise ValueError(f"theta1 - theta2 overflows at theta1={theta1!r}, theta2={theta2!r}")
     h2n = hellinger_sq_iid(family, theta2, theta1 - theta2, n)
     bracket = (1.0 - h2n) / 4.0
     if bracket <= 0.0:
         return 0.0
     dpsi = f(theta1) - f(theta2)
-    return bracket * dpsi * dpsi
+    return n * (bracket * dpsi * dpsi)
 
 
 # The objectives of the scalar constants take a float or an ndarray, with math's

@@ -50,14 +50,14 @@ def hellinger_decomposition(cases: Iterable[Tuple[models.Family, priors.Prior, f
 
 
 def vt_van_trees(cases: Iterable[Tuple[float, int]]) -> Check:
-    """The vt bound is n times the van Trees value of the Gaussian family and
+    """The vt bound is the van Trees value of the Gaussian family and
     max(theta, 0) at its Kepler prior, to 1e-12 relative, for each (delta, n)."""
     worst = 0.0
     for delta, n in cases:
         vt = bounds.vt_kepler_bound(delta, n, 1.0)
         prior = priors.KeplerCosine.for_constraint(vt.argmax["a"], 0.0, delta)
         value = bounds.van_trees_value(models.GaussianLocation(1.0), n, prior, bounds.MaxZero())
-        worst = max(worst, abs(n * value - vt.value) / vt.value)
+        worst = max(worst, abs(value - vt.value) / vt.value)
     return "vt-van-trees", worst <= 1e-12, f"max relative gap {worst:.2e}"
 
 

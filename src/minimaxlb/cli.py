@@ -271,38 +271,35 @@ def kepler_svg(a_values: Sequence[float]) -> str:
 # subcommands
 
 def cmd_kepler(args: argparse.Namespace) -> int:
-    if args.a:
-        a_values = [float(a) for a in args.a]
-    else:
-        count = int(args.grid) if args.grid else 101
-        if count < 2:
-            raise ValueError("kepler grid needs at least 2 points")
-        a_values = [float(a) for a in np.linspace(0.0, 1.0, count)]
+    if not args.a and args.grid < 2:
+        raise ValueError("kepler grid needs at least 2 points")
+    a_values = args.a or [float(a) for a in np.linspace(0.0, 1.0, args.grid)]
     rows = []
     for a in a_values:
         sol = priors.solve_kepler(a)
         rows.append((fmt(a), fmt(sol.y_a), fmt(sol.w_a), fmt(sol.min_fisher)))
     _write_text(args.out, _csv(rows, ("a", "y_a", "w_a", "min_fisher")))
     if args.svg:
-        svg_as = [float(a) for a in (args.a or ["0.5", "0.75", "1.0"])]
-        _write_text(args.svg, kepler_svg(svg_as))
+        _write_text(args.svg, kepler_svg(args.a or [0.5, 0.75, 1.0]))
     return 0
 
 
-# The options of `bound` with their defaults, and the options each method
-# reads: setting an option its method does not read is rejected.
+# The options of `bound` with their defaults, and each method's printed name and the
+# options it reads: setting an option its method does not read is rejected.
 _BOUND_DEFAULTS = {"family": "gaussian", "sigma": 1.0, "prior": None,
                    "functional": "maxzero", "alpha": None, "delta": 1.0,
                    "lam": None, "h": None, "xi1": None, "xi2": None,
                    "theta1": None, "theta2": None}
 _MIXTURE_READS = ("family", "sigma", "functional", "alpha", "prior", "delta")
+_BoundMethod = namedtuple("_BoundMethod", "tag reads")
 _BOUND_READS = {
-    "vt": ("sigma", "delta"),
-    "diffeo": ("delta", "xi1", "xi2"),
-    "twopoint": ("family", "sigma", "functional", "alpha", "theta1", "theta2"),
-    "hellinger": _MIXTURE_READS + ("h",),
-    "chi2": _MIXTURE_READS + ("h", "lam"),
-    "vantrees": _MIXTURE_READS,
+    "vt": _BoundMethod("vt-kepler", ("sigma", "delta")),
+    "diffeo": _BoundMethod("diffeo", ("delta", "xi1", "xi2")),
+    "twopoint": _BoundMethod("twopoint", ("family", "sigma", "functional", "alpha",
+                                          "theta1", "theta2")),
+    "hellinger": _BoundMethod("hellinger-mixture", _MIXTURE_READS + ("h",)),
+    "chi2": _BoundMethod("chi2-mixture", _MIXTURE_READS + ("h", "lam")),
+    "vantrees": _BoundMethod("van-trees", _MIXTURE_READS),
 }
 
 
@@ -314,7 +311,7 @@ def _reject_unread_options(args: argparse.Namespace) -> None:
         unread_because["alpha"] = "without --functional powermax"
     if args.prior:  # delta only sizes the default prior cosine:0:delta
         unread_because["delta"] = "with --prior"
-    reads = _BOUND_READS[args.method]
+    reads = _BOUND_READS[args.method].reads
     for dest, default in _BOUND_DEFAULTS.items():
         if (dest in reads and dest not in unread_because) or getattr(args, dest) == default:
             continue
@@ -330,8 +327,7 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         raise ValueError("powermax requires --alpha")
     family = _FAMILIES[args.family](args.sigma)
     functional = _FUNCTIONALS[args.functional](args.alpha)
-    n = int(args.n)
-    method = args.method
+    n, method = args.n, args.method
     if method == "vt":
         return bounds.vt_kepler_bound(args.delta, n, family.fisher_info(0.0)), []
     if method == "diffeo":
@@ -339,15 +335,14 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             raise ValueError("--xi1 and --xi2 must be given together")
         if args.xi1 is None:
             return bounds.diffeo_bound_sup(args.delta, n), []
-        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)  # n-scaled
-        return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}, "diffeo"), []
+        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
+        return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}), []
     if method == "twopoint":
         if args.theta1 is None or args.theta2 is None:
             raise ValueError("twopoint requires --theta1 and --theta2")
         value = bounds.two_point_hellinger_bound(
             family, n, functional, args.theta1, args.theta2)
-        return bounds.BoundResult(n * value, {"theta1": args.theta1, "theta2": args.theta2},
-                                  "twopoint"), []
+        return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2}), []
     if not args.prior:  # the default prior cosine:0:delta
         priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info())
     prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
@@ -357,7 +352,7 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
             return bounds.hellinger_mixture_bound_sup(family, n, prior, functional,
                                                       h_lo, h_hi), []
         value = bounds.hellinger_mixture_bound(family, n, prior, functional, args.h)
-        return bounds.BoundResult(n * value, {"h": args.h}, "hellinger-mixture"), []
+        return bounds.BoundResult(value, {"h": args.h}), []
     if method == "chi2":
         if args.h is None:
             raise ValueError("chi2 requires --h")
@@ -367,19 +362,18 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
         divergent = value == 0.0 and lam == 0.0 and mixtures.mixture_chi_sq(
             mixtures.MixtureSpec(family, n, prior, args.h)) == math.inf
         notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
-        return bounds.BoundResult(n * value, {"h": args.h, "lambda": lam},
-                                  "chi2-mixture"), notes
+        return bounds.BoundResult(value, {"h": args.h, "lambda": lam}), notes
     value = bounds.van_trees_value(family, n, prior, functional)  # method == "vantrees"
-    return bounds.BoundResult(n * value, {}, "van-trees"), []
+    return bounds.BoundResult(value), []
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     result, notes = _bound_dispatch(args)
-    lines = [f"method={result.method}", f"value={fmt(result.value)}"]
+    lines = [f"method={_BOUND_READS[args.method].tag}", f"value={fmt(result.value)}"]
     lines += [f"{k}={fmt(v)}" for k, v in sorted(result.argmax.items())]
     lines += notes
     print("\n".join(lines))
-    row = (fmt(args.delta), str(int(args.n)), args.method, fmt(result.value))
+    row = (fmt(args.delta), str(args.n), args.method, fmt(result.value))
     _write_text(args.out, _csv([row], ("delta", "n", "method", "value")))
     return 0
 
@@ -450,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kepler", help="solve the Kepler least-favorable geometry")
-    p.add_argument("--a", action="append", help="mass constraint in [0,1]; repeatable")
-    p.add_argument("--grid", help="number of a values on [0,1]")
+    p.add_argument("--a", action="append", type=float,
+                   help="mass constraint in [0,1]; repeatable")
+    p.add_argument("--grid", type=int, default=101, help="number of a values on [0,1]")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--svg", help="optional SVG output path")
     p.set_defaults(func=cmd_kepler)

@@ -115,7 +115,7 @@ def test_criterion_8_irregular_two_point():
     for b in (0.5, 1.0, 2.0):
         got = bounds.two_point_hellinger_bound(
             models.UniformScale(), n, bounds.Identity(), 1.0, 1.0 + b / n)
-        limit = max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
+        limit = n * max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
         if limit == 0.0:
             # b > 2 log 2 sits in the clamped region: both sides exactly zero
             worst = max(worst, 0.0 if got == 0.0 else math.inf)

@@ -149,9 +149,9 @@ def test_interior_hellinger_sup_is_a_true_sup(n, prior, h_lo, h_hi):
     dense = np.linspace(h_lo, h_hi, 2001)
     scan = max(hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(), sign * dense).max()
                for sign in (1.0, -1.0))
-    assert res.value >= n * scan * (1.0 - 1e-12)
-    assert res.value == n * hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(),
-                                                    res.argmax["h"])
+    assert res.value >= scan * (1.0 - 1e-12)
+    assert res.value == hellinger_mixture_bound(UniformScale(), n, prior, MaxZero(),
+                                                res.argmax["h"])
 
 
 def test_batched_hellinger_sup_memory_stays_capped():
@@ -259,10 +259,10 @@ def test_van_trees_values():
     # dilating the prior by delta scales I(Q) by delta^-2
     delta = 0.3
     got = van_trees_value(GAUSS, 5, Cosine(0.0, delta), Identity())
-    assert got == pytest.approx(1.0 / (PI2 / delta**2 + 5.0), abs=1e-10)
+    assert got == pytest.approx(5.0 / (PI2 / delta**2 + 5.0), abs=1e-10)
     # the family's information 1/sigma^2 enters n times
     got = van_trees_value(GaussianLocation(2.0), 8, Cosine(0.0, 1.0), Identity())
-    assert got == pytest.approx(1.0 / (PI2 + 8.0 / 4.0), rel=1e-14)
+    assert got == pytest.approx(8.0 / (PI2 + 8.0 / 4.0), rel=1e-14)
     with pytest.raises(ValueError, match="divergent Fisher information"):
         van_trees_value(UniformScale(), 1, Cosine(2.0, 0.5), Identity())
     with pytest.raises(ValueError):
@@ -458,23 +458,28 @@ def test_diffeo_bound_sup():
     assert 0.95 <= res.value <= 1.0001
 
 
+def _diffeo_grid(delta, n, xi1s, lxi2s):
+    """The diffeo bound on the grid xi1s x exp(lxi2s), one xi2 column a moment pass."""
+    columns = []
+    for lx2 in lxi2s:
+        xi2 = math.exp(float(lx2))
+        columns.append(bounds._diffeo_ratio(delta, n, xi2, *bounds._diffeo_moments(xi1s, xi2)))
+    return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
 def test_diffeo_bound_sup_matches_dense_grid():
     delta, n = 2.0, 100
     res = diffeo_bound_sup(delta, n)
     xi1s = np.linspace(-10.0, 10.0, 512)
     lxi2s = np.linspace(*(math.log(x) for x in bounds.DIFFEO_XI2_RANGE), 512)
-    best, arg = 0.0, (0.0, 0.0)
-    for x1 in xi1s:
-        for lx2 in lxi2s:
-            v = diffeo_bound(delta, n, float(x1), math.exp(float(lx2)))
-            if v > best:
-                best, arg = v, (float(x1), float(lx2))
+    grid = _diffeo_grid(delta, n, xi1s, lxi2s)
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
     # zoom pass around the global-grid argmax to sharpen the oracle
     dx = (xi1s[1] - xi1s[0]) * 2.0
     dl = (lxi2s[1] - lxi2s[0]) * 2.0
-    for x1 in np.linspace(arg[0] - dx, arg[0] + dx, 64):
-        for lx2 in np.linspace(arg[1] - dl, arg[1] + dl, 64):
-            best = max(best, diffeo_bound(delta, n, float(x1), math.exp(float(lx2))))
+    zoom = _diffeo_grid(delta, n, np.linspace(xi1s[i] - dx, xi1s[i] + dx, 64),
+                        np.linspace(lxi2s[j] - dl, lxi2s[j] + dl, 64))
+    best = max(grid.max(), zoom.max())
     assert res.value == pytest.approx(best, abs=1e-4)
 
 
@@ -785,7 +790,7 @@ def test_two_point_uniform_limit():
     n = 10**6
     for b in (0.5, 1.0, 2.0):
         got = two_point_hellinger_bound(UniformScale(), n, Identity(), 1.0, 1.0 + b / n)
-        limit = max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
+        limit = n * max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
         assert got == pytest.approx(limit, rel=1e-4)
 
 
@@ -803,7 +808,7 @@ def test_twopoint_sup_is_the_regular_constant_at_any_n(n):
 def test_twopoint_sup_is_at_least_a_dense_scan(delta, n):
     # one maximum in eps: below eps*/sqrt(n) the sup sits at delta^-
     ts = np.linspace(0.0, min(delta * (1.0 - 1e-12), 3.0 / math.sqrt(n)), 20001)
-    scan = max(n * two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, float(t))
+    scan = max(two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, float(t))
                for t in ts)
     got = twopoint_bound_sup(delta, n).value
     assert scan * (1.0 - 1e-15) <= got <= scan * (1.0 + 1e-8)

@@ -2,11 +2,14 @@ import math
 
 import pytest
 
-from minimaxlb import cli, priors
+from minimaxlb import bounds, cli, priors
+from minimaxlb.bounds import MaxZero
 from minimaxlb.cli import CSV_COLUMNS, kepler_svg, main, parse_grid, parse_prior, rows_to_csv
+from minimaxlb.models import GaussianLocation
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 from minimaxlb.sweep import SweepConfig, run_sweep
 
+GAUSS = GaussianLocation(1.0)
 PI2 = math.pi**2
 
 
@@ -282,6 +285,25 @@ def test_bound_command_hellinger_and_vantrees(tmp_path, capsys):
     assert value == pytest.approx(0.5, abs=2e-3)
 
 
+@pytest.mark.parametrize("n", [1, 7, 10**6])
+@pytest.mark.parametrize("options, library", [
+    (["--method", "hellinger", "--prior", "gaussian:0:1", "--h", "0.0001"],
+     lambda n: bounds.hellinger_mixture_bound(GAUSS, n, GaussianPrior(0.0, 1.0), MaxZero(), 1e-4)),
+    (["--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.001", "--lambda", "0"],
+     lambda n: bounds.chi2_mixture_bound(GAUSS, n, GaussianPrior(0.0, 1.0), MaxZero(), 1e-3, 0.0)),
+    (["--method", "vantrees", "--prior", "cosine:0:1"],
+     lambda n: bounds.van_trees_value(GAUSS, n, Cosine(0.0, 1.0), MaxZero())),
+    (["--method", "twopoint", "--theta1", "0", "--theta2", "0.001"],
+     lambda n: bounds.two_point_hellinger_bound(GAUSS, n, MaxZero(), 0.0, 0.001)),
+], ids=["hellinger", "chi2", "vantrees", "twopoint"])
+def test_bound_prints_the_library_value(options, library, n, tmp_path, capsys):
+    # every evaluator returns the n-scaled value, and bound prints it unchanged
+    value = library(n)
+    assert value > 0.0
+    assert main(["bound", *options, "--n", str(n), "--out", str(tmp_path / "b.csv")]) == 0
+    assert f"\nvalue={value!r}\n" in capsys.readouterr().out
+
+
 def test_bound_command_validation_exit(tmp_path):
     # lambda > 0 with n > 1 is a documented API restriction
     assert main(["bound", "--method", "chi2", "--prior", "gaussian:0:1",
@@ -426,6 +448,14 @@ def test_bound_command_validation_exit(tmp_path):
      2, "the t-grid on [999999987.9, 1000000012.0] is too far from 0"),
     (["bound", "--method", "hellinger", "--h", "1e-300"], 2,
      "mixture Hellinger distance underflows to 0 at h=1e-300\n"),
+    (["bound", "--method", "twopoint", "--theta1", "nan", "--theta2", "1"], 2,
+     "theta1 must be finite"),
+    (["bound", "--method", "twopoint", "--family", "uniform", "--theta1", "-1", "--theta2", "1"],
+     2, "Uniform scale family requires theta1 > 0, got -1.0"),
+    (["bound", "--method", "twopoint", "--theta1=1e308", "--theta2=-1e308"], 2,
+     "theta1 - theta2 overflows at theta1=1e+308, theta2=-1e+308"),
+    (["kepler", "--grid", "1.5"], 2, "argument --grid: invalid int value: '1.5'"),
+    (["kepler", "--a", "x"], 2, "argument --a: invalid float value: 'x'"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -47,12 +47,13 @@ def _option(dest: str, value: str) -> str:
 @st.composite
 def bound_argv(draw, method):
     # each option the method reads with odds 1/2, now and then one it rejects
-    dests = {d for d in _BOUND_READS[method] + ("n",) if draw(st.booleans())}
+    reads = _BOUND_READS[method].reads
+    dests = {d for d in reads + ("n",) if draw(st.booleans())}
     dests.update(BOUND_NEEDS.get(method, ()))
     if draw(st.integers(0, 7)) == 0:
         dests.add(draw(st.sampled_from(sorted(_BOUND_DEFAULTS))))
     functional = draw(st.sampled_from(sorted(_FUNCTIONALS)))
-    if "alpha" in dests and "functional" in _BOUND_READS[method]:
+    if "alpha" in dests and "functional" in reads:
         functional = "powermax"  # the one functional that reads alpha
         dests.add("functional")
     if "functional" in dests and functional == "powermax":
@@ -69,6 +70,15 @@ def risk_argv(draw):
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--threshold={draw(NUMBERS)}")
     return argv
+
+
+@st.composite
+def kepler_argv(draw):
+    if draw(st.booleans()):
+        grid = st.one_of(st.sampled_from(["0", "-5", "1", "1.5", "1e2", "x", ""]),
+                         st.integers(2, 50).map(str))  # a count solves that many equations
+        return ["kepler", f"--grid={draw(grid)}"]
+    return ["kepler"] + [f"--a={a}" for a in draw(st.lists(UNITS, min_size=1, max_size=3))]
 
 
 @st.composite
@@ -99,7 +109,8 @@ def _run(argv):
 
 # one form per bound method, so bound's many options get most of the examples
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(argv=st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(), sweep_argv()))
+@given(argv=st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(), sweep_argv(),
+                      kepler_argv()))
 def test_cli_exits_0_2_or_3_without_traceback(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (code, err)
