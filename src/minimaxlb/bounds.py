@@ -298,6 +298,17 @@ def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
                                  [[2.0 * _PI * _PI / delta**2]])
 
 
+@functools.cache
+def _vt_coarse_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vt sup's coarse axis ys, masses a(ys) and informations pi^2 (1 + |ys|)^2:
+    its scan's (delta, n)-free part, built once per process and read-only, as shared."""
+    ys = coarse_axis(-1.0, 1.0)
+    table = (ys, _kepler_mass(ys), _PI * _PI * (1.0 + np.abs(ys)) ** 2)
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
 def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     """n-scaled Kepler bound: max over a in [0,1] of
     n a^2 / (4 pi^2 delta^-2 / w_a^2 + n sup_fisher).
@@ -312,10 +323,9 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
     _check_delta_n(delta, n)
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
         raise ValueError("sup_fisher must be positive and finite")
-    ys = coarse_axis(-1.0, 1.0)
-    a = _kepler_mass(ys)
+    ys, a, info = _vt_coarse_table()
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        coarse = n * a * a / (_PI * _PI * (1.0 + np.abs(ys)) ** 2 / delta**2 + n * sup_fisher)
+        coarse = n * a * a / (info / delta**2 + n * sup_fisher)
     (y,), value, _ = refine_coarse_max(
         lambda y: _vt_kepler_objective(delta, n, sup_fisher, y), ys, coarse)
     return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)})

@@ -218,8 +218,8 @@ def find_root_bisect(
 ) -> float:
     """Bisection root on [lo, hi]; requires f(lo)*f(hi) <= 0.
 
-    Returns the midpoint of the final bracket of width <= tol. The flat
-    endpoints of monotone maps are harmless: the bracket still shrinks.
+    Returns the midpoint of the final bracket of width <= tol. No library
+    caller is left (solve_kepler runs Newton); perfbench's tracer hooks it by name.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -361,72 +361,106 @@ def refine_coarse_max(f, xs: np.ndarray, values: np.ndarray) -> Tuple[Tuple[floa
     return maximize_newton(f, (xs[i],), (lo,), (hi,), (0.5 * (hi - lo),))
 
 
-def _newton_step(grad: list, hess: list) -> Optional[list]:
-    """-H^-1 grad by elimination on [-H | grad], or None when a pivot is not
-    positive, that is, when H is not negative definite (Sylvester)."""
-    rows = [[-h for h in row] + [g] for row, g in zip(hess, grad)]
-    for i, pivot in enumerate(rows):
-        if not pivot[i] > 0.0:
-            return None
-        for row in rows[i + 1:]:
-            row[:] = [x - row[i] / pivot[i] * y for x, y in zip(row, pivot)]
-    step = []
-    for i in reversed(range(len(rows))):
-        step.insert(0, (rows[i][-1] - _dot(rows[i][i + 1:-1], step)) / rows[i][i])
-    return step
-
-
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence[float],
                     scale: Sequence[float]) -> Tuple[Tuple[float, ...], float, str]:
-    """Safeguarded Newton ascent of f(*x) = (value, gradient, Hessian) from ``start``
-    in the box [lo, hi]: the Newton step where the Hessian is negative definite,
-    else a gradient step ``scale`` long per axis, clamped to the box and halved
-    until the value increases, so the result is never below f(start). A point
-    with a non-finite value, gradient or Hessian scores -inf, and a gain below
+    """Safeguarded Newton ascent of f(*x) = (value, gradient, Hessian), x of one or
+    two floats, from ``start`` in the box [lo, hi]: the Newton step where the Hessian
+    is negative definite, else a gradient step ``scale`` long per axis, clamped to the
+    box and halved until the value increases, so the result is never below f(start).
+    A point with a non-finite value, gradient or Hessian scores -inf, and a gain below
     _RESOLUTION |value| is rounding. Returns (x, value, reason): "stationary"
-    (negative definite, and |gradient| <= 1e-10 |value| or a Newton gain below
-    the resolution), "box", "step floor" or "budget" (_NEWTON_EVALS evaluations).
+    (negative definite, and |gradient| <= 1e-10 |value| or a Newton gain below the
+    resolution), "box", "step floor" or "budget" (_NEWTON_EVALS evaluations).
     """
-    def evaluate(x):
-        value, grad, hess = f(*x)
-        grad, hess = [float(g) for g in grad], [[float(h) for h in row] for row in hess]
-        finite = all(map(math.isfinite, (value, *grad, *(h for row in hess for h in row))))
-        return (float(value) if finite else -math.inf), grad, hess
-
-    def clamp(x):
-        return [min(max(v, a), b) for v, a, b in zip(x, lo, hi)]
-
     x, lo, hi, scale = ([float(v) for v in vector] for vector in (start, lo, hi, scale))
-    (value, grad, hess), evals, reason = evaluate(x), 1, "step floor"
+    if len(x) == 1:
+        return _newton_1d(f, x[0], lo[0], hi[0], scale[0])
+    return _newton_2d(f, *x, *lo, *hi, *scale)
+
+
+def _clamp(v: float, lo: float, hi: float) -> float:
+    """min(max(v, lo), hi), the same float (a NaN stays) without two builtin calls."""
+    v = lo if lo > v else v
+    return hi if hi < v else v
+
+
+def _stop_reason(evals: int, t: float, moved, lo, hi) -> str:
+    """Why a line search without a gain ends the ascent; a NaN step is never clamped."""
+    box = any(_clamp(m, a, b) != m and m == m for m, a, b in zip(moved, lo, hi))
+    return "budget" if evals >= _NEWTON_EVALS else "box" if t == 1.0 and box else "step floor"
+
+
+def _newton_1d(f, x: float, lo: float, hi: float, scale: float):
+    """maximize_newton in one variable, in floats; f(x) = (value, (g,), ((h,),))."""
+    def evaluate(x):
+        value, (g,), ((h,),) = f(x)
+        finite = math.isfinite(value) and math.isfinite(g) and math.isfinite(h)
+        return (float(value) if finite else -math.inf), g, h
+
+    (value, g, h), evals, reason = evaluate(x), 1, "step floor"
     while value > -math.inf:
-        resolution, norm = _RESOLUTION * abs(value), math.hypot(*grad)
-        step = _newton_step(grad, hess)
-        if step is None:
-            step = [g * s / norm for g, s in zip(grad, scale)] if norm > 0.0 else grad
-        elif norm <= _STATIONARY * abs(value) or 0.5 * _dot(step, grad) <= resolution:
-            reason = "stationary"
-            break
-        moved = [v + s for v, s in zip(x, step)]
-        clamped = [c - v for c, v in zip(clamp(moved), x)]
-        slope = _dot(grad, clamped)     # the gain of the step t * clamped is about t * slope
-        t = 1.0
-        while t * slope > resolution and evals < _NEWTON_EVALS:
+        resolution, norm = _RESOLUTION * abs(value), abs(g)
+        if -h > 0.0:
+            step = g / -h
+            if norm <= _STATIONARY * abs(value) or 0.5 * (step * g) <= resolution:
+                reason = "stationary"
+                break
+        else:
+            step = g * scale / norm if norm > 0.0 else g
+        moved = x + step
+        clamped = _clamp(moved, lo, hi) - x
+        t = 1.0  # the step t * clamped gains about t * g * clamped
+        while t * (g * clamped) > resolution and evals < _NEWTON_EVALS:
             evals += 1
-            trial = clamp([v + t * c for v, c in zip(x, clamped)])
-            trial_value, trial_grad, trial_hess = evaluate(trial)
+            trial = _clamp(x + t * clamped, lo, hi)
+            trial_value, trial_g, trial_h = evaluate(trial)
             if trial_value > value:
-                x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+                x, value, g, h = trial, trial_value, trial_g, trial_h
                 break
             t *= 0.5
         else:
-            reason = ("budget" if evals >= _NEWTON_EVALS else
-                      "box" if t == 1.0 and clamp(moved) != moved else "step floor")
+            reason = _stop_reason(evals, t, (moved,), (lo,), (hi,))
             break
-    return tuple(x), value, reason
+    return (x,), value, reason
+
+
+def _newton_2d(f, x0, x1, lo0, lo1, hi0, hi1, s0, s1):
+    """maximize_newton in two variables, in floats; f(x0, x1) = (value, (g0, g1),
+    ((h00, h01), (h10, h11))). Its Newton step eliminates on [-H | g] in the general
+    n-variable order and sums dot products from 0.0 as sum() does: the same bits."""
+    def evaluate(x0, x1):
+        value, (g0, g1), ((h00, h01), (h10, h11)) = f(x0, x1)
+        finite = all(map(math.isfinite, (value, g0, g1, h00, h01, h10, h11)))
+        return (float(value) if finite else -math.inf), g0, g1, h00, h01, h10, h11
+
+    (value, g0, g1, h00, h01, h10, h11), evals, reason = evaluate(x0, x1), 1, "step floor"
+    while value > -math.inf:
+        resolution, norm = _RESOLUTION * abs(value), math.hypot(g0, g1)
+        factor = -h10 / -h00 if -h00 > 0.0 else math.nan
+        pivot = -h11 - factor * -h01
+        if pivot > 0.0:  # both pivots of -H are positive: H is negative definite
+            d1 = (g1 - factor * g0) / pivot
+            d0 = (g0 - (0.0 + -h01 * d1)) / -h00
+            if norm <= _STATIONARY * abs(value) or 0.5 * (0.0 + d0 * g0 + d1 * g1) <= resolution:
+                reason = "stationary"
+                break
+        else:
+            d0, d1 = (g0 * s0 / norm, g1 * s1 / norm) if norm > 0.0 else (g0, g1)
+        m0, m1 = x0 + d0, x1 + d1
+        c0, c1 = _clamp(m0, lo0, hi0) - x0, _clamp(m1, lo1, hi1) - x1
+        t = 1.0
+        while t * (0.0 + g0 * c0 + g1 * c1) > resolution and evals < _NEWTON_EVALS:
+            evals += 1
+            t0, t1 = _clamp(x0 + t * c0, lo0, hi0), _clamp(x1 + t * c1, lo1, hi1)
+            trial = evaluate(t0, t1)
+            if trial[0] > value:
+                (x0, x1), (value, g0, g1, h00, h01, h10, h11) = (t0, t1), trial
+                break
+            t *= 0.5
+        else:
+            reason = _stop_reason(evals, t, (m0, m1), (lo0, lo1), (hi0, hi1))
+            break
+    return (x0, x1), value, reason
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:

@@ -6,9 +6,9 @@ The constrained problem: among densities supported inside [-1, 1] with
 integral a over [0, 1], minimize the Fisher information J(q) = int q'^2/q.
 The minimizer is a single squared-cosine piece whose support geometry is
 governed by the transcendental map y -> y + sin(pi*y)/pi (the Kepler
-equation), solved here by bisection. The minimum is 4*pi^2/w^2 where w is
-the support width; w = 2 (the classical cosine prior, information pi^2) is
-attained exactly at a = 1/2.
+equation), solved here by safeguarded Newton. The minimum is 4*pi^2/w^2,
+where w is the support width; w = 2 (the classical cosine prior, information
+pi^2) is attained exactly at a = 1/2.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import (_require_finite, find_root_bisect, float_or_array, math_elementwise,
-                       math_for)
+from .numerics import _require_finite, float_or_array, math_elementwise, math_for
 
 _PI = math.pi
 _TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
@@ -223,24 +222,30 @@ class KeplerCosine(Cosine):
 
 
 def solve_kepler(a: float) -> KeplerSolution:
-    """Invert y + sin(pi*y)/pi = 2a - 1 by bisection on [-1, 1].
+    """Invert y + sin(pi*y)/pi = m = 2a - 1 by safeguarded Newton on [-1, 1].
 
-    The map is strictly increasing with flat spots exactly at y = +-1, so
-    bisection (rather than Newton) is used; flatness near the endpoints only
-    tightens the residual. Returns the full support geometry.
+    The map is odd, and increasing and concave on [0, 1], where |m| is solved:
+    from either side a step lands left of the root and climbs to it from there.
+    At y = 1 the map is flat, 1 - pi^2 e^3/6 + O(e^5) in e = 1 - y, so the start
+    is 1 - (6 (1 - |m|)/pi^2)^(1/3) for |m| >= 1/2, else |m|/2. The iterates are
+    clamped to [0, 1] and stop at a residual of 2 ulp(|m|), on a repeat or after
+    8 evaluations (10,000 sampled a need at most 5). Returns the support geometry.
     """
     a = float(a)
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"a must lie in [0, 1], got {a}")
     m = 2.0 * a - 1.0
-    if m == -1.0:
-        y = -1.0
-    elif m == 1.0:
-        y = 1.0
-    elif m == 0.0:
-        y = 0.0
-    else:
-        y = find_root_bisect(lambda t: t + math.sin(_PI * t) / _PI - m, -1.0, 1.0)
+    b = abs(m)  # m = 0 and |m| = 1 start at their roots 0 and 1
+    y = 0.5 * b if b < 0.5 else 1.0 - (6.0 * (1.0 - b) / (_PI * _PI)) ** (1.0 / 3.0)
+    for _ in range(8):
+        residual = y + math.sin(_PI * y) / _PI - b
+        if abs(residual) <= 2.0 * math.ulp(b):
+            break
+        y_next = min(max(y - residual / (1.0 + math.cos(_PI * y)), 0.0), 1.0)
+        if y_next == y:
+            break
+        y = y_next
+    y = math.copysign(y, m)
     w = 2.0 / (abs(y) + 1.0)
     if a > 0.5:
         s_plus, s_minus = 1.0, 1.0 - w

@@ -737,7 +737,7 @@ def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
 def test_vt_sup_matches_a_brent_search_of_the_closed_form():
     # in the Kepler root y the bound is n a(y)^2 / (pi^2 (1 + y)^2 / delta^2 + n),
     # a(y) = (1 + y + sin(pi y)/pi)/2, with no Kepler equation to solve; a
-    # search in a reads solve_kepler's bisection noise and overshoots by 4e-14
+    # search in a would read solve_kepler's rounding (its residual is 2 ulp)
     for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS:
         def closed_form(y):
             a = 0.5 * (1.0 + y + math.sin(math.pi * y) / math.pi)

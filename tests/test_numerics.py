@@ -1,10 +1,12 @@
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from minimaxlb import numerics
 from minimaxlb.numerics import (GL_NODES, GL_WEIGHTS, PANEL_NODES, BracketError,
                                 QuadratureSpec, SearchBox,
                                 ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
@@ -163,6 +165,128 @@ def test_maximize_newton_stop_reasons():
     # an increasing curve that never flattens runs out of evaluations
     assert maximize_newton(lambda x: (x, (1.0,), ((1.0,),)), (0.0,), (0.0,), (1e300,),
                            (1.0,))[2] == "budget"
+
+
+def _reference_newton(f, start, lo, hi, scale):
+    """maximize_newton as it was written for any number of variables, with lists,
+    a general elimination and sum(): the reference its one- and two-variable
+    float paths must reproduce bit for bit."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def newton_step(grad, hess):
+        rows = [[-h for h in row] + [g] for row, g in zip(hess, grad)]
+        for i, pivot in enumerate(rows):
+            if not pivot[i] > 0.0:
+                return None
+            for row in rows[i + 1:]:
+                row[:] = [x - row[i] / pivot[i] * y for x, y in zip(row, pivot)]
+        step = []
+        for i in reversed(range(len(rows))):
+            step.insert(0, (rows[i][-1] - dot(rows[i][i + 1:-1], step)) / rows[i][i])
+        return step
+
+    def evaluate(x):
+        value, grad, hess = f(*x)
+        grad, hess = [float(g) for g in grad], [[float(h) for h in row] for row in hess]
+        finite = all(map(math.isfinite, (value, *grad, *(h for row in hess for h in row))))
+        return (float(value) if finite else -math.inf), grad, hess
+
+    def clamp(x):
+        return [min(max(v, a), b) for v, a, b in zip(x, lo, hi)]
+
+    x, lo, hi, scale = ([float(v) for v in vector] for vector in (start, lo, hi, scale))
+    (value, grad, hess), evals, reason = evaluate(x), 1, "step floor"
+    while value > -math.inf:
+        resolution, norm = numerics._RESOLUTION * abs(value), math.hypot(*grad)
+        step = newton_step(grad, hess)
+        if step is None:
+            step = [g * s / norm for g, s in zip(grad, scale)] if norm > 0.0 else grad
+        elif norm <= numerics._STATIONARY * abs(value) or 0.5 * dot(step, grad) <= resolution:
+            reason = "stationary"
+            break
+        moved = [v + s for v, s in zip(x, step)]
+        clamped = [c - v for c, v in zip(clamp(moved), x)]
+        slope = dot(grad, clamped)
+        t = 1.0
+        while t * slope > resolution and evals < numerics._NEWTON_EVALS:
+            evals += 1
+            trial = clamp([v + t * c for v, c in zip(x, clamped)])
+            trial_value, trial_grad, trial_hess = evaluate(trial)
+            if trial_value > value:
+                x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+                break
+            t *= 0.5
+        else:
+            reason = ("budget" if evals >= numerics._NEWTON_EVALS else
+                      "box" if t == 1.0 and clamp(moved) != moved else "step floor")
+            break
+    return tuple(x), value, reason
+
+
+def _newton_case(rng, dims, kind):
+    """A quadratic g.u + u.H u/2 in u = x - centre, optionally bumpy (plus sum of
+    b sin 3x), with its exact derivatives, a box and a start inside it. kind picks
+    H negative definite, indefinite, or with overflowing and zero entries; a zero
+    gradient at the centre; or values that turn NaN or infinite past a cut."""
+    centre = [rng.uniform(-2.0, 2.0) for _ in range(dims)]
+    grad0 = [0.0] * dims if kind == "zero gradient" else [rng.uniform(-3.0, 3.0)
+                                                         for _ in range(dims)]
+    if kind == "definite":
+        a = [[rng.uniform(-1.0, 1.0) for _ in range(dims)] for _ in range(dims)]
+        hess = [[-sum(a[k][i] * a[k][j] for k in range(dims)) - 0.1 * (i == j)
+                 for j in range(dims)] for i in range(dims)]
+    elif kind == "extreme":
+        grad0 = [rng.choice([0.0, -0.0, 1e-300, 1e300, -1.0, 1.0]) for _ in range(dims)]
+        hess = [[rng.choice([-1e-300, 1e300, -1e300, 0.0, -0.0, 1e-300, -1.0])
+                 for _ in range(dims)] for _ in range(dims)]
+    else:
+        hess = [[rng.uniform(-3.0, 3.0) for _ in range(dims)] for _ in range(dims)]
+    bump = rng.choice([0.0, 0.5, 2.0])
+    cut = rng.uniform(-0.5, 0.5)
+
+    def f(*x):
+        u = [xi - ci for xi, ci in zip(x, centre)]
+        value = sum(g * v for g, v in zip(grad0, u)) + 0.5 * sum(
+            u[i] * hess[i][j] * u[j] for i in range(dims) for j in range(dims))
+        grad = [grad0[i] + sum(hess[i][j] * u[j] for j in range(dims)) for i in range(dims)]
+        h = [list(row) for row in hess]
+        for i in range(dims):
+            value += bump * math.sin(3.0 * x[i])
+            grad[i] += 3.0 * bump * math.cos(3.0 * x[i])
+            h[i][i] -= 9.0 * bump * math.sin(3.0 * x[i])
+        if kind in ("nan", "inf", "-inf") and x[0] > cut:
+            value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+        return value, tuple(grad), tuple(map(tuple, h))
+
+    width = rng.choice([1e-3, 0.1, 1.0, 10.0, 1e6])   # small boxes clamp the steps
+    lo = [rng.uniform(-width, 0.0) for _ in range(dims)]
+    hi = [a + rng.uniform(1e-9, 2.0 * width) for a in lo]
+    start = [rng.uniform(a, b) for a, b in zip(lo, hi)]
+    scale = [rng.choice([1e-6, 0.01, 0.5, 3.0]) for _ in range(dims)]
+    return f, start, lo, hi, scale
+
+
+def test_maximize_newton_matches_the_general_elimination_bit_for_bit():
+    rng = random.Random(20261019)
+    kinds = ("definite", "indefinite", "zero gradient", "extreme", "nan", "inf", "-inf")
+    reasons = set()
+    for k in range(504):
+        args = _newton_case(rng, 1 + k % 2, kinds[k // 2 % len(kinds)])
+        want = _reference_newton(*args)
+        got = maximize_newton(*args)
+        assert got == want and repr(got) == repr(want), (k, got, want)
+        reasons.add((len(got[0]), got[2]))
+    # steps that overflow the elimination: a NaN step is never clamped, so it is
+    # not "box"; and a curve that never flattens spends the evaluation budget
+    nan_step = (lambda a, b: (1.0, (0.0, 1.0), ((-1e-300, -1.0), (1e10, 3.0))),
+                (0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.1, 0.1))
+    budget = (lambda x: (x, (1.0,), ((1.0,),)), (0.0,), (0.0,), (1e300,), (1.0,))
+    for args in (nan_step, budget):
+        assert maximize_newton(*args) == _reference_newton(*args)
+    assert maximize_newton(*nan_step)[2] == "step floor"
+    assert {(d, r) for d in (1, 2) for r in ("stationary", "box", "step floor", "budget")} \
+        <= reasons
 
 
 def _tie_on_edges_1d(x):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from minimaxlb import priors
 from minimaxlb.numerics import QuadratureSpec, integrate_adaptive
 from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine,
                               UniformPrior, prior_density, solve_kepler)
@@ -114,6 +115,45 @@ def test_kepler_residuals_dense():
         res = abs(sol.y_a + math.sin(math.pi * sol.y_a) / math.pi - (2.0 * a - 1.0))
         worst = max(worst, res)
     assert worst <= 1e-12
+
+
+def _kepler_masses():
+    """10,000 masses a: uniform ones, a within 1e-13 of 0, 1/2 and 1, and 1 - 2^-53."""
+    rng = np.random.default_rng(22)
+    near = [np.clip(c + rng.uniform(-1e-13, 1e-13, 300), 0.0, 1.0) for c in (0.0, 0.5, 1.0)]
+    return [float(a) for a in np.concatenate([rng.uniform(0.0, 1.0, 9097), *near,
+                                              [1.0 - 2.0**-53, 2.0**-54, 0.5 + 2.0**-53]])]
+
+
+def test_kepler_newton_residual_on_ten_thousand_masses():
+    # bisection to a 1e-13 bracket left residuals up to 5.673e-14 on these masses
+    # (two above 5.67e-14); the Newton solve stops at 2 ulp of |2a - 1|
+    masses = _kepler_masses()
+    assert len(masses) == 10_000
+    for a in masses:
+        y, m = solve_kepler(a).y_a, 2.0 * a - 1.0
+        residual = abs(y + math.sin(math.pi * y) / math.pi - m)
+        assert residual <= 5.67e-14 and residual <= 2.0 * math.ulp(abs(m)), (a, residual)
+        assert -1.0 <= y <= 1.0 and math.copysign(1.0, y) == math.copysign(1.0, m)
+
+
+def test_kepler_newton_makes_at_most_six_evaluations(monkeypatch):
+    # the solve is capped at 8; its starts reach 2 ulp well before the cap
+    counts, sin = [], math.sin
+
+    class CountingMath:  # the solver's math module, with its sin counted
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sin(self, x):
+            counts[-1] += 1
+            return sin(x)
+    monkeypatch.setattr(priors, "math", CountingMath())
+    for a in _kepler_masses():
+        counts.append(0)
+        solve_kepler(a)
+    assert max(counts) <= 6
+    assert counts.count(0) == 0  # every solve evaluates the residual at least once
 
 
 def test_kepler_eta_oddness_convention():
