@@ -505,12 +505,14 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
 
     The squared Hellinger distance is taken at the n-fold product level via
     tensorization; once it reaches 1 the bracket is clamped to the trivial
-    lower bound zero. theta1 - theta2, the shift, must not overflow.
+    lower bound zero. theta1 - theta2, the shift, must not overflow. The distance
+    is read at the smaller parameter with the shift |theta1 - theta2| >= 0, so the
+    value is the same for either order, and lo + shift is never below lo.
     """
     theta1, theta2 = family.check_theta(theta1, "theta1"), family.check_theta(theta2, "theta2")
     if not math.isfinite(theta1 - theta2):
         raise ValueError(f"theta1 - theta2 overflows at theta1={theta1!r}, theta2={theta2!r}")
-    h2n = hellinger_sq_iid(family, theta2, theta1 - theta2, n)
+    h2n = hellinger_sq_iid(family, min(theta1, theta2), abs(theta1 - theta2), n)
     bracket = (1.0 - h2n) / 4.0
     if bracket <= 0.0:
         return 0.0

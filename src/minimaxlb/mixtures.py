@@ -17,7 +17,9 @@ center; it is never an n-dimensional x-integral, so large n costs nothing.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -172,10 +174,11 @@ def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
-# nodes in one block of t-rows, built into two buffers allocated once per oracle:
-# 8 rows of a 2001-point x-axis. A 2001 x 2001 Hellinger oracle took about 13 ms,
-# against 15-16 ms at 4 rows and 12-13 ms at 16 rows, whose 512 KB of buffers raised
-# the mixture_bounds benchmark's peak RSS by 0.4 MB (2-core x86-64 host)
+# nodes in one block of t-rows: 8 rows of a 2001-point x-axis, 128 KB a buffer. With
+# the rows in two threads (_grid_trapezoid) a 2001 x 2001 Hellinger oracle takes about
+# 8-10 ms, against 13 ms in one thread; 4-row blocks took 15.5 ms, slower than one
+# thread, and 16-row blocks 7-7.5 ms, but they raised the mixture_bounds benchmark's
+# peak RSS by 0.9 MB over one thread, where 8 rows raise it by 0.5 MB (2-core x86-64)
 _GRID_NODES = 16256
 
 
@@ -185,21 +188,43 @@ def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
     return weights
 
 
-def _block_rows(grid: GridSpec) -> int:
-    """The t-rows of one block of the oracle grids: at most _GRID_NODES nodes, or one row."""
-    return max(_GRID_NODES // grid.x_points, 1)
+def _in_two_halves(rows, mid: int, end: int, buffers: np.ndarray) -> None:
+    """rows(0, mid, buffers[0]) in the caller while a helper thread runs rows(mid, end,
+    buffers[1]) in a copy of the caller's context (so numpy's errstate holds there too).
+    The helper has ended when this returns or raises; its exception is raised here."""
+    failed = []
+
+    def helper():
+        try:
+            rows(mid, end, buffers[1])
+        except BaseException as exc:  # raised in the caller, not printed by the thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        rows(0, mid, buffers[0])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
-                    grid: GridSpec, root: bool = False) -> float:
-    """Trapezoid rule over the (t, x) grid of integrand(g0, gh), the joint
+                    grid: GridSpec, root: bool = False, buffers: int = 2) -> float:
+    """Trapezoid rule over the (t, x) grid of integrand(g0, gh, *spare), the joint
     densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h), or for root=True their
     roots, from the family's closed-form root of p. It first warns the oracle's
     caller when the grid misses the prior, its shift or the family's x-range, and
     checks the t, t + h and x axes once. One block of whole t-rows (at most
-    _GRID_NODES nodes, or one row: _block_rows) at a time is built into the same
-    two buffers, which the integrand may overwrite, and reduced over x at once;
-    the t-weights are applied last."""
+    _GRID_NODES nodes, or one row) at a time is built into the block buffers, which
+    the integrand may overwrite (the last buffers - 2 are its spares), and reduced
+    over x at once; a density whose prior factor is 0 on the whole block is 0 there,
+    and its kernel is not formed. The t-rows run in two halves split at a
+    block boundary, the second in a helper thread (_in_two_halves) with its own
+    buffers, or in the caller alone when the grid has one block; each half writes its
+    own rows of the x-sums, and the t-weights are applied last, so the value does
+    not depend on the scheduling."""
     t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
@@ -215,16 +240,26 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
         q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
-    step = _block_rows(grid)
-    (g0, gh), inner = np.empty((2, step, grid.x_points)), np.empty(grid.t_points)
-    for i in range(0, grid.t_points, step):
-        r, k = slice(i, i + step), min(step, grid.t_points - i)
-        for t, q, out in ((ts[r], q0[r], g0[:k]), (th[r], qh[r], gh[:k])):
-            family._write_kernel(t, xs, out, root)
-            if not root:  # p q as k/d q: the order of density(t, x) * q(t)
-                np.divide(out, family._divisor(t), out=out)
-            np.multiply(out, q, out=out)
-        inner[r] = integrand(g0[:k], gh[:k]) @ weights
+    step, inner = max(_GRID_NODES // grid.x_points, 1), np.empty(grid.t_points)
+
+    def rows(lo: int, hi: int, blocks: np.ndarray) -> None:
+        for i in range(lo, hi, step):
+            r, k = slice(i, i + step), min(step, hi - i)
+            for t, q, out in ((ts[r], q0[r], blocks[0, :k]), (th[r], qh[r], blocks[1, :k])):
+                if not q.any():  # k/d q = +0.0: the kernel is finite
+                    out.fill(0.0)
+                    continue
+                family._write_kernel(t, xs, out, root)
+                if not root:  # p q as k/d q: the order of density(t, x) * q(t)
+                    np.divide(out, family._divisor(t), out=out)
+                np.multiply(out, q, out=out)
+            inner[r] = integrand(*blocks[:, :k]) @ weights
+
+    mid = grid.t_points // step // 2 * step
+    if mid:
+        _in_two_halves(rows, mid, grid.t_points, np.empty((2, buffers, step, grid.x_points)))
+    else:
+        rows(0, grid.t_points, np.empty((buffers, step, grid.x_points)))
     return float(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points) @ inner)
 
 
@@ -254,12 +289,10 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
 
-    work = np.empty((_block_rows(grid), grid.x_points))  # a third block buffer
-
-    def ratio(g0: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    def ratio(g0: np.ndarray, gh: np.ndarray, work: np.ndarray) -> np.ndarray:
         # (gh - g0)^2 / (lam gh + (1 - lam) g0) where the mixture is positive, else 0,
-        # in the block's buffers with the operations of that expression, in its order
-        diff = np.subtract(gh, g0, out=work[:len(g0)])
+        # in the block's three buffers with the operations of that expression, in its order
+        diff = np.subtract(gh, g0, out=work)
         np.square(diff, out=diff)
         mix = np.add(np.multiply(gh, lam, out=gh), np.multiply(g0, 1.0 - lam, out=g0), out=gh)
         positive = mix > 0.0
@@ -267,4 +300,5 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
         diff[~positive] = 0.0
         return diff
 
-    return (1.0 - lam) ** 2 * _grid_trapezoid(ratio, family, prior, float(h), grid)
+    return (1.0 - lam) ** 2 * _grid_trapezoid(ratio, family, prior, float(h), grid,
+                                              buffers=3)

@@ -456,6 +456,11 @@ def test_bound_command_validation_exit(tmp_path):
      "theta1 - theta2 overflows at theta1=1e+308, theta2=-1e+308"),
     (["kepler", "--grid", "1.5"], 2, "argument --grid: invalid int value: '1.5'"),
     (["kepler", "--a", "x"], 2, "argument --a: invalid float value: 'x'"),
+    # theta2 + (theta1 - theta2) rounds to 0; the distance is read at the smaller point
+    (["bound", "--method", "twopoint", "--family", "uniform", "--theta1", "1e-17",
+      "--theta2", "1"], 0, "\nvalue=0.0\n"),
+    (["bound", "--method", "twopoint", "--family", "uniform", "--theta1", "1e-300",
+      "--theta2", "1"], 0, "\nvalue=0.0\n"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

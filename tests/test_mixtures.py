@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -266,6 +268,102 @@ def test_grid_oracles_check_their_axes_once(monkeypatch):
         counts.update(check_x=0, check_theta=0)
         oracle()
         assert counts["check_x"] <= 2 and counts["check_theta"] <= 2
+
+
+def _in_helper() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _hellinger_terms(r0, rh):
+    return np.square(rh - r0)
+
+
+def test_grid_helper_exception_is_raised_in_the_caller(capfd):
+    # the second half of the t-rows runs in a helper thread: its exception reaches
+    # the caller once the helper has ended, and the thread prints nothing
+    prior, h = GaussianPrior(0.0, 1.0), 0.1
+    grid = default_grid(GAUSS, prior, h)
+    halves = set()
+
+    def integrand(r0, rh):
+        halves.add(_in_helper())
+        if _in_helper():
+            raise KeyError("second half")
+        return _hellinger_terms(r0, rh)
+
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="second half"):
+        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid, root=True)
+    assert halves == {False, True}
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
+
+
+def test_grid_helper_runs_in_the_callers_errstate():
+    # the helper runs in a copy of the caller's context, which holds numpy's errstate:
+    # an overflow there raises as it would in the caller
+    prior, h = Cosine(0.0, 1.0), 0.3
+    grid = default_grid(GAUSS, prior, h)
+
+    def integrand(r0, rh):
+        if _in_helper():
+            np.multiply(np.full(1, 1e300), 1e300)
+        return _hellinger_terms(r0, rh)
+
+    threads = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid, root=True)
+    assert threading.active_count() == threads
+
+
+def test_one_block_grid_starts_no_thread(monkeypatch):
+    # an 11 x 401 grid is one block of 40 rows: it runs in the caller; the default
+    # 2001 x 2001 grid starts one helper for its second half
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    prior, h = GaussianPrior(0.0, 1.0), 0.1
+    grid = default_grid(GAUSS, prior, h)
+    small = GridSpec(*dataclasses.astuple(grid)[:4], 11, 401)
+    for lam in (None, 0.5):
+        for g, threads in ((small, 0), (grid, 1)):
+            starts.clear()
+            if lam is None:
+                mixture_hellinger_oracle(GAUSS, prior, h, g)
+            else:
+                mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, g)
+            assert len(starts) == threads
+            assert not any(t.is_alive() for t in starts)
+
+
+def test_grid_oracles_called_from_many_threads_give_their_serial_bits():
+    # four callers at once (eight threads on two cores) with a short switch interval:
+    # each oracle keeps its rows, buffers and helper to itself
+    cases = [(prior, h, lam) for prior, h in ((Cosine(0.0, 1.0), 0.3),
+                                              (GaussianPrior(0.0, 1.0), 0.1))
+             for lam in (None, 0.5)]
+
+    def oracle(prior, h, lam):
+        grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
+        if lam is None:
+            return mixture_hellinger_oracle(GAUSS, prior, h, grid)
+        return mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, grid)
+
+    want = [oracle(*case) for case in cases]
+    got = [[] for _ in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=lambda i=i: got[i].extend(
+            oracle(*cases[i]) for _ in range(5))) for i in range(len(cases))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == [[value] * 5 for value in want]
 
 
 def test_mixture_chi_sq_divergent_cases():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from minimaxlb import checks, numerics
-from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, MaxZero, PowerMax,
-                              diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
+from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, Identity, MaxZero,
+                              PowerMax, diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
                               two_point_hellinger_bound, vt_kepler_bound)
 from minimaxlb.cli import main
 from minimaxlb.models import GaussianLocation, UniformScale
@@ -137,6 +137,24 @@ def test_bounds_rescale_exactly_in_sigma(log_sigma, log_delta, n, theta1, theta2
                                        sigma * theta1, sigma * theta2)
     unit = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), theta1, theta2)
     assert scaled == pytest.approx(sigma**2 * unit, rel=1e-13, abs=0.0)
+
+
+@PROPERTY
+@given(uniform=st.booleans(), n=st.integers(1, 10**6),
+       f=st.sampled_from([MaxZero(), Identity(), PowerMax(0.5)]),
+       log1=st.floats(-300.0, 3.0), log2=st.floats(-300.0, 3.0),
+       sign1=st.sampled_from([-1.0, 1.0]), sign2=st.sampled_from([-1.0, 1.0]))
+def test_two_point_bound_is_symmetric_in_its_points(uniform, n, f, log1, log2, sign1, sign2):
+    # the distance is read at the smaller point with a non-negative shift, so a pair
+    # and its swap give the same bits, and a far smaller uniform point (theta2 +
+    # (theta1 - theta2) rounding to 0) is no longer rejected
+    family = UniformScale() if uniform else GaussianLocation(1.0)
+    theta1, theta2 = 10.0**log1, 10.0**log2
+    if not uniform:
+        theta1, theta2 = sign1 * theta1, sign2 * theta2
+    value = two_point_hellinger_bound(family, n, f, theta1, theta2)
+    assert value >= 0.0
+    assert two_point_hellinger_bound(family, n, f, theta2, theta1) == value
 
 
 def _csv_cell(argv, column):
