@@ -188,7 +188,7 @@ def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functio
     """n-scaled sup of the Hellinger mixture bound over |h| in [h_lo, h_hi], both
     signs: each scan or k-section round of maximize_1d is one batch of shifts. The
     bound tends to the van Trees value as h -> 0, so the sup mostly sits on the
-    edge h_lo, where a sign ends after its scan and two rounds."""
+    edge h_lo, where a sign ends after its scan and one round."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
 

@@ -174,12 +174,14 @@ def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
-# nodes in one block of t-rows: 8 rows of a 2001-point x-axis, 128 KB a buffer. With
+# nodes in one block of t-rows: 16 rows of a 2001-point x-axis, 256 KB a buffer. With
 # the rows in two threads (_grid_trapezoid) a 2001 x 2001 Hellinger oracle takes about
-# 8-10 ms, against 13 ms in one thread; 4-row blocks took 15.5 ms, slower than one
-# thread, and 16-row blocks 7-7.5 ms, but they raised the mixture_bounds benchmark's
-# peak RSS by 0.9 MB over one thread, where 8 rows raise it by 0.5 MB (2-core x86-64)
-_GRID_NODES = 16256
+# 6.6-7.5 ms, 1.5-1.6 times as fast as in one thread. 8-row blocks took 8.2-9 ms, 1.3
+# times as fast: a numpy call on a smaller block does too little work to pay for its
+# hand-off of the interpreter lock (4-row blocks were slower than one thread). 32-row
+# blocks took 6.2-6.8 ms but raised the mixture_bounds benchmark's one-pass peak RSS
+# by 1.1 MB, where 16 rows raise it by 0.25 MB over 8 (2-core x86-64)
+_GRID_NODES = 32512
 
 
 def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
@@ -234,9 +236,17 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
         warnings.warn(f"x-grid does not cover {family.x_coverage}",
                       CoverageWarning, stacklevel=3)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
-    xs = family.check_x(np.linspace(grid.x_lo, grid.x_hi, grid.x_points))
+    xs = family._kernel_units(family.check_x(np.linspace(grid.x_lo, grid.x_hi, grid.x_points)))
     ts, th = family.check_theta(ts[:, None]), family.check_theta((ts + h)[:, None])
+    # both integrands are homogeneous of degree 1 in (g0, gh), and g <= q/d: reckon the
+    # densities in units of 2^e, e even (so that the roots scale exactly) and near the
+    # largest log2(q/d), where no square of one overflows or underflows, and the t-weights
+    # in units of 2^-e, so that the value is the same sum in any units
     q0, qh = prior_density(prior, ts), prior_density(prior, th)
+    with np.errstate(divide="ignore"):  # log2(0) = -inf: a zero q is never the largest
+        top = float(np.max(np.log2(q0) - np.log2(family._divisor(ts))))
+    e = 2 * math.floor(top / 2) if math.isfinite(top) else 0
+    q0, qh = np.ldexp(q0, -e), np.ldexp(qh, -e)
     if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
         q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
@@ -249,7 +259,7 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
                 if not q.any():  # k/d q = +0.0: the kernel is finite
                     out.fill(0.0)
                     continue
-                family._write_kernel(t, xs, out, root)
+                family._write_kernel(family._kernel_units(t), xs, out, root)
                 if not root:  # p q as k/d q: the order of density(t, x) * q(t)
                     np.divide(out, family._divisor(t), out=out)
                 np.multiply(out, q, out=out)
@@ -260,7 +270,7 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
         _in_two_halves(rows, mid, grid.t_points, np.empty((2, buffers, step, grid.x_points)))
     else:
         rows(0, grid.t_points, np.empty((buffers, step, grid.x_points)))
-    return float(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points) @ inner)
+    return float(np.ldexp(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points), e) @ inner)
 
 
 def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,

@@ -25,7 +25,8 @@ class Family:
 
     Each family type defines its density as k/d: ``_write_kernel(theta, x, out,
     root)`` writes k (sqrt(k) for root=True) into out unchecked, theta and x
-    broadcast, and ``_divisor(theta)`` is d. It also defines ``fisher_info(theta)``,
+    broadcast and in the units ``_kernel_units`` returns them in, and
+    ``_divisor(theta)`` is d. It also defines ``fisher_info(theta)``,
     the divergences of a shift h, which read h itself, ``hellinger_sq(theta, h)``
     = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta, h)`` = chi^2(P_{theta+h} ||
     P_theta), and the oracle grid's ``x_range(t_lo, t_hi, h)`` with its
@@ -70,10 +71,14 @@ class Family:
         """sqrt(dP_theta/dx) = sqrt(k)/sqrt(d) at x, with sqrt(k) in closed form."""
         return self._quotient(theta, x, True)
 
+    def _kernel_units(self, v):
+        """A parameter or an x in the units _write_kernel reads: v itself."""
+        return v
+
     def _quotient(self, theta, x, root: bool):
         theta, x = self.check_theta(theta), self.check_x(x)
         out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(x)))
-        self._write_kernel(theta, x, out, root)
+        self._write_kernel(self._kernel_units(theta), self._kernel_units(x), out, root)
         divisor = self._divisor(theta)
         return float_or_array(np.divide(out, np.sqrt(divisor) if root else divisor, out=out))
 
@@ -89,10 +94,17 @@ class GaussianLocation(Family):
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
 
+    def _kernel_units(self, v):
+        """v times 2^-e for sigma = m 2^e >= 1, m in [0.5, 1), else v itself: exact, and
+        in these units (x - theta)^2 overflows only where k is 0, and no x or theta does."""
+        return v * math.ldexp(1.0, -max(math.frexp(self.sigma)[1], 0))
+
     def _write_kernel(self, theta, x, out, root):
-        """k = exp((x - theta)^2 c) with c = -1/(2 sigma^2), and sqrt(k) with c = -1/(4 sigma^2):
-        one product a node, no division."""
-        scale = (-0.25 if root else -0.5) / self.sigma**2
+        """k = exp((x - theta)^2 c) with c = -1/(2 sigma^2), and sqrt(k) with c = -1/(4 sigma^2),
+        x, theta and sigma in kernel units: one product a node, no division. A power of two
+        scales each factor exactly, so k keeps the bits of the unscaled formula wherever
+        that neither overflows nor underflows."""
+        scale = (-0.25 if root else -0.5) / self._kernel_units(self.sigma)**2
         np.square(np.subtract(x, theta, out=out), out=out)
         np.exp(np.multiply(out, scale, out=out), out=out)
 

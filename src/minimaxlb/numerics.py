@@ -4,9 +4,9 @@ optimization shared by the rest of the package.
 Everything here is a pure function of its inputs: no randomness, no global
 state, bit-reproducible across runs. Optimizers are coarse-grid scans with
 local refinement, by safeguarded Newton steps on the gradient and Hessian or,
-without derivatives, by k-section search, whose round after one won by the
-box's edge spaces its points geometrically toward that edge; so they only
-promise the best *found* value, never a global-optimality certificate.
+without derivatives, by k-section search, whose round after a scan or round won
+by the box's edge spaces its points geometrically toward that edge; so they
+only promise the best *found* value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
@@ -272,16 +272,16 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     on the coarse axis. Each refinement round is one call on _SECTIONS interior
     points of the bracket; the next bracket is the two neighbours of the best
     point known in it, until it is 1e-14 of its first width or floats cannot
-    split it. The rounds space their points equally, except the round after one
-    whose best point is lo or hi: its points run geometrically from the
-    bracket's width down to that stop width toward the edge. If the edge still
-    wins, the search ends there: for an objective unimodal in the bracket, a
-    maximum farther than the stop width inside would lift the points between it
-    and the edge above the edge. Returns (argmax, max) of the best point found;
-    the result is never below the best coarse-grid value, the first maximum (in
-    x) wins, and a NaN never does. It serves the objectives without derivatives:
-    the Hellinger sup, whose maximum sits on its box edge, in one scan and two
-    rounds, and the constants.
+    split it. The rounds space their points equally, except the round after the
+    scan or a round whose best point is lo or hi: its points run geometrically
+    from the bracket's width down to that stop width toward the edge. If the
+    edge still wins, the search ends there: for an objective unimodal in the
+    bracket, a maximum farther than the stop width inside would lift the points
+    between it and the edge above the edge. Returns (argmax, max) of the best
+    point found; the result is never below the best coarse-grid value, the first
+    maximum (in x) wins, and a NaN never does. It serves the objectives without
+    derivatives: the Hellinger sup, whose maximum sits on its box edge, in one
+    scan and one round, and the constants.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -294,7 +294,8 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     known = slice(max(i - 1, 0), i + 2)
     px, pv = xs[known], vals[known]
     width = 1e-14 * (px[-1] - px[0])
-    edge = 0  # -1 (lo) or 1 (hi) when the last round was uniform and an edge won it
+    # -1 (lo) or 1 (hi) when the scan or a uniform round was won by an edge
+    edge = -1 if xs[i] == lo else 1 if xs[i] == hi else 0
     while px[-1] - px[0] > width:
         if edge:
             # ascending offsets from the edge, from the stop width to the bracket's width

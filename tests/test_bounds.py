@@ -135,6 +135,18 @@ def test_golden_search_is_relative_to_its_bracket():
     assert sup(1e-12) == pytest.approx(sup(1.0), rel=1e-12)
 
 
+def test_interpolated_chi2_bound_scales_as_sigma_squared():
+    # bound --method chi2 --sigma S --prior gaussian:0:S --h 0.1S --lambda 0.5: the grid's
+    # joint densities are about 1/S^2, and their squares leave the float range past
+    # S = 1e77 or below 1e-77; no RuntimeWarning, which the test settings make an error
+    def scaled(s):
+        family, prior = GaussianLocation(s), GaussianPrior(0.0, s)
+        return chi2_mixture_bound(family, 1, prior, MaxZero(), 0.1 * s, 0.5) / s**2
+
+    for s in (1e-100, 1e-80, 1e80, 1e100):
+        assert scaled(s) == pytest.approx(scaled(1.0), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("n, prior, h_lo, h_hi", [
     (1, Cosine(3.0, 1.0), 1e-4, 10.0),     # argmax in the coarse scan's first cell
     (10, Cosine(3.0, 1.0), 0.002, 0.1),    # argmax between two coarse points

@@ -212,6 +212,15 @@ def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
     assert peak <= 3.2 * 401 * 401 * 8
 
 
+@pytest.mark.parametrize("sigma", [1e153, 1e154, 1.3e154])
+def test_hellinger_oracle_at_the_largest_family_scales(sigma):
+    # the grid spans about 20 sigma, where (x - theta)^2 overflows, and its joint
+    # densities are about 1/sigma^2, whose squares underflow: the value is the sigma = 1 one
+    family, prior, h = GaussianLocation(sigma), GaussianPrior(0.0, sigma), 0.1 * sigma
+    value = mixture_hellinger_oracle(family, prior, h, default_grid(family, prior, h))
+    assert abs(value - 0.0049937552050797595) <= 1e-13
+
+
 def test_grid_oracles_stream_their_rows():
     # the default 2001 x 2001 grid, built a block of t-rows at a time: the
     # full-grid oracles peaked at 61 and 95 MiB and gave these values

@@ -74,6 +74,28 @@ def test_root_density_is_the_closed_form_root(family):
             family.root_density(theta, x)
 
 
+@pytest.mark.parametrize("sigma", [7.5e-155, 2.0**-40, 0.75, 1.0, 3.0, 1e5, 2.0**300, 1e153])
+def test_gaussian_kernel_keeps_the_bits_of_the_unscaled_formula(sigma):
+    # x - theta is read in units of a power of two near 1/sigma, and the power is folded
+    # into the exponent's constant: every bit of the formula where it neither over- nor
+    # underflows
+    family = GaussianLocation(sigma)
+    theta, x = sigma * np.linspace(-3.0, 3.0, 13)[:, None], sigma * np.linspace(-9.0, 9.0, 101)
+    d = sigma * math.sqrt(2.0 * math.pi)
+    assert np.array_equal(family.density(theta, x), np.exp((x - theta)**2 * (-0.5 / sigma**2)) / d)
+    assert np.array_equal(family.root_density(theta, x),
+                          np.exp((x - theta)**2 * (-0.25 / sigma**2)) / math.sqrt(d))
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1.3e154])
+def test_gaussian_density_past_the_square_of_the_float_range(sigma):
+    # (x - theta)^2 of 2 sigma overflows: the kernel reads it in units near sigma
+    family = GaussianLocation(sigma)
+    want = math.exp(-2.0) / (sigma * math.sqrt(2.0 * math.pi))
+    assert family.density(0.0, 2.0 * sigma) == pytest.approx(want, rel=1e-15)
+    assert family.root_density(sigma, -sigma) ** 2 == pytest.approx(want, rel=1e-15)
+
+
 def test_fisher_info():
     assert GAUSS.fisher_info(0.7) == 1.0
     assert GaussianLocation(2.0).fisher_info(-3.0) == 0.25

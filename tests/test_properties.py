@@ -210,10 +210,91 @@ def test_maximize_1d_never_below_a_dense_scan(lo, log_width, where, u, log_near,
     assert value >= dense.max() - 1e-15 * np.abs(dense).max()
     assert lo <= x <= hi and f(np.array([x]))[0] == value
     if where in ("lo", "hi") and not bump:
-        # the edge wins a uniform round, then a geometric one toward it (a bump's
-        # top is flat to rounding within the stop width of hi, and there the first
+        # the edge wins the scan, then the geometric round toward it (a bump's top
+        # is flat to rounding within the stop width of hi, and there the first
         # maximum, inside, wins)
-        assert (x, searched) == ((lo if where == "lo" else hi), 1 + 2)
+        assert (x, searched) == ((lo if where == "lo" else hi), 1 + 1)
+
+
+def _maximize_1d_uniform_after_the_scan(f, lo, hi):
+    """numerics.maximize_1d as it was while a uniform round followed every scan, and
+    only a uniform round won by an edge was followed by the geometric one."""
+    xs = numerics.coarse_axis(lo, hi)
+    vals = numerics._scores(f(xs), xs)
+    i = int(np.argmax(vals))
+    known = slice(max(i - 1, 0), i + 2)
+    px, pv = xs[known], vals[known]
+    width = 1e-14 * (px[-1] - px[0])
+    edge = 0
+    while px[-1] - px[0] > width:
+        if edge:
+            span = px[-1] - px[0]
+            steps = span * (width / span) ** (np.arange(numerics._SECTIONS, 0, -1)
+                                              / numerics._SECTIONS)
+            inner = px[0] + steps if edge < 0 else px[-1] - steps[::-1]
+            inner = inner[(np.diff(inner, prepend=px[0]) > 0.0) & (inner < px[-1])]
+            if not inner.size:
+                break
+        else:
+            inner = np.linspace(px[0], px[-1], numerics._SECTIONS + 2)[1:-1]
+            if not (px[0] < inner[0] and np.all(np.diff(inner) > 0.0) and inner[-1] < px[-1]):
+                break
+        order = np.argsort(np.concatenate((px, inner)), kind="stable")
+        px = np.concatenate((px, inner))[order]
+        pv = np.concatenate((pv, numerics._scores(f(inner), inner)))[order]
+        j = int(np.argmax(pv))
+        if edge and px[j] in (lo, hi):
+            break
+        edge = -1 if px[j] == lo else 1 if px[j] == hi else 0
+        px, pv = px[max(j - 1, 0):j + 2], pv[max(j - 1, 0):j + 2]
+    j = int(np.argmax(pv))
+    return float(px[j]), float(pv[j])
+
+
+@settings(PROPERTY, max_examples=500)
+@given(lo=st.floats(-10.0, 10.0), log_width=st.floats(-3.0, 3.0),
+       where=st.sampled_from(["lo", "hi", "first cell", "last cell", "interior", "flat",
+                              "nan"]),
+       u=st.floats(0.0, 1.0), log_near=st.floats(-15.0, 0.0), bump=st.booleans(),
+       log_scale=st.floats(-1.0, 1.0))
+def test_maximize_1d_scan_won_by_an_edge_skips_the_uniform_round(lo, log_width, where, u,
+                                                                 log_near, bump, log_scale):
+    # against the search that followed every scan with a uniform round: a scan won
+    # inside keeps every call and the result bit for bit; a scan won by an edge goes
+    # to the geometric round at once, one call fewer where the edge then wins both
+    # searches, and never lower beyond rounding at the stop width
+    width = 10.0**log_width
+    hi, cell, scale = lo + width, _CELL * width, 10.0**log_scale * width
+    peak = {"lo": lo - 10.0**(-2.0 * u) * cell, "hi": hi + 10.0**(-2.0 * u) * cell,
+            "first cell": lo + 10.0**log_near * cell, "last cell": hi - 10.0**log_near * cell,
+            "interior": lo + (0.05 + 0.9 * u) * width, "flat": lo,
+            "nan": lo + (0.05 + 0.9 * u) * width}[where]
+
+    def objective(calls):
+        def f(x):
+            calls.append(x.copy())
+            if where == "flat":
+                return np.zeros_like(x)
+            z = (x - peak) / scale
+            value = np.exp(-0.5 * z * z) if bump else -z * z
+            # NaN past a cut a little beyond the peak
+            return np.where(x > peak + 0.1 * (hi - peak), np.nan, value) if where == "nan" \
+                else value
+        return f
+
+    calls, reference = [], []
+    x, value = numerics.maximize_1d(objective(calls), lo, hi)
+    ref_x, ref_value = _maximize_1d_uniform_after_the_scan(objective(reference), lo, hi)
+    scan = numerics._scores(objective([])(calls[0]), calls[0])
+    if 0 < int(np.argmax(scan)) < len(scan) - 1:
+        assert (x, value) == (ref_x, ref_value)
+        assert len(calls) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, reference))
+        return
+    finite = scan[np.isfinite(scan)]
+    assert value >= ref_value - 1e-15 * np.abs(finite).max()
+    if x == ref_x and x in (lo, hi):
+        assert len(calls) == len(reference) - 1
 
 
 def _diffeo_van_trees_in_eta(delta, n, xi1, xi2):
