@@ -14,13 +14,13 @@ from .bounds import (BoundResult, DegenerateKernelError, Functional, Identity,
                      lam_constant, two_point_hellinger_bound,
                      twopoint_bound_sup, van_trees_value, vt_kepler_bound)
 from .estimators import (Constant, PluginMLE, PreTest, local_minimax_risk,
-                         plugin_risk_at, pretest_risk_at)
+                         pretest_risk_at)
 from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, UniformScale, chi_sq_iid, hellinger_sq_iid
 from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
-                       find_root_bisect, gaussian_partial_second_moment,
+                       find_root_bisect,
                        integrate_adaptive, integrate_panels, maximize_1d, maximize_2d,
                        normal_cdf, normal_pdf)
 from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution, Prior,

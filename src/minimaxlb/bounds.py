@@ -19,7 +19,7 @@ import numpy as np
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (SearchBox, check_n, coarse_axis, cut_points, float_or_array,
+from .numerics import (OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points, float_or_array,
                        integrate_panels, math_elementwise, maximize_1d, maximize_2d,
                        panel_nodes, refine_coarse_max)
 from .priors import Prior, check_scale, prior_density
@@ -36,8 +36,8 @@ class DegenerateKernelError(ValueError):
 
 
 class Functional:
-    """A functional psi of the parameter: ``psi(theta)`` for a float or an
-    ndarray, ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself
+    """A functional psi of the parameter: ``psi(theta)`` of a float,
+    ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself
     (a float, or an array broadcasting against t), the quadrature cuts of it on
     a window of some width (``cuts(h, width)``: an array of them, with a row
     each for an array of h), and the van Trees numerator ``slope_mass(prior)``
@@ -49,7 +49,7 @@ class Identity(Functional):
     """psi(theta) = theta."""
 
     def __call__(self, theta):
-        return float_or_array(theta)
+        return float(theta)
 
     def difference(self, t, h):
         return float_or_array(np.zeros(np.shape(t)) + h)
@@ -72,8 +72,7 @@ class PowerMax(Functional):
             raise ValueError("alpha must lie in (0, 1]")
 
     def __call__(self, theta):
-        scalar = not isinstance(theta, np.ndarray)
-        return (max(float(theta), 0.0) if scalar else np.maximum(theta, 0.0)) ** self.alpha
+        return max(float(theta), 0.0) ** self.alpha
 
     def difference(self, t, h):
         """sign(h) a^alpha (1 - (b/a)^alpha), a = max(t, t - h), b = max(min(t, t - h), 0),
@@ -494,7 +493,7 @@ def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     sits at t = min(eps*/sqrt(n), delta^-), where the bound is evaluated once.
     """
     _check_delta_n(delta, n)
-    t = min(_twopoint_argmax() / math.sqrt(n), delta * (1.0 - 1e-12))
+    t = min(_twopoint_argmax() / math.sqrt(n), delta * OPEN_EDGE)
     value = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, t)
     return BoundResult(max(value, 0.0), {"theta2": t})
 

@@ -2,7 +2,8 @@
 max(theta, 0) under N(theta, 1): the best constant, the plug-in MLE
 max(mean, 0), and the plug-in pre-test (Hodges-type) estimator.
 
-All risks are closed-form in the standard normal partial moments; the sup
+The plug-in is the pre-test at threshold 0, so one closed form in the
+standard normal partial moments, ``pretest_risk_at``, serves both. The sup
 over theta in [0, delta) uses the monotonicity of the plug-in risk, and for
 the pre-test a scan refined by Newton on analytic derivatives. The reduction
 to theta >= 0 is exact (the risk at negative theta is dominated by the risk
@@ -18,23 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (check_n, coarse_axis, gaussian_partial_second_moment, normal_cdf,
-                       normal_pdf, refine_coarse_max)
-
-_EDGE = 1.0 - 1e-12  # sup over the open interval [0, delta)
+from .numerics import (OPEN_EDGE, check_n, coarse_axis, normal_cdf, normal_pdf,
+                       refine_coarse_max)
 
 
 @dataclass(frozen=True)
 class Constant:
-    """S = c regardless of the data; c = None is the best constant delta/2."""
-
-    c: float | None = None
+    """S = delta/2 regardless of the data, the best constant."""
 
     def sup_risk(self, delta: float, n: int) -> float:
-        """n max(|c|, |c - delta|)^2 at the worse end; n delta^2/4 at c = delta/2."""
-        c = delta / 2.0 if self.c is None else self.c
-        worst = max(abs(c), abs(c - delta * _EDGE))
-        return n * worst * worst
+        """n (delta/2)^2, the error at theta = 0, which no theta in [0, delta) exceeds."""
+        return n * (delta / 2.0) * (delta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -42,9 +37,9 @@ class PluginMLE:
     """S = max(mean, 0)."""
 
     def sup_risk(self, delta: float, n: int) -> float:
-        """The plug-in risk f(m) = Phi(m) - m phi(m) + m^2 Phi(-m) has
-        f'(m) = 2 m Phi(-m) >= 0, so its supremum sits at theta = delta^-."""
-        return plugin_risk_at(delta * _EDGE, n)
+        """The plug-in risk pretest_risk_at(theta, n, 0) = Phi(m) - m phi(m) + m^2 Phi(-m),
+        m = sqrt(n) theta, has derivative 2 m Phi(-m) >= 0 in m: its sup sits at delta^-."""
+        return pretest_risk_at(delta * OPEN_EDGE, n, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class PreTest:
     def sup_risk(self, delta: float, n: int) -> float:
         """Each window is one array scan, refined by Newton in m = sqrt(n) theta."""
         c_n = self.threshold if self.threshold is not None else n ** -0.25
-        root_n, hi = math.sqrt(n), delta * _EDGE
+        root_n, hi = math.sqrt(n), delta * OPEN_EDGE
         value = pretest_risk_at(hi, n, c_n)
         # the risk bump sits within O(1/sqrt(n)) of the threshold and can be narrower
         # than a coarse cell over [0, delta); scan its window too, unless it is [0, delta)
@@ -90,38 +85,23 @@ def _pretest_objective(n: int, c_n: float, m: float):
             [[hess + 2.0 * below]])
 
 
-def plugin_risk_at(theta: float, n: int) -> float:
-    """n-scaled risk of max(mean, 0) at theta >= 0.
-
-    Equals E[Z^2 1{Z >= -m}] + m^2 P(Z < -m) with m = sqrt(n) theta, i.e.
-    Phi(m) - m phi(m) + m^2 Phi(-m) in closed form.
-    """
-    if theta < 0:
-        raise ValueError("theta must be >= 0 (negative values are dominated)")
-    check_n(n)
-    m = math.sqrt(n) * theta
-    below = normal_cdf(-m)
-    # the tail is 0 long before m*m overflows; the term is then 0, not inf * 0 = NaN
-    return gaussian_partial_second_moment(-m) + (m * m * below if below else 0.0)
-
-
 def pretest_risk_at(theta, n: int, c_n: float):
-    """n-scaled risk of the pre-test estimator at theta >= 0, elementwise
-    over an ndarray of theta.
+    """n-scaled risk of the pre-test estimator at theta >= 0 and threshold
+    c_n >= 0, elementwise over an ndarray of theta; c_n = 0 is the plug-in.
 
     Equals E[Z^2 1{Z >= cut}] + n theta^2 P(Z < cut) with the cutoff
     cut = sqrt(n) (c_n - theta); the Hodges choice c_n = n^(-1/4) gives
-    cut = n^(1/4) - sqrt(n) theta.
+    cut = n^(1/4) - sqrt(n) theta, and the first term is cut phi(cut) + 1 - Phi(cut).
     """
     scalar = not isinstance(theta, np.ndarray)
     if (theta < 0) if scalar else (theta < 0).any():
         raise ValueError("theta must be >= 0 (negative values are dominated)")
     check_n(n)
-    if not c_n > 0:
-        raise ValueError("c_n must be positive")
+    if not c_n >= 0:
+        raise ValueError(f"c_n must be >= 0, got {c_n!r}")
     cut = math.sqrt(n) * (c_n - theta)
-    below = normal_cdf(cut)  # 0 long before n theta^2 overflows, as in plugin_risk_at
-    head = cut * normal_pdf(cut) + 1.0 - below  # as gaussian_partial_second_moment(cut)
+    below = normal_cdf(cut)  # 0 long before n theta^2 overflows: the term is then 0, not NaN
+    head = cut * normal_pdf(cut) + 1.0 - below
     if scalar:
         return head + (n * theta * theta * below if below else 0.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,8 @@ one integral over the window covering q and its shift, with Delta = log q(t+h)
     chi^2(Mh||M0) = int q expm1(Delta)^2 + q exp(2 Delta) chi^2_n(t, h) dt,
 
 and a brute-force 2-D grid oracle (n = 1 only) validating the Hellinger
-identity. Each integral runs in the prior's centred coordinate z = t - c
+identity, on a 2001 x 2001 grid with no cell wider than half the family's
+kernel width. Each integral runs in the prior's centred coordinate z = t - c
 (``Prior.centred``) and reads h itself, never (t + h) - t, at any h and prior
 center; it is never an n-dimensional x-integral, so large n costs nothing.
 """
@@ -56,22 +57,19 @@ class MixtureSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular trapezoid grid for the brute-force oracles."""
+    """Rectangular 2001 x 2001 trapezoid grid for the brute-force oracles."""
 
     t_lo: float
     t_hi: float
     x_lo: float
     x_hi: float
-    t_points: int = 2001
-    x_points: int = 2001
+    t_points = x_points = 2001  # nodes per axis
 
     def __post_init__(self):
         if not (self.t_lo < self.t_hi and self.x_lo < self.x_hi):
             raise ValueError("grid bounds must satisfy lo < hi")
         for axis, lo, hi, p in (("t", self.t_lo, self.t_hi, self.t_points),
                                 ("x", self.x_lo, self.x_hi, self.x_points)):
-            if p < 11 or p % 2 == 0:
-                raise ValueError("grid points must be odd and >= 11")
             # the grid reads t and x themselves: floats may move a node by 2^-16 of a cell
             if max(abs(lo), abs(hi)) * 2.0**-52 > 2.0**-16 * (hi - lo) / (p - 1):
                 raise ValueError(f"the {axis}-grid on [{lo!r}, {hi!r}] is too far from 0 "
@@ -174,14 +172,17 @@ def default_grid(family: Family, prior: Prior, h: float) -> GridSpec:
     return GridSpec(t_lo=t_lo, t_hi=t_hi, x_lo=x_lo, x_hi=x_hi)
 
 
-# nodes in one block of t-rows: 16 rows of a 2001-point x-axis, 256 KB a buffer. With
+# t-rows in one block: 16 rows of the 2001-point x-axis, 256 KB a buffer. With
 # the rows in two threads (_grid_trapezoid) a 2001 x 2001 Hellinger oracle takes about
 # 6.6-7.5 ms, 1.5-1.6 times as fast as in one thread. 8-row blocks took 8.2-9 ms, 1.3
 # times as fast: a numpy call on a smaller block does too little work to pay for its
 # hand-off of the interpreter lock (4-row blocks were slower than one thread). 32-row
 # blocks took 6.2-6.8 ms but raised the mixture_bounds benchmark's one-pass peak RSS
 # by 1.1 MB, where 16 rows raise it by 0.25 MB over 8 (2-core x86-64)
-_GRID_NODES = 32512
+_BLOCK_ROWS = 16
+# the widest cell in kernel widths: a unit-prior oracle is within 5e-16 of the identity
+# at cells of 0.87 sigma, 3.4e-9 at 1.21 and read 4.05 (H^2 <= 2) at 12.1 sigma
+_MAX_CELL = 0.5
 
 
 def _trapezoid_weights(lo: float, hi: float, points: int) -> np.ndarray:
@@ -217,14 +218,14 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     """Trapezoid rule over the (t, x) grid of integrand(g0, gh, *spare), the joint
     densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h), or for root=True their
     roots, from the family's closed-form root of p. It first warns the oracle's
-    caller when the grid misses the prior, its shift or the family's x-range, and
-    checks the t, t + h and x axes once. One block of whole t-rows (at most
-    _GRID_NODES nodes, or one row) at a time is built into the block buffers, which
-    the integrand may overwrite (the last buffers - 2 are its spares), and reduced
-    over x at once; a density whose prior factor is 0 on the whole block is 0 there,
-    and its kernel is not formed. The t-rows run in two halves split at a
-    block boundary, the second in a helper thread (_in_two_halves) with its own
-    buffers, or in the caller alone when the grid has one block; each half writes its
+    caller when the grid misses the prior, its shift or the family's x-range,
+    raises when a t- or x-cell is wider than _MAX_CELL of the family's kernel
+    width, and checks the t, t + h and x axes once. One block of _BLOCK_ROWS whole
+    t-rows at a time is built into the block buffers, which the integrand may
+    overwrite (the last buffers - 2 are its spares), and reduced over x at once; a
+    density whose prior factor is 0 on the whole block is 0 there, and its kernel is
+    not formed. The t-rows run in two halves split at a block boundary, the second
+    in a helper thread (_in_two_halves) with its own buffers; each half writes its
     own rows of the x-sums, and the t-weights are applied last, so the value does
     not depend on the scheduling."""
     t_lo, t_hi, _ = _union_region(prior, h)
@@ -235,6 +236,12 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     if grid.x_lo > x_lo or grid.x_hi < x_hi:
         warnings.warn(f"x-grid does not cover {family.x_coverage}",
                       CoverageWarning, stacklevel=3)
+    for axis, lo, hi, p in (("t", grid.t_lo, grid.t_hi, grid.t_points),
+                            ("x", grid.x_lo, grid.x_hi, grid.x_points)):
+        cell, width = (hi - lo) / (p - 1), family.kernel_width
+        if width is not None and cell > _MAX_CELL * width:
+            raise ValueError(f"the oracle grid's {axis}-cell {cell:.3g} is wider than half "
+                             f"the family's sigma {width!r}, so it cannot resolve the density")
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
     xs = family._kernel_units(family.check_x(np.linspace(grid.x_lo, grid.x_hi, grid.x_points)))
     ts, th = family.check_theta(ts[:, None]), family.check_theta((ts + h)[:, None])
@@ -250,7 +257,7 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
         q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
-    step, inner = max(_GRID_NODES // grid.x_points, 1), np.empty(grid.t_points)
+    step, inner = _BLOCK_ROWS, np.empty(grid.t_points)
 
     def rows(lo: int, hi: int, blocks: np.ndarray) -> None:
         for i in range(lo, hi, step):
@@ -265,11 +272,8 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
                 np.multiply(out, q, out=out)
             inner[r] = integrand(*blocks[:, :k]) @ weights
 
-    mid = grid.t_points // step // 2 * step
-    if mid:
-        _in_two_halves(rows, mid, grid.t_points, np.empty((2, buffers, step, grid.x_points)))
-    else:
-        rows(0, grid.t_points, np.empty((buffers, step, grid.x_points)))
+    _in_two_halves(rows, grid.t_points // step // 2 * step, grid.t_points,
+                   np.empty((2, buffers, step, grid.x_points)))
     return float(np.ldexp(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points), e) @ inner)
 
 

@@ -30,15 +30,17 @@ class Family:
     the divergences of a shift h, which read h itself, ``hellinger_sq(theta, h)``
     = H^2(P_{theta+h}, P_theta) and ``chi_sq(theta, h)`` = chi^2(P_{theta+h} ||
     P_theta), and the oracle grid's ``x_range(t_lo, t_hi, h)`` with its
-    ``x_coverage`` text. Parameters theta and theta + h, floats or ndarrays, must
-    be finite and above ``theta_min``. ``location`` says that the divergences of
-    a shift are the same at every theta, so a caller may read them at one theta
-    per shift.
+    ``x_coverage`` text and ``kernel_width``, twice the widest cell on which
+    the grid resolves the density (None: no such width). Parameters theta and
+    theta + h, floats or ndarrays, must be finite and above ``theta_min``.
+    ``location`` says that the divergences of a shift are the same at every
+    theta, so a caller may read them at one theta per shift.
     """
 
     theta_min = -math.inf
     label = "family"
     location = False
+    kernel_width = None
 
     def check_theta(self, theta, name: str = "theta"):
         if isinstance(theta, np.ndarray):
@@ -93,6 +95,8 @@ class GaussianLocation(Family):
 
     def __post_init__(self):
         check_scale(self.sigma, "sigma", 1.0)
+
+    kernel_width = property(lambda self: self.sigma)
 
     def _kernel_units(self, v):
         """v times 2^-e for sigma = m 2^e >= 1, m in [0.5, 1), else v itself: exact, and

@@ -55,6 +55,8 @@ class QuadratureSpec:
 # relative to the value
 _COARSE_GRID, _SECTIONS = 64, 16
 _NEWTON_EVALS, _STATIONARY, _RESOLUTION = 100, 1e-10, 2.0**-50
+# delta * OPEN_EDGE is delta^-, where a sup over the open interval [0, delta) is read
+OPEN_EDGE = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,22 +131,6 @@ def normal_cdf(x):
     if isinstance(x, float):
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
     return 0.5 * math_elementwise(math.erfc, -x / math.sqrt(2.0))
-
-
-def gaussian_partial_second_moment(c: float) -> float:
-    """E[Z^2 1{Z >= c}] for standard normal Z, in closed form.
-
-    Integration by parts gives c*phi(c) + 1 - Phi(c). Accepts +-inf
-    sentinels: c = -inf yields the full second moment 1, c = +inf yields 0.
-    """
-    c = float(c)
-    if math.isnan(c):
-        raise ValueError("c must not be NaN")
-    if c == -math.inf:
-        return 1.0
-    if c == math.inf:
-        return 0.0
-    return c * normal_pdf(c) + 1.0 - normal_cdf(c)
 
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:

@@ -126,14 +126,15 @@ def test_criterion_8_irregular_two_point():
 
 
 def test_criterion_9_estimator_risks():
-    exact_half = all(estimators.plugin_risk_at(0.0, n) == 0.5 for n in (1, 10, 1000))
+    # the plug-in max(mean, 0) is the pre-test at threshold 0
+    exact_half = all(estimators.pretest_risk_at(0.0, n, 0.0) == 0.5 for n in (1, 10, 1000))
     deltas = np.geomspace(1e-3, 1e2, 40)
     risks = [estimators.local_minimax_risk(estimators.PluginMLE(), float(d), 25)
              for d in deltas]
     monotone = all(b >= a - 1e-12 for a, b in zip(risks, risks[1:]))
-    from minimaxlb.numerics import gaussian_partial_second_moment
-    pretest_gap = abs(estimators.pretest_risk_at(0.0, 16, 16**-0.25)
-                      - gaussian_partial_second_moment(2.0))
+    from minimaxlb.numerics import normal_cdf, normal_pdf
+    partial_second_moment = 2.0 * normal_pdf(2.0) + 1.0 - normal_cdf(2.0)  # E[Z^2 1{Z >= 2}]
+    pretest_gap = abs(estimators.pretest_risk_at(0.0, 16, 16**-0.25) - partial_second_moment)
     ok = exact_half and monotone and pretest_gap <= 1e-12
     _report("9 estimator risks", ok,
             f"plugin(0)=0.5 exact={exact_half}, monotone={monotone}, "

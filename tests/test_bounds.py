@@ -32,9 +32,8 @@ def test_functional_eval():
     assert PowerMax(0.5)(4.0) == 2.0
     assert PowerMax(0.5)(-1.0) == 0.0
     assert Identity()(-3.5) == -3.5
-    ts = np.array([-1.0, 0.0, 0.25, 4.0])
     for f in (MaxZero(), PowerMax(0.5), Identity()):
-        assert list(f(ts)) == [f(float(t)) for t in ts]
+        assert type(f(2)) is float  # psi takes a float, or a number, and gives a float
     with pytest.raises(ValueError):
         PowerMax(1.5)
 

@@ -461,6 +461,9 @@ def test_bound_command_validation_exit(tmp_path):
       "--theta2", "1"], 0, "\nvalue=0.0\n"),
     (["bound", "--method", "twopoint", "--family", "uniform", "--theta1", "1e-300",
       "--theta2", "1"], 0, "\nvalue=0.0\n"),
+    # the default grid's cells are 0.012 wide: 12 family sigmas, where the grid read 0.0
+    (["bound", "--method", "chi2", "--sigma", "0.001", "--prior", "gaussian:0:1", "--h", "0.1",
+      "--lambda", "0.5"], 2, "t-cell 0.012 is wider than half the family's sigma 0.001"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:

@@ -6,9 +6,29 @@ from scipy import integrate
 
 from minimaxlb import estimators
 from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
-                                  local_minimax_risk, plugin_risk_at,
-                                  pretest_risk_at)
-from minimaxlb.numerics import coarse_axis, gaussian_partial_second_moment, normal_cdf, normal_pdf
+                                  local_minimax_risk, pretest_risk_at)
+from minimaxlb.numerics import coarse_axis, normal_cdf, normal_pdf
+
+
+def partial_second_moment(c):
+    """E[Z^2 1{Z >= c}] = c phi(c) + 1 - Phi(c) for standard normal Z, by parts."""
+    return c * normal_pdf(c) + 1.0 - normal_cdf(c)
+
+
+def plugin_risk(theta, n):
+    """The risk of max(mean, 0) as E[Z^2 1{Z >= -m}] + m^2 P(Z < -m), m = sqrt(n) theta:
+    Phi(m) - m phi(m) + m^2 Phi(-m), the tail written in m, not in n theta^2."""
+    m = math.sqrt(n) * theta
+    below = normal_cdf(-m)
+    return partial_second_moment(-m) + (m * m * below if below else 0.0)
+
+
+def test_partial_second_moment_closed_form():
+    assert partial_second_moment(0.0) == pytest.approx(0.5, abs=1e-15)
+    # independent oracle: direct numerical integration of z^2 phi(z) over [c, inf)
+    for c in (-2.0, 1.0, 3.0):
+        oracle, _ = integrate.quad(lambda z: z * z * normal_pdf(z), c, np.inf)
+        assert partial_second_moment(c) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_constant_risk():
@@ -20,44 +40,61 @@ def test_constant_risk():
 
 
 def test_plugin_risk_values():
-    assert plugin_risk_at(0.0, 7) == 0.5
-    assert plugin_risk_at(30.0, 100) == pytest.approx(1.0, abs=1e-15)
+    # the plug-in max(mean, 0) is the pre-test at threshold 0
+    assert pretest_risk_at(0.0, 7, 0.0) == 0.5
+    assert pretest_risk_at(30.0, 100, 0.0) == pytest.approx(1.0, abs=1e-15)
     # m = 2: Phi(2) - 2 phi(2) + 4 Phi(-2), cross-checked by direct integration
-    got = plugin_risk_at(1.0, 4)
+    got = pretest_risk_at(1.0, 4, 0.0)
     closed = normal_cdf(2.0) - 2.0 * normal_pdf(2.0) + 4.0 * normal_cdf(-2.0)
     assert got == pytest.approx(closed, abs=1e-15)
     part, _ = integrate.quad(lambda z: z * z * normal_pdf(z), -2.0, 40.0)
     tail, _ = integrate.quad(normal_pdf, -40.0, -2.0)
     assert got == pytest.approx(part + 4.0 * tail, abs=1e-6)
     with pytest.raises(ValueError):
-        plugin_risk_at(-0.1, 4)
+        pretest_risk_at(-0.1, 4, 0.0)
 
 
 def test_plugin_risk_monotone_and_bounded():
     ms = np.linspace(0.0, 10.0, 2001)
-    vals = [plugin_risk_at(float(m), 1) for m in ms]
+    vals = [pretest_risk_at(float(m), 1, 0.0) for m in ms]
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-12)
     assert all(0.5 <= v <= 1.0 for v in vals)
     # f'(m) = 2 m Phi(-m): numeric derivative check
     for m in (0.5, 1.0, 3.0):
         eps = 1e-6
-        num = (plugin_risk_at(m + eps, 1) - plugin_risk_at(m - eps, 1)) / (2 * eps)
+        num = (pretest_risk_at(m + eps, 1, 0.0) - pretest_risk_at(m - eps, 1, 0.0)) / (2 * eps)
         assert num == pytest.approx(2.0 * m * normal_cdf(-m), abs=1e-6)
 
 
 def test_pretest_risk_values():
     # theta = 0, n = 16, Hodges threshold: cutoff is exactly 2
     got = pretest_risk_at(0.0, 16, 16**-0.25)
-    assert got == pytest.approx(gaussian_partial_second_moment(2.0), abs=1e-15)
+    assert got == pytest.approx(partial_second_moment(2.0), abs=1e-15)
     # large theta: cutoff -> -inf, full second moment, vanishing tail term
     assert pretest_risk_at(50.0, 16, 16**-0.25) == pytest.approx(1.0 + 0.0, abs=1e-12)
     # cutoff exactly zero: 0.5 + n theta^2 / 2
     theta = 0.25
     got = pretest_risk_at(theta, 16, theta)
     assert got == pytest.approx(0.5 + 16.0 * theta * theta / 2.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        pretest_risk_at(0.5, 16, 0.0)
+    for c_n in (-1e-300, -0.5, math.nan):
+        with pytest.raises(ValueError, match="c_n must be >= 0"):
+            pretest_risk_at(0.5, 16, c_n)
+
+
+@pytest.mark.parametrize("n", [1, 10, 10**6])
+def test_plugin_risk_is_the_pretest_at_threshold_zero(n):
+    # one formula serves both: at c_n = 0 the pre-test's risk is the plug-in's closed
+    # form to 1 ulp (its tail n theta^2 Phi(-m) takes one rounding fewer than m^2 Phi(-m))
+    for theta in np.linspace(0.0, 40.0 / math.sqrt(n), 4001):
+        want = plugin_risk(float(theta), n)
+        assert abs(pretest_risk_at(float(theta), n, 0.0) - want) <= math.ulp(want)
+    for delta in np.geomspace(1e-3, 1e3, 61):
+        assert local_minimax_risk(PluginMLE(), float(delta), n) == \
+            pretest_risk_at(float(delta) * (1.0 - 1e-12), n, 0.0)
+    # the threshold 0 is the plug-in's, not a pre-test the CLI offers
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        PreTest(0.0)
 
 
 def test_local_minimax_plugin():
@@ -66,7 +103,7 @@ def test_local_minimax_plugin():
     # monotonicity shortcut agrees with a dense scan
     for delta, n in [(0.5, 10), (2.0, 4), (10.0, 100)]:
         shortcut = local_minimax_risk(PluginMLE(), delta, n)
-        scanned = max(plugin_risk_at(float(t), n)
+        scanned = max(pretest_risk_at(float(t), n, 0.0)
                       for t in np.linspace(0.0, delta * (1.0 - 1e-12), 257))
         assert shortcut >= scanned - 1e-10
         assert shortcut == pytest.approx(scanned, abs=1e-6)
@@ -88,11 +125,18 @@ def test_local_minimax_pretest_vs_dense_grid(delta, n):
 
 
 def test_constant_estimator_spec():
-    # best constant c = delta/2 reproduces the closed form
-    assert local_minimax_risk(Constant(1.0), 2.0, 1) == \
-        pytest.approx(local_minimax_risk(Constant(), 2.0, 1), rel=1e-9)
-    # off-center constants do worse
-    assert local_minimax_risk(Constant(1.5), 2.0, 1) > 1.0
+    # the best constant c = delta/2 is the only one: Constant takes no value, and its
+    # risk keeps the bits of n max(|c|, |c - delta^-|)^2 at c = delta/2, the worse end
+    with pytest.raises(TypeError):
+        Constant(1.0)
+    for n in (1, 7, 100, 10**6):
+        for delta in np.geomspace(1e-6, 1e6, 37):
+            c = float(delta) / 2.0
+            worst = max(abs(c), abs(c - float(delta) * (1.0 - 1e-12)))
+            assert local_minimax_risk(Constant(), float(delta), n) == n * worst * worst
+    # off-center constants do worse: their sup over [0, 2) is above the best constant's
+    scan = np.linspace(0.0, 2.0 * (1.0 - 1e-12), 1001)
+    assert max((1.5 - scan) ** 2) > local_minimax_risk(Constant(), 2.0, 1) == 1.0
 
 
 def test_negative_theta_dominated():
@@ -111,7 +155,7 @@ def test_negative_theta_dominated():
 def test_pretest_superefficient_but_worse_locally():
     for n in (2, 4, 16, 100):
         at_zero = pretest_risk_at(0.0, n, n**-0.25)
-        assert at_zero < plugin_risk_at(0.0, n)
+        assert at_zero < pretest_risk_at(0.0, n, 0.0)
     for n in (4, 16, 100):
         for delta in (n**-0.25, 0.5, 1.0, 2.0):
             if delta < n**-0.25:
@@ -138,7 +182,7 @@ def test_pretest_threshold_validation():
 def test_risks_at_huge_theta():
     # n theta^2 overflows to inf where the tail probability underflows to 0:
     # the term is 0, not inf * 0 = NaN, and both risks tend to 1
-    assert plugin_risk_at(1e300, 10) == 1.0
+    assert pretest_risk_at(1e300, 10, 0.0) == 1.0
     assert pretest_risk_at(1e300, 10, 10 ** -0.25) == 1.0
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -190,8 +189,9 @@ def test_mixture_chi_sq_against_grid_oracle():
                                          (GaussianPrior(0.0, 1.0), 1.0, 0.0)])
 def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
     # bit for bit the value the out-of-place formula gives on the whole grid, which
-    # the oracle builds in place in its block buffers, with at most three grids alive
-    grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
+    # the oracle builds in place in its block buffers, with less memory alive than
+    # three 401 x 401 grids
+    grid = default_grid(GAUSS, prior, h)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     g0 = GAUSS.density(ts, xs) * prior_density(prior, ts)
@@ -249,7 +249,7 @@ def test_grid_oracles_stream_their_rows():
 def test_hellinger_oracle_is_the_brute_force_sum(family, prior, h):
     # the closed-form roots change no term of the oracle's meaning: the sum of
     # w_t w_x (sqrt(gh) - sqrt(g0))^2 with g = p_t(x) q(t) built on the whole grid
-    grid = GridSpec(*dataclasses.astuple(default_grid(family, prior, h))[:4], 401, 401)
+    grid = default_grid(family, prior, h)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     g0 = family.density(ts, xs) * prior.density(ts)
@@ -325,26 +325,6 @@ def test_grid_helper_runs_in_the_callers_errstate():
     assert threading.active_count() == threads
 
 
-def test_one_block_grid_starts_no_thread(monkeypatch):
-    # an 11 x 401 grid is one block of 40 rows: it runs in the caller; the default
-    # 2001 x 2001 grid starts one helper for its second half
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    prior, h = GaussianPrior(0.0, 1.0), 0.1
-    grid = default_grid(GAUSS, prior, h)
-    small = GridSpec(*dataclasses.astuple(grid)[:4], 11, 401)
-    for lam in (None, 0.5):
-        for g, threads in ((small, 0), (grid, 1)):
-            starts.clear()
-            if lam is None:
-                mixture_hellinger_oracle(GAUSS, prior, h, g)
-            else:
-                mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, g)
-            assert len(starts) == threads
-            assert not any(t.is_alive() for t in starts)
-
-
 def test_grid_oracles_called_from_many_threads_give_their_serial_bits():
     # four callers at once (eight threads on two cores) with a short switch interval:
     # each oracle keeps its rows, buffers and helper to itself
@@ -353,7 +333,7 @@ def test_grid_oracles_called_from_many_threads_give_their_serial_bits():
              for lam in (None, 0.5)]
 
     def oracle(prior, h, lam):
-        grid = GridSpec(*dataclasses.astuple(default_grid(GAUSS, prior, h))[:4], 401, 401)
+        grid = default_grid(GAUSS, prior, h)
         if lam is None:
             return mixture_hellinger_oracle(GAUSS, prior, h, grid)
         return mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, grid)
@@ -412,19 +392,38 @@ def test_grid_must_resolve_its_cells():
         GridSpec(t_lo=0.0, t_hi=1.0, x_lo=1e12, x_hi=1e12 + 1.0)
 
 
+def test_grid_must_resolve_the_family_kernel():
+    # the default grid of a unit Gaussian prior has cells of 0.012: at family sigma 1e-3
+    # they are 12 sigma wide and the Hellinger oracle read 4.054 (H^2 <= 2), at 0.01 it
+    # read 3.4e-9 off; at 0.03 they are 0.41 sigma and the oracle is the identity's value
+    prior, h = GaussianPrior(0.0, 1.0), 0.1
+    for sigma in (1e-3, 0.01):
+        family = GaussianLocation(sigma)
+        grid = default_grid(family, prior, h)
+        for oracle in (lambda: mixture_hellinger_oracle(family, prior, h, grid),
+                       lambda: mixture_chi_sq_interpolated_grid(family, prior, h, 0.5, grid)):
+            with pytest.raises(ValueError, match=f"t-cell 0.012 is wider than half the "
+                                                 f"family's sigma {sigma!r}"):
+                oracle()
+    family = GaussianLocation(0.03)
+    oracle = mixture_hellinger_oracle(family, prior, h, default_grid(family, prior, h))
+    identity = mixture_hellinger_sq(MixtureSpec(family, 1, prior, h))
+    assert oracle == pytest.approx(identity, rel=1e-15, abs=0.0)
+    assert UniformScale.kernel_width is None  # a uniform density has no width to resolve
+
+
 def test_grid_validation_and_coverage_warning():
-    with pytest.raises(ValueError):
-        GridSpec(t_lo=0.0, t_hi=1.0, x_lo=0.0, x_hi=1.0, t_points=10)
+    with pytest.raises(TypeError):  # every grid has 2001 x 2001 nodes
+        GridSpec(t_lo=0.0, t_hi=1.0, x_lo=0.0, x_hi=1.0, t_points=101)
     with pytest.raises(ValueError):
         GridSpec(t_lo=1.0, t_hi=0.0, x_lo=0.0, x_hi=1.0)
-    tight = GridSpec(t_lo=-1.0, t_hi=1.0, x_lo=-1.0, x_hi=1.0,
-                     t_points=101, x_points=101)
+    tight = GridSpec(t_lo=-1.0, t_hi=1.0, x_lo=-1.0, x_hi=1.0)
     with pytest.warns(CoverageWarning):
         mixture_hellinger_oracle(GAUSS, GaussianPrior(0.0, 1.0), 0.1, tight)
 
 
 def test_coverage_warning_names_the_oracle_caller():
-    tight = GridSpec(t_lo=-1.0, t_hi=1.0, x_lo=-1.0, x_hi=1.0, t_points=101, x_points=101)
+    tight = GridSpec(t_lo=-1.0, t_hi=1.0, x_lo=-1.0, x_hi=1.0)
     prior = GaussianPrior(0.0, 1.0)
     for oracle in (lambda: mixture_hellinger_oracle(GAUSS, prior, 0.1, tight),
                    lambda: mixture_chi_sq_interpolated_grid(GAUSS, prior, 0.1, 0.5, tight)):

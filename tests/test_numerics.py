@@ -10,7 +10,6 @@ from minimaxlb import numerics
 from minimaxlb.numerics import (GL_NODES, GL_WEIGHTS, PANEL_NODES, BracketError,
                                 QuadratureSpec, SearchBox,
                                 ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
-                                gaussian_partial_second_moment,
                                 integrate_adaptive, integrate_panels, maximize_1d,
                                 maximize_2d, maximize_newton, normal_cdf, normal_pdf)
 
@@ -37,15 +36,6 @@ def test_normal_cdf_values():
 def test_normal_cdf_symmetry():
     for x in np.linspace(-8.0, 8.0, 161):
         assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_partial_second_moment_closed_form():
-    assert gaussian_partial_second_moment(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert gaussian_partial_second_moment(-math.inf) == 1.0
-    assert gaussian_partial_second_moment(math.inf) == 0.0
-    # independent oracle: direct numerical integration of z^2 phi(z) over [1, inf)
-    oracle, _ = integrate.quad(lambda z: z * z * normal_pdf(z), 1.0, np.inf)
-    assert gaussian_partial_second_moment(1.0) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_integrate_adaptive_basics():
