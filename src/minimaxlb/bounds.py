@@ -122,6 +122,7 @@ class PowerMax(Functional):
 
 
 MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
+_UNIT_GAUSSIAN, _MAX_ZERO = GaussianLocation(1.0), MaxZero()  # twopoint_bound_sup's model
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,8 @@ def _kepler_mass(y):
 def _quotient_derivatives(num, dnum, hnum, den, dden, hden):
     """Value, gradient and Hessian of num/den from those of num and den, in
     Python floats: the gradients are lists and the Hessians lists of rows.
-    Overflow gives inf and NaN silently; den must be nonzero (every caller's
-    is positive)."""
+    Overflow gives inf and NaN silently; den must be nonzero (the diffeo
+    objective's, its one caller, is positive)."""
     value = num / den
     grad = [(dn - value * dd) / den for dn, dd in zip(dnum, dden)]
     return value, grad, [[(hn - value * hd - gi * ddj - ddi * gj) / den
@@ -290,11 +291,15 @@ def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
     where the mass a and the Fisher information pi^2 (1 + |y|)^2 are explicit
     and smooth on each side of y = 0 (a = 1/2); in a, the derivative of y,
     2/(1 + cos pi y), is infinite at a = 1, where the argmax sits as n delta^2 grows."""
-    a, da, dda = _kepler_mass(y), math.cos(0.5 * _PI * y) ** 2, -0.5 * _PI * math.sin(_PI * y)
+    sin = math.sin(_PI * y)
+    a, da, dda = 0.5 * (1.0 + y + sin / _PI), math.cos(0.5 * _PI * y) ** 2, -0.5 * _PI * sin
     m, dm = _PI * _PI * (1.0 + abs(y)) ** 2, 2.0 * _PI * _PI * math.copysign(1.0 + abs(y), y)
-    return _quotient_derivatives(n * a * a, [2.0 * n * a * da], [[2.0 * n * (da * da + a * dda)]],
-                                 m / delta**2 + n * sup_fisher, [dm / delta**2],
-                                 [[2.0 * _PI * _PI / delta**2]])
+    # n a^2 / (m / delta^2 + n sup_fisher) and its derivatives by the quotient rule
+    den, dden, hden = m / delta**2 + n * sup_fisher, dm / delta**2, 2.0 * _PI * _PI / delta**2
+    value = n * a * a / den
+    grad = (2.0 * n * a * da - value * dden) / den
+    hess = (2.0 * n * (da * da + a * dda) - value * hden - grad * dden - dden * grad) / den
+    return value, [grad], [[hess]]
 
 
 @functools.cache
@@ -494,7 +499,7 @@ def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     """
     _check_delta_n(delta, n)
     t = min(_twopoint_argmax() / math.sqrt(n), delta * OPEN_EDGE)
-    value = two_point_hellinger_bound(GaussianLocation(1.0), n, MaxZero(), 0.0, t)
+    value = two_point_hellinger_bound(_UNIT_GAUSSIAN, n, _MAX_ZERO, 0.0, t)
     return BoundResult(max(value, 0.0), {"theta2": t})
 
 

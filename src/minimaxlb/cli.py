@@ -271,9 +271,12 @@ def kepler_svg(a_values: Sequence[float]) -> str:
 # subcommands
 
 def cmd_kepler(args: argparse.Namespace) -> int:
-    if not args.a and args.grid < 2:
+    if args.a and args.grid is not None:
+        raise ValueError("kepler --a does not read --grid")
+    grid = 101 if args.grid is None else args.grid
+    if not args.a and grid < 2:
         raise ValueError("kepler grid needs at least 2 points")
-    a_values = args.a or [float(a) for a in np.linspace(0.0, 1.0, args.grid)]
+    a_values = args.a or [float(a) for a in np.linspace(0.0, 1.0, grid)]
     rows = []
     for a in a_values:
         sol = priors.solve_kepler(a)
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kepler", help="solve the Kepler least-favorable geometry")
     p.add_argument("--a", action="append", type=float,
                    help="mass constraint in [0,1]; repeatable")
-    p.add_argument("--grid", type=int, default=101, help="number of a values on [0,1]")
+    p.add_argument("--grid", type=int, help="number of a values on [0,1] (default 101)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--svg", help="optional SVG output path")
     p.set_defaults(func=cmd_kepler)

@@ -57,16 +57,17 @@ class PreTest:
             raise ValueError(f"threshold must be positive and finite, got {t!r}")
 
     def sup_risk(self, delta: float, n: int) -> float:
-        """Each window is one array scan, refined by Newton in m = sqrt(n) theta."""
+        """Both windows share one array scan, each refined by Newton in m = sqrt(n) theta."""
         c_n = self.threshold if self.threshold is not None else n ** -0.25
         root_n, hi = math.sqrt(n), delta * OPEN_EDGE
         value = pretest_risk_at(hi, n, c_n)
         # the risk bump sits within O(1/sqrt(n)) of the threshold and can be narrower
         # than a coarse cell over [0, delta); scan its window too, unless it is [0, delta)
-        for top in dict.fromkeys((hi, min(hi, c_n + 10.0 / root_n))):
-            ms = coarse_axis(0.0, root_n * top)
-            _, window_value, _ = refine_coarse_max(lambda m: _pretest_objective(n, c_n, m), ms,
-                                                   pretest_risk_at(ms / root_n, n, c_n))
+        ms = np.array([coarse_axis(0.0, root_n * top)
+                       for top in dict.fromkeys((hi, min(hi, c_n + 10.0 / root_n)))])
+        for window, risks in zip(ms, pretest_risk_at(ms / root_n, n, c_n)):
+            _, window_value, _ = refine_coarse_max(lambda m: _pretest_objective(n, c_n, m),
+                                                   window, risks)
             value = max(value, window_value)
         return value
 

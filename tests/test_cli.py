@@ -62,6 +62,17 @@ def test_kepler_grid_monotone(tmp_path):
     assert all(b >= a - 1e-9 for a, b in zip(fishers, fishers[1:]))
 
 
+def test_kepler_rejects_a_grid_it_does_not_read(tmp_path, capsys):
+    # the table of the given masses does not read --grid; the default grid is 101 a
+    out = tmp_path / "k.csv"
+    for argv in (["--a", "0.5", "--grid", "3"], ["--grid", "3", "--a", "0.5"]):
+        assert main(["kepler", *argv, "--out", str(out)]) == 2
+        assert "kepler --a does not read --grid" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["kepler", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 101
+
+
 def test_kepler_svg(tmp_path):
     svg = tmp_path / "kepler.svg"
     out = tmp_path / "k.csv"

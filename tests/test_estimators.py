@@ -7,7 +7,7 @@ from scipy import integrate
 from minimaxlb import estimators
 from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
                                   local_minimax_risk, pretest_risk_at)
-from minimaxlb.numerics import coarse_axis, normal_cdf, normal_pdf
+from minimaxlb.numerics import coarse_axis, normal_cdf, normal_pdf, refine_coarse_max
 
 
 def partial_second_moment(c):
@@ -234,6 +234,37 @@ def test_broadcast_risk_equals_the_scalar_calls(threshold):
                 assert pretest_risk_at(thetas, n, c_n).tolist() == want
                 cuts = math.sqrt(n) * (c_n - thetas)
                 assert normal_cdf(cuts).tolist() == [normal_cdf(float(c)) for c in cuts]
+
+
+def _pretest_sup_window_by_window(delta, n, threshold):
+    """The pre-test sup with one pretest_risk_at array call per window, each on
+    np.linspace's 64 points: the reference of the sup's one call for both windows."""
+    c_n = n ** -0.25 if threshold is None else threshold
+    root_n, hi = math.sqrt(n), delta * (1.0 - 1e-12)
+    value = pretest_risk_at(hi, n, c_n)
+    for top in dict.fromkeys((hi, min(hi, c_n + 10.0 / root_n))):
+        ms = np.linspace(0.0, root_n * top, 64)
+        _, window_value, _ = refine_coarse_max(
+            lambda m: estimators._pretest_objective(n, c_n, m), ms,
+            pretest_risk_at(ms / root_n, n, c_n))
+        value = max(value, window_value)
+    return value
+
+
+# the closed_form_grid benchmark's seed-0 rows and the default figure's rows
+_SUP_ROWS = ([(10 ** k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
+             + [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2, 50)])
+
+
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_one_pass_pretest_scan_is_the_window_by_window_scan(threshold):
+    one_window = 0
+    for n, delta in _SUP_ROWS:
+        c_n = n ** -0.25 if threshold is None else threshold
+        one_window += c_n + 10.0 / math.sqrt(n) >= delta * (1.0 - 1e-12)
+        got = local_minimax_risk(PreTest(threshold), delta, n)
+        assert got == _pretest_sup_window_by_window(delta, n, threshold), (n, delta)
+    assert 0 < one_window < len(_SUP_ROWS)  # rows with one window and with two
 
 
 def test_broadcast_risk_where_n_theta_squared_overflows():

@@ -38,6 +38,51 @@ def test_normal_cdf_symmetry():
         assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()  # -0.0 and 0.0 differ, as do NaNs' payloads
+
+
+def test_coarse_axis_is_linspace_bit_for_bit():
+    rng = random.Random(20240601)
+    pairs = [(0.0, 1e-322), (0.0, 5e-324), (-1e-322, 0.0), (1.0, 1.0 + 2.0**-52),
+             (-0.0, 1.0), (0.0, 1e-310), (-1e300, 1e300), (1e300, -1e300), (3.0, 3.0)]
+    for _ in range(10_000):
+        span = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo = rng.choice([0.0, -span * rng.random(), span * rng.uniform(-1e3, 1e3),
+                         -10.0 ** rng.uniform(-300.0, 300.0)])
+        pairs.append((lo, lo + span))
+    assert sum(1 for lo, hi in pairs if (hi - lo) / 63 == 0.0 and hi != lo) >= 2
+    for lo, hi in pairs:
+        assert _bits(coarse_axis(lo, hi)) == _bits(np.linspace(lo, hi, 64)), (lo, hi)
+
+
+def test_coarse_axis_returns_a_fresh_writeable_array():
+    axis = coarse_axis(0.0, 1.0)
+    axis[:] = 7.0
+    assert _bits(coarse_axis(0.0, 1.0)) == _bits(np.linspace(0.0, 1.0, 64))
+    assert coarse_axis(0.0, 1e-322).flags.writeable
+
+
+@pytest.mark.parametrize("fn", [math.exp, math.erfc, math.sin, math.expm1, math.log2])
+def test_math_elementwise_is_the_math_function_per_entry(fn):
+    rng = np.random.default_rng(7)
+    grid = rng.uniform(0.01, 30.0, size=(6, 9)) * rng.choice([-1.0, 1.0], size=(6, 9))
+    if fn is math.log2:
+        grid = np.abs(grid)
+    for x in (grid, grid[::2, 1::3], grid.T, grid[0], grid[:0], np.empty((3, 0)),
+              np.array(grid[1, 1])):
+        got = numerics.math_elementwise(fn, x)
+        if x.ndim == 0:
+            assert type(got) is float and got == fn(float(x))
+            continue
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert _bits(got) == _bits([fn(v) for v in x.ravel().tolist()])
+    with pytest.raises(OverflowError):
+        numerics.math_elementwise(math.exp, np.array([0.0, 1000.0]))
+    with pytest.raises(OverflowError):
+        numerics.math_elementwise(math.exp, np.array(1000.0))
+
+
 def test_integrate_adaptive_basics():
     assert integrate_adaptive(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     cos_sq = lambda t: math.cos(math.pi * t / 2.0) ** 2
