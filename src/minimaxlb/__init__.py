@@ -19,9 +19,7 @@ from .mixtures import (CoverageWarning, GridSpec, MixtureSpec,
                        mixture_chi_sq, mixture_hellinger_oracle,
                        mixture_hellinger_sq)
 from .models import Family, GaussianLocation, UniformScale, chi_sq_iid, hellinger_sq_iid
-from .numerics import (BracketError, QuadratureSpec, SearchBox, ToleranceNotMet,
-                       find_root_bisect,
-                       integrate_adaptive, integrate_panels, maximize_1d, maximize_2d,
+from .numerics import (SearchBox, ToleranceNotMet, integrate_panels, maximize_1d, maximize_2d,
                        normal_cdf, normal_pdf)
 from .priors import (Cosine, GaussianPrior, KeplerCosine, KeplerSolution, Prior,
                      UniformPrior, prior_density, solve_kepler)

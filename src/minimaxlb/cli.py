@@ -32,11 +32,15 @@ def fmt(x: float) -> str:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
+    """text to path, or stdout for None or "-"; an unwritable path is a ValueError."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:
@@ -154,6 +158,8 @@ def render_loglog_svg(series: Sequence[Series], x_label: str, title: str) -> str
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi <= x_lo:  # one grid point (delta, n > 0): the decade to its left
+        x_lo = x_hi / 10.0
     if y_hi <= y_lo:
         y_hi = y_lo * 10.0
 

@@ -23,7 +23,8 @@ from .priors import check_scale
 class Family:
     """A one-parameter family P_theta with closed-form divergences.
 
-    Each family type defines its density as k/d: ``_write_kernel(theta, x, out,
+    Each family type defines its density as k/d for the grid oracles, which check
+    theta and x first (``check_theta``, ``check_x``): ``_write_kernel(theta, x, out,
     root)`` writes k (sqrt(k) for root=True) into out unchecked, theta and x
     broadcast and in the units ``_kernel_units`` returns them in, and
     ``_divisor(theta)`` is d. It also defines ``fisher_info(theta)``,
@@ -65,24 +66,9 @@ class Family:
             raise ValueError("x must be finite")
         return x
 
-    def density(self, theta, x):
-        """Model density dP_theta/dx = k/d at x."""
-        return self._quotient(theta, x, False)
-
-    def root_density(self, theta, x):
-        """sqrt(dP_theta/dx) = sqrt(k)/sqrt(d) at x, with sqrt(k) in closed form."""
-        return self._quotient(theta, x, True)
-
     def _kernel_units(self, v):
         """A parameter or an x in the units _write_kernel reads: v itself."""
         return v
-
-    def _quotient(self, theta, x, root: bool):
-        theta, x = self.check_theta(theta), self.check_x(x)
-        out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(x)))
-        self._write_kernel(self._kernel_units(theta), self._kernel_units(x), out, root)
-        divisor = self._divisor(theta)
-        return float_or_array(np.divide(out, np.sqrt(divisor) if root else divisor, out=out))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -316,27 +316,18 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     return float(px[j]), float(pv[j])
 
 
-def maximize_2d(
-    f: Callable[[float, float], Tuple[float, Sequence[float], Sequence[Sequence[float]]]],
-    box: SearchBox,
-    coarse: Optional[np.ndarray] = None,
-) -> Tuple[Tuple[float, float], float]:
-    """Coarse grid scan plus safeguarded Newton refinement (``maximize_newton``).
-
-    f(x, y) returns (value, gradient, Hessian). Returns ((x, y), max) of the
-    best point found inside the box; the result is never below f at the
-    coarse argmax, where the refinement starts. ``coarse``, when given, holds
-    the values f(xs[i], ys[j])[0] in entry [i, j], where xs and ys are the
-    ``coarse_axis`` of the box's intervals, and replaces the scan's calls to
-    f; the first maximum in row-major order wins either way, and a NaN never
-    does.
-    """
+def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox,
+                coarse: np.ndarray) -> Tuple[Tuple[float, float], float]:
+    """Safeguarded Newton refinement (``maximize_newton``) of f(x, y) = (value,
+    gradient, Hessian) from the best coarse value: entry [i, j] of ``coarse`` is
+    f(xs[i], ys[j])[0], xs and ys the ``coarse_axis`` of the box's intervals, which
+    the caller evaluates or keeps in a table. Returns ((x, y), max) of the best point
+    found in the box, never below f at the coarse argmax; the first maximum in
+    row-major order wins, and a NaN never does."""
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
     (xlo, xhi), (ylo, yhi) = box.intervals
     xs, ys = coarse_axis(xlo, xhi), coarse_axis(ylo, yhi)
-    if coarse is None:
-        coarse = [[float(f(x, y)[0]) for y in ys] for x in xs]
     coarse = np.asarray(coarse, dtype=float)
     if coarse.shape != (len(xs), len(ys)):
         raise ValueError(f"coarse values have shape {coarse.shape}, not {(len(xs), len(ys))}")

@@ -495,10 +495,11 @@ def test_diffeo_bound_sup_matches_dense_grid():
 
 
 def _diffeo_sup_without_table(delta, n):
-    """diffeo_bound_sup's search with the coarse scan calling diffeo_bound."""
-    (x1, lx2), value = maximize_2d(
-        lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True),
-        bounds._DIFFEO_BOX)
+    """diffeo_bound_sup's search with the coarse values from diffeo_bound itself."""
+    f = lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True)
+    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
+    coarse = [[float(f(a, b)[0]) for b in log_xi2s] for a in xi1s]
+    (x1, lx2), value = maximize_2d(f, bounds._DIFFEO_BOX, coarse)
     return value, {"xi1": x1, "xi2": math.exp(lx2)}
 
 

@@ -199,6 +199,16 @@ def test_sweep_deterministic_and_schema(tmp_path):
     assert svg1.read_text().startswith("<?xml")
 
 
+def test_sweep_svg_of_one_grid_point(tmp_path):
+    # one delta and one n: the x-axis spans the decade left of the point, where its
+    # width log10(x_hi) - log10(x_lo) = 0 divided the pixel scale
+    svg = tmp_path / "one.svg"
+    assert main(["sweep", "--n", "10", "--delta", "1", "--out", str(tmp_path / "one.csv"),
+                 "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count("<polyline") == 6 and "nan" not in text and ">1e0</text>" in text
+
+
 def test_sweep_vary_n_mode(tmp_path):
     out = tmp_path / "n.csv"
     assert main(["sweep", "--mode", "n", "--n", "10,100", "--delta", "1.0",
@@ -484,6 +494,20 @@ def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     printed = capsys.readouterr()
     assert got == code
     assert message in printed.out + printed.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--out", "{missing}/x.csv"],
+    ["sweep", "--n", "10", "--out", "{missing}/x.csv"],
+    ["kepler", "--a", "0.5", "--svg", "{missing}/x.svg"],
+])
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    # an output under a directory that does not exist is a validation error naming
+    # the path, not a FileNotFoundError out of main
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}/x.") and "Traceback" not in err
 
 
 def _chi2_gaussian_closed_form(h):

@@ -1,8 +1,9 @@
 """The CLI contract on argvs built from the parser's own tables, with extreme
-and malformed values: every run exits 0, 2 or 3 without a traceback, and a
-repeat prints the same bytes."""
+and malformed values and output targets: every run exits 0, 2 or 3 without a
+traceback, and a repeat prints the same bytes."""
 import contextlib
 import io
+import os
 import sys
 
 from hypothesis import given, settings
@@ -38,6 +39,9 @@ GRIDS = st.one_of(
 BOUND_VALUES = {"family": st.sampled_from(sorted(_FAMILIES)), "prior": PRIORS, "n": SIZES,
                 "sigma": SCALES, "delta": SCALES, "xi2": SCALES, "alpha": UNITS, "lam": UNITS}
 BOUND_NEEDS = {"twopoint": ("theta1", "theta2"), "chi2": ("h",)}
+# stdout, or a file under a directory that does not exist, so that no file is written
+MISSING_DIR = os.path.join(os.sep, "no", "such", "dir")
+TARGETS = st.sampled_from(["-", os.path.join(MISSING_DIR, "out")])
 
 
 def _option(dest: str, value: str) -> str:
@@ -97,6 +101,14 @@ def sweep_argv(draw):
     return argv
 
 
+@st.composite
+def with_outputs(draw, argvs):
+    # each output option of the command with odds 1/4
+    argv = draw(argvs)
+    flags = ("--out", "--svg") if argv[0] in ("sweep", "kepler") else ("--out",)
+    return argv + [f"{flag}={draw(TARGETS)}" for flag in flags if draw(st.integers(0, 3)) == 0]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,9 +121,10 @@ def _run(argv):
 
 # one form per bound method, so bound's many options get most of the examples
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(argv=st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(), sweep_argv(),
-                      kepler_argv()))
+@given(argv=with_outputs(st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(),
+                                   sweep_argv(), kepler_argv(), st.just(["constants"]))))
 def test_cli_exits_0_2_or_3_without_traceback(argv):
+    assert not os.path.exists(MISSING_DIR)
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err

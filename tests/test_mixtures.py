@@ -18,6 +18,15 @@ from minimaxlb.priors import (Cosine, GaussianPrior, KeplerCosine, UniformPrior,
 GAUSS = GaussianLocation(1.0)
 
 
+def family_density(family, theta, x):
+    """The reference density p_theta(x), written from the formulas:
+    exp((x - theta)^2 (-0.5/sigma^2)) / (sigma sqrt(2 pi)) and 1{0 <= x <= theta} / theta."""
+    if isinstance(family, GaussianLocation):
+        sigma = family.sigma
+        return np.exp((x - theta)**2 * (-0.5 / sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    return ((0.0 <= x) & (x <= theta)) / theta
+
+
 def gaussian_mixture_h2_closed_form(sigma, sigma_q, h, n):
     """Independent derivation for Gaussian family + Gaussian prior.
 
@@ -194,8 +203,8 @@ def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
     grid = default_grid(GAUSS, prior, h)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    g0 = GAUSS.density(ts, xs) * prior_density(prior, ts)
-    gh = GAUSS.density(ts + h, xs) * prior_density(prior, ts + h)
+    g0 = family_density(GAUSS, ts, xs) * prior_density(prior, ts)
+    gh = family_density(GAUSS, ts + h, xs) * prior_density(prior, ts + h)
     mix = lam * gh + (1.0 - lam) * g0
     ratio = np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
     wt = mixtures._trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points)
@@ -252,8 +261,8 @@ def test_hellinger_oracle_is_the_brute_force_sum(family, prior, h):
     grid = default_grid(family, prior, h)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    g0 = family.density(ts, xs) * prior.density(ts)
-    gh = family.density(ts + h, xs) * prior.density(ts + h)
+    g0 = family_density(family, ts, xs) * prior.density(ts)
+    gh = family_density(family, ts + h, xs) * prior.density(ts + h)
     wt = mixtures._trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points)
     wx = mixtures._trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
     want = float(wt @ ((np.sqrt(gh) - np.sqrt(g0)) ** 2 @ wx))

@@ -11,6 +11,22 @@ GAUSS = GaussianLocation(1.0)
 UNIF = UniformScale()
 
 
+def density(family, theta, x):
+    """The reference density p_theta(x), written from the formulas:
+    exp((x - theta)^2 (-0.5/sigma^2)) / (sigma sqrt(2 pi)) and 1{0 <= x <= theta} / theta."""
+    if isinstance(family, GaussianLocation):
+        sigma = family.sigma
+        return np.exp((x - theta)**2 * (-0.5 / sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    return ((0.0 <= x) & (x <= theta)) / theta
+
+
+def _kernel(family, theta, x, root=False):
+    """The kernel k of the density k/d (sqrt(k) for root), as the grid oracles write it."""
+    out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(x)))
+    family._write_kernel(family._kernel_units(theta), family._kernel_units(x), out, root)
+    return out
+
+
 def hellinger_oracle(family, t1, t2):
     """Brute-force integral of (sqrt(p1) - sqrt(p2))^2."""
     if isinstance(family, GaussianLocation):
@@ -20,7 +36,7 @@ def hellinger_oracle(family, t1, t2):
     else:
         lo, hi = 0.0, max(t1, t2)
         pts = [min(t1, t2)]
-    f = lambda x: (math.sqrt(family.density(t1, x)) - math.sqrt(family.density(t2, x))) ** 2
+    f = lambda x: (math.sqrt(density(family, t1, x)) - math.sqrt(density(family, t2, x))) ** 2
     val, _ = integrate.quad(f, lo, hi, points=pts, limit=200)
     return val
 
@@ -33,45 +49,43 @@ def chi_sq_oracle(family, t_num, t_den):
     else:
         lo, hi = 0.0, t_den
         pts = [t_num]
-    f = lambda x: (family.density(t_num, x) / family.density(t_den, x) - 1.0) ** 2 \
-        * family.density(t_den, x)
+    f = lambda x: (density(family, t_num, x) / density(family, t_den, x) - 1.0) ** 2 \
+        * density(family, t_den, x)
     val, _ = integrate.quad(f, lo, hi, points=pts, limit=200)
     return val
 
 
 def test_density_examples():
-    assert GAUSS.density(0.0, 0.0) == pytest.approx(0.39894228, abs=1e-8)
-    assert UNIF.density(2.0, 1.0) == 0.5
-    assert UNIF.density(2.0, 3.0) == 0.0
+    # the density k/d from the family's kernel and divisor
+    assert _kernel(GAUSS, 0.0, 0.0) / GAUSS._divisor(0.0) == pytest.approx(0.39894228, abs=1e-8)
+    assert _kernel(UNIF, 2.0, 1.0) / UNIF._divisor(2.0) == 0.5
+    assert _kernel(UNIF, 2.0, 3.0) == 0.0
 
 
 def test_density_rejects_bad_theta():
-    with pytest.raises(ValueError):
-        UNIF.density(0.0, 0.5)
-    with pytest.raises(ValueError):
-        UNIF.density(-1.0, 0.5)
+    # the grid oracles check theta and x before they write a kernel
+    ts, xs = np.linspace(0.5, 3.0, 26)[:, None], np.linspace(-1.0, 4.0, 101)
+    for family in (GaussianLocation(0.5), GAUSS, UNIF):
+        rejected_inputs = [(math.nan, 0.5), (1.0, math.inf), (ts, np.array([0.0, math.nan]))]
+        if family is UNIF:  # theta > 0
+            rejected_inputs += [(0.0, 0.5), (-1.0, 0.5), (np.array([[1.0], [0.0]]), xs)]
+        for theta, x in rejected_inputs:
+            with pytest.raises(ValueError, match="must be finite|requires theta > 0"):
+                family.check_theta(theta), family.check_x(x)
+    assert UNIF.check_theta(2.0) == 2.0 and GAUSS.check_x(xs) is xs
 
 
 @pytest.mark.parametrize("family", [GaussianLocation(0.5), GAUSS, GaussianLocation(3.0), UNIF],
                          ids=["gauss-0.5", "gauss-1", "gauss-3", "uniform"])
 def test_root_density_is_the_closed_form_root(family):
-    # sqrt(p) = sqrt(k)/sqrt(d) in closed form squares to p = k/d within 4 ulp,
-    # on a broadcast grid and at a point, and rejects what density rejects
+    # sqrt(p) = sqrt(k)/sqrt(d) with the kernel's closed-form root squares to p = k/d
+    # within 4 ulp, on a broadcast grid and at a point
     ts, xs = np.linspace(0.5, 3.0, 26)[:, None], np.linspace(-1.0, 4.0, 101)
-    root, density = family.root_density(ts, xs), family.density(ts, xs)
-    assert root.shape == density.shape == (26, 101)
-    assert np.all(np.abs(root**2 - density) <= 4.0 * np.spacing(density))
-    point = family.root_density(2.0, 1.5)
-    assert isinstance(point, float)
-    assert abs(point**2 - family.density(2.0, 1.5)) <= 4.0 * np.spacing(family.density(2.0, 1.5))
-    rejected_inputs = [(math.nan, 0.5), (1.0, math.inf), (ts, np.array([0.0, math.nan]))]
-    if family is UNIF:  # theta > 0
-        rejected_inputs += [(0.0, 0.5), (-1.0, 0.5), (np.array([[1.0], [0.0]]), xs)]
-    for theta, x in rejected_inputs:
-        with pytest.raises(ValueError) as rejected:
-            family.density(theta, x)
-        with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
-            family.root_density(theta, x)
+    for theta, x in ((ts, xs), (2.0, 1.5)):
+        d = family._divisor(theta)
+        root, p = _kernel(family, theta, x, root=True) / np.sqrt(d), _kernel(family, theta, x) / d
+        assert root.shape == p.shape == np.broadcast_shapes(np.shape(theta), np.shape(x))
+        assert np.all(np.abs(root**2 - p) <= 4.0 * np.spacing(p))
 
 
 @pytest.mark.parametrize("sigma", [7.5e-155, 2.0**-40, 0.75, 1.0, 3.0, 1e5, 2.0**300, 1e153])
@@ -81,19 +95,20 @@ def test_gaussian_kernel_keeps_the_bits_of_the_unscaled_formula(sigma):
     # underflows
     family = GaussianLocation(sigma)
     theta, x = sigma * np.linspace(-3.0, 3.0, 13)[:, None], sigma * np.linspace(-9.0, 9.0, 101)
-    d = sigma * math.sqrt(2.0 * math.pi)
-    assert np.array_equal(family.density(theta, x), np.exp((x - theta)**2 * (-0.5 / sigma**2)) / d)
-    assert np.array_equal(family.root_density(theta, x),
-                          np.exp((x - theta)**2 * (-0.25 / sigma**2)) / math.sqrt(d))
+    assert family._divisor(theta) == sigma * math.sqrt(2.0 * math.pi)
+    assert np.array_equal(_kernel(family, theta, x), np.exp((x - theta)**2 * (-0.5 / sigma**2)))
+    assert np.array_equal(_kernel(family, theta, x, root=True),
+                          np.exp((x - theta)**2 * (-0.25 / sigma**2)))
 
 
 @pytest.mark.parametrize("sigma", [1e154, 1.3e154])
 def test_gaussian_density_past_the_square_of_the_float_range(sigma):
     # (x - theta)^2 of 2 sigma overflows: the kernel reads it in units near sigma
-    family = GaussianLocation(sigma)
-    want = math.exp(-2.0) / (sigma * math.sqrt(2.0 * math.pi))
-    assert family.density(0.0, 2.0 * sigma) == pytest.approx(want, rel=1e-15)
-    assert family.root_density(sigma, -sigma) ** 2 == pytest.approx(want, rel=1e-15)
+    family, d = GaussianLocation(sigma), sigma * math.sqrt(2.0 * math.pi)
+    want = math.exp(-2.0) / d
+    assert _kernel(family, 0.0, 2.0 * sigma) / d == pytest.approx(want, rel=1e-15)
+    assert (_kernel(family, sigma, -sigma, root=True) / math.sqrt(d)) ** 2 == \
+        pytest.approx(want, rel=1e-15)
 
 
 def test_fisher_info():
@@ -214,14 +229,16 @@ def test_divergences_accept_arrays():
         UNIF.hellinger_sq(np.array([1.0, -1.0]), 2.5)
     with pytest.raises(ValueError, match=re.escape("requires theta + h > 0")):
         UNIF.hellinger_sq(np.array([1.0, 2.0]), -1.5)
-    # the density broadcasts: the oracle grid is p_t(x) over t down axis 0
+    # the kernel broadcasts: the oracle grid is k at t down axis 0
     ts, xs = np.linspace(0.5, 3.0, 6), np.linspace(-1.0, 4.0, 11)
     for family in (GAUSS, UNIF):
-        grid = family.density(ts[:, None], xs[None, :])
+        grid = _kernel(family, ts[:, None], xs[None, :])
         assert grid.shape == (6, 11)
-        one_by_one = [[family.density(float(t), float(x)) for x in xs] for t in ts]
+        one_by_one = [[_kernel(family, float(t), float(x)) for x in xs] for t in ts]
         assert grid == pytest.approx(np.array(one_by_one), rel=1e-15, abs=0.0)
+        assert grid / family._divisor(ts[:, None]) == pytest.approx(
+            density(family, ts[:, None], xs), rel=1e-15, abs=0.0)
     with pytest.raises(ValueError, match="requires theta > 0"):
-        UNIF.density(np.array([[1.0], [0.0]]), xs[None, :])
+        UNIF.check_theta(np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError, match="x must be finite"):
-        GAUSS.density(ts[:, None], np.array([[0.0, math.inf]]))
+        GAUSS.check_x(np.array([[0.0, math.inf]]))

@@ -172,17 +172,23 @@ def _bumps_2d(a, b):
     return value, grad, hess
 
 
+def _coarse_2d(f, box):
+    """f's values on maximize_2d's coarse grid of the box, one call a point."""
+    xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
+    return [[float(f(x, y)[0]) for y in ys] for x in xs]
+
+
 def test_maximize_2d():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
-    (x, y), v = maximize_2d(_quadratic_2d, box)
+    (x, y), v = maximize_2d(_quadratic_2d, box, _coarse_2d(_quadratic_2d, box))
     assert (x, y) == (pytest.approx(0.3, abs=1e-12), pytest.approx(-1.2, abs=1e-12))
     assert v == pytest.approx(0.0, abs=1e-20)
-    (x, y), v = maximize_2d(_bumps_2d, box)
+    (x, y), v = maximize_2d(_bumps_2d, box, _coarse_2d(_bumps_2d, box))
     assert (x, y) == (pytest.approx(0.3, abs=1e-9), pytest.approx(-1.2, abs=1e-9))
     assert v == pytest.approx(1.0, abs=1e-15)
     # the maximum on a corner: the box stops the ascent
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
-    (x, y), v = maximize_2d(_plane_2d, box)
+    (x, y), v = maximize_2d(_plane_2d, box, _coarse_2d(_plane_2d, box))
     assert (x, y) == (1.0, 1.0)
     assert v == 2.0
 
@@ -368,17 +374,19 @@ def test_maximize_2d_coarse_values_match_the_scan():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
     xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
     coarse = np.array([[_tie_on_corners_2d(x, y) for y in ys] for x in xs])
-    scanned = maximize_2d(_tie_on_corners_2d_derivatives, box)
+    scanned = maximize_2d(_tie_on_corners_2d_derivatives, box,
+                          _coarse_2d(_tie_on_corners_2d_derivatives, box))
     assert maximize_2d(_tie_on_corners_2d_derivatives, box, coarse) == scanned
     assert scanned == ((-1.0, -2.0), 2.0)
     # two maxima off the diagonal: a transposed table starts on the lower one
     coarse = np.array([[_bumps_2d(x, y)[0] for y in ys] for x in xs])
-    assert maximize_2d(_bumps_2d, box, coarse) == maximize_2d(_bumps_2d, box)
-    assert maximize_2d(_bumps_2d, box, coarse.T) != maximize_2d(_bumps_2d, box)
+    scanned = maximize_2d(_bumps_2d, box, _coarse_2d(_bumps_2d, box))
+    assert maximize_2d(_bumps_2d, box, coarse) == scanned
+    assert maximize_2d(_bumps_2d, box, coarse.T) != scanned
     # a NaN never wins the scan
     nan_left = lambda a, b: (math.nan, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))) if a < 0.0 \
         else _plane_2d(a, b)
-    assert maximize_2d(nan_left, box) == ((1.0, 2.0), 3.0)
+    assert maximize_2d(nan_left, box, _coarse_2d(nan_left, box)) == ((1.0, 2.0), 3.0)
 
 
 def test_maximize_2d_refinement_never_below_the_coarse_best():
@@ -404,8 +412,8 @@ def test_maximize_2d_refinement_never_below_the_coarse_best():
     assert x <= 0.2 and y >= -1.3
     assert v == pytest.approx(-(0.2 - 0.3) ** 2, abs=1e-3)
     # a -inf or NaN scan stays at its first point
-    assert maximize_2d(lambda a, b: (-math.inf, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),
-                       box) == ((-1.0, -2.0), -math.inf)
+    flat = lambda a, b: (-math.inf, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
+    assert maximize_2d(flat, box, _coarse_2d(flat, box)) == ((-1.0, -2.0), -math.inf)
 
 
 def test_maximize_coarse_values_of_the_wrong_shape_are_rejected():
