@@ -1,18 +1,23 @@
 """Command-line interface: parses arguments, calls the library (the sweep is
-``minimaxlb.sweep``, the selftest checks are ``minimaxlb.checks``) and writes
-its results as text, CSV and self-contained SVG figures.
+``minimaxlb.sweep``, the selftest checks are ``minimaxlb.checks``) and renders
+its results as text, CSV and self-contained SVG figures. Each ``cmd_*`` returns
+its exit code and outputs; ``main`` writes them once, through ``_write_outputs``.
 
 Output determinism: identical invocations produce byte-identical CSV and SVG
 (shortest round-trip float formatting, no timestamps, fixed palettes). SVG
 is written directly as polyline plots to keep the artifact dependency-free.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-tolerance failure.
+Exit codes: 0 success, 2 validation error (an unwritable output too), 3
+numerical-tolerance failure. On 2 or 3 stdout is empty and no file holds
+output, but ``selftest`` prints its report when a check fails (exit 3).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,6 +29,7 @@ from .sweep import RISKS, SWEEP_ESTIMATORS, SWEEP_METHODS, SweepConfig, run_swee
 
 CSV_COLUMNS = ("delta", "n", "bound_vt", "bound_diffeo", "bound_twopoint",
                "risk_constant", "risk_plugin", "risk_pretest")
+Outputs = List[Tuple[Optional[str], str]]  # (path, text); a path of None or "-" is stdout
 
 
 def fmt(x: float) -> str:
@@ -31,16 +37,28 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    """text to path, or stdout for None or "-"; an unwritable path is a ValueError."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+def _write_outputs(outputs: Outputs) -> None:
+    """Opens every file, writes every file, then stdout. One file named twice, or a failed
+    open, write or close, is a ValueError naming the path, with no output written anywhere."""
+    files = [(path, text) for path, text in outputs if path not in (None, "-")]
+    if files:  # most calls write stdout alone: that path costs no more than a print
+        if len({os.path.realpath(path) for path, _ in files}) < len(files):
+            names = " and ".join(path for path, _ in files)
+            raise ValueError(f"cannot write two outputs to one file: {names}")
+        opened = []
+        try:
+            for path, _ in files:
+                opened.append(open(path, "wb"))
+            for fh, (path, text) in zip(opened, files):
+                with fh:  # closing flushes, so a full device fails here
+                    fh.write(text.encode("utf-8"))
+        except OSError as exc:
+            for fh, (done, _) in zip(opened, files):
+                with contextlib.suppress(OSError):
+                    fh.close()
+                    open(done, "wb").close()  # no file keeps a part of the output
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+    sys.stdout.write("".join([text for path, text in outputs if path in (None, "-")]))
 
 
 def _csv(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:
@@ -108,17 +126,9 @@ DEFAULT_DELTA_GRID = "log:1e-2:1e2:50"
 # CSV rendering of sweep rows
 
 def rows_to_csv(rows: Sequence[Dict[str, float]]) -> str:
-    body = []
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            if col == "n":
-                cells.append(str(int(row["n"])))
-            elif col in row:
-                cells.append(fmt(row[col]))
-            else:
-                cells.append("")
-        body.append(cells)
+    """n as an integer; a column the sweep did not compute is left empty."""
+    body = [[str(int(row["n"])) if col == "n" else fmt(row[col]) if col in row else ""
+             for col in CSV_COLUMNS] for row in rows]
     return _csv(body, CSV_COLUMNS)
 
 
@@ -212,23 +222,19 @@ def sweep_svg(rows: Sequence[Dict[str, float]], config: SweepConfig) -> str:
     group_key = "n" if x_key == "delta" else "delta"
     groups = sorted({row[group_key] for row in rows})
     series: List[Series] = []
-    color_idx = 0
     columns = ([("bound_" + m, True) for m in config.methods]
                + [("risk_" + e, False) for e in config.estimators])
     for g in groups:
         sub = [r for r in rows if r[group_key] == g]
         sub.sort(key=lambda r: r[x_key])
         for col, dashed in columns:
-            if col not in sub[0]:
-                continue
             label = f"{col} ({group_key}={g:g})" if len(groups) > 1 else col
             series.append(Series(
                 label=label,
                 xs=tuple(r[x_key] for r in sub),
                 ys=tuple(r[col] for r in sub),
                 dashed=dashed,
-                color=_PALETTE[color_idx % len(_PALETTE)]))
-            color_idx += 1
+                color=_PALETTE[len(series) % len(_PALETTE)]))
     return render_loglog_svg(series, x_key, "n-scaled local minimax risk: "
                                             "bounds (dashed) vs estimators (solid)")
 
@@ -239,8 +245,7 @@ def kepler_svg(a_values: Sequence[float]) -> str:
     out = _svg_header(width, height)
     ml, mt, pw, ph = 60, 50, 340, 300
     ts = np.linspace(-1.0, 1.0, 401)
-    curves = {a: priors.KeplerCosine.for_constraint(a) for a in a_values}
-    dens = {a: q.density(ts) for a, q in curves.items()}
+    dens = {a: priors.KeplerCosine.for_constraint(a).density(ts) for a in a_values}
     d_max = max(max(v) for v in dens.values()) or 1.0
     out.append(f'<text x="{ml}" y="26" font-family="monospace" font-size="14">'
                'constrained cosine priors q_a(t)</text>')
@@ -276,7 +281,7 @@ def kepler_svg(a_values: Sequence[float]) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_kepler(args: argparse.Namespace) -> int:
+def cmd_kepler(args: argparse.Namespace) -> Tuple[int, Outputs]:
     if args.a and args.grid is not None:
         raise ValueError("kepler --a does not read --grid")
     grid = 101 if args.grid is None else args.grid
@@ -287,10 +292,10 @@ def cmd_kepler(args: argparse.Namespace) -> int:
     for a in a_values:
         sol = priors.solve_kepler(a)
         rows.append((fmt(a), fmt(sol.y_a), fmt(sol.w_a), fmt(sol.min_fisher)))
-    _write_text(args.out, _csv(rows, ("a", "y_a", "w_a", "min_fisher")))
+    outputs = [(args.out, _csv(rows, ("a", "y_a", "w_a", "min_fisher")))]
     if args.svg:
-        _write_text(args.svg, kepler_svg(args.a or [0.5, 0.75, 1.0]))
-    return 0
+        outputs.append((args.svg, kepler_svg(args.a or [0.5, 0.75, 1.0])))
+    return 0, outputs
 
 
 # The options of `bound` with their defaults, and each method's printed name and the
@@ -376,15 +381,14 @@ def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[
     return bounds.BoundResult(value), []
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> Tuple[int, Outputs]:
     result, notes = _bound_dispatch(args)
     lines = [f"method={_BOUND_READS[args.method].tag}", f"value={fmt(result.value)}"]
     lines += [f"{k}={fmt(v)}" for k, v in sorted(result.argmax.items())]
     lines += notes
-    print("\n".join(lines))
     row = (fmt(args.delta), str(args.n), args.method, fmt(result.value))
-    _write_text(args.out, _csv([row], ("delta", "n", "method", "value")))
-    return 0
+    return 0, [(None, "\n".join(lines) + "\n"),
+               (args.out, _csv([row], ("delta", "n", "method", "value")))]
 
 
 def _reject_unread_threshold(threshold: Optional[float], flag: str,
@@ -393,17 +397,16 @@ def _reject_unread_threshold(threshold: Optional[float], flag: str,
         raise ValueError(f"{flag} {','.join(names)} does not read --threshold")
 
 
-def cmd_risk(args: argparse.Namespace) -> int:
+def cmd_risk(args: argparse.Namespace) -> Tuple[int, Outputs]:
     _reject_unread_threshold(args.threshold, "--estimator", (args.estimator,))
-    n = int(args.n)
-    value = estimators.local_minimax_risk(RISKS[args.estimator](args.threshold), args.delta, n)
-    print(f"value={fmt(value)}")
-    row = (fmt(args.delta), str(n), args.estimator, fmt(value))
-    _write_text(args.out, _csv([row], ("delta", "n", "estimator", "value")))
-    return 0
+    estimator = RISKS[args.estimator](args.threshold)
+    value = estimators.local_minimax_risk(estimator, args.delta, args.n)
+    row = (fmt(args.delta), str(args.n), args.estimator, fmt(value))
+    return 0, [(None, f"value={fmt(value)}\n"),
+               (args.out, _csv([row], ("delta", "n", "estimator", "value")))]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Tuple[int, Outputs]:
     n_values = tuple(int(x) for x in str(args.n).split(","))
     delta_values = parse_grid(args.delta_grid)
     config = SweepConfig(
@@ -418,28 +421,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     _reject_unread_threshold(args.threshold, "--estimators", config.estimators)
     rows = run_sweep(config)
-    _write_text(args.out, rows_to_csv(rows))
+    outputs = [(args.out, rows_to_csv(rows))]
     if args.svg:
-        _write_text(args.svg, sweep_svg(rows, config))
-    return 0
+        outputs.append((args.svg, sweep_svg(rows, config)))
+    return 0, outputs
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
-    rows = []
+def cmd_constants(args: argparse.Namespace) -> Tuple[int, Outputs]:
+    rows, report = [], []
     for name in bounds.LAM_CONSTANTS:
         arg, value = bounds.lam_constant(name)
-        print(f"{name}: value={fmt(value)} argmax={fmt(arg)}")
+        report.append(f"{name}: value={fmt(value)} argmax={fmt(arg)}\n")
         rows.append((name, fmt(value), fmt(arg)))
-    _write_text(args.out, _csv(rows, ("name", "value", "argmax")))
-    return 0
+    return 0, [(None, "".join(report)), (args.out, _csv(rows, ("name", "value", "argmax")))]
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    failed = 0
-    for name, ok, detail in checks.selftest_checks():
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 3
+def cmd_selftest(args: argparse.Namespace) -> Tuple[int, Outputs]:
+    results = checks.selftest_checks()
+    report = "".join(f"{'PASS' if ok else 'FAIL'} {name} ({detail})\n"
+                     for name, ok, detail in results)
+    return (0 if all(ok for _, ok, _ in results) else 3), [(None, report)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", action="append", type=float,
                    help="mass constraint in [0,1]; repeatable")
     p.add_argument("--grid", type=int, help="number of a values on [0,1] (default 101)")
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--svg", help="optional SVG output path")
     p.set_defaults(func=cmd_kepler)
 
     # no prefix matching: a stray --a would otherwise be read as --alpha
     p = sub.add_parser("bound", help="evaluate one lower bound", allow_abbrev=False)
-    p.add_argument("--method", required=True,
-                   choices=tuple(_BOUND_READS))
+    p.add_argument("--method", required=True, choices=tuple(_BOUND_READS))
     p.add_argument("--family", default=_BOUND_DEFAULTS["family"], choices=tuple(_FAMILIES))
     p.add_argument("--sigma", type=float, default=_BOUND_DEFAULTS["sigma"])
     p.add_argument("--prior", help="prior spec, e.g. cosine:0:1 or gaussian:0:1")
@@ -478,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi2", type=float)
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
-    p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("risk", help="local minimax risk of a reference estimator")
@@ -486,37 +483,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("sweep", help="sweep a parameter grid to CSV/SVG")
     p.add_argument("--mode", default="delta", choices=("delta", "n"))
-    p.add_argument("--n", default="100",
-                   help="sample size or comma list (e.g. 10,100)")
+    p.add_argument("--n", default="100", help="sample size or comma list (e.g. 10,100)")
     p.add_argument("--delta", dest="delta_grid", default=DEFAULT_DELTA_GRID,
                    help="delta grid: 'log:lo:hi:count' or comma list")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--methods", help="comma subset of " + ",".join(SWEEP_METHODS))
     p.add_argument("--estimators", help="comma subset of " + ",".join(SWEEP_ESTIMATORS))
     p.add_argument("--threshold", type=float)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--svg", help="optional SVG output path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("constants", help="the three scalar asymptotic constants")
-    p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.set_defaults(func=cmd_selftest)
+    for name, p in sub.choices.items():  # the outputs each command returns
+        if name != "selftest":
+            p.add_argument("--out", help="CSV output path (default stdout)")
+        if name in ("kepler", "sweep"):
+            p.add_argument("--svg", help="optional SVG output path")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
+        _write_outputs(outputs)
+        return code
     except numerics.ToleranceNotMet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

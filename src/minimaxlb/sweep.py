@@ -9,7 +9,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bounds, estimators
 
-# name -> n-scaled bound at (delta, n) for the unit-variance problem
+# name -> n-scaled bound at (delta, n) for the unit-variance problem; each lambda looks up
+# bounds.<name> at call time, so it calls whatever perfbench's tracer rebinds there
 BOUNDS = {
     "vt": lambda delta, n: bounds.vt_kepler_bound(delta, n, 1.0),
     "diffeo": lambda delta, n: bounds.diffeo_bound_sup(delta, n),
@@ -47,12 +48,13 @@ class SweepConfig:
             raise ValueError("delta grid must be strictly increasing")
         bounds.check_scale(self.sigma, "sigma")
         estimators.PreTest(self.threshold)  # PreTest's threshold rule, before any row
-        for m in self.methods:
-            if m not in SWEEP_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        for e in self.estimators:
-            if e not in SWEEP_ESTIMATORS:
-                raise ValueError(f"unknown estimator {e!r}")
+        for kind, names, known in (("method", self.methods, SWEEP_METHODS),
+                                   ("estimator", self.estimators, SWEEP_ESTIMATORS)):
+            for k, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+                if name in names[:k]:  # its series would be drawn twice
+                    raise ValueError(f"{kind} {name!r} is given twice")
 
 
 def sweep_row_values(n: int, delta: float, config: SweepConfig) -> Dict[str, float]:

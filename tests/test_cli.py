@@ -1,4 +1,7 @@
+import ast
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +235,11 @@ def test_sweep_config_validation():
         SweepConfig("fixed-n-vary-delta", (10,), (1.0,), methods=("fano",))
     with pytest.raises(ValueError, match="threshold must be positive and finite"):
         SweepConfig("fixed-n-vary-delta", (10,), (1.0,), threshold=-1e300)
+    # a repeated name would draw its series twice
+    with pytest.raises(ValueError, match="method 'vt' is given twice"):
+        SweepConfig("fixed-n-vary-delta", (10,), (1.0,), methods=("vt", "diffeo", "vt"))
+    with pytest.raises(ValueError, match="estimator 'plugin' is given twice"):
+        SweepConfig("fixed-n-vary-delta", (10,), (1.0,), estimators=("plugin", "plugin"))
 
 
 def test_sweep_rows_in_grid_order():
@@ -485,6 +493,9 @@ def test_bound_command_validation_exit(tmp_path):
     # the default grid's cells are 0.012 wide: 12 family sigmas, where the grid read 0.0
     (["bound", "--method", "chi2", "--sigma", "0.001", "--prior", "gaussian:0:1", "--h", "0.1",
       "--lambda", "0.5"], 2, "t-cell 0.012 is wider than half the family's sigma 0.001"),
+    # a repeated sweep name would draw its series twice
+    (["sweep", "--n", "10", "--delta", "0.5,1", "--methods", "vt,vt", "--estimators",
+      "plugin,plugin"], 2, "method 'vt' is given twice"),
 ])
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:
@@ -500,14 +511,58 @@ def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     ["constants", "--out", "{missing}/x.csv"],
     ["sweep", "--n", "10", "--out", "{missing}/x.csv"],
     ["kepler", "--a", "0.5", "--svg", "{missing}/x.svg"],
+    ["constants", "--out", "/dev/full"],  # fails on the write, not the open
+    ["bound", "--method", "vt", "--n", "100", "--out", "{missing}/x.csv"],
+    ["kepler", "--a", "0.5", "--out", "{tmp}/k.csv", "--svg", "{missing}/x.svg"],
+    ["kepler", "--a", "0.5", "--out", "{tmp}/k.csv", "--svg", "/dev/full"],
+    ["kepler", "--a", "0.5", "--out", "{tmp}/F", "--svg", "{tmp}/F"],
+    ["kepler", "--a", "0.5", "--out", "{tmp}/F", "--svg", "{tmp}/./F"],
+    ["sweep", "--n", "10", "--delta", "1", "--out", "{tmp}/s.csv", "--svg", "{missing}/x.svg"],
 ])
 def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
-    # an output under a directory that does not exist is a validation error naming
-    # the path, not a FileNotFoundError out of main
-    missing = tmp_path / "no" / "such" / "dir"
-    assert main([arg.format(missing=missing) for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {missing}/x.") and "Traceback" not in err
+    # an output that cannot be opened, written or closed, or one file named for two
+    # outputs, is a validation error naming the path (the last one given), not an
+    # OSError out of main; stdout stays empty and no file holds any output (a file
+    # opened before the one that failed is left empty)
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    argv = [arg.format(missing=tmp_path / "no" / "such" / "dir", tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: cannot write {argv[-1]}: ") or printed.err == \
+        f"error: cannot write two outputs to one file: {argv[-3]} and {argv[-1]}\n"
+    assert "Traceback" not in printed.err and printed.out == ""
+    assert all(path.stat().st_size == 0 for path in tmp_path.iterdir() if path.is_file())
+
+
+def test_only_the_writer_and_main_do_io():
+    # every command returns its outputs and main writes them once, through
+    # _write_outputs; main's own output is its two error lines
+    calls, writes = [], []
+
+    class Scope(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            name = ast.unparse(node.func)
+            if name in ("print", "open", "io.open", "os.open", "os.write") or \
+                    name.startswith(("sys.stdout", "sys.stderr")):
+                calls.append((".".join(self.scope), ast.unparse(node)))
+            if name == "_write_outputs":
+                writes.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        Scope(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    error_line = "print(f'error: {exc}', file=sys.stderr)"
+    assert [c for c in calls if c[0] != "cli._write_outputs"] == [("cli.main", error_line)] * 2
+    assert len(calls) > 2 and writes == ["cli.main"]
 
 
 def _chi2_gaussian_closed_form(h):

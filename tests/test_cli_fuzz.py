@@ -1,10 +1,12 @@
 """The CLI contract on argvs built from the parser's own tables, with extreme
 and malformed values and output targets: every run exits 0, 2 or 3 without a
-traceback, and a repeat prints the same bytes."""
+traceback, a run that exits 2 or 3 leaves stdout empty and no file holding any
+output, and a repeat prints the same bytes."""
 import contextlib
 import io
 import os
 import sys
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,9 +41,12 @@ GRIDS = st.one_of(
 BOUND_VALUES = {"family": st.sampled_from(sorted(_FAMILIES)), "prior": PRIORS, "n": SIZES,
                 "sigma": SCALES, "delta": SCALES, "xi2": SCALES, "alpha": UNITS, "lam": UNITS}
 BOUND_NEEDS = {"twopoint": ("theta1", "theta2"), "chi2": ("h",)}
-# stdout, or a file under a directory that does not exist, so that no file is written
+# stdout; a file under a directory that does not exist; a file in a fresh temporary
+# directory per example, written {tmp} here; and, where it exists, a device that
+# fails every write
 MISSING_DIR = os.path.join(os.sep, "no", "such", "dir")
-TARGETS = st.sampled_from(["-", os.path.join(MISSING_DIR, "out")])
+TARGETS = st.sampled_from(["-", os.path.join(MISSING_DIR, "out"), os.path.join("{tmp}", "out")]
+                          + (["/dev/full"] if os.path.exists("/dev/full") else []))
 
 
 def _option(dest: str, value: str) -> str:
@@ -103,10 +108,14 @@ def sweep_argv(draw):
 
 @st.composite
 def with_outputs(draw, argvs):
-    # each output option of the command with odds 1/4
+    # each output option of the command with odds 1/4; when both are drawn, they
+    # name the same target with odds 1/2
     argv = draw(argvs)
     flags = ("--out", "--svg") if argv[0] in ("sweep", "kepler") else ("--out",)
-    return argv + [f"{flag}={draw(TARGETS)}" for flag in flags if draw(st.integers(0, 3)) == 0]
+    targets = {flag: draw(TARGETS) for flag in flags if draw(st.integers(0, 3)) == 0}
+    if len(targets) == 2 and draw(st.booleans()):
+        targets["--svg"] = targets["--out"]
+    return argv + [f"{flag}={target}" for flag, target in targets.items()]
 
 
 def _run(argv):
@@ -125,7 +134,12 @@ def _run(argv):
                                    sweep_argv(), kepler_argv(), st.just(["constants"]))))
 def test_cli_exits_0_2_or_3_without_traceback(argv):
     assert not os.path.exists(MISSING_DIR)
-    code, out, err = _run(argv)
-    assert code in (0, 2, 3), (code, err)
-    assert "Traceback" not in err
-    assert _run(argv)[:2] == (code, out)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        code, out, err = _run(argv)
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code != 0:  # no partial output
+            assert out == ""
+            assert all(os.path.getsize(os.path.join(tmp, name)) == 0 for name in os.listdir(tmp))
+        assert _run(argv)[:2] == (code, out)

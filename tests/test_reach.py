@@ -15,7 +15,8 @@ PACKAGE = Path(minimaxlb.__file__).resolve().parent
 
 # (argv, exit code): every command, each bound method with searched and fixed
 # arguments, both families, the three functionals, the four priors, the lambda > 0
-# chi2 grid with each family, and argvs that exit 2 and 3
+# chi2 grid with each family, and argvs that exit 2 (among them an unwritable
+# output and one file named for two outputs) and 3
 CLI_CORPUS = (
     (["kepler", "--a", "0.5", "--a", "1"], 0),
     (["kepler", "--grid", "11", "--out", "kepler.csv", "--svg", "kepler.svg"], 0),
@@ -58,6 +59,7 @@ CLI_CORPUS = (
     (["sweep", "--n", "10", "--delta", "log:0.1:10:3", "--methods", "vt",
       "--estimators", "pretest", "--threshold", "0.5"], 0),
     (["sweep", "--n", "10", "--delta", "1", "--out", "no-such-dir/sweep.csv"], 2),
+    (["kepler", "--a", "0.5", "--out", "same.csv", "--svg", "./same.csv"], 2),
     (["constants"], 0),
     (["selftest"], 0),
 )
