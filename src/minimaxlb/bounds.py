@@ -18,7 +18,7 @@ import numpy as np
 
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
-from .models import Family, GaussianLocation, hellinger_sq_iid
+from .models import Family, hellinger_sq_iid
 from .numerics import (OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points, float_or_array,
                        integrate_panels, math_elementwise, maximize_1d, maximize_2d,
                        panel_nodes, refine_coarse_max)
@@ -122,7 +122,6 @@ class PowerMax(Functional):
 
 
 MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
-_UNIT_GAUSSIAN, _MAX_ZERO = GaussianLocation(1.0), MaxZero()  # twopoint_bound_sup's model
 
 
 @dataclass(frozen=True)
@@ -274,18 +273,6 @@ def _kepler_mass(y):
     return 0.5 * (1.0 + y + math_elementwise(math.sin, _PI * y) / _PI)
 
 
-def _quotient_derivatives(num, dnum, hnum, den, dden, hden):
-    """Value, gradient and Hessian of num/den from those of num and den, in
-    Python floats: the gradients are lists and the Hessians lists of rows.
-    Overflow gives inf and NaN silently; den must be nonzero (the diffeo
-    objective's, its one caller, is positive)."""
-    value = num / den
-    grad = [(dn - value * dd) / den for dn, dd in zip(dnum, dden)]
-    return value, grad, [[(hn - value * hd - gi * ddj - ddi * gj) / den
-                          for hn, hd, ddj, gj in zip(hn_row, hd_row, dden, grad)]
-                         for hn_row, hd_row, gi, ddi in zip(hnum, hden, grad, dden)]
-
-
 def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
     """The Kepler bound's objective with its derivatives in the Kepler root y,
     where the mass a and the Fisher information pi^2 (1 + |y|)^2 are explicit
@@ -422,18 +409,21 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
     # z/xi2 and d/dlog xi2 by z^2; Y = xi2^2 E[g^2] is xi2 times the same over all u.
     (i0, i1, i2, i3, i4), (s0, s1, s2, s3, s4) = _diffeo_moments(xi1, xi2, derivatives=True)
     s, k = xi2, 4.0 * n
-    p, dp = s * i0, [i1, s * i2]
-    hp = [[(i2 - i0) / s, i3 - 2.0 * i1], [i3 - 2.0 * i1, s * (i4 - 2.0 * i2)]]
-    dy = [s * s1, s * s * (s0 + s2)]
-    hy = [[s2 - s0, s * (s3 - s1)], [s * (s3 - s1), s * s * (s0 + s4)]]
-    # the bound 4n P^2 / (pi^2/delta^2 + 4n Y), its value as diffeo_bound computes it;
-    # the denominator is positive, since pi^2/delta^2 > 0 and E[g^2] >= 0
-    _, grad, hess = _quotient_derivatives(
-        k * p * p, [2.0 * k * p * d for d in dp],
-        [[2.0 * k * (di * dj + p * h) for dj, h in zip(dp, row)] for di, row in zip(dp, hp)],
-        _PI * _PI / delta**2 + k * s * s * s0, [k * d for d in dy],
-        [[k * h for h in row] for row in hy])
-    return max(_diffeo_ratio(delta, n, xi2, i0, s0), 0.0), grad, hess
+    k2, p, dp1, dp2 = 2.0 * k, s * i0, i1, s * i2
+    # the bound 4n P^2 / D, D = pi^2/delta^2 + 4n Y, by the quotient rule in floats, in the
+    # order of operations of its numpy form; D > 0, since pi^2/delta^2 > 0 and E[g^2] >= 0
+    den, dd1, dd2 = _PI * _PI / delta**2 + k * s * s * s0, k * (s * s1), k * (s * s * (s0 + s2))
+    hd11, hd12, hd22 = k * (s2 - s0), k * (s * (s3 - s1)), k * (s * s * (s0 + s4))
+    value = k * p * p / den
+    g1, g2 = (k2 * p * dp1 - value * dd1) / den, (k2 * p * dp2 - value * dd2) / den
+    # the off-diagonal cells share this part; each subtracts its g terms in its own order
+    h12 = k2 * (dp1 * dp2 + p * (i3 - 2.0 * i1)) - value * hd12
+    hess = [[(k2 * (dp1 * dp1 + p * ((i2 - i0) / s)) - value * hd11 - g1 * dd1 - dd1 * g1) / den,
+             (h12 - g1 * dd2 - dd1 * g2) / den],
+            [(h12 - g2 * dd1 - dd2 * g1) / den,
+             (k2 * (dp2 * dp2 + p * (s * (i4 - 2.0 * i2))) - value * hd22 - g2 * dd2 - dd2 * g2)
+             / den]]
+    return max(_diffeo_ratio(delta, n, xi2, i0, s0), 0.0), [g1, g2], hess
 
 
 _TABLE_ROWS = 8   # xi1s a pass: the build's peak memory is 0.75 MB, against 3.9 MB for 64
@@ -495,12 +485,12 @@ def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
     it is g(u) = 4u exp(-u) - 2u; g'(u) = -2 + 4 exp(-u) (1 - u) decreases on
     (0, 2) (g'' = 4 exp(-u) (u - 2)) and is negative past u = 1, so g has one
     maximum, at u* ~ 0.315 (eps* ~ 1.5873), and the sup over t in (0, delta)
-    sits at t = min(eps*/sqrt(n), delta^-), where the bound is evaluated once.
+    is the objective at eps = min(eps*, sqrt(n) delta^-), with argmax t = eps/sqrt(n).
     """
     _check_delta_n(delta, n)
-    t = min(_twopoint_argmax() / math.sqrt(n), delta * OPEN_EDGE)
-    value = two_point_hellinger_bound(_UNIT_GAUSSIAN, n, _MAX_ZERO, 0.0, t)
-    return BoundResult(max(value, 0.0), {"theta2": t})
+    eps = min(_twopoint_argmax(), math.sqrt(n) * (delta * OPEN_EDGE))
+    return BoundResult(max(regular_twopoint_objective(eps), 0.0),
+                       {"theta2": eps / math.sqrt(n)})
 
 
 def two_point_hellinger_bound(family: Family, n: int, f: Functional,

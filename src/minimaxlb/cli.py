@@ -39,26 +39,31 @@ def fmt(x: float) -> str:
 
 def _write_outputs(outputs: Outputs) -> None:
     """Opens every file, writes every file, then stdout. One file named twice, or a failed
-    open, write or close, is a ValueError naming the path, with no output written anywhere."""
-    files = [(path, text) for path, text in outputs if path not in (None, "-")]
-    if files:  # most calls write stdout alone: that path costs no more than a print
-        if len({os.path.realpath(path) for path, _ in files}) < len(files):
-            names = " and ".join(path for path, _ in files)
-            raise ValueError(f"cannot write two outputs to one file: {names}")
-        opened = []
-        try:
+    open, write or close, is a ValueError naming the path (or stdout), with no output written
+    to any file; a failed stdout is pointed at the null device, so exit flushes nothing."""
+    files, opened = [(path, text) for path, text in outputs if path not in (None, "-")], []
+    try:
+        if files:  # most calls write stdout alone: that path costs no more than a print
+            if len({os.path.realpath(path) for path, _ in files}) < len(files):
+                names = " and ".join(path for path, _ in files)
+                raise ValueError(f"cannot write two outputs to one file: {names}")
             for path, _ in files:
                 opened.append(open(path, "wb"))
             for fh, (path, text) in zip(opened, files):
                 with fh:  # closing flushes, so a full device fails here
                     fh.write(text.encode("utf-8"))
-        except OSError as exc:
-            for fh, (done, _) in zip(opened, files):
-                with contextlib.suppress(OSError):
-                    fh.close()
-                    open(done, "wb").close()  # no file keeps a part of the output
-            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
-    sys.stdout.write("".join([text for path, text in outputs if path in (None, "-")]))
+        path = "stdout"
+        sys.stdout.write("".join([text for where, text in outputs if where in (None, "-")]))
+        sys.stdout.flush()
+    except OSError as exc:
+        for fh, (done, _) in zip(opened, files):
+            with contextlib.suppress(OSError):
+                fh.close()
+                open(done, "wb").close()  # no file keeps a part of the output
+        if path == "stdout":
+            with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:

@@ -73,17 +73,16 @@ class PreTest:
 
 
 def _pretest_objective(n: int, c_n: float, m: float):
-    """pretest_risk_at(m / sqrt(n)) with its derivatives in m. With k = sqrt(n) c_n
-    and c = k - m the risk is c phi(c) + 1 - Phi(c) + m^2 Phi(c), so
-    R' = k (k - 2m) phi(c) + 2m Phi(c) and R'' = phi(c) (c k (k - 2m) - 2k - 2m)
-    + 2 Phi(c); in theta they would carry n^(3/2), which overflows past n ~ 3e205."""
+    """pretest_risk_at(m / sqrt(n)) with its derivatives in m, from the phi and Phi of its
+    cut c. With k = sqrt(n) c_n, so that c = k - m, R' = k (k - 2m) phi(c) + 2m Phi(c)
+    and R'' = phi(c) (c k (k - 2m) - 2k - 2m) + 2 Phi(c); in theta they would carry
+    n^(3/2), which overflows past n ~ 3e205."""
+    value, c, phi, below = _risk_parts(m / math.sqrt(n), n, c_n)
     k = math.sqrt(n) * c_n
-    c = k - m
-    phi, below, slope = normal_pdf(c), normal_cdf(c), k * (k - 2.0 * m)
+    slope = k * (k - 2.0 * m)
     # phi(c) = 0 stands for terms that are 0, not inf * 0 = NaN
     grad, hess = (slope * phi, phi * (c * slope - 2.0 * k - 2.0 * m)) if phi else (0.0, 0.0)
-    return (pretest_risk_at(m / math.sqrt(n), n, c_n), [grad + 2.0 * m * below],
-            [[hess + 2.0 * below]])
+    return value, [grad + 2.0 * m * below], [[hess + 2.0 * below]]
 
 
 def pretest_risk_at(theta, n: int, c_n: float):
@@ -92,21 +91,26 @@ def pretest_risk_at(theta, n: int, c_n: float):
 
     Equals E[Z^2 1{Z >= cut}] + n theta^2 P(Z < cut) with the cutoff
     cut = sqrt(n) (c_n - theta); the Hodges choice c_n = n^(-1/4) gives
-    cut = n^(1/4) - sqrt(n) theta, and the first term is cut phi(cut) + 1 - Phi(cut).
+    cut = n^(1/4) - sqrt(n) theta.
     """
-    scalar = not isinstance(theta, np.ndarray)
-    if (theta < 0) if scalar else (theta < 0).any():
+    if (theta < 0) if not isinstance(theta, np.ndarray) else (theta < 0).any():
         raise ValueError("theta must be >= 0 (negative values are dominated)")
     check_n(n)
     if not c_n >= 0:
         raise ValueError(f"c_n must be >= 0, got {c_n!r}")
+    return _risk_parts(theta, n, c_n)[0]
+
+
+def _risk_parts(theta, n: int, c_n: float):
+    """The risk c phi(c) + 1 - Phi(c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), unchecked,
+    and c, phi(c) and Phi(c); Phi(c) = 0 before n theta^2 overflows, and the term is then 0."""
     cut = math.sqrt(n) * (c_n - theta)
-    below = normal_cdf(cut)  # 0 long before n theta^2 overflows: the term is then 0, not NaN
-    head = cut * normal_pdf(cut) + 1.0 - below
-    if scalar:
-        return head + (n * theta * theta * below if below else 0.0)
+    phi, below = normal_pdf(cut), normal_cdf(cut)
+    head = cut * phi + 1.0 - below
+    if not isinstance(theta, np.ndarray):
+        return head + (n * theta * theta * below if below else 0.0), cut, phi, below
     with np.errstate(over="ignore", invalid="ignore"):
-        return head + np.where(below > 0.0, n * theta * theta * below, 0.0)
+        return head + np.where(below > 0.0, n * theta * theta * below, 0.0), cut, phi, below
 
 
 def local_minimax_risk(estimator: Constant | PluginMLE | PreTest,

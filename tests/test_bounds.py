@@ -826,6 +826,26 @@ def test_twopoint_sup_is_at_least_a_dense_scan(delta, n):
     assert scan * (1.0 - 1e-15) <= got <= scan * (1.0 + 1e-8)
 
 
+def test_twopoint_sup_matches_mpmath():
+    # the sup is the regular two-point objective (-1/4 + exp(-eps^2/8)/2) eps^2 at
+    # eps = min(eps*, sqrt(n) delta^-), to 1e-15 relative of a 60-digit evaluation,
+    # over the CLI's n range and eps from far below eps* to far above it
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    cases = [(1e-8, 1), (1e-8, 10**300), (1e3, 1), (1e3, 10**300)] + [
+        (float(10.0 ** rng.uniform(-8.0, 3.0)), int(10.0 ** rng.uniform(0.0, 300.0)))
+        for _ in range(1000)]
+    eps_star, clamped = bounds._twopoint_argmax(), 0
+    for delta, n in cases:
+        got = twopoint_bound_sup(delta, n)
+        with mpmath.workdps(60):
+            eps = min(mpmath.mpf(eps_star), mpmath.sqrt(n) * (delta * numerics.OPEN_EDGE))
+            want = (mpmath.exp(-eps * eps / 8) / 2 - mpmath.mpf(1) / 4) * eps * eps
+            assert abs(got.value - want) <= 1e-15 * want, (delta, n, got.value, float(want))
+        clamped += eps < eps_star
+    assert 0 < clamped < len(cases)
+
+
 def test_lam_constants():
     assert lam_constant("regular_twopoint")[1] == pytest.approx(0.28953, abs=5e-4)
     assert lam_constant("uniform_twopoint")[1] == pytest.approx(0.0558, abs=5e-4)

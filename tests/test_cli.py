@@ -1,6 +1,8 @@
 import ast
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -533,6 +535,32 @@ def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
         f"error: cannot write two outputs to one file: {argv[-3]} and {argv[-1]}\n"
     assert "Traceback" not in printed.err and printed.out == ""
     assert all(path.stat().st_size == 0 for path in tmp_path.iterdir() if path.is_file())
+
+
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_exits_2(stdout, tmp_path):
+    # a stdout that cannot be written, a full device or a pipe whose reader has
+    # closed, is a validation error: one line on stderr, no traceback and no
+    # "Exception ignored" line at exit, and every file written before it is emptied
+    if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    argv = ([sys.executable, "-m", "minimaxlb.cli"]
+            + (["constants"] if stdout == "/dev/full" else
+               ["sweep", "--n", "10", "--delta", "0.5,1", "--out", str(tmp_path / "s.csv"),
+                "--svg", "-"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if stdout == "/dev/full":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, check=False)
+        code, err = proc.returncode, proc.stderr.decode()
+    else:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()  # the reader is gone before the command writes
+            err, code = proc.stderr.read().decode(), proc.wait()
+        assert (tmp_path / "s.csv").stat().st_size == 0
+    assert code == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
 
 
 def test_only_the_writer_and_main_do_io():

@@ -267,6 +267,19 @@ def test_one_pass_pretest_scan_is_the_window_by_window_scan(threshold):
     assert 0 < one_window < len(_SUP_ROWS)  # rows with one window and with two
 
 
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_pretest_objective_value_is_the_risk_bit_for_bit(threshold):
+    # a Newton step reads the risk from its one phi and Phi, and must keep every bit
+    # of pretest_risk_at at both windows' coarse points
+    for n, delta in _SUP_ROWS:
+        c_n = n ** -0.25 if threshold is None else threshold
+        root_n, hi = math.sqrt(n), delta * (1.0 - 1e-12)
+        for top in (hi, min(hi, c_n + 10.0 / root_n)):
+            for m in coarse_axis(0.0, root_n * top).tolist():
+                assert estimators._pretest_objective(n, c_n, m)[0] == \
+                    pretest_risk_at(m / math.sqrt(n), n, c_n), (n, delta, m)
+
+
 def test_broadcast_risk_where_n_theta_squared_overflows():
     # the tail probability is 0 where n theta^2 overflows: the term is 0, with
     # no overflow warning (a RuntimeWarning fails the test)

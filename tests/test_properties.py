@@ -45,10 +45,12 @@ def test_diffeo_below_every_risk(n, delta):
 
 
 @settings(PROPERTY, max_examples=20)
-@given(n=st.integers(1, 10**6), scaled_delta=st.floats(1e-3, 1e3))
-def test_bounds_and_risks_depend_on_delta_sqrt_n_only(n, scaled_delta):
-    # the pre-test risk is left out: its n^(-1/4) threshold is not a function
-    # of delta sqrt(n) (Hodges' superefficiency), so it does not rescale
+@given(log_n=st.floats(0.0, 300.0), scaled_delta=st.floats(1e-3, 1e3))
+def test_bounds_and_risks_depend_on_delta_sqrt_n_only(log_n, scaled_delta):
+    # n log-uniform over the CLI's range; the pre-test risk is left out: its n^(-1/4)
+    # threshold is not a function of delta sqrt(n) (Hodges' superefficiency), so it
+    # does not rescale
+    n = int(10.0**log_n)
     delta = scaled_delta / math.sqrt(n)
     config = SweepConfig("fixed-n-vary-delta", (n,), (delta,),
                          estimators=("constant", "plugin"))

@@ -24,6 +24,8 @@ CLI_CORPUS = (
     (["bound", "--method", "diffeo", "--delta", "1", "--n", "100"], 0),
     (["bound", "--method", "diffeo", "--delta", "1", "--n", "100", "--xi1", "0", "--xi2", "1"], 0),
     (["bound", "--method", "twopoint", "--theta1", "0", "--theta2", "0.5", "--n", "100"], 0),
+    # the --n 100 pair clamps to 0 before it evaluates psi; at --n 1 it does not
+    (["bound", "--method", "twopoint", "--theta1", "0", "--theta2", "0.5", "--n", "1"], 0),
     (["bound", "--method", "twopoint", "--family", "uniform", "--functional", "identity",
       "--theta1", "1", "--theta2", "1.5"], 0),
     (["bound", "--method", "hellinger", "--prior", "cosine:0:1", "--n", "10"], 0),
