@@ -19,14 +19,12 @@ import numpy as np
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, hellinger_sq_iid
-from .numerics import (OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points, float_or_array,
-                       integrate_panels, math_elementwise, maximize_1d, maximize_2d,
-                       panel_nodes, refine_coarse_max)
+from .numerics import (_SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points,
+                       float_or_array, integrate_panels, math_elementwise, maximize_1d,
+                       maximize_2d, panel_nodes, refine_coarse_max)
 from .priors import Prior, check_scale, prior_density
 
 _PI = math.pi
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_Z_MAX = 12.0  # standard normal mass beyond is ~1e-33
 # the window's ends and its cuts every 2 units, so no piece is wider than 2 sigma
 _Z_FIXED = np.array([-_Z_MAX, _Z_MAX, *range(-10, 11, 2)], dtype=float)
 
@@ -36,7 +34,7 @@ class DegenerateKernelError(ValueError):
 
 
 class Functional:
-    """A functional psi of the parameter: ``psi(theta)`` of a float,
+    """A functional psi of the parameter, read only through differences:
     ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself
     (a float, or an array broadcasting against t), the quadrature cuts of it on
     a window of some width (``cuts(h, width)``: an array of them, with a row
@@ -47,9 +45,6 @@ class Functional:
 @dataclass(frozen=True)
 class Identity(Functional):
     """psi(theta) = theta."""
-
-    def __call__(self, theta):
-        return float(theta)
 
     def difference(self, t, h):
         return float_or_array(np.zeros(np.shape(t)) + h)
@@ -70,9 +65,6 @@ class PowerMax(Functional):
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-
-    def __call__(self, theta):
-        return max(float(theta), 0.0) ** self.alpha
 
     def difference(self, t, h):
         """sign(h) a^alpha (1 - (b/a)^alpha), a = max(t, t - h), b = max(min(t, t - h), 0),
@@ -499,18 +491,20 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
 
     The squared Hellinger distance is taken at the n-fold product level via
     tensorization; once it reaches 1 the bracket is clamped to the trivial
-    lower bound zero. theta1 - theta2, the shift, must not overflow. The distance
-    is read at the smaller parameter with the shift |theta1 - theta2| >= 0, so the
-    value is the same for either order, and lo + shift is never below lo.
+    lower bound zero. theta1 - theta2, the shift, must not overflow. Both the
+    distance and psi's difference read the shift |theta1 - theta2| >= 0 itself,
+    the distance at the smaller parameter and the difference down from the larger,
+    so the value is the same for either order, and lo + shift is never below lo.
     """
     theta1, theta2 = family.check_theta(theta1, "theta1"), family.check_theta(theta2, "theta2")
-    if not math.isfinite(theta1 - theta2):
+    shift = abs(theta1 - theta2)
+    if not math.isfinite(shift):
         raise ValueError(f"theta1 - theta2 overflows at theta1={theta1!r}, theta2={theta2!r}")
-    h2n = hellinger_sq_iid(family, min(theta1, theta2), abs(theta1 - theta2), n)
+    h2n = hellinger_sq_iid(family, min(theta1, theta2), shift, n)
     bracket = (1.0 - h2n) / 4.0
     if bracket <= 0.0:
         return 0.0
-    dpsi = f(theta1) - f(theta2)
+    dpsi = f.difference(max(theta1, theta2), shift)
     return n * (bracket * dpsi * dpsi)
 
 

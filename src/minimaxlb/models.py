@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import check_n, float_or_array, math_elementwise
+from .numerics import _SQRT_2PI, check_n, float_or_array, math_elementwise
 from .priors import check_scale
 
 
@@ -44,14 +44,10 @@ class Family:
     kernel_width = None
 
     def check_theta(self, theta, name: str = "theta"):
-        if isinstance(theta, np.ndarray):
-            finite, above = np.isfinite(theta).all(), (theta > self.theta_min).all()
-        else:
-            theta = float(theta)
-            finite, above = math.isfinite(theta), theta > self.theta_min
-        if not finite:
+        theta = float_or_array(theta)
+        if not np.isfinite(theta).all():
             raise ValueError(f"{name} must be finite")
-        if not above:
+        if not np.all(theta > self.theta_min):
             raise ValueError(f"{self.label} requires {name} > {self.theta_min:g}, "
                              f"got {np.min(theta)}")
         return theta
@@ -99,7 +95,7 @@ class GaussianLocation(Family):
         np.exp(np.multiply(out, scale, out=out), out=out)
 
     def _divisor(self, theta):
-        return self.sigma * math.sqrt(2.0 * math.pi)
+        return self.sigma * _SQRT_2PI
 
     def fisher_info(self, theta: float) -> float:
         """Per-observation Fisher information 1/sigma^2."""
@@ -111,9 +107,7 @@ class GaussianLocation(Family):
         theta; h is a float or an array broadcasting against theta."""
         theta, d = self.check_shift(theta, h), h / self.sigma
         value = -2.0 * math_elementwise(math.expm1, -d * d / 8.0)
-        if isinstance(theta, float) and isinstance(value, float):
-            return value
-        return np.full(np.broadcast_shapes(np.shape(theta), np.shape(value)), value)
+        return float_or_array(np.full(np.broadcast_shapes(np.shape(theta), np.shape(value)), value))
 
     def chi_sq(self, theta, h: float):
         """Chi-squared divergence exp(h^2/sigma^2) - 1, the same at every theta;
@@ -176,10 +170,8 @@ def hellinger_sq_iid(family: Family, theta, h: float, n: int):
     if n == 1:
         return h2
     # 2 - 2 (1 - h2/2)^n via expm1/log1p to keep precision at small h2
-    if not isinstance(h2, np.ndarray):
-        return 2.0 if h2 >= 2.0 else -2.0 * math.expm1(n * math.log1p(-h2 / 2.0))
     with np.errstate(divide="ignore"):  # h2 = 2 gives log1p(-1) = -inf, so 2 as well
-        return -2.0 * np.expm1(n * np.log1p(-h2 / 2.0))
+        return float_or_array(-2.0 * np.expm1(n * np.log1p(-h2 / 2.0)))
 
 
 def chi_sq_iid(family: Family, theta, h: float, n: int):

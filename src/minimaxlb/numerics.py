@@ -18,6 +18,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_Z_MAX = 12.0  # standard normal mass beyond is ~1e-33
 
 
 class BracketError(ValueError):
@@ -72,11 +73,6 @@ class SearchBox:
         for lo, hi in self.intervals:
             if not lo < hi:
                 raise ValueError(f"interval ({lo}, {hi}) must satisfy lo < hi")
-
-
-def math_for(x):
-    """numpy for an ndarray, else math: one formula, with math's rounding for scalars."""
-    return np if isinstance(x, np.ndarray) else math
 
 
 def float_or_array(x):

@@ -18,10 +18,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import _require_finite, float_or_array, math_elementwise, math_for
+from .numerics import _SQRT_2PI, _Z_MAX, _require_finite, float_or_array, math_elementwise
 
 _PI = math.pi
-_TAIL_SIGMAS = 12.0  # standard normal mass beyond is ~1e-33
 
 
 def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None:
@@ -124,7 +123,7 @@ class GaussianPrior(Prior):
 
     def density(self, t):
         z = (t - self.mu) / self.sigma
-        return math_for(z).exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / self.sigma
+        return float_or_array(np.exp(-0.5 * z * z) / _SQRT_2PI / self.sigma)
 
     def log_ratio(self, t, h):
         """-(z + eta/2) eta, with z = (t - mu)/sigma and eta = h/sigma."""
@@ -135,8 +134,7 @@ class GaussianPrior(Prior):
         return -math.inf, math.inf
 
     def window(self) -> Tuple[float, float]:
-        return (self.mu - _TAIL_SIGMAS * self.sigma,
-                self.mu + _TAIL_SIGMAS * self.sigma)
+        return self.mu - _Z_MAX * self.sigma, self.mu + _Z_MAX * self.sigma
 
     def fisher_info(self) -> float:
         return 1.0 / self.sigma**2

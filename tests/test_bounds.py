@@ -15,6 +15,7 @@ from minimaxlb.bounds import (DegenerateKernelError, Identity, MaxZero,
                               lam_constant,
                               two_point_hellinger_bound, twopoint_bound_sup, van_trees_value,
                               vt_kepler_bound)
+from minimaxlb.cli import main
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
@@ -27,13 +28,14 @@ PI2 = math.pi**2
 
 
 def test_functional_eval():
-    assert MaxZero()(-1.0) == 0.0
-    assert MaxZero()(2.0) == 2.0
-    assert PowerMax(0.5)(4.0) == 2.0
-    assert PowerMax(0.5)(-1.0) == 0.0
-    assert Identity()(-3.5) == -3.5
+    # psi is read through its difference; psi(0) = 0, so difference(t, t) = psi(t)
+    assert MaxZero().difference(-1.0, -1.0) == 0.0
+    assert MaxZero().difference(2.0, 2.0) == 2.0
+    assert PowerMax(0.5).difference(4.0, 4.0) == 2.0
+    assert PowerMax(0.5).difference(-1.0, -1.0) == 0.0
+    assert Identity().difference(-3.5, -3.5) == -3.5
     for f in (MaxZero(), PowerMax(0.5), Identity()):
-        assert type(f(2)) is float  # psi takes a float, or a number, and gives a float
+        assert type(f.difference(2, 2)) is float  # of a float, or a number, a float
     with pytest.raises(ValueError):
         PowerMax(1.5)
 
@@ -804,6 +806,53 @@ def test_two_point_uniform_limit():
         got = two_point_hellinger_bound(UniformScale(), n, Identity(), 1.0, 1.0 + b / n)
         limit = n * max(-0.25 + 0.5 * math.exp(-b / 2.0), 0.0) * (b / n) ** 2
         assert got == pytest.approx(limit, rel=1e-4)
+
+
+def test_two_point_bound_matches_mpmath(capsys):
+    # n [(1 - H^2_n)/4]_+ (psi(theta1) - psi(theta2))^2 to 4e-15 relative of a 60-digit
+    # evaluation, at theta2 = theta1 (1 +- r) from r = 1e-12 up and on the CLI: the
+    # difference of two powers lost up to 2e-2 of itself at alpha = 0.01. Where the bracket
+    # nears 0, it also carries the rounding of H^2_n, a float near 1: 4 ulp(1)/4 of n dpsi^2
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(30)
+
+    def exact(sigma, n, alpha, theta1, theta2):
+        with mpmath.workdps(60):
+            lo, hi = sorted((mpmath.mpf(theta1), mpmath.mpf(theta2)))
+            if sigma is None:  # the uniform family: 1 - H^2/2 = sqrt(lo/hi)
+                affinity = mpmath.sqrt(lo / hi)
+            else:
+                affinity = mpmath.exp(-((hi - lo) / sigma) ** 2 / 8)
+            psi = lambda t: t ** mpmath.mpf(alpha) if t > 0 else mpmath.mpf(0)
+            scale = n * (psi(hi) - psi(lo)) ** 2
+            return max((2 * affinity**n - 1) / 4, 0) * scale, scale
+
+    cases = []
+    for _ in range(1200):
+        alpha, n = rng.choice([0.01, 0.1, 0.5, 1.0]), int(rng.choice([1, 3, 10, 100]))
+        r, sign = 10.0 ** rng.uniform(-12.0, math.log10(3.0)), rng.choice([-1.0, 1.0])
+        if rng.random() < 0.5:  # Gaussian, theta1 of either sign, theta2 across 0 for r > 1
+            sigma = float(10.0 ** rng.uniform(-2.0, 2.0))
+            theta1 = float(rng.choice([-1.0, 1.0]) * sigma * 10.0 ** rng.uniform(-2.0, 1.0))
+        else:  # uniform, theta2 > 0
+            sigma, theta1 = None, float(10.0 ** rng.uniform(-3.0, 3.0))
+            sign = sign if r < 1.0 else 1.0
+        cases.append((sigma, n, float(alpha), theta1, float(theta1 * (1.0 + sign * r))))
+    positive = 0
+    for sigma, n, alpha, theta1, theta2 in cases:
+        family = UniformScale() if sigma is None else GaussianLocation(sigma)
+        got = two_point_hellinger_bound(family, n, PowerMax(alpha), theta1, theta2)
+        want, scale = exact(sigma, n, alpha, theta1, theta2)
+        assert abs(got - want) <= 4e-15 * want + 2.0**-52 * scale, \
+            (sigma, n, alpha, theta1, theta2, got, want)
+        positive += want > 0
+    assert positive > len(cases) // 2
+    argv = ["bound", "--method", "twopoint", "--functional", "powermax", "--alpha", "0.01",
+            "--theta1", "1", "--theta2", "1.000000000001"]
+    assert main(argv) == 0
+    value = float(capsys.readouterr().out.split("value=")[1].split()[0])
+    want, _ = exact(1.0, 1, 0.01, 1.0, 1.000000000001)  # 2.5004445226675134e-29
+    assert abs(value - want) <= 4e-15 * want, (value, want)
 
 
 @pytest.mark.parametrize("n", [10, 10**6, 10**20, 10**100, 10**300],
