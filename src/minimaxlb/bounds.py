@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -418,23 +419,17 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
     return max(_diffeo_ratio(delta, n, xi2, i0, s0), 0.0), [g1, g2], hess
 
 
-_TABLE_ROWS = 8   # xi1s a pass: the build's peak memory is 0.75 MB, against 3.9 MB for 64
-
-
 @functools.cache
 def _diffeo_moment_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi2, e_ind and e_sq on maximize_2d's coarse grid over the diffeo box:
-    the (delta, n)-free part of the sup's scan, built once per process on
-    first use and read-only, since every caller shares it. Entry [i, j] is
-    at (xi1s[i], exp(log_xi2s[j])), equal to _diffeo_moments there."""
+    the (delta, n)-free part of the sup's scan, read once per process from the
+    package's diffeo_table.npy (tests/test_bounds.py builds it) and read-only, as
+    shared. Entry [i, j] is at (xi1s[i], exp(log_xi2s[j])), _diffeo_moments there."""
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in _DIFFEO_BOX.intervals)
-    xi2s = [math.exp(b) for b in log_xi2s]
-    e_ind, e_sq = np.empty((2, len(xi1s), len(xi2s)))
-    for j, xi2 in enumerate(xi2s):
-        for i in range(0, len(xi1s), _TABLE_ROWS):
-            e_ind[i:i + _TABLE_ROWS, j], e_sq[i:i + _TABLE_ROWS, j] = \
-                _diffeo_moments(xi1s[i:i + _TABLE_ROWS], xi2)
-    table = (np.broadcast_to(xi2s, e_ind.shape), e_ind, e_sq)
+    table = np.load(Path(__file__).with_name("diffeo_table.npy"))
+    if table.shape != (2, len(xi1s), len(log_xi2s)) or table.dtype != np.float64:
+        raise RuntimeError(f"diffeo_table.npy holds {table.dtype} {table.shape}, not the table")
+    table = (np.broadcast_to([math.exp(b) for b in log_xi2s], table.shape[1:]), *table)
     for part in table:
         part.flags.writeable = False
     return table
@@ -534,17 +529,19 @@ def uniform_diffeo_objective(c):
     return float_or_array(np.where((c > 0.0) & (bracket > 0.0), bracket * bracket, 0.0))
 
 
+# name -> the constant's (argmax, value); _twopoint_argmax is cached
 LAM_CONSTANTS = {
-    "regular_twopoint": (regular_twopoint_objective, 0.0, 10.0),
-    "uniform_twopoint": (uniform_twopoint_objective, 0.0, 10.0),
-    "uniform_diffeo": (uniform_diffeo_objective, 1e-9, 10.0),
+    "regular_twopoint": lambda: (_twopoint_argmax(),
+                                 regular_twopoint_objective(_twopoint_argmax())),
+    "uniform_twopoint": lambda: maximize_1d(uniform_twopoint_objective, 0.0, 10.0),
+    "uniform_diffeo": lambda: maximize_1d(uniform_diffeo_objective, 1e-9, 10.0),
 }
 
 
 def lam_constant(name: str) -> Tuple[float, float]:
-    """(argmax, value) of a scalar constant's objective over its search interval."""
-    objective, lo, hi = LAM_CONSTANTS[name]
-    return maximize_1d(objective, lo, hi)
+    """(argmax, value) of a scalar constant's objective: the regular one at the two-point
+    sup's eps*, the uniform ones by maximize_1d's scan and k-section."""
+    return LAM_CONSTANTS[name]()
 
 
 @dataclass(frozen=True)

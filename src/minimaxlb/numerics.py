@@ -271,7 +271,7 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     point found; the result is never below the best coarse-grid value, the first
     maximum (in x) wins, and a NaN never does. It serves the objectives without
     derivatives: the Hellinger sup, whose maximum sits on its box edge, in one
-    scan and one round, and the constants.
+    scan and one round, and the two uniform constants.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")

@@ -714,19 +714,57 @@ _FIGURE_ROWS = [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2
 _CLOSED_FORM_ROWS = [(10**k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
 
 
+_TABLE_ROWS = 8   # xi1s a pass: the build's peak memory is 0.75 MB, against 3.9 MB for 64
+_REWRITE_TABLE = ("rewrite the table from the repository root with: PYTHONPATH=src:tests "
+                  "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_table"
+                  ".npy', test_bounds.build_diffeo_moment_table())\"")
+
+
+def build_diffeo_moment_table():
+    """The package's diffeo_table.npy: e_ind and e_sq stacked, entry [k, i, j] at
+    (xi1s[i], exp(log_xi2s[j])) on maximize_2d's coarse grid over the diffeo box,
+    by _diffeo_moments' array path, _TABLE_ROWS xi1s a pass."""
+    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
+    xi2s = [math.exp(b) for b in log_xi2s]
+    table = np.empty((2, len(xi1s), len(xi2s)))
+    e_ind, e_sq = table
+    for j, xi2 in enumerate(xi2s):
+        for i in range(0, len(xi1s), _TABLE_ROWS):
+            e_ind[i:i + _TABLE_ROWS, j], e_sq[i:i + _TABLE_ROWS, j] = \
+                bounds._diffeo_moments(xi1s[i:i + _TABLE_ROWS], xi2)
+    return table
+
+
 def test_diffeo_moment_table_matches_the_scalar_kernel():
-    # the table's array passes pad their rows with empty pieces, which moves
-    # only the order of the sums; no coarse argmax of the default figure moves
+    # the shipped table is the build above; its array passes pad their rows with
+    # empty pieces, which moves only the order of the sums, and another host's exp
+    # may round otherwise, so each entry may sit 1e-15 off the build and the scalar
+    # kernel, but no coarse argmax may move. The coarse ratio reads (delta, n) only
+    # through n delta^2, so n = 1 and delta = s cover every row of s = sqrt(n) delta
     xi2, e_ind, e_sq = bounds._diffeo_moment_table()
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
-    scalar = np.array([[bounds._diffeo_moments(float(a), math.exp(b)) for b in log_xi2s]
-                       for a in xi1s])
+    scalar = np.moveaxis([[bounds._diffeo_moments(float(a), math.exp(b)) for b in log_xi2s]
+                          for a in xi1s], -1, 0)
     assert np.array_equal(xi2, np.broadcast_to([math.exp(b) for b in log_xi2s], xi2.shape))
-    for got, want in ((e_ind, scalar[..., 0]), (e_sq, scalar[..., 1])):
-        assert (np.abs(got - want) <= 1e-15 * want).all()
-    for n, delta in _FIGURE_ROWS:
-        assert np.argmax(bounds._diffeo_ratio(delta, n, xi2, e_ind, e_sq)) == np.argmax(
-            bounds._diffeo_ratio(delta, n, xi2, scalar[..., 0], scalar[..., 1]))
+    assert not any(part.flags.writeable for part in (xi2, e_ind, e_sq))
+    # e_ind is 0 where the kink -xi1/xi2 lies past the 12-sigma window
+    assert np.isfinite(e_ind).all() and (e_ind >= 0).all() and (e_sq > 0).all(), _REWRITE_TABLE
+    tables = (np.stack((e_ind, e_sq)), build_diffeo_moment_table(), scalar)
+    for want in tables[1:]:
+        assert (np.abs(tables[0] - want) <= 1e-15 * want).all(), _REWRITE_TABLE
+    rows = _FIGURE_ROWS + [(1, float(s)) for s in np.geomspace(1e-4, 1e5, 2001)]
+    for n, delta in rows:
+        cells = {int(np.argmax(bounds._diffeo_ratio(delta, n, xi2, *table))) for table in tables}
+        assert len(cells) == 1, (n, delta, cells, _REWRITE_TABLE)
+
+
+def test_a_cold_diffeo_sup_reads_its_table(monkeypatch):
+    # the coarse table ships with the package: a fresh process's first sup makes its
+    # Newton evaluations' moment passes (4 at this row), not 512 more to build the table
+    moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
+    bounds._diffeo_moment_table.cache_clear()
+    diffeo_bound_sup(0.01, 10)
+    assert 0 < moment_calls[0] <= 8
 
 
 def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
@@ -774,9 +812,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
-    # the first diffeo sup may build the process's moment table; later rows only
-    # refine. A vt sup, the first included, scans and refines in the Kepler root
-    # itself and solves no Kepler equation
+    # every diffeo sup reads the process's one moment table and only refines. A vt
+    # sup, the first included, scans and refines in the Kepler root itself and solves
+    # no Kepler equation
     kepler_calls = _count_calls(monkeypatch, priors, "solve_kepler")
     vt_kepler_bound(1.0, 10, 1.0)
     assert kepler_calls[0] == 0
@@ -899,6 +937,18 @@ def test_lam_constants():
     assert lam_constant("regular_twopoint")[1] == pytest.approx(0.28953, abs=5e-4)
     assert lam_constant("uniform_twopoint")[1] == pytest.approx(0.0558, abs=5e-4)
     assert lam_constant("uniform_diffeo")[1] == pytest.approx(0.0635**2, abs=1e-4)
+
+
+def test_regular_twopoint_constant_is_at_the_root():
+    # the constant reads the two-point sup's Newton argmax eps* = sqrt(8 u*), u* the
+    # root of -2 + 4 exp(-u) (1 - u), not a k-section of its flat objective
+    mpmath = pytest.importorskip("mpmath")
+    argmax, value = lam_constant("regular_twopoint")
+    with mpmath.workdps(50):
+        root = float(mpmath.sqrt(8 * mpmath.findroot(
+            lambda u: 4 * mpmath.exp(-u) * (1 - u) - 2, mpmath.mpf("0.3"))))
+    assert abs(argmax - root) <= 4 * math.ulp(root), (argmax, root)
+    assert (argmax, value) == (bounds._twopoint_argmax(), bounds.regular_twopoint_objective(argmax))
 
 
 def test_lam_objective_edge_values():
