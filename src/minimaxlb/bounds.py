@@ -422,13 +422,13 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
 @functools.cache
 def _diffeo_moment_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi2, e_ind and e_sq on maximize_2d's coarse grid over the diffeo box:
-    the (delta, n)-free part of the sup's scan, read once per process from the
-    package's diffeo_table.npy (tests/test_bounds.py builds it) and read-only, as
-    shared. Entry [i, j] is at (xi1s[i], exp(log_xi2s[j])), _diffeo_moments there."""
+    the (delta, n)-free part of the sup's scan, read once per process from the package
+    file diffeo_table.npy (tests/test_bounds.py builds it), read-only since every caller
+    shares it. Entry [i, j] is at (xi1s[i], exp(log_xi2s[j])), _diffeo_moments there."""
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in _DIFFEO_BOX.intervals)
     table = np.load(Path(__file__).with_name("diffeo_table.npy"))
     if table.shape != (2, len(xi1s), len(log_xi2s)) or table.dtype != np.float64:
-        raise RuntimeError(f"diffeo_table.npy holds {table.dtype} {table.shape}, not the table")
+        raise RuntimeError(f"diffeo_table.npy is {table.dtype} {table.shape}, not the table")
     table = (np.broadcast_to([math.exp(b) for b in log_xi2s], table.shape[1:]), *table)
     for part in table:
         part.flags.writeable = False

@@ -948,7 +948,8 @@ def test_regular_twopoint_constant_is_at_the_root():
         root = float(mpmath.sqrt(8 * mpmath.findroot(
             lambda u: 4 * mpmath.exp(-u) * (1 - u) - 2, mpmath.mpf("0.3"))))
     assert abs(argmax - root) <= 4 * math.ulp(root), (argmax, root)
-    assert (argmax, value) == (bounds._twopoint_argmax(), bounds.regular_twopoint_objective(argmax))
+    assert argmax == bounds._twopoint_argmax()
+    assert value == bounds.regular_twopoint_objective(argmax)
 
 
 def test_lam_objective_edge_values():
