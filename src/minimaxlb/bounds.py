@@ -9,11 +9,12 @@ n E|T - psi|^2, the unit of the figure axes, the CLI and the estimator risks.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -435,14 +436,40 @@ def _diffeo_moment_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
+@functools.cache
+def _diffeo_argmax_path() -> Tuple[Tuple[float, ...], ...]:
+    """log s, xi1 and log xi2 of the diffeo sup's argmax at knots of s = sqrt(n) delta,
+    which is all the bound reads of (delta, n): log s ascending, each row a tuple of
+    floats. Read once per process from the package file diffeo_path.npy
+    (tests/test_bounds.py builds it by the sup's search from its coarse argmax)."""
+    path = np.load(Path(__file__).with_name("diffeo_path.npy"))
+    if path.ndim != 2 or len(path) != 3 or path.shape[1] < 2 or path.dtype != np.float64:
+        raise RuntimeError(f"diffeo_path.npy is {path.dtype} {path.shape}, not the path")
+    return tuple(tuple(row) for row in path.tolist())
+
+
+def _diffeo_start(delta: float, n: int) -> Optional[Tuple[float, float]]:
+    """The argmax path at s = sqrt(n) delta, linear in log s between its knots, or None
+    outside them. log s is taken as log(n)/2 + log(delta), which is finite for every
+    n and delta the checks pass."""
+    knots, xi1s, lxi2s = _diffeo_argmax_path()
+    log_s = 0.5 * math.log(n) + math.log(delta)
+    if not knots[0] <= log_s <= knots[-1]:
+        return None
+    i = min(bisect.bisect_right(knots, log_s), len(knots) - 1) - 1
+    t = (log_s - knots[i]) / (knots[i + 1] - knots[i])
+    return (xi1s[i] + t * (xi1s[i + 1] - xi1s[i]), lxi2s[i] + t * (lxi2s[i + 1] - lxi2s[i]))
+
+
 def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     """Maximize the arctan bound over xi1 in [-10, 10], xi2 in [1e-3, 1e4].
 
-    The xi2 axis is searched in log coordinates, giving the log-spaced
-    coarse grid; safeguarded Newton refinement on the analytic gradient and
-    Hessian then runs in (xi1, log xi2) from the best coarse cell, about 5
-    evaluations of diffeo_bound per sup. The coarse scan reads the cached
-    moment table.
+    The xi2 axis is searched in log coordinates, giving the log-spaced coarse
+    grid, whose values the cached moment table gives. Safeguarded Newton
+    refinement on the analytic gradient and Hessian runs in (xi1, log xi2) from
+    the shipped argmax path at s = sqrt(n) delta, about 2 evaluations of
+    diffeo_bound per sup, and is kept if it reaches the best coarse value; else,
+    and for s off the path, from the best coarse cell, about 5 evaluations.
     """
     _check_delta_n(delta, n)
     xi2, e_ind, e_sq = _diffeo_moment_table()
@@ -450,17 +477,23 @@ def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
         coarse = np.maximum(_diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
     (x1, lx2), value = maximize_2d(
         lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True),
-        _DIFFEO_BOX, coarse)
+        _DIFFEO_BOX, coarse, start=_diffeo_start(delta, n))
     return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
+
+
+def _newton_root(step, x: float) -> float:
+    """x after 8 Newton steps x -= step(x), step(x) = g(x) / g'(x): the root of g to its
+    last bits, for a start in the basin of quadratic convergence."""
+    for _ in range(8):
+        x -= step(x)
+    return x
 
 
 @functools.cache
 def _twopoint_argmax() -> float:
     """eps* = sqrt(8 u*), u* the root of -2 + 4 exp(-u) (1 - u): Newton from 0.3."""
-    u = 0.3
-    for _ in range(8):
-        u -= (4.0 * math.exp(-u) * (1.0 - u) - 2.0) / (4.0 * math.exp(-u) * (u - 2.0))
-    return math.sqrt(8.0 * u)
+    return math.sqrt(8.0 * _newton_root(
+        lambda u: (4.0 * math.exp(-u) * (1.0 - u) - 2.0) / (4.0 * math.exp(-u) * (u - 2.0)), 0.3))
 
 
 def twopoint_bound_sup(delta: float, n: int) -> BoundResult:
@@ -529,19 +562,40 @@ def uniform_diffeo_objective(c):
     return float_or_array(np.where((c > 0.0) & (bracket > 0.0), bracket * bracket, 0.0))
 
 
-# name -> the constant's (argmax, value); _twopoint_argmax is cached
+def _uniform_twopoint_argmax() -> float:
+    """eta*, where the derivative 2 eta [exp(-eta) (2 - eta) - 1] of the objective
+    (2 exp(-eta) - 1) eta^2 changes sign: the root of log(2 - eta) - eta, whose
+    derivative is -(3 - eta) / (2 - eta), by Newton from 0.3."""
+    return _newton_root(
+        lambda eta: (math.log(2.0 - eta) - eta) * (eta - 2.0) / (3.0 - eta), 0.3)
+
+
+def _uniform_diffeo_argmax() -> float:
+    """c*, the root of b'(c) for the objective's bracket b(c) = c / (2 sqrt(d)) - c,
+    d = -2 expm1(-c/2), d' = exp(-c/2): b' = (2 d - c d') / (4 d^1.5) - 1 and
+    b'' = d' (3 c d' + c d - 4 d) / (8 d^2.5). Newton from 0.06."""
+    def step(c: float) -> float:
+        d, dd = -2.0 * math.expm1(-0.5 * c), math.exp(-0.5 * c)
+        root = math.sqrt(d)
+        slope = (2.0 * d - c * dd) / (4.0 * d * root) - 1.0
+        return slope / (dd * (3.0 * c * dd + c * d - 4.0 * d) / (8.0 * d * d * root))
+    return _newton_root(step, 0.06)
+
+
+# name -> the constant's argmax and objective; _twopoint_argmax is cached
 LAM_CONSTANTS = {
-    "regular_twopoint": lambda: (_twopoint_argmax(),
-                                 regular_twopoint_objective(_twopoint_argmax())),
-    "uniform_twopoint": lambda: maximize_1d(uniform_twopoint_objective, 0.0, 10.0),
-    "uniform_diffeo": lambda: maximize_1d(uniform_diffeo_objective, 1e-9, 10.0),
+    "regular_twopoint": (_twopoint_argmax, regular_twopoint_objective),
+    "uniform_twopoint": (_uniform_twopoint_argmax, uniform_twopoint_objective),
+    "uniform_diffeo": (_uniform_diffeo_argmax, uniform_diffeo_objective),
 }
 
 
 def lam_constant(name: str) -> Tuple[float, float]:
-    """(argmax, value) of a scalar constant's objective: the regular one at the two-point
-    sup's eps*, the uniform ones by maximize_1d's scan and k-section."""
-    return LAM_CONSTANTS[name]()
+    """(argmax, value) of a scalar constant's objective, its argmax the Newton root of
+    the objective's derivative."""
+    argmax, objective = LAM_CONSTANTS[name]
+    x = argmax()
+    return x, objective(x)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,9 +269,9 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     bracket, a maximum farther than the stop width inside would lift the points
     between it and the edge above the edge. Returns (argmax, max) of the best
     point found; the result is never below the best coarse-grid value, the first
-    maximum (in x) wins, and a NaN never does. It serves the objectives without
-    derivatives: the Hellinger sup, whose maximum sits on its box edge, in one
-    scan and one round, and the two uniform constants.
+    maximum (in x) wins, and a NaN never does. It serves the one objective without
+    derivatives, the Hellinger sup, whose maximum sits on its box edge, in one scan
+    and one round.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -312,14 +312,16 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     return float(px[j]), float(pv[j])
 
 
-def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox,
-                coarse: np.ndarray) -> Tuple[Tuple[float, float], float]:
+def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox, coarse: np.ndarray,
+                start: Optional[Tuple[float, float]] = None) -> Tuple[Tuple[float, float], float]:
     """Safeguarded Newton refinement (``maximize_newton``) of f(x, y) = (value,
-    gradient, Hessian) from the best coarse value: entry [i, j] of ``coarse`` is
-    f(xs[i], ys[j])[0], xs and ys the ``coarse_axis`` of the box's intervals, which
-    the caller evaluates or keeps in a table. Returns ((x, y), max) of the best point
-    found in the box, never below f at the coarse argmax; the first maximum in
-    row-major order wins, and a NaN never does."""
+    gradient, Hessian) in the box: entry [i, j] of ``coarse`` is f(xs[i], ys[j])[0],
+    xs and ys the ``coarse_axis`` of the box's intervals, which the caller evaluates
+    or keeps in a table. A ``start`` inside the box, the caller's guess at the argmax,
+    is refined first, and its result is kept if it reaches the best coarse value;
+    otherwise, and without a start, the refinement runs from the coarse argmax (the
+    first maximum in row-major order; a NaN never wins). Returns ((x, y), max) of the
+    best point found, never below f at the coarse argmax."""
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
     (xlo, xhi), (ylo, yhi) = box.intervals
@@ -331,6 +333,10 @@ def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox,
     scan = np.where(np.isnan(coarse), -np.inf, coarse)
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
     cell = ((xhi - xlo) / (_COARSE_GRID - 1), (yhi - ylo) / (_COARSE_GRID - 1))
+    if start is not None:
+        (x, y), value, _ = maximize_newton(f, start, (xlo, ylo), (xhi, yhi), cell)
+        if value >= scan[i, j]:
+            return (x, y), value
     (x, y), value, _ = maximize_newton(f, (xs[i], ys[j]), (xlo, ylo), (xhi, yhi), cell)
     return (x, y), value
 

@@ -496,31 +496,60 @@ def test_diffeo_bound_sup_matches_dense_grid():
     assert res.value == pytest.approx(best, abs=1e-4)
 
 
+def _diffeo_objective(delta, n):
+    return lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True)
+
+
 def _diffeo_sup_without_table(delta, n):
-    """diffeo_bound_sup's search with the coarse values from diffeo_bound itself."""
-    f = lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True)
+    """diffeo_bound_sup's search from the coarse argmax alone (no start), with the
+    coarse values from diffeo_bound itself."""
+    f = _diffeo_objective(delta, n)
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
     coarse = [[float(f(a, b)[0]) for b in log_xi2s] for a in xi1s]
     (x1, lx2), value = maximize_2d(f, bounds._DIFFEO_BOX, coarse)
     return value, {"xi1": x1, "xi2": math.exp(lx2)}
 
 
+def _diffeo_coarse(delta, n):
+    """diffeo_bound_sup's coarse values, from the shipped moment table."""
+    xi2, e_ind, e_sq = bounds._diffeo_moment_table()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(bounds._diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
+
+
+def _diffeo_scan_start_sup(delta, n):
+    """diffeo_bound_sup's search from the coarse argmax of its table alone, as it ran
+    before the argmax path: ((xi1, log xi2), value)."""
+    return maximize_2d(_diffeo_objective(delta, n), bounds._DIFFEO_BOX, _diffeo_coarse(delta, n))
+
+
 @pytest.mark.parametrize("delta,n", [
-    (1e-3, 10), (0.01, 10), (2.0, 100), (100.0, 10**4),
+    (1e-3, 10), (0.01, 10), (2.0, 100), (100.0, 10**4), (1e-4, 1),
     # 4 n xi2^2 overflows on part of the grid: those cells are NaN and never win
     pytest.param(1.0, 10**306, id="1.0-1e306",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_diffeo_sup_moment_table_matches_the_scan(delta, n):
+    # off the argmax path the sup is the scan's search bit for bit; on it, Newton
+    # starts elsewhere and stops at the same maximum up to its rounding, and up to
+    # 5.3e-5 apart in (xi1, log xi2) where the top is flattest, near s = 1e-3
     res = diffeo_bound_sup(delta, n)
-    assert (res.value, res.argmax) == _diffeo_sup_without_table(delta, n)
+    value, argmax = _diffeo_sup_without_table(delta, n)
+    if bounds._diffeo_start(delta, n) is None:
+        assert (res.value, res.argmax) == (value, argmax)
+    else:
+        assert abs(res.value - value) <= 4e-15 * value, (res.value, value)
+        assert abs(res.argmax["xi1"] - argmax["xi1"]) <= 1e-4, (res.argmax, argmax)
+        assert abs(math.log(res.argmax["xi2"] / argmax["xi2"])) <= 1e-4, (res.argmax, argmax)
 
 
 def test_sweep_row_diffeo_matches_the_scan_with_sigma():
     config = SweepConfig("fixed-n-vary-delta", (10,), (0.5,), sigma=2.0,
                          methods=("diffeo",), estimators=())
-    value, _ = _diffeo_sup_without_table(0.25, 10)
+    value = diffeo_bound_sup(0.25, 10).value
     assert sweep_row_values(10, 0.5, config) == {"bound_diffeo": 4.0 * value}
+    scanned, _ = _diffeo_sup_without_table(0.25, 10)
+    assert abs(value - scanned) <= 4e-15 * scanned
 
 
 @pytest.mark.parametrize("delta,n,sup_fisher", [
@@ -735,6 +764,74 @@ def build_diffeo_moment_table():
     return table
 
 
+# the argmax path's knots: 20 a decade of s = sqrt(n) delta over [1e-3, 1e4]
+_PATH_KNOTS = np.linspace(math.log(1e-3), math.log(1e4), 141)
+_REWRITE_PATH = ("rewrite the path from the repository root with: PYTHONPATH=src:tests "
+                 "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_path"
+                 ".npy', test_bounds.build_diffeo_argmax_path())\"")
+
+
+def build_diffeo_argmax_path():
+    """The package's diffeo_path.npy: log s, xi1 and log xi2 stacked, column k the
+    scan-start sup's argmax at n = 1, delta = s = exp(_PATH_KNOTS[k])."""
+    argmaxes = [_diffeo_scan_start_sup(math.exp(knot), 1)[0] for knot in _PATH_KNOTS]
+    return np.vstack((_PATH_KNOTS, np.transpose(argmaxes)))
+
+
+def test_diffeo_argmax_path_matches_its_build():
+    # the shipped path is the build above. It is only Newton's start, and another
+    # host's exp may round otherwise, which moves where Newton stops on a flat top:
+    # near s = 1e-3 two starts stop up to 5.3e-5 apart, so each argmax may sit 1e-4
+    # off the build
+    knots, xi1s, lxi2s = (np.array(row) for row in bounds._diffeo_argmax_path())
+    built = build_diffeo_argmax_path()
+    assert knots.shape == _PATH_KNOTS.shape, _REWRITE_PATH
+    assert (np.abs(knots - built[0]) <= 1e-15 * np.abs(built[0])).all(), _REWRITE_PATH
+    assert (np.abs(np.stack((xi1s, lxi2s)) - built[1:]) <= 1e-4).all(), _REWRITE_PATH
+    # the path lies inside the box, off its edges
+    (x1_lo, x1_hi), (lx2_lo, lx2_hi) = bounds._DIFFEO_BOX.intervals
+    assert (x1_lo < xi1s).all() and (xi1s < x1_hi).all()
+    assert (lx2_lo < lxi2s).all() and (lxi2s < lx2_hi).all()
+
+
+def test_diffeo_sup_on_the_argmax_path_is_the_scan_start_sup(monkeypatch):
+    # over the path's range of s, the default figure's rows and n = 1e300, a sup started
+    # on the path makes one Newton run of at most 3 evaluations (about 5 from the coarse
+    # argmax), which ends stationary, within 4e-15 of the scan-start sup and at or
+    # above the best coarse value
+    reasons = []
+    newton = numerics.maximize_newton
+
+    def recorded(*args):
+        result = newton(*args)
+        reasons.append(result[2])
+        return result
+    monkeypatch.setattr(numerics, "maximize_newton", recorded)
+    evaluations = _count_calls(monkeypatch, bounds, "diffeo_bound")
+    rows = [(1, float(s)) for s in np.geomspace(1e-3, 1e4, 2001)] + _FIGURE_ROWS + [
+        (10**300, 1e-150), (10**300, 1e-148)]  # n = 1e300 at s = 1 and 100
+    for n, delta in rows:
+        assert bounds._diffeo_start(delta, n) is not None, (n, delta)
+        reasons.clear()
+        evaluations[0] = 0
+        res = diffeo_bound_sup(delta, n)
+        assert reasons == ["stationary"] and evaluations[0] <= 3, (n, delta, reasons, evaluations)
+        assert res.value >= np.nanmax(_diffeo_coarse(delta, n)), (n, delta)
+        (_, _), value = _diffeo_scan_start_sup(delta, n)
+        assert abs(res.value - value) <= 4e-15 * value, (n, delta, res.value, value)
+
+
+@pytest.mark.parametrize("delta,n", [(1e-4, 1), (1e5, 1), (1.0, 10**306), (1e150, 10**300),
+                                     (9.99e-4, 1), (1.001e4, 1)])
+def test_diffeo_sup_off_the_argmax_path_is_the_scan_start_sup(delta, n):
+    # outside the path's range of s no start is given, and the sup is the scan's
+    # search bit for bit; log s = log(n)/2 + log(delta) is finite for every row
+    assert bounds._diffeo_start(delta, n) is None
+    res = diffeo_bound_sup(delta, n)
+    (x1, lx2), value = _diffeo_scan_start_sup(delta, n)
+    assert (res.value, res.argmax) == (max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
+
+
 def test_diffeo_moment_table_matches_the_scalar_kernel():
     # the shipped table is the build above; its array passes pad their rows with
     # empty pieces, which moves only the order of the sums, and another host's exp
@@ -759,12 +856,14 @@ def test_diffeo_moment_table_matches_the_scalar_kernel():
 
 
 def test_a_cold_diffeo_sup_reads_its_table(monkeypatch):
-    # the coarse table ships with the package: a fresh process's first sup makes its
-    # Newton evaluations' moment passes (4 at this row), not 512 more to build the table
+    # the coarse table and the argmax path ship with the package: a fresh process's
+    # first sup makes its Newton evaluations' moment passes (2 at this row, 4 from the
+    # coarse argmax), not 512 more to build the table
     moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
     bounds._diffeo_moment_table.cache_clear()
+    bounds._diffeo_argmax_path.cache_clear()
     diffeo_bound_sup(0.01, 10)
-    assert 0 < moment_calls[0] <= 8
+    assert 0 < moment_calls[0] <= 3
 
 
 def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
@@ -950,6 +1049,28 @@ def test_regular_twopoint_constant_is_at_the_root():
     assert abs(argmax - root) <= 4 * math.ulp(root), (argmax, root)
     assert argmax == bounds._twopoint_argmax()
     assert value == bounds.regular_twopoint_objective(argmax)
+
+
+def test_uniform_constants_are_at_the_roots():
+    # each uniform constant reads the Newton root of its objective's derivative, not a
+    # k-section of its flat top (which read 1.7e-9 and 4.2e-9 relative off the roots)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        bracket = lambda c: c / (2 * mpmath.sqrt(2 - 2 * mpmath.exp(-c / 2))) - c
+        roots = {"uniform_twopoint": mpmath.findroot(
+                     lambda eta: mpmath.diff(lambda e: (2 * mpmath.exp(-e) - 1) * e * e, eta),
+                     mpmath.mpf("0.44")),
+                 "uniform_diffeo": mpmath.findroot(lambda c: mpmath.diff(bracket, c),
+                                                   mpmath.mpf("0.0656"))}
+    objectives = {"uniform_twopoint": bounds.uniform_twopoint_objective,
+                  "uniform_diffeo": bounds.uniform_diffeo_objective}
+    for name, want in (("uniform_twopoint", 0.44285440100238858),
+                       ("uniform_diffeo", 0.06562092625502635)):
+        root = float(roots[name])
+        assert abs(root - want) <= math.ulp(want), (name, root)
+        argmax, value = lam_constant(name)
+        assert abs(argmax - root) <= 4 * math.ulp(root), (name, argmax, root)
+        assert value == objectives[name](argmax)
 
 
 def test_lam_objective_edge_values():

@@ -389,6 +389,32 @@ def test_maximize_2d_coarse_values_match_the_scan():
     assert maximize_2d(nan_left, box, _coarse_2d(nan_left, box)) == ((1.0, 2.0), 3.0)
 
 
+def test_maximize_2d_keeps_a_start_only_at_the_coarse_best():
+    box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
+    coarse = _coarse_2d(_bumps_2d, box)
+    scanned = maximize_2d(_bumps_2d, box, coarse)
+    points = []
+
+    def counted(a, b):
+        points.append((a, b))
+        return _bumps_2d(a, b)
+    # a start next to the high bump is refined alone, in fewer steps than the scan's
+    (x, y), v = maximize_2d(counted, box, coarse, start=(0.3001, -1.2001))
+    started = len(points)
+    points.clear()
+    maximize_2d(counted, box, coarse)
+    assert 0 < started < len(points)
+    assert (x, y) == (pytest.approx(0.3, abs=1e-9), pytest.approx(-1.2, abs=1e-9))
+    assert v >= np.max(coarse) and v == pytest.approx(scanned[1], abs=1e-15)
+    # a start on the low bump ends below the coarse best, so the coarse argmax is refined
+    assert maximize_2d(_bumps_2d, box, coarse, start=(-0.6, 0.9)) == scanned
+    # and so is it after a start where f is NaN
+    nan_left = lambda a, b: (math.nan, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))) if a < 0.0 \
+        else _plane_2d(a, b)
+    assert maximize_2d(nan_left, box, _coarse_2d(nan_left, box), start=(-0.5, 0.0)) == \
+        ((1.0, 2.0), 3.0)
+
+
 def test_maximize_2d_refinement_never_below_the_coarse_best():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
     xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
