@@ -9,7 +9,7 @@ reproduces the bound-versus-estimator comparison figures.
 
 from .bounds import (BoundResult, DegenerateKernelError, Functional, Identity,
                      MaxZero, PolyKernel, PowerMax, chi2_mixture_bound,
-                     density_lam_constant, diffeo_bound, diffeo_bound_sup,
+                     density_lam_constant, diffeo_bound, diffeo_bound_sup, evaluate_bound,
                      hellinger_mixture_bound, hellinger_mixture_bound_sup,
                      lam_constant, two_point_hellinger_bound,
                      twopoint_bound_sup, van_trees_value, vt_kepler_bound)

@@ -1,7 +1,7 @@
 """Lower-bound evaluators: the mixture Hellinger and chi-squared bounds, the
 Kepler least-favorable-prior bound, the Gaussian-prior/arctan bound, the
-refined two-point Hellinger bound, the scalar asymptotic constants, and the
-density-estimation constant C(s, M, K).
+refined two-point Hellinger bound, the scalar asymptotic constants, the
+density-estimation constant C(s, M, K), and evaluate_bound, one bound request.
 
 Conventions. All bound values are >= 0 with exact clamping at zero. Every
 bound value, of a sup or at fixed arguments, is n-scaled: it bounds
@@ -12,19 +12,21 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
-from .models import Family, hellinger_sq_iid
+from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (_SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points,
                        float_or_array, integrate_panels, math_elementwise, maximize_1d,
                        maximize_2d, panel_nodes, refine_coarse_max)
-from .priors import Prior, check_scale, prior_density
+from .priors import Cosine, Prior, check_scale, prior_density
 
 _PI = math.pi
 # the window's ends and its cuts every 2 units, so no piece is wider than 2 sigma
@@ -120,10 +122,11 @@ MaxZero = functools.partial(PowerMax, 1.0)  # psi(theta) = max(theta, 0)
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A non-negative n-scaled bound value and the arguments it is attained at."""
+    """A non-negative n-scaled bound value, the arguments it is attained at, and its notes."""
 
     value: float
     argmax: Dict[str, float] = field(default_factory=dict)
+    notes: Tuple[str, ...] = ()
 
 
 def _check_delta_n(delta: float, n: int) -> None:
@@ -202,7 +205,7 @@ def default_shift_range(prior: Prior) -> Tuple[float, float]:
 
 
 def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
-                       h: float, lam: float) -> float:
+                       h: float, lam: float) -> BoundResult:
     """n-scaled chi-squared mixture bound with the closed-form inner optimization.
 
     Evaluates n times [sqrt((1-lam){A - lam(A+B)}) - sqrt(lam^2 B)]_+^2 where A has
@@ -210,9 +213,9 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
     shift moment; the value is zero when (1-lam)^2 A <= lam B. At lam = 0
     this reduces to A = |int dpsi dQ|^2 / chi^2(Mh||M0) (the mixture HCR
     form), computed by the decomposition path for any n; an infinite
-    denominator yields the trivial bound 0. For 0 < lam < 1 the denominator
-    has no tensorization identity and is evaluated on a 2-D grid at n = 1
-    only (API restriction).
+    denominator yields the trivial bound 0, with a note. For 0 < lam < 1 the
+    denominator has no tensorization identity and is evaluated on a 2-D grid
+    at n = 1 only (API restriction).
     """
     h = float(h)
     lam = float(lam)
@@ -220,29 +223,29 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
         raise ValueError("lambda must lie in [0, 1]")
     if h == 0.0:
         raise ValueError("h must be nonzero")
+    at = {"h": h, "lambda": lam}
     if lam == 1.0:
-        return 0.0
-    num, second = delta_psi_moments(prior, f, h)
-    if num == 0.0:
-        return 0.0
-    if lam == 0.0:
+        return BoundResult(0.0, at)
+    num, b = delta_psi_moments(prior, f, h)
+    if lam == 0.0:  # the denominator is integrated even where num = 0, for its note
         denom = mixture_chi_sq(MixtureSpec(family, n, prior, h))
-        if not 0.0 < denom < math.inf:
-            return 0.0
-        return n * (num * num / denom)
+        if denom == math.inf:
+            return BoundResult(0.0, at, ("divergent denominator; trivial bound 0",))
+        return BoundResult(n * (num * num / denom) if num != 0.0 and denom > 0.0 else 0.0, at)
+    if num == 0.0:
+        return BoundResult(0.0, at)
     if n != 1:
         raise ValueError("lambda > 0 requires n = 1: the interpolated "
                          "chi-squared has no tensorization identity")
     grid = default_grid(family, prior, h)
     denom = mixture_chi_sq_interpolated_grid(family, prior, h, lam, grid)
     if denom <= 0.0:
-        return 0.0
+        return BoundResult(0.0, at)
     a = num * num / denom
-    b = second
     if (1.0 - lam) ** 2 * a <= lam * b:
-        return 0.0
+        return BoundResult(0.0, at)
     root = math.sqrt((1.0 - lam) * (a - lam * (a + b))) - lam * math.sqrt(b)
-    return root * root if root > 0.0 else 0.0
+    return BoundResult(root * root if root > 0.0 else 0.0, at)
 
 
 def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> float:
@@ -534,6 +537,55 @@ def two_point_hellinger_bound(family: Family, n: int, f: Functional,
         return 0.0
     dpsi = f.difference(max(theta1, theta2), shift)
     return n * (bracket * dpsi * dpsi)
+
+
+# method -> its evaluation at its arguments (a value, or a BoundResult), their names, the other
+# inputs of evaluate_bound it reads, and its sup where no argument is given (None: it needs them
+# all). "sigma" and "alpha" are the family's and the functional's parameters (vt reads the
+# Gaussian family's sigma alone); delta sizes a mixture method's default prior. Each lambda
+# looks its evaluator up in this module when it runs, as sweep.BOUNDS does
+BoundMethod = namedtuple("BoundMethod", "evaluate args reads sup", defaults=(None,))
+_MIXTURE_INPUTS = ("family", "sigma", "functional", "alpha", "prior", "delta")
+BOUND_METHODS = {
+    "vt": BoundMethod(lambda r: vt_kepler_bound(r.delta, r.n, r.family.fisher_info(0.0)), (),
+                      ("sigma", "delta")),
+    "diffeo": BoundMethod(lambda r: diffeo_bound(r.delta, r.n, r.xi1, r.xi2), ("xi1", "xi2"),
+                          ("delta",), lambda r: diffeo_bound_sup(r.delta, r.n)),
+    "twopoint": BoundMethod(
+        lambda r: two_point_hellinger_bound(r.family, r.n, r.functional, r.theta1, r.theta2),
+        ("theta1", "theta2"), ("family", "sigma", "functional", "alpha")),
+    "hellinger": BoundMethod(
+        lambda r: hellinger_mixture_bound(r.family, r.n, r.prior, r.functional, r.h), ("h",),
+        _MIXTURE_INPUTS, lambda r: hellinger_mixture_bound_sup(
+            r.family, r.n, r.prior, r.functional, *default_shift_range(r.prior))),
+    "chi2": BoundMethod(
+        lambda r: chi2_mixture_bound(r.family, r.n, r.prior, r.functional, r.h,
+                                     0.0 if r.lam is None else r.lam),
+        ("h",), _MIXTURE_INPUTS + ("lam",)),
+    "vantrees": BoundMethod(lambda r: van_trees_value(r.family, r.n, r.prior, r.functional), (),
+                            _MIXTURE_INPUTS),
+}
+
+
+def evaluate_bound(method: str, n: int, *, family: Family = GaussianLocation(),
+                   functional: Functional = MaxZero(), prior: Optional[Prior] = None,
+                   delta: float = 1.0, h=None, lam=None, xi1=None, xi2=None, theta1=None,
+                   theta2=None) -> BoundResult:
+    """The n-scaled bound of a method of BOUND_METHODS as ``minimaxlb bound`` prints it, notes
+    included: its sup where it has one and no argument is given, else its value at all of them,
+    its argmax. Unread inputs are not looked at; a mixture method given no prior reads
+    cosine:0:delta, and chi2 given no lam reads 0."""
+    request, entry = SimpleNamespace(**locals()), BOUND_METHODS[method]
+    if "prior" in entry.reads and prior is None:  # delta is named as the CLI's option
+        check_scale(delta, "--delta", Cosine().fisher_info())
+        request.prior = Cosine(0.0, delta)
+    given = {k: v for k, v in vars(request).items() if k in entry.args and v is not None}
+    if entry.sup and not given:
+        return entry.sup(request)
+    if len(given) < len(entry.args):
+        raise ValueError(f"{method} requires {' and '.join(entry.args)}")
+    result = entry.evaluate(request)
+    return result if isinstance(result, BoundResult) else BoundResult(result, given)
 
 
 # The objectives of the scalar constants take a float or an ndarray, with math's

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bounds, checks, estimators, mixtures, models, numerics, priors
+from . import bounds, checks, estimators, models, numerics, priors
 from .sweep import RISKS, SWEEP_ESTIMATORS, SWEEP_METHODS, SweepConfig, run_sweep
 
 CSV_COLUMNS = ("delta", "n", "bound_vt", "bound_diffeo", "bound_twopoint",
@@ -303,94 +303,38 @@ def cmd_kepler(args: argparse.Namespace) -> Tuple[int, Outputs]:
     return 0, outputs
 
 
-# The options of `bound` with their defaults, and each method's printed name and the
-# options it reads: setting an option its method does not read is rejected.
+# the name each method of bounds.BOUND_METHODS prints
+_BOUND_NAMES = {"vt": "vt-kepler", "diffeo": "diffeo", "twopoint": "twopoint",
+                "hellinger": "hellinger-mixture", "chi2": "chi2-mixture", "vantrees": "van-trees"}
+# the options of `bound` with their defaults: setting one its method does not read is rejected
 _BOUND_DEFAULTS = {"family": "gaussian", "sigma": 1.0, "prior": None,
                    "functional": "maxzero", "alpha": None, "delta": 1.0,
                    "lam": None, "h": None, "xi1": None, "xi2": None,
                    "theta1": None, "theta2": None}
-_MIXTURE_READS = ("family", "sigma", "functional", "alpha", "prior", "delta")
-_BoundMethod = namedtuple("_BoundMethod", "tag reads")
-_BOUND_READS = {
-    "vt": _BoundMethod("vt-kepler", ("sigma", "delta")),
-    "diffeo": _BoundMethod("diffeo", ("delta", "xi1", "xi2")),
-    "twopoint": _BoundMethod("twopoint", ("family", "sigma", "functional", "alpha",
-                                          "theta1", "theta2")),
-    "hellinger": _BoundMethod("hellinger-mixture", _MIXTURE_READS + ("h",)),
-    "chi2": _BoundMethod("chi2-mixture", _MIXTURE_READS + ("h", "lam")),
-    "vantrees": _BoundMethod("van-trees", _MIXTURE_READS),
-}
-
-
-def _reject_unread_options(args: argparse.Namespace) -> None:
-    unread_because = {}
-    if args.family != "gaussian":
-        unread_because["sigma"] = "with --family uniform"
-    if args.functional != "powermax":
-        unread_because["alpha"] = "without --functional powermax"
-    if args.prior:  # delta only sizes the default prior cosine:0:delta
-        unread_because["delta"] = "with --prior"
-    reads = _BOUND_READS[args.method].reads
-    for dest, default in _BOUND_DEFAULTS.items():
-        if (dest in reads and dest not in unread_because) or getattr(args, dest) == default:
-            continue
-        flag = "--lambda" if dest == "lam" else "--" + dest
-        why = f" {unread_because[dest]}" if dest in reads else ""
-        raise ValueError(f"--method {args.method} does not read {flag}{why}")
-
-
-def _bound_dispatch(args: argparse.Namespace) -> Tuple[bounds.BoundResult, List[str]]:
-    """Returns the n-scaled bound result and extra note lines."""
-    _reject_unread_options(args)
-    if args.functional == "powermax" and args.alpha is None:
-        raise ValueError("powermax requires --alpha")
-    family = _FAMILIES[args.family](args.sigma)
-    functional = _FUNCTIONALS[args.functional](args.alpha)
-    n, method = args.n, args.method
-    if method == "vt":
-        return bounds.vt_kepler_bound(args.delta, n, family.fisher_info(0.0)), []
-    if method == "diffeo":
-        if (args.xi1 is None) != (args.xi2 is None):
-            raise ValueError("--xi1 and --xi2 must be given together")
-        if args.xi1 is None:
-            return bounds.diffeo_bound_sup(args.delta, n), []
-        value = bounds.diffeo_bound(args.delta, n, args.xi1, args.xi2)
-        return bounds.BoundResult(value, {"xi1": args.xi1, "xi2": args.xi2}), []
-    if method == "twopoint":
-        if args.theta1 is None or args.theta2 is None:
-            raise ValueError("twopoint requires --theta1 and --theta2")
-        value = bounds.two_point_hellinger_bound(
-            family, n, functional, args.theta1, args.theta2)
-        return bounds.BoundResult(value, {"theta1": args.theta1, "theta2": args.theta2}), []
-    if not args.prior:  # the default prior cosine:0:delta
-        priors.check_scale(args.delta, "--delta", priors.Cosine().fisher_info())
-    prior = parse_prior(args.prior) if args.prior else priors.Cosine(0.0, args.delta)
-    if method == "hellinger":
-        if args.h is None:
-            h_lo, h_hi = bounds.default_shift_range(prior)
-            return bounds.hellinger_mixture_bound_sup(family, n, prior, functional,
-                                                      h_lo, h_hi), []
-        value = bounds.hellinger_mixture_bound(family, n, prior, functional, args.h)
-        return bounds.BoundResult(value, {"h": args.h}), []
-    if method == "chi2":
-        if args.h is None:
-            raise ValueError("chi2 requires --h")
-        lam = args.lam if args.lam is not None else 0.0
-        value = bounds.chi2_mixture_bound(family, n, prior, functional, args.h, lam)
-        # a divergent denominator can only have given a zero bound
-        divergent = value == 0.0 and lam == 0.0 and mixtures.mixture_chi_sq(
-            mixtures.MixtureSpec(family, n, prior, args.h)) == math.inf
-        notes = ["note=divergent denominator; trivial bound 0"] if divergent else []
-        return bounds.BoundResult(value, {"h": args.h, "lambda": lam}), notes
-    value = bounds.van_trees_value(family, n, prior, functional)  # method == "vantrees"
-    return bounds.BoundResult(value), []
 
 
 def cmd_bound(args: argparse.Namespace) -> Tuple[int, Outputs]:
-    result, notes = _bound_dispatch(args)
-    lines = [f"method={_BOUND_READS[args.method].tag}", f"value={fmt(result.value)}"]
+    entry = bounds.BOUND_METHODS[args.method]
+    reads = entry.args + entry.reads
+    unread_because = {dest: why for dest, why, unread in (
+        ("sigma", "with --family uniform", args.family != "gaussian"),
+        ("alpha", "without --functional powermax", args.functional != "powermax"),
+        ("delta", "with --prior", bool(args.prior))) if unread}
+    for dest, default in _BOUND_DEFAULTS.items():
+        if getattr(args, dest) != default and (dest not in reads or dest in unread_because):
+            flag = "--lambda" if dest == "lam" else "--" + dest
+            why = f" {unread_because[dest]}" if dest in reads else ""
+            raise ValueError(f"--method {args.method} does not read {flag}{why}")
+    if args.functional == "powermax" and args.alpha is None:
+        raise ValueError("powermax requires --alpha")
+    result = bounds.evaluate_bound(
+        args.method, args.n, family=_FAMILIES[args.family](args.sigma),
+        functional=_FUNCTIONALS[args.functional](args.alpha),
+        prior=parse_prior(args.prior) if args.prior else None, delta=args.delta, h=args.h,
+        lam=args.lam, xi1=args.xi1, xi2=args.xi2, theta1=args.theta1, theta2=args.theta2)
+    lines = [f"method={_BOUND_NAMES[args.method]}", f"value={fmt(result.value)}"]
     lines += [f"{k}={fmt(v)}" for k, v in sorted(result.argmax.items())]
-    lines += notes
+    lines += [f"note={note}" for note in result.notes]
     row = (fmt(args.delta), str(args.n), args.method, fmt(result.value))
     return 0, [(None, "\n".join(lines) + "\n"),
                (args.out, _csv([row], ("delta", "n", "method", "value")))]
@@ -466,22 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no prefix matching: a stray --a would otherwise be read as --alpha
     p = sub.add_parser("bound", help="evaluate one lower bound", allow_abbrev=False)
-    p.add_argument("--method", required=True, choices=tuple(_BOUND_READS))
-    p.add_argument("--family", default=_BOUND_DEFAULTS["family"], choices=tuple(_FAMILIES))
-    p.add_argument("--sigma", type=float, default=_BOUND_DEFAULTS["sigma"])
+    p.add_argument("--method", required=True, choices=tuple(bounds.BOUND_METHODS))
+    p.add_argument("--family", choices=tuple(_FAMILIES))
+    p.add_argument("--sigma", type=float)
     p.add_argument("--prior", help="prior spec, e.g. cosine:0:1 or gaussian:0:1")
-    p.add_argument("--functional", default=_BOUND_DEFAULTS["functional"],
-                   choices=tuple(_FUNCTIONALS))
+    p.add_argument("--functional", choices=tuple(_FUNCTIONALS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--delta", type=float, default=_BOUND_DEFAULTS["delta"])
+    p.add_argument("--delta", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--h", type=float)
     p.add_argument("--xi1", type=float)
     p.add_argument("--xi2", type=float)
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, **_BOUND_DEFAULTS)
 
     p = sub.add_parser("risk", help="local minimax risk of a reference estimator")
     p.add_argument("--estimator", required=True, choices=SWEEP_ESTIMATORS)

@@ -102,13 +102,17 @@ def pretest_risk_at(theta, n: int, c_n: float):
 
 
 def _risk_parts(theta, n: int, c_n: float):
-    """The risk c phi(c) + 1 - Phi(c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), unchecked,
-    and c, phi(c) and Phi(c); Phi(c) = 0 before n theta^2 overflows, and the term is then 0."""
+    """The risk c phi(c) + Phi(-c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), unchecked, and
+    c, phi(c) and Phi(c), from one erfc, Phi(-|c|), which is Phi(-c) where c > 0 (1 - Phi(c) would
+    cancel it). Phi(c) = 0 before n theta^2 overflows, and the term is then 0."""
     cut = math.sqrt(n) * (c_n - theta)
-    phi, below = normal_pdf(cut), normal_cdf(cut)
-    head = cut * phi + 1.0 - below
+    phi, tail = normal_pdf(cut), normal_cdf(-abs(cut))
     if not isinstance(theta, np.ndarray):
+        below = 1.0 - tail if cut > 0.0 else tail
+        head = cut * phi + tail if cut > 0.0 else cut * phi + 1.0 - tail
         return head + (n * theta * theta * below if below else 0.0), cut, phi, below
+    below = np.where(cut > 0.0, 1.0 - tail, tail)
+    head = np.where(cut > 0.0, cut * phi + tail, cut * phi + 1.0 - tail)
     with np.errstate(over="ignore", invalid="ignore"):
         return head + np.where(below > 0.0, n * theta * theta * below, 0.0), cut, phi, below
 

@@ -142,7 +142,7 @@ def test_interpolated_chi2_bound_scales_as_sigma_squared():
     # S = 1e77 or below 1e-77; no RuntimeWarning, which the test settings make an error
     def scaled(s):
         family, prior = GaussianLocation(s), GaussianPrior(0.0, s)
-        return chi2_mixture_bound(family, 1, prior, MaxZero(), 0.1 * s, 0.5) / s**2
+        return chi2_mixture_bound(family, 1, prior, MaxZero(), 0.1 * s, 0.5).value / s**2
 
     for s in (1e-100, 1e-80, 1e80, 1e100):
         assert scaled(s) == pytest.approx(scaled(1.0), rel=1e-12, abs=0.0)
@@ -202,7 +202,7 @@ def test_hellinger_mixture_sup_below_plugin_risk():
 def test_chi2_bound_lambda_zero_is_mixture_hcr():
     h = 0.05
     prior = GaussianPrior(0.0, 1.0)
-    got = chi2_mixture_bound(GAUSS, 1, prior, Identity(), h, 0.0)
+    got = chi2_mixture_bound(GAUSS, 1, prior, Identity(), h, 0.0).value
     num, _ = bounds.delta_psi_moments(prior, Identity(), h)
     denom = mixture_chi_sq(MixtureSpec(GAUSS, 1, prior, h))
     assert got == num * num / denom
@@ -230,15 +230,16 @@ def test_chi2_bound_gaussian_closed_form(h):
     # n = 1, N(0, 1) prior: chi^2(Mh||M0) = exp(2 h^2) - 1; 0.012336767982401253
     # is the shift where adaptive Simpson converged falsely on the numerator
     exact = _maxzero_first_moment(h) ** 2 / math.expm1(2.0 * h * h)
-    got = chi2_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), MaxZero(), h, 0.0)
+    got = chi2_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), MaxZero(), h, 0.0).value
     assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_chi2_bound_divergent_and_lambda_one():
-    assert chi2_mixture_bound(UniformScale(), 1, Cosine(2.0, 0.5), Identity(),
-                              0.1, 0.0) == 0.0
+    divergent = chi2_mixture_bound(UniformScale(), 1, Cosine(2.0, 0.5), Identity(), 0.1, 0.0)
+    assert divergent.value == 0.0
+    assert divergent.notes == ("divergent denominator; trivial bound 0",)
     assert chi2_mixture_bound(GAUSS, 1, GaussianPrior(0.0, 1.0), Identity(),
-                              0.1, 1.0) == 0.0
+                              0.1, 1.0).value == 0.0
     with pytest.raises(ValueError):
         chi2_mixture_bound(GAUSS, 2, GaussianPrior(0.0, 1.0), Identity(), 0.1, 0.5)
     with pytest.raises(ValueError):
@@ -260,7 +261,7 @@ def test_chi2_bound_closed_form_matches_L_scan():
         val = (1.0 - lam) ** 2 / (1.0 + big_l * lam) * max(
             a - lam * (1.0 + 1.0 / big_l) / (1.0 - lam) ** 2 * b, 0.0)
         best = max(best, val)
-    got = chi2_mixture_bound(GAUSS, 1, prior, f, h, lam)
+    got = chi2_mixture_bound(GAUSS, 1, prior, f, h, lam).value
     assert got == pytest.approx(best, rel=1e-6)
 
 

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from minimaxlb import bounds, cli, priors
-from minimaxlb.bounds import MaxZero
+from minimaxlb import bounds, cli, mixtures, priors
+from minimaxlb.bounds import Identity, MaxZero, PowerMax, evaluate_bound
 from minimaxlb.cli import CSV_COLUMNS, kepler_svg, main, parse_grid, parse_prior, rows_to_csv
-from minimaxlb.models import GaussianLocation
+from minimaxlb.mixtures import mixture_chi_sq
+from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 from minimaxlb.sweep import SweepConfig, run_sweep
+from test_reach import CLI_CORPUS
 
 GAUSS = GaussianLocation(1.0)
 PI2 = math.pi**2
@@ -321,7 +323,8 @@ def test_bound_command_hellinger_and_vantrees(tmp_path, capsys):
     (["--method", "hellinger", "--prior", "gaussian:0:1", "--h", "0.0001"],
      lambda n: bounds.hellinger_mixture_bound(GAUSS, n, GaussianPrior(0.0, 1.0), MaxZero(), 1e-4)),
     (["--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.001", "--lambda", "0"],
-     lambda n: bounds.chi2_mixture_bound(GAUSS, n, GaussianPrior(0.0, 1.0), MaxZero(), 1e-3, 0.0)),
+     lambda n: bounds.chi2_mixture_bound(GAUSS, n, GaussianPrior(0.0, 1.0), MaxZero(), 1e-3,
+                                        0.0).value),
     (["--method", "vantrees", "--prior", "cosine:0:1"],
      lambda n: bounds.van_trees_value(GAUSS, n, Cosine(0.0, 1.0), MaxZero())),
     (["--method", "twopoint", "--theta1", "0", "--theta2", "0.001"],
@@ -342,7 +345,8 @@ def test_bound_command_validation_exit(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("argv,code,message", [
+# (argv, exit code, a substring of stdout or stderr): the CLI's input contract
+CONTRACT = [
     (["bound", "--method", "vantrees", "--prior", "cosine:0:1:5"], 2,
      "expected cosine[:center[:halfwidth]]"),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1:7:8"], 2,
@@ -498,7 +502,10 @@ def test_bound_command_validation_exit(tmp_path):
     # a repeated sweep name would draw its series twice
     (["sweep", "--n", "10", "--delta", "0.5,1", "--methods", "vt,vt", "--estimators",
       "plugin,plugin"], 2, "method 'vt' is given twice"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,code,message", CONTRACT)
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     try:
         got = main(argv + ["--out", str(tmp_path / "out.csv")])
@@ -620,3 +627,55 @@ def test_unconverged_quadrature_exits_3(monkeypatch, tmp_path, capsys):
     assert main(["bound", "--method", "hellinger", "--prior", "gaussian:0:1", "--h", "0.1",
                  "--out", str(tmp_path / "h.csv")]) == 3
     assert "did not converge with 4 panels per piece" in capsys.readouterr().err
+
+
+def _printed_report(argv, capsys):
+    """The key=value lines `bound` prints to stdout for argv, which must exit 0."""
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if "=" in line]
+
+
+# every bound argv of the reach corpus and of the contract rows that exits 0
+API_ARGVS = [argv for argv, code in CLI_CORPUS if argv[0] == "bound" and code == 0] + \
+    [argv for argv, code, _ in CONTRACT if argv[0] == "bound" and code == 0]
+
+
+@pytest.mark.parametrize("argv", API_ARGVS, ids=[" ".join(a[1:]) for a in API_ARGVS])
+def test_evaluate_bound_returns_what_bound_prints(argv, capsys):
+    # the library call, built from the parsed options with the library's own types and
+    # only the inputs given, so its defaults are the library's
+    args = cli.build_parser().parse_args(argv)
+    family = GaussianLocation(args.sigma) if args.family == "gaussian" else UniformScale()
+    functional = (PowerMax(args.alpha) if args.functional == "powermax"
+                  else {"identity": Identity(), "maxzero": MaxZero()}[args.functional])
+    given = {name: getattr(args, name) for name in ("h", "lam", "xi1", "xi2", "theta1", "theta2")
+             if getattr(args, name) is not None}
+    result = evaluate_bound(args.method, args.n, family=family, functional=functional,
+                            prior=parse_prior(args.prior) if args.prior else None,
+                            delta=args.delta, **given)
+    assert _printed_report(argv, capsys)[1:] == (
+        [f"value={result.value!r}"] + [f"{k}={v!r}" for k, v in sorted(result.argmax.items())]
+        + [f"note={note}" for note in result.notes])
+
+
+def test_every_bound_method_has_a_printed_name():
+    assert cli._BOUND_NAMES.keys() == bounds.BOUND_METHODS.keys()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "50", "--n", "100"],
+    ["bound", "--method", "chi2", "--prior", "cosine:0:1", "--h", "0.1"],
+])
+def test_a_chi2_request_integrates_its_denominator_once(argv, monkeypatch, capsys):
+    # both requests print the divergent note, which is read off the one integral: each
+    # module's name of mixture_chi_sq is counted
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.h)
+        return mixture_chi_sq(spec)
+
+    monkeypatch.setattr(mixtures, "mixture_chi_sq", counted)
+    monkeypatch.setattr(bounds, "mixture_chi_sq", counted)
+    assert _printed_report(argv, capsys)[-1] == "note=divergent denominator; trivial bound 0"
+    assert len(calls) == 1

@@ -11,8 +11,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimaxlb.cli import (_BOUND_DEFAULTS, _BOUND_READS, _FAMILIES, _FUNCTIONALS,
-                           _PRIOR_FORMS, main)
+from minimaxlb.bounds import BOUND_METHODS
+from minimaxlb.cli import _FAMILIES, _FUNCTIONALS, _PRIOR_FORMS, main
 from minimaxlb.sweep import RISKS, SWEEP_METHODS
 
 EXTREMES = st.sampled_from(["0", "inf", "-inf", "nan", "1e300", "1e-300", "-1e300", "1e-160"])
@@ -37,10 +37,12 @@ GRIDS = st.one_of(
     st.builds(lambda lo, hi, count: f"log:{lo}:{hi}:{count}",
               SCALES, SCALES, st.sampled_from(["1", "2", "3", "x"])),
     st.sampled_from(["log:0.1:10:3", "log:1:2", "1,,2", ""]))
+# every input of a bound method, each an option of `bound`
+BOUND_INPUTS = sorted({dest for method in BOUND_METHODS.values()
+                       for dest in method.args + method.reads})
 # bound option -> its values; the others take NUMBERS
 BOUND_VALUES = {"family": st.sampled_from(sorted(_FAMILIES)), "prior": PRIORS, "n": SIZES,
                 "sigma": SCALES, "delta": SCALES, "xi2": SCALES, "alpha": UNITS, "lam": UNITS}
-BOUND_NEEDS = {"twopoint": ("theta1", "theta2"), "chi2": ("h",)}
 # stdout; a file under a directory that does not exist; a file in a fresh temporary
 # directory per example, written {tmp} here; and, where it exists, a device that
 # fails every write
@@ -55,12 +57,15 @@ def _option(dest: str, value: str) -> str:
 
 @st.composite
 def bound_argv(draw, method):
-    # each option the method reads with odds 1/2, now and then one it rejects
-    reads = _BOUND_READS[method].reads
+    # each input the method reads (the library's table) with odds 1/2, the arguments of a
+    # method without a sup always, now and then an input it may reject
+    entry = BOUND_METHODS[method]
+    reads = entry.args + entry.reads
     dests = {d for d in reads + ("n",) if draw(st.booleans())}
-    dests.update(BOUND_NEEDS.get(method, ()))
+    if entry.sup is None:
+        dests.update(entry.args)
     if draw(st.integers(0, 7)) == 0:
-        dests.add(draw(st.sampled_from(sorted(_BOUND_DEFAULTS))))
+        dests.add(draw(st.sampled_from(BOUND_INPUTS)))
     functional = draw(st.sampled_from(sorted(_FUNCTIONALS)))
     if "alpha" in dests and "functional" in reads:
         functional = "powermax"  # the one functional that reads alpha
@@ -130,7 +135,7 @@ def _run(argv):
 
 # one form per bound method, so bound's many options get most of the examples
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(argv=with_outputs(st.one_of(*(bound_argv(m) for m in sorted(_BOUND_READS)), risk_argv(),
+@given(argv=with_outputs(st.one_of(*(bound_argv(m) for m in sorted(BOUND_METHODS)), risk_argv(),
                                    sweep_argv(), kepler_argv(), st.just(["constants"]))))
 def test_cli_exits_0_2_or_3_without_traceback(argv):
     assert not os.path.exists(MISSING_DIR)

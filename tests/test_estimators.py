@@ -291,3 +291,36 @@ def test_broadcast_risk_where_n_theta_squared_overflows():
         pretest_risk_at(np.array([0.5, -1e-9]), 10, 10 ** -0.25)
     with pytest.raises(ValueError):
         normal_cdf(np.array([0.0, math.inf]))
+
+
+def test_pretest_risk_matches_mpmath():
+    # c phi(c) + Phi(-c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), against a 60-digit
+    # evaluation at the same float inputs, with the tail taken as ncdf(-c): 1 - ncdf(c)
+    # loses it past c ~ 17 even at 60 digits. Where c > 0 the float form reads Phi(-c)
+    # itself; 1 - Phi(c) read 0.0 at theta = 0 where the risk is 7.8e-22. The risk's
+    # relative conditioning in c is about c^2, so a draw may miss by 1e-15 (1 + c^2)
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(theta, n, c_n):
+        with mpmath.workdps(60):
+            theta, n = mpmath.mpf(theta), mpmath.mpf(n)
+            c = mpmath.sqrt(n) * (mpmath.mpf(c_n) - theta)
+            return float(c * mpmath.npdf(c) + mpmath.ncdf(-c) + n * theta**2 * mpmath.ncdf(c)), \
+                float(c)
+
+    for theta, n, c_n in ((0.0, 10**4, 0.1), (0.0, 10**8, 0.001), (0.0, 10**6, 0.008),
+                          (1e-9, 10**4, 0.1)):
+        want, _ = exact(theta, n, c_n)
+        assert abs(pretest_risk_at(theta, n, c_n) - want) <= 1e-14 * want, (theta, n, c_n)
+    rng, checked = np.random.default_rng(33), 0
+    for _ in range(2000):
+        n = int(10.0 ** rng.uniform(0.0, 12.0))
+        c_n = n ** -0.25 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-4.0, 1.0))
+        theta = 0.0 if rng.random() < 0.1 else abs(c_n + rng.uniform(-5.0, 5.0) / math.sqrt(n))
+        want, c = exact(theta, n, c_n)
+        if want < 1e-290:  # past the float range of its terms
+            continue
+        got = pretest_risk_at(theta, n, c_n)
+        assert abs(got - want) <= 1e-15 * (1.0 + c * c) * want, (theta, n, c_n, got, want)
+        checked += 1
+    assert checked >= 1500
