@@ -79,7 +79,9 @@ class PowerMax(Functional):
         if self.alpha == 1.0:  # a - max(b, 0) = min(|h|, a) where a > 0, exactly
             return float_or_array(sign * np.minimum(np.maximum(a, 0.0), size))
         b = np.maximum(t - np.maximum(h, 0.0), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; a <= 0 masked
+        # log 0 = -inf, a <= 0 is masked, and -size / a overflows only where size > a/2,
+        # which log(b / a) serves
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_r = np.where(size <= 0.5 * a, np.log1p(-size / a), np.log(b / a))
             value = sign * a**self.alpha * -np.expm1(self.alpha * log_r)
             return float_or_array(np.where(a > 0.0, value, 0.0))
@@ -143,7 +145,8 @@ def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
 
     def moments(z: np.ndarray, h) -> np.ndarray:
         dpsi, q = f.difference(c + z, h), prior_density(near, z)
-        return np.stack((dpsi * q, dpsi * dpsi * q))
+        with np.errstate(over="ignore"):  # integrate_panels rejects a moment that overflows
+            return np.stack((dpsi * q, dpsi * dpsi * q))
 
     first, second = integrate_panels(moments, np.full(np.shape(h), lo), np.full(np.shape(h), hi),
                                      f.cuts(h, hi - lo) - c, (h,))
@@ -325,10 +328,10 @@ _DIFFEO_BOX = SearchBox(intervals=(DIFFEO_XI1_RANGE, (math.log(DIFFEO_XI2_RANGE[
                                                       math.log(DIFFEO_XI2_RANGE[1]))))
 
 
-def _diffeo_moments(xi1, xi2: float, derivatives: bool = False):
+def _diffeo_moments(xi1: float, xi2: float, derivatives: bool = False):
     """E[g(Z) 1{Z > z0}] and E[g(Z)^2] for g(z) = (1 + (xi1 + z xi2)^2)^-1 and
     the kink z0 = -xi1/xi2, on the 12-sigma window by one graded Gauss-Legendre
-    rule, for a float xi1 or per entry of an array of them (one array pass).
+    rule, in one array pass over its nodes.
 
     g peaks at z0 with width 1/xi2: its poles sit 1/xi2 off the real axis. So
     the window is cut at z0, at z0 +- 2^j/xi2 for j >= 0 and every 2 units, and
@@ -337,24 +340,22 @@ def _diffeo_moments(xi1, xi2: float, derivatives: bool = False):
     clipped to its ends as empty pieces. The indicator moment sums g phi over
     the nodes above z0, which is exact since z0 is a cut. Validated against
     adaptive quadrature to 1.3e-14 relative over DIFFEO_XI1_RANGE x
-    DIFFEO_XI2_RANGE. With ``derivatives`` (a float xi1) it returns the moments
+    DIFFEO_XI2_RANGE. With ``derivatives`` it returns the moments
     of Z^k, k = 0..4, under both weights: the bound's derivatives are such sums.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    z0 = (-xi1 / xi2)[..., None]
+    z0 = -xi1 / xi2
     offsets, step = [0.0], 1.0 / xi2
     while step < 2.0 * _Z_MAX:
         offsets += (-step, step)
         step *= 2.0
-    ends = np.empty(z0.shape[:-1] + (len(_Z_FIXED) + len(offsets),))
-    ends[..., :len(_Z_FIXED)], ends[..., len(_Z_FIXED):] = _Z_FIXED, z0 + offsets
+    ends = np.concatenate((_Z_FIXED, np.add(z0, offsets)))
     ends = np.sort(np.minimum(np.maximum(ends, -_Z_MAX), _Z_MAX))
     z, w = panel_nodes(ends)
-    u = xi1[..., None] + z * xi2
+    u = xi1 + z * xi2
     g = 1.0 / (1.0 + u * u)
     g_phi_w = g * np.exp(-0.5 * z * z) * (w / _SQRT_2PI)
     above, g2_phi_w = np.where(z > z0, g_phi_w, 0.0), g * g_phi_w
-    e_ind, e_sq = float_or_array(above.sum(axis=-1)), float_or_array(g2_phi_w.sum(axis=-1))
+    e_ind, e_sq = float(above.sum()), float(g2_phi_w.sum())
     if not derivatives:
         return e_ind, e_sq
     powers = np.empty((4, z.size))                                   # z, z^2, z^3, z^4
@@ -588,30 +589,23 @@ def evaluate_bound(method: str, n: int, *, family: Family = GaussianLocation(),
     return result if isinstance(result, BoundResult) else BoundResult(result, given)
 
 
-# The objectives of the scalar constants take a float or an ndarray, with math's
-# exponentials either way (math_elementwise).
-
-def regular_twopoint_objective(eps):
+def regular_twopoint_objective(eps: float) -> float:
     """(-1/4 + exp(-eps^2/8)/2) eps^2, maximized by the regular two-point constant."""
-    eps = float_or_array(eps)
-    return (-0.25 + 0.5 * math_elementwise(math.exp, -eps * eps / 8.0)) * eps * eps
+    return (-0.25 + 0.5 * math.exp(-eps * eps / 8.0)) * eps * eps
 
 
-def uniform_twopoint_objective(eta):
+def uniform_twopoint_objective(eta: float) -> float:
     """4 [-1/4 + exp(-eta)/2]_+ eta^2 from the uniform-model two-point limit."""
-    eta = float_or_array(eta)
-    bracket = -0.25 + 0.5 * math_elementwise(math.exp, -eta)
-    return float_or_array(4.0 * np.maximum(bracket, 0.0) * eta * eta)
+    return 4.0 * max(-0.25 + 0.5 * math.exp(-eta), 0.0) * eta * eta
 
 
-def uniform_diffeo_objective(c):
+def uniform_diffeo_objective(c: float) -> float:
     """[c / (2 sqrt(2 - 2 exp(-c/2))) - c]_+^2 from the uniform diffeomorphism limit,
-    0 for c <= 0."""
-    c = float_or_array(c)
-    with np.errstate(divide="ignore", invalid="ignore"):  # c <= 0 is masked
-        bracket = c / (2.0 * np.sqrt(-2.0 * math_elementwise(math.expm1, -c / 2.0)))
-        bracket -= c
-    return float_or_array(np.where((c > 0.0) & (bracket > 0.0), bracket * bracket, 0.0))
+    0 for c <= 0 and where c/2 underflows to 0, whose value rounds to 0."""
+    if not c / 2.0 > 0.0:
+        return 0.0
+    bracket = c / (2.0 * math.sqrt(-2.0 * math.expm1(-c / 2.0))) - c
+    return bracket * bracket if bracket > 0.0 else 0.0
 
 
 def _uniform_twopoint_argmax() -> float:

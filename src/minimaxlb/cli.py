@@ -118,8 +118,8 @@ def parse_grid(spec: str) -> Tuple[float, ...]:
         if len(fields) != 4:
             raise ValueError(f"log grid {spec!r} must be written log:lo:hi:count")
         lo, hi, count = float(fields[1]), float(fields[2]), int(fields[3])
-        if not (0 < lo < hi and count >= 2):
-            raise ValueError("log grid needs 0 < lo < hi and count >= 2")
+        if not (0 < lo < hi < math.inf and count >= 2):
+            raise ValueError("log grid needs 0 < lo < hi < inf and count >= 2")
         return tuple(float(x) for x in np.geomspace(lo, hi, count))
     return tuple(float(x) for x in spec.split(","))
 

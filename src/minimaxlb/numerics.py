@@ -359,67 +359,29 @@ def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence
     _RESOLUTION |value| is rounding. Returns (x, value, reason): "stationary"
     (negative definite, and |gradient| <= 1e-10 |value| or a Newton gain below the
     resolution), "box", "step floor" or "budget" (_NEWTON_EVALS evaluations).
+
+    One loop in floats serves both: a one-variable f runs with a second axis frozen
+    at 0 in the box [0, 0], gradient 0 and Hessian row (0, -1), where every step,
+    sum and stop test reduces to the one-variable float exactly. The Newton step
+    eliminates on [-H | g] in the general n-variable order and sums dot products
+    from 0.0 as sum() does: the same bits.
     """
-    x, lo, hi, scale = ([float(v) for v in vector] for vector in (start, lo, hi, scale))
-    if len(x) == 1:
-        return _newton_1d(f, x[0], lo[0], hi[0], scale[0])
-    return _newton_2d(f, *x, *lo, *hi, *scale)
+    dims, isfinite = len(start), math.isfinite
+    if dims == 1:
+        inputs = (start[0], 0.0, lo[0], 0.0, hi[0], 0.0, scale[0], 0.0)
 
+        def evaluate(x0, x1):
+            value, (g0,), ((h00,),) = f(x0)
+            finite = isfinite(value) and isfinite(g0) and isfinite(h00)
+            return (float(value) if finite else -math.inf), g0, 0.0, h00, 0.0, 0.0, -1.0
+    else:
+        inputs = (*start, *lo, *hi, *scale)
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    """min(max(v, lo), hi), the same float (a NaN stays) without two builtin calls."""
-    v = lo if lo > v else v
-    return hi if hi < v else v
-
-
-def _stop_reason(evals: int, t: float, moved, lo, hi) -> str:
-    """Why a line search without a gain ends the ascent; a NaN step is never clamped."""
-    box = any(_clamp(m, a, b) != m and m == m for m, a, b in zip(moved, lo, hi))
-    return "budget" if evals >= _NEWTON_EVALS else "box" if t == 1.0 and box else "step floor"
-
-
-def _newton_1d(f, x: float, lo: float, hi: float, scale: float):
-    """maximize_newton in one variable, in floats; f(x) = (value, (g,), ((h,),))."""
-    def evaluate(x):
-        value, (g,), ((h,),) = f(x)
-        finite = math.isfinite(value) and math.isfinite(g) and math.isfinite(h)
-        return (float(value) if finite else -math.inf), g, h
-
-    (value, g, h), evals, reason = evaluate(x), 1, "step floor"
-    while value > -math.inf:
-        resolution, norm = _RESOLUTION * abs(value), abs(g)
-        if -h > 0.0:
-            step = g / -h
-            if norm <= _STATIONARY * abs(value) or 0.5 * (step * g) <= resolution:
-                reason = "stationary"
-                break
-        else:
-            step = g * scale / norm if norm > 0.0 else g
-        moved = x + step
-        clamped = _clamp(moved, lo, hi) - x
-        t = 1.0  # the step t * clamped gains about t * g * clamped
-        while t * (g * clamped) > resolution and evals < _NEWTON_EVALS:
-            evals += 1
-            trial = _clamp(x + t * clamped, lo, hi)
-            trial_value, trial_g, trial_h = evaluate(trial)
-            if trial_value > value:
-                x, value, g, h = trial, trial_value, trial_g, trial_h
-                break
-            t *= 0.5
-        else:
-            reason = _stop_reason(evals, t, (moved,), (lo,), (hi,))
-            break
-    return (x,), value, reason
-
-
-def _newton_2d(f, x0, x1, lo0, lo1, hi0, hi1, s0, s1):
-    """maximize_newton in two variables, in floats; f(x0, x1) = (value, (g0, g1),
-    ((h00, h01), (h10, h11))). Its Newton step eliminates on [-H | g] in the general
-    n-variable order and sums dot products from 0.0 as sum() does: the same bits."""
-    def evaluate(x0, x1):
-        value, (g0, g1), ((h00, h01), (h10, h11)) = f(x0, x1)
-        finite = all(map(math.isfinite, (value, g0, g1, h00, h01, h10, h11)))
-        return (float(value) if finite else -math.inf), g0, g1, h00, h01, h10, h11
+        def evaluate(x0, x1):
+            value, (g0, g1), ((h00, h01), (h10, h11)) = f(x0, x1)
+            finite = all(map(isfinite, (value, g0, g1, h00, h01, h10, h11)))
+            return (float(value) if finite else -math.inf), g0, g1, h00, h01, h10, h11
+    x0, x1, lo0, lo1, hi0, hi1, s0, s1 = map(float, inputs)
 
     (value, g0, g1, h00, h01, h10, h11), evals, reason = evaluate(x0, x1), 1, "step floor"
     while value > -math.inf:
@@ -445,10 +407,19 @@ def _newton_2d(f, x0, x1, lo0, lo1, hi0, hi1, s0, s1):
                 (x0, x1), (value, g0, g1, h00, h01, h10, h11) = (t0, t1), trial
                 break
             t *= 0.5
-        else:
-            reason = _stop_reason(evals, t, (m0, m1), (lo0, lo1), (hi0, hi1))
+        else:  # a NaN step is never clamped
+            box = any(_clamp(m, a, b) != m and m == m
+                      for m, a, b in ((m0, lo0, hi0), (m1, lo1, hi1)))
+            reason = ("budget" if evals >= _NEWTON_EVALS
+                      else "box" if t == 1.0 and box else "step floor")
             break
-    return (x0, x1), value, reason
+    return (x0, x1)[:dims], value, reason
+
+
+def _clamp(v: float, lo: float, hi: float) -> float:
+    """min(max(v, lo), hi), the same float (a NaN stays) without two builtin calls."""
+    v = lo if lo > v else v
+    return hi if hi < v else v
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:

@@ -477,7 +477,9 @@ def _diffeo_grid(delta, n, xi1s, lxi2s):
     columns = []
     for lx2 in lxi2s:
         xi2 = math.exp(float(lx2))
-        columns.append(bounds._diffeo_ratio(delta, n, xi2, *bounds._diffeo_moments(xi1s, xi2)))
+        _, above, g2_phi_w = _diffeo_moment_terms(xi1s, xi2)
+        columns.append(bounds._diffeo_ratio(delta, n, xi2, above.sum(axis=-1),
+                                            g2_phi_w.sum(axis=-1)))
     return np.maximum(np.stack(columns, axis=1), 0.0)
 
 
@@ -705,9 +707,9 @@ def test_vt_derivatives_are_the_numpy_assembly_bit_for_bit():
                                  (delta, n, sup_fisher, y))
 
 
-def _diffeo_moments_by_cumprod(xi1, xi2):
-    """_diffeo_moments(xi1, xi2, derivatives=True) with z, z^2, z^3, z^4 from
-    np.cumprod over a stride-0 view of z: the reference for its powers."""
+def _diffeo_moment_terms(xi1, xi2):
+    """_diffeo_moments' nodes z and its terms g phi w above the kink and g^2 phi w,
+    for a float xi1 or, a row each, an array of them."""
     xi1 = np.asarray(xi1, dtype=float)
     z0 = (-xi1 / xi2)[..., None]
     offsets, step = [0.0], 1.0 / xi2
@@ -722,7 +724,13 @@ def _diffeo_moments_by_cumprod(xi1, xi2):
     u = xi1[..., None] + z * xi2
     g = 1.0 / (1.0 + u * u)
     g_phi_w = g * np.exp(-0.5 * z * z) * (w / bounds._SQRT_2PI)
-    above, g2_phi_w = np.where(z > z0, g_phi_w, 0.0), g * g_phi_w
+    return z, np.where(z > z0, g_phi_w, 0.0), g * g_phi_w
+
+
+def _diffeo_moments_by_cumprod(xi1, xi2):
+    """_diffeo_moments(xi1, xi2, derivatives=True) with z, z^2, z^3, z^4 from
+    np.cumprod over a stride-0 view of z: the reference for its powers."""
+    z, above, g2_phi_w = _diffeo_moment_terms(xi1, xi2)
     powers = np.cumprod(np.broadcast_to(z, (4, z.size)), axis=0)
     return ((float(above.sum(axis=-1)), *(powers * above).sum(axis=1).tolist()),
             (float(g2_phi_w.sum(axis=-1)), *(powers * g2_phi_w).sum(axis=1).tolist()))
@@ -744,7 +752,6 @@ _FIGURE_ROWS = [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2
 _CLOSED_FORM_ROWS = [(10**k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
 
 
-_TABLE_ROWS = 8   # xi1s a pass: the build's peak memory is 0.75 MB, against 3.9 MB for 64
 _REWRITE_TABLE = ("rewrite the table from the repository root with: PYTHONPATH=src:tests "
                   "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_table"
                   ".npy', test_bounds.build_diffeo_moment_table())\"")
@@ -753,16 +760,10 @@ _REWRITE_TABLE = ("rewrite the table from the repository root with: PYTHONPATH=s
 def build_diffeo_moment_table():
     """The package's diffeo_table.npy: e_ind and e_sq stacked, entry [k, i, j] at
     (xi1s[i], exp(log_xi2s[j])) on maximize_2d's coarse grid over the diffeo box,
-    by _diffeo_moments' array path, _TABLE_ROWS xi1s a pass."""
+    by _diffeo_moments at each point."""
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
-    xi2s = [math.exp(b) for b in log_xi2s]
-    table = np.empty((2, len(xi1s), len(xi2s)))
-    e_ind, e_sq = table
-    for j, xi2 in enumerate(xi2s):
-        for i in range(0, len(xi1s), _TABLE_ROWS):
-            e_ind[i:i + _TABLE_ROWS, j], e_sq[i:i + _TABLE_ROWS, j] = \
-                bounds._diffeo_moments(xi1s[i:i + _TABLE_ROWS], xi2)
-    return table
+    return np.moveaxis([[bounds._diffeo_moments(a, math.exp(b)) for b in log_xi2s]
+                        for a in xi1s.tolist()], -1, 0)
 
 
 # the argmax path's knots: 20 a decade of s = sqrt(n) delta over [1e-3, 1e4]
@@ -834,22 +835,18 @@ def test_diffeo_sup_off_the_argmax_path_is_the_scan_start_sup(delta, n):
 
 
 def test_diffeo_moment_table_matches_the_scalar_kernel():
-    # the shipped table is the build above; its array passes pad their rows with
-    # empty pieces, which moves only the order of the sums, and another host's exp
-    # may round otherwise, so each entry may sit 1e-15 off the build and the scalar
-    # kernel, but no coarse argmax may move. The coarse ratio reads (delta, n) only
-    # through n delta^2, so n = 1 and delta = s cover every row of s = sqrt(n) delta
+    # the shipped table is the build above, the scalar kernel at each point; another
+    # host's exp may round otherwise, so each entry may sit 1e-15 off the build, but no
+    # coarse argmax may move. The coarse ratio reads (delta, n) only through n delta^2,
+    # so n = 1 and delta = s cover every row of s = sqrt(n) delta
     xi2, e_ind, e_sq = bounds._diffeo_moment_table()
-    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
-    scalar = np.moveaxis([[bounds._diffeo_moments(float(a), math.exp(b)) for b in log_xi2s]
-                          for a in xi1s], -1, 0)
+    log_xi2s = coarse_axis(*bounds._DIFFEO_BOX.intervals[1])
     assert np.array_equal(xi2, np.broadcast_to([math.exp(b) for b in log_xi2s], xi2.shape))
     assert not any(part.flags.writeable for part in (xi2, e_ind, e_sq))
     # e_ind is 0 where the kink -xi1/xi2 lies past the 12-sigma window
     assert np.isfinite(e_ind).all() and (e_ind >= 0).all() and (e_sq > 0).all(), _REWRITE_TABLE
-    tables = (np.stack((e_ind, e_sq)), build_diffeo_moment_table(), scalar)
-    for want in tables[1:]:
-        assert (np.abs(tables[0] - want) <= 1e-15 * want).all(), _REWRITE_TABLE
+    tables = (np.stack((e_ind, e_sq)), build_diffeo_moment_table())
+    assert (np.abs(tables[0] - tables[1]) <= 1e-15 * tables[1]).all(), _REWRITE_TABLE
     rows = _FIGURE_ROWS + [(1, float(s)) for s in np.geomspace(1e-4, 1e5, 2001)]
     for n, delta in rows:
         cells = {int(np.argmax(bounds._diffeo_ratio(delta, n, xi2, *table))) for table in tables}

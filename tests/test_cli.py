@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -502,18 +503,31 @@ CONTRACT = [
     # a repeated sweep name would draw its series twice
     (["sweep", "--n", "10", "--delta", "0.5,1", "--methods", "vt,vt", "--estimators",
       "plugin,plugin"], 2, "method 'vt' is given twice"),
+    # -h / a overflows only where |h| > a/2, which the other branch of the difference serves
+    (["bound", "--method", "chi2", "--functional", "powermax", "--alpha", "0.01",
+      "--h", "1e300", "--n", "10", "--sigma", "0.01"], 0, "divergent denominator"),
+    # the second moment of a shift of -1e300 overflows, which the quadrature rejects
+    (["bound", "--method", "hellinger", "--functional", "identity", "--h=-1e300",
+      "--prior", "gaussian"], 2, "integrand returned a non-finite value"),
+    # a log grid up to inf is rejected before np.geomspace multiplies by it
+    (["sweep", "--n", "10", "--delta", "log:7.5:inf:2", "--methods", "vt"], 2,
+     "log grid needs 0 < lo < hi < inf and count >= 2"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,message", CONTRACT)
 def test_cli_input_contract(argv, code, message, tmp_path, capsys):
-    try:
-        got = main(argv + ["--out", str(tmp_path / "out.csv")])
-    except SystemExit as exc:  # argparse rejects the argv
-        got = exc.code
+    # no input the CLI accepts makes numpy warn: a warning is not an error message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = main(argv + ["--out", str(tmp_path / "out.csv")])
+        except SystemExit as exc:  # argparse rejects the argv
+            got = exc.code
     printed = capsys.readouterr()
     assert got == code
     assert message in printed.out + printed.err
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("argv", [
