@@ -9,7 +9,6 @@ n E|T - psi|^2, the unit of the figure axes, the CLI and the estimator risks.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import namedtuple
@@ -23,9 +22,9 @@ import numpy as np
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (_SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n, coarse_axis, cut_points,
-                       float_or_array, integrate_panels, math_elementwise, maximize_1d,
-                       maximize_2d, panel_nodes, refine_coarse_max)
+from .numerics import (_COARSE_GRID, _SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n,
+                       coarse_axis, cut_points, float_or_array, integrate_panels, math_elementwise,
+                       maximize_1d, maximize_2d, panel_nodes, refine_coarse_max)
 from .priors import Cosine, Prior, check_scale, prior_density
 
 _PI = math.pi
@@ -139,9 +138,18 @@ def _check_delta_n(delta: float, n: int) -> None:
 def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
     """First and second prior moments of psi(t) - psi(t - h), both from one quadrature
     in z = t - c (``Prior.centred``), cut at ``f.cuts(h)``, where it is not smooth;
-    for an ndarray of shifts, arrays of them, from one quadrature of a row each."""
+    for an ndarray of shifts, arrays of them, from one quadrature of a row each. The square
+    of psi(t) - psi(t - h) peaks on the window at an end or a cut: a ValueError names h
+    where it overflows there."""
     c, near = prior.centred()
     lo, hi = near.window()
+    cuts = f.cuts(h, hi - lo) - c
+    ends = np.concatenate((np.full(np.shape(h) + (2,), (lo, hi)), np.clip(cuts, lo, hi)), -1)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(f.difference(c + ends, np.expand_dims(h, -1)) ** 2).all(axis=-1)
+    if not finite.all():
+        bad = float(np.atleast_1d(h)[~np.atleast_1d(finite)][0])
+        raise ValueError(f"h={bad!r} is too large: (psi(t) - psi(t - h))^2 overflows")
 
     def moments(z: np.ndarray, h) -> np.ndarray:
         dpsi, q = f.difference(c + z, h), prior_density(near, z)
@@ -149,7 +157,7 @@ def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
             return np.stack((dpsi * q, dpsi * dpsi * q))
 
     first, second = integrate_panels(moments, np.full(np.shape(h), lo), np.full(np.shape(h), hi),
-                                     f.cuts(h, hi - lo) - c, (h,))
+                                     cuts, (h,))
     return float_or_array(first), float_or_array(second)
 
 
@@ -425,63 +433,56 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
 
 
 @functools.cache
-def _diffeo_moment_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xi2, e_ind and e_sq on maximize_2d's coarse grid over the diffeo box:
-    the (delta, n)-free part of the sup's scan, read once per process from the package
-    file diffeo_table.npy (tests/test_bounds.py builds it), read-only since every caller
-    shares it. Entry [i, j] is at (xi1s[i], exp(log_xi2s[j])), _diffeo_moments there."""
-    xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in _DIFFEO_BOX.intervals)
-    table = np.load(Path(__file__).with_name("diffeo_table.npy"))
-    if table.shape != (2, len(xi1s), len(log_xi2s)) or table.dtype != np.float64:
-        raise RuntimeError(f"diffeo_table.npy is {table.dtype} {table.shape}, not the table")
-    table = (np.broadcast_to([math.exp(b) for b in log_xi2s], table.shape[1:]), *table)
-    for part in table:
-        part.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _diffeo_argmax_path() -> Tuple[Tuple[float, ...], ...]:
-    """log s, xi1 and log xi2 of the diffeo sup's argmax at knots of s = sqrt(n) delta,
-    which is all the bound reads of (delta, n): log s ascending, each row a tuple of
-    floats. Read once per process from the package file diffeo_path.npy
-    (tests/test_bounds.py builds it by the sup's search from its coarse argmax)."""
-    path = np.load(Path(__file__).with_name("diffeo_path.npy"))
-    if path.ndim != 2 or len(path) != 3 or path.shape[1] < 2 or path.dtype != np.float64:
-        raise RuntimeError(f"diffeo_path.npy is {path.dtype} {path.shape}, not the path")
-    return tuple(tuple(row) for row in path.tolist())
+def _diffeo_file(name: str, rows: int) -> Tuple[np.ndarray, ...]:
+    """The rows of the diffeo sup's package file ``name``, float64 and read-only, read once
+    per process: diffeo_envelope.npy or diffeo_path.npy (tests/test_bounds.py builds both)."""
+    array = np.load(Path(__file__).with_name(name))
+    if array.ndim != 2 or len(array) != rows or array.shape[1] < 4 or array.dtype != np.float64:
+        raise RuntimeError(f"{name} is {array.dtype} {array.shape}, not {rows} rows of floats")
+    array.flags.writeable = False
+    return tuple(array)
 
 
 def _diffeo_start(delta: float, n: int) -> Optional[Tuple[float, float]]:
-    """The argmax path at s = sqrt(n) delta, linear in log s between its knots, or None
-    outside them. log s is taken as log(n)/2 + log(delta), which is finite for every
-    n and delta the checks pass."""
-    knots, xi1s, lxi2s = _diffeo_argmax_path()
-    log_s = 0.5 * math.log(n) + math.log(delta)
-    if not knots[0] <= log_s <= knots[-1]:
+    """The argmax path at s = sqrt(n) delta, or None off its knots: diffeo_path.npy holds
+    log s, xi1 and log xi2 of the sup's argmax at equally spaced knots of log s, and the
+    start is the cubic through the 4 nearest (Lagrange). log s is taken as log(n)/2 +
+    log(delta), which is finite for every n and delta the checks pass."""
+    knots, xi1s, lxi2s = _diffeo_file("diffeo_path.npy", 3)
+    log_s, lo, hi = 0.5 * math.log(n) + math.log(delta), float(knots[0]), float(knots[-1])
+    if not lo <= log_s <= hi:
         return None
-    i = min(bisect.bisect_right(knots, log_s), len(knots) - 1) - 1
-    t = (log_s - knots[i]) / (knots[i + 1] - knots[i])
-    return (xi1s[i] + t * (xi1s[i + 1] - xi1s[i]), lxi2s[i] + t * (lxi2s[i + 1] - lxi2s[i]))
+    t = (log_s - lo) / ((hi - lo) / (len(knots) - 1))
+    k = min(max(int(t) - 1, 0), len(knots) - 4)
+    t -= k  # in knot spacings from knot k; the cubic runs through knots k..k+3
+    w = (-(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0, t * (t - 2.0) * (t - 3.0) / 2.0,
+         -t * (t - 1.0) * (t - 3.0) / 2.0, t * (t - 1.0) * (t - 2.0) / 6.0)
+    return tuple(w[0] * p[0] + w[1] * p[1] + w[2] * p[2] + w[3] * p[3]
+                 for p in (xi1s[k:k + 4].tolist(), lxi2s[k:k + 4].tolist()))
 
 
 def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     """Maximize the arctan bound over xi1 in [-10, 10], xi2 in [1e-3, 1e4].
 
-    The xi2 axis is searched in log coordinates, giving the log-spaced coarse
-    grid, whose values the cached moment table gives. Safeguarded Newton
-    refinement on the analytic gradient and Hessian runs in (xi1, log xi2) from
-    the shipped argmax path at s = sqrt(n) delta, about 2 evaluations of
-    diffeo_bound per sup, and is kept if it reaches the best coarse value; else,
-    and for s off the path, from the best coarse cell, about 5 evaluations.
+    xi2 is searched in log coordinates, on maximize_2d's coarse grid. A cell's bound is
+    A / (u + B) in u = pi^2 / (n delta^2), so the grid's first maximum is on the upper
+    envelope of these curves, of the whole grid or of the columns left where 4 n xi2^2
+    overflows, or at cell (0, 0), where a scan of NaNs or 0s starts; diffeo_envelope.npy
+    holds those cells in row-major order (flat index, xi2, e_ind, e_sq), the sup's scan.
+    (Where pi^2/delta^2 + 4 n xi2^2 e_sq overflows, n over about 1e287, cells read 0 and
+    others can win.) Safeguarded Newton refinement on the analytic gradient and Hessian
+    runs in (xi1, log xi2) from the argmax path at s = sqrt(n) delta (one evaluation), kept
+    if it reaches the best coarse value; else, and off the path, from the best coarse cell.
     """
     _check_delta_n(delta, n)
-    xi2, e_ind, e_sq = _diffeo_moment_table()
+    flat, xi2, e_ind, e_sq = _diffeo_file("diffeo_envelope.npy", 4)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
         coarse = np.maximum(_diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
+    scan = np.where(np.isnan(coarse), -np.inf, coarse)
+    k = int(np.argmax(scan))
     (x1, lx2), value = maximize_2d(
-        lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True),
-        _DIFFEO_BOX, coarse, start=_diffeo_start(delta, n))
+        lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True), _DIFFEO_BOX,
+        divmod(int(flat[k]), _COARSE_GRID), float(scan[k]), start=_diffeo_start(delta, n))
     return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
 
 

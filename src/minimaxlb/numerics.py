@@ -64,8 +64,8 @@ OPEN_EDGE = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned search region of maximize_2d: its coarse grid and the box
-    that clamps the Newton refinement."""
+    """Axis-aligned search region of maximize_2d: the box whose coarse grid its
+    caller scans and that clamps the Newton refinement."""
 
     intervals: Tuple[Tuple[float, float], ...]
 
@@ -237,8 +237,9 @@ def find_root_bisect(
 
 def coarse_axis(lo: float, hi: float) -> np.ndarray:
     """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
-    maximize_2d scans the product of the box's two axes: np.linspace(lo, hi, _COARSE_GRID)
-    bit for bit, with its branch for a step that underflows to 0, less its set-up."""
+    maximize_2d starts from a cell of the product of the box's two axes, which its
+    caller scans: np.linspace(lo, hi, _COARSE_GRID) bit for bit, with its branch for
+    a step that underflows to 0, less its set-up."""
     step = (hi - lo) / (_COARSE_GRID - 1)
     axis = _COARSE_INDEX * step if step else _COARSE_INDEX / (_COARSE_GRID - 1) * (hi - lo)
     axis += lo
@@ -312,32 +313,30 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float,
     return float(px[j]), float(pv[j])
 
 
-def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox, coarse: np.ndarray,
-                start: Optional[Tuple[float, float]] = None) -> Tuple[Tuple[float, float], float]:
+def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox, cell: Tuple[int, int],
+                best: float, start: Optional[Tuple[float, float]] = None
+                ) -> Tuple[Tuple[float, float], float]:
     """Safeguarded Newton refinement (``maximize_newton``) of f(x, y) = (value,
-    gradient, Hessian) in the box: entry [i, j] of ``coarse`` is f(xs[i], ys[j])[0],
-    xs and ys the ``coarse_axis`` of the box's intervals, which the caller evaluates
-    or keeps in a table. A ``start`` inside the box, the caller's guess at the argmax,
-    is refined first, and its result is kept if it reaches the best coarse value;
-    otherwise, and without a start, the refinement runs from the coarse argmax (the
-    first maximum in row-major order; a NaN never wins). Returns ((x, y), max) of the
-    best point found, never below f at the coarse argmax."""
+    gradient, Hessian) in the box from the caller's coarse scan: ``cell`` = (i, j) is
+    its argmax on the grid xs x ys, the ``coarse_axis`` of the box's intervals, and
+    ``best`` its value there (-inf where f is NaN), which the caller evaluates or reads
+    from a table. A ``start`` inside the box, the caller's guess at the argmax, is
+    refined first, and its result is kept if it reaches ``best``; otherwise, and
+    without a start, the refinement runs from (xs[i], ys[j]). Returns ((x, y), max)
+    of the best point found, never below f at the coarse argmax."""
     if len(box.intervals) != 2:
         raise ValueError("maximize_2d needs a two-axis SearchBox")
+    i, j = cell
+    if not (0 <= i < _COARSE_GRID and 0 <= j < _COARSE_GRID):
+        raise ValueError(f"coarse cell {cell} lies off the {_COARSE_GRID} x {_COARSE_GRID} grid")
     (xlo, xhi), (ylo, yhi) = box.intervals
-    xs, ys = coarse_axis(xlo, xhi), coarse_axis(ylo, yhi)
-    coarse = np.asarray(coarse, dtype=float)
-    if coarse.shape != (len(xs), len(ys)):
-        raise ValueError(f"coarse values have shape {coarse.shape}, not {(len(xs), len(ys))}")
-    # a NaN never wins, and an all-NaN or all -inf scan starts at the first point
-    scan = np.where(np.isnan(coarse), -np.inf, coarse)
-    i, j = np.unravel_index(np.argmax(scan), scan.shape)
-    cell = ((xhi - xlo) / (_COARSE_GRID - 1), (yhi - ylo) / (_COARSE_GRID - 1))
+    step = ((xhi - xlo) / (_COARSE_GRID - 1), (yhi - ylo) / (_COARSE_GRID - 1))
     if start is not None:
-        (x, y), value, _ = maximize_newton(f, start, (xlo, ylo), (xhi, yhi), cell)
-        if value >= scan[i, j]:
+        (x, y), value, _ = maximize_newton(f, start, (xlo, ylo), (xhi, yhi), step)
+        if value >= best:
             return (x, y), value
-    (x, y), value, _ = maximize_newton(f, (xs[i], ys[j]), (xlo, ylo), (xhi, yhi), cell)
+    (x, y), value, _ = maximize_newton(f, (coarse_axis(xlo, xhi)[i], coarse_axis(ylo, yhi)[j]),
+                                       (xlo, ylo), (xhi, yhi), step)
     return (x, y), value
 
 

@@ -1,5 +1,8 @@
+import functools
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.numerics import coarse_axis, maximize_1d, maximize_2d, maximize_newton
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior, solve_kepler
 from minimaxlb.sweep import SweepConfig, sweep_row_values
+from test_numerics import first_coarse_max
 
 GAUSS = GaussianLocation(1.0)
 PI2 = math.pi**2
@@ -446,6 +450,37 @@ def test_diffeo_indicator_moments_sum_to_the_faddeeva_closed_form():
             assert total == pytest.approx(closed, rel=1e-13, abs=0.0), (xi1, xi2)
 
 
+def test_diffeo_moments_match_mpmath():
+    # both moments to the 1.3e-14 relative the kernel is validated to, against a 40-digit
+    # tanh-sinh quadrature cut where the kernel cuts (at the kink z0 and at z0 +- 2^j/xi2,
+    # inside the 12-sigma window), at the box's corners, at four argmaxes of the default
+    # figure's sups and at 8 derandomized points of the box
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(36)
+    points = [(xi1, xi2) for xi1 in bounds.DIFFEO_XI1_RANGE for xi2 in bounds.DIFFEO_XI2_RANGE]
+    points += [tuple(diffeo_bound_sup(delta, n).argmax.values())
+               for n, delta in ((10, 0.01), (10, 1.0), (100, 0.3), (100, 100.0))]
+    (x1_lo, x1_hi), (lx2_lo, lx2_hi) = bounds._DIFFEO_BOX.intervals
+    points += [(float(rng.uniform(x1_lo, x1_hi)), math.exp(rng.uniform(lx2_lo, lx2_hi)))
+               for _ in range(8)]
+    for xi1, xi2 in points:
+        with mpmath.workdps(40):
+            x1, x2 = mpmath.mpf(xi1), mpmath.mpf(xi2)
+            z0, step, top = -x1 / x2, 1 / x2, mpmath.mpf(_Z_WINDOW)
+            cuts = {-top, top, z0}
+            while step < 2 * top:
+                cuts |= {z0 - step, z0 + step}
+                step *= 2
+            cuts = sorted(z for z in cuts if -top <= z <= top)
+            above = [z for z in cuts if z >= z0]
+            unit = 1 / mpmath.sqrt(2 * mpmath.pi)
+            g_phi = lambda z: unit * mpmath.exp(-z * z / 2) / (1 + (x1 + z * x2) ** 2)
+            want = (float(mpmath.quad(g_phi, above)) if len(above) > 1 else 0.0,
+                    float(mpmath.quad(lambda z: g_phi(z) / (1 + (x1 + z * x2) ** 2), cuts)))
+        got = bounds._diffeo_moments(xi1, xi2)
+        assert got == pytest.approx(want, rel=1.3e-14, abs=0.0), (xi1, xi2, got, want)
+
+
 def test_diffeo_bound_rejects_outside_validated_range():
     for xi1, xi2 in ((0.5, 1e6), (0.5, 2e4), (0.5, 9.9e-4), (-30.0, 1.0),
                      (10.5, 1.0), (math.nan, 1.0), (math.inf, 1.0)):
@@ -509,21 +544,22 @@ def _diffeo_sup_without_table(delta, n):
     f = _diffeo_objective(delta, n)
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
     coarse = [[float(f(a, b)[0]) for b in log_xi2s] for a in xi1s]
-    (x1, lx2), value = maximize_2d(f, bounds._DIFFEO_BOX, coarse)
+    (x1, lx2), value = maximize_2d(f, bounds._DIFFEO_BOX, *first_coarse_max(coarse))
     return value, {"xi1": x1, "xi2": math.exp(lx2)}
 
 
 def _diffeo_coarse(delta, n):
-    """diffeo_bound_sup's coarse values, from the shipped moment table."""
-    xi2, e_ind, e_sq = bounds._diffeo_moment_table()
+    """The diffeo bound on the whole coarse grid, from the test-built moment table."""
+    xi2, e_ind, e_sq = _diffeo_moment_table()
     with np.errstate(over="ignore", invalid="ignore"):
         return np.maximum(bounds._diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
 
 
 def _diffeo_scan_start_sup(delta, n):
-    """diffeo_bound_sup's search from the coarse argmax of its table alone, as it ran
-    before the argmax path: ((xi1, log xi2), value)."""
-    return maximize_2d(_diffeo_objective(delta, n), bounds._DIFFEO_BOX, _diffeo_coarse(delta, n))
+    """diffeo_bound_sup's search from the first maximum of the whole coarse table, as it
+    ran before the argmax path: ((xi1, log xi2), value)."""
+    return maximize_2d(_diffeo_objective(delta, n), bounds._DIFFEO_BOX,
+                       *first_coarse_max(_diffeo_coarse(delta, n)))
 
 
 @pytest.mark.parametrize("delta,n", [
@@ -752,44 +788,176 @@ _FIGURE_ROWS = [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2
 _CLOSED_FORM_ROWS = [(10**k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
 
 
-_REWRITE_TABLE = ("rewrite the table from the repository root with: PYTHONPATH=src:tests "
-                  "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_table"
-                  ".npy', test_bounds.build_diffeo_moment_table())\"")
-
-
-def build_diffeo_moment_table():
-    """The package's diffeo_table.npy: e_ind and e_sq stacked, entry [k, i, j] at
-    (xi1s[i], exp(log_xi2s[j])) on maximize_2d's coarse grid over the diffeo box,
-    by _diffeo_moments at each point."""
+@functools.cache
+def _diffeo_moment_table():
+    """xi2, e_ind and e_sq on maximize_2d's coarse grid over the diffeo box, entry [i, j]
+    at (xi1s[i], exp(log_xi2s[j])), by _diffeo_moments at each point: the whole table the
+    sup scanned before its envelope, and the envelope's oracle. Read-only, as shared."""
     xi1s, log_xi2s = (coarse_axis(lo, hi) for lo, hi in bounds._DIFFEO_BOX.intervals)
-    return np.moveaxis([[bounds._diffeo_moments(a, math.exp(b)) for b in log_xi2s]
-                        for a in xi1s.tolist()], -1, 0)
+    e_ind, e_sq = np.moveaxis([[bounds._diffeo_moments(a, math.exp(b)) for b in log_xi2s]
+                               for a in xi1s.tolist()], -1, 0)
+    table = (np.broadcast_to([math.exp(b) for b in log_xi2s], e_ind.shape), e_ind, e_sq)
+    for part in table:
+        part.flags.writeable = False
+    return table
 
 
-# the argmax path's knots: 20 a decade of s = sqrt(n) delta over [1e-3, 1e4]
-_PATH_KNOTS = np.linspace(math.log(1e-3), math.log(1e4), 141)
+def _upper_envelope(points):
+    """The points (B, A, flat indices), A and B positive integers, whose A / (u + B) is at
+    least every other point's at some u in [0, inf], the ends as limits: the upper convex
+    hull of (B, A), collinear points kept, from the largest A / B (the tangent from the
+    origin, u = 0) to the largest A (u = inf)."""
+    tops = {}
+    for b, a, flats in points:  # of the points at one B, those of the largest A
+        if b not in tops or a > tops[b][0]:
+            tops[b] = (a, list(flats))
+        elif a == tops[b][0]:
+            tops[b][1].extend(flats)
+    hull = []
+    for b in sorted(tops):
+        a, flats = tops[b]
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (a - hull[-2][1])
+                                  > (hull[-1][1] - hull[-2][1]) * (b - hull[-2][0])):
+            hull.pop()
+        hull.append((b, a, flats))
+    first = max(range(len(hull)), key=lambda k: Fraction(hull[k][1], hull[k][0]))
+    last = max(range(len(hull)), key=lambda k: (hull[k][1], k))
+    return hull[first:last + 1]
+
+
+_REWRITE_ENVELOPE = ("rewrite the envelope from the repository root with: PYTHONPATH=src:tests "
+                     "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_"
+                     "envelope.npy', test_bounds.build_diffeo_envelope())\"")
+
+
+def build_diffeo_envelope():
+    """The package's diffeo_envelope.npy: flat index, xi2, e_ind and e_sq stacked, column
+    k a cell of the test-built table, in row-major order. The bound of a cell is A / (u + B)
+    in u = pi^2 / (n delta^2), with A = 4 xi2^2 e_ind^2 and B = 4 xi2^2 e_sq, so a cell is
+    kept if it is on the upper envelope of these curves over u >= 0, in exact arithmetic:
+    of the whole table, and of its first columns alone up to each column past which
+    4 n xi2^2 may overflow. For n up to 1.8e308 that happens only where xi2 > 1, and then in
+    every later column, whose cells are NaN and never win. Cell (0, 0) comes first: a scan
+    that is NaN or 0 everywhere starts there."""
+    xi2, e_ind, e_sq = _diffeo_moment_table()
+    x2 = xi2[0].tolist()
+    a = [[4 * Fraction(x) ** 2 * Fraction(e) ** 2 for x, e in zip(x2, row)]
+         for row in e_ind.tolist()]
+    b = [[4 * Fraction(x) ** 2 * Fraction(e) for x, e in zip(x2, row)] for row in e_sq.tolist()]
+    unit = max(f.denominator for row in a + b for f in row)  # a power of 2: A, B in its units
+    grid = len(x2)
+    kept, prefix = {0}, []
+    for j in range(grid):
+        column = [(int(b[i][j] * unit), int(a[i][j] * unit), [i * grid + j])
+                  for i in range(grid) if a[i][j] > 0]
+        # a cell that wins over the first j + 1 columns wins over its own part of them
+        prefix = _upper_envelope(prefix + _upper_envelope(column))
+        if j == grid - 1 or x2[j + 1] > 1.0:
+            kept.update(k for _, _, flats in prefix for k in flats)
+    flat = np.array(sorted(kept))
+    return np.array([flat.astype(float), xi2.flat[flat], e_ind.flat[flat], e_sq.flat[flat]])
+
+
+def test_diffeo_envelope_matches_its_build():
+    # the shipped envelope is the build above; another host's exp may round otherwise, so
+    # each moment may sit 1e-15 off the build, but the cells may not move
+    flat, xi2, e_ind, e_sq = bounds._diffeo_file("diffeo_envelope.npy", 4)
+    built = build_diffeo_envelope()
+    assert not any(part.flags.writeable for part in (flat, xi2, e_ind, e_sq))
+    assert np.array_equal(flat, built[0]) and np.array_equal(xi2, built[1]), _REWRITE_ENVELOPE
+    moments = np.stack((e_ind, e_sq))
+    assert (np.abs(moments - built[2:]) <= 1e-15 * built[2:]).all(), _REWRITE_ENVELOPE
+    assert flat[0] == 0 and (np.diff(flat) > 0).all()
+
+
+def test_diffeo_sup_scans_its_envelope_as_the_whole_table(monkeypatch):
+    # the sup's coarse cell and guard, the first maximum of its envelope cells and its
+    # value, are the whole table's, bit for bit, over 1e5 derandomized (delta, n): delta
+    # log-uniform over the CLI's range, where delta^2 neither overflows nor underflows to 0
+    # (below 2.3e-154 pi^2/delta^2 overflows and every cell reads 0), and n log-uniform up
+    # to 1.8e308 (past 4.5e299, 4 n xi2^2 overflows in the columns of the largest xi2, and
+    # past 4.5e307, 4 n does in every column). Where pi^2/delta^2 + 4 n xi2^2 e_sq overflows
+    # in a cell (n over about 1e287, pi^2/delta^2 near the float maximum) the table may win
+    # elsewhere, as README states; no draw here does
+    rng = np.random.default_rng(36)
+    deltas = [2.3e-162, 2.3e-154, 3e-154, 1.0, 1.3e154, 0.1, 1e-150, 1e-153]
+    ns = [1, 1, 10**300, 4 * 10**307, 1, 45 * 10**306, 10**299, int(sys.float_info.max)]
+    # where the table's first maximum is one of the cells that win only once columns of
+    # large xi2 overflow: (34, 27), (35, 31), (36, 34), (37, 37) and (41, 46)
+    deltas += [2.7210300524199257e-154, 2.5023788820253765e-154, 2.4505185720370454e-154,
+               2.3997330360451746e-154, 2.349999999999964e-154]
+    ns += [int(n) for n in (2.7080430780783753e+307, 3.497572130338002e+306,
+                            7.535290728488921e+305, 1.6234291744932124e+305,
+                            1.6234291744932143e+303)]
+    deltas += (10.0 ** rng.uniform(-161.6, 154.1, 100_000 - len(deltas))).tolist()
+    ns += [int(n) for n in 10.0 ** rng.uniform(0.0, 308.25, len(deltas) - len(ns))]
+    got = []
+    monkeypatch.setattr(bounds, "maximize_2d", lambda f, box, cell, best, start:
+                        got.append((cell, best)) or ((0.0, 0.0), 0.0))
+    for delta, n in zip(deltas, ns):
+        diffeo_bound_sup(delta, n)
+    xi2, e_ind, e_sq = (part.reshape(1, -1) for part in _diffeo_moment_table())
+    rows = 16  # draws a block, each a row of the table's 4,096 cells
+    value, den = np.empty((rows, xi2.size)), np.empty((rows, xi2.size))
+    for start in range(0, len(deltas), rows):
+        block = slice(start, start + rows)
+        # _diffeo_ratio's float operations in its order, a draw a row
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply([[4.0 * n] for n in ns[block]], xi2, out=den)
+            den *= xi2
+            np.multiply(den, e_ind, out=value)
+            value *= e_ind
+            den *= e_sq
+            den += [[math.pi * math.pi / delta**2] for delta in deltas[block]]
+            value /= den
+        np.maximum(value, 0.0, out=value)
+        # the first maximum a row, a NaN never winning; a row of NaNs starts at cell 0
+        best = np.fmax.reduce(value, axis=1)
+        first = np.argmax(value == best[:, None], axis=1).tolist()
+        for k, (cell, got_best) in enumerate(got[block]):
+            want = (divmod(first[k], 64), -math.inf if math.isnan(best[k]) else float(best[k]))
+            assert (cell, got_best) == want, (deltas[start + k], ns[start + k], cell, want)
+
+
+# the argmax path's knots: 80 a decade of s = sqrt(n) delta over [1e-3, 1e4]
+_PATH_KNOTS = np.linspace(math.log(1e-3), math.log(1e4), 561)
 _REWRITE_PATH = ("rewrite the path from the repository root with: PYTHONPATH=src:tests "
                  "python -c \"import numpy, test_bounds; numpy.save('src/minimaxlb/diffeo_path"
                  ".npy', test_bounds.build_diffeo_argmax_path())\"")
 
 
+def _polished(s, x):
+    """(xi1, log xi2) after plain Newton steps on the bound at n = 1, delta = s from x,
+    up to the first that moves it by at most 1e-11 on each axis: the argmax to its
+    rounding."""
+    for _ in range(8):
+        _, (g0, g1), ((h00, h01), (h10, h11)) = _diffeo_objective(s, 1)(*x)
+        det = h00 * h11 - h01 * h10
+        d0, d1 = (h11 * g0 - h01 * g1) / det, (h00 * g1 - h10 * g0) / det
+        x = (x[0] - d0, x[1] - d1)
+        if max(abs(d0), abs(d1)) <= 1e-11:
+            return x
+    raise AssertionError(f"plain Newton steps did not settle at s={s!r}")
+
+
 def build_diffeo_argmax_path():
     """The package's diffeo_path.npy: log s, xi1 and log xi2 stacked, column k the
-    scan-start sup's argmax at n = 1, delta = s = exp(_PATH_KNOTS[k])."""
-    argmaxes = [_diffeo_scan_start_sup(math.exp(knot), 1)[0] for knot in _PATH_KNOTS]
+    scan-start sup's argmax at n = 1, delta = s = exp(_PATH_KNOTS[k]), polished."""
+    argmaxes = [_polished(math.exp(knot), _diffeo_scan_start_sup(math.exp(knot), 1)[0])
+                for knot in _PATH_KNOTS]
     return np.vstack((_PATH_KNOTS, np.transpose(argmaxes)))
 
 
 def test_diffeo_argmax_path_matches_its_build():
-    # the shipped path is the build above. It is only Newton's start, and another
-    # host's exp may round otherwise, which moves where Newton stops on a flat top:
-    # near s = 1e-3 two starts stop up to 5.3e-5 apart, so each argmax may sit 1e-4
-    # off the build
-    knots, xi1s, lxi2s = (np.array(row) for row in bounds._diffeo_argmax_path())
+    # the shipped path is the build above. Plain Newton steps from a polished knot wander
+    # over up to 3.6e-12 in (xi1, log xi2) on the rounding of the bound's gradient, where
+    # the top is flattest, near s = 1e4; another host's exp may round otherwise, so each
+    # knot may sit 1e-10 off the build
+    knots, xi1s, lxi2s = bounds._diffeo_file("diffeo_path.npy", 3)
     built = build_diffeo_argmax_path()
     assert knots.shape == _PATH_KNOTS.shape, _REWRITE_PATH
     assert (np.abs(knots - built[0]) <= 1e-15 * np.abs(built[0])).all(), _REWRITE_PATH
-    assert (np.abs(np.stack((xi1s, lxi2s)) - built[1:]) <= 1e-4).all(), _REWRITE_PATH
+    assert (np.abs(np.stack((xi1s, lxi2s)) - built[1:]) <= 1e-10).all(), _REWRITE_PATH
     # the path lies inside the box, off its edges
     (x1_lo, x1_hi), (lx2_lo, lx2_hi) = bounds._DIFFEO_BOX.intervals
     assert (x1_lo < xi1s).all() and (xi1s < x1_hi).all()
@@ -798,9 +966,9 @@ def test_diffeo_argmax_path_matches_its_build():
 
 def test_diffeo_sup_on_the_argmax_path_is_the_scan_start_sup(monkeypatch):
     # over the path's range of s, the default figure's rows and n = 1e300, a sup started
-    # on the path makes one Newton run of at most 3 evaluations (about 5 from the coarse
-    # argmax), which ends stationary, within 4e-15 of the scan-start sup and at or
-    # above the best coarse value
+    # on the path makes one Newton run of one evaluation (about 5 from the coarse argmax),
+    # which ends stationary, within 4e-15 of the scan-start sup and at or above the best
+    # coarse value of the whole table
     reasons = []
     newton = numerics.maximize_newton
 
@@ -817,7 +985,7 @@ def test_diffeo_sup_on_the_argmax_path_is_the_scan_start_sup(monkeypatch):
         reasons.clear()
         evaluations[0] = 0
         res = diffeo_bound_sup(delta, n)
-        assert reasons == ["stationary"] and evaluations[0] <= 3, (n, delta, reasons, evaluations)
+        assert reasons == ["stationary"] and evaluations[0] == 1, (n, delta, reasons, evaluations)
         assert res.value >= np.nanmax(_diffeo_coarse(delta, n)), (n, delta)
         (_, _), value = _diffeo_scan_start_sup(delta, n)
         assert abs(res.value - value) <= 4e-15 * value, (n, delta, res.value, value)
@@ -834,34 +1002,17 @@ def test_diffeo_sup_off_the_argmax_path_is_the_scan_start_sup(delta, n):
     assert (res.value, res.argmax) == (max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
 
 
-def test_diffeo_moment_table_matches_the_scalar_kernel():
-    # the shipped table is the build above, the scalar kernel at each point; another
-    # host's exp may round otherwise, so each entry may sit 1e-15 off the build, but no
-    # coarse argmax may move. The coarse ratio reads (delta, n) only through n delta^2,
-    # so n = 1 and delta = s cover every row of s = sqrt(n) delta
-    xi2, e_ind, e_sq = bounds._diffeo_moment_table()
-    log_xi2s = coarse_axis(*bounds._DIFFEO_BOX.intervals[1])
-    assert np.array_equal(xi2, np.broadcast_to([math.exp(b) for b in log_xi2s], xi2.shape))
-    assert not any(part.flags.writeable for part in (xi2, e_ind, e_sq))
-    # e_ind is 0 where the kink -xi1/xi2 lies past the 12-sigma window
-    assert np.isfinite(e_ind).all() and (e_ind >= 0).all() and (e_sq > 0).all(), _REWRITE_TABLE
-    tables = (np.stack((e_ind, e_sq)), build_diffeo_moment_table())
-    assert (np.abs(tables[0] - tables[1]) <= 1e-15 * tables[1]).all(), _REWRITE_TABLE
-    rows = _FIGURE_ROWS + [(1, float(s)) for s in np.geomspace(1e-4, 1e5, 2001)]
-    for n, delta in rows:
-        cells = {int(np.argmax(bounds._diffeo_ratio(delta, n, xi2, *table))) for table in tables}
-        assert len(cells) == 1, (n, delta, cells, _REWRITE_TABLE)
-
-
 def test_a_cold_diffeo_sup_reads_its_table(monkeypatch):
-    # the coarse table and the argmax path ship with the package: a fresh process's
-    # first sup makes its Newton evaluations' moment passes (2 at this row, 4 from the
-    # coarse argmax), not 512 more to build the table
+    # the envelope and the argmax path ship with the package: a fresh process's first sup
+    # reads both files and makes the one moment pass of its one Newton evaluation, not
+    # 4,096 more to build the coarse table
     moment_calls = _count_calls(monkeypatch, bounds, "_diffeo_moments")
-    bounds._diffeo_moment_table.cache_clear()
-    bounds._diffeo_argmax_path.cache_clear()
+    loaded, load = [], np.load
+    monkeypatch.setattr(np, "load", lambda path, *args: loaded.append(path.name) or load(path))
+    bounds._diffeo_file.cache_clear()
     diffeo_bound_sup(0.01, 10)
-    assert 0 < moment_calls[0] <= 3
+    assert moment_calls[0] == 1
+    assert sorted(loaded) == ["diffeo_envelope.npy", "diffeo_path.npy"]
 
 
 def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
@@ -909,9 +1060,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_sups_after_the_first_skip_the_coarse_integrals(monkeypatch):
-    # every diffeo sup reads the process's one moment table and only refines. A vt
-    # sup, the first included, scans and refines in the Kepler root itself and solves
-    # no Kepler equation
+    # every diffeo sup reads the process's one copy of its envelope cells and only
+    # refines. A vt sup, the first included, scans and refines in the Kepler root itself
+    # and solves no Kepler equation
     kepler_calls = _count_calls(monkeypatch, priors, "solve_kepler")
     vt_kepler_bound(1.0, 10, 1.0)
     assert kepler_calls[0] == 0

@@ -506,12 +506,24 @@ CONTRACT = [
     # -h / a overflows only where |h| > a/2, which the other branch of the difference serves
     (["bound", "--method", "chi2", "--functional", "powermax", "--alpha", "0.01",
       "--h", "1e300", "--n", "10", "--sigma", "0.01"], 0, "divergent denominator"),
-    # the second moment of a shift of -1e300 overflows, which the quadrature rejects
+    # the second moment of a shift of -1e300 overflows: the error names h, not the window
     (["bound", "--method", "hellinger", "--functional", "identity", "--h=-1e300",
-      "--prior", "gaussian"], 2, "integrand returned a non-finite value"),
+      "--prior", "gaussian"], 2, "h=-1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
     # a log grid up to inf is rejected before np.geomspace multiplies by it
     (["sweep", "--n", "10", "--delta", "log:7.5:inf:2", "--methods", "vt"], 2,
      "log grid needs 0 < lo < hi < inf and count >= 2"),
+    # so for either sign of the shift, max(theta, 0) (whose difference is at most 12 on the
+    # window for h = 1e300) and the chi2 bound, which reads the same moments
+    (["bound", "--method", "hellinger", "--functional", "identity", "--h=1e300",
+      "--prior", "gaussian"], 2, "h=1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
+    (["bound", "--method", "hellinger", "--functional", "maxzero", "--h=-1e300",
+      "--prior", "gaussian"], 2, "h=-1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
+    (["bound", "--method", "chi2", "--functional", "identity", "--h=-1e300",
+      "--prior", "gaussian"], 2, "h=-1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
+    (["bound", "--method", "chi2", "--functional", "identity", "--h=1e300",
+      "--prior", "gaussian"], 2, "h=1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
+    (["bound", "--method", "chi2", "--functional", "maxzero", "--h=-1e300",
+      "--prior", "gaussian"], 2, "h=-1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
 ]
 
 

@@ -178,17 +178,27 @@ def _coarse_2d(f, box):
     return [[float(f(x, y)[0]) for y in ys] for x in xs]
 
 
+def first_coarse_max(coarse):
+    """The cell (i, j) and value of the first maximum, in row-major order, of a coarse
+    scan, a NaN scoring -inf (a scan of NaNs or -infs starts at cell (0, 0)): the start and
+    guard maximize_2d takes, found as the diffeo sup found them on its whole table."""
+    scan = np.asarray(coarse, dtype=float)
+    scan = np.where(np.isnan(scan), -np.inf, scan)
+    k = int(np.argmax(scan))
+    return divmod(k, scan.shape[1]), float(scan.flat[k])
+
+
 def test_maximize_2d():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
-    (x, y), v = maximize_2d(_quadratic_2d, box, _coarse_2d(_quadratic_2d, box))
+    (x, y), v = maximize_2d(_quadratic_2d, box, *first_coarse_max(_coarse_2d(_quadratic_2d, box)))
     assert (x, y) == (pytest.approx(0.3, abs=1e-12), pytest.approx(-1.2, abs=1e-12))
     assert v == pytest.approx(0.0, abs=1e-20)
-    (x, y), v = maximize_2d(_bumps_2d, box, _coarse_2d(_bumps_2d, box))
+    (x, y), v = maximize_2d(_bumps_2d, box, *first_coarse_max(_coarse_2d(_bumps_2d, box)))
     assert (x, y) == (pytest.approx(0.3, abs=1e-9), pytest.approx(-1.2, abs=1e-9))
     assert v == pytest.approx(1.0, abs=1e-15)
     # the maximum on a corner: the box stops the ascent
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
-    (x, y), v = maximize_2d(_plane_2d, box, _coarse_2d(_plane_2d, box))
+    (x, y), v = maximize_2d(_plane_2d, box, *first_coarse_max(_coarse_2d(_plane_2d, box)))
     assert (x, y) == (1.0, 1.0)
     assert v == 2.0
 
@@ -371,48 +381,49 @@ def _tie_on_corners_2d_derivatives(x, y):
 
 
 def test_maximize_2d_coarse_values_match_the_scan():
+    # maximize_2d refines from the cell of its caller's scan: the first maximum in
+    # row-major order, so a tie on the four corners starts at (lo, lo)
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
     xs, ys = (coarse_axis(lo, hi) for lo, hi in box.intervals)
     coarse = np.array([[_tie_on_corners_2d(x, y) for y in ys] for x in xs])
-    scanned = maximize_2d(_tie_on_corners_2d_derivatives, box,
-                          _coarse_2d(_tie_on_corners_2d_derivatives, box))
-    assert maximize_2d(_tie_on_corners_2d_derivatives, box, coarse) == scanned
-    assert scanned == ((-1.0, -2.0), 2.0)
+    assert first_coarse_max(coarse) == ((0, 0), 2.0)
+    assert maximize_2d(_tie_on_corners_2d_derivatives, box, *first_coarse_max(coarse)) == \
+        ((-1.0, -2.0), 2.0)
     # two maxima off the diagonal: a transposed table starts on the lower one
     coarse = np.array([[_bumps_2d(x, y)[0] for y in ys] for x in xs])
-    scanned = maximize_2d(_bumps_2d, box, _coarse_2d(_bumps_2d, box))
-    assert maximize_2d(_bumps_2d, box, coarse) == scanned
-    assert maximize_2d(_bumps_2d, box, coarse.T) != scanned
+    scanned = maximize_2d(_bumps_2d, box, *first_coarse_max(coarse))
+    assert maximize_2d(_bumps_2d, box, *first_coarse_max(coarse.T)) != scanned
     # a NaN never wins the scan
     nan_left = lambda a, b: (math.nan, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))) if a < 0.0 \
         else _plane_2d(a, b)
-    assert maximize_2d(nan_left, box, _coarse_2d(nan_left, box)) == ((1.0, 2.0), 3.0)
+    assert maximize_2d(nan_left, box, *first_coarse_max(_coarse_2d(nan_left, box))) == \
+        ((1.0, 2.0), 3.0)
 
 
 def test_maximize_2d_keeps_a_start_only_at_the_coarse_best():
     box = SearchBox(intervals=((-1.0, 1.0), (-2.0, 2.0)))
     coarse = _coarse_2d(_bumps_2d, box)
-    scanned = maximize_2d(_bumps_2d, box, coarse)
+    scanned = maximize_2d(_bumps_2d, box, *first_coarse_max(coarse))
     points = []
 
     def counted(a, b):
         points.append((a, b))
         return _bumps_2d(a, b)
     # a start next to the high bump is refined alone, in fewer steps than the scan's
-    (x, y), v = maximize_2d(counted, box, coarse, start=(0.3001, -1.2001))
+    (x, y), v = maximize_2d(counted, box, *first_coarse_max(coarse), start=(0.3001, -1.2001))
     started = len(points)
     points.clear()
-    maximize_2d(counted, box, coarse)
+    maximize_2d(counted, box, *first_coarse_max(coarse))
     assert 0 < started < len(points)
     assert (x, y) == (pytest.approx(0.3, abs=1e-9), pytest.approx(-1.2, abs=1e-9))
     assert v >= np.max(coarse) and v == pytest.approx(scanned[1], abs=1e-15)
     # a start on the low bump ends below the coarse best, so the coarse argmax is refined
-    assert maximize_2d(_bumps_2d, box, coarse, start=(-0.6, 0.9)) == scanned
+    assert maximize_2d(_bumps_2d, box, *first_coarse_max(coarse), start=(-0.6, 0.9)) == scanned
     # and so is it after a start where f is NaN
     nan_left = lambda a, b: (math.nan, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))) if a < 0.0 \
         else _plane_2d(a, b)
-    assert maximize_2d(nan_left, box, _coarse_2d(nan_left, box), start=(-0.5, 0.0)) == \
-        ((1.0, 2.0), 3.0)
+    assert maximize_2d(nan_left, box, *first_coarse_max(_coarse_2d(nan_left, box)),
+                       start=(-0.5, 0.0)) == ((1.0, 2.0), 3.0)
 
 
 def test_maximize_2d_refinement_never_below_the_coarse_best():
@@ -432,22 +443,22 @@ def test_maximize_2d_refinement_never_below_the_coarse_best():
     coarse = np.array([[cliff(x, y)[0] for y in ys] for x in xs])
     coarse_best = np.nanmax(coarse)
     points.clear()
-    (x, y), v = maximize_2d(cliff, box, coarse)
+    (x, y), v = maximize_2d(cliff, box, *first_coarse_max(coarse))
     assert len(points) <= 100
     assert math.isfinite(v) and v >= coarse_best
     assert x <= 0.2 and y >= -1.3
     assert v == pytest.approx(-(0.2 - 0.3) ** 2, abs=1e-3)
     # a -inf or NaN scan stays at its first point
     flat = lambda a, b: (-math.inf, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-    assert maximize_2d(flat, box, _coarse_2d(flat, box)) == ((-1.0, -2.0), -math.inf)
+    assert maximize_2d(flat, box, *first_coarse_max(_coarse_2d(flat, box))) == \
+        ((-1.0, -2.0), -math.inf)
 
 
-def test_maximize_coarse_values_of_the_wrong_shape_are_rejected():
+def test_maximize_2d_rejects_a_cell_off_the_grid():
     box = SearchBox(intervals=((0.0, 1.0), (0.0, 1.0)))
-    with pytest.raises(ValueError, match="shape"):
-        maximize_2d(_plane_2d, box, np.zeros((64, 63)))
-    with pytest.raises(ValueError, match="shape"):
-        maximize_2d(_plane_2d, box, np.zeros(64 * 64))
+    for cell in ((64, 0), (0, 64), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="off the 64 x 64 grid"):
+            maximize_2d(_plane_2d, box, cell, 0.0)
 
 
 def test_spec_validation():
