@@ -5,7 +5,7 @@ max(mean, 0), and the plug-in pre-test (Hodges-type) estimator.
 The plug-in is the pre-test at threshold 0, so one closed form in the
 standard normal partial moments, ``pretest_risk_at``, serves both. The sup
 over theta in [0, delta) uses the monotonicity of the plug-in risk, and for
-the pre-test a scan refined by Newton on analytic derivatives. The reduction
+the pre-test the one root of its risk's slope in sqrt(n) theta. The reduction
 to theta >= 0 is exact (the risk at negative theta is dominated by the risk
 at 0) and is re-verified on a grid in the test suite.
 
@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .numerics import _SQRT_2PI, OPEN_EDGE, check_n, normal_cdf, normal_pdf
 
-from .numerics import (OPEN_EDGE, check_n, coarse_axis, normal_cdf, normal_pdf,
-                       refine_coarse_max)
+# log(Phi(1) sqrt(2 pi)), in the end k - t_k of the pre-test risk's rise, and
+# log(2 sqrt(2 pi)), in the asymptote of its slope's root
+_LOG_RISE, _LOG_ROOT = math.log(normal_cdf(1.0) * _SQRT_2PI), math.log(2.0 * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -57,19 +58,45 @@ class PreTest:
             raise ValueError(f"threshold must be positive and finite, got {t!r}")
 
     def sup_risk(self, delta: float, n: int) -> float:
-        """Both windows share one array scan, each refined by Newton in m = sqrt(n) theta."""
+        """R(m) = pretest_risk_at(m / sqrt(n)) rises to one maximum m* and then falls, so
+        the sup is R at delta^- or at the one root of R'. With k = sqrt(n) c_n, x = m - k
+        and the Mills ratio M(x) = Phi(-x)/phi(x),
+        R'(m) = k (k - 2m) phi(x) + 2m Phi(-x) = 2m phi(x) [M(x) - k (k + 2x) / (2 (k + x))].
+        M strictly decreases and, for k > 0, the second term strictly increases in x, so R'
+        changes sign at most once, from + to -. R' > 0 for m <= k/2, where both terms are
+        >= 0; R' < 0 for m >= k + 2/k, where M(x) < 1/x <= k/2 <= the second term; and
+        R' > 0 for m <= k - t_k, t_k = sqrt(2 log(k / (Phi(1) sqrt(2 pi)))) >= 1, since the
+        second term is < k and M(-t) >= Phi(1) sqrt(2 pi) e^(t^2/2) for t >= 1. So if R' >= 0
+        at the top b of the bracket [max(k/2, k - t_k), min(sqrt(n) delta^-, k + 2/k)], the
+        sup is R at delta^-; else Newton on R' finds the root from its asymptote
+        k - sqrt(2 log(k / (2 sqrt(2 pi)))) (large k) or k + 1/k (small k), bisecting where
+        R'' >= 0 or a step leaves the shrinking bracket, until a step's gain R'^2 / (2|R''|)
+        is below the value's rounding. In floats the lower end stays 2^-48 k below k, so
+        that past k = 2^53 the bracket keeps the bump, where m / sqrt(n) < c_n; and for
+        k < 2/38 the top is k + 38, past which R is 1 to within 1e-311, as at the root."""
         c_n = self.threshold if self.threshold is not None else n ** -0.25
         root_n, hi = math.sqrt(n), delta * OPEN_EDGE
-        value = pretest_risk_at(hi, n, c_n)
-        # the risk bump sits within O(1/sqrt(n)) of the threshold and can be narrower
-        # than a coarse cell over [0, delta); scan its window too, unless it is [0, delta)
-        ms = np.array([coarse_axis(0.0, root_n * top)
-                       for top in dict.fromkeys((hi, min(hi, c_n + 10.0 / root_n)))])
-        for window, risks in zip(ms, pretest_risk_at(ms / root_n, n, c_n)):
-            _, window_value, _ = refine_coarse_max(lambda m: _pretest_objective(n, c_n, m),
-                                                   window, risks)
-            value = max(value, window_value)
-        return value
+        value, k = pretest_risk_at(hi, n, c_n), root_n * c_n
+        log_k, a, b = math.log(k), 0.5 * k, min(root_n * hi, k + min(2.0 / k, 38.0))
+        if log_k - _LOG_RISE >= 0.5:
+            a = max(a, min(k - math.sqrt(2.0 * (log_k - _LOG_RISE)), k * (1.0 - 2.0**-48)))
+        best, (g,), _ = _pretest_objective(n, c_n, b)
+        if g <= 0.0 and a < b:
+            tail = log_k - _LOG_ROOT
+            m = k - math.sqrt(2.0 * tail) if tail > 0.5 else k + 1.0 / k
+            m = max(m, a) if m < b else 0.5 * (a + b)
+            while True:
+                risk, (g,), ((h,),) = _pretest_objective(n, c_n, m)
+                best = max(best, risk)
+                a, b = (m, b) if g > 0.0 else (a, m)
+                step = -g / h if h < 0.0 else math.nan
+                if 0.5 * g * step <= 2.0**-54 * risk:
+                    break
+                m = m + step if a < m + step < b else 0.5 * (a + b)
+                if not a < m < b:  # the root lies between the floats a and b: read a too
+                    best = max(best, _pretest_objective(n, c_n, a)[0])
+                    break
+        return max(value, best)
 
 
 def _pretest_objective(n: int, c_n: float, m: float):
@@ -85,15 +112,15 @@ def _pretest_objective(n: int, c_n: float, m: float):
     return value, [grad + 2.0 * m * below], [[hess + 2.0 * below]]
 
 
-def pretest_risk_at(theta, n: int, c_n: float):
+def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
     """n-scaled risk of the pre-test estimator at theta >= 0 and threshold
-    c_n >= 0, elementwise over an ndarray of theta; c_n = 0 is the plug-in.
+    c_n >= 0; c_n = 0 is the plug-in.
 
     Equals E[Z^2 1{Z >= cut}] + n theta^2 P(Z < cut) with the cutoff
     cut = sqrt(n) (c_n - theta); the Hodges choice c_n = n^(-1/4) gives
     cut = n^(1/4) - sqrt(n) theta.
     """
-    if (theta < 0) if not isinstance(theta, np.ndarray) else (theta < 0).any():
+    if theta < 0:
         raise ValueError("theta must be >= 0 (negative values are dominated)")
     check_n(n)
     if not c_n >= 0:
@@ -101,20 +128,15 @@ def pretest_risk_at(theta, n: int, c_n: float):
     return _risk_parts(theta, n, c_n)[0]
 
 
-def _risk_parts(theta, n: int, c_n: float):
+def _risk_parts(theta: float, n: int, c_n: float):
     """The risk c phi(c) + Phi(-c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), unchecked, and
     c, phi(c) and Phi(c), from one erfc, Phi(-|c|), which is Phi(-c) where c > 0 (1 - Phi(c) would
     cancel it). Phi(c) = 0 before n theta^2 overflows, and the term is then 0."""
     cut = math.sqrt(n) * (c_n - theta)
     phi, tail = normal_pdf(cut), normal_cdf(-abs(cut))
-    if not isinstance(theta, np.ndarray):
-        below = 1.0 - tail if cut > 0.0 else tail
-        head = cut * phi + tail if cut > 0.0 else cut * phi + 1.0 - tail
-        return head + (n * theta * theta * below if below else 0.0), cut, phi, below
-    below = np.where(cut > 0.0, 1.0 - tail, tail)
-    head = np.where(cut > 0.0, cut * phi + tail, cut * phi + 1.0 - tail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return head + np.where(below > 0.0, n * theta * theta * below, 0.0), cut, phi, below
+    below = 1.0 - tail if cut > 0.0 else tail
+    head = cut * phi + tail if cut > 0.0 else cut * phi + 1.0 - tail
+    return head + (n * theta * theta * below if below else 0.0), cut, phi, below
 
 
 def local_minimax_risk(estimator: Constant | PluginMLE | PreTest,

@@ -110,26 +110,19 @@ def _require_finite(x, name: str):
     return x
 
 
-def normal_pdf(x):
-    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi); over an ndarray,
-    math.exp of each entry (np.exp may round differently), as the scalar calls."""
+def normal_pdf(x: float) -> float:
+    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi) of a finite float."""
     x = _require_finite(x, "x")
-    if isinstance(x, float):
-        return math.exp(-0.5 * x * x) / _SQRT_2PI
-    with np.errstate(over="ignore"):  # x * x = inf, and exp(-inf) = 0 as for a float
-        return math_elementwise(math.exp, -0.5 * x * x) / _SQRT_2PI
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function.
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF of a finite float via the complementary error function.
 
-    Phi(x) = erfc(-x/sqrt(2))/2, accurate to ~1 ulp over the whole line; over
-    an ndarray, math.erfc of each entry (numpy has none), as the scalar calls.
+    Phi(x) = erfc(-x/sqrt(2))/2, accurate to ~1 ulp over the whole line.
     """
     x = _require_finite(x, "x")
-    if isinstance(x, float):
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-    return 0.5 * math_elementwise(math.erfc, -x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:

@@ -123,12 +123,15 @@ class GaussianPrior(Prior):
 
     def density(self, t):
         z = (t - self.mu) / self.sigma
-        return float_or_array(np.exp(-0.5 * z * z) / _SQRT_2PI / self.sigma)
+        with np.errstate(over="ignore"):  # z * z = inf, and exp(-inf) = 0 as for a float
+            return float_or_array(np.exp(-0.5 * z * z) / _SQRT_2PI / self.sigma)
 
     def log_ratio(self, t, h):
-        """-(z + eta/2) eta, with z = (t - mu)/sigma and eta = h/sigma."""
+        """-(z + eta/2) eta, with z = (t - mu)/sigma and eta = h/sigma; +-inf where it
+        overflows, where q(t) or q(t + h) is 0."""
         eta = h / self.sigma
-        return -((t - self.mu) / self.sigma + 0.5 * eta) * eta
+        with np.errstate(over="ignore"):
+            return -((t - self.mu) / self.sigma + 0.5 * eta) * eta
 
     def support(self) -> Tuple[float, float]:
         return -math.inf, math.inf

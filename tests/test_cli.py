@@ -524,6 +524,12 @@ CONTRACT = [
       "--prior", "gaussian"], 2, "h=1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
     (["bound", "--method", "chi2", "--functional", "maxzero", "--h=-1e300",
       "--prior", "gaussian"], 2, "h=-1e+300 is too large: (psi(t) - psi(t - h))^2 overflows"),
+    # the Gaussian prior's density and log ratio at z + h overflow to exp(-inf) = 0 and
+    # an infinite log ratio, as for a float, with no overflow warning
+    (["bound", "--method", "chi2", "--functional", "maxzero", "--h=1e300",
+      "--prior", "gaussian"], 0, "\nvalue=0.0\n"),
+    (["bound", "--method", "chi2", "--functional", "powermax", "--alpha", "0.5", "--h=-1e300",
+      "--prior", "gaussian"], 0, "\nvalue=0.0\n"),
 ]
 
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from minimaxlb import estimators
 from minimaxlb.estimators import (Constant, PluginMLE, PreTest,
                                   local_minimax_risk, pretest_risk_at)
-from minimaxlb.numerics import coarse_axis, normal_cdf, normal_pdf, refine_coarse_max
+from minimaxlb.numerics import coarse_axis, normal_cdf, normal_pdf
 
 
 def partial_second_moment(c):
@@ -195,7 +195,7 @@ def test_local_minimax_pretest_at_large_n(n, delta):
     root_n, c_n = math.sqrt(n), n ** -0.25
     k = root_n * c_n
     ms = np.linspace(max(0.0, k - 40.0), min(k + 40.0, root_n * delta * (1.0 - 1e-12)), 20001)
-    scan = pretest_risk_at(ms / root_n, n, c_n).max()
+    scan = max(pretest_risk_at(float(m) / root_n, n, c_n) for m in ms)
     assert local_minimax_risk(PreTest(), delta, n) >= scan * (1.0 - 1e-12)
 
 
@@ -219,58 +219,134 @@ def test_pretest_derivatives_in_m_match_central_differences(n, threshold):
         assert fd_hess == pytest.approx(hess, rel=1e-6, abs=1e-6 * value), (m, hess, fd_hess)
 
 
-@pytest.mark.parametrize("threshold", _THRESHOLDS)
-def test_broadcast_risk_equals_the_scalar_calls(threshold):
-    # the sup's array scans: pretest_risk_at and normal_cdf take math's exp and
-    # erfc of each entry, so they equal the scalar calls on both coarse windows
-    # of the default figure's rows, and pick the same argmax
-    for n in (10, 100):
-        c_n = n ** -0.25 if threshold is None else threshold
-        for delta in np.geomspace(1e-2, 1e2, 50):
-            hi = delta * (1.0 - 1e-12)
-            for top in (hi, min(hi, c_n + 10.0 / math.sqrt(n))):
-                thetas = coarse_axis(0.0, math.sqrt(n) * top) / math.sqrt(n)
-                want = [pretest_risk_at(float(t), n, c_n) for t in thetas]
-                assert pretest_risk_at(thetas, n, c_n).tolist() == want
-                cuts = math.sqrt(n) * (c_n - thetas)
-                assert normal_cdf(cuts).tolist() == [normal_cdf(float(c)) for c in cuts]
-
-
-def _pretest_sup_window_by_window(delta, n, threshold):
-    """The pre-test sup with one pretest_risk_at array call per window, each on
-    np.linspace's 64 points: the reference of the sup's one call for both windows."""
-    c_n = n ** -0.25 if threshold is None else threshold
-    root_n, hi = math.sqrt(n), delta * (1.0 - 1e-12)
-    value = pretest_risk_at(hi, n, c_n)
-    for top in dict.fromkeys((hi, min(hi, c_n + 10.0 / root_n))):
-        ms = np.linspace(0.0, root_n * top, 64)
-        _, window_value, _ = refine_coarse_max(
-            lambda m: estimators._pretest_objective(n, c_n, m), ms,
-            pretest_risk_at(ms / root_n, n, c_n))
-        value = max(value, window_value)
-    return value
-
-
 # the closed_form_grid benchmark's seed-0 rows and the default figure's rows
 _SUP_ROWS = ([(10 ** k, float(d)) for k in range(7) for d in np.geomspace(1e-3, 1e3, 25)]
              + [(n, float(d)) for n in (10, 100) for d in np.geomspace(1e-2, 1e2, 50)])
 
 
+def _mp_pretest_sup(delta, n, c_n, dps=50):
+    """The pre-test sup at dps digits, from the same float inputs: R at delta^-, or R at the
+    root of R', bisected on [k/2, min(sqrt(n) delta^-, k + 2/k)] to an absolute 1e-12 in m,
+    where R(m) = c phi(c) + Phi(-c) + m^2 Phi(c), R'(m) = k (k - 2m) phi(c) + 2m Phi(c),
+    c = k - m and k = sqrt(n) c_n. Past k + 2/k, where R' < 0, mpmath's ncdf loses its
+    digits at c ~ -1e12, so the reference reads R' only inside the bracket."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        root_n = mpmath.sqrt(n)
+        k, top = root_n * mpmath.mpf(c_n), root_n * mpmath.mpf(delta * (1.0 - 1e-12))
+
+        def risk(m):
+            c = k - m
+            return c * mpmath.npdf(c) + mpmath.ncdf(-c) + m * m * mpmath.ncdf(c)
+
+        def slope(m):
+            c = k - m
+            return k * (k - 2 * m) * mpmath.npdf(c) + 2 * m * mpmath.ncdf(c)
+
+        if top < k + 2 / k and slope(top) >= 0:
+            return risk(top)
+        a, b = k / 2, min(top, k + 2 / k)
+        for _ in range(int(mpmath.log((b - a) * 1e12, 2)) + 1):
+            mid = (a + b) / 2
+            a, b = (mid, b) if slope(mid) > 0 else (a, mid)
+        return risk(a)
+
+
 @pytest.mark.parametrize("threshold", _THRESHOLDS)
-def test_one_pass_pretest_scan_is_the_window_by_window_scan(threshold):
-    one_window = 0
+def test_pretest_sup_matches_mpmath(threshold):
+    # every figure and closed_form_grid row and every threshold, within 2e-15 of the
+    # 50-digit sup (the worst reads 9.8e-16, a row whose sup sits at delta^-)
     for n, delta in _SUP_ROWS:
         c_n = n ** -0.25 if threshold is None else threshold
-        one_window += c_n + 10.0 / math.sqrt(n) >= delta * (1.0 - 1e-12)
+        want = _mp_pretest_sup(delta, n, c_n)
         got = local_minimax_risk(PreTest(threshold), delta, n)
-        assert got == _pretest_sup_window_by_window(delta, n, threshold), (n, delta)
-    assert 0 < one_window < len(_SUP_ROWS)  # rows with one window and with two
+        assert abs(got - want) <= 2e-15 * want, (n, delta, got, float(want))
+
+
+@pytest.mark.parametrize("threshold,delta,n", [
+    # the dense scan reads 1.00000000034951; Newton's |gradient| <= 1e-10 |value| stop
+    # read 1.0000000003491372, short of the bump of 3.5e-10 above the plateau 1
+    (0.1, 5.623413251903491, 3),
+    # draws that moved by over 1e-14 when the sup became the slope's root, all up
+    (0.061459237439126305, 1059.733, 7),
+    (0.004223644744265215, 99.07859012538518, 1344),
+    (0.0012548515847640655, 383.10401813973795, 15089),
+    (0.0019977317251816127, 0.0651033338239481, 7925),
+    (0.0035311449210753214, 126.32728563971492, 1952),
+    (0.0010746139990565457, 201.13198323260366, 22880),
+    (0.003297375687838099, 108.57578926976703, 2419),
+    (0.0026241272421411864, 2109.9515545752133, 3503),
+])
+def test_pretest_sup_reaches_a_small_bump(threshold, delta, n):
+    want = _mp_pretest_sup(delta, n, threshold)
+    got = local_minimax_risk(PreTest(threshold), delta, n)
+    assert abs(got - want) <= 1e-15 * want, (got, float(want))
+
+
+@pytest.mark.parametrize("n", [10**20, 10**100, 10**300], ids=["1e20", "1e100", "1e300"])
+def test_hodges_sup_at_large_n_matches_mpmath(n):
+    # the bump of height about sqrt(n) sits about sqrt(2 log k) below k = n^(1/4) in m
+    # (18.5 at n = 1e300, k = 1e75), so there m needs over 75 digits: the reference
+    # takes 250; at n = 1e100 and 1e300 the 2 x 64-point scan read 1.45e-15 and 1.21e-15 low
+    want = _mp_pretest_sup(1.0, n, n ** -0.25, dps=250)
+    got = local_minimax_risk(PreTest(), 1.0, n)
+    assert abs(got - want) <= 1e-15 * want, (got, float(want))
+
+
+def test_pretest_sup_beats_a_dense_scan_in_few_evaluations(monkeypatch):
+    # derandomized: n up to 1e300, delta over the range where sqrt(n) delta is finite,
+    # Hodges or a threshold in [1e-3, 10]; the scan covers the bracket of the slope's
+    # root and the 40 below k, where the bump sits for large k
+    calls, objective = [], estimators._pretest_objective
+    monkeypatch.setattr(estimators, "_pretest_objective",
+                        lambda *args: calls.append(args) or objective(*args))
+    rng, checked, most = np.random.default_rng(37), 0, 0
+    for _ in range(300):
+        n = int(10.0 ** rng.uniform(0.0, 300.0 if rng.random() < 0.5 else 12.0))
+        root_n = math.sqrt(n)
+        delta = float(10.0 ** rng.uniform(-300.0, 300.0 - math.log10(root_n)))
+        threshold = None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-3.0, 1.0))
+        c_n = n ** -0.25 if threshold is None else threshold
+        k, hi = root_n * c_n, delta * (1.0 - 1e-12)
+        calls.clear()
+        got, evals = local_minimax_risk(PreTest(threshold), delta, n), len(calls)
+        most = max(most, evals)
+        assert evals <= 12, (threshold, delta, n, evals)
+        ms = np.concatenate((np.linspace(max(0.0, min(0.5 * k, k - 40.0)), k + 2.0 / k, 2001),
+                             np.linspace(max(0.0, k - 40.0), k, 2001)))
+        scan = max([pretest_risk_at(min(float(m) / root_n, hi), n, c_n)
+                    for m in ms if m <= root_n * hi] + [pretest_risk_at(hi, n, c_n)])
+        assert got >= scan * (1.0 - 1e-15), (threshold, delta, n, got, scan)
+        checked += scan > 1.0 + 1e-9  # a bump above the plateau 1, not only delta^-
+    assert checked >= 50 and most >= 5
+
+
+def test_pretest_slope_changes_sign_once():
+    # R'(m) = 2m phi(x) S(m), x = m - k, with S(m) = M(x) - k (2m - k) / (2m) and the Mills
+    # ratio M(x) = Phi(-x)/phi(x) = sqrt(pi/2) erfcx(x/sqrt(2)): on a fine m grid S is
+    # + up to max(k/2, k - t_k), - from k + 2/k, and changes sign once, from + to -: the
+    # unimodality the pre-test sup reads its one root from
+    for k in np.geomspace(1e-6, 1e12, 37):
+        ms = np.concatenate((np.linspace(0.0, k + 4.0 / k + 40.0, 4001)[1:],
+                             np.linspace(max(k - 40.0, 0.0), k + 2.0 / k, 4001)[1:]))
+        ms = np.unique(ms)
+        with np.errstate(over="ignore"):  # M = inf far below k, where S > 0
+            s = math.sqrt(math.pi / 2.0) * special.erfcx((ms - k) / math.sqrt(2.0)) \
+                - k * (2.0 * ms - k) / (2.0 * ms)
+        rise = 0.5 * k
+        if math.log(k / (normal_cdf(1.0) * math.sqrt(2.0 * math.pi))) >= 0.5:
+            rise = max(rise, k - math.sqrt(2.0 * math.log(k / (normal_cdf(1.0)
+                                                               * math.sqrt(2.0 * math.pi)))))
+        assert (s[ms <= rise] > 0.0).all() and (s[ms >= k + 2.0 / k] < 0.0).all(), k
+        signs = np.sign(s)  # 0 only at a grid point on the root, as m = 1/k at k = 1e-6
+        assert (np.diff(signs) <= 0.0).all() and signs[0] > 0.0 > signs[-1], k
 
 
 @pytest.mark.parametrize("threshold", _THRESHOLDS)
 def test_pretest_objective_value_is_the_risk_bit_for_bit(threshold):
-    # a Newton step reads the risk from its one phi and Phi, and must keep every bit
-    # of pretest_risk_at at both windows' coarse points
+    # each step of the sup's root search reads the risk from its one phi and Phi, and
+    # must keep every bit of pretest_risk_at: here on 64 points of [0, delta) and 64 of
+    # the bump window next to the threshold
     for n, delta in _SUP_ROWS:
         c_n = n ** -0.25 if threshold is None else threshold
         root_n, hi = math.sqrt(n), delta * (1.0 - 1e-12)
@@ -283,14 +359,12 @@ def test_pretest_objective_value_is_the_risk_bit_for_bit(threshold):
 def test_broadcast_risk_where_n_theta_squared_overflows():
     # the tail probability is 0 where n theta^2 overflows: the term is 0, with
     # no overflow warning (a RuntimeWarning fails the test)
-    thetas = np.array([0.0, 0.5, 1e150, 1e300])
-    got = pretest_risk_at(thetas, 10, 10 ** -0.25)
-    assert got.tolist() == [pretest_risk_at(float(t), 10, 10 ** -0.25) for t in thetas]
-    assert got[-1] == 1.0
+    assert pretest_risk_at(1e150, 10, 10 ** -0.25) == 1.0
+    assert pretest_risk_at(1e300, 10, 10 ** -0.25) == 1.0
     with pytest.raises(ValueError):
-        pretest_risk_at(np.array([0.5, -1e-9]), 10, 10 ** -0.25)
+        pretest_risk_at(-1e-9, 10, 10 ** -0.25)
     with pytest.raises(ValueError):
-        normal_cdf(np.array([0.0, math.inf]))
+        normal_cdf(math.inf)
 
 
 def test_pretest_risk_matches_mpmath():

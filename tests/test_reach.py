@@ -23,6 +23,9 @@ CLI_CORPUS = (
     (["bound", "--method", "vt", "--delta", "1", "--n", "100"], 0),
     (["bound", "--method", "diffeo", "--delta", "1", "--n", "100"], 0),
     (["bound", "--method", "diffeo", "--delta", "1", "--n", "100", "--xi1", "0", "--xi2", "1"], 0),
+    # s = sqrt(n) delta = 1e9: the argmax sits on the box's lower xi2 edge, so Newton
+    # stops on its box (ROADMAP item 15)
+    (["bound", "--method", "diffeo", "--delta", "1", "--n", "1000000000000000000"], 0),
     (["bound", "--method", "twopoint", "--theta1", "0", "--theta2", "0.5", "--n", "100"], 0),
     # the --n 100 pair clamps to 0 before it evaluates psi; at --n 1 it does not
     (["bound", "--method", "twopoint", "--theta1", "0", "--theta2", "0.5", "--n", "1"], 0),
