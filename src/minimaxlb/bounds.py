@@ -23,8 +23,8 @@ from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
 from .numerics import (_COARSE_GRID, _SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n,
-                       coarse_axis, cut_points, float_or_array, integrate_panels, math_elementwise,
-                       maximize_1d, maximize_2d, panel_nodes, refine_coarse_max)
+                       cut_points, float_or_array, integrate_panels, math_elementwise,
+                       maximize_1d, maximize_2d, maximize_unimodal, panel_nodes)
 from .priors import Cosine, Prior, check_scale, prior_density
 
 _PI = math.pi
@@ -276,36 +276,24 @@ def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> floa
     return n * (num * num / (prior.fisher_info() + n * info))
 
 
-def _kepler_mass(y):
-    """The mass a whose Kepler root is y, (1 + y + sin(pi y)/pi)/2, by math's sin per entry."""
-    return 0.5 * (1.0 + y + math_elementwise(math.sin, _PI * y) / _PI)
+def _kepler_mass(y: float) -> float:
+    """The mass a whose Kepler root is y, (1 + y + sin(pi y)/pi)/2."""
+    return 0.5 * (1.0 + y + math.sin(_PI * y) / _PI)
 
 
-def _vt_kepler_objective(delta: float, n: int, sup_fisher: float, y: float):
-    """The Kepler bound's objective with its derivatives in the Kepler root y,
-    where the mass a and the Fisher information pi^2 (1 + |y|)^2 are explicit
-    and smooth on each side of y = 0 (a = 1/2); in a, the derivative of y,
+def _vt_kepler_objective(k: float, sup_fisher: float, y: float):
+    """The Kepler bound's objective a^2 / (k (1 + y)^2 + J), J = sup_fisher, with its slope
+    and curvature in the Kepler root y in [0, 1], where the mass a and the Fisher
+    information pi^2 (1 + y)^2 are explicit and smooth; in a, the derivative of y,
     2/(1 + cos pi y), is infinite at a = 1, where the argmax sits as n delta^2 grows."""
     sin = math.sin(_PI * y)
     a, da, dda = 0.5 * (1.0 + y + sin / _PI), math.cos(0.5 * _PI * y) ** 2, -0.5 * _PI * sin
-    m, dm = _PI * _PI * (1.0 + abs(y)) ** 2, 2.0 * _PI * _PI * math.copysign(1.0 + abs(y), y)
-    # n a^2 / (m / delta^2 + n sup_fisher) and its derivatives by the quotient rule
-    den, dden, hden = m / delta**2 + n * sup_fisher, dm / delta**2, 2.0 * _PI * _PI / delta**2
-    value = n * a * a / den
-    grad = (2.0 * n * a * da - value * dden) / den
-    hess = (2.0 * n * (da * da + a * dda) - value * hden - grad * dden - dden * grad) / den
-    return value, [grad], [[hess]]
-
-
-@functools.cache
-def _vt_coarse_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vt sup's coarse axis ys, masses a(ys) and informations pi^2 (1 + |ys|)^2:
-    its scan's (delta, n)-free part, built once per process and read-only, as shared."""
-    ys = coarse_axis(-1.0, 1.0)
-    table = (ys, _kepler_mass(ys), _PI * _PI * (1.0 + np.abs(ys)) ** 2)
-    for part in table:
-        part.flags.writeable = False
-    return table
+    # the quotient rule
+    den, dden, hden = k * (1.0 + y) ** 2 + sup_fisher, 2.0 * k * (1.0 + y), 2.0 * k
+    value = a * a / den
+    grad = (2.0 * a * da - value * dden) / den
+    hess = (2.0 * (da * da + a * dda) - value * hden - grad * dden - dden * grad) / den
+    return value, grad, hess
 
 
 def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
@@ -314,20 +302,25 @@ def vt_kepler_bound(delta: float, n: int, sup_fisher: float) -> BoundResult:
 
     The numerator mass constraint a selects a least-favorable constrained
     cosine prior whose minimum Fisher information 4 pi^2 / w_a^2 enters the
-    denominator after dilation to the delta-neighborhood. Both the coarse scan
-    and the safeguarded Newton refinement inside its best cell run in the
-    Kepler root y in [-1, 1], where a and 4 pi^2 / w_a^2 = pi^2 (1 + |y|)^2 are
-    explicit, so the sup solves no Kepler equation.
+    denominator after dilation to the delta-neighborhood. The sup runs in the
+    Kepler root y, where a = (1 + y + sin(pi y)/pi)/2 and 4 pi^2 / w_a^2 =
+    pi^2 (1 + |y|)^2 are explicit, so it solves no Kepler equation. Divided
+    through by n, so that neither pi^2 / delta^2 nor n J overflows (J = sup_fisher),
+    the objective is f = a^2 / E, E = k (1 + |y|)^2 + J, k = pi^2 / (n delta^2).
+    Each y < 0 has a < 1/2 = a(0) and a larger E: y = 0 dominates it. On [0, 1] f' has
+    the sign of phi = 2 a' E - a E', with phi(0) = k + 2J > 0 and phi(1) = -4k < 0; at
+    any zero of phi, phi' = 2 a'' E - 2 a k J / E < 0, since a'' = -(pi/2) sin(pi y) <= 0.
+    So phi changes sign once, from + to -, and ``maximize_unimodal`` finds its root by
+    Newton from the large-n delta^2 asymptote 1 - y = sqrt(8k / (pi^2 (4k + J))).
+    Where 4k overflows, so does E at y = 1, and the sup, below 0.37 / k, reads 0.
     """
     _check_delta_n(delta, n)
     if not (sup_fisher > 0 and math.isfinite(sup_fisher)):
         raise ValueError("sup_fisher must be positive and finite")
-    ys, a, info = _vt_coarse_table()
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        coarse = n * a * a / (info / delta**2 + n * sup_fisher)
-    (y,), value, _ = refine_coarse_max(
-        lambda y: _vt_kepler_objective(delta, n, sup_fisher, y), ys, coarse)
-    return BoundResult(max(value, 0.0), {"a": _kepler_mass(y)})
+    k = _PI * _PI / (n * delta * delta)
+    y, value = maximize_unimodal(lambda y: _vt_kepler_objective(k, sup_fisher, y), 0.0, 1.0,
+                                 1.0 - math.sqrt(8.0 * k / (_PI * _PI * (4.0 * k + sup_fisher))))
+    return BoundResult(value, {"a": _kepler_mass(y)})
 
 
 DIFFEO_XI1_RANGE = (-10.0, 10.0)

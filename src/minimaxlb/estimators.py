@@ -10,14 +10,14 @@ to theta >= 0 is exact (the risk at negative theta is dominated by the risk
 at 0) and is re-verified on a grid in the test suite.
 
 Each estimator type owns ``sup_risk(delta, n)``; ``local_minimax_risk`` is
-the one entry, and checks delta, n and the finiteness of the result.
+the one entry: it checks delta and n, and that neither sqrt(n) delta nor the result overflows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .numerics import _SQRT_2PI, OPEN_EDGE, check_n, normal_cdf, normal_pdf
+from .numerics import _SQRT_2PI, OPEN_EDGE, check_n, maximize_unimodal, normal_cdf, normal_pdf
 
 # log(Phi(1) sqrt(2 pi)), in the end k - t_k of the pre-test risk's rise, and
 # log(2 sqrt(2 pi)), in the asymptote of its slope's root
@@ -68,10 +68,9 @@ class PreTest:
         R' > 0 for m <= k - t_k, t_k = sqrt(2 log(k / (Phi(1) sqrt(2 pi)))) >= 1, since the
         second term is < k and M(-t) >= Phi(1) sqrt(2 pi) e^(t^2/2) for t >= 1. So if R' >= 0
         at the top b of the bracket [max(k/2, k - t_k), min(sqrt(n) delta^-, k + 2/k)], the
-        sup is R at delta^-; else Newton on R' finds the root from its asymptote
-        k - sqrt(2 log(k / (2 sqrt(2 pi)))) (large k) or k + 1/k (small k), bisecting where
-        R'' >= 0 or a step leaves the shrinking bracket, until a step's gain R'^2 / (2|R''|)
-        is below the value's rounding. In floats the lower end stays 2^-48 k below k, so
+        sup is R at delta^-; else ``maximize_unimodal`` finds the root by Newton on R' from
+        its asymptote k - sqrt(2 log(k / (2 sqrt(2 pi)))) (large k) or k + 1/k (small k),
+        safeguarded by the bracket. In floats the lower end stays 2^-48 k below k, so
         that past k = 2^53 the bracket keeps the bump, where m / sqrt(n) < c_n; and for
         k < 2/38 the top is k + 38, past which R is 1 to within 1e-311, as at the root."""
         c_n = self.threshold if self.threshold is not None else n ** -0.25
@@ -80,22 +79,9 @@ class PreTest:
         log_k, a, b = math.log(k), 0.5 * k, min(root_n * hi, k + min(2.0 / k, 38.0))
         if log_k - _LOG_RISE >= 0.5:
             a = max(a, min(k - math.sqrt(2.0 * (log_k - _LOG_RISE)), k * (1.0 - 2.0**-48)))
-        best, (g,), _ = _pretest_objective(n, c_n, b)
-        if g <= 0.0 and a < b:
-            tail = log_k - _LOG_ROOT
-            m = k - math.sqrt(2.0 * tail) if tail > 0.5 else k + 1.0 / k
-            m = max(m, a) if m < b else 0.5 * (a + b)
-            while True:
-                risk, (g,), ((h,),) = _pretest_objective(n, c_n, m)
-                best = max(best, risk)
-                a, b = (m, b) if g > 0.0 else (a, m)
-                step = -g / h if h < 0.0 else math.nan
-                if 0.5 * g * step <= 2.0**-54 * risk:
-                    break
-                m = m + step if a < m + step < b else 0.5 * (a + b)
-                if not a < m < b:  # the root lies between the floats a and b: read a too
-                    best = max(best, _pretest_objective(n, c_n, a)[0])
-                    break
+        tail = log_k - _LOG_ROOT
+        start = k - math.sqrt(2.0 * tail) if tail > 0.5 else k + 1.0 / k
+        _, best = maximize_unimodal(lambda m: _pretest_objective(n, c_n, m), a, b, start)
         return max(value, best)
 
 
@@ -109,7 +95,7 @@ def _pretest_objective(n: int, c_n: float, m: float):
     slope = k * (k - 2.0 * m)
     # phi(c) = 0 stands for terms that are 0, not inf * 0 = NaN
     grad, hess = (slope * phi, phi * (c * slope - 2.0 * k - 2.0 * m)) if phi else (0.0, 0.0)
-    return value, [grad + 2.0 * m * below], [[hess + 2.0 * below]]
+    return value, grad + 2.0 * m * below, hess + 2.0 * below
 
 
 def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
@@ -145,6 +131,8 @@ def local_minimax_risk(estimator: Constant | PluginMLE | PreTest,
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     n = check_n(n)
+    if math.sqrt(n) * delta == math.inf:  # each risk reads sqrt(n) theta
+        raise ValueError(f"sqrt(n) delta overflows at delta={delta!r}, n={n}")
     risk = estimator.sup_risk(delta, n)
     if not math.isfinite(risk):
         raise ValueError(f"the risk of {estimator} overflows at delta={delta!r}, n={n}")

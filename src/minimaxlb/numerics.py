@@ -2,11 +2,13 @@
 optimization shared by the rest of the package.
 
 Everything here is a pure function of its inputs: no randomness, no global
-state, bit-reproducible across runs. Optimizers are coarse-grid scans with
-local refinement, by safeguarded Newton steps on the gradient and Hessian or,
-without derivatives, by k-section search, whose round after a scan or round won
-by the box's edge spaces its points geometrically toward that edge; so they
-only promise the best *found* value, never a global-optimality certificate.
+state, bit-reproducible across runs. maximize_unimodal finds the one root of a
+slope that its caller proves changes sign once, from + to -, by bracketed Newton
+steps. The other optimizers refine a coarse-grid scan, by safeguarded Newton
+steps on the gradient and Hessian in two variables or, without derivatives, by
+k-section search, whose round after a scan or round won by the box's edge spaces
+its points geometrically toward that edge; so they only promise the best *found*
+value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
@@ -333,47 +335,53 @@ def maximize_2d(f: Callable[[float, float], tuple], box: SearchBox, cell: Tuple[
     return (x, y), value
 
 
-def refine_coarse_max(f, xs: np.ndarray, values: np.ndarray) -> Tuple[Tuple[float], float, str]:
-    """``maximize_newton`` of f(x) = (value, [gradient], [[Hessian]]) from the first
-    argmax of the coarse ``values`` at the ascending ``xs``, inside [xs[i-1], xs[i+1]]."""
-    i = int(np.argmax(values))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    return maximize_newton(f, (xs[i],), (lo,), (hi,), (0.5 * (hi - lo),))
+def maximize_unimodal(f: Callable[[float], Tuple[float, float, float]], lo: float, hi: float,
+                      start: float) -> Tuple[float, float]:
+    """(argmax, max) of f(x) = (value, slope, curvature) over [lo, hi] for a slope that
+    changes sign at most once there, from + to -: f(hi) unless lo < hi and the slope at hi
+    is <= 0, else f at the slope's root. Newton on the slope runs from ``start`` (clamped
+    to lo, or the midpoint if it is not below hi), bisecting the shrinking bracket where
+    the curvature is >= 0 or a step would leave it, until a step's gain slope^2 /
+    (2 |curvature|) is below 2^-54 of the value; a NaN slope inside counts as negative. When
+    the bracket closes on two adjacent floats, f(lo) is read too. The max is the best value
+    read, the argmax the first point that reached it."""
+    argmax, (best, slope, _) = hi, f(hi)
+    if not (slope <= 0.0 and lo < hi):
+        return argmax, best
+    x = max(start, lo) if start < hi else 0.5 * (lo + hi)
+    while True:
+        value, slope, curvature = f(x)
+        if value > best:
+            argmax, best = x, value
+        lo, hi = (x, hi) if slope > 0.0 else (lo, x)
+        step = -slope / curvature if curvature < 0.0 else math.nan
+        if 0.5 * slope * step <= 2.0**-54 * value:
+            return argmax, best
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            value = f(lo)[0]
+            return (lo, value) if value > best else (argmax, best)
 
 
 def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence[float],
-                    scale: Sequence[float]) -> Tuple[Tuple[float, ...], float, str]:
-    """Safeguarded Newton ascent of f(*x) = (value, gradient, Hessian), x of one or
-    two floats, from ``start`` in the box [lo, hi]: the Newton step where the Hessian
-    is negative definite, else a gradient step ``scale`` long per axis, clamped to the
-    box and halved until the value increases, so the result is never below f(start).
-    A point with a non-finite value, gradient or Hessian scores -inf, and a gain below
-    _RESOLUTION |value| is rounding. Returns (x, value, reason): "stationary"
-    (negative definite, and |gradient| <= 1e-10 |value| or a Newton gain below the
-    resolution), "box", "step floor" or "budget" (_NEWTON_EVALS evaluations).
+                    scale: Sequence[float]) -> Tuple[Tuple[float, float], float, str]:
+    """Safeguarded Newton ascent of f(x0, x1) = (value, gradient, Hessian) from ``start``
+    in the box [lo, hi]: the Newton step where the Hessian is negative definite, else a
+    gradient step ``scale`` long per axis, clamped to the box and halved until the value
+    increases, so the result is never below f(start). A point with a non-finite value,
+    gradient or Hessian scores -inf, and a gain below _RESOLUTION |value| is rounding.
+    Returns (x, value, reason): "stationary" (negative definite, and |gradient| <= 1e-10
+    |value| or a Newton gain below the resolution), "box", "step floor" or "budget"
+    (_NEWTON_EVALS evaluations). It serves maximize_2d.
 
-    One loop in floats serves both: a one-variable f runs with a second axis frozen
-    at 0 in the box [0, 0], gradient 0 and Hessian row (0, -1), where every step,
-    sum and stop test reduces to the one-variable float exactly. The Newton step
-    eliminates on [-H | g] in the general n-variable order and sums dot products
-    from 0.0 as sum() does: the same bits.
+    One loop in plain floats: the Newton step eliminates on [-H | g] in the general
+    n-variable order and sums dot products from 0.0 as sum() does: the same bits.
     """
-    dims, isfinite = len(start), math.isfinite
-    if dims == 1:
-        inputs = (start[0], 0.0, lo[0], 0.0, hi[0], 0.0, scale[0], 0.0)
-
-        def evaluate(x0, x1):
-            value, (g0,), ((h00,),) = f(x0)
-            finite = isfinite(value) and isfinite(g0) and isfinite(h00)
-            return (float(value) if finite else -math.inf), g0, 0.0, h00, 0.0, 0.0, -1.0
-    else:
-        inputs = (*start, *lo, *hi, *scale)
-
-        def evaluate(x0, x1):
-            value, (g0, g1), ((h00, h01), (h10, h11)) = f(x0, x1)
-            finite = all(map(isfinite, (value, g0, g1, h00, h01, h10, h11)))
-            return (float(value) if finite else -math.inf), g0, g1, h00, h01, h10, h11
-    x0, x1, lo0, lo1, hi0, hi1, s0, s1 = map(float, inputs)
+    def evaluate(x0, x1):
+        value, (g0, g1), ((h00, h01), (h10, h11)) = f(x0, x1)
+        finite = all(map(math.isfinite, (value, g0, g1, h00, h01, h10, h11)))
+        return (float(value) if finite else -math.inf), g0, g1, h00, h01, h10, h11
+    x0, x1, lo0, lo1, hi0, hi1, s0, s1 = map(float, (*start, *lo, *hi, *scale))
 
     (value, g0, g1, h00, h01, h10, h11), evals, reason = evaluate(x0, x1), 1, "step floor"
     while value > -math.inf:
@@ -405,7 +413,7 @@ def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence
             reason = ("budget" if evals >= _NEWTON_EVALS
                       else "box" if t == 1.0 and box else "step floor")
             break
-    return (x0, x1)[:dims], value, reason
+    return (x0, x1), value, reason
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:

@@ -22,7 +22,7 @@ from minimaxlb.cli import main
 from minimaxlb.estimators import PluginMLE, local_minimax_risk
 from minimaxlb.mixtures import MixtureSpec, default_grid, mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
-from minimaxlb.numerics import coarse_axis, maximize_1d, maximize_2d, maximize_newton
+from minimaxlb.numerics import coarse_axis, maximize_1d, maximize_2d
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior, solve_kepler
 from minimaxlb.sweep import SweepConfig, sweep_row_values
 from test_numerics import first_coarse_max
@@ -595,25 +595,25 @@ def test_sweep_row_diffeo_matches_the_scan_with_sigma():
     (1e-3, 10, 1.0), (0.3, 1, 1.0), (1.0, 100, 0.25), (1e3, 10**6, 1.0), (5.0, 2**60 + 1, 4.0)])
 def test_vt_kepler_fisher_table_matches_the_scan(delta, n, sup_fisher):
     # the oracle scans a Fisher table in the mass a, solving the Kepler equation
-    # at every coarse a, and refines in the Kepler root y inside the best coarse
-    # cell; the sup scans in y itself, where a and the information are explicit
-    def scan(a_grid):
-        solutions = [solve_kepler(float(a)) for a in a_grid]
-        return [sol.y_a for sol in solutions], [
-            n * a * a / (sol.min_fisher / delta**2 + n * sup_fisher)
-            for a, sol in zip(a_grid, solutions)]
-    ys, values = scan(coarse_axis(0.0, 1.0))
+    # at every coarse a, and refines by a golden-section search in a inside the best
+    # coarse cell; the sup runs in the Kepler root y, where a and the information are
+    # explicit
+    def bound(a):
+        return n * a * a / (solve_kepler(a).min_fisher / delta**2 + n * sup_fisher)
+    grid = coarse_axis(0.0, 1.0).tolist()
+    values = [bound(a) for a in grid]
     i = max(range(len(values)), key=values.__getitem__)
-    lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
-    (y,), value, reason = maximize_newton(
-        lambda y: bounds._vt_kepler_objective(delta, n, sup_fisher, y),
-        (ys[i],), (lo,), (hi,), (0.5 * (hi - lo),))
-    assert reason == "stationary"
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        lo, hi = (lo, right) if bound(left) >= bound(right) else (left, hi)
+    a, value = max(((a, bound(a)) for a in (lo, hi, grid[i])), key=lambda p: p[1])
     res = vt_kepler_bound(delta, n, sup_fisher)
     assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
     # a flat maximum fixes its argmax only to about sqrt(eps) (5e-9 here)
-    assert res.argmax["a"] == pytest.approx(bounds._kepler_mass(y), rel=1e-7)
-    assert res.value >= max(scan(np.linspace(0.0, 1.0, 2001))[1])
+    assert res.argmax["a"] == pytest.approx(a, rel=1e-7)
+    assert res.value >= max(bound(float(a)) for a in np.linspace(0.0, 1.0, 2001))
 
 
 def _central_differences(f, x, h):
@@ -649,11 +649,14 @@ def test_diffeo_derivatives_match_central_differences(delta, n):
 @pytest.mark.parametrize("delta,n,sup_fisher", [(1.0, 10, 1.0), (0.05, 100, 0.25),
                                                  (30.0, 10**4, 4.0)])
 def test_vt_derivatives_match_central_differences(delta, n, sup_fisher):
-    # both sides of the kink of |y| at 0 (a = 1/2), and y next to 1, where
-    # the mass a flattens
-    f = lambda x: bounds._vt_kepler_objective(delta, n, sup_fisher, x[0])
-    for y in (-0.95, -0.4, -1e-3, 1e-3, 0.3, 0.43, 0.6, 0.9, 0.99, 0.999):
-        _assert_derivatives_match(f, (y,), 1e-5 * min(abs(y), 1.0 - abs(y)), 1e-6)
+    # y next to 0 and next to 1, where the mass a flattens
+    k = math.pi**2 / (n * delta * delta)
+
+    def f(x):
+        value, grad, hess = bounds._vt_kepler_objective(k, sup_fisher, x[0])
+        return value, [grad], [[hess]]
+    for y in (1e-3, 0.05, 0.3, 0.43, 0.6, 0.9, 0.99, 0.999):
+        _assert_derivatives_match(f, (y,), 1e-5 * min(y, 1.0 - y), 1e-6)
 
 
 def _quotient_derivatives_by_numpy(num, dnum, hnum, den, dden, hden):
@@ -682,15 +685,13 @@ def _diffeo_derivatives_by_numpy(delta, n, xi1, xi2):
     return max(bounds._diffeo_ratio(delta, n, xi2, i0, s0), 0.0), grad, hess
 
 
-def _vt_objective_by_numpy(delta, n, sup_fisher, y):
+def _vt_objective_by_numpy(k, sup_fisher, y):
     """bounds._vt_kepler_objective assembled in numpy."""
     pi = math.pi
     a, da, dda = bounds._kepler_mass(y), math.cos(0.5 * pi * y) ** 2, -0.5 * pi * math.sin(pi * y)
-    m, dm = pi * pi * (1.0 + abs(y)) ** 2, 2.0 * pi * pi * math.copysign(1.0 + abs(y), y)
     return _quotient_derivatives_by_numpy(
-        n * a * a, np.array([2.0 * n * a * da]), np.array([[2.0 * n * (da * da + a * dda)]]),
-        m / delta**2 + n * sup_fisher, np.array([dm / delta**2]),
-        np.array([[2.0 * pi * pi / delta**2]]))
+        a * a, np.array([2.0 * a * da]), np.array([[2.0 * (da * da + a * dda)]]),
+        k * (1.0 + y) ** 2 + sup_fisher, np.array([2.0 * k * (1.0 + y)]), np.array([[2.0 * k]]))
 
 
 def _assert_same_floats(got, want, where):
@@ -732,15 +733,16 @@ def test_diffeo_derivatives_are_the_numpy_assembly_bit_for_bit():
 
 def test_vt_derivatives_are_the_numpy_assembly_bit_for_bit():
     rng = np.random.default_rng(21)
-    fixed = (-1e-3, 1e-3, -0.999, 0.999, 0.0, -0.5, 0.5, 1.0, -1.0)
+    fixed = (1e-3, 0.999, 0.0, 0.5, 1.0)
     for i in range(200):
         delta = float(10.0 ** rng.uniform(-3.0, 3.0))
         n = 10**306 if i % 25 == 0 else int(10.0 ** rng.uniform(0.0, 6.0))
+        k = math.pi**2 / (n * delta * delta)
         sup_fisher = float(10.0 ** rng.uniform(-2.0, 2.0))
-        y = fixed[i] if i < len(fixed) else float(rng.uniform(-0.999, 0.999))
-        _assert_same_derivatives(bounds._vt_kepler_objective(delta, n, sup_fisher, y),
-                                 _vt_objective_by_numpy(delta, n, sup_fisher, y),
-                                 (delta, n, sup_fisher, y))
+        y = fixed[i] if i < len(fixed) else float(rng.uniform(0.0, 1.0))
+        value, grad, hess = bounds._vt_kepler_objective(k, sup_fisher, y)
+        _assert_same_derivatives((value, [grad], [[hess]]),
+                                 _vt_objective_by_numpy(k, sup_fisher, y), (k, sup_fisher, y))
 
 
 def _diffeo_moment_terms(xi1, xi2):
@@ -1016,8 +1018,8 @@ def test_a_cold_diffeo_sup_reads_its_table(monkeypatch):
 
 
 def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
-    # every diffeo sup of the default figure, and every vt sup of it and of
-    # the benchmark's closed-form grid, ends at a stationary point
+    # every diffeo sup of the default figure ends at a stationary point; the vt sups
+    # of it and of the benchmark's closed-form grid run no maximize_newton
     reasons = []
     newton = numerics.maximize_newton
 
@@ -1030,7 +1032,7 @@ def test_newton_refinement_is_stationary_on_the_figure_rows(monkeypatch):
         diffeo_bound_sup(delta, n)
     for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS:
         vt_kepler_bound(delta, n, 1.0)
-    assert len(reasons) == 375
+    assert len(reasons) == 100
     assert set(reasons) == {"stationary"}
 
 
@@ -1046,6 +1048,85 @@ def test_vt_sup_matches_a_brent_search_of_the_closed_form():
                                          method="bounded", options={"xatol": 1e-12})
         want = max(-brent.fun, closed_form(1.0))
         assert vt_kepler_bound(delta, n, 1.0).value == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def _mp_vt_sup(delta, n, sup_fisher, dps=50):
+    """The vt sup at dps digits, from the same float inputs: f = a^2 / E at the root of
+    phi = 2 a' E - a E', bisected on [0, 1] to 1e-20 in y, where a = (1 + y + sin(pi y)/pi)/2,
+    E = k (1 + y)^2 + J and k = pi^2 / (n delta^2): n a^2 / D divided through by n."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        pi, J = mpmath.pi, mpmath.mpf(sup_fisher)
+        k = pi * pi / (mpmath.mpf(n) * mpmath.mpf(delta) ** 2)
+
+        def parts(y):
+            a = (1 + y + mpmath.sin(pi * y) / pi) / 2
+            return a, k * (1 + y) ** 2 + J
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(67):
+            mid = (lo + hi) / 2
+            (a, e), da = parts(mid), mpmath.cos(pi * mid / 2) ** 2
+            lo, hi = (mid, hi) if 2 * da * e - a * 2 * k * (1 + mid) > 0 else (lo, mid)
+        a, e = parts((lo + hi) / 2)
+        return a * a / e
+
+
+def test_vt_sup_matches_mpmath(monkeypatch):
+    # the 275 figure and closed-form rows, and derandomized draws: n up to 1e300, delta
+    # over the range the scale rule accepts, J = sup_fisher in [1e-2, 1e2]; each sup is
+    # within 6e-16 of its 50-digit value (the coarse scan and Newton refinement it
+    # replaced read 9.0e-16 low on a figure row) in at most 6 evaluations on the rows
+    # and 20 on the draws. Where n delta^2 is so small that the sup is subnormal, it
+    # reads at most the smallest normal float
+    calls = _count_calls(monkeypatch, bounds, "_vt_kepler_objective")
+    rng = np.random.default_rng(38)
+    draws = [(int(10.0 ** rng.uniform(0.0, 300.0)), float(10.0 ** rng.uniform(-161.6, 154.0)),
+              float(10.0 ** rng.uniform(-2.0, 2.0))) for _ in range(600)]
+    cases = [(n, delta, 1.0, 6) for n, delta in _FIGURE_ROWS + _CLOSED_FORM_ROWS] + [
+        (n, delta, sup_fisher, 20) for n, delta, sup_fisher in draws]
+    for n, delta, sup_fisher, most in cases:
+        calls[0] = 0
+        got = vt_kepler_bound(delta, n, sup_fisher).value
+        assert calls[0] <= most, (n, delta, sup_fisher, calls[0])
+        want = _mp_vt_sup(delta, n, sup_fisher)
+        if want < sys.float_info.min:
+            assert 0.0 <= got <= sys.float_info.min, (n, delta, sup_fisher, got)
+        else:
+            assert abs(got - want) <= 6e-16 * want, (n, delta, sup_fisher, got, float(want))
+
+
+def _vt_slope_parts(r, y):
+    """a, a', a'', E and E' of the vt objective a^2 / E at J = 1 and k = r, E = r (1 + y)^2 + 1,
+    with a' = cos^2(pi y / 2) written as sin^2(pi (1 - y) / 2), exact next to y = 1."""
+    a = 0.5 * (1.0 + y + np.sin(np.pi * y) / np.pi)
+    da, dda = np.sin(0.5 * np.pi * (1.0 - y)) ** 2, -0.5 * np.pi * np.sin(np.pi * y)
+    return a, da, dda, r * (1.0 + y) ** 2 + 1.0, 2.0 * r * (1.0 + y)
+
+
+def test_vt_slope_changes_sign_once():
+    # the proof the vt sup reads its one root from, at J = 1 and r = k = pi^2 / (n delta^2):
+    # phi = 2 a' E - a E' is r + 2 > 0 at y = 0 and -4r < 0 at y = 1, and at its zero
+    # phi' = 2 a'' E + a' E' - a E'' equals 2 a'' E - 2 a r / E < 0; on a fine y grid, dense
+    # next to y = 1, where the root sits for small r, the sign changes once, from + to -
+    y = np.unique(np.concatenate((np.linspace(0.0, 1.0, 4001),
+                                  1.0 - np.geomspace(1e-16, 1e-3, 2001))))
+    for r in np.geomspace(1e-30, 1e30, 61):
+        a, da, _, e, de = _vt_slope_parts(r, y)
+        phi = 2.0 * da - a * de / e  # phi / E, whose sign is phi's
+        assert phi[0] == pytest.approx((r + 2.0) / (r + 1.0), rel=1e-15), r
+        assert phi[-1] == pytest.approx(-4.0 * r / e[-1], rel=1e-15), r
+        changes = np.nonzero(np.diff(np.sign(phi)))[0]
+        assert phi[0] > 0.0 > phi[-1] and len(changes) == 1, r
+        lo, hi = y[changes[0]], y[changes[0] + 1]
+        for _ in range(60):  # the zero, bisected in its cell
+            mid = 0.5 * (lo + hi)
+            a, da, _, e, de = _vt_slope_parts(r, mid)
+            lo, hi = (mid, hi) if 2.0 * da * e - a * de > 0.0 else (lo, mid)
+        a, da, dda, e, de = _vt_slope_parts(r, 0.5 * (lo + hi))
+        at_zero = 2.0 * dda * e - 2.0 * a * r / e
+        assert 2.0 * dda * e + da * de - a * 2.0 * r == pytest.approx(at_zero, rel=1e-6), r
+        assert at_zero < 0.0, r
 
 
 def _count_calls(monkeypatch, module, name):

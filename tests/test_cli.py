@@ -530,6 +530,11 @@ CONTRACT = [
       "--prior", "gaussian"], 0, "\nvalue=0.0\n"),
     (["bound", "--method", "chi2", "--functional", "powermax", "--alpha", "0.5", "--h=-1e300",
       "--prior", "gaussian"], 0, "\nvalue=0.0\n"),
+    # sqrt(n) delta overflows: the error names both, not the cut of the risk at delta^-
+    (["risk", "--estimator", "plugin", "--delta", "1e200", "--n", str(10**300)], 2,
+     f"sqrt(n) delta overflows at delta=1e+200, n={10**300}"),
+    (["risk", "--estimator", "pretest", "--delta", "1e200", "--n", str(10**300)], 2,
+     f"sqrt(n) delta overflows at delta=1e+200, n={10**300}"),
 ]
 
 

@@ -211,10 +211,10 @@ def test_pretest_derivatives_in_m_match_central_differences(n, threshold):
     for m in sorted({0.5 * k, k - 3.0, k - 1.0, k - 0.1, k, k + 0.7, k + 2.5, 2.0 * k + 1.0}):
         if m < 1e-3:
             continue
-        value, (grad,), ((hess,),) = f(m)
+        value, grad, hess = f(m)
         h = 1e-4
         fd_grad = (f(m + h)[0] - f(m - h)[0]) / (2.0 * h)
-        fd_hess = (f(m + h)[1][0] - f(m - h)[1][0]) / (2.0 * h)
+        fd_hess = (f(m + h)[1] - f(m - h)[1]) / (2.0 * h)
         assert fd_grad == pytest.approx(grad, rel=1e-6, abs=1e-6 * value), (m, grad, fd_grad)
         assert fd_hess == pytest.approx(hess, rel=1e-6, abs=1e-6 * value), (m, hess, fd_hess)
 

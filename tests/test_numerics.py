@@ -204,24 +204,15 @@ def test_maximize_2d():
 
 
 def test_maximize_newton_stop_reasons():
-    # one Newton step reaches the maximum of a quadratic; the next is stationary
-    assert maximize_newton(lambda x: (-(x - 0.25) ** 2, (-2.0 * (x - 0.25),), ((-2.0,),)),
-                           (0.0,), (-1.0,), (1.0,), (0.1,)) == ((0.25,), 0.0, "stationary")
     # a plane climbs to its corner, where the box stops it
     assert maximize_newton(_plane_2d, (0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.1, 0.1)) == \
         ((1.0, 1.0), 2.0, "box")
-    # a gradient that promises an increase the values never show
-    assert maximize_newton(lambda x: (1.0, (1.0,), ((-1.0,),)), (0.0,), (-9.0,), (9.0,),
-                           (1.0,)) == ((0.0,), 1.0, "step floor")
-    # an increasing curve that never flattens runs out of evaluations
-    assert maximize_newton(lambda x: (x, (1.0,), ((1.0,),)), (0.0,), (0.0,), (1e300,),
-                           (1.0,))[2] == "budget"
 
 
 def _reference_newton(f, start, lo, hi, scale):
     """maximize_newton as it was written for any number of variables, with lists,
-    a general elimination and sum(): the reference its one- and two-variable
-    float paths must reproduce bit for bit."""
+    a general elimination and sum(): the reference its two-variable float path
+    must reproduce bit for bit."""
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
@@ -322,22 +313,23 @@ def test_maximize_newton_matches_the_general_elimination_bit_for_bit():
     rng = random.Random(20261019)
     kinds = ("definite", "indefinite", "zero gradient", "extreme", "nan", "inf", "-inf")
     reasons = set()
-    for k in range(504):
-        args = _newton_case(rng, 1 + k % 2, kinds[k // 2 % len(kinds)])
+    for k in range(252):
+        args = _newton_case(rng, 2, kinds[k % len(kinds)])
         want = _reference_newton(*args)
         got = maximize_newton(*args)
         assert got == want and repr(got) == repr(want), (k, got, want)
-        reasons.add((len(got[0]), got[2]))
+        reasons.add(got[2])
     # steps that overflow the elimination: a NaN step is never clamped, so it is
-    # not "box"; and a curve that never flattens spends the evaluation budget
+    # not "box"; and a plane that never flattens spends the evaluation budget
     nan_step = (lambda a, b: (1.0, (0.0, 1.0), ((-1e-300, -1.0), (1e10, 3.0))),
                 (0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.1, 0.1))
-    budget = (lambda x: (x, (1.0,), ((1.0,),)), (0.0,), (0.0,), (1e300,), (1.0,))
+    budget = (lambda a, b: (a + b, (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))),
+              (0.0, 0.0), (0.0, 0.0), (1e300, 1e300), (1.0, 1.0))
     for args in (nan_step, budget):
         assert maximize_newton(*args) == _reference_newton(*args)
     assert maximize_newton(*nan_step)[2] == "step floor"
-    assert {(d, r) for d in (1, 2) for r in ("stationary", "box", "step floor", "budget")} \
-        <= reasons
+    assert maximize_newton(*budget)[2] == "budget"
+    assert {"stationary", "box", "step floor", "budget"} <= reasons
 
 
 def _tie_on_edges_1d(x):
