@@ -135,12 +135,9 @@ def _check_delta_n(delta: float, n: int) -> None:
     check_n(n)
 
 
-def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
-    """First and second prior moments of psi(t) - psi(t - h), both from one quadrature
-    in z = t - c (``Prior.centred``), cut at ``f.cuts(h)``, where it is not smooth;
-    for an ndarray of shifts, arrays of them, from one quadrature of a row each. The square
-    of psi(t) - psi(t - h) peaks on the window at an end or a cut: a ValueError names h
-    where it overflows there."""
+def _checked_cuts(prior: Prior, f: Functional, h) -> np.ndarray:
+    """``f.cuts(h)`` in z = t - c (``Prior.centred``). The square of psi(t) - psi(t - h)
+    peaks on the window at an end or a cut: a ValueError names h where it overflows there."""
     c, near = prior.centred()
     lo, hi = near.window()
     cuts = f.cuts(h, hi - lo) - c
@@ -150,6 +147,15 @@ def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
     if not finite.all():
         bad = float(np.atleast_1d(h)[~np.atleast_1d(finite)][0])
         raise ValueError(f"h={bad!r} is too large: (psi(t) - psi(t - h))^2 overflows")
+    return cuts
+
+
+def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
+    """First and second prior moments of psi(t) - psi(t - h), both from one quadrature
+    in z = t - c, cut at ``_checked_cuts``, where it is not smooth; for an ndarray of
+    shifts, arrays of them, from one quadrature of a row each."""
+    c, near = prior.centred()
+    lo, hi = near.window()
 
     def moments(z: np.ndarray, h) -> np.ndarray:
         dpsi, q = f.difference(c + z, h), prior_density(near, z)
@@ -157,8 +163,21 @@ def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:
             return np.stack((dpsi * q, dpsi * dpsi * q))
 
     first, second = integrate_panels(moments, np.full(np.shape(h), lo), np.full(np.shape(h), hi),
-                                     cuts, (h,))
+                                     _checked_cuts(prior, f, h), (h,))
     return float_or_array(first), float_or_array(second)
+
+
+def _checked_hellinger_sq(family: Family, n: int, prior: Prior, h):
+    """The shifts as a float or an ndarray, and H^2(Mh, M0) at each: both nonzero."""
+    prior.check_nice()
+    h = float_or_array(h)
+    if np.any(h == 0.0):
+        raise ValueError("h must be nonzero")
+    h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
+    if np.any(h2 == 0.0):
+        raise ValueError("mixture Hellinger distance underflows to 0 at "
+                         f"h={float(np.atleast_1d(h)[np.atleast_1d(h2) == 0.0][0])!r}")
+    return h, h2
 
 
 def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
@@ -170,43 +189,43 @@ def hellinger_mixture_terms(family: Family, n: int, prior: Prior, f: Functional,
     is the finite-shift penalty. Both are terms, not bounds, so neither is
     n-scaled. An ndarray of shifts gives arrays of both.
     """
-    prior.check_nice()
-    h = float_or_array(h)
-    if np.any(h == 0.0):
-        raise ValueError("h must be nonzero")
-    h2 = mixture_hellinger_sq(MixtureSpec(family, n, prior, h))
-    if np.any(h2 == 0.0):
-        raise ValueError("mixture Hellinger distance underflows to 0 at "
-                         f"h={float(np.atleast_1d(h)[np.atleast_1d(h2) == 0.0][0])!r}")
+    h, h2 = _checked_hellinger_sq(family, n, prior, h)
     num, second = delta_psi_moments(prior, f, h)
     return num * num / (4.0 * h2), second
 
 
 def hellinger_mixture_bound(family: Family, n: int, prior: Prior, f: Functional, h):
-    """n-scaled Hellinger mixture bound n [sqrt(A) - sqrt(B)]_+^2 at a fixed shift
-    h, or at each of an ndarray of shifts."""
-    a, b = hellinger_mixture_terms(family, n, prior, f, h)
-    root = np.sqrt(a) - np.sqrt(b)
-    return n * float_or_array(np.where(root > 0.0, root * root, 0.0))
+    """n-scaled Hellinger mixture bound n [sqrt(A) - sqrt(B)]_+^2 at a fixed shift h, or
+    at each of an ndarray of shifts: 0 where 4 H^2 >= 1, as A <= B there by Cauchy-Schwarz
+    ((int Dpsi dQ)^2 <= int Dpsi^2 dQ), so no moment is integrated but ``_checked_cuts``."""
+    h, h2 = map(np.asarray, _checked_hellinger_sq(family, n, prior, h))
+    value, near = np.zeros(h.shape), 4.0 * h2 < 1.0
+    if not near.all():
+        _checked_cuts(prior, f, h[~near])
+    if near.any():
+        num, second = delta_psi_moments(prior, f, h[near])
+        root = np.sqrt(num * num / (4.0 * h2[near])) - np.sqrt(second)
+        value[near] = n * np.where(root > 0.0, root * root, 0.0)
+    return float_or_array(value)
 
 
 def hellinger_mixture_bound_sup(family: Family, n: int, prior: Prior, f: Functional,
                                 h_lo: float, h_hi: float) -> BoundResult:
-    """n-scaled sup of the Hellinger mixture bound over |h| in [h_lo, h_hi], both
-    signs: each scan or k-section round of maximize_1d is one batch of shifts. The
-    bound tends to the van Trees value as h -> 0, so the sup mostly sits on the
-    edge h_lo, where a sign ends after its scan and one round."""
+    """n-scaled sup of the Hellinger mixture bound over |h| in [h_lo, h_hi], both signs:
+    one maximize_1d search of max(b(|h|), b(-|h|)), +h on a tie, each scan or round one
+    batch of both signs, which share H^2 (it is even in h). The bound tends to the van Trees
+    value as h -> 0, so the sup mostly sits on the edge h_lo: a scan and one round."""
     if not (0.0 < h_lo < h_hi):
         raise ValueError("need 0 < h_lo < h_hi")
+    sign = {}  # |h| -> the sign that won it
 
-    def for_sign(sign: float) -> Tuple[float, float]:
-        return maximize_1d(
-            lambda h: hellinger_mixture_bound(family, n, prior, f, sign * h),
-            h_lo, h_hi)
+    def envelope(size: np.ndarray) -> np.ndarray:
+        plus, minus = hellinger_mixture_bound(family, n, prior, f, np.stack((size, -size)))
+        sign.update(zip(size.tolist(), np.where(plus >= minus, 1.0, -1.0).tolist()))
+        return np.maximum(plus, minus)
 
-    (hp, vp), (hm, vm) = for_sign(1.0), for_sign(-1.0)
-    h, value = (hp, vp) if vp >= vm else (-hm, vm)
-    return BoundResult(max(value, 0.0), {"h": h})
+    size, value = maximize_1d(envelope, h_lo, h_hi)
+    return BoundResult(max(value, 0.0), {"h": sign[size] * size})
 
 
 def default_shift_range(prior: Prior) -> Tuple[float, float]:

@@ -92,31 +92,32 @@ _PRIOR_PARAMETERS = "every parameter under the prior and its shift"
 
 def mixture_hellinger_sq(spec: MixtureSpec):
     """Squared Hellinger distance between the shifted joint mixtures by the
-    identity above, with q(t) + q(t+h) where one of them is 0; in [0, 2]. For
-    an ndarray of shifts it is one value each, from one quadrature of a row each."""
-    family, h = spec.family, np.atleast_1d(np.asarray(spec.h, dtype=float))
+    identity above, with q(t) + q(t+h) where one of them is 0; in [0, 2]. It is even
+    in h (t -> t - h turns H^2(M-h, M0) into H^2(M0, Mh)): for an ndarray of shifts,
+    one value each, from one quadrature of a row for each distinct |h|."""
+    size = np.abs(np.ravel(spec.h))
+    h = np.array(sorted(set(size.tolist())), dtype=float)  # each distinct |h|, ascending
     c, prior = spec.prior.centred()
     lo0, hi0 = prior.window()
     value = np.where(h == 0.0, 0.0, 2.0)  # 2 where the supports are disjoint
-    near = (h != 0.0) & (np.abs(h) < hi0 - lo0)
+    near = (h != 0.0) & (h < hi0 - lo0)
     if near.any():
         # the family term reads t and t + h at or above the window only
-        family.check_theta(c + lo0, _PRIOR_PARAMETERS)
+        spec.family.check_theta(c + lo0, _PRIOR_PARAMETERS)
         lo, hi, cuts = _union_region(prior, h[near])
 
         def integrand(z: np.ndarray, h: np.ndarray) -> np.ndarray:
             q, qh = prior_density(prior, z), prior_density(prior, z + h)
-            floor = np.maximum(lo0, lo0 - h)
-            theta = c + (floor if family.location else np.maximum(z, floor))
+            theta = c + (lo0 if spec.family.location else np.maximum(z, lo0))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 half = 0.5 * prior.log_ratio(z, h)  # not finite only where q qh = 0
                 value = q * np.expm1(half) ** 2
-                read = q * np.exp(half) * hellinger_sq_iid(family, theta, h, spec.n)
-            value = np.where(z >= floor, value + read, value)
+                read = q * np.exp(half) * hellinger_sq_iid(spec.family, theta, h, spec.n)
+            value = np.where(z >= lo0, value + read, value)
             return np.where(q * qh > 0.0, value, q + qh)
 
         value[near] = np.clip(integrate_panels(integrand, lo, hi, cuts, (h[near],)), 0.0, 2.0)
-    return float_or_array(value.reshape(np.shape(spec.h)))
+    return float_or_array(value[np.searchsorted(h, size)].reshape(np.shape(spec.h)))
 
 
 def mixture_chi_sq(spec: MixtureSpec) -> float:

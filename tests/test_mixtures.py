@@ -131,6 +131,20 @@ def test_mixture_hellinger_matches_oracle():
         assert mixture_hellinger_sq(spec) == pytest.approx(oracle, abs=1e-6)
 
 
+@pytest.mark.parametrize("family, prior, h", [  # the selftest's three decomposition cases
+    (GAUSS, GaussianPrior(0.0, 1.0), 0.1),
+    (GAUSS, Cosine(0.0, 1.0), 0.3),
+    (GaussianLocation(0.5), KeplerCosine.for_constraint(0.75), 0.2),
+])
+def test_mixture_hellinger_is_even_in_the_shift(family, prior, h):
+    # the decomposition integrates at |h| (t -> t - h turns H^2(M-h, M0) into
+    # H^2(M0, Mh)); the oracle sums the -h joint mixtures themselves, cell by cell
+    minus = mixture_hellinger_sq(MixtureSpec(family, 1, prior, -h))
+    oracle = mixture_hellinger_oracle(family, prior, -h, default_grid(family, prior, -h))
+    assert minus == pytest.approx(oracle, abs=1e-6)
+    assert minus == mixture_hellinger_sq(MixtureSpec(family, 1, prior, h))
+
+
 def test_mixture_hellinger_quadratic_law():
     for prior in (GaussianPrior(0.0, 1.0), Cosine(0.0, 1.0)):
         info_q = prior.fisher_info()

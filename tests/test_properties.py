@@ -14,8 +14,9 @@ from scipy import integrate
 
 from minimaxlb import checks, numerics
 from minimaxlb.bounds import (DIFFEO_XI1_RANGE, DIFFEO_XI2_RANGE, Identity, MaxZero,
-                              PowerMax, diffeo_bound, diffeo_bound_sup, hellinger_mixture_bound,
-                              two_point_hellinger_bound, vt_kepler_bound)
+                              PowerMax, default_shift_range, diffeo_bound, diffeo_bound_sup,
+                              hellinger_mixture_bound, hellinger_mixture_bound_sup,
+                              hellinger_mixture_terms, two_point_hellinger_bound, vt_kepler_bound)
 from minimaxlb.cli import main
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.mixtures import MixtureSpec, mixture_hellinger_sq
@@ -98,6 +99,52 @@ def test_a_batch_of_shifts_equals_its_scalar_calls(make, functional, family, n, 
     batch = hellinger_mixture_bound(family, n, prior, functional, h)
     assert batch.tolist() == [hellinger_mixture_bound(family, n, prior, functional, x)
                               for x in h.tolist()]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(family=st.sampled_from([GaussianLocation(0.3), GaussianLocation(1.0), UniformScale()]),
+       make=st.sampled_from([lambda c: Cosine(c, 1.0), lambda c: GaussianPrior(c, 1.0),
+                             lambda c: KeplerCosine.for_constraint(0.75, c)]),
+       center=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       functional=st.sampled_from([Identity(), MaxZero(), PowerMax(0.5), PowerMax(0.01)]),
+       n=st.integers(1, 10**4),
+       shifts=st.lists(st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-4.0, 0.5)),
+                       min_size=1, max_size=6))
+def test_the_hellinger_bound_is_zero_where_4h2_reaches_1(family, make, center, functional, n,
+                                                          shifts):
+    # Cauchy-Schwarz, (int Dpsi dQ)^2 <= int Dpsi^2 dQ, gives A <= B wherever 4 H^2 >= 1,
+    # where the bound integrates no moment; on every row it is the terms' n [sqrt(A) -
+    # sqrt(B)]_+^2 bit for bit. The batch also holds both signs of a shift past the window
+    prior = make(center + (0.0 if family.location else 40.0))  # uniform: theta > 0
+    lo, hi = prior.window()
+    h = np.array([sign * (hi - lo) * 10.0**power for sign, power in shifts]
+                 + [1.25 * (hi - lo), -1.25 * (hi - lo)])
+    a, b = hellinger_mixture_terms(family, n, prior, functional, h)
+    far = 4.0 * mixture_hellinger_sq(MixtureSpec(family, n, prior, h)) >= 1.0
+    assert (a[far] <= b[far]).all()
+    root = np.sqrt(a) - np.sqrt(b)
+    assert hellinger_mixture_bound(family, n, prior, functional, h).tolist() == \
+        (n * np.where(root > 0.0, root * root, 0.0)).tolist()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(sigma=st.sampled_from([0.3, 1.0]),
+       make=st.sampled_from([lambda c, w: Cosine(c, w), lambda c, w: GaussianPrior(c, w),
+                             lambda c, w: KeplerCosine.for_constraint(0.75, c, w)]),
+       center=st.floats(-2.0, 2.0), log_width=st.floats(-1.0, 1.0),
+       functional=st.sampled_from([MaxZero(), PowerMax(0.5)]), n=st.integers(1, 10**4))
+def test_the_gaussian_family_hellinger_sup_is_a_true_sup_over_both_signs(
+        sigma, make, center, log_width, functional, n):
+    # one search of the envelope of both signs: no point of a dense scan of either
+    # sign beats it, and the reported signed shift gives the reported value
+    family, prior = GaussianLocation(sigma), make(center, 10.0**log_width)
+    h_lo, h_hi = default_shift_range(prior)
+    res = hellinger_mixture_bound_sup(family, n, prior, functional, h_lo, h_hi)
+    dense = np.linspace(h_lo, h_hi, 2001)
+    scan = hellinger_mixture_bound(family, n, prior, functional, np.concatenate((dense, -dense)))
+    assert res.value >= scan.max() * (1.0 - 1e-12)
+    assert h_lo <= abs(res.argmax["h"]) <= h_hi
+    assert res.value == hellinger_mixture_bound(family, n, prior, functional, res.argmax["h"])
 
 
 @PROPERTY

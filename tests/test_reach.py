@@ -73,6 +73,7 @@ API_CORPUS = (
     "density_lam_constant(2, 1.0, PolyKernel((9 / 8, 0.0, -15 / 8), 2))",
     "mixture_hellinger_sq(MixtureSpec(GaussianLocation(1.0), 3, UniformPrior(-1.0, 1.0), 0.2))",
     "UniformPrior(-1.0, 1.0).fisher_info()",
+    "bounds.hellinger_mixture_terms(GaussianLocation(1.0), 1, Cosine(0.0, 1.0), Identity(), 1e-3)",
 )
 _RETIRED = "ROADMAP item 1 deletes it with its hook"
 # (name, reason): the code objects nothing but the tests and the benchmark tracer enters
