@@ -39,10 +39,11 @@ class DegenerateKernelError(ValueError):
 class Functional:
     """A functional psi of the parameter, read only through differences:
     ``difference(t, h)`` = psi(t) - psi(t - h), which reads h itself
-    (a float, or an array broadcasting against t), the quadrature cuts of it on
-    a window of some width (``cuts(h, width)``: an array of them, with a row
-    each for an array of h), and the van Trees numerator ``slope_mass(prior)``
-    = int psi' dQ."""
+    (a float, or an array broadcasting against t), the kinks of it (``kinks(h)``:
+    between and beyond them |psi(t) - psi(t - h)| is monotone), the quadrature cuts
+    of it on a window of some width (``cuts(h, width)``, the kinks among them; each an
+    array, with a row each for an array of h), and the van Trees numerator
+    ``slope_mass(prior)`` = int psi' dQ."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,11 @@ class Identity(Functional):
     def difference(self, t, h):
         return float_or_array(np.zeros(np.shape(t)) + h)
 
-    def cuts(self, h, width: float) -> np.ndarray:
+    def kinks(self, h) -> np.ndarray:
         return np.zeros(np.shape(h) + (0,))
+
+    def cuts(self, h, width: float) -> np.ndarray:
+        return self.kinks(h)
 
     def slope_mass(self, prior: Prior) -> float:
         return 1.0
@@ -85,11 +89,17 @@ class PowerMax(Functional):
             value = sign * a**self.alpha * -np.expm1(self.alpha * log_r)
             return float_or_array(np.where(a > 0.0, value, 0.0))
 
-    def cuts(self, h, width: float) -> np.ndarray:
-        """The kinks 0 and h; for alpha < 1 also kink + s 2^j, s = min(|h|, width),
-        from 2^-40 s to the width. A row of an array of h pads with its widest cuts."""
+    def kinks(self, h) -> np.ndarray:
+        """0 and h: the difference is 0 below both, t^alpha (or -(t - h)^alpha) between
+        them, and t^alpha - (t - h)^alpha above both, which t^alpha, rising and concave,
+        makes monotone in t on each piece."""
         h = np.asarray(h, dtype=float)
-        kinks = np.stack((np.zeros_like(h), h), axis=-1)
+        return np.stack((np.zeros_like(h), h), axis=-1)
+
+    def cuts(self, h, width: float) -> np.ndarray:
+        """The kinks; for alpha < 1 also kink + s 2^j, s = min(|h|, width), from
+        2^-40 s to the width. A row of an array of h pads with its widest cuts."""
+        h, kinks = np.asarray(h, dtype=float), self.kinks(h)
         if self.alpha == 1.0:
             return kinks
         step = np.minimum(np.abs(h), width)
@@ -137,17 +147,18 @@ def _check_delta_n(delta: float, n: int) -> None:
 
 def _checked_cuts(prior: Prior, f: Functional, h) -> np.ndarray:
     """``f.cuts(h)`` in z = t - c (``Prior.centred``). The square of psi(t) - psi(t - h)
-    peaks on the window at an end or a cut: a ValueError names h where it overflows there."""
+    peaks on the window at an end or a kink, as it is monotone between them: a ValueError
+    names h where it overflows there."""
     c, near = prior.centred()
     lo, hi = near.window()
-    cuts = f.cuts(h, hi - lo) - c
-    ends = np.concatenate((np.full(np.shape(h) + (2,), (lo, hi)), np.clip(cuts, lo, hi)), -1)
+    kinks = np.clip(f.kinks(h) - c, lo, hi)
+    ends = np.concatenate((np.full(np.shape(h) + (2,), (lo, hi)), kinks), -1)
     with np.errstate(over="ignore"):
         finite = np.isfinite(f.difference(c + ends, np.expand_dims(h, -1)) ** 2).all(axis=-1)
     if not finite.all():
         bad = float(np.atleast_1d(h)[~np.atleast_1d(finite)][0])
         raise ValueError(f"h={bad!r} is too large: (psi(t) - psi(t - h))^2 overflows")
-    return cuts
+    return f.cuts(h, hi - lo) - c
 
 
 def delta_psi_moments(prior: Prior, f: Functional, h) -> Tuple[float, float]:

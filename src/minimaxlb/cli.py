@@ -454,11 +454,26 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="CSV output path (default stdout)")
         if name in ("kepler", "sweep"):
             p.add_argument("--svg", help="optional SVG output path")
+    parser.commands = sub.choices  # name -> the command's own parser
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one parse: an argv whose first word names a
+    command goes straight to that command's parser, any other through the top-level one."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code, outputs = args.func(args)
         _write_outputs(outputs)

@@ -331,6 +331,54 @@ def test_powermax_slope_mass_refines_only_the_pieces_that_need_it(monkeypatch):
     assert sum(nodes) < 20_000 and nodes[-1] < 4_000
 
 
+def _every_cut_check(prior, f, h):
+    """The overflow check that evaluates psi(t) - psi(t - h) at the window's ends and
+    every quadrature cut, not only at the kinks: the oracle of ``_checked_cuts``."""
+    c, near = prior.centred()
+    lo, hi = near.window()
+    cuts = f.cuts(h, hi - lo) - c
+    ends = np.concatenate((np.full(np.shape(h) + (2,), (lo, hi)), np.clip(cuts, lo, hi)), -1)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(f.difference(c + ends, np.expand_dims(h, -1)) ** 2).all(axis=-1)
+    if not finite.all():
+        bad = float(np.atleast_1d(h)[~np.atleast_1d(finite)][0])
+        raise ValueError(f"h={bad!r} is too large: (psi(t) - psi(t - h))^2 overflows")
+    return cuts
+
+
+def _check_outcome(check, prior, f, h):
+    try:
+        return check(prior, f, h).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_overflow_check_at_the_kinks_decides_as_at_every_cut():
+    # |psi(t) - psi(t - h)| is monotone between the kinks 0 and h, so the check at the
+    # window's ends and the kinks raises, with the same message, where the one at every
+    # cut raises; off-centre priors near 1e154 and shifts up to 1.6e308 reach the square's
+    # overflow, for alpha = 1 and below; at alpha = 0.999, |h| = 1.9133e154 overflows at
+    # a kink inside the window, 0 (h < 0) or h (h > 0), and at neither end
+    rng = np.random.default_rng(40)
+    fixed = [1e300, 1.6e308, 1.3e154, 1.4e154, 1.9133e154, 2.0, 1e-3]
+    sizes = np.concatenate((fixed, 10.0 ** rng.uniform(-4.0, 308.2, 24),
+                            10.0 ** rng.uniform(150.0, 160.0, 12)))
+    shifts = np.concatenate((sizes, -sizes))
+    raised = 0
+    for prior in (Cosine(0.0, 1.0), GaussianPrior(0.0, 1.0), KeplerCosine.for_constraint(0.75),
+                  Cosine(1.2e154, 3.0), Cosine(0.0, 4.2e153), Cosine(2e154, 4.2e153),
+                  KeplerCosine.for_constraint(0.3, -1.1e154, 2e153)):
+        for f in (MaxZero(), PowerMax(0.999), PowerMax(0.5), PowerMax(0.01), Identity()):
+            for h in shifts.tolist():
+                got = _check_outcome(bounds._checked_cuts, prior, f, h)
+                assert got == _check_outcome(_every_cut_check, prior, f, h), (prior, f, h)
+                raised += isinstance(got, str)
+            # an array of shifts names the first one that overflows, as the oracle does
+            assert _check_outcome(bounds._checked_cuts, prior, f, shifts) == \
+                _check_outcome(_every_cut_check, prior, f, shifts), (prior, f)
+    assert 0 < raised < 7 * 5 * len(shifts) // 2
+
+
 def test_maxzero_slope_mass_is_the_prior_mass_above_zero():
     assert MaxZero().slope_mass(GaussianPrior(0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
     assert MaxZero().slope_mass(GaussianPrior(13.0, 1.0)) == pytest.approx(1.0, abs=1e-15)

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from minimaxlb import bounds, cli, mixtures, priors
 from minimaxlb.bounds import Identity, MaxZero, PowerMax, evaluate_bound
@@ -15,6 +18,7 @@ from minimaxlb.mixtures import mixture_chi_sq
 from minimaxlb.models import GaussianLocation, UniformScale
 from minimaxlb.priors import Cosine, GaussianPrior, KeplerCosine, UniformPrior
 from minimaxlb.sweep import SweepConfig, run_sweep
+from test_cli_fuzz import ARGVS
 from test_reach import CLI_CORPUS
 
 GAUSS = GaussianLocation(1.0)
@@ -551,6 +555,44 @@ def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     assert got == code
     assert message in printed.out + printed.err
     assert [str(w.message) for w in caught] == []
+
+
+def _parsed(parse, argv):
+    """The reprs of the namespace parse(argv) returns (a nan equals itself there), or
+    its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return {dest: repr(value) for dest, value in vars(parse(list(argv))).items()}
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _parses_as_the_parser_does(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+# argvs that name no command, argparse's error and help paths, an abbreviation the
+# command's parser accepts and one it does not, and tokens after "--"
+PARSE_EDGES = [
+    [], ["-h"], ["--help"], ["swep"], ["-x", "sweep"], ["--", "sweep"],
+    ["sweep", "--foo"], ["sweep", "--n"], ["sweep", "--meth", "vt", "--n", "10", "--delta", "1"],
+    ["bound", "--method", "vt", "--a", "1"], ["sweep", "--", "--n"],
+    ["kepler", "--grid", "3", "-h"], ["constants", "x"], ["sweep", "--n=10", "--delta=1"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGES + [argv for argv, _ in CLI_CORPUS]
+                         + [argv for argv, _, _ in CONTRACT])
+def test_main_parses_as_the_parser_does(argv):
+    # main hands an argv that names a command straight to that command's parser: it
+    # dispatches the namespace, or exits with the output, of the top-level parser
+    _parses_as_the_parser_does(argv)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=ARGVS)
+def test_main_parses_fuzzed_argvs_as_the_parser_does(argv):
+    _parses_as_the_parser_does(argv)
 
 
 @pytest.mark.parametrize("argv", [

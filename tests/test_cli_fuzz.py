@@ -134,9 +134,12 @@ def _run(argv):
 
 
 # one form per bound method, so bound's many options get most of the examples
+ARGVS = with_outputs(st.one_of(*(bound_argv(m) for m in sorted(BOUND_METHODS)), risk_argv(),
+                               sweep_argv(), kepler_argv(), st.just(["constants"])))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(argv=with_outputs(st.one_of(*(bound_argv(m) for m in sorted(BOUND_METHODS)), risk_argv(),
-                                   sweep_argv(), kepler_argv(), st.just(["constants"]))))
+@given(argv=ARGVS)
 def test_cli_exits_0_2_or_3_without_traceback(argv):
     assert not os.path.exists(MISSING_DIR)
     with tempfile.TemporaryDirectory() as tmp:
