@@ -397,30 +397,36 @@ def _diffeo_moments(xi1: float, xi2: float, derivatives: bool = False):
             (e_sq, *(powers * g2_phi_w).sum(axis=1).tolist()))
 
 
-def _diffeo_ratio(delta: float, n: int, xi2, e_ind, e_sq):
+def _diffeo_ratio(u, xi2, e_ind, e_sq):
     """The diffeo bound from its moments, for scalars or arrays alike."""
-    scale = 4.0 * n * xi2 * xi2
-    return scale * e_ind * e_ind / (_PI * _PI / delta**2 + scale * e_sq)
+    p = xi2 * e_ind
+    return p * p / (u + xi2 * xi2 * e_sq)
+
+
+def _diffeo_u(delta: float, n: int) -> Tuple[float, float]:
+    """s = sqrt(n) delta and u = (pi / (2 s))^2, all the diffeo bound reads of (delta, n)."""
+    _check_delta_n(delta, n)
+    s = math.sqrt(n) * delta
+    h = _PI / (2.0 * s)  # u = h * h is inf below s ~ 1.2e-154, where the bound reads 0
+    return s, h * h
 
 
 def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool = False):
     """Gaussian-prior/arctan bound at fixed (xi1, xi2), n-scaled.
 
-    With g(z) = (1 + (xi1 + z xi2)^2)^-1:
+    With g(z) = (1 + (xi1 + z xi2)^2)^-1, s = sqrt(n) delta and u = (pi / (2 s))^2:
 
-        4 n xi2^2 |E[g(Z) 1{Z > -xi1/xi2}]|^2
-        -------------------------------------- .
-        pi^2 delta^-2 + 4 n xi2^2 E[g(Z)^2]
+        4 n xi2^2 |E[g(Z) 1{Z > -xi1/xi2}]|^2       xi2^2 |E[g(Z) 1{Z > -xi1/xi2}]|^2
+        -------------------------------------- = ----------------------------------- ,
+        pi^2 delta^-2 + 4 n xi2^2 E[g(Z)^2]         u + xi2^2 E[g(Z)^2]
 
-    The xi2^2 factor multiplies both the numerator and the E[g^2] term:
-    both sides of the underlying ratio scale by 4 sigma^2/eta^2 = 4 xi2^2,
-    which keeps the whole expression below the sigma^2 = 1 ceiling. With
-    ``derivatives`` it returns (value, gradient, Hessian), the derivatives in
-    (xi1, log xi2), the coordinates of the sup's search: a list of two floats
-    and a list of two rows, assembled in float arithmetic around the one
-    array pass of the moments.
+    computed in the right-hand form, which reads (delta, n) only through s and does not
+    overflow. Both sides of the underlying ratio scale by 4 sigma^2/eta^2 = 4 xi2^2, which
+    keeps it below the sigma^2 = 1 ceiling. With ``derivatives`` it returns (value,
+    gradient, Hessian), the derivatives in (xi1, log xi2), the sup's coordinates: a list
+    of two floats and a list of two rows, assembled in floats around the one moment pass.
     """
-    _check_delta_n(delta, n)
+    _, u = _diffeo_u(delta, n)
     if not (xi2 > 0 and math.isfinite(xi2)):
         raise ValueError("xi2 must be positive and finite")
     xi1 = float(xi1)
@@ -432,27 +438,26 @@ def diffeo_bound(delta: float, n: int, xi1: float, xi2: float, derivatives: bool
         raise ValueError(f"{name}={x!r} lies outside [{lo:g}, {hi:g}], the range "
                          "where the diffeo bound's quadrature is validated")
     if not derivatives:
-        return max(_diffeo_ratio(delta, n, xi2, *_diffeo_moments(xi1, xi2)), 0.0)
-    # In u = xi1 + xi2 z, P = xi2 E[g 1{Z > z0}] = int_{u>0} g(u) phi((u - xi1)/xi2) du
+        return _diffeo_ratio(u, xi2, *_diffeo_moments(xi1, xi2))
+    # In eta = xi1 + xi2 z, P = xi2 E[g 1{Z > z0}] = int_{eta>0} g phi((eta - xi1)/xi2) deta
     # has a fixed domain, so each derivative is a moment: d/dxi1 multiplies phi by
-    # z/xi2 and d/dlog xi2 by z^2; Y = xi2^2 E[g^2] is xi2 times the same over all u.
+    # z/xi2 and d/dlog xi2 by z^2; Y = xi2^2 E[g^2] is xi2 times the same over all eta.
     (i0, i1, i2, i3, i4), (s0, s1, s2, s3, s4) = _diffeo_moments(xi1, xi2, derivatives=True)
-    s, k = xi2, 4.0 * n
-    k2, p, dp1, dp2 = 2.0 * k, s * i0, i1, s * i2
-    # the bound 4n P^2 / D, D = pi^2/delta^2 + 4n Y, by the quotient rule in floats, in the
-    # order of operations of its numpy form; D > 0, since pi^2/delta^2 > 0 and E[g^2] >= 0
-    den, dd1, dd2 = _PI * _PI / delta**2 + k * s * s * s0, k * (s * s1), k * (s * s * (s0 + s2))
-    hd11, hd12, hd22 = k * (s2 - s0), k * (s * (s3 - s1)), k * (s * s * (s0 + s4))
-    value = k * p * p / den
-    g1, g2 = (k2 * p * dp1 - value * dd1) / den, (k2 * p * dp2 - value * dd2) / den
+    x, p, dp1, dp2 = xi2, xi2 * i0, i1, xi2 * i2
+    # the bound P^2 / D, D = u + Y, by the quotient rule in floats, in the order of
+    # operations of its numpy form; D > 0, since u >= 0 and E[g^2] > 0
+    den, dd1, dd2 = u + x * x * s0, x * s1, x * x * (s0 + s2)
+    hd11, hd12, hd22 = s2 - s0, x * (s3 - s1), x * x * (s0 + s4)
+    value = p * p / den
+    g1, g2 = (2.0 * p * dp1 - value * dd1) / den, (2.0 * p * dp2 - value * dd2) / den
     # the off-diagonal cells share this part; each subtracts its g terms in its own order
-    h12 = k2 * (dp1 * dp2 + p * (i3 - 2.0 * i1)) - value * hd12
-    hess = [[(k2 * (dp1 * dp1 + p * ((i2 - i0) / s)) - value * hd11 - g1 * dd1 - dd1 * g1) / den,
-             (h12 - g1 * dd2 - dd1 * g2) / den],
+    h12 = 2.0 * (dp1 * dp2 + p * (i3 - 2.0 * i1)) - value * hd12
+    hess = [[(2.0 * (dp1 * dp1 + p * ((i2 - i0) / x)) - value * hd11 - g1 * dd1 - dd1 * g1)
+             / den, (h12 - g1 * dd2 - dd1 * g2) / den],
             [(h12 - g2 * dd1 - dd2 * g1) / den,
-             (k2 * (dp2 * dp2 + p * (s * (i4 - 2.0 * i2))) - value * hd22 - g2 * dd2 - dd2 * g2)
-             / den]]
-    return max(_diffeo_ratio(delta, n, xi2, i0, s0), 0.0), [g1, g2], hess
+             (2.0 * (dp2 * dp2 + p * (x * (i4 - 2.0 * i2))) - value * hd22 - g2 * dd2
+              - dd2 * g2) / den]]
+    return value, [g1, g2], hess
 
 
 @functools.cache
@@ -466,13 +471,12 @@ def _diffeo_file(name: str, rows: int) -> Tuple[np.ndarray, ...]:
     return tuple(array)
 
 
-def _diffeo_start(delta: float, n: int) -> Optional[Tuple[float, float]]:
+def _diffeo_start(s: float) -> Optional[Tuple[float, float]]:
     """The argmax path at s = sqrt(n) delta, or None off its knots: diffeo_path.npy holds
     log s, xi1 and log xi2 of the sup's argmax at equally spaced knots of log s, and the
-    start is the cubic through the 4 nearest (Lagrange). log s is taken as log(n)/2 +
-    log(delta), which is finite for every n and delta the checks pass."""
+    start is the cubic through the 4 nearest (Lagrange)."""
     knots, xi1s, lxi2s = _diffeo_file("diffeo_path.npy", 3)
-    log_s, lo, hi = 0.5 * math.log(n) + math.log(delta), float(knots[0]), float(knots[-1])
+    log_s, lo, hi = math.log(s), float(knots[0]), float(knots[-1])
     if not lo <= log_s <= hi:
         return None
     t = (log_s - lo) / ((hi - lo) / (len(knots) - 1))
@@ -488,25 +492,21 @@ def diffeo_bound_sup(delta: float, n: int) -> BoundResult:
     """Maximize the arctan bound over xi1 in [-10, 10], xi2 in [1e-3, 1e4].
 
     xi2 is searched in log coordinates, on maximize_2d's coarse grid. A cell's bound is
-    A / (u + B) in u = pi^2 / (n delta^2), so the grid's first maximum is on the upper
-    envelope of these curves, of the whole grid or of the columns left where 4 n xi2^2
-    overflows, or at cell (0, 0), where a scan of NaNs or 0s starts; diffeo_envelope.npy
-    holds those cells in row-major order (flat index, xi2, e_ind, e_sq), the sup's scan.
-    (Where pi^2/delta^2 + 4 n xi2^2 e_sq overflows, n over about 1e287, cells read 0 and
-    others can win.) Safeguarded Newton refinement on the analytic gradient and Hessian
-    runs in (xi1, log xi2) from the argmax path at s = sqrt(n) delta (one evaluation), kept
+    A / (u + B) in u = (pi / (2 s))^2, s = sqrt(n) delta, so the grid's first maximum is on
+    the upper envelope of these curves, or at cell (0, 0), where a scan of 0s (u = inf)
+    starts; diffeo_envelope.npy holds those cells in row-major order (flat index, xi2,
+    e_ind, e_sq), the sup's scan. Safeguarded Newton refinement on the analytic gradient
+    and Hessian runs in (xi1, log xi2) from the argmax path at s (one evaluation), kept
     if it reaches the best coarse value; else, and off the path, from the best coarse cell.
     """
-    _check_delta_n(delta, n)
+    s, u = _diffeo_u(delta, n)
     flat, xi2, e_ind, e_sq = _diffeo_file("diffeo_envelope.npy", 4)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float arithmetic
-        coarse = np.maximum(_diffeo_ratio(delta, n, xi2, e_ind, e_sq), 0.0)
-    scan = np.where(np.isnan(coarse), -np.inf, coarse)
+    scan = _diffeo_ratio(u, xi2, e_ind, e_sq)
     k = int(np.argmax(scan))
     (x1, lx2), value = maximize_2d(
         lambda a, b: diffeo_bound(delta, n, a, math.exp(b), derivatives=True), _DIFFEO_BOX,
-        divmod(int(flat[k]), _COARSE_GRID), float(scan[k]), start=_diffeo_start(delta, n))
-    return BoundResult(max(value, 0.0), {"xi1": x1, "xi2": math.exp(lx2)})
+        divmod(int(flat[k]), _COARSE_GRID), float(scan[k]), start=_diffeo_start(s))
+    return BoundResult(value, {"xi1": x1, "xi2": math.exp(lx2)})
 
 
 def _newton_root(step, x: float) -> float:

@@ -539,6 +539,13 @@ CONTRACT = [
      f"sqrt(n) delta overflows at delta=1e+200, n={10**300}"),
     (["risk", "--estimator", "pretest", "--delta", "1e200", "--n", str(10**300)], 2,
      f"sqrt(n) delta overflows at delta=1e+200, n={10**300}"),
+    # the diffeo bound reads (delta, n) only through s = sqrt(n) delta, so past n = 1e287,
+    # where 4 n xi2^2 of the unscaled form overflows, it prints the n = 1 value of its s:
+    # that of --delta 1 --n 1 at s = 1, and of --delta 1.32624353772625 --n 1 at s = 1.33
+    (["bound", "--method", "diffeo", "--n", str(10**307), "--delta", "3.1622776601683794e-154"],
+     0, "\nvalue=0.06817524301257423\n"),
+    (["bound", "--method", "diffeo", "--delta", "2.469595376082973e-154",
+      "--n", str(int(2.883998e307))], 0, "\nvalue=0.09938419275609545\n"),
 ]
 
 

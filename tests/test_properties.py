@@ -379,6 +379,27 @@ def test_diffeo_bound_is_van_trees_in_eta(xi1, log_xi2, delta, n):
         _diffeo_van_trees_in_eta(delta, n, xi1, xi2), rel=1e-10, abs=1e-30)
 
 
+@settings(PROPERTY, max_examples=1000)
+@given(log_n=st.floats(0.0, 307.0), where=st.floats(0.0, 1.0),
+       xi1=st.floats(*DIFFEO_XI1_RANGE),
+       log_xi2=st.floats(*(math.log(x) for x in DIFFEO_XI2_RANGE)))
+def test_diffeo_reads_delta_and_n_only_through_s(log_n, where, xi1, log_xi2):
+    # for the same float s = sqrt(n) delta, the sup and the bound with and without its
+    # derivatives are (s, 1)'s bit for bit: n log-uniform up to 1e307 and delta spread over
+    # the range the scale check passes, with s in [1e-160, 1e153]; below s ~ 1.2e-154,
+    # (pi / (2 s))^2 overflows and the bound reads 0
+    n = int(10.0**log_n)
+    half_log_n = 0.5 * math.log10(n)
+    lo, hi = max(-161.6, -160.0 - half_log_n), min(154.0, 153.0 - half_log_n)
+    delta = 10.0 ** (lo + where * (hi - lo))
+    s, xi2 = math.sqrt(n) * delta, math.exp(log_xi2)
+    sup, at_s = diffeo_bound_sup(delta, n), diffeo_bound_sup(s, 1)
+    assert (sup.value, sup.argmax) == (at_s.value, at_s.argmax), (delta, n)
+    assert diffeo_bound(delta, n, xi1, xi2) == diffeo_bound(s, 1, xi1, xi2), (delta, n)
+    assert (diffeo_bound(delta, n, xi1, xi2, derivatives=True)
+            == diffeo_bound(s, 1, xi1, xi2, derivatives=True)), (delta, n)
+
+
 @settings(PROPERTY, max_examples=50)
 @given(n=st.integers(1, 10**6), delta=st.floats(1e-3, 1e3))
 def test_newton_refinement_stops_stationary(n, delta):
