@@ -17,19 +17,22 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .mixtures import (MixtureSpec, default_grid, mixture_chi_sq,
                        mixture_chi_sq_interpolated_grid, mixture_hellinger_sq)
 from .models import Family, GaussianLocation, hellinger_sq_iid
-from .numerics import (_COARSE_GRID, _SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, check_n,
-                       cut_points, float_or_array, integrate_panels, math_elementwise,
-                       maximize_1d, maximize_2d, maximize_unimodal, panel_nodes)
+from .numerics import (_COARSE_GRID, _SQRT_2PI, _Z_MAX, OPEN_EDGE, SearchBox, _read_only,
+                       check_n, cut_points, float_or_array, integrate_panels, math_elementwise,
+                       maximize_1d, maximize_2d, maximize_unimodal, np, panel_nodes)
 from .priors import Cosine, Prior, check_scale, prior_density
 
 _PI = math.pi
-# the window's ends and its cuts every 2 units, so no piece is wider than 2 sigma
-_Z_FIXED = np.array([-_Z_MAX, _Z_MAX, *range(-10, 11, 2)], dtype=float)
+
+
+@functools.cache
+def _z_fixed() -> np.ndarray:
+    """The window's ends and its cuts every 2 units, so no piece is wider than 2 sigma:
+    read-only, built on first use."""
+    return _read_only(np.array([-_Z_MAX, _Z_MAX, *range(-10, 11, 2)], dtype=float))
 
 
 class DegenerateKernelError(ValueError):
@@ -379,7 +382,7 @@ def _diffeo_moments(xi1: float, xi2: float, derivatives: bool = False):
     while step < 2.0 * _Z_MAX:
         offsets += (-step, step)
         step *= 2.0
-    ends = np.concatenate((_Z_FIXED, np.add(z0, offsets)))
+    ends = np.concatenate((_z_fixed(), np.add(z0, offsets)))
     ends = np.sort(np.minimum(np.maximum(ends, -_Z_MAX), _Z_MAX))
     z, w = panel_nodes(ends)
     u = xi1 + z * xi2
@@ -467,8 +470,7 @@ def _diffeo_file(name: str, rows: int) -> Tuple[np.ndarray, ...]:
     array = np.load(Path(__file__).with_name(name))
     if array.ndim != 2 or len(array) != rows or array.shape[1] < 4 or array.dtype != np.float64:
         raise RuntimeError(f"{name} is {array.dtype} {array.shape}, not {rows} rows of floats")
-    array.flags.writeable = False
-    return tuple(array)
+    return tuple(_read_only(array))
 
 
 def _diffeo_start(s: float) -> Optional[Tuple[float, float]]:

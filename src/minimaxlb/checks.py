@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from . import bounds, mixtures, models, numerics, priors
+from .numerics import np
 from .sweep import SweepConfig, run_sweep
 
 Check = Tuple[str, bool, str]

@@ -22,9 +22,8 @@ import sys
 from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import bounds, checks, estimators, models, numerics, priors
+from .numerics import np
 from .sweep import RISKS, SWEEP_ESTIMATORS, SWEEP_METHODS, SweepConfig, run_sweep
 
 CSV_COLUMNS = ("delta", "n", "bound_vt", "bound_diffeo", "bound_twopoint",
@@ -244,6 +243,12 @@ def sweep_svg(rows: Sequence[Dict[str, float]], config: SweepConfig) -> str:
                                             "bounds (dashed) vs estimators (solid)")
 
 
+def kepler_grid(points: int) -> List[float]:
+    """np.linspace(0.0, 1.0, points) as floats, bit for bit, without numpy."""
+    step = 1.0 / (points - 1)
+    return [k * step for k in range(points - 1)] + [1.0]
+
+
 def kepler_svg(a_values: Sequence[float]) -> str:
     """Two-panel figure: constrained prior densities and min Fisher info vs a."""
     width, height = 880, 420
@@ -267,8 +272,8 @@ def kepler_svg(a_values: Sequence[float]) -> str:
                    f'font-family="monospace" font-size="12" fill="{color}">'
                    f'a={a:g}</text>')
     ml2 = ml + pw + 120
-    a_grid = np.linspace(0.0, 1.0, 101)
-    fisher = [priors.solve_kepler(float(a)).min_fisher for a in a_grid]
+    a_grid = kepler_grid(101)
+    fisher = [priors.solve_kepler(a).min_fisher for a in a_grid]
     f_max = max(fisher)
     out.append(f'<text x="{ml2}" y="26" font-family="monospace" font-size="14">'
                'min Fisher information vs a</text>')
@@ -292,7 +297,7 @@ def cmd_kepler(args: argparse.Namespace) -> Tuple[int, Outputs]:
     grid = 101 if args.grid is None else args.grid
     if not args.a and grid < 2:
         raise ValueError("kepler grid needs at least 2 points")
-    a_values = args.a or [float(a) for a in np.linspace(0.0, 1.0, grid)]
+    a_values = args.a or kepler_grid(grid)
     rows = []
     for a in a_values:
         sol = priors.solve_kepler(a)

@@ -24,10 +24,8 @@ import threading
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .models import Family, chi_sq_iid, hellinger_sq_iid
-from .numerics import check_n, float_or_array, integrate_panels
+from .numerics import check_n, float_or_array, integrate_panels, np
 from .priors import Prior, prior_density
 
 

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .numerics import _SQRT_2PI, check_n, float_or_array, math_elementwise
+from .numerics import _SQRT_2PI, check_n, float_or_array, math_elementwise, np
 from .priors import check_scale
 
 

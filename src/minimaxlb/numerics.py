@@ -12,12 +12,22 @@ value, never a global-optimality certificate.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
+# The package's one numpy binding, which the other modules import: numpy, loaded on its
+# first attribute access unless it is loaded already (importlib.util.LazyLoader), so the
+# closed-form commands, which compute in floats, start without it.
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _Z_MAX = 12.0  # standard normal mass beyond is ~1e-33
@@ -57,8 +67,6 @@ class QuadratureSpec:
 # round; the Newton refinement's budget, stationary gradient norm and resolution,
 # relative to the value
 _COARSE_GRID, _SECTIONS = 64, 16
-_COARSE_INDEX = np.arange(_COARSE_GRID, dtype=float)
-_COARSE_INDEX.flags.writeable = False
 _NEWTON_EVALS, _STATIONARY, _RESOLUTION = 100, 1e-10, 2.0**-50
 # delta * OPEN_EDGE is delta^-, where a sup over the open interval [0, delta) is read
 OPEN_EDGE = 1.0 - 1e-12
@@ -101,8 +109,9 @@ def check_n(n: int) -> int:
 
 
 def _require_finite(x, name: str):
-    """x as a float, or as a float ndarray taken elementwise; every entry must be finite."""
-    if isinstance(x, np.ndarray) and x.ndim:
+    """x as a float, or as a float ndarray taken elementwise; every entry must be finite.
+    A Python int or float (bool and numpy.float64 too) is never an array: numpy stays unloaded."""
+    if not isinstance(x, (float, int)) and isinstance(x, np.ndarray) and x.ndim:
         if not np.isfinite(x).all():
             raise ValueError(f"every {name} must be finite")
         return x.astype(float, copy=False)
@@ -230,13 +239,24 @@ def find_root_bisect(
     return 0.5 * (lo + hi)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache  # each numpy table is built on its first use, then shared read-only
+def _coarse_index() -> np.ndarray:
+    return _read_only(np.arange(_COARSE_GRID, dtype=float))
+
+
 def coarse_axis(lo: float, hi: float) -> np.ndarray:
     """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
     maximize_2d starts from a cell of the product of the box's two axes, which its
     caller scans: np.linspace(lo, hi, _COARSE_GRID) bit for bit, with its branch for
     a step that underflows to 0, less its set-up."""
     step = (hi - lo) / (_COARSE_GRID - 1)
-    axis = _COARSE_INDEX * step if step else _COARSE_INDEX / (_COARSE_GRID - 1) * (hi - lo)
+    index = _coarse_index()
+    axis = index * step if step else index / (_COARSE_GRID - 1) * (hi - lo)
     axis += lo
     axis[-1] = hi
     return axis
@@ -443,8 +463,13 @@ def cut_points(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
 PANEL_NODES = 16          # Gauss-Legendre nodes per panel
 _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
 _PASS_NODES = 2**13       # nodes in one call of an integrand: it caps a batch's memory
-# the panel edges on [0, 1] of each pass, P = 4, ..., 1024: np.linspace(0, 1, P + 1), exactly
-_FRACTIONS = {2**k: np.arange(2**k + 1) / 2**k for k in range(2, 11)}
+
+
+@functools.cache
+def _fractions(panels: int) -> np.ndarray:
+    """The panel edges on [0, 1] of a pass of P panels: np.linspace(0, 1, P + 1), exactly."""
+    return _read_only(np.arange(panels + 1) / panels)
+
 
 # The 16-point Gauss-Legendre rule on [-1, 1], equal to
 # numpy.polynomial.legendre.leggauss(16), which would start LAPACK on first use.
@@ -457,9 +482,13 @@ _GL_POSITIVE = ((0.09501250983763744, 0.18945061045506864),
                 (0.8656312023878318, 0.0951585116824926),
                 (0.9445750230732326, 0.062253523938647456),
                 (0.9894009349916499, 0.027152459411754176))
-GL_NODES = np.array([-x for x, _ in reversed(_GL_POSITIVE)] + [x for x, _ in _GL_POSITIVE])
-GL_WEIGHTS = np.array([w for _, w in reversed(_GL_POSITIVE)] + [w for _, w in _GL_POSITIVE])
-GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False
+
+
+@functools.cache
+def gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """The rule's nodes and weights on [-1, 1], ascending, as read-only arrays."""
+    pairs = [(-x, w) for x, w in reversed(_GL_POSITIVE)] + list(_GL_POSITIVE)
+    return tuple(_read_only(np.array(column)) for column in zip(*pairs))
 
 
 def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -467,8 +496,8 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     consecutive ``edges`` (last axis), in panel order along the last axis."""
     left = edges[..., :-1, None]
     half = 0.5 * (edges[..., 1:, None] - left)
-    shape = edges.shape[:-1] + (-1,)
-    return ((left + half) + half * GL_NODES).reshape(shape), (half * GL_WEIGHTS).reshape(shape)
+    shape, (nodes, weights) = edges.shape[:-1] + (-1,), gauss_legendre()
+    return ((left + half) + half * nodes).reshape(shape), (half * weights).reshape(shape)
 
 
 def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequence = ()):
@@ -515,7 +544,7 @@ def integrate_panels(f: Callable[..., np.ndarray], lo, hi, cuts=(), args: Sequen
     estimate = change = mass = None
     active, panels = np.arange(row.size), _FIRST_PANELS
     while True:
-        fractions = _FRACTIONS[panels]
+        fractions = _fractions(panels)
         per_call = max(_PASS_NODES // (panels * PANEL_NODES), 1)
         for start in range(0, active.size, per_call):
             chunk = active[start:start + per_call]

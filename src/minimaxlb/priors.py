@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .numerics import _SQRT_2PI, _Z_MAX, _require_finite, float_or_array, math_elementwise
+from .numerics import _SQRT_2PI, _Z_MAX, _require_finite, float_or_array, math_elementwise, np
 
 _PI = math.pi
 

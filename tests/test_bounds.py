@@ -835,9 +835,9 @@ def _diffeo_moment_terms(xi1, xi2):
     while step < 2.0 * bounds._Z_MAX:
         offsets += (-step, step)
         step *= 2.0
-    ends = np.empty(z0.shape[:-1] + (len(bounds._Z_FIXED) + len(offsets),))
-    ends[..., :len(bounds._Z_FIXED)], ends[..., len(bounds._Z_FIXED):] = \
-        bounds._Z_FIXED, z0 + offsets
+    fixed = bounds._z_fixed()
+    ends = np.empty(z0.shape[:-1] + (len(fixed) + len(offsets),))
+    ends[..., :len(fixed)], ends[..., len(fixed):] = fixed, z0 + offsets
     ends = np.sort(np.minimum(np.maximum(ends, -bounds._Z_MAX), bounds._Z_MAX))
     z, w = numerics.panel_nodes(ends)
     u = xi1[..., None] + z * xi2

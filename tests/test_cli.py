@@ -1,11 +1,13 @@
 import ast
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,13 @@ def test_kepler_grid_monotone(tmp_path):
     by_gap = sorted((abs(2.0 * float(r[0]) - 1.0), float(r[3])) for r in rows)
     fishers = [f for _, f in by_gap]
     assert all(b >= a - 1e-9 for a, b in zip(fishers, fishers[1:]))
+
+
+def test_kepler_grid_is_linspace_bit_for_bit():
+    # the a-grid of kepler --grid is built in floats, so the command starts without numpy
+    import numpy as np
+    for points in [*range(2, 2001), 4097, 10_001, 65_537, 1_000_001]:
+        assert cli.kepler_grid(points) == np.linspace(0.0, 1.0, points).tolist(), points
 
 
 def test_kepler_rejects_a_grid_it_does_not_read(tmp_path, capsys):
@@ -765,3 +774,49 @@ def test_a_chi2_request_integrates_its_denominator_once(argv, monkeypatch, capsy
     monkeypatch.setattr(bounds, "mixture_chi_sq", counted)
     assert _printed_report(argv, capsys)[-1] == "note=divergent denominator; trivial bound 0"
     assert len(calls) == 1
+
+
+# each argv's stdout, a fresh interpreter each, with numpy imported first or on the
+# package's first array use
+_FIRST_IMPORT = """
+import contextlib, io, json, sys
+{first}
+import minimaxlb.cli
+assert ("numpy._core" in sys.modules) == {eager}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = minimaxlb.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def _run_python(source, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", source, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_lazy_and_eager_numpy_give_the_same_bytes():
+    # the test modules import numpy before the package, so only a fresh interpreter
+    # runs the deferred import; every argv here loads numpy
+    argvs = [["selftest"], ["sweep", "--n", "10", "--delta", "log:1e-2:1e2:5"],
+             ["bound", "--method", "hellinger", "--prior", "cosine:0:1"],
+             ["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.1",
+              "--lambda", "0"]]
+    runs = [(argv, first) for argv in argvs for first in ("", "import numpy")]
+    with ThreadPoolExecutor(2) as pool:
+        outputs = list(pool.map(
+            lambda run: _run_python(_FIRST_IMPORT.format(first=run[1], eager=bool(run[1])),
+                                    json.dumps(run[0])), runs))
+    for (argv, _), lazy, eager in zip(runs[::2], outputs[::2], outputs[1::2]):
+        code, out = json.loads(lazy)
+        assert code == 0 and out, argv
+        assert lazy == eager, argv
+
+
+def test_scipy_imports_after_the_package():
+    # scipy imports numpy while the package's binding of it has not loaded yet
+    out = _run_python("import sys, minimaxlb\n"
+                      "assert 'numpy._core' not in sys.modules\n"
+                      "import scipy.integrate\n"
+                      "print(scipy.integrate.quad(minimaxlb.normal_pdf, -1.0, 1.0)[0])\n")
+    assert float(out) == pytest.approx(math.erf(math.sqrt(0.5)), rel=1e-12)

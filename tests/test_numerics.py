@@ -7,11 +7,41 @@ import pytest
 from scipy import integrate
 
 from minimaxlb import numerics
-from minimaxlb.numerics import (GL_NODES, GL_WEIGHTS, PANEL_NODES, BracketError,
-                                QuadratureSpec, SearchBox,
+from minimaxlb.numerics import (PANEL_NODES, BracketError, QuadratureSpec, SearchBox,
                                 ToleranceNotMet, check_n, coarse_axis, find_root_bisect,
+                                gauss_legendre,
                                 integrate_adaptive, integrate_panels, maximize_1d,
                                 maximize_2d, maximize_newton, normal_cdf, normal_pdf)
+
+
+@pytest.mark.parametrize("x, value", [
+    (0.5, 0.5), (1, 1.0), (True, 1.0), (np.float64(0.5), 0.5), (np.int64(2), 2.0),
+    (np.array(0.5), 0.5), (math.nan, "x must be finite, got nan"),
+    (math.inf, "x must be finite, got inf"), (np.array([1.0, math.nan]), "every x must be finite")])
+def test_require_finite_keeps_its_rule_for_every_kind_of_input(x, value):
+    # a Python int or float never reaches numpy, and every input reads as it did when
+    # each was first tested against np.ndarray: a plain float or the same message
+    for f, of in ((lambda x: numerics._require_finite(x, "x"), lambda v: v),
+                  (normal_cdf, lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0))),
+                  (normal_pdf, lambda v: math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi))):
+        if isinstance(value, str):
+            with pytest.raises(ValueError) as info:
+                f(x)
+            assert str(info.value) == value
+        else:
+            result = f(x)
+            assert type(result) is float and result == of(value)
+
+
+def test_require_finite_passes_an_array_through():
+    x = np.array([0.5, 1.0])
+    assert numerics._require_finite(x, "x") is x
+    for f in (normal_cdf, normal_pdf):
+        with pytest.raises(TypeError) as info:
+            f(x)
+        with pytest.raises(TypeError) as expected:
+            float(x)
+        assert str(info.value) == str(expected.value)
 
 
 def test_normal_pdf_values():
@@ -475,7 +505,8 @@ def _counting(f):
 def test_gauss_legendre_table_is_leggauss():
     # the literal table keeps the mixture quadrature's output what leggauss gave
     nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
-    assert np.array_equal(GL_NODES, nodes) and np.array_equal(GL_WEIGHTS, weights)
+    table = gauss_legendre()
+    assert np.array_equal(table[0], nodes) and np.array_equal(table[1], weights)
 
 
 def test_integrate_panels_exact_on_polynomials_of_degree_2m_minus_1():
