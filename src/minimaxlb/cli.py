@@ -84,6 +84,14 @@ _PRIOR_FORMS = {
 }
 
 
+def _read(convert, fields, flag: str, spec: str) -> list:
+    """convert of each field; a field it rejects names the option and the value given."""
+    try:
+        return [convert(field) for field in fields]
+    except ValueError as exc:
+        raise ValueError(f"{flag} {spec!r}: {exc}") from None
+
+
 def parse_prior(spec: str) -> priors.Prior:
     """Parse a prior spec in one of the forms of ``_PRIOR_FORMS``, e.g. 'cosine:0:1'."""
     head, *fields = spec.split(":")
@@ -93,7 +101,7 @@ def parse_prior(spec: str) -> priors.Prior:
     form, required, defaults, make = _PRIOR_FORMS[kind]
     if not required <= len(fields) <= required + len(defaults):
         raise ValueError(f"prior {spec!r} has {len(fields)} fields; expected {form}")
-    args = [float(p) for p in fields]
+    args = _read(float, fields, "--prior", spec)
     return make(*args, *defaults[len(args) - required:])
 
 
@@ -116,11 +124,12 @@ def parse_grid(spec: str) -> Tuple[float, ...]:
         fields = spec.split(":")
         if len(fields) != 4:
             raise ValueError(f"log grid {spec!r} must be written log:lo:hi:count")
-        lo, hi, count = float(fields[1]), float(fields[2]), int(fields[3])
+        lo, hi = _read(float, fields[1:3], "--delta", spec)
+        [count] = _read(int, fields[3:], "--delta", spec)
         if not (0 < lo < hi < math.inf and count >= 2):
             raise ValueError("log grid needs 0 < lo < hi < inf and count >= 2")
         return tuple(float(x) for x in np.geomspace(lo, hi, count))
-    return tuple(float(x) for x in spec.split(","))
+    return tuple(_read(float, spec.split(","), "--delta", spec))
 
 
 DEFAULT_DELTA_GRID = "log:1e-2:1e2:50"
@@ -361,12 +370,10 @@ def cmd_risk(args: argparse.Namespace) -> Tuple[int, Outputs]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> Tuple[int, Outputs]:
-    n_values = tuple(int(x) for x in str(args.n).split(","))
-    delta_values = parse_grid(args.delta_grid)
     config = SweepConfig(
         mode=("fixed-n-vary-delta" if args.mode == "delta" else "fixed-delta-vary-n"),
-        n_values=n_values,
-        delta_values=tuple(sorted(delta_values)),
+        n_values=tuple(sorted(_read(int, args.n.split(","), "--n", args.n))),
+        delta_values=tuple(sorted(parse_grid(args.delta_grid))),
         sigma=args.sigma,
         methods=tuple(args.methods.split(",")) if args.methods else SWEEP_METHODS,
         estimators=(tuple(args.estimators.split(","))

@@ -212,21 +212,19 @@ def _in_two_halves(rows, mid: int, end: int, buffers: np.ndarray) -> None:
         raise failed[0]
 
 
-def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
-                    grid: GridSpec, root: bool = False, buffers: int = 2) -> float:
-    """Trapezoid rule over the (t, x) grid of integrand(g0, gh, *spare), the joint
-    densities g0 = p_t(x) q(t) and gh = p_{t+h}(x) q(t+h), or for root=True their
-    roots, from the family's closed-form root of p. It first warns the oracle's
-    caller when the grid misses the prior, its shift or the family's x-range,
-    raises when a t- or x-cell is wider than _MAX_CELL of the family's kernel
-    width, and checks the t, t + h and x axes once. One block of _BLOCK_ROWS whole
-    t-rows at a time is built into the block buffers, which the integrand may
-    overwrite (the last buffers - 2 are its spares), and reduced over x at once; a
-    density whose prior factor is 0 on the whole block is 0 there, and its kernel is
-    not formed. The t-rows run in two halves split at a block boundary, the second
-    in a helper thread (_in_two_halves) with its own buffers; each half writes its
-    own rows of the x-sums, and the t-weights are applied last, so the value does
-    not depend on the scheduling."""
+def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float, grid: GridSpec) -> float:
+    """Trapezoid rule over the (t, x) grid of integrand(r0, rh) of the joint densities'
+    roots r0 = sqrt(p_t(x) q(t)) and rh = sqrt(p_{t+h}(x) q(t+h)), each sqrt(k) sqrt(q/d)
+    from the family's root kernel. It first warns the oracle's caller when the grid
+    misses the prior, its shift or the family's x-range, raises when a t- or x-cell is
+    wider than _MAX_CELL of the family's kernel width, and checks the t, t + h and x
+    axes once. One block of _BLOCK_ROWS whole t-rows at a time is built into the two
+    block buffers, which the integrand may overwrite, and reduced over x at once; a root
+    whose prior factor is 0 on the whole block is 0 there, and its kernel is not formed.
+    The t-rows run in two halves split at a block boundary, the second in a helper
+    thread (_in_two_halves) with its own buffers; each half writes its own rows of the
+    x-sums, and the t-weights are applied last, so the value does not depend on the
+    scheduling."""
     t_lo, t_hi, _ = _union_region(prior, h)
     if grid.t_lo > t_lo or grid.t_hi < t_hi:
         warnings.warn("t-grid does not cover the prior and its shift",
@@ -244,7 +242,7 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)
     xs = family._kernel_units(family.check_x(np.linspace(grid.x_lo, grid.x_hi, grid.x_points)))
     ts, th = family.check_theta(ts[:, None]), family.check_theta((ts + h)[:, None])
-    # both integrands are homogeneous of degree 1 in (g0, gh), and g <= q/d: reckon the
+    # both integrands are homogeneous of degree 2 in (r0, rh), and r^2 <= q/d: reckon the
     # densities in units of 2^e, e even (so that the roots scale exactly) and near the
     # largest log2(q/d), where no square of one overflows or underflows, and the t-weights
     # in units of 2^-e, so that the value is the same sum in any units
@@ -252,9 +250,8 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
     with np.errstate(divide="ignore"):  # log2(0) = -inf: a zero q is never the largest
         top = float(np.max(np.log2(q0) - np.log2(family._divisor(ts))))
     e = 2 * math.floor(top / 2) if math.isfinite(top) else 0
-    q0, qh = np.ldexp(q0, -e), np.ldexp(qh, -e)
-    if root:  # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
-        q0, qh = np.sqrt(q0 / family._divisor(ts)), np.sqrt(qh / family._divisor(th))
+    # sqrt(p q) = sqrt(k) sqrt(q/d), the root of one factor a row
+    q0, qh = (np.sqrt(np.ldexp(q, -e) / family._divisor(t)) for q, t in ((q0, ts), (qh, th)))
     weights = _trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
     step, inner = _BLOCK_ROWS, np.empty(grid.t_points)
 
@@ -262,17 +259,15 @@ def _grid_trapezoid(integrand, family: Family, prior: Prior, h: float,
         for i in range(lo, hi, step):
             r, k = slice(i, i + step), min(step, hi - i)
             for t, q, out in ((ts[r], q0[r], blocks[0, :k]), (th[r], qh[r], blocks[1, :k])):
-                if not q.any():  # k/d q = +0.0: the kernel is finite
+                if not q.any():  # sqrt(k) sqrt(q/d) = +0.0: the kernel is finite
                     out.fill(0.0)
                     continue
-                family._write_kernel(family._kernel_units(t), xs, out, root)
-                if not root:  # p q as k/d q: the order of density(t, x) * q(t)
-                    np.divide(out, family._divisor(t), out=out)
+                family._write_kernel(family._kernel_units(t), xs, out)
                 np.multiply(out, q, out=out)
             inner[r] = integrand(*blocks[:, :k]) @ weights
 
     _in_two_halves(rows, grid.t_points // step // 2 * step, grid.t_points,
-                   np.empty((2, buffers, step, grid.x_points)))
+                   np.empty((2, 2, step, grid.x_points)))
     return float(np.ldexp(_trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points), e) @ inner)
 
 
@@ -286,7 +281,7 @@ def mixture_hellinger_oracle(family: Family, prior: Prior, h: float,
     bounds.
     """
     return _grid_trapezoid(lambda r0, rh: np.square(np.subtract(rh, r0, out=rh), out=rh),
-                           family, prior, float(h), grid, root=True)
+                           family, prior, float(h), grid)
 
 
 def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
@@ -294,18 +289,19 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
     """2-D grid evaluation of chi^2(Mh || lam Mh + (1-lam) M0) at n = 1.
 
     Equals (1-lam)^2 int int (dMh - dM0)^2 / (lam dMh + (1-lam) dM0) over the
-    region where the interpolated density is positive. This is the only
-    computation path for the lambda-interpolated denominator; no
-    tensorization identity exists for the interpolated mixture, so n > 1 is
-    not offered here.
+    region where the interpolated density is positive, each density the square of
+    the root the oracle grid builds. This is the only computation path for the
+    lambda-interpolated denominator; no tensorization identity exists for the
+    interpolated mixture, so n > 1 is not offered here.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
 
-    def ratio(g0: np.ndarray, gh: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # (gh - g0)^2 / (lam gh + (1 - lam) g0) where the mixture is positive, else 0,
-        # in the block's three buffers with the operations of that expression, in its order
-        diff = np.subtract(gh, g0, out=work)
+    def ratio(r0: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        # (gh - g0)^2 / (lam gh + (1 - lam) g0) where the mixture is positive, else 0, with
+        # g = r^2 squared in the roots' blocks, and the difference in a block of its own
+        g0, gh = np.square(r0, out=r0), np.square(rh, out=rh)
+        diff = gh - g0
         np.square(diff, out=diff)
         mix = np.add(np.multiply(gh, lam, out=gh), np.multiply(g0, 1.0 - lam, out=g0), out=gh)
         positive = mix > 0.0
@@ -313,5 +309,4 @@ def mixture_chi_sq_interpolated_grid(family: Family, prior: Prior, h: float,
         diff[~positive] = 0.0
         return diff
 
-    return (1.0 - lam) ** 2 * _grid_trapezoid(ratio, family, prior, float(h), grid,
-                                              buffers=3)
+    return (1.0 - lam) ** 2 * _grid_trapezoid(ratio, family, prior, float(h), grid)

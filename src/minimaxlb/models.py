@@ -22,8 +22,8 @@ class Family:
     """A one-parameter family P_theta with closed-form divergences.
 
     Each family type defines its density as k/d for the grid oracles, which check
-    theta and x first (``check_theta``, ``check_x``): ``_write_kernel(theta, x, out,
-    root)`` writes k (sqrt(k) for root=True) into out unchecked, theta and x
+    theta and x first (``check_theta``, ``check_x``) and read only its root:
+    ``_write_kernel(theta, x, out)`` writes sqrt(k) into out unchecked, theta and x
     broadcast and in the units ``_kernel_units`` returns them in, and
     ``_divisor(theta)`` is d. It also defines ``fisher_info(theta)``,
     the divergences of a shift h, which read h itself, ``hellinger_sq(theta, h)``
@@ -83,12 +83,12 @@ class GaussianLocation(Family):
         in these units (x - theta)^2 overflows only where k is 0, and no x or theta does."""
         return v * math.ldexp(1.0, -max(math.frexp(self.sigma)[1], 0))
 
-    def _write_kernel(self, theta, x, out, root):
-        """k = exp((x - theta)^2 c) with c = -1/(2 sigma^2), and sqrt(k) with c = -1/(4 sigma^2),
-        x, theta and sigma in kernel units: one product a node, no division. A power of two
-        scales each factor exactly, so k keeps the bits of the unscaled formula wherever
-        that neither overflows nor underflows."""
-        scale = (-0.25 if root else -0.5) / self._kernel_units(self.sigma)**2
+    def _write_kernel(self, theta, x, out):
+        """sqrt(k) = exp((x - theta)^2 c) with c = -1/(4 sigma^2), x, theta and sigma in
+        kernel units: one product a node, no division. A power of two scales each factor
+        exactly, so sqrt(k) keeps the bits of the unscaled formula wherever that neither
+        overflows nor underflows."""
+        scale = -0.25 / self._kernel_units(self.sigma)**2
         np.square(np.subtract(x, theta, out=out), out=out)
         np.exp(np.multiply(out, scale, out=out), out=out)
 
@@ -133,8 +133,8 @@ class UniformScale(Family):
     label = "Uniform scale family"
     x_coverage = "the full uniform support"
 
-    def _write_kernel(self, theta, x, out, root):
-        """k = 1 on [0, theta] and 0 outside, its own root."""
+    def _write_kernel(self, theta, x, out):
+        """sqrt(k) = k = 1 on [0, theta] and 0 outside: the indicator is its own root."""
         np.multiply(np.less_equal(x, theta, out=out), np.greater_equal(x, 0.0), out=out)
 
     def _divisor(self, theta):

@@ -244,22 +244,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.cache  # each numpy table is built on its first use, then shared read-only
-def _coarse_index() -> np.ndarray:
-    return _read_only(np.arange(_COARSE_GRID, dtype=float))
-
-
 def coarse_axis(lo: float, hi: float) -> np.ndarray:
-    """The optimizers' coarse grid on [lo, hi]: maximize_1d scans it, and
-    maximize_2d starts from a cell of the product of the box's two axes, which its
-    caller scans: np.linspace(lo, hi, _COARSE_GRID) bit for bit, with its branch for
-    a step that underflows to 0, less its set-up."""
-    step = (hi - lo) / (_COARSE_GRID - 1)
-    index = _coarse_index()
-    axis = index * step if step else index / (_COARSE_GRID - 1) * (hi - lo)
-    axis += lo
-    axis[-1] = hi
-    return axis
+    """The optimizers' coarse grid np.linspace(lo, hi, _COARSE_GRID): maximize_1d scans
+    it; maximize_2d starts from a cell of the box's two axes, which its caller scans."""
+    return np.linspace(lo, hi, _COARSE_GRID)
 
 
 def _scores(values, points: np.ndarray) -> np.ndarray:
@@ -417,29 +405,23 @@ def maximize_newton(f, start: Sequence[float], lo: Sequence[float], hi: Sequence
         else:
             d0, d1 = (g0 * s0 / norm, g1 * s1 / norm) if norm > 0.0 else (g0, g1)
         m0, m1 = x0 + d0, x1 + d1
-        c0, c1 = _clamp(m0, lo0, hi0) - x0, _clamp(m1, lo1, hi1) - x1
+        c0, c1 = min(max(m0, lo0), hi0) - x0, min(max(m1, lo1), hi1) - x1
         t = 1.0
         while t * (0.0 + g0 * c0 + g1 * c1) > resolution and evals < _NEWTON_EVALS:
             evals += 1
-            t0, t1 = _clamp(x0 + t * c0, lo0, hi0), _clamp(x1 + t * c1, lo1, hi1)
+            t0, t1 = min(max(x0 + t * c0, lo0), hi0), min(max(x1 + t * c1, lo1), hi1)
             trial = evaluate(t0, t1)
             if trial[0] > value:
                 (x0, x1), (value, g0, g1, h00, h01, h10, h11) = (t0, t1), trial
                 break
             t *= 0.5
         else:  # a NaN step is never clamped
-            box = any(_clamp(m, a, b) != m and m == m
+            box = any(min(max(m, a), b) != m and m == m
                       for m, a, b in ((m0, lo0, hi0), (m1, lo1, hi1)))
             reason = ("budget" if evals >= _NEWTON_EVALS
                       else "box" if t == 1.0 and box else "step floor")
             break
     return (x0, x1), value, reason
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    """min(max(v, lo), hi), the same float (a NaN stays) without two builtin calls."""
-    v = lo if lo > v else v
-    return hi if hi < v else v
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -465,7 +447,7 @@ _FIRST_PANELS, _MAX_PANELS, _PANEL_REL_TOL = 4, 1024, 1e-12
 _PASS_NODES = 2**13       # nodes in one call of an integrand: it caps a batch's memory
 
 
-@functools.cache
+@functools.cache  # each numpy table is built on its first use, then shared read-only
 def _fractions(panels: int) -> np.ndarray:
     """The panel edges on [0, 1] of a pass of P panels: np.linspace(0, 1, P + 1), exactly."""
     return _read_only(np.arange(panels + 1) / panels)

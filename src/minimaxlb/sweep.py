@@ -42,10 +42,11 @@ class SweepConfig:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if not self.n_values or not self.delta_values:
             raise ValueError("sweep grids must be non-empty")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("n grid must be strictly increasing")
-        if any(b <= a for a, b in zip(self.delta_values, self.delta_values[1:])):
-            raise ValueError("delta grid must be strictly increasing")
+        for name, grid in (("n", self.n_values), ("delta", self.delta_values)):
+            for a, b in zip(grid, grid[1:]):
+                if b <= a:
+                    raise ValueError(f"{name}={a!r} is given twice" if b == a
+                                     else f"{name} grid must be strictly increasing")
         bounds.check_scale(self.sigma, "sigma")
         estimators.PreTest(self.threshold)  # PreTest's threshold rule, before any row
         for kind, names, known in (("method", self.methods, SWEEP_METHODS),

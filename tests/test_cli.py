@@ -555,6 +555,17 @@ CONTRACT = [
      0, "\nvalue=0.06817524301257423\n"),
     (["bound", "--method", "diffeo", "--delta", "2.469595376082973e-154",
       "--n", str(int(2.883998e307))], 0, "\nvalue=0.09938419275609545\n"),
+    # sweep sorts its --n list as it does its --delta list, and names a value given twice
+    (["sweep", "--n", "100,10", "--delta", "1", "--methods", "vt"], 0, ""),
+    (["sweep", "--n", "10,10", "--delta", "1", "--methods", "vt"], 2, "n=10 is given twice"),
+    (["sweep", "--n", "10", "--delta", "1,1", "--methods", "vt"], 2, "delta=1.0 is given twice"),
+    # a list or prior that does not parse names its option and the value given
+    (["sweep", "--n", "10,", "--delta", "1"], 2,
+     "--n '10,': invalid literal for int() with base 10: ''"),
+    (["sweep", "--n", "10", "--delta", "1,,2"], 2,
+     "--delta '1,,2': could not convert string to float: ''"),
+    (["bound", "--method", "vantrees", "--prior", "cosine:x"], 2,
+     "--prior 'cosine:x': could not convert string to float: 'x'"),
 ]
 
 
@@ -571,6 +582,16 @@ def test_cli_input_contract(argv, code, message, tmp_path, capsys):
     assert got == code
     assert message in printed.out + printed.err
     assert [str(w.message) for w in caught] == []
+
+
+def test_sweep_reads_its_n_list_in_any_order(capsys):
+    # the rows come in ascending n, as for the sorted list
+    for n in ("100,10", "10,100"):
+        assert main(["sweep", "--n", n, "--delta", "2,1", "--methods", "vt"]) == 0
+    unsorted, ascending = capsys.readouterr().out.split("delta,n,")[1:]
+    assert unsorted == ascending and ascending.index("\n1.0,10,") < ascending.index("\n1.0,100,")
+    with pytest.raises(ValueError, match="n grid must be strictly increasing"):
+        SweepConfig(mode="fixed-n-vary-delta", n_values=(100, 10), delta_values=(1.0,))
 
 
 def _parsed(parse, argv):

@@ -252,20 +252,27 @@ def test_mixture_chi_sq_against_grid_oracle():
                                          (GaussianPrior(1.0, 0.5), -0.05, 0.75),
                                          (GaussianPrior(0.0, 1.0), 1.0, 0.0)])
 def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
-    # bit for bit the value the out-of-place formula gives on the whole grid, which
-    # the oracle builds in place in its block buffers, with less memory alive than
-    # three 401 x 401 grids
+    # bit for bit the value the out-of-place formula gives on the whole grid from the
+    # closed-form roots exp((x - t)^2 (-1/4)) sqrt(q/d), which the oracle builds in place
+    # in its block buffers, with less memory alive than three 401 x 401 grids; within
+    # 2e-15 of the formula on the densities themselves
     grid = default_grid(GAUSS, prior, h)
     ts = np.linspace(grid.t_lo, grid.t_hi, grid.t_points)[:, None]
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    g0 = family_density(GAUSS, ts, xs) * prior_density(prior, ts)
-    gh = family_density(GAUSS, ts + h, xs) * prior_density(prior, ts + h)
-    mix = lam * gh + (1.0 - lam) * g0
-    ratio = np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
     wt = mixtures._trapezoid_weights(grid.t_lo, grid.t_hi, grid.t_points)
     wx = mixtures._trapezoid_weights(grid.x_lo, grid.x_hi, grid.x_points)
-    want = (1.0 - lam) ** 2 * float(wt @ (ratio @ wx))
-    del g0, gh, mix, ratio
+
+    def value(g0, gh):
+        mix = lam * gh + (1.0 - lam) * g0
+        ratio = np.divide((gh - g0) ** 2, mix, out=np.zeros_like(mix), where=mix > 0.0)
+        return (1.0 - lam) ** 2 * float(wt @ (ratio @ wx))
+
+    def root(t):
+        return np.exp((xs - t)**2 * -0.25) * np.sqrt(prior_density(prior, t) / GAUSS._divisor(t))
+
+    want = value(root(ts)**2, root(ts + h)**2)
+    densities = value(family_density(GAUSS, ts, xs) * prior_density(prior, ts),
+                      family_density(GAUSS, ts + h, xs) * prior_density(prior, ts + h))
     tracemalloc.start()
     try:
         got = mixture_chi_sq_interpolated_grid(GAUSS, prior, h, lam, grid)
@@ -273,6 +280,7 @@ def test_interpolated_chi_sq_grid_holds_three_grids(prior, h, lam):
     finally:
         tracemalloc.stop()
     assert got == want
+    assert got == pytest.approx(densities, rel=2e-15, abs=0.0)
     assert peak <= 3.2 * 401 * 401 * 8
 
 
@@ -294,7 +302,7 @@ def test_grid_oracles_stream_their_rows():
     for oracle, want in ((lambda: mixture_hellinger_oracle(GAUSS, prior, h, grid),
                           0.0049937552050797595),
                          (lambda: mixture_chi_sq_interpolated_grid(GAUSS, prior, h, 0.5, grid),
-                          0.004975205671290736)):
+                          0.004975205671290735)):
         tracemalloc.start()
         try:
             got = oracle()
@@ -366,7 +374,7 @@ def test_grid_helper_exception_is_raised_in_the_caller(capfd):
 
     threads = threading.active_count()
     with pytest.raises(KeyError, match="second half"):
-        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid, root=True)
+        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid)
     assert halves == {False, True}
     assert threading.active_count() == threads
     assert capfd.readouterr().err == ""
@@ -385,7 +393,7 @@ def test_grid_helper_runs_in_the_callers_errstate():
 
     threads = threading.active_count()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid, root=True)
+        mixtures._grid_trapezoid(integrand, GAUSS, prior, h, grid)
     assert threading.active_count() == threads
 
 

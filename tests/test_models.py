@@ -20,10 +20,10 @@ def density(family, theta, x):
     return ((0.0 <= x) & (x <= theta)) / theta
 
 
-def _kernel(family, theta, x, root=False):
-    """The kernel k of the density k/d (sqrt(k) for root), as the grid oracles write it."""
+def _kernel(family, theta, x):
+    """The root sqrt(k) of the density's kernel k/d, as the grid oracles write it."""
     out = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(x)))
-    family._write_kernel(family._kernel_units(theta), family._kernel_units(x), out, root)
+    family._write_kernel(family._kernel_units(theta), family._kernel_units(x), out)
     return out
 
 
@@ -56,9 +56,9 @@ def chi_sq_oracle(family, t_num, t_den):
 
 
 def test_density_examples():
-    # the density k/d from the family's kernel and divisor
-    assert _kernel(GAUSS, 0.0, 0.0) / GAUSS._divisor(0.0) == pytest.approx(0.39894228, abs=1e-8)
-    assert _kernel(UNIF, 2.0, 1.0) / UNIF._divisor(2.0) == 0.5
+    # the density sqrt(k)^2/d from the family's root kernel and divisor
+    assert _kernel(GAUSS, 0.0, 0.0)**2 / GAUSS._divisor(0.0) == pytest.approx(0.39894228, abs=1e-8)
+    assert _kernel(UNIF, 2.0, 1.0)**2 / UNIF._divisor(2.0) == 0.5
     assert _kernel(UNIF, 2.0, 3.0) == 0.0
 
 
@@ -78,12 +78,12 @@ def test_density_rejects_bad_theta():
 @pytest.mark.parametrize("family", [GaussianLocation(0.5), GAUSS, GaussianLocation(3.0), UNIF],
                          ids=["gauss-0.5", "gauss-1", "gauss-3", "uniform"])
 def test_root_density_is_the_closed_form_root(family):
-    # sqrt(p) = sqrt(k)/sqrt(d) with the kernel's closed-form root squares to p = k/d
-    # within 4 ulp, on a broadcast grid and at a point
+    # sqrt(p) = sqrt(k)/sqrt(d) with the kernel's closed-form root squares to the density
+    # formula's p within 4 ulp, on a broadcast grid and at a point
     ts, xs = np.linspace(0.5, 3.0, 26)[:, None], np.linspace(-1.0, 4.0, 101)
     for theta, x in ((ts, xs), (2.0, 1.5)):
-        d = family._divisor(theta)
-        root, p = _kernel(family, theta, x, root=True) / np.sqrt(d), _kernel(family, theta, x) / d
+        root = _kernel(family, theta, x) / np.sqrt(family._divisor(theta))
+        p = np.asarray(density(family, theta, x))
         assert root.shape == p.shape == np.broadcast_shapes(np.shape(theta), np.shape(x))
         assert np.all(np.abs(root**2 - p) <= 4.0 * np.spacing(p))
 
@@ -96,9 +96,7 @@ def test_gaussian_kernel_keeps_the_bits_of_the_unscaled_formula(sigma):
     family = GaussianLocation(sigma)
     theta, x = sigma * np.linspace(-3.0, 3.0, 13)[:, None], sigma * np.linspace(-9.0, 9.0, 101)
     assert family._divisor(theta) == sigma * math.sqrt(2.0 * math.pi)
-    assert np.array_equal(_kernel(family, theta, x), np.exp((x - theta)**2 * (-0.5 / sigma**2)))
-    assert np.array_equal(_kernel(family, theta, x, root=True),
-                          np.exp((x - theta)**2 * (-0.25 / sigma**2)))
+    assert np.array_equal(_kernel(family, theta, x), np.exp((x - theta)**2 * (-0.25 / sigma**2)))
 
 
 @pytest.mark.parametrize("sigma", [1e154, 1.3e154])
@@ -106,9 +104,8 @@ def test_gaussian_density_past_the_square_of_the_float_range(sigma):
     # (x - theta)^2 of 2 sigma overflows: the kernel reads it in units near sigma
     family, d = GaussianLocation(sigma), sigma * math.sqrt(2.0 * math.pi)
     want = math.exp(-2.0) / d
-    assert _kernel(family, 0.0, 2.0 * sigma) / d == pytest.approx(want, rel=1e-15)
-    assert (_kernel(family, sigma, -sigma, root=True) / math.sqrt(d)) ** 2 == \
-        pytest.approx(want, rel=1e-15)
+    assert _kernel(family, 0.0, 2.0 * sigma)**2 / d == pytest.approx(want, rel=1e-15)
+    assert (_kernel(family, sigma, -sigma) / math.sqrt(d)) ** 2 == pytest.approx(want, rel=1e-15)
 
 
 def test_fisher_info():
@@ -229,14 +226,14 @@ def test_divergences_accept_arrays():
         UNIF.hellinger_sq(np.array([1.0, -1.0]), 2.5)
     with pytest.raises(ValueError, match=re.escape("requires theta + h > 0")):
         UNIF.hellinger_sq(np.array([1.0, 2.0]), -1.5)
-    # the kernel broadcasts: the oracle grid is k at t down axis 0
+    # the kernel broadcasts: the oracle grid is sqrt(k) at t down axis 0
     ts, xs = np.linspace(0.5, 3.0, 6), np.linspace(-1.0, 4.0, 11)
     for family in (GAUSS, UNIF):
         grid = _kernel(family, ts[:, None], xs[None, :])
         assert grid.shape == (6, 11)
         one_by_one = [[_kernel(family, float(t), float(x)) for x in xs] for t in ts]
         assert grid == pytest.approx(np.array(one_by_one), rel=1e-15, abs=0.0)
-        assert grid / family._divisor(ts[:, None]) == pytest.approx(
+        assert grid**2 / family._divisor(ts[:, None]) == pytest.approx(
             density(family, ts[:, None], xs), rel=1e-15, abs=0.0)
     with pytest.raises(ValueError, match="requires theta > 0"):
         UNIF.check_theta(np.array([[1.0], [0.0]]))

@@ -72,20 +72,6 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()  # -0.0 and 0.0 differ, as do NaNs' payloads
 
 
-def test_coarse_axis_is_linspace_bit_for_bit():
-    rng = random.Random(20240601)
-    pairs = [(0.0, 1e-322), (0.0, 5e-324), (-1e-322, 0.0), (1.0, 1.0 + 2.0**-52),
-             (-0.0, 1.0), (0.0, 1e-310), (-1e300, 1e300), (1e300, -1e300), (3.0, 3.0)]
-    for _ in range(10_000):
-        span = 10.0 ** rng.uniform(-300.0, 300.0)
-        lo = rng.choice([0.0, -span * rng.random(), span * rng.uniform(-1e3, 1e3),
-                         -10.0 ** rng.uniform(-300.0, 300.0)])
-        pairs.append((lo, lo + span))
-    assert sum(1 for lo, hi in pairs if (hi - lo) / 63 == 0.0 and hi != lo) >= 2
-    for lo, hi in pairs:
-        assert _bits(coarse_axis(lo, hi)) == _bits(np.linspace(lo, hi, 64)), (lo, hi)
-
-
 def test_coarse_axis_returns_a_fresh_writeable_array():
     axis = coarse_axis(0.0, 1.0)
     axis[:] = 7.0
