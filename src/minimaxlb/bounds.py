@@ -113,10 +113,12 @@ class PowerMax(Functional):
         return np.concatenate((kinks, grades, h[..., None] + grades), axis=-1)
 
     def slope_mass(self, prior: Prior) -> float:
-        """int alpha t^(alpha-1) q(t) dt over t > 0. A window within its width of 0
-        is integrated in u = t^alpha, which removes the singularity, graded toward
-        u = 0 as by ``cuts``. One farther out is integrated in the prior's centred
-        coordinate (``Prior.centred``), where floats resolve it finely."""
+        """int alpha t^(alpha-1) q(t) dt over t > 0: ``prior.mass_above(0.0)`` at alpha = 1.
+        For alpha < 1 a window within its width of 0 is integrated in u = t^alpha, which
+        removes the singularity, graded toward u = 0 as by ``cuts``; one farther out in the
+        prior's centred coordinate (``Prior.centred``), where floats resolve it finely."""
+        if self.alpha == 1.0:
+            return prior.mass_above(0.0)
         lo, hi = prior.window()
         if hi <= 0.0:
             return 0.0
@@ -295,9 +297,9 @@ def chi2_mixture_bound(family: Family, n: int, prior: Prior, f: Functional,
 def van_trees_value(family: Family, n: int, prior: Prior, f: Functional) -> float:
     """n-scaled classical van Trees value n (int grad psi dQ)^2 / (I(Q) + n int I dQ).
 
-    Needs a nice prior and finite family information, read at the top of the
-    prior's window (the same everywhere for a location family, and inside a
-    range bounded below if any of the window is); the numerator is ``slope_mass``.
+    Needs a nice prior and finite family information, read at the top of the prior's window
+    (the same everywhere for a location family, inside a range bounded below if any of the
+    window is); the numerator, ``slope_mass``, is in floats for the identity and max(theta, 0).
     """
     check_n(n)
     info = family.fisher_info(prior.window()[1])

@@ -43,9 +43,10 @@ class Family:
 
     def check_theta(self, theta, name: str = "theta"):
         theta = float_or_array(theta)
-        if not np.isfinite(theta).all():
+        scalar = isinstance(theta, float)  # a float is checked in floats, without numpy
+        if not (math.isfinite(theta) if scalar else np.isfinite(theta).all()):
             raise ValueError(f"{name} must be finite")
-        if not np.all(theta > self.theta_min):
+        if not (theta > self.theta_min if scalar else np.all(theta > self.theta_min)):
             raise ValueError(f"{self.label} requires {name} > {self.theta_min:g}, "
                              f"got {np.min(theta)}")
         return theta

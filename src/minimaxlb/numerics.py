@@ -86,16 +86,17 @@ class SearchBox:
 
 
 def float_or_array(x):
-    """x as a Python float when it is a scalar, else as a float ndarray."""
-    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    """x as a float when it is a scalar (a Python number skips numpy), else as a float ndarray."""
+    return float(x) if isinstance(x, (float, int)) or np.ndim(x) == 0 else np.asarray(x, float)
 
 
 def math_elementwise(fn: Callable[[float], float], x):
     """The math function fn of a float, or of each entry of an ndarray: math's
     rounding, which numpy's own ufuncs do not always match. fn maps the entries as
     a list of floats, which costs a third less than wrapping fn in a ufunc."""
-    if np.ndim(x) == 0:
-        return fn(float(x))
+    x = float_or_array(x)
+    if isinstance(x, float):
+        return fn(x)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 

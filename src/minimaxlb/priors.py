@@ -19,6 +19,7 @@ from typing import Tuple
 from .numerics import _SQRT_2PI, _Z_MAX, _require_finite, float_or_array, math_elementwise, np
 
 _PI = math.pi
+_PI_DIGITS = "3.14159265358979323846264338328"  # pi to 30 digits, for decimal
 
 
 def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None:
@@ -42,13 +43,13 @@ def check_scale(x: float, name: str = "delta", unit_fisher: float = 0.0) -> None
 class Prior:
     """A prior density on the real line.
 
-    Each prior type defines ``density(t)`` (t a float or an ndarray; zero
-    outside the support), ``log_ratio(t, h)`` = log q(t + h) - log q(t) where
-    both are positive, in closed form in h, ``support()``, ``fisher_info()``
-    (I(Q) = int q'^2/q), ``dispersion()`` (the scale that sizes shift-search
-    windows) and ``dilate(center, scale)``, the location-scale map t ->
-    (1/scale) q((t - center)/scale), which multiplies the Fisher information
-    by scale^-2. The defaults below fit the compactly supported nice priors.
+    Each prior type defines ``density(t)`` (t a float or an ndarray; zero outside the
+    support), ``log_ratio(t, h)`` = log q(t + h) - log q(t) where both are positive, in
+    closed form in h, ``support()``, ``fisher_info()`` (I(Q) = int q'^2/q), ``dispersion()``
+    (the scale that sizes shift-search windows) and ``dilate(center, scale)``, the
+    location-scale map t -> (1/scale) q((t - center)/scale), which multiplies the Fisher
+    information by scale^-2; a nice prior also ``mass_above(x)`` = Q((x, inf)) in closed
+    form. The defaults below fit the compactly supported nice priors.
     """
 
     def centred(self) -> Tuple[float, "Prior"]:
@@ -97,6 +98,16 @@ class Cosine(Prior):
         sin_half, sin = (math_elementwise(math.sin, x) for x in (0.5 * b, b))
         return 2.0 * np.log1p(-2.0 * sin_half ** 2 - np.tan(a) * sin)
 
+    def mass_above(self, x: float) -> float:
+        """(phi - sin phi)/(2 pi), phi = pi v, v = (top - x)/halfwidth in [0, 2] (0 and 1 past
+        the ends), from the Taylor series of phi - sin phi, free of its cancellation near 0."""
+        from decimal import Context, Decimal, localcontext  # on first use, not at start-up
+        with localcontext(Context(prec=30)):  # the sum to 30 digits, rounded once
+            v = (Decimal(self.support()[1]) - Decimal(x)) / Decimal(self.halfwidth)
+            phi = Decimal(_PI_DIGITS) * min(max(v, 0), 2)  # at 2 pi, the last term is 1e-35
+            gap = sum((-1) ** k * phi ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(30))
+            return float(gap / (2 * Decimal(_PI_DIGITS)))
+
     def support(self) -> Tuple[float, float]:
         return self.center - self.halfwidth, self.center + self.halfwidth
 
@@ -130,6 +141,16 @@ class GaussianPrior(Prior):
         eta = h / self.sigma
         with np.errstate(over="ignore"):
             return -((t - self.mu) / self.sigma + 0.5 * eta) * eta
+
+    def mass_above(self, x: float) -> float:
+        """erfc(w)/2 for w = (x - mu)/(sigma sqrt 2), less erfc's slope times w's rounding error,
+        which erfc's condition number 2 w^2 would make 1e-13 relative at w = 25."""
+        from decimal import Context, Decimal, localcontext  # on first use, not at start-up
+        with localcontext(Context(prec=30)):  # w to 30 digits; past |w| = 28 erfc is 0 or 2
+            exact = (Decimal(x) - Decimal(self.mu)) / (Decimal(self.sigma) * Decimal(2).sqrt())
+            w = float(min(max(exact, -28), 28))
+            error = float(exact - Decimal(w)) if abs(w) < 28.0 else 0.0
+        return 0.5 * math.erfc(w) - error * math.exp(-w * w) / math.sqrt(_PI)
 
     def support(self) -> Tuple[float, float]:
         return -math.inf, math.inf

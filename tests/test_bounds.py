@@ -382,7 +382,9 @@ def test_overflow_check_at_the_kinks_decides_as_at_every_cut():
 def test_maxzero_slope_mass_is_the_prior_mass_above_zero():
     assert MaxZero().slope_mass(GaussianPrior(0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
     assert MaxZero().slope_mass(GaussianPrior(13.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert MaxZero().slope_mass(GaussianPrior(-13.0, 1.0)) == 0.0
+    # a window wholly below 0 still reads the mass above it, Phi(-13)
+    assert MaxZero().slope_mass(GaussianPrior(-13.0, 1.0)) == \
+        pytest.approx(6.117164399549880e-39, rel=1e-15, abs=0.0)
     # far from 0 the prior's window still resolves: the value is 1 / (1 + 1)
     for mu in (1e6, 1e10, 1e12):
         assert van_trees_value(GAUSS, 1, GaussianPrior(mu, 1.0), MaxZero()) == \
@@ -390,6 +392,42 @@ def test_maxzero_slope_mass_is_the_prior_mass_above_zero():
     for prior in (GaussianPrior(1e8, 0.01), Cosine(1e9, 1.0),
                   KeplerCosine.for_constraint(0.75, 1e6, 0.01)):
         assert MaxZero().slope_mass(prior) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_van_trees_value_matches_mpmath():
+    # the mass above 0 and the value n m^2 / (I(Q) + n / sigma^2), each to 1e-15 relative
+    # or 4 ulp of a 50-digit reference read off the prior's float parameters, at 40
+    # derandomized priors of each kind: cosine centres within 1.5 halfwidths of 0, Kepler
+    # masses a in [1e-8, 1 - 1e-8] and Gaussian mu/sigma in [-37, 8] (below -12 the 12-sigma
+    # window lies below 0), with n log-uniform up to 1e6 and family sigma 1 or 0.3
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(45)
+    scales = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 120)).tolist()
+    masses = np.exp(rng.uniform(math.log(1e-8), math.log(0.5), 40))
+    masses = np.where(np.arange(40) % 2, masses, 1.0 - masses).tolist()
+    cases = [Cosine(float(rng.uniform(-1.5, 1.5)) * s, s) for s in scales[:40]]
+    cases += [KeplerCosine.for_constraint(a, 0.0, s) for a, s in zip(masses, scales[40:80])]
+    cases += [GaussianPrior(float(rng.uniform(-37.0, 8.0)) * s, s) for s in scales[80:]]
+    ns = np.exp(rng.uniform(0.0, math.log(1e6), 120)).astype(int).tolist()
+
+    def close(got, want):
+        return abs(got - want) <= max(1e-15 * want, 4.0 * math.ulp(float(want)))
+
+    with mpmath.workdps(50):
+        for i, (prior, n) in enumerate(zip(cases, ns)):
+            sigma = (1.0, 0.3)[i % 2]
+            if isinstance(prior, GaussianPrior):
+                mu, s = mpmath.mpf(prior.mu), mpmath.mpf(prior.sigma)
+                mass, info = mpmath.erfc(-mu / (s * mpmath.sqrt(2))) / 2, 1 / s**2
+            else:
+                c, w = mpmath.mpf(prior.center), mpmath.mpf(prior.halfwidth)
+                phi = mpmath.pi * min(max((c + w) / w, 0), 2)
+                mass, info = (phi - mpmath.sin(phi)) / (2 * mpmath.pi), (mpmath.pi / w)**2
+            value = n * mass**2 / (info + n / mpmath.mpf(sigma)**2)
+            got = MaxZero().slope_mass(prior)
+            assert close(got, mass), (prior, got, mass)
+            got = van_trees_value(GaussianLocation(sigma), n, prior, MaxZero())
+            assert close(got, value), (prior, n, sigma, got, value)
 
 
 def _vt_grid_oracle(delta, n, points=10001):

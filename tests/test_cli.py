@@ -566,6 +566,9 @@ CONTRACT = [
      "--delta '1,,2': could not convert string to float: ''"),
     (["bound", "--method", "vantrees", "--prior", "cosine:x"], 2,
      "--prior 'cosine:x': could not convert string to float: 'x'"),
+    # the 12-sigma window lies below 0, and the mass above 0 is Phi(-12.5) all the same
+    (["bound", "--method", "vantrees", "--prior", "gaussian:-12.5:1", "--n", "10"], 0,
+     "value=1.26654874956877"),
 ]
 
 
@@ -816,22 +819,40 @@ def _run_python(source, *args):
                           capture_output=True, text=True).stdout
 
 
-def test_lazy_and_eager_numpy_give_the_same_bytes():
-    # the test modules import numpy before the package, so only a fresh interpreter
-    # runs the deferred import; every argv here loads numpy
-    argvs = [["selftest"], ["sweep", "--n", "10", "--delta", "log:1e-2:1e2:5"],
-             ["bound", "--method", "hellinger", "--prior", "cosine:0:1"],
-             ["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.1",
-              "--lambda", "0"]]
+def _assert_lazy_and_eager_match(argvs, source=_FIRST_IMPORT):
     runs = [(argv, first) for argv in argvs for first in ("", "import numpy")]
     with ThreadPoolExecutor(2) as pool:
         outputs = list(pool.map(
-            lambda run: _run_python(_FIRST_IMPORT.format(first=run[1], eager=bool(run[1])),
+            lambda run: _run_python(source.format(first=run[1], eager=bool(run[1])),
                                     json.dumps(run[0])), runs))
     for (argv, _), lazy, eager in zip(runs[::2], outputs[::2], outputs[1::2]):
         code, out = json.loads(lazy)
         assert code == 0 and out, argv
         assert lazy == eager, argv
+
+
+def test_lazy_and_eager_numpy_give_the_same_bytes():
+    # the test modules import numpy before the package, so only a fresh interpreter
+    # runs the deferred import; every argv here loads numpy
+    _assert_lazy_and_eager_match([
+        ["selftest"], ["sweep", "--n", "10", "--delta", "log:1e-2:1e2:5"],
+        ["bound", "--method", "hellinger", "--prior", "cosine:0:1"],
+        ["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "0.1", "--lambda", "0"],
+        ["bound", "--method", "vantrees", "--prior", "kepler:0.75", "--functional", "powermax",
+         "--alpha", "0.5"]])
+
+
+def test_closed_form_bounds_finish_without_numpy():
+    # the vt bound and the van Trees value of max(theta, 0) and of the identity compute in
+    # floats: numpy is still unloaded when main returns, and the bytes are those of a run
+    # with numpy imported first
+    _assert_lazy_and_eager_match([
+        ["bound", "--method", "vt", "--delta", "0.5", "--n", "10"],
+        ["bound", "--method", "vantrees", "--prior", "cosine:0:1", "--n", "100"],
+        ["bound", "--method", "vantrees", "--prior", "gaussian:-12.5:1", "--n", "10"],
+        ["bound", "--method", "vantrees", "--prior", "kepler:0.75"],
+        ["bound", "--method", "vantrees", "--prior", "gaussian:0:1", "--functional", "identity"]],
+        _FIRST_IMPORT + 'assert ("numpy._core" in sys.modules) == {eager}\n')
 
 
 def test_scipy_imports_after_the_package():

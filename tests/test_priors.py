@@ -306,3 +306,34 @@ def test_prior_density_accepts_arrays(prior):
     one_by_one = [prior_density(prior, float(t)) for t in ts]
     assert all(type(v) is float for v in one_by_one)
     assert batch == pytest.approx(one_by_one, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("prior", [Cosine(0.0, 1.0), Cosine(2.0, 0.5), GaussianPrior(0.0, 1.0),
+                                   GaussianPrior(-1.0, 3.0), KeplerCosine.for_constraint(0.75),
+                                   KeplerCosine.for_constraint(0.3, center=1.0, scale=0.4)])
+def test_mass_above_is_the_density_integral(prior):
+    # Q((x, inf)) at points across the support, against quadrature of the density
+    lo, hi = prior.window()
+    for x in np.linspace(lo, hi, 9)[1:-1]:
+        tail, _ = integrate.quad(prior.density, x, hi, epsabs=0.0, epsrel=1e-13)
+        assert prior.mass_above(float(x)) == pytest.approx(tail, rel=1e-12, abs=1e-15)
+
+
+def test_mass_above_lies_in_the_unit_interval_and_is_exact_past_the_ends():
+    for prior in (Cosine(0.0, 1.0), Cosine(-3.0, 1e-3), KeplerCosine.for_constraint(1e-8),
+                  KeplerCosine.for_constraint(1.0 - 1e-8, 5.0, 2.0)):
+        lo, hi = prior.support()
+        assert prior.mass_above(hi) == prior.mass_above(hi + 1.0) == 0.0
+        assert prior.mass_above(lo) == prior.mass_above(lo - 1.0) == 1.0
+        masses = [prior.mass_above(float(x)) for x in np.linspace(lo, hi, 201)]
+        assert all(0.0 <= m <= 1.0 for m in masses)
+        assert masses == sorted(masses, reverse=True)
+    # the far tails of the Gaussian prior read 0 and 1, and its top tail keeps its digits
+    gauss = GaussianPrior(0.0, 1.0)
+    assert gauss.mass_above(1e300) == 0.0 and gauss.mass_above(-1e300) == 1.0
+    assert gauss.mass_above(40.0) == 0.0 and gauss.mass_above(-40.0) == 1.0
+    assert GaussianPrior(1e300, 1e-150).mass_above(0.0) == 1.0
+    assert gauss.mass_above(37.0) == pytest.approx(5.725571222524e-300, rel=1e-12)
+    # KeplerCosine.for_constraint(a) puts mass a above its center, down to a = 1e-8
+    for a in (1e-8, 1e-3, 0.3, 0.5, 0.75, 1.0 - 1e-8):
+        assert KeplerCosine.for_constraint(a).mass_above(0.0) == pytest.approx(a, rel=1e-14)

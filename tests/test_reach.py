@@ -48,6 +48,7 @@ CLI_CORPUS = (
     (["bound", "--method", "chi2", "--prior", "gaussian:0:1", "--h", "16", "--lambda", "0"], 3),
     (["bound", "--method", "vantrees", "--prior", "cosine:0:1"], 0),
     (["bound", "--method", "vantrees", "--prior", "gaussian:0:1", "--functional", "identity"], 0),
+    (["bound", "--method", "vantrees", "--prior", "gaussian:-12.5:1"], 0),
     (["bound", "--method", "vantrees", "--prior", "kepler:0.75", "--functional", "powermax",
       "--alpha", "0.5"], 0),
     (["bound", "--method", "vantrees", "--prior", "cosine:3:1", "--functional", "powermax",
