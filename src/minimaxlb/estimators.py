@@ -116,7 +116,7 @@ def pretest_risk_at(theta: float, n: int, c_n: float) -> float:
 
 def _risk_parts(theta: float, n: int, c_n: float):
     """The risk c phi(c) + Phi(-c) + n theta^2 Phi(c), c = sqrt(n) (c_n - theta), unchecked, and
-    c, phi(c) and Phi(c), from one erfc, Phi(-|c|), which is Phi(-c) where c > 0 (1 - Phi(c) would
+    c, phi(c) and Phi(c), from one tail, Phi(-|c|), which is Phi(-c) where c > 0 (1 - Phi(c) would
     cancel it). Phi(c) = 0 before n theta^2 overflows, and the term is then 0."""
     cut = math.sqrt(n) * (c_n - theta)
     phi, tail = normal_pdf(cut), normal_cdf(-abs(cut))

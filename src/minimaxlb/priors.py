@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import _SQRT_2PI, _Z_MAX, _require_finite, float_or_array, math_elementwise, np
+from .numerics import (_SQRT_2PI, _Z_MAX, _gaussian_tail, _require_finite, float_or_array,
+                       math_elementwise, np)
 
 _PI = math.pi
 _PI_DIGITS = "3.14159265358979323846264338328"  # pi to 30 digits, for decimal
@@ -143,14 +144,7 @@ class GaussianPrior(Prior):
             return -((t - self.mu) / self.sigma + 0.5 * eta) * eta
 
     def mass_above(self, x: float) -> float:
-        """erfc(w)/2 for w = (x - mu)/(sigma sqrt 2), less erfc's slope times w's rounding error,
-        which erfc's condition number 2 w^2 would make 1e-13 relative at w = 25."""
-        from decimal import Context, Decimal, localcontext  # on first use, not at start-up
-        with localcontext(Context(prec=30)):  # w to 30 digits; past |w| = 28 erfc is 0 or 2
-            exact = (Decimal(x) - Decimal(self.mu)) / (Decimal(self.sigma) * Decimal(2).sqrt())
-            w = float(min(max(exact, -28), 28))
-            error = float(exact - Decimal(w)) if abs(w) < 28.0 else 0.0
-        return 0.5 * math.erfc(w) - error * math.exp(-w * w) / math.sqrt(_PI)
+        return _gaussian_tail(x, self.mu, self.sigma)
 
     def support(self) -> Tuple[float, float]:
         return -math.inf, math.inf

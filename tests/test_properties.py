@@ -46,18 +46,18 @@ def test_diffeo_below_every_risk(n, delta):
 
 
 @settings(PROPERTY, max_examples=20)
-@given(log_n=st.floats(0.0, 300.0), scaled_delta=st.floats(1e-3, 1e3))
-def test_bounds_and_risks_depend_on_delta_sqrt_n_only(log_n, scaled_delta):
-    # n log-uniform over the CLI's range; the pre-test risk is left out: its n^(-1/4)
-    # threshold is not a function of delta sqrt(n) (Hodges' superefficiency), so it
-    # does not rescale
+@given(log_n=st.floats(0.0, 300.0), scaled_delta=st.floats(1e-3, 1e3),
+       scaled_threshold=st.floats(1e-3, 1e3))
+def test_bounds_and_risks_depend_on_delta_sqrt_n_only(log_n, scaled_delta, scaled_threshold):
+    # n log-uniform over the CLI's range; the pre-test risk reads its threshold c_n only
+    # through k = sqrt(n) c_n, so it rescales at a fixed k: threshold k/sqrt(n) at n against
+    # k at n = 1 (the Hodges choice n^(-1/4) fixes no k, which is its superefficiency)
     n = int(10.0**log_n)
     delta = scaled_delta / math.sqrt(n)
-    config = SweepConfig("fixed-n-vary-delta", (n,), (delta,),
-                         estimators=("constant", "plugin"))
-    row = sweep_row_values(n, delta, config)
-    assert row == pytest.approx(sweep_row_values(1, delta * math.sqrt(n), config),
-                                rel=1e-12, abs=0.0)
+    rows = [sweep_row_values(m, d, SweepConfig("fixed-n-vary-delta", (m,), (d,), threshold=c))
+            for m, d, c in ((n, delta, scaled_threshold / math.sqrt(n)),
+                            (1, delta * math.sqrt(n), scaled_threshold))]
+    assert rows[0] == pytest.approx(rows[1], rel=1e-12, abs=0.0)
 
 
 @PROPERTY
